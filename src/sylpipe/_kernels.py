@@ -9,6 +9,7 @@ agree to rounding noise otherwise.
 
 from __future__ import annotations
 
+import itertools
 import os
 
 import numpy as np
@@ -139,6 +140,40 @@ def row_sum(weights, ids, out=None):
         out = np.empty(weights.shape[1])
     _row_sum_impl(weights, ids, out)
     return out
+
+
+def pack_rows(rows):
+    """Pack per-position id lists for sum_rows: a (K, T) id array padded with -1.
+
+    Column t holds the ids of position t in the given order, then padding.
+    """
+    K = max(map(len, rows), default=0)
+    pads = [-1] * K
+    flat = itertools.chain.from_iterable(r + pads[len(r):] for r in rows)
+    return np.fromiter(flat, dtype=np.intp, count=len(rows) * K).reshape(len(rows), K).T
+
+
+def sum_rows(weights, packed):
+    """(T, L) array whose row t is row_sum(weights, ids of position t), bit for bit.
+
+    One gather into a zero-padded (K, T, L) array, summed over K. For L > 1
+    numpy adds the K slices in order from a +0.0 start, as row_sum does, and
+    each padding slot adds +0.0, which leaves a partial sum unchanged.
+    (np.add.reduceat would be faster but is not exact.) With L == 1 numpy
+    sums a single column pairwise, in an order that depends on its length,
+    so that case goes through row_sum one position at a time.
+    """
+    K, T = packed.shape
+    L = weights.shape[1]
+    if L == 1:
+        em = np.empty((T, 1))
+        for t in range(T):
+            ids = packed[:, t]
+            row_sum(weights, ids[ids >= 0], out=em[t])
+        return em
+    gathered = weights[packed]
+    gathered[packed < 0] = 0.0
+    return gathered.sum(axis=0)
 
 
 def warmup():

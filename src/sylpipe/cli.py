@@ -15,10 +15,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import bench, depparse, metrics, ner, pos, wseg
 from .model import (FormatError, dump_six_column, read_six_column)
-from .pipeline import (ANNOTATOR_KINDS, ModelLoadError, Pipeline,
-                       PipelineConfigError, build_pipeline)
-from .seqlabel import (DecodeError, TrainingError, load_linear_model,
-                       save_linear_model)
+from .pipeline import (ANNOTATOR_KINDS, MODEL_FILES, ModelLoadError, Pipeline,
+                       PipelineConfigError, build_pipeline, load_model)
+from .seqlabel import DecodeError, TrainingError, save_linear_model
 
 MODELS_ENV_VAR = "SYLPIPE_MODELS"
 
@@ -127,7 +126,7 @@ def cmd_train(args):
             if not os.path.exists(pos_model_path):
                 raise ModelLoadError(f"pos: model file not found: {pos_model_path} "
                                      "(needed for -replace-pos)")
-            pos_model = load_linear_model(pos_model_path)
+            pos_model = load_model("pos", pos_model_path)
             sentences = ner.replace_gold_pos_with_predicted(sentences, pos_model)
         corpus = ner.training_pairs(sentences)
         gazetteer = ner.read_gazetteer(args.gazetteer) if args.gazetteer else None
@@ -171,6 +170,10 @@ def _print_report(title, values):
         print(line)
 
 
+def _load_eval_model(args):
+    return load_model(args.task, os.path.join(_models_dir(args), MODEL_FILES[args.task]))
+
+
 def cmd_eval(args):
     _require_input(args.gold)
     if args.pred is None and args.models is None and not os.environ.get(MODELS_ENV_VAR):
@@ -182,7 +185,7 @@ def cmd_eval(args):
             _require_input(args.pred)
             pred = wseg.read_segmented_corpus(args.pred)
         else:
-            model = wseg.load_segmenter(os.path.join(_models_dir(args), "wseg.model"))
+            model = _load_eval_model(args)
             pred = [[t.form for t in wseg.segment(model, [s for w in sent
                                                           for s in w.split("_")])]
                     for sent in gold]
@@ -198,7 +201,7 @@ def cmd_eval(args):
             _require_input(args.pred)
             pred_tags = [tags for _, tags in pos.read_two_column(args.pred)]
         else:
-            model = load_linear_model(os.path.join(_models_dir(args), "pos.model"))
+            model = _load_eval_model(args)
             pred_tags = [pos.tag_pos(model, sent).pos_tags for sent, _ in gold_pairs]
         acc = metrics.tagging_accuracy(gold_tags, pred_tags)
         _print_report("POS tagging", {"accuracy": acc,
@@ -210,7 +213,7 @@ def cmd_eval(args):
             _require_input(args.pred)
             pred_labels = [s.ner_labels for s in ner.read_three_column(args.pred)]
         else:
-            model = load_linear_model(os.path.join(_models_dir(args), "ner.model"))
+            model = _load_eval_model(args)
             pred_labels = [ner.tag_ner(model, s).ner_labels for s in gold_sents]
         score = metrics.chunk_f1(gold_labels, pred_labels)
         values = {"precision": score.overall.precision,
@@ -224,7 +227,7 @@ def cmd_eval(args):
             _require_input(args.pred)
             pred_sents = read_six_column(args.pred)
         else:
-            model = depparse.load_parser(os.path.join(_models_dir(args), "parse.model"))
+            model = _load_eval_model(args)
             pred_sents = [depparse.parse_sentence(model, s) for s in gold_sents]
         score = metrics.attachment_scores(gold_sents, pred_sents)
         _print_report("dependency parsing (punctuation included)", {

@@ -19,7 +19,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import NEG_INF
 from .model import Sentence
-from .seqlabel import TrainingError
+from .seqlabel import TrainingError, read_weight_section
 
 logger = logging.getLogger(__name__)
 
@@ -607,7 +607,7 @@ def load_parser(path):
         if fh.readline() != b"WEIGHTS\n":
             raise ValueError(f"{path}: corrupt model file (missing weight section)")
         A = 2 * len(header["relations"]) + 2
-        weights = np.frombuffer(fh.read(F * A * 8), dtype="<f8").reshape(F, A).copy()
+        weights, = read_weight_section(fh, path, (F, A))
     return ParserModel(header["relations"], feature_index, weights,
                        use_ner_features=header["use_ner"],
                        root_labels=header["root_labels"],

@@ -116,6 +116,20 @@ class Pipeline:
         return out
 
 
+def load_model(kind, path):
+    """Load one annotator's model; any failure raises ModelLoadError."""
+    if not os.path.exists(path):
+        raise ModelLoadError(f"{kind}: model file not found: {path}")
+    try:
+        if kind == "wseg":
+            return wseg.load_segmenter(path)
+        if kind == "parse":
+            return depparse.load_parser(path)
+        return load_linear_model(path)
+    except Exception as exc:
+        raise ModelLoadError(f"{kind}: failed to load {path}: {exc}") from exc
+
+
 def build_pipeline(annotators=ANNOTATOR_KINDS, model_dir=None, model_paths=None,
                    use_ner_features_in_parser=True):
     """Load models and compose the requested annotators plus prerequisites.
@@ -137,20 +151,7 @@ def build_pipeline(annotators=ANNOTATOR_KINDS, model_dir=None, model_paths=None,
                                           "model directory given")
             paths[kind] = os.path.join(model_dir, MODEL_FILES[kind])
 
-    models = {}
-    for kind in order:
-        path = paths[kind]
-        if not os.path.exists(path):
-            raise ModelLoadError(f"{kind}: model file not found: {path}")
-        try:
-            if kind == "wseg":
-                models[kind] = wseg.load_segmenter(path)
-            elif kind == "parse":
-                models[kind] = depparse.load_parser(path)
-            else:
-                models[kind] = load_linear_model(path)
-        except Exception as exc:
-            raise ModelLoadError(f"{kind}: failed to load {path}: {exc}") from exc
+    models = {kind: load_model(kind, paths[kind]) for kind in order}
     pipe = Pipeline(models, order, use_ner_features_in_parser)
     parse_model = models.get("parse")
     if parse_model is not None and parse_model.use_ner_features and not pipe.parser_uses_ner():

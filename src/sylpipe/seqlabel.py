@@ -8,8 +8,10 @@ as the test oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import os
 import random
 import re
 from dataclasses import dataclass
@@ -151,14 +153,16 @@ class FeatureTemplate:
     descriptor: str
 
     def __post_init__(self):
-        atoms = []
+        specs = []
         for part in self.descriptor.split("&"):
             m = _ATOM_RE.fullmatch(part)
             if m is None:
                 raise ValueError(f"bad atom {part!r} in template {self.descriptor!r}")
             arg = int(m.group("arg")) if m.group("arg") else None
-            atoms.append(_compile_atom(m.group("name"), arg, int(m.group("offset"))))
-        object.__setattr__(self, "_atoms", tuple(atoms))
+            specs.append((m.group("name"), arg, int(m.group("offset"))))
+        # (name, arg, offset) per atom, read by the compiled decode path.
+        object.__setattr__(self, "specs", tuple(specs))
+        object.__setattr__(self, "_atoms", tuple(_compile_atom(*s) for s in specs))
 
     def extract(self, tokens, i, resources=None):
         values = []
@@ -215,7 +219,10 @@ def bio_transition_mask(labels):
 class LinearModel:
     """Feature weights plus label alphabet for Viterbi-decoded labeling.
 
-    Immutable after training; decoding never mutates it and is thread-safe.
+    The weights and alphabet never change after training. Decoding fills a
+    per-word-type cache (see _CompiledFeatures) that is bounded by the
+    model's feature alphabet, not by the traffic; each entry is written once
+    and whole, so threads may decode with one model concurrently.
     """
 
     def __init__(self, labels, templates, feature_index, emission_weights,
@@ -271,13 +278,221 @@ class LinearModel:
         ids = {index[f] for f in self.position_features(tokens, i) if f in index}
         return np.asarray(sorted(ids), dtype=np.int64)
 
+    @functools.cached_property
+    def _compiled(self):
+        return _CompiledFeatures.build(self)
+
     def emission_matrix(self, tokens):
+        """(T, L) emission scores, bit-identical to reference_emission_matrix."""
+        compiled = self._compiled
+        if compiled is None:
+            return self.reference_emission_matrix(tokens)
+        return _kernels.sum_rows(self.emission_weights,
+                                 _kernels.pack_rows(compiled.sentence_ids(tokens)))
+
+    def reference_emission_matrix(self, tokens):
+        """Emissions from feature strings, one position at a time.
+
+        The decode path for models the compiled path does not cover, and the
+        test oracle for the compiled path.
+        """
         T = len(tokens)
         em = np.empty((T, len(self.labels)))
         for i in range(T):
             _kernels.row_sum(self.emission_weights,
                              self.position_feature_ids(tokens, i), out=em[i])
         return em
+
+
+# Atoms whose value depends only on one attribute of the token they read.
+_ATTRIBUTE_OF_ATOM = {"form": "form", "lower": "form", "prefix": "form",
+                      "suffix": "form", "shape": "form", "hasdigit": "form",
+                      "hashyphen": "form", "gaz": "form",
+                      "pos": "pos_tag", "ner": "ner_label"}
+# The atom whose value is the attribute itself. A value is cached only if the
+# model knows a single-atom feature of this atom for it, so a cache holds at
+# most one entry per such feature.
+_IDENTITY_ATOM = {"form": "form", "pos_tag": "pos", "ner_label": "ner"}
+
+
+class _Column:
+    """The templates that read one token attribute, resolved once per value.
+
+    An entry is (ids, values): ids[s] holds the known feature ids of the
+    single-atom templates at offset offsets[s] for a token with this value;
+    values[a] is the value of conjunction atom a at that token, or None.
+    Everything is computed by FeatureTemplate.extract, so the atoms keep one
+    definition.
+    """
+
+    def __init__(self, attr, index, resources):
+        self.attr = attr
+        self.index = index
+        self.resources = resources
+        self.singles = {}  # offset -> [(template, is identity atom)]
+        self.probes = []  # one single-atom template at offset 0 per conjunction atom
+        self.cache = {}
+
+    def probe_slot(self, name, arg):
+        descriptor = f"{name}{'' if arg is None else arg}@0"
+        for k, probe in enumerate(self.probes):
+            if probe.descriptor == descriptor:
+                return k
+        self.probes.append(FeatureTemplate("", descriptor))
+        return len(self.probes) - 1
+
+    def finish(self):
+        self.offsets = sorted(self.singles)
+        # Outside the sentence an atom's value depends only on the side.
+        self.left, _ = self.resolve((), -1)
+        self.right, _ = self.resolve((), 0)
+
+    def resolve(self, tokens, p):
+        """(entry for tokens[p], whether the model knows its value)."""
+        index, resources = self.index, self.resources
+        known = False
+        ids = []
+        for offset in self.offsets:
+            found = []
+            for tpl, identity in self.singles[offset]:
+                j = index.get(tpl.extract(tokens, p - offset, resources))
+                if j is not None:
+                    found.append(j)
+                    known = known or identity
+            ids.append(tuple(found))
+        values = []
+        for probe in self.probes:
+            f = probe.extract(tokens, p, resources)
+            values.append(None if f is None else f[1:])
+        return (tuple(ids), tuple(values)), known
+
+    def entries(self, tokens, margin):
+        """Entries of every token, padded with `margin` boundary entries per side."""
+        attr, cache = self.attr, self.cache
+        out = [self.left] * margin
+        for p, tok in enumerate(tokens):
+            value = getattr(tok, attr)
+            entry = cache.get(value)
+            if entry is None:
+                entry, known = self.resolve(tokens, p)
+                if known:
+                    cache[value] = entry
+            out.append(entry)
+        out.extend([self.right] * margin)
+        return out
+
+
+class _CompiledFeatures:
+    """The feature ids of a LinearModel, resolved per word type, not per position.
+
+    Single-atom templates over the form, the POS tag or the NER label resolve
+    once per value (_Column); isfirst/islast resolve here, once per model;
+    conjunctions of attribute atoms join the cached atom values into the
+    feature string; induced pairs join ids. Other templates fall back to
+    FeatureTemplate.extract at each position. Built on first decode, so
+    loading a model does no extra work.
+    """
+
+    @classmethod
+    def build(cls, model):
+        """The compiled features of model, or None if its pairs need strings.
+
+        A pair whose parts are not all known features can fire on an unknown
+        feature string, which the id-based path never builds.
+        """
+        index = model.feature_index
+        if any(a not in index or b not in index for a, b in model.induced_pairs):
+            return None
+        return cls(model)
+
+    def __init__(self, model):
+        index = model.feature_index
+        self.index = index
+        self.resources = model._resources
+        self.columns = {}  # token attribute -> _Column
+        self.positional = []  # (offset, is islast, id if true, id if false)
+        self.conjunctions = []  # ("<name>=", [(attribute, value slot, offset)])
+        self.fallback = []
+        margin = 0
+        for tpl in model.templates:
+            specs = tpl.specs
+            attrs = [_ATTRIBUTE_OF_ATOM.get(name) for name, _, _ in specs]
+            if len(specs) == 1 and attrs[0] is not None:
+                name, _, offset = specs[0]
+                column = self._column(attrs[0])
+                column.singles.setdefault(offset, []).append(
+                    (tpl, name == _IDENTITY_ATOM[attrs[0]]))
+                margin = max(margin, abs(offset))
+            elif len(specs) == 1 and specs[0][0] in ("isfirst", "islast"):
+                offset = specs[0][2]
+                # One dummy token: position -offset is both first and last.
+                hit = index.get(tpl.extract((None,), -offset))
+                miss = index.get(tpl.extract((None,), 1 - offset))
+                self.positional.append((offset, specs[0][0] == "islast", hit, miss))
+            elif None not in attrs:
+                atoms = []
+                for (name, arg, offset), attr in zip(specs, attrs):
+                    atoms.append((attr, self._column(attr).probe_slot(name, arg), offset))
+                    margin = max(margin, abs(offset))
+                self.conjunctions.append((tpl.name + "=", atoms))
+            else:
+                self.fallback.append(tpl)
+        for column in self.columns.values():
+            column.finish()
+        self.singles = [(attr, s, offset) for attr, column in self.columns.items()
+                        for s, offset in enumerate(column.offsets)]
+        self.margin = margin
+        self.pairs = {}
+        for a, b in model.induced_pairs:
+            name = index.get(f"{a}&&{b}")
+            if name is not None:
+                self.pairs.setdefault(index[a], []).append((index[b], name))
+
+    def _column(self, attr):
+        if attr not in self.columns:
+            self.columns[attr] = _Column(attr, self.index, self.resources)
+        return self.columns[attr]
+
+    def cache_size(self):
+        return sum(len(column.cache) for column in self.columns.values())
+
+    def sentence_ids(self, tokens):
+        """Ascending distinct feature ids at each position, as position_feature_ids."""
+        T = len(tokens)
+        m = self.margin
+        index = self.index
+        cols = {attr: column.entries(tokens, m) for attr, column in self.columns.items()}
+        # One length-T list of id tuples per group of templates.
+        parts = [[e[0][s] for e in cols[k][m + offset:m + offset + T]]
+                 for k, s, offset in self.singles]
+        for offset, last, hit, miss in self.positional:
+            ids = [miss] * T
+            at = (T - 1 if last else 0) - offset
+            if 0 <= at < T:
+                ids[at] = hit
+            parts.append(_groups(ids))
+        for prefix, atoms in self.conjunctions:
+            values = zip(*[[e[1][a] for e in cols[k][m + offset:m + offset + T]]
+                           for k, a, offset in atoms])
+            parts.append(_groups(None if None in vs else index.get(prefix + "|".join(vs))
+                                 for vs in values))
+        for tpl in self.fallback:
+            parts.append(_groups(index.get(tpl.extract(tokens, i, self.resources))
+                                 for i in range(T)))
+        rows = []
+        pairs = self.pairs
+        for groups in zip(*parts):
+            fired = set(itertools.chain.from_iterable(groups))
+            if pairs:
+                fired.update([name for a in fired for b, name in pairs.get(a, ())
+                              if b in fired])
+            rows.append(sorted(fired))
+        return rows
+
+
+def _groups(ids):
+    """Each id as a one-id group; None, an unknown feature, as an empty one."""
+    return [() if j is None else (j,) for j in ids]
 
 
 def _index_pairs(pairs):
@@ -448,6 +663,7 @@ def _train(templates, corpus, labels, epochs, shuffle_seed, bio_constrained,
     feature_index = {}
     feats_by_sentence = []
     ids_by_sentence = []
+    packed_by_sentence = []
     golds = []
     for sent, gold in corpus:
         tokens = _tokens_of(sent)
@@ -460,9 +676,10 @@ def _train(templates, corpus, labels, epochs, shuffle_seed, bio_constrained,
                 j = feature_index.setdefault(f, len(feature_index))
                 ids.append(j)
             sent_feats.append(feats)
-            sent_ids.append(np.asarray(sorted(set(ids)), dtype=np.int64))
+            sent_ids.append(sorted(set(ids)))
         feats_by_sentence.append(sent_feats)
-        ids_by_sentence.append(sent_ids)
+        packed_by_sentence.append(_kernels.pack_rows(sent_ids))
+        ids_by_sentence.append([np.asarray(r, dtype=np.int64) for r in sent_ids])
         golds.append(np.asarray([label_index[g] for g in gold], dtype=np.int64))
 
     F = len(feature_index)
@@ -489,9 +706,7 @@ def _train(templates, corpus, labels, epochs, shuffle_seed, bio_constrained,
             step += 1
             if T == 0:
                 continue
-            em = np.empty((T, L))
-            for i in range(T):
-                _kernels.row_sum(W, ids[i], out=em[i])
+            em = _kernels.sum_rows(W, packed_by_sentence[si])
             trans = Tm[:L].copy()
             st = Tm[start].copy()
             if mask is not None:
@@ -580,6 +795,22 @@ def save_linear_model(model, path):
         fh.write(model.transition_weights.astype("<f8").tobytes())
 
 
+def read_weight_section(fh, path, *shapes):
+    """Little-endian float64 arrays of the given shapes, which must end the file."""
+    expected = 8 * sum(rows * cols for rows, cols in shapes)
+    found = os.fstat(fh.fileno()).st_size - fh.tell()
+    if found != expected:
+        raise ValueError(f"{path}: corrupt model file (weight section has "
+                         f"{found} bytes, expected {expected})")
+    arrays = []
+    for rows, cols in shapes:
+        array = np.empty((rows, cols), dtype="<f8")
+        if fh.readinto(array) != array.nbytes:
+            raise ValueError(f"{path}: model file changed while it was read")
+        arrays.append(array)
+    return arrays
+
+
 def load_linear_model(path):
     with open(path, "rb") as fh:
         magic = fh.readline()
@@ -595,8 +826,7 @@ def load_linear_model(path):
         if marker != b"WEIGHTS\n":
             raise ValueError(f"{path}: corrupt model file (missing weight section)")
         L = len(header["labels"])
-        em = np.frombuffer(fh.read(F * L * 8), dtype="<f8").reshape(F, L).copy()
-        tr = np.frombuffer(fh.read((L + 1) * L * 8), dtype="<f8").reshape(L + 1, L).copy()
+        em, tr = read_weight_section(fh, path, (F, L), (L + 1, L))
     templates = [FeatureTemplate(name, desc) for name, desc in header["templates"]]
     return LinearModel(header["labels"], templates, feature_index, em, tr,
                        bio_constrained=header["bio"],

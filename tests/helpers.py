@@ -1,5 +1,6 @@
 """Shared generators for randomized tests: models, sentences, trees, text."""
 
+import os
 import random
 
 import numpy as np
@@ -14,6 +15,9 @@ FORMS = ["xe", "máy", "nhà", "sông", "núi", "trời", "đất", "cây", "hoa
 POS_TAGS = ["N", "V", "A", "R", "E", "CH", "Np", "P", "M"]
 
 RELATIONS = ["root", "sub", "dob", "nmod", "adv", "loc", "pob", "punct", "det"]
+
+TOY_SEG_CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              "data", "toy", "wseg.txt")
 
 NER_LABELS = ["O", "B-PER", "I-PER", "B-LOC", "I-LOC", "B-ORG", "I-ORG",
               "B-MISC", "I-MISC"]
@@ -152,7 +156,7 @@ def check_tree(heads):
 def synthetic_raw_text(n_words, seed=42):
     """Deterministic plain text of roughly n_words words for throughput runs."""
     rng = random.Random(seed)
-    with open("tests/data/toy/wseg.txt", encoding="utf-8") as fh:
+    with open(TOY_SEG_CORPUS, encoding="utf-8") as fh:
         vocab = sorted({w for line in fh for w in line.split()if w != "."})
     lines = []
     words = 0

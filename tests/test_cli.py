@@ -148,6 +148,22 @@ class TestEval:
         b.write_text("x\tN\n\ny\tV\n", encoding="utf-8")
         assert main(["eval", "pos", "-gold", str(a), "-pred", str(b)]) == 4
 
+    @pytest.mark.parametrize("task, gold", [("pos", "pos.tsv"), ("ner", "ner.tsv"),
+                                            ("parse", "parse.conll")])
+    def test_truncated_model_exits_3(self, cli_models, tmp_path, task, gold):
+        models = tmp_path / "models"
+        models.mkdir()
+        data = open(os.path.join(cli_models, f"{task}.model"), "rb").read()
+        (models / f"{task}.model").write_bytes(data[:-20])
+        assert main(["eval", task, "-gold", os.path.join(TOY_DIR, gold),
+                     "-models", str(models)]) == 3
+
+    @pytest.mark.parametrize("task, gold", [("wseg", "wseg.txt"), ("pos", "pos.tsv"),
+                                            ("ner", "ner.tsv"), ("parse", "parse.conll")])
+    def test_missing_model_exits_3(self, tmp_path, task, gold):
+        assert main(["eval", task, "-gold", os.path.join(TOY_DIR, gold),
+                     "-models", str(tmp_path / "empty")]) == 3
+
     def test_needs_pred_or_models(self, tmp_path, monkeypatch):
         monkeypatch.delenv("SYLPIPE_MODELS", raising=False)
         gold = os.path.join(TOY_DIR, "pos.tsv")

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -301,6 +302,20 @@ class TestSerialization:
                         for t in FIXTURE)
         assert ([t.head for t in parse_sentence(loaded, sent)] ==
                 [t.head for t in parse_sentence(parse_model, sent)])
+
+    @pytest.mark.parametrize("cut, extra", [(20, b""), (0, b"12345678")])
+    def test_weight_section_length_checked(self, parse_model, tmp_path, cut, extra):
+        good = tmp_path / "good.model"
+        save_parser(parse_model, good)
+        data = good.read_bytes()
+        bad = tmp_path / "bad.model"
+        bad.write_bytes(data[:len(data) - cut] + extra)
+        expected = parse_model.weights.size * 8
+        found = expected - cut + len(extra)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{bad}: corrupt model file (weight section has {found} bytes, "
+                f"expected {expected})")):
+            load_parser(bad)
 
     def test_conllx_reader(self, toy_treebank, tmp_path):
         lines = []

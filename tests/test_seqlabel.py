@@ -1,9 +1,16 @@
 import random
+import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from helpers import FORMS, random_form_sentence, random_linear_model
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from helpers import (FORMS, NER_LABELS, POS_TAGS, random_form_sentence,
+                     random_linear_model)
 from sylpipe import seqlabel
 from sylpipe.model import Sentence, Token
 from sylpipe.seqlabel import (DecodeError, FeatureTemplate, LinearModel,
@@ -283,3 +290,132 @@ class TestSerialization:
         p.write_bytes(b"not a model\n")
         with pytest.raises(ValueError):
             load_linear_model(p)
+
+    @pytest.mark.parametrize("cut, extra", [(20, b""), (0, b"12345678")])
+    def test_weight_section_length_checked(self, tmp_path, cut, extra):
+        m = random_linear_model(random.Random(13), ["A", "B"])
+        good = tmp_path / "good.bin"
+        save_linear_model(m, good)
+        data = good.read_bytes()
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(data[:len(data) - cut] + extra)
+        F, L = m.emission_weights.shape
+        expected = 8 * (F * L + (L + 1) * L)
+        found = expected - cut + len(extra)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{bad}: corrupt model file (weight section has {found} bytes, "
+                f"expected {expected})")):
+            load_linear_model(bad)
+
+
+ATOM_KINDS = ("form", "lower", "prefix", "suffix", "shape", "hasdigit",
+              "hashyphen", "gaz", "pos", "ner", "isfirst", "islast")
+UNSEEN_FORMS = ["zzz", "Qx-1", "a2b", "Ôi_Trời", "xe-máy", "9", "Nội_xe"]
+
+atoms = st.builds(
+    lambda kind, n, offset: f"{kind}{n if kind in ('prefix', 'suffix') else ''}@{offset}",
+    st.sampled_from(ATOM_KINDS), st.integers(1, 4), st.integers(-2, 2))
+descriptors = st.lists(atoms, min_size=1, max_size=3).map("&".join)
+
+
+@st.composite
+def tokens_of(draw, forms, min_size=1, max_size=7):
+    n = draw(st.integers(min_size, max_size))
+    return Sentence(
+        Token(index=i + 1, form=draw(st.sampled_from(forms)),
+              pos_tag=draw(st.none() | st.sampled_from(POS_TAGS[:4])),
+              ner_label=draw(st.none() | st.sampled_from(NER_LABELS[:3])))
+        for i in range(n))
+
+
+@st.composite
+def decoding_cases(draw):
+    """A model trained on random data with random real weights, plus test sentences."""
+    templates = make_templates(draw(st.lists(descriptors, min_size=1, max_size=8)))
+    labels = ["A", "B", "C", "D"][:draw(st.integers(1, 4))]
+    corpus = []
+    for _ in range(draw(st.integers(1, 6))):
+        sent = draw(tokens_of(FORMS))
+        corpus.append((sent, [draw(st.sampled_from(labels)) for _ in sent]))
+    gazetteer = draw(st.none() | st.frozensets(st.sampled_from(FORMS + ["hà"]),
+                                               max_size=8))
+    trained = train_averaged_perceptron(templates, corpus, epochs=2,
+                                        gazetteer=gazetteer,
+                                        combine_top_k=draw(st.integers(0, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    F, L = trained.emission_weights.shape
+    model = LinearModel(trained.labels, templates, trained.feature_index,
+                        rng.standard_normal((F, L)) * 10.0 ** rng.integers(-3, 4, (F, 1)),
+                        rng.standard_normal((L + 1, L)),
+                        induced_pairs=trained.induced_pairs, gazetteer=gazetteer)
+    sentences = draw(st.lists(tokens_of(FORMS + UNSEEN_FORMS), min_size=1, max_size=5))
+    return model, sentences
+
+
+class TestCompiledFeatures:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(decoding_cases())
+    def test_emissions_match_per_position_reference(self, case):
+        model, sentences = case
+        assert model._compiled is not None
+        for sent in sentences:
+            em = model.emission_matrix(sent.tokens)
+            ref = model.reference_emission_matrix(sent.tokens)
+            assert np.array_equal(em, ref)
+            assert em.tobytes() == ref.tobytes()
+
+    def test_pairs_with_unknown_parts_use_reference_path(self):
+        m = random_linear_model(random.Random(3), ["A", "B"])
+        m = LinearModel(m.labels, m.templates, m.feature_index, m.emission_weights,
+                        m.transition_weights, induced_pairs=[("form@0=xe", "nope")])
+        assert m._compiled is None
+        s = sentence("xe", "máy")
+        assert np.array_equal(m.emission_matrix(s.tokens),
+                              m.reference_emission_matrix(s.tokens))
+
+    def test_cache_bounded_by_known_forms(self, pos_model, ner_model):
+        rng = random.Random(5)
+        for model in (pos_model, ner_model):
+            known = {f.split("=", 1)[1] for f in model.feature_index
+                     if f.startswith("form@")}
+            forms = sorted(known - {seqlabel.BOUNDARY_LEFT, seqlabel.BOUNDARY_RIGHT})
+            seen = Sentence(Token(i + 1, f, pos_tag="N") for i, f in enumerate(forms[:30]))
+            model.emission_matrix(seen.tokens)
+            compiled = model._compiled
+            before = compiled.cache_size()
+            assert before > 0
+            for _ in range(200):
+                forms = [f"unseen{rng.randrange(10 ** 6)}" for _ in range(rng.randint(1, 6))]
+                s = Sentence(Token(i + 1, f, pos_tag="N") for i, f in enumerate(forms))
+                model.emission_matrix(s.tokens)
+            assert compiled.cache_size() == before
+            assert set(compiled.columns["form"].cache) <= known
+
+    def test_concurrent_decoding_matches_serial(self, toy_pos_corpus, tmp_path):
+        # Threads race to fill one fresh model's cache; every result must
+        # still equal the serial one.
+        path = tmp_path / "pos.model"
+        save_linear_model(train_averaged_perceptron(
+            make_templates(["form@0", "form@-1&form@0", "suffix2@+1"]),
+            toy_pos_corpus, epochs=2), path)
+        sentences = [sent for sent, _ in toy_pos_corpus] * 3
+        expected = [viterbi_decode(load_linear_model(path), s) for s in sentences]
+        model = load_linear_model(path)
+        results = [None] * 4
+
+        def work(k):
+            results[k] = [viterbi_decode(model, s) for s in sentences]
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * 4
