@@ -2,9 +2,11 @@
 
 The numba path is used whenever numba imports cleanly; set SYLPIPE_NO_NUMBA=1
 to force the numpy path (useful for debugging and for the kernel benchmark).
-Both paths keep the same floating-point association order, so results are
-identical whenever the inputs are exactly representable (integer weights) and
-agree to rounding noise otherwise.
+The row sums of both paths add the rows in id order from a +0.0 start, so
+they are bit-identical for any weights. The two Viterbi kernels compare the
+same sums but add them in their own ways, so they are identical whenever the
+inputs are exactly representable (integer weights) and agree to rounding
+noise otherwise.
 """
 
 from __future__ import annotations
@@ -86,10 +88,25 @@ def _row_sum_py(weights, ids, out):
 
 
 def _row_sum_numpy(weights, ids, out):
+    # Summing (k, L) over axis 0 adds the k rows in order from +0.0 when
+    # L > 1; a single column would be summed pairwise, so L == 1 takes a
+    # cumulative sum, which is sequential (see _sequential_sum).
     if ids.shape[0] == 0:
         out[:] = 0.0
+    elif weights.shape[1] == 1:
+        out[:] = _sequential_sum(weights[ids])
     else:
         np.sum(weights[ids], axis=0, out=out)
+
+
+def _sequential_sum(stack):
+    """stack summed over axis 0 in order from a +0.0 start, as _row_sum_py adds.
+
+    A cumulative sum starts from the first slice instead; its partial sums
+    equal those from +0.0 except that a zero may be -0.0, and the final
+    + 0.0 turns that into +0.0.
+    """
+    return np.cumsum(stack, axis=0)[-1] + 0.0
 
 
 HAVE_NUMBA = False
@@ -156,23 +173,24 @@ def pack_rows(rows):
 def sum_rows(weights, packed):
     """(T, L) array whose row t is row_sum(weights, ids of position t), bit for bit.
 
-    One gather into a zero-padded (K, T, L) array, summed over K. For L > 1
-    numpy adds the K slices in order from a +0.0 start, as row_sum does, and
-    each padding slot adds +0.0, which leaves a partial sum unchanged.
-    (np.add.reduceat would be faster but is not exact.) With L == 1 numpy
-    sums a single column pairwise, in an order that depends on its length,
-    so that case goes through row_sum one position at a time.
+    packed is (K, T): column t holds the ids of position t in the order
+    row_sum is given them, and -1 as padding, which may sit anywhere in the
+    column (pack_rows puts it last). One gather into a zero-padded
+    (K, T, L) array, summed over K. Numpy adds the K slices in order from a
+    +0.0 start, as row_sum does, and each padding slot adds +0.0, which
+    leaves a partial sum from +0.0 unchanged. (np.add.reduceat would be
+    faster but is not exact.) When T == L == 1 the slices are single
+    numbers that numpy would sum pairwise, so L == 1 takes the cumulative
+    sum that row_sum uses.
     """
     K, T = packed.shape
     L = weights.shape[1]
-    if L == 1:
-        em = np.empty((T, 1))
-        for t in range(T):
-            ids = packed[:, t]
-            row_sum(weights, ids[ids >= 0], out=em[t])
-        return em
+    if K == 0:
+        return np.zeros((T, L))
     gathered = weights[packed]
     gathered[packed < 0] = 0.0
+    if L == 1:
+        return _sequential_sum(gathered)
     return gathered.sum(axis=0)
 
 

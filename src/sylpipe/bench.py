@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from . import _kernels, depparse, ner, pos, wseg
+from . import _kernels, wseg
 from .model import Document
 
 
@@ -43,63 +43,38 @@ def benchmark_throughput(pipeline, document, repetitions=3):
 def benchmark_stages(pipeline, document, repetitions=3):
     """Per-stage words/second, median over warm runs.
 
-    Downstream figures follow the pipeline-speed convention: the POS time is
-    included in the NER and parse numbers (and the NER time in the parse
-    number when the parser consumes NER labels).
+    Each stage is timed through the pipeline's own stage runner, on the
+    output of the stages before it. Downstream figures follow the
+    pipeline-speed convention: the POS time is included in the NER and parse
+    numbers (and the NER time in the parse number when the parser consumes
+    NER labels).
     """
     if isinstance(document, str):
         document = Document.from_text(document)
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     stages = pipeline.order
-    seg_model = pipeline.models.get("wseg")
-    if seg_model is None:
+    if "wseg" not in stages:
         raise ValueError("stage benchmark needs a wseg stage")
 
     syllable_lists = wseg.split_and_tokenize(document.raw_text)
     if not syllable_lists:
         raise ValueError("cannot benchmark an empty document")
 
-    # Warm pass, also producing the inputs each stage is timed on.
-    segmented = [wseg.segment(seg_model, s) for s in syllable_lists]
-    words = _word_count(segmented)
-    tagged = ner_tagged = parsed = None
-    if "pos" in stages:
-        tagged = [pos.tag_pos(pipeline.models["pos"], s) for s in segmented]
-    if "ner" in stages:
-        ner_tagged = [ner.tag_ner(pipeline.models["ner"], s) for s in tagged]
-    parser_uses_ner = "parse" in stages and pipeline.parser_uses_ner()
-    if "parse" in stages:
-        parse_input = ner_tagged if parser_uses_ner else tagged
-        parsed = [depparse.parse_sentence(pipeline.models["parse"], s,
-                                          use_ner_features=parser_uses_ner)
-                  for s in parse_input]
+    # Warm pass, also producing the input each stage is timed on.
+    inputs = {}
+    sentences = syllable_lists
+    for kind in stages:
+        inputs[kind] = sentences
+        sentences = pipeline._run_stage(kind, sentences)
+    words = _word_count(sentences)
 
     times = {kind: [] for kind in stages}
     for _ in range(repetitions):
-        t0 = time.perf_counter()
-        for s in syllable_lists:
-            wseg.segment(seg_model, s)
-        times["wseg"].append(time.perf_counter() - t0)
-        if "pos" in stages:
-            model = pipeline.models["pos"]
+        for kind in stages:
             t0 = time.perf_counter()
-            for s in segmented:
-                pos.tag_pos(model, s)
-            times["pos"].append(time.perf_counter() - t0)
-        if "ner" in stages:
-            model = pipeline.models["ner"]
-            t0 = time.perf_counter()
-            for s in tagged:
-                ner.tag_ner(model, s)
-            times["ner"].append(time.perf_counter() - t0)
-        if "parse" in stages:
-            model = pipeline.models["parse"]
-            parse_input = ner_tagged if parser_uses_ner else tagged
-            t0 = time.perf_counter()
-            for s in parse_input:
-                depparse.parse_sentence(model, s, use_ner_features=parser_uses_ner)
-            times["parse"].append(time.perf_counter() - t0)
+            pipeline._run_stage(kind, inputs[kind])
+            times[kind].append(time.perf_counter() - t0)
 
     med = {kind: statistics.median(ts) for kind, ts in times.items()}
     rates = {"wseg": words / med["wseg"]}
@@ -109,7 +84,7 @@ def benchmark_stages(pipeline, document, repetitions=3):
         rates["ner"] = words / (med["pos"] + med["ner"])
     if "parse" in med:
         t = med["pos"] + med["parse"]
-        if parser_uses_ner:
+        if pipeline.parser_uses_ner():
             t += med["ner"]
         rates["parse"] = words / t
     return rates, words

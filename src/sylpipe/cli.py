@@ -228,7 +228,7 @@ def cmd_eval(args):
             pred_sents = read_six_column(args.pred)
         else:
             model = _load_eval_model(args)
-            pred_sents = [depparse.parse_sentence(model, s) for s in gold_sents]
+            pred_sents = depparse.parse_sentences(model, gold_sents)
         score = metrics.attachment_scores(gold_sents, pred_sents)
         _print_report("dependency parsing (punctuation included)", {
             "las": score.las, "uas": score.uas, "tokens": score.token_count,

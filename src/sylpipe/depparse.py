@@ -6,10 +6,25 @@ output a single-rooted tree: arcs from the artificial root are restricted
 to the root relation and to one dependent, and any tokens left unattached
 at termination are attached afterwards (the first to the root if none was
 chosen, the rest to the root token with a fallback relation).
+
+parse_sentences decodes a document in lockstep: every unfinished sentence
+takes one greedy transition per step, all of them scored by one gather
+(_kernels.sum_rows, bit-identical to a row_sum per state) and masked by one
+array operation, in groups of at most LOCKSTEP_SENTENCES sentences. The
+features of a state resolve to ids without building strings
+(_CompiledStateFeatures): every value string in the model's alphabet is
+interned, and each template maps the tuple of its atoms' value ids to a
+feature id. A feature "<template>=<value>" of an n-atom template is
+registered under every split of <value> at "|" into n parts, because the
+string path joins the atom values with "|"; so a lookup hits exactly when
+state_features' string is in the alphabet, whatever the values contain.
+Training and the reference path stay on state_features.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import logging
 import random
@@ -325,6 +340,138 @@ def state_features(state, tokens, use_ner_features=False):
     return feats
 
 
+# The templates of state_features, in its order, the three NER ones last.
+# A template's value is the values of its atoms, the parts of its name after
+# any "ner:", joined by "|".
+_TEMPLATES = ("s0w", "s0p", "s1p", "s2p", "b0w", "b0p", "b1w", "b1p", "b2p",
+              "s0p|b0p", "s0w|b0w", "s0w|b0p", "s0p|b0w", "b0p|b1p",
+              "s0p|b0p|b1p", "s1p|s0p|b0p", "s0lcp", "s0rcp", "b0lcp", "dist",
+              "s0p|b0p|dist", "s0lv", "s0rv", "b0lv",
+              "ner:s0n", "ner:b0n", "ner:s0n|b0n")
+
+
+class _CompiledStateFeatures:
+    """A ParserModel's state_features, resolved to feature ids without strings.
+
+    values interns every value string of the alphabet; a string outside it
+    interns to -1, which no table key holds. Each template's table maps a
+    value id (one-atom templates) or a tuple of value ids to the feature id.
+    So the tables are bounded by the alphabet, and a lookup hits exactly
+    when the feature string is in it.
+    """
+
+    def __init__(self, model):
+        arity = {name: name.count("|") + 1 for name in _TEMPLATES}
+        values = {}
+        tables = {name: {} for name in arity}
+        for feature, j in model.feature_index.items():
+            name, sep, value = feature.partition("=")
+            n = arity.get(name) if sep else None
+            if n is None:
+                continue
+            parts = value.split("|")
+            for cuts in itertools.combinations(range(1, len(parts)), n - 1):
+                bounds = (0, *cuts, len(parts))
+                key = tuple(values.setdefault("|".join(parts[a:b]), len(values))
+                            for a, b in zip(bounds, bounds[1:]))
+                tables[name][key if n > 1 else key[0]] = j
+        self.values = values
+        self._gets = tuple(tables[name].get for name in _TEMPLATES)
+        get = values.get
+        self.root = get(_ROOT_VALUE, -1)
+        self.none = get(_NONE_VALUE, -1)
+        self.dist = [get(str(d), -1) for d in range(5)] + [get("5+", -1)]
+        self.valency = [get(str(v), -1) for v in range(3)] + [get("3+", -1)]
+        # Legal actions by _mask_code; the buffer is never empty in a state
+        # that is decoded, so SHIFT is always legal.
+        R = len(model.relations)
+        legal = np.zeros((4, 2 * R + 2), dtype=bool)
+        legal[:, 0] = True
+        for rel in model.root_labels:
+            legal[0, model.action_index[(RIGHT_ARC, rel)]] = True
+        legal[2:, 1 + R:1 + 2 * R] = True
+        legal[2, 1:1 + R] = True
+        legal[3, -1] = True
+        self.illegal = ~legal
+
+    def sentence_values(self, tokens, use_ner):
+        """Value ids of a sentence: (forms, tags, child tags, NER labels or None).
+
+        Index 0 is the root, 1..n the tokens and -1 a missing position; in
+        the child tags, index 0 is a missing child.
+        """
+        get = self.values.get
+        root, none = self.root, self.none
+
+        def column(attr):
+            return [root, *[none if v is None else get(v, -1)
+                            for v in (getattr(t, attr) for t in tokens)], none]
+
+        tags = column("pos_tag")
+        return (column("form"), tags, [none, *tags[1:]],
+                column("ner_label") if use_ner else None)
+
+    def state_ids(self, state, values):
+        """The id of each feature of state_features(state, ...), -1 if unknown.
+
+        In template order, one id per template. The state must have a
+        non-empty buffer; its stack always holds the root, which no
+        transition pops.
+        """
+        forms, tags, child_tags, ners = values
+        (s0w_, s0p_, s1p_, s2p_, b0w_, b0p_, b1w_, b1p_, b2p_, s0p_b0p, s0w_b0w,
+         s0w_b0p, s0p_b0w, b0p_b1p, s0p_b0p_b1p, s1p_s0p_b0p, s0lcp_, s0rcp_,
+         b0lcp_, dist_, s0p_b0p_dist, s0lv_, s0rv_, b0lv_, s0n_, b0n_,
+         s0n_b0n) = self._gets
+        none = self.none
+        stack = state.stack
+        depth = len(stack)
+        s0 = stack[-1]
+        b0 = state.buffer_start
+        n = state.n
+        b1 = b0 + 1 if b0 < n else -1
+        s0w, s0p = forms[s0], tags[s0]
+        b0w, b0p = forms[b0], tags[b0]
+        b1p = tags[b1]
+        s1p = tags[stack[-2]] if depth > 1 else none
+        d = b0 - s0
+        dist = self.dist[d if d <= 4 else 5]
+        valency = self.valency
+        lv, rv, blv = state.lval[s0], state.rval[s0], state.lval[b0]
+        ids = [s0w_(s0w, -1), s0p_(s0p, -1), s1p_(s1p, -1),
+               s2p_(tags[stack[-3]] if depth > 2 else none, -1),
+               b0w_(b0w, -1), b0p_(b0p, -1), b1w_(forms[b1], -1), b1p_(b1p, -1),
+               b2p_(tags[b0 + 2] if b0 + 2 <= n else none, -1),
+               s0p_b0p((s0p, b0p), -1), s0w_b0w((s0w, b0w), -1),
+               s0w_b0p((s0w, b0p), -1), s0p_b0w((s0p, b0w), -1),
+               b0p_b1p((b0p, b1p), -1), s0p_b0p_b1p((s0p, b0p, b1p), -1),
+               s1p_s0p_b0p((s1p, s0p, b0p), -1),
+               s0lcp_(child_tags[state.lchild[s0]], -1),
+               s0rcp_(child_tags[state.rchild[s0]], -1),
+               b0lcp_(child_tags[state.lchild[b0]], -1), dist_(dist, -1),
+               s0p_b0p_dist((s0p, b0p, dist), -1),
+               s0lv_(valency[lv if lv <= 2 else 3], -1),
+               s0rv_(valency[rv if rv <= 2 else 3], -1),
+               b0lv_(valency[blv if blv <= 2 else 3], -1)]
+        if ners is not None:
+            s0n, b0n = ners[s0], ners[b0]
+            ids += [s0n_(s0n, -1), b0n_(b0n, -1), s0n_b0n((s0n, b0n), -1)]
+        return ids
+
+
+def _mask_code(state):
+    """Row of _CompiledStateFeatures.illegal for a state with a non-empty buffer.
+
+    The same legality as _legal_action_mask: 0 and 1 have the root on top,
+    with no root dependent yet or with one; 2 and 3 a token without or with
+    a head.
+    """
+    s0 = state.stack[-1]
+    if s0 == 0:
+        return 0 if state.root_child is None else 1
+    return 2 if state.heads[s0] is None else 3
+
+
 class ParserModel:
     """Multiclass linear model over (feature, transition) pairs."""
 
@@ -362,6 +509,10 @@ class ParserModel:
         return _legal_action_mask(state, len(self.relations), self.root_labels,
                                   self.action_index)
 
+    @functools.cached_property
+    def _compiled(self):
+        return _CompiledStateFeatures(self)
+
 
 def _legal_action_mask(state, n_relations, root_labels, action_index):
     # Arcs from the artificial root only carry a root relation and only
@@ -385,33 +536,89 @@ def _legal_action_mask(state, n_relations, root_labels, action_index):
     return mask
 
 
-def _check_pre(sentence, use_ner):
+def check_input(sentence, use_ner):
+    """Raise ValueError unless sentence carries what the parser reads."""
     if any(t.pos_tag is None for t in sentence):
         raise ValueError("parsing requires POS tags on every token")
     if use_ner and any(t.ner_label is None for t in sentence):
         raise ValueError("this parser uses NER features; run NER first")
 
 
+# Sentences decoded together at most; bounds the (K, B, A) float64 gather
+# of one step.
+LOCKSTEP_SENTENCES = 256
+
+
 def parse_sentence(model, sentence, use_ner_features=None):
     """Greedy parse; the result always has exactly one root and no cycles."""
-    n = len(sentence)
-    if n == 0:
-        return sentence
-    use_ner = model.use_ner_features if use_ner_features is None else use_ner_features
-    _check_pre(sentence, use_ner)
-    tokens = sentence.tokens
-    state = ParserState(n)
-    W = model.weights
-    while state.buffer_start <= n:
-        feats = state_features(state, tokens, use_ner)
-        scores = _kernels.row_sum(W, model.feature_ids(feats))
-        mask = model.action_mask(state)
-        scores[~mask] = NEG_INF
-        state.apply(model.actions[int(np.argmax(scores))])
+    return parse_sentences(model, [sentence], use_ner_features)[0]
 
+
+def parse_sentences(model, sentences, use_ner_features=None):
+    """Greedy parses of the sentences, decoded in lockstep (see the module docstring).
+
+    Empty sentences come back as given. Every other sentence is checked for
+    POS tags (and NER labels when the NER features are used) before any is
+    decoded. Tokens left without a head are attached by the fallback rule;
+    their number is logged at DEBUG level when it is not zero.
+    """
+    use_ner = model.use_ner_features if use_ner_features is None else use_ner_features
+    out = list(sentences)
+    todo = []
+    for k, sentence in enumerate(out):
+        if len(sentence):
+            check_input(sentence, use_ner)
+            todo.append(k)
+    repaired = 0
+    for lo in range(0, len(todo), LOCKSTEP_SENTENCES):
+        group = todo[lo:lo + LOCKSTEP_SENTENCES]
+        states = _decode_lockstep(model, [out[k].tokens for k in group], use_ner)
+        for k, state in zip(group, states):
+            repaired += _attach_headless(model, state)
+            out[k] = out[k].with_parse(state.heads[1:], state.labels[1:])
+    if repaired:
+        logger.debug("fallback attached %d token(s) in %d sentence(s)",
+                     repaired, len(todo))
+    return out
+
+
+def _decode_lockstep(model, token_lists, use_ner):
+    """Greedy end states of the sentences, one transition of each per step."""
+    compiled = model._compiled
+    states = [ParserState(len(tokens)) for tokens in token_lists]
+    values = [compiled.sentence_values(tokens, use_ner) for tokens in token_lists]
+    actions = model.actions
+    active = range(len(states))
+    while active:
+        scores = _lockstep_scores(model, [states[j] for j in active],
+                                  [values[j] for j in active])
+        active = [j for j, a in zip(active, scores.argmax(axis=1).tolist())
+                  if not states[j].apply(actions[a]).is_terminal()]
+    return states
+
+
+def _lockstep_scores(model, states, values):
+    """(B, A) transition scores of B states, illegal ones -inf.
+
+    Row b is bit-identical to row_sum over state b's sorted feature ids:
+    sorting each row of ids puts them in that order, and the -1s, which
+    sort first, add nothing.
+    """
+    compiled = model._compiled
+    ids = np.array([compiled.state_ids(state, v) for state, v in zip(states, values)],
+                   dtype=np.intp)
+    ids.sort(axis=1)
+    scores = _kernels.sum_rows(model.weights, ids.T)
+    scores[compiled.illegal[[_mask_code(state) for state in states]]] = NEG_INF
+    return scores
+
+
+def _attach_headless(model, state):
+    """Attach the tokens left without a head; returns how many there were."""
     heads = state.heads
     labels = state.labels
-    headless = [i for i in range(1, n + 1) if heads[i] is None]
+    headless = [i for i in range(1, state.n + 1) if heads[i] is None]
+    count = len(headless)
     root = state.root_child
     if root is None:
         root = headless.pop(0)
@@ -420,7 +627,7 @@ def parse_sentence(model, sentence, use_ner_features=None):
     for i in headless:
         heads[i] = root
         labels[i] = model.fallback_label
-    return sentence.with_parse(heads[1:], labels[1:])
+    return count
 
 
 def _lift_to_projective(heads):

@@ -82,35 +82,42 @@ class Pipeline:
         if isinstance(document, str):
             document = Document.from_text(document)
         sentences = list(document.sentences)
-        if not sentences and "wseg" in self.order:
-            seg_model = self.models["wseg"]
-            for k, syllables in enumerate(wseg.split_and_tokenize(document.raw_text),
-                                          start=1):
-                try:
-                    sentences.append(wseg.segment(seg_model, syllables))
-                except Exception as exc:
-                    raise AnnotationError("wseg", k, exc) from exc
         for kind in self.order:
-            if kind == "wseg":
-                continue
-            sentences = self._run_stage(kind, sentences)
+            if kind != "wseg":
+                sentences = self._run_stage(kind, sentences)
+            elif not sentences:
+                sentences = self._run_stage(
+                    kind, wseg.split_and_tokenize(document.raw_text))
         return Document(document.raw_text, sentences)
 
     def _run_stage(self, kind, sentences):
-        out = []
-        if kind == "pos":
-            run = lambda s: pos.tag_pos(self.models["pos"], s)
-        elif kind == "ner":
-            run = lambda s: ner.tag_ner(self.models["ner"], s)
-        elif kind == "parse":
+        """One annotator over a document: its sentences, or syllable lists for wseg.
+
+        Failures name the stage and the 1-based sentence. The parser decodes
+        the whole document at once, so its input is checked first, sentence
+        by sentence.
+        """
+        model = self.models[kind]
+        if kind == "parse":
             use_ner = self.parser_uses_ner()
-            run = lambda s: depparse.parse_sentence(self.models["parse"], s,
-                                                    use_ner_features=use_ner)
+            for k, sent in enumerate(sentences, start=1):
+                try:
+                    depparse.check_input(sent, use_ner)
+                except ValueError as exc:
+                    raise AnnotationError(kind, k, exc) from exc
+            return depparse.parse_sentences(model, sentences, use_ner_features=use_ner)
+        if kind == "wseg":
+            run = wseg.segment
+        elif kind == "pos":
+            run = pos.tag_pos
+        elif kind == "ner":
+            run = ner.tag_ner
         else:
             raise PipelineConfigError(f"unknown annotator {kind!r}")
+        out = []
         for k, sent in enumerate(sentences, start=1):
             try:
-                out.append(run(sent))
+                out.append(run(model, sent))
             except Exception as exc:
                 raise AnnotationError(kind, k, exc) from exc
         return out

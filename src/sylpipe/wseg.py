@@ -87,7 +87,7 @@ class Lexicon:
         entries = set()
         for w in words:
             w = tuple(w)
-            if not w or any(not s for s in w):
+            if not w or not all(w):
                 raise ValueError(f"bad lexicon entry {w!r}")
             entries.add(w)
         self.entries = frozenset(entries)
@@ -433,25 +433,59 @@ def save_segmenter(model, path):
 
 
 def load_segmenter(path):
+    """Read a model written by save_segmenter.
+
+    Any departure from that layout, a file cut short or followed by more
+    text included, raises ValueError("<path>: corrupt segmenter model
+    (line N: ...)").
+    """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
-    if not lines or lines[0] != MODEL_MAGIC:
+    if lines[0] != MODEL_MAGIC:
         raise ValueError(f"{path}: not a segmenter model file")
-    pos = 1
-    _, radius = lines[pos].split("\t")
-    pos += 1
-    _, lex_count = lines[pos].split("\t")
-    pos += 1
+    # Line k is lines[k - 1]; every line ends with a newline, so the last
+    # item, the text after the final newline, is empty in a whole file.
+    line_no = 1
+
+    def corrupt(problem):
+        return ValueError(f"{path}: corrupt segmenter model (line {line_no}: {problem})")
+
+    def next_line(what):
+        nonlocal line_no
+        line_no += 1
+        if line_no >= len(lines):
+            raise corrupt(f"the file ends before {what}")
+        return lines[line_no - 1]
+
+    def header(key):
+        line = next_line(f"the {key} header")
+        name, _, count = line.partition("\t")
+        if name != key or not (count.isascii() and count.isdigit()):
+            raise corrupt(f"expected {key!r}, a tab and a count, found {line!r}")
+        return int(count)
+
+    radius = header("radius")
     words = []
-    for _ in range(int(lex_count)):
-        words.append(tuple(lines[pos].split(" ")))
-        pos += 1
-    _, rule_count = lines[pos].split("\t")
-    pos += 1
+    for k in range(header("lexicon")):
+        line = next_line(f"lexicon entry {k + 1}")
+        word = tuple(line.split(" "))
+        if "\t" in line or not all(word):
+            raise corrupt(f"bad lexicon entry {line!r}")
+        words.append(word)
     rules = []
-    for _ in range(int(rule_count)):
-        action, template, score, *values = lines[pos].split("\t")
-        rules.append(TransformationRule(action, template, tuple(values), int(score)))
-        pos += 1
+    for k in range(header("rules")):
+        fields = next_line(f"rule {k + 1}").split("\t")
+        try:
+            action, template, score, *values = fields
+            rule = TransformationRule(action, template, tuple(values), int(score))
+        except ValueError as exc:
+            raise corrupt(f"bad rule: {exc}") from None
+        if len(values) != len(TEMPLATES[template]):
+            raise corrupt(f"a {template} rule takes {len(TEMPLATES[template])} "
+                          f"values, found {len(values)}")
+        rules.append(rule)
+    if line_no < len(lines) - 1 or lines[-1]:
+        line_no += 1
+        raise corrupt("unexpected content after the declared rules")
     return SegmenterModel(lexicon=Lexicon(words), rules=tuple(rules),
-                          window_radius=int(radius))
+                          window_radius=radius)

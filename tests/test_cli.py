@@ -149,7 +149,8 @@ class TestEval:
         assert main(["eval", "pos", "-gold", str(a), "-pred", str(b)]) == 4
 
     @pytest.mark.parametrize("task, gold", [("pos", "pos.tsv"), ("ner", "ner.tsv"),
-                                            ("parse", "parse.conll")])
+                                            ("parse", "parse.conll"),
+                                            ("wseg", "wseg.txt")])
     def test_truncated_model_exits_3(self, cli_models, tmp_path, task, gold):
         models = tmp_path / "models"
         models.mkdir()

@@ -1,18 +1,26 @@
+import logging
 import random
 import re
+import sys
+import threading
 import time
 
+import numpy as np
 import pytest
 
-from helpers import (check_tree, random_form_sentence, random_gold_tree,
-                     random_parser_model)
-from sylpipe import depparse, wseg, pos
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from helpers import (FORMS, check_tree, random_form_sentence, random_gold_tree,
+                     random_parser_model, random_projective_heads)
+from sylpipe import _kernels, depparse, wseg, pos
+from sylpipe._kernels import NEG_INF
 from sylpipe.depparse import (LEFT_ARC, REDUCE, RIGHT_ARC, SHIFT,
-                              IllegalTransition, OracleError, ParserState,
-                              apply_transition, find_crossing_arcs,
+                              IllegalTransition, OracleError, ParserModel,
+                              ParserState, apply_transition, find_crossing_arcs,
                               is_projective, legal_kinds, legal_transitions,
-                              load_parser, parse_sentence, projectivize,
-                              replay, save_parser, state_features,
+                              load_parser, parse_sentence, parse_sentences,
+                              projectivize, replay, save_parser, state_features,
                               static_oracle, train_parser)
 from sylpipe.metrics import attachment_scores
 from sylpipe.model import Sentence, Token
@@ -194,6 +202,188 @@ class TestParseSentence:
         parsed = parse_sentence(parse_model, stripped)
         assert [t.head for t in parsed] == [t.head for t in FIXTURE]
         assert [t.dep_label for t in parsed] == [t.dep_label for t in FIXTURE]
+
+
+def reference_parse(model, sentence, use_ner, visited=None):
+    """Greedy parse through the string path, one state at a time.
+
+    At every state it also requires the compiled ids and legal actions to
+    equal those of the string path, and appends (state, sentence values,
+    masked scores) to visited if given.
+    """
+    n = len(sentence)
+    if n == 0:
+        return sentence
+    tokens = sentence.tokens
+    values = model._compiled.sentence_values(tokens, use_ner)
+    state = ParserState(n)
+    while not state.is_terminal():
+        assert_compiled_state(model, state, tokens, values, use_ner)
+        ids = model.feature_ids(state_features(state, tokens, use_ner))
+        scores = _kernels.row_sum(model.weights, ids)
+        scores[~model.action_mask(state)] = NEG_INF
+        if visited is not None:
+            visited.append((state.copy(), values, scores))
+        state.apply(model.actions[int(np.argmax(scores))])
+    heads, labels = state.heads, state.labels
+    headless = [i for i in range(1, n + 1) if heads[i] is None]
+    root = state.root_child
+    if root is None:
+        root = headless.pop(0)
+        heads[root] = 0
+        labels[root] = model.root_label
+    for i in headless:
+        heads[i] = root
+        labels[i] = model.fallback_label
+    return sentence.with_parse(heads[1:], labels[1:])
+
+
+def assert_compiled_state(model, state, tokens, values, use_ner):
+    compiled = model._compiled
+    ids = compiled.state_ids(state, values)
+    expected = model.feature_ids(state_features(state, tokens, use_ner))
+    assert sorted(j for j in ids if j >= 0) == expected.tolist()
+    legal = ~compiled.illegal[depparse._mask_code(state)]
+    assert np.array_equal(legal, model.action_mask(state))
+
+
+def parses(sentences):
+    return [([t.head for t in s], [t.dep_label for t in s]) for s in sentences]
+
+
+# Values that collide with the feature syntax ("|", "="), with the parser's
+# own values (<root>, <none>, distances, valencies) or with each other.
+ODD_FORMS = ["a|b", "|", "a||b", "x=y", "=", "s0w=x", "<root>", "<none>",
+             "1", "5+", "3+", "N|V"] + FORMS[:4]
+ODD_TAGS = ["N", "V", "N|V", "|", "=", "<root>", "<none>", "2", "a|b"]
+UNSEEN_FORMS = ["zz|q", "never", "<root>|<none>", "x=y|a"]
+NER_SET = ["O", "B-PER", "I-PER", "B-a|b"]
+
+
+@st.composite
+def parser_cases(draw):
+    """A parser trained on odd values, given random real weights, plus sentences."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    forms = draw(st.lists(st.sampled_from(ODD_FORMS), min_size=1, max_size=8,
+                          unique=True))
+    tags = draw(st.lists(st.sampled_from(ODD_TAGS), min_size=1, max_size=5,
+                         unique=True))
+
+    def sentence(n, forms, tags, heads=None, deps=None):
+        return Sentence(Token(index=i + 1, form=rng.choice(forms),
+                              pos_tag=rng.choice(tags), ner_label=rng.choice(NER_SET),
+                              head=heads and heads[i], dep_label=deps and deps[i])
+                        for i in range(n))
+
+    bank = [sentence(n, forms, tags, *random_projective_heads(rng, n))
+            for n in draw(st.lists(st.integers(1, 7), min_size=1, max_size=5))]
+    trained = train_parser(bank, epochs=1, use_ner_features=draw(st.booleans()))
+    weights = np.random.default_rng(rng.randrange(2 ** 32))
+    F, A = trained.weights.shape
+    model = ParserModel(trained.relations, trained.feature_index,
+                        weights.standard_normal((F, A)) *
+                        10.0 ** weights.integers(-3, 4, (F, 1)),
+                        use_ner_features=trained.use_ner_features,
+                        root_labels=trained.root_labels, root_label=trained.root_label)
+    sentences = [sentence(n, forms + UNSEEN_FORMS, tags + ["unseen"])
+                 for n in draw(st.lists(st.integers(0, 7), min_size=1, max_size=5))]
+    return model, bank, sentences, draw(st.booleans())
+
+
+class TestLockstepDecoding:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(parser_cases())
+    def test_compiled_features_match_string_path(self, case):
+        model, bank, sentences, use_ner = case
+        for gold_sent in bank:
+            tokens = gold_sent.tokens
+            values = model._compiled.sentence_values(tokens, use_ner)
+            state = ParserState(len(gold_sent))
+            for transition in static_oracle(gold_sent):
+                assert_compiled_state(model, state, tokens, values, use_ner)
+                state.apply(transition)
+        stripped = [Sentence(Token(t.index, t.form, pos_tag=t.pos_tag,
+                                   ner_label=t.ner_label) for t in s) for s in bank]
+        visited = []
+        for doc in (stripped, sentences):
+            expected = [reference_parse(model, s, use_ner, visited) for s in doc]
+            assert parses(parse_sentences(model, doc, use_ner)) == parses(expected)
+        # All states scored in one batch, each row bit for bit as row_sum.
+        states, values, expected = zip(*visited)
+        got = depparse._lockstep_scores(model, states, values)
+        assert got.tobytes() == np.array(expected).tobytes()
+
+    def test_document_matches_sentence_at_a_time(self, toy_treebank, parse_model,
+                                                  monkeypatch):
+        doc = [Sentence(Token(t.index, t.form, pos_tag=t.pos_tag) for t in s)
+               for s in toy_treebank]
+        doc[3:3] = [Sentence(()), Sentence([Token(1, "một", pos_tag="M")])]
+        doc.append(Sentence(()))
+        doc.append(Sentence(Token(i + 1, f, pos_tag="N") for i, f in
+                            enumerate(["zz"] * 40)))
+        expected = [parse_sentence(parse_model, s) for s in doc]
+        assert parses(expected) == parses(reference_parse(parse_model, s, False)
+                                          for s in doc)
+        got = parse_sentences(parse_model, doc)
+        assert got[3] is doc[3]
+        assert parses(got) == parses(expected)
+        monkeypatch.setattr(depparse, "LOCKSTEP_SENTENCES", 3)
+        assert parses(parse_sentences(parse_model, doc)) == parses(expected)
+
+    def test_input_checked_before_decoding(self, parse_model):
+        good = Sentence([Token(1, "a", pos_tag="N")])
+        with pytest.raises(ValueError, match="POS tags"):
+            parse_sentences(parse_model, [good, Sentence([Token(1, "a")])])
+        with pytest.raises(ValueError, match="NER"):
+            parse_sentences(parse_model, [good], use_ner_features=True)
+
+    def test_fallback_attachments_logged(self, caplog):
+        # No feature is known and every weight is 0, so SHIFT (the first
+        # action) always wins and every token is left for the fallback.
+        model = ParserModel(["dep", "root"], {"never=": 0}, np.zeros((1, 6)))
+        sent = Sentence(Token(i + 1, f, pos_tag="N") for i, f in enumerate("abc"))
+        with caplog.at_level(logging.DEBUG, logger="sylpipe.depparse"):
+            parsed = parse_sentences(model, [sent, sent])
+        assert [t.head for t in parsed[0]] == [0, 1, 1]
+        assert [r.getMessage() for r in caplog.records] == [
+            "fallback attached 6 token(s) in 2 sentence(s)"]
+
+    def test_no_log_without_fallback(self, parse_model, caplog):
+        stripped = Sentence(Token(t.index, t.form, pos_tag=t.pos_tag) for t in FIXTURE)
+        with caplog.at_level(logging.DEBUG, logger="sylpipe.depparse"):
+            parse_sentences(parse_model, [stripped])
+        assert not caplog.records
+
+    def test_concurrent_first_parse_matches_serial(self, toy_treebank, parse_model,
+                                                   tmp_path):
+        # Threads race to build one fresh model's tables; every result must
+        # still equal the serial one.
+        path = tmp_path / "parse.model"
+        save_parser(parse_model, path)
+        doc = [Sentence(Token(t.index, t.form, pos_tag=t.pos_tag) for t in s)
+               for s in toy_treebank]
+        expected = parses(parse_sentences(load_parser(path), doc))
+        model = load_parser(path)
+        results = [None] * 4
+
+        def work(k):
+            results[k] = [parses(parse_sentences(model, doc[i:i + 5]))
+                          for i in range(0, len(doc), 5)]
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        for result in results:
+            assert [p for chunk in result for p in chunk] == expected
 
 
 class TestNerFeatureAblation:

@@ -52,6 +52,34 @@ def test_row_sum_backends_agree():
         assert np.array_equal(o1, o2)
 
 
+@pytest.mark.parametrize("L", [1, 2, 24])
+def test_numpy_row_sum_adds_in_id_order(L):
+    # The numpy kernels must add exactly as the numba loop does: in the
+    # given id order from +0.0, here run as plain Python. sum_rows must
+    # equal row_sum wherever its -1 padding sits.
+    rng = np.random.default_rng(L)
+    W = rng.standard_normal((300, L)) * 10.0 ** rng.integers(-6, 7, (300, 1))
+    W[0] = -0.0
+    cases = [[[0]], [[0, 0], [0, 0]], [[], [0]]]  # sums of -0.0 rows only
+    for _ in range(100):
+        cases.append([rng.integers(0, 300, size=int(rng.integers(0, 30))).tolist()
+                      for _ in range(int(rng.integers(1, 5)))])
+    for rows in cases:
+        expected = np.zeros((len(rows), L))
+        for t, ids in enumerate(rows):
+            ids = np.asarray(ids, dtype=np.int64)
+            _kernels._row_sum_py(W, ids, expected[t])
+            got = np.empty(L)
+            _kernels._row_sum_numpy(W, ids, got)
+            assert got.tobytes() == expected[t].tobytes()
+        packed = _kernels.pack_rows(rows)
+        assert _kernels.sum_rows(W, packed).tobytes() == expected.tobytes()
+        # The same ids with the padding moved to the front of each column.
+        front = np.array([sorted(col, key=lambda j: j >= 0) for col in packed.T]).T
+        front = front.reshape(packed.shape)
+        assert _kernels.sum_rows(W, front).tobytes() == expected.tobytes()
+
+
 def test_viterbi_masked_scores():
     # -inf entries are never chosen while a finite path exists
     em = np.array([[0.0, _kernels.NEG_INF], [0.0, 5.0]])

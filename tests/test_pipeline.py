@@ -45,6 +45,12 @@ class TestBuildPipeline:
             build_pipeline(["wseg"], model_dir=tmp_path)
         assert "wseg" in str(exc.value)
 
+    def test_corrupt_segmenter_is_a_load_error(self, model_dir, tmp_path):
+        good = (model_dir / "wseg.model").read_text(encoding="utf-8")
+        (tmp_path / "wseg.model").write_text(good + "junk\n", encoding="utf-8")
+        with pytest.raises(ModelLoadError, match="corrupt segmenter model"):
+            build_pipeline(["wseg"], model_dir=tmp_path)
+
     def test_unknown_annotator(self, model_dir):
         with pytest.raises(PipelineConfigError):
             build_pipeline(["pos", "frobnicate"], model_dir=model_dir)
@@ -135,6 +141,19 @@ class TestAnnotate:
             stages.annotate(bare)
         assert exc.value.stage == "ner"
         assert exc.value.sentence_index == 1
+
+    @pytest.mark.parametrize("bad", [2, 3])
+    def test_parse_failure_names_the_sentence(self, parse_model, bad):
+        # The parser decodes a document at once; its input check still
+        # names the sentence that lacks POS tags.
+        tagged = Sentence([Token(index=1, form="x", pos_tag="N")])
+        sentences = [tagged, tagged, tagged]
+        sentences[bad - 1] = Sentence([Token(index=1, form="x")])
+        stages = Pipeline({"parse": parse_model}, ("parse",))
+        with pytest.raises(AnnotationError) as exc:
+            stages.annotate(Document("x\nx\nx", sentences))
+        assert exc.value.stage == "parse"
+        assert exc.value.sentence_index == bad
 
 
 class TestNerFeatureToggle:

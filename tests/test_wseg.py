@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -221,6 +222,58 @@ class TestSerialization:
         p.write_text("nope\n")
         with pytest.raises(ValueError):
             load_segmenter(p)
+
+    # (name, edit of the file's text, problem); a file cut short fails at its
+    # first incomplete line, one with more text at the line after the rules.
+    CORRUPTIONS = [
+        ("truncated", lambda text: text[:-30], "the file ends before rule"),
+        ("no final newline", lambda text: text[:-1], "the file ends before rule"),
+        ("cut in the lexicon", lambda text: text[:text.index("rules\t")],
+         "the file ends before the rules header"),
+        ("padded", lambda text: text + "\n", "unexpected content after the declared rules"),
+        ("junk line", lambda text: text + "junk\n",
+         "unexpected content after the declared rules"),
+        ("trailing text", lambda text: text + "x", "unexpected content after the declared rules"),
+    ]
+
+    @pytest.mark.parametrize("name, edit, problem", CORRUPTIONS,
+                             ids=[c[0] for c in CORRUPTIONS])
+    def test_corrupt_file_names_the_line(self, tmp_path, seg_model, name, edit, problem):
+        good = tmp_path / "good.model"
+        save_segmenter(seg_model, good)
+        text = good.read_text(encoding="utf-8")
+        bad_text = edit(text)
+        if len(bad_text) < len(text):
+            line = bad_text.count("\n") + 1
+        else:
+            line = text.count("\n") + 1
+        bad = tmp_path / "bad.model"
+        bad.write_text(bad_text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{bad}: corrupt segmenter model (line {line}: {problem}")):
+            load_segmenter(bad)
+
+    def test_bad_header_names_the_line(self, tmp_path, seg_model):
+        good = tmp_path / "good.model"
+        save_segmenter(seg_model, good)
+        bad = tmp_path / "bad.model"
+        bad.write_text(good.read_text(encoding="utf-8").replace("lexicon\t", "lexicon\t+"),
+                       encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                "corrupt segmenter model (line 3: expected 'lexicon', a tab and a count")):
+            load_segmenter(bad)
+
+    def test_rule_with_wrong_value_count(self, tmp_path, seg_model):
+        assert seg_model.rules
+        good = tmp_path / "good.model"
+        save_segmenter(seg_model, good)
+        lines = good.read_text(encoding="utf-8").split("\n")
+        lines[-2] += "\textra"
+        bad = tmp_path / "bad.model"
+        bad.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"corrupt segmenter model (line {len(lines) - 1}: a ")):
+            load_segmenter(bad)
 
 
 def test_speed_smoke(seg_model):
