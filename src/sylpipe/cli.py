@@ -11,7 +11,6 @@ import argparse
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import bench, depparse, metrics, ner, pos, wseg
 from .model import (FormatError, dump_six_column, read_six_column)
@@ -54,32 +53,15 @@ def _require_input(path):
         raise FileNotFoundError(f"input file not found: {path}")
 
 
-def _chunk_lines(text, n_chunks):
-    lines = text.split("\n")
-    if n_chunks <= 1 or len(lines) <= 1:
-        return [text]
-    size = max(1, (len(lines) + n_chunks - 1) // n_chunks)
-    return ["\n".join(lines[i:i + size]) for i in range(0, len(lines), size)]
-
-
 def cmd_annotate(args):
     _require_input(args.fin)
     annotators = _parse_annotators(args.annotators)
     pipe = build_pipeline(annotators, model_dir=_models_dir(args))
     with open(args.fin, encoding="utf-8") as fh:
         text = fh.read()
-    workers = max(1, args.workers)
-    if workers == 1:
-        documents = [pipe.annotate(text)]
-    else:
-        # Line breaks are hard sentence boundaries, so chunking by lines and
-        # annotating chunks in parallel reproduces the serial output.
-        chunks = _chunk_lines(text, workers * 4)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            documents = list(pool.map(pipe.annotate, chunks))
-    sentences = [s for doc in documents for s in doc.sentences]
+    document = pipe.annotate(text)
     with open(args.fout, "w", encoding="utf-8") as fh:
-        fh.write(dump_six_column(sentences))
+        fh.write(dump_six_column(document.sentences))
     return EXIT_OK
 
 
@@ -96,6 +78,11 @@ def cmd_train(args):
     os.makedirs(models_dir, exist_ok=True)
     log_lines = []
 
+    def on_epoch(epoch, mistakes, accuracy):
+        unit = "transitions" if args.task == "parse" else "sentences"
+        log_lines.append(f"epoch={epoch} mistaken_{unit}={mistakes} "
+                         f"training_accuracy={accuracy:.4f}")
+
     if args.task == "wseg":
         corpus = wseg.read_segmented_corpus(args.corpus)
 
@@ -109,11 +96,6 @@ def cmd_train(args):
         log_lines.append(f"lexicon_size={len(model.lexicon)} rules={len(model.rules)}")
     elif args.task == "pos":
         corpus = pos.read_two_column(args.corpus)
-
-        def on_epoch(epoch, mistakes, accuracy):
-            log_lines.append(f"epoch={epoch} mistaken_sentences={mistakes} "
-                             f"training_accuracy={accuracy:.4f}")
-
         model = pos.train_pos(corpus, epochs=args.epochs, shuffle_seed=args.seed,
                               on_epoch=on_epoch)
         save_linear_model(model, os.path.join(models_dir, "pos.model"))
@@ -130,11 +112,6 @@ def cmd_train(args):
             sentences = ner.replace_gold_pos_with_predicted(sentences, pos_model)
         corpus = ner.training_pairs(sentences)
         gazetteer = ner.read_gazetteer(args.gazetteer) if args.gazetteer else None
-
-        def on_epoch(epoch, mistakes, accuracy):
-            log_lines.append(f"epoch={epoch} mistaken_sentences={mistakes} "
-                             f"training_accuracy={accuracy:.4f}")
-
         model = ner.train_ner(corpus, epochs=args.epochs, shuffle_seed=args.seed,
                               gazetteer=gazetteer, combine_top_k=args.combine,
                               on_epoch=on_epoch)
@@ -144,11 +121,6 @@ def cmd_train(args):
             treebank = depparse.read_conllx(args.corpus)
         else:
             treebank = read_six_column(args.corpus)
-
-        def on_epoch(epoch, mistakes, accuracy):
-            log_lines.append(f"epoch={epoch} mistaken_transitions={mistakes} "
-                             f"training_accuracy={accuracy:.4f}")
-
         model = depparse.train_parser(treebank, epochs=args.epochs,
                                       shuffle_seed=args.seed,
                                       use_ner_features=args.use_ner_features,
@@ -279,8 +251,6 @@ def build_arg_parser():
                             "are inserted automatically)")
     p_ann.add_argument("-models", "--models", default=None,
                        help=f"model directory (default ${MODELS_ENV_VAR} or ./models)")
-    p_ann.add_argument("-workers", "--workers", type=int, default=1,
-                       help="document-level parallelism; output order is preserved")
 
     p_train = sub.add_parser("train", allow_abbrev=False, help="train one annotator")
     p_train.add_argument("task", choices=("wseg", "pos", "ner", "parse"))

@@ -25,16 +25,15 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import logging
-import random
 
 import numpy as np
 
 from . import _kernels
 from ._kernels import NEG_INF
+from .linear import AveragedWeights, ModelFormat, epoch_orders
 from .model import Sentence
-from .seqlabel import TrainingError, read_weight_section
+from .seqlabel import TrainingError
 
 logger = logging.getLogger(__name__)
 
@@ -145,10 +144,6 @@ class ParserState:
         else:  # REDUCE
             self.stack.pop()
         return self
-
-
-def initial_state(n):
-    return ParserState(n)
 
 
 def legal_kinds(state):
@@ -481,12 +476,7 @@ class ParserModel:
         self.relations = list(relations)
         if not self.relations or len(set(self.relations)) != len(self.relations):
             raise ValueError("relation alphabet must be non-empty and duplicate-free")
-        # Fixed tie-break order: SHIFT, LEFT-ARCs, RIGHT-ARCs, REDUCE;
-        # labels in alphabet order inside each arc block.
-        self.actions = [(SHIFT, None)]
-        self.actions += [(LEFT_ARC, rel) for rel in self.relations]
-        self.actions += [(RIGHT_ARC, rel) for rel in self.relations]
-        self.actions.append((REDUCE, None))
+        self.actions = _actions(self.relations)
         self.action_index = {a: i for i, a in enumerate(self.actions)}
         self.feature_index = dict(feature_index)
         self.weights = np.ascontiguousarray(weights, dtype=np.float64)
@@ -496,6 +486,8 @@ class ParserModel:
             raise ValueError("weights must be finite")
         self.use_ner_features = bool(use_ner_features)
         self.root_labels = tuple(root_labels)
+        if not set(self.root_labels) <= set(self.relations):
+            raise ValueError("root labels must be relations")
         self.root_label = root_label
         self.fallback_label = fallback_label
 
@@ -512,6 +504,13 @@ class ParserModel:
     @functools.cached_property
     def _compiled(self):
         return _CompiledStateFeatures(self)
+
+
+def _actions(relations):
+    """Fixed tie-break order: SHIFT, LEFT-ARCs, RIGHT-ARCs, REDUCE; labels in
+    alphabet order inside each arc block."""
+    return ([(SHIFT, None)] + [(LEFT_ARC, rel) for rel in relations]
+            + [(RIGHT_ARC, rel) for rel in relations] + [(REDUCE, None)])
 
 
 def _legal_action_mask(state, n_relations, root_labels, action_index):
@@ -719,11 +718,7 @@ def train_parser(treebank, epochs=10, shuffle_seed=1, use_ner_features=False,
 
     # Replay each gold sequence once, freezing features, masks and gold
     # action ids per decision point.
-    R = len(relations)
-    actions = [(SHIFT, None)] + [(LEFT_ARC, r) for r in relations] + \
-              [(RIGHT_ARC, r) for r in relations] + [(REDUCE, None)]
-    action_index = {a: i for i, a in enumerate(actions)}
-    A = len(actions)
+    action_index = {a: i for i, a in enumerate(_actions(relations))}
     feature_index = {}
     per_sentence = []
     for sent in usable:
@@ -731,90 +726,58 @@ def train_parser(treebank, epochs=10, shuffle_seed=1, use_ner_features=False,
         state = ParserState(len(sent))
         steps = []
         for transition in seq:
-            feats = state_features(state, sent.tokens, use_ner_features)
-            ids = set()
-            for f in feats:
-                j = feature_index.setdefault(f, len(feature_index))
-                ids.add(j)
-            mask = _legal_action_mask(state, R, root_labels, action_index)
+            ids = {feature_index.setdefault(f, len(feature_index))
+                   for f in state_features(state, sent.tokens, use_ner_features)}
+            mask = _legal_action_mask(state, len(relations), root_labels,
+                                      action_index)
             steps.append((np.asarray(sorted(ids), dtype=np.int64), mask,
                           action_index[transition]))
             state.apply(transition)
         per_sentence.append(steps)
 
-    F = len(feature_index)
-    W = np.zeros((F, A))
-    U = np.zeros((F, A))
-    rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
-    order = list(range(len(per_sentence)))
+    weights = AveragedWeights(len(feature_index), len(action_index))
     step = 0
-    for epoch in range(epochs):
-        if rng is not None:
-            rng.shuffle(order)
+    for epoch, order in enumerate(epoch_orders(len(per_sentence), epochs, shuffle_seed), 1):
         correct = 0
         total = 0
         for si in order:
             for ids, mask, gold_a in per_sentence[si]:
                 step += 1
-                scores = _kernels.row_sum(W, ids)
+                scores = _kernels.row_sum(weights.W, ids)
                 scores[~mask] = NEG_INF
                 pred = int(np.argmax(scores))
                 total += 1
                 if pred == gold_a:
                     correct += 1
                     continue
-                W[ids, gold_a] += 1.0
-                W[ids, pred] -= 1.0
-                U[ids, gold_a] += step
-                U[ids, pred] -= step
+                weights.update((ids, gold_a), (ids, pred), step)
         if on_epoch is not None:
-            on_epoch(epoch + 1, total - correct, correct / total if total else 1.0)
+            on_epoch(epoch, total - correct, correct / total if total else 1.0)
 
-    if step > 0:
-        W = ((step + 1) * W - U) / step
-    return ParserModel(relations, feature_index, W,
+    return ParserModel(relations, feature_index, weights.averaged(step),
                        use_ner_features=use_ner_features,
                        root_labels=root_labels, root_label=root_label)
 
 
-MODEL_MAGIC = b"SYLPIPE-DEP1\n"
+DEP1 = ModelFormat(
+    b"SYLPIPE-DEP1\n",
+    {"relations": "string list", "use_ner": "boolean", "root_labels": "string list",
+     "root_label": "string", "fallback_label": "string"},
+    lambda h: ((h["feature_count"], 2 * len(h["relations"]) + 2),))
 
 
 def save_parser(model, path):
-    header = {
+    DEP1.write(path, {
         "relations": model.relations,
         "use_ner": model.use_ner_features,
         "root_labels": list(model.root_labels),
         "root_label": model.root_label,
         "fallback_label": model.fallback_label,
-        "feature_count": len(model.feature_index),
-    }
-    features = sorted(model.feature_index, key=model.feature_index.get)
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(json.dumps(header, sort_keys=True, ensure_ascii=True,
-                            separators=(",", ":")).encode("utf-8"))
-        fh.write(b"\n")
-        for f in features:
-            fh.write(f.encode("utf-8"))
-            fh.write(b"\n")
-        fh.write(b"WEIGHTS\n")
-        fh.write(model.weights.astype("<f8").tobytes())
+    }, model.feature_index, (model.weights,))
 
 
 def load_parser(path):
-    with open(path, "rb") as fh:
-        if fh.readline() != MODEL_MAGIC:
-            raise ValueError(f"{path}: not a parser model file")
-        header = json.loads(fh.readline().decode("utf-8"))
-        F = header["feature_count"]
-        feature_index = {}
-        for _ in range(F):
-            feature_index[fh.readline().decode("utf-8").rstrip("\n")] = len(feature_index)
-        if fh.readline() != b"WEIGHTS\n":
-            raise ValueError(f"{path}: corrupt model file (missing weight section)")
-        A = 2 * len(header["relations"]) + 2
-        weights, = read_weight_section(fh, path, (F, A))
+    header, feature_index, (weights,) = DEP1.read(path)
     return ParserModel(header["relations"], feature_index, weights,
                        use_ner_features=header["use_ner"],
                        root_labels=header["root_labels"],

@@ -1,0 +1,160 @@
+"""What the taggers and the parser share: the averaged perceptron and the
+model-file container.
+
+A model file is a magic line, a compact JSON header with sorted keys, the
+feature alphabet one feature per line in id order, a "WEIGHTS" line, then
+the weight arrays as little-endian float64, which end the file.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import os
+import random
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+
+class AveragedWeights:
+    """Perceptron weights W, averaged lazily (Collins 2002): U sums every
+    update times its step, so the mean of W over all steps is
+    ((step + 1) * W - U) / step."""
+
+    def __init__(self, rows, cols):
+        self.W = np.zeros((rows, cols))
+        self.U = np.zeros((rows, cols))
+
+    def update(self, gold_index, pred_index, step):
+        """Add one at the numpy index gold_index, subtract one at pred_index."""
+        W, U = self.W, self.U
+        W[gold_index] += 1.0
+        W[pred_index] -= 1.0
+        U[gold_index] += step
+        U[pred_index] -= step
+
+    def averaged(self, step):
+        """The mean of W as it stood after each of steps 1..step (W if none)."""
+        if step == 0:
+            return self.W
+        return ((step + 1) * self.W - self.U) / step
+
+
+def epoch_orders(count, epochs, shuffle_seed):
+    """The order of instances 0..count-1 in each epoch: corpus order if
+    shuffle_seed is None, else the previous epoch's order shuffled by one
+    generator seeded with shuffle_seed."""
+    rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
+    order = list(range(count))
+    for _ in range(epochs):
+        if rng is not None:
+            rng.shuffle(order)
+        yield tuple(order)
+
+
+def _strings(value, size=None):
+    return (isinstance(value, list) and all(isinstance(v, str) for v in value)
+            and size in (None, len(value)))
+
+
+# Header field types by the name a format declares them with.
+_FIELD_TYPES = {
+    "boolean": lambda v: isinstance(v, bool),
+    "count": lambda v: type(v) is int and v >= 0,
+    "string": lambda v: isinstance(v, str),
+    "string list": _strings,
+    "string list or null": lambda v: v is None or _strings(v),
+    "string pair list": lambda v: isinstance(v, list) and all(_strings(p, 2) for p in v),
+}
+
+
+def _corrupt(path, what):
+    return ValueError(f"{path}: corrupt model file ({what})")
+
+
+def _alphabet_fault(lines, F):
+    """The first fault of an alphabet whose feature j is on line j + 3."""
+    seen = {}
+    for j, raw in enumerate([*lines, b""]):
+        if not raw.endswith(b"\n"):  # the file ends on this line
+            return f"line {j + 3}: alphabet ends after {j} of {F} features"
+        try:
+            feature = raw[:-1].decode("utf-8")
+        except UnicodeDecodeError:
+            return f"line {j + 3} is not UTF-8"
+        if feature in seen:
+            return f"line {j + 3} repeats line {seen[feature] + 3}"
+        seen[feature] = j
+
+
+@dataclass(frozen=True)
+class ModelFormat:
+    """A model-file format. fields maps the header keys besides "feature_count"
+    to _FIELD_TYPES names; shapes maps a checked header to the (rows, cols) of
+    each weight array."""
+
+    magic: bytes
+    fields: dict
+    shapes: Callable
+
+    def write(self, path, header, feature_index, arrays):
+        """Write a model whose feature_index maps its features to ids 0..F-1."""
+        header = dict(header, feature_count=len(feature_index))
+        with open(path, "wb") as fh:
+            fh.write(self.magic)
+            fh.write(json.dumps(header, sort_keys=True, ensure_ascii=True,
+                                separators=(",", ":")).encode("utf-8"))
+            fh.write(b"\n")
+            for feature in sorted(feature_index, key=feature_index.get):
+                fh.write(feature.encode("utf-8"))
+                fh.write(b"\n")
+            fh.write(b"WEIGHTS\n")
+            for array in arrays:
+                fh.write(array.astype("<f8").tobytes())
+
+    def read(self, path):
+        """(header, feature index, weight arrays) of a model file. A fault
+        raises ValueError naming the file, and the line where it has one."""
+        with open(path, "rb") as fh:
+            if fh.readline(len(self.magic)) != self.magic:
+                raise ValueError(f"{path}: not a {self.magic[:-1].decode()} model file")
+            try:
+                header = json.loads(fh.readline().decode("utf-8"))
+            except ValueError:
+                header = None
+            if not isinstance(header, dict):
+                raise _corrupt(path, "line 2 is not a JSON object")
+            fields = dict(self.fields, feature_count="count")
+            for key, kind in fields.items():
+                if key not in header:
+                    raise _corrupt(path, f"header lacks {key!r}")
+                if not _FIELD_TYPES[kind](header[key]):
+                    raise _corrupt(path, f"header field {key!r} is not a {kind}")
+            if header.keys() != fields.keys():
+                raise _corrupt(path, f"header has unknown fields "
+                                     f"{sorted(header.keys() - fields.keys())}")
+            F = header["feature_count"]
+            lines = list(itertools.islice(fh, F))
+            block = b"".join(lines)
+            try:
+                features = block.decode("utf-8").split("\n")
+            except UnicodeDecodeError:
+                features = ()
+            feature_index = dict(zip(features, range(F)))
+            # Each line holds at most one newline, at its end.
+            if len(feature_index) != F or block.count(b"\n") != F:
+                raise _corrupt(path, _alphabet_fault(lines, F))
+            if fh.readline() != b"WEIGHTS\n":
+                raise _corrupt(path, f"line {F + 3} is not the WEIGHTS marker")
+            arrays = [np.empty(shape, dtype="<f8") for shape in self.shapes(header)]
+            expected = sum(array.nbytes for array in arrays)
+            found = os.fstat(fh.fileno()).st_size - fh.tell()
+            if found != expected:
+                raise _corrupt(path, f"weight section has {found} bytes, "
+                                     f"expected {expected}")
+            for array in arrays:
+                if fh.readinto(array) != array.nbytes:
+                    raise ValueError(f"{path}: model file changed while it was read")
+        return header, feature_index, arrays

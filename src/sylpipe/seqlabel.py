@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
-import os
-import random
 import re
 from dataclasses import dataclass
 
@@ -20,6 +17,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import NEG_INF
+from .linear import AveragedWeights, ModelFormat, epoch_orders
 
 BOUNDARY_LEFT = "<s>"
 BOUNDARY_RIGHT = "</s>"
@@ -246,14 +244,14 @@ class LinearModel:
             raise ValueError("weights must be finite")
         self.bio_constrained = bool(bio_constrained)
         self.induced_pairs = tuple(tuple(p) for p in induced_pairs)
+        # Training pairs seen features; the compiled path joins pairs by id.
+        if any(part not in self.feature_index for pair in self.induced_pairs
+               for part in pair):
+            raise ValueError("an induced pair has a part outside the feature alphabet")
         self.gazetteer = frozenset(gazetteer) if gazetteer is not None else None
         self._induced_index = _index_pairs(self.induced_pairs)
         self._resources = {"gazetteer": self.gazetteer} if self.gazetteer is not None else None
         self._masked = None
-
-    @property
-    def start_index(self):
-        return len(self.labels)
 
     def masked_scores(self):
         """(transitions, start) with -inf where the BIO constraint forbids."""
@@ -280,22 +278,16 @@ class LinearModel:
 
     @functools.cached_property
     def _compiled(self):
-        return _CompiledFeatures.build(self)
+        return _CompiledFeatures(self)
 
     def emission_matrix(self, tokens):
         """(T, L) emission scores, bit-identical to reference_emission_matrix."""
-        compiled = self._compiled
-        if compiled is None:
-            return self.reference_emission_matrix(tokens)
         return _kernels.sum_rows(self.emission_weights,
-                                 _kernels.pack_rows(compiled.sentence_ids(tokens)))
+                                 _kernels.pack_rows(self._compiled.sentence_ids(tokens)))
 
     def reference_emission_matrix(self, tokens):
-        """Emissions from feature strings, one position at a time.
-
-        The decode path for models the compiled path does not cover, and the
-        test oracle for the compiled path.
-        """
+        """Emissions from feature strings, one position at a time: the oracle
+        that tests the compiled path."""
         T = len(tokens)
         em = np.empty((T, len(self.labels)))
         for i in range(T):
@@ -392,18 +384,6 @@ class _CompiledFeatures:
     FeatureTemplate.extract at each position. Built on first decode, so
     loading a model does no extra work.
     """
-
-    @classmethod
-    def build(cls, model):
-        """The compiled features of model, or None if its pairs need strings.
-
-        A pair whose parts are not all known features can fire on an unknown
-        feature string, which the id-based path never builds.
-        """
-        index = model.feature_index
-        if any(a not in index or b not in index for a, b in model.induced_pairs):
-            return None
-        return cls(model)
 
     def __init__(self, model):
         index = model.feature_index
@@ -671,31 +651,21 @@ def _train(templates, corpus, labels, epochs, shuffle_seed, bio_constrained,
         sent_ids = []
         for i in range(len(tokens)):
             feats = extract_features(templates, tokens, i, resources, induced_index)
-            ids = []
-            for f in feats:
-                j = feature_index.setdefault(f, len(feature_index))
-                ids.append(j)
             sent_feats.append(feats)
-            sent_ids.append(sorted(set(ids)))
+            sent_ids.append(sorted({feature_index.setdefault(f, len(feature_index))
+                                    for f in feats}))
         feats_by_sentence.append(sent_feats)
         packed_by_sentence.append(_kernels.pack_rows(sent_ids))
         ids_by_sentence.append([np.asarray(r, dtype=np.int64) for r in sent_ids])
         golds.append(np.asarray([label_index[g] for g in gold], dtype=np.int64))
 
-    F = len(feature_index)
-    W = np.zeros((F, L))
-    Wu = np.zeros((F, L))
-    Tm = np.zeros((L + 1, L))
-    Tu = np.zeros((L + 1, L))
+    emissions = AveragedWeights(len(feature_index), L)
+    transitions = AveragedWeights(L + 1, L)
     start = L
     mask = bio_transition_mask(labels) if bio_constrained else None
 
-    rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
-    order = list(range(len(corpus)))
     step = 0
-    for epoch in range(epochs):
-        if rng is not None:
-            rng.shuffle(order)
+    for epoch, order in enumerate(epoch_orders(len(corpus), epochs, shuffle_seed), 1):
         correct = 0
         total = 0
         mistakes = 0
@@ -706,9 +676,9 @@ def _train(templates, corpus, labels, epochs, shuffle_seed, bio_constrained,
             step += 1
             if T == 0:
                 continue
-            em = _kernels.sum_rows(W, packed_by_sentence[si])
-            trans = Tm[:L].copy()
-            st = Tm[start].copy()
+            em = _kernels.sum_rows(emissions.W, packed_by_sentence[si])
+            trans = transitions.W[:L].copy()
+            st = transitions.W[start].copy()
             if mask is not None:
                 trans[~mask[:L]] = NEG_INF
                 st[~mask[start]] = NEG_INF
@@ -729,28 +699,16 @@ def _train(templates, corpus, labels, epochs, shuffle_seed, bio_constrained,
                                 a, b = feats[a_i], feats[b_i]
                                 pair = (a, b) if a <= b else (b, a)
                                 collect_error_pairs[pair] = collect_error_pairs.get(pair, 0) + 1
-                    row = ids[i]
-                    W[row, g] += 1.0
-                    W[row, p] -= 1.0
-                    Wu[row, g] += step
-                    Wu[row, p] -= step
+                    emissions.update((ids[i], g), (ids[i], p), step)
                 pg = gold[i - 1] if i else start
                 pp = pred[i - 1] if i else start
                 if (pg, g) != (pp, p):
-                    Tm[pg, g] += 1.0
-                    Tm[pp, p] -= 1.0
-                    Tu[pg, g] += step
-                    Tu[pp, p] -= step
+                    transitions.update((pg, g), (pp, p), step)
         if on_epoch is not None:
-            on_epoch(epoch + 1, mistakes, correct / total if total else 1.0)
+            on_epoch(epoch, mistakes, correct / total if total else 1.0)
 
-    if step > 0:
-        W_avg = ((step + 1) * W - Wu) / step
-        T_avg = ((step + 1) * Tm - Tu) / step
-    else:
-        W_avg = W
-        T_avg = Tm
-    return LinearModel(labels, templates, feature_index, W_avg, T_avg,
+    return LinearModel(labels, templates, feature_index, emissions.averaged(step),
+                       transitions.averaged(step),
                        bio_constrained=bio_constrained, induced_pairs=induced_pairs,
                        gazetteer=gazetteer)
 
@@ -764,69 +722,26 @@ def _induce_pairs(templates, corpus, labels, bio_constrained, gazetteer, top_k):
     return tuple(pair for pair, _ in ranked[:top_k])
 
 
-def naive_averaged_weights(snapshots):
-    """Mean of per-step weight snapshots; test oracle for the lazy average."""
-    return sum(snapshots) / len(snapshots)
-
-
-MODEL_MAGIC = b"SYLPIPE-SEQ1\n"
+SEQ1 = ModelFormat(
+    b"SYLPIPE-SEQ1\n",
+    {"labels": "string list", "templates": "string pair list", "bio": "boolean",
+     "pairs": "string pair list", "gazetteer": "string list or null"},
+    lambda h: ((h["feature_count"], len(h["labels"])),
+               (len(h["labels"]) + 1, len(h["labels"]))))
 
 
 def save_linear_model(model, path):
-    header = {
+    SEQ1.write(path, {
         "labels": model.labels,
         "templates": [[t.name, t.descriptor] for t in model.templates],
         "bio": model.bio_constrained,
         "pairs": [list(p) for p in model.induced_pairs],
         "gazetteer": sorted(model.gazetteer) if model.gazetteer is not None else None,
-        "feature_count": len(model.feature_index),
-    }
-    features = sorted(model.feature_index, key=model.feature_index.get)
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(json.dumps(header, sort_keys=True, ensure_ascii=True,
-                            separators=(",", ":")).encode("utf-8"))
-        fh.write(b"\n")
-        for f in features:
-            fh.write(f.encode("utf-8"))
-            fh.write(b"\n")
-        fh.write(b"WEIGHTS\n")
-        fh.write(model.emission_weights.astype("<f8").tobytes())
-        fh.write(model.transition_weights.astype("<f8").tobytes())
-
-
-def read_weight_section(fh, path, *shapes):
-    """Little-endian float64 arrays of the given shapes, which must end the file."""
-    expected = 8 * sum(rows * cols for rows, cols in shapes)
-    found = os.fstat(fh.fileno()).st_size - fh.tell()
-    if found != expected:
-        raise ValueError(f"{path}: corrupt model file (weight section has "
-                         f"{found} bytes, expected {expected})")
-    arrays = []
-    for rows, cols in shapes:
-        array = np.empty((rows, cols), dtype="<f8")
-        if fh.readinto(array) != array.nbytes:
-            raise ValueError(f"{path}: model file changed while it was read")
-        arrays.append(array)
-    return arrays
+    }, model.feature_index, (model.emission_weights, model.transition_weights))
 
 
 def load_linear_model(path):
-    with open(path, "rb") as fh:
-        magic = fh.readline()
-        if magic != MODEL_MAGIC:
-            raise ValueError(f"{path}: not a sequence-labeling model file")
-        header = json.loads(fh.readline().decode("utf-8"))
-        F = header["feature_count"]
-        feature_index = {}
-        for _ in range(F):
-            feat = fh.readline().decode("utf-8").rstrip("\n")
-            feature_index[feat] = len(feature_index)
-        marker = fh.readline()
-        if marker != b"WEIGHTS\n":
-            raise ValueError(f"{path}: corrupt model file (missing weight section)")
-        L = len(header["labels"])
-        em, tr = read_weight_section(fh, path, (F, L), (L + 1, L))
+    header, feature_index, (em, tr) = SEQ1.read(path)
     templates = [FeatureTemplate(name, desc) for name, desc in header["templates"]]
     return LinearModel(header["labels"], templates, feature_index, em, tr,
                        bio_constrained=header["bio"],

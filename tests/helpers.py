@@ -1,5 +1,6 @@
 """Shared generators for randomized tests: models, sentences, trees, text."""
 
+import json
 import os
 import random
 
@@ -166,3 +167,68 @@ def synthetic_raw_text(n_words, seed=42):
         lines.append(" ".join(w.replace("_", " ") for w in sent) + " .")
         words += n + 1
     return "\n".join(lines) + "\n"
+
+
+def split_model_file(data):
+    """A SEQ1/DEP1 model file as its lines up to the alphabet's end, and its weights."""
+    head, _, weights = data.partition(b"\nWEIGHTS\n")
+    return head.split(b"\n"), weights
+
+
+def join_model_file(lines, weights, marker=b"WEIGHTS"):
+    return b"\n".join(lines) + b"\n" + marker + b"\n" + weights
+
+
+def _header_case(edit, message):
+    def mutate(lines, weights):
+        header = json.loads(lines[1])
+        edit(header)
+        lines[1] = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        return join_model_file(lines, weights), message
+    return mutate
+
+
+def _line_case(k, raw, message):
+    def mutate(lines, weights):
+        lines[k] = raw(lines)
+        return join_model_file(lines, weights), message
+    return mutate
+
+
+def _count_beyond_file(extra):
+    # The header counts extra features more than the file, which ends after
+    # its last feature line.
+    def mutate(lines, weights):
+        F = len(lines) - 2
+        header = json.loads(lines[1])
+        header["feature_count"] = F + extra
+        lines[1] = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        return (b"\n".join(lines) + b"\n",
+                f"line {F + 3}: alphabet ends after {F} of {F + extra} features")
+    return mutate
+
+
+# Layout faults of a SEQ1/DEP1 model file. Each maps the file's lines (magic,
+# header, one per feature) and weight bytes to the broken file's bytes and
+# what the loader must say inside "corrupt model file (...)".
+CORRUPT_LAYOUTS = {
+    "no-feature-count": _header_case(lambda h: h.pop("feature_count"),
+                                     "header lacks 'feature_count'"),
+    "negative-feature-count": _header_case(lambda h: h.update(feature_count=-1),
+                                           "header field 'feature_count' is not a count"),
+    "unknown-field": _header_case(lambda h: h.update(extra=1),
+                                  "header has unknown fields ['extra']"),
+    "malformed-json": _line_case(1, lambda lines: lines[1][:-1],
+                                 "line 2 is not a JSON object"),
+    "json-array": _line_case(1, lambda lines: b"[]", "line 2 is not a JSON object"),
+    "repeated-feature": _line_case(3, lambda lines: lines[2], "line 4 repeats line 3"),
+    "not-utf8": _line_case(2, lambda lines: b"form@0=\xff", "line 3 is not UTF-8"),
+    "alphabet-cut": lambda lines, weights: (
+        b"\n".join(lines[:4]) + b"\n" + lines[4][:2],
+        f"line 5: alphabet ends after 2 of {len(lines) - 2} features"),
+    "count-one-beyond-file": _count_beyond_file(1),
+    "count-far-beyond-file": _count_beyond_file(10 ** 12),
+    "no-weights-marker": lambda lines, weights: (
+        join_model_file(lines, weights, marker=b"WEIGHT"),
+        f"line {len(lines) + 1} is not the WEIGHTS marker"),
+}

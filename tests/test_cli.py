@@ -59,21 +59,11 @@ class TestAnnotate:
         with open(out, encoding="utf-8") as fh:
             assert fh.read() == pipe.annotate(src.read_text(encoding="utf-8")).to_text()
 
-    def test_workers_preserve_output(self, cli_models, tmp_path):
-        src = tmp_path / "in.txt"
-        lines = ["Họ đang làm việc ở Hà Nội .",
-                 "Ông Lê Văn Minh viết về nhà máy tính .",
-                 "Sinh viên học sinh học .",
-                 "Công ty xây dựng nhà máy mới ."] * 5
-        src.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        out1 = str(tmp_path / "o1.txt")
-        out4 = str(tmp_path / "o4.txt")
-        assert main(["annotate", "-fin", str(src), "-fout", out1,
-                     "-models", cli_models, "-workers", "1"]) == 0
-        assert main(["annotate", "-fin", str(src), "-fout", out4,
-                     "-models", cli_models, "-workers", "4"]) == 0
-        with open(out1, encoding="utf-8") as f1, open(out4, encoding="utf-8") as f4:
-            assert f1.read() == f4.read()
+    def test_workers_flag_removed(self, cli_models, tmp_path):
+        out = tmp_path / "never.txt"
+        assert main(["annotate", "-fin", DEMO_INPUT, "-fout", str(out),
+                     "-models", cli_models, "-workers", "2"]) == 2
+        assert not out.exists()
 
     def test_wseg_only_columns(self, cli_models, tmp_path):
         out = tmp_path / "seg.txt"

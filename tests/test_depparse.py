@@ -11,8 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import (FORMS, check_tree, random_form_sentence, random_gold_tree,
-                     random_parser_model, random_projective_heads)
+from helpers import (CORRUPT_LAYOUTS, FORMS, check_tree, random_form_sentence,
+                     random_gold_tree, random_parser_model, random_projective_heads,
+                     split_model_file)
 from sylpipe import _kernels, depparse, wseg, pos
 from sylpipe._kernels import NEG_INF
 from sylpipe.depparse import (LEFT_ARC, REDUCE, RIGHT_ARC, SHIFT,
@@ -24,6 +25,7 @@ from sylpipe.depparse import (LEFT_ARC, REDUCE, RIGHT_ARC, SHIFT,
                               static_oracle, train_parser)
 from sylpipe.metrics import attachment_scores
 from sylpipe.model import Sentence, Token
+from sylpipe.pipeline import ModelLoadError, load_model
 from sylpipe.seqlabel import TrainingError
 
 RELS = ("nmod", "root", "sub")
@@ -433,6 +435,48 @@ class TestTrainParser:
         save_parser(m2, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_lazy_average_equals_naive(self, toy_treebank):
+        bank = [s for s in toy_treebank[:8] if is_projective([t.head for t in s])]
+        trained = train_parser(bank, epochs=3, shuffle_seed=7)
+
+        # independent reference: the mean of the weights after every
+        # transition, in the same seeded epoch order
+        feature_index = {}
+        for sent in bank:
+            state = ParserState(len(sent))
+            for t in static_oracle(sent):
+                for f in state_features(state, sent.tokens):
+                    feature_index.setdefault(f, len(feature_index))
+                state.apply(t)
+        relations = sorted({t.dep_label for s in bank for t in s})
+        root_labels = sorted({t.dep_label for s in bank for t in s if t.head == 0})
+        W = np.zeros((len(feature_index), 2 * len(relations) + 2))
+        model = ParserModel(relations, feature_index, W, root_labels=root_labels)
+        total = np.zeros_like(W)
+        steps = 0
+        order = list(range(len(bank)))
+        rng = random.Random(7)
+        for _ in range(3):
+            rng.shuffle(order)
+            for k in order:
+                sent = bank[k]
+                state = ParserState(len(sent))
+                for t in static_oracle(sent):
+                    ids = model.feature_ids(state_features(state, sent.tokens))
+                    scores = W[ids].sum(axis=0)
+                    scores[~model.action_mask(state)] = NEG_INF
+                    g, p = model.action_index[t], int(np.argmax(scores))
+                    if g != p:
+                        W[ids, g] += 1.0
+                        W[ids, p] -= 1.0
+                    total += W
+                    steps += 1
+                    state.apply(t)
+        assert trained.feature_index == feature_index
+        assert 0 < np.count_nonzero(trained.weights)
+        np.testing.assert_allclose(trained.weights, total / steps, rtol=1e-9,
+                                   atol=1e-12)
+
     def test_use_ner_features_needs_labels(self, toy_treebank):
         bank = [Sentence(Token(t.index, t.form, pos_tag=t.pos_tag, head=t.head,
                                dep_label=t.dep_label) for t in s)
@@ -506,6 +550,27 @@ class TestSerialization:
                 f"{bad}: corrupt model file (weight section has {found} bytes, "
                 f"expected {expected})")):
             load_parser(bad)
+
+    @pytest.mark.parametrize("fault", sorted(CORRUPT_LAYOUTS))
+    def test_header_and_alphabet_checked(self, parse_model, tmp_path, fault):
+        good = tmp_path / "good.model"
+        save_parser(parse_model, good)
+        data, message = CORRUPT_LAYOUTS[fault](*split_model_file(good.read_bytes()))
+        bad = tmp_path / "bad.model"
+        bad.write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{bad}: corrupt model file ({message})")):
+            load_parser(bad)
+        with pytest.raises(ModelLoadError):
+            load_model("parse", str(bad))
+
+    def test_root_labels_outside_relations_rejected(self, parse_model, tmp_path):
+        path = tmp_path / "parse.model"
+        save_parser(parse_model, path)
+        path.write_bytes(path.read_bytes().replace(b'"root_labels":["root"]',
+                                                   b'"root_labels":["nope"]', 1))
+        with pytest.raises(ModelLoadError, match="root labels must be relations"):
+            load_model("parse", str(path))
 
     def test_conllx_reader(self, toy_treebank, tmp_path):
         lines = []

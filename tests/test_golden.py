@@ -1,25 +1,35 @@
 """Byte identity of training and decoding against digests of known-good output.
 
-The digests were recorded from the toy models that conftest trains and from
-their annotation of a fixed synthetic document. A change to the feature,
-gather or decode code that alters one bit of a model file or of the output
-changes a digest.
+The digests were recorded from the toy models that conftest trains, from two
+more models that fill the header fields and the training order the toy models
+leave at their defaults, and from the annotation of a fixed synthetic
+document. A change to the feature, gather, decode, training or model-file code
+that alters one bit of a model file or of the output changes a digest.
 """
 
 import hashlib
+import shutil
 
 import pytest
 
 from helpers import synthetic_raw_text
+from sylpipe import depparse, ner
 from sylpipe.model import dump_six_column
 from sylpipe.pipeline import build_pipeline
+from sylpipe.seqlabel import save_linear_model
 
 MODEL_SHA256 = {
     "wseg.model": "8687713dd9703bca93f74b47e6314680d097596c085f4b8616e64e14f63e5e65",
     "pos.model": "95aa2595124fa078fbe85abda8b2a9da3a4d315610201327fd6d61912fa3a7f4",
     "ner.model": "829c64b6037da4a965a0b6f3a802d61682a0dfe8606013feacfd4ebde764880e",
     "parse.model": "59cdf7c243b828f5095a1e21a56d91db5a63ea3457326fc42511feb33fd00ae8",
+    # NER with a gazetteer (one entry lower-cased) and three induced pairs.
+    "ner-gazetteer.model": "6291c15bbf9273e09c2623b6f2a88b98b8b9d97b8e7dec8c08b0d0495c729fa8",
+    # Parser with the NER features, trained in corpus order.
+    "parse-ner.model": "97b38ac5b5e8c2c57141de358588c251abc4dddb2993e23ab09b92b0bb37c878",
 }
+
+GAZETTEER = frozenset({"Hà_Nội", "Đà_Nẵng", "việt_nam", "Olympic"})
 
 # Six-column output of synthetic_raw_text(5000, seed=3) under those models.
 ANNOTATED_SHA256 = "aaac54fbbbbae67cdad81c83e6255c2b492397b43187db0d25d97d575587f08c"
@@ -29,9 +39,24 @@ def sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
+@pytest.fixture(scope="module")
+def golden_dir(tmp_path_factory, model_dir, toy_ner_sentences, toy_treebank):
+    path = tmp_path_factory.mktemp("golden")
+    for name in ("wseg.model", "pos.model", "ner.model", "parse.model"):
+        shutil.copy(model_dir / name, path / name)
+    save_linear_model(ner.train_ner(ner.training_pairs(toy_ner_sentences),
+                                    gazetteer=GAZETTEER, combine_top_k=3),
+                      path / "ner-gazetteer.model")
+    depparse.save_parser(depparse.train_parser(toy_treebank, epochs=4,
+                                               shuffle_seed=None,
+                                               use_ner_features=True),
+                         path / "parse-ner.model")
+    return path
+
+
 @pytest.mark.parametrize("name", sorted(MODEL_SHA256))
-def test_toy_model_bytes(model_dir, name):
-    assert sha256((model_dir / name).read_bytes()) == MODEL_SHA256[name]
+def test_toy_model_bytes(golden_dir, name):
+    assert sha256((golden_dir / name).read_bytes()) == MODEL_SHA256[name]
 
 
 def test_annotated_document_bytes(model_dir):

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import (FORMS, NER_LABELS, POS_TAGS, random_form_sentence,
-                     random_linear_model)
+from helpers import (CORRUPT_LAYOUTS, FORMS, NER_LABELS, POS_TAGS,
+                     random_form_sentence, random_linear_model, split_model_file)
 from sylpipe import seqlabel
 from sylpipe.model import Sentence, Token
+from sylpipe.pipeline import ModelLoadError, load_model
 from sylpipe.seqlabel import (DecodeError, FeatureTemplate, LinearModel,
                               TrainingError, bio_transition_mask,
                               brute_force_decode, extract_features,
@@ -307,6 +308,19 @@ class TestSerialization:
                 f"expected {expected})")):
             load_linear_model(bad)
 
+    @pytest.mark.parametrize("fault", sorted(CORRUPT_LAYOUTS))
+    def test_header_and_alphabet_checked(self, tmp_path, fault):
+        good = tmp_path / "good.bin"
+        save_linear_model(random_linear_model(random.Random(14), ["A", "B"]), good)
+        data, message = CORRUPT_LAYOUTS[fault](*split_model_file(good.read_bytes()))
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{bad}: corrupt model file ({message})")):
+            load_linear_model(bad)
+        with pytest.raises(ModelLoadError):
+            load_model("pos", str(bad))
+
 
 ATOM_KINDS = ("form", "lower", "prefix", "suffix", "shape", "hasdigit",
               "hashyphen", "gaz", "pos", "ner", "isfirst", "islast")
@@ -365,14 +379,18 @@ class TestCompiledFeatures:
             assert np.array_equal(em, ref)
             assert em.tobytes() == ref.tobytes()
 
-    def test_pairs_with_unknown_parts_use_reference_path(self):
+    def test_pairs_with_unknown_parts_rejected(self, tmp_path):
         m = random_linear_model(random.Random(3), ["A", "B"])
-        m = LinearModel(m.labels, m.templates, m.feature_index, m.emission_weights,
+        with pytest.raises(ValueError, match="outside the feature alphabet"):
+            LinearModel(m.labels, m.templates, m.feature_index, m.emission_weights,
                         m.transition_weights, induced_pairs=[("form@0=xe", "nope")])
-        assert m._compiled is None
-        s = sentence("xe", "máy")
-        assert np.array_equal(m.emission_matrix(s.tokens),
-                              m.reference_emission_matrix(s.tokens))
+        path = tmp_path / "pairs.bin"
+        save_linear_model(LinearModel(m.labels, m.templates, m.feature_index,
+                                      m.emission_weights, m.transition_weights,
+                                      induced_pairs=[("form@0=xe", "form@0=em")]), path)
+        path.write_bytes(path.read_bytes().replace(b'"form@0=em"', b'"nope"', 1))
+        with pytest.raises(ModelLoadError, match="outside the feature alphabet"):
+            load_model("pos", str(path))
 
     def test_cache_bounded_by_known_forms(self, pos_model, ner_model):
         rng = random.Random(5)
