@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Benchmark the numba-compiled decode kernels against the numpy fallback.
+"""Benchmark the numba-compiled decode kernels against the numpy fallback,
+and a document's lattices decoded as one batch against one at a time.
 
 Run from the repository root:
 
@@ -32,16 +33,21 @@ def main():
     rows = compare_kernels(lattice_shape=(args.positions, args.labels),
                            n_lattices=args.lattices, repetitions=args.reps)
     by_kernel = {}
-    print(f"{'kernel':<10} {'backend':<8} {'total':>10} {'per call':>12}")
+    print(f"{'kernel':<12} {'backend':<8} {'total':>10} {'per lattice':>12}")
     for kernel, backend, seconds in rows:
         per_call = seconds / args.lattices
-        print(f"{kernel:<10} {backend:<8} {seconds * 1e3:8.2f}ms "
+        print(f"{kernel:<12} {backend:<8} {seconds * 1e3:8.2f}ms "
               f"{per_call * 1e6:10.2f}us")
         by_kernel.setdefault(kernel, {})[backend] = seconds
     for kernel, times in by_kernel.items():
         if "numba" in times and "numpy" in times:
             print(f"{kernel}: numba is {times['numpy'] / times['numba']:.1f}x "
                   f"the numpy path")
+        if "batched" in times:
+            for backend in ("numpy", "numba"):
+                if backend in times:
+                    print(f"{kernel}: one batch is {times[backend] / times['batched']:.1f}x "
+                          f"one lattice at a time on {backend}")
 
 
 if __name__ == "__main__":

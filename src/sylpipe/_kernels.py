@@ -7,6 +7,16 @@ they are bit-identical for any weights. The two Viterbi kernels compare the
 same sums but add them in their own ways, so they are identical whenever the
 inputs are exactly representable (integer weights) and agree to rounding
 noise otherwise.
+
+viterbi_paths decodes many lattices at once with numpy on every backend, so
+the annotation pipeline does not depend on numba. The lattices are
+end-aligned in one zero-padded (B, T, L) array: each step takes one max and
+one argmax over a (B, L, L) array, and the padding before a short lattice
+never feeds the suffix scores of its real positions. Its sums and maxima
+are those of the numpy viterbi_path, and every argmax keeps the first
+maximum, so each path and score equals the numpy viterbi_path's, ties and
+-inf masks included. viterbi_path stays the one-lattice kernel of the
+trainers, whose online updates cannot batch.
 """
 
 from __future__ import annotations
@@ -149,6 +159,46 @@ def viterbi_path(emissions, transitions, start_trans):
         return path, 0.0
     score = _viterbi_impl(emissions, transitions, start_trans, path)
     return path, float(score)
+
+
+def viterbi_paths(emissions, lengths, transitions, start_trans):
+    """viterbi_path of several lattices at once: a list of (path, score).
+
+    emissions holds the (T, L) lattices one after another, lengths their T
+    (each at least 1); transitions and start_trans are shared. Each result
+    equals viterbi_path's on the numpy backend, bit for bit.
+    """
+    lengths = np.asarray(lengths, dtype=np.intp)
+    B = len(lengths)
+    T = int(lengths.max())
+    L = emissions.shape[1]
+    first = T - lengths  # column of each lattice's first position
+    starts = np.cumsum(lengths) - lengths  # row of it in emissions
+    batch = np.arange(B)
+    em = np.zeros((B, T, L))
+    em[np.repeat(batch, lengths),
+       np.arange(len(emissions)) + np.repeat(first - starts, lengths)] = emissions
+    # beta[b, i, y]: best score of lattice b's suffix from column i with label y;
+    # back[b, i, y]: the label after y at column i + 1 on that suffix.
+    beta = np.empty((B, T, L))
+    back = np.empty((B, T, L), dtype=np.intp)
+    beta[:, T - 1] = em[:, T - 1]
+    for i in range(T - 2, -1, -1):
+        step = transitions + beta[:, i + 1, None, :]
+        back[:, i] = step.argmax(axis=2)
+        beta[:, i] = em[:, i] + step.max(axis=2)
+    scores = start_trans + beta[batch, first]
+    y = scores.argmax(axis=1)
+    scores = scores[batch, y]
+    # The last padding column of a lattice leads to its first label.
+    padded = first > 0
+    back[padded, first[padded] - 1] = y[padded, None]
+    paths = np.empty((B, T), dtype=np.intp)
+    paths[:, 0] = y
+    for i in range(1, T):
+        y = back[batch, i - 1, y]
+        paths[:, i] = y
+    return [(paths[b, first[b]:], float(scores[b])) for b in range(B)]
 
 
 def row_sum(weights, ids, out=None):

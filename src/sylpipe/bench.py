@@ -96,7 +96,10 @@ def compare_kernels(lattice_shape=(40, 24), n_lattices=200, gather_rows=30,
 
     Returns a list of (kernel, backend, seconds) rows. The numba rows are
     absent when the numba path is unavailable (SYLPIPE_NO_NUMBA=1 or numba
-    missing).
+    missing). The viterbi_doc rows decode lattices of mixed lengths (1 to
+    the lattice length) the way a document is tagged: once as one batch
+    (backend "batched", _kernels.viterbi_paths) and once one lattice at a
+    time through each backend's viterbi_path.
     """
     rng = np.random.default_rng(seed)
     T, L = lattice_shape
@@ -106,8 +109,21 @@ def compare_kernels(lattice_shape=(40, 24), n_lattices=200, gather_rows=30,
     weights = rng.standard_normal((5000, L))
     id_sets = [rng.integers(0, 5000, size=gather_rows).astype(np.int64)
                for _ in range(n_lattices)]
+    lengths = rng.integers(1, T + 1, size=n_lattices)
+    document = [em[:n] for em, n in zip(emissions, lengths)]
+    stacked = np.concatenate(document)
     path = np.empty(T, dtype=np.int64)
     out = np.empty(L)
+
+    def best_of(run):
+        run()  # warm / compile
+        best = None
+        for _ in range(repetitions):
+            t0 = time.perf_counter()
+            run()
+            dt = time.perf_counter() - t0
+            best = dt if best is None else min(best, dt)
+        return best
 
     backends = [("numpy", _kernels._viterbi_numpy, _kernels._row_sum_numpy)]
     if _kernels.HAVE_NUMBA:
@@ -115,30 +131,19 @@ def compare_kernels(lattice_shape=(40, 24), n_lattices=200, gather_rows=30,
 
     rows = []
     for name, viterbi_fn, row_sum_fn in backends:
-        viterbi_fn(emissions[0], trans, start, path)  # warm / compile
-        best = None
-        for _ in range(repetitions):
-            t0 = time.perf_counter()
-            for em in emissions:
-                viterbi_fn(em, trans, start, path)
-            dt = time.perf_counter() - t0
-            best = dt if best is None else min(best, dt)
-        rows.append(("viterbi", name, best))
-
-        row_sum_fn(weights, id_sets[0], out)
-        best = None
-        for _ in range(repetitions):
-            t0 = time.perf_counter()
-            for ids in id_sets:
-                row_sum_fn(weights, ids, out)
-            dt = time.perf_counter() - t0
-            best = dt if best is None else min(best, dt)
-        rows.append(("row_sum", name, best))
+        rows.append(("viterbi", name, best_of(
+            lambda: [viterbi_fn(em, trans, start, path) for em in emissions])))
+        rows.append(("row_sum", name, best_of(
+            lambda: [row_sum_fn(weights, ids, out) for ids in id_sets])))
+        rows.append(("viterbi_doc", name, best_of(
+            lambda: [viterbi_fn(em, trans, start, path) for em in document])))
+    rows.append(("viterbi_doc", "batched", best_of(
+        lambda: _kernels.viterbi_paths(stacked, lengths, trans, start))))
     return rows
 
 
 def format_kernel_report(rows):
     lines = [f"active backend: {_kernels.BACKEND}"]
     for kernel, backend, seconds in rows:
-        lines.append(f"{kernel:<8} {backend:<6} {seconds * 1e3:8.2f} ms")
+        lines.append(f"{kernel:<11} {backend:<7} {seconds * 1e3:8.2f} ms")
     return "\n".join(lines)

@@ -16,7 +16,7 @@ from . import bench, depparse, metrics, ner, pos, wseg
 from .model import (FormatError, dump_six_column, read_six_column)
 from .pipeline import (ANNOTATOR_KINDS, MODEL_FILES, ModelLoadError, Pipeline,
                        PipelineConfigError, build_pipeline, load_model)
-from .seqlabel import DecodeError, TrainingError, save_linear_model
+from .seqlabel import DecodeError, TrainingError, save_linear_model, tag_sentences
 
 MODELS_ENV_VAR = "SYLPIPE_MODELS"
 
@@ -174,7 +174,7 @@ def cmd_eval(args):
             pred_tags = [tags for _, tags in pos.read_two_column(args.pred)]
         else:
             model = _load_eval_model(args)
-            pred_tags = [pos.tag_pos(model, sent).pos_tags for sent, _ in gold_pairs]
+            pred_tags = tag_sentences(model, [sent for sent, _ in gold_pairs])
         acc = metrics.tagging_accuracy(gold_tags, pred_tags)
         _print_report("POS tagging", {"accuracy": acc,
                                       "sentences": len(gold_tags)})
@@ -186,7 +186,7 @@ def cmd_eval(args):
             pred_labels = [s.ner_labels for s in ner.read_three_column(args.pred)]
         else:
             model = _load_eval_model(args)
-            pred_labels = [ner.tag_ner(model, s).ner_labels for s in gold_sents]
+            pred_labels = [s.ner_labels for s in ner.tag_ner_sentences(model, gold_sents)]
         score = metrics.chunk_f1(gold_labels, pred_labels)
         values = {"precision": score.overall.precision,
                   "recall": score.overall.recall, "f1": score.overall.f1}

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 _NER_SHAPE = re.compile(r"O|[BI]-\S+")
-_BAD_FORM_CHARS = (" ", "\t", "\n", "\r")
+_BAD_FORM_CHAR = re.compile(r"[ \t\n\r]")
 
 
 class FormatError(ValueError):
@@ -40,7 +40,7 @@ class Token:
             raise ValueError(f"token index must be >= 1, got {self.index}")
         if not self.form:
             raise ValueError("token form must be non-empty")
-        if any(c in self.form for c in _BAD_FORM_CHARS):
+        if _BAD_FORM_CHAR.search(self.form):
             raise ValueError(f"token form may not contain whitespace: {self.form!r}")
         if self.ner_label is not None and not _NER_SHAPE.fullmatch(self.ner_label):
             raise ValueError(f"bad NER label {self.ner_label!r}")

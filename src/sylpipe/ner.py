@@ -11,9 +11,9 @@ import unicodedata
 from dataclasses import dataclass, replace
 
 from .model import Sentence, Token
-from .pos import POS_TEMPLATE_DESCRIPTORS, tag_pos
-from .seqlabel import (TrainingError, make_templates, train_averaged_perceptron,
-                       viterbi_decode)
+from .pos import POS_TEMPLATE_DESCRIPTORS, tag_pos_sentences
+from .seqlabel import (TrainingError, make_templates, tag_sentences,
+                       train_averaged_perceptron, viterbi_decode)
 
 ENTITY_TYPES = ("PER", "LOC", "ORG", "MISC")
 
@@ -45,14 +45,30 @@ class EntitySpan:
             raise ValueError(f"bad span boundaries [{self.start}, {self.end}]")
 
 
+def check_input(sentence):
+    """Raise ValueError unless every token carries the POS tag NER reads."""
+    if any(t.pos_tag is None for t in sentence):
+        raise ValueError("NER tagging requires POS tags on every token")
+
+
 def tag_ner(model, sentence):
     """Return the sentence with ner_label set; output is always valid BIO."""
     if len(sentence) == 0:
         return sentence
-    if any(t.pos_tag is None for t in sentence):
-        raise ValueError("NER tagging requires POS tags on every token")
+    check_input(sentence)
     labels, _ = viterbi_decode(model, sentence)
     return sentence.with_ner_labels(labels)
+
+
+def tag_ner_sentences(model, sentences):
+    """tag_ner of every sentence, decoded as one document (seqlabel.tag_sentences).
+
+    Every sentence is checked before any is decoded.
+    """
+    for sentence in sentences:
+        check_input(sentence)
+    return [sent.with_ner_labels(labels) if labels else sent
+            for sent, labels in zip(sentences, tag_sentences(model, sentences))]
 
 
 def train_ner(corpus, epochs=8, shuffle_seed=1, gazetteer=None,
@@ -182,7 +198,7 @@ def merge_name_syllables(sentence):
 
 def replace_gold_pos_with_predicted(corpus, pos_model):
     """Overwrite every sentence's POS column with the tagger's output."""
-    return [tag_pos(pos_model, sent) for sent in corpus]
+    return tag_pos_sentences(pos_model, corpus)
 
 
 def parse_three_column(text):

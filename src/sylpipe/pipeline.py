@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 
 from . import depparse, ner, pos, wseg
 from .model import Document
-from .seqlabel import load_linear_model
+from .seqlabel import DecodeError, load_linear_model
 
 logger = logging.getLogger(__name__)
 
@@ -37,10 +38,12 @@ class ModelLoadError(RuntimeError):
 
 
 class AnnotationError(RuntimeError):
-    """An annotator failed; names the stage and 1-based sentence index."""
+    """An annotator failed; names the stage and the 1-based sentence index,
+    or None when the fault is not one sentence's."""
 
     def __init__(self, stage, sentence_index, cause):
-        super().__init__(f"{stage} failed on sentence {sentence_index}: {cause}")
+        where = "" if sentence_index is None else f" on sentence {sentence_index}"
+        super().__init__(f"{stage} failed{where}: {cause}")
         self.stage = stage
         self.sentence_index = sentence_index
 
@@ -93,34 +96,42 @@ class Pipeline:
     def _run_stage(self, kind, sentences):
         """One annotator over a document: its sentences, or syllable lists for wseg.
 
-        Failures name the stage and the 1-based sentence. The parser decodes
-        the whole document at once, so its input is checked first, sentence
-        by sentence.
+        Failures name the stage and, where one is to blame, the 1-based
+        sentence. The taggers and the parser decode the whole document at
+        once, so their input is checked first, sentence by sentence.
         """
         model = self.models[kind]
-        if kind == "parse":
-            use_ner = self.parser_uses_ner()
+        if kind == "wseg":
+            out = []
             for k, sent in enumerate(sentences, start=1):
                 try:
-                    depparse.check_input(sent, use_ner)
-                except ValueError as exc:
+                    out.append(wseg.segment(model, sent))
+                except Exception as exc:
                     raise AnnotationError(kind, k, exc) from exc
-            return depparse.parse_sentences(model, sentences, use_ner_features=use_ner)
-        if kind == "wseg":
-            run = wseg.segment
-        elif kind == "pos":
-            run = pos.tag_pos
+            return out
+        if kind == "pos":
+            check = None
+            decode = pos.tag_pos_sentences
         elif kind == "ner":
-            run = ner.tag_ner
+            check = ner.check_input
+            decode = ner.tag_ner_sentences
+        elif kind == "parse":
+            use_ner = self.parser_uses_ner()
+            check = functools.partial(depparse.check_input, use_ner=use_ner)
+            decode = functools.partial(depparse.parse_sentences, use_ner_features=use_ner)
         else:
             raise PipelineConfigError(f"unknown annotator {kind!r}")
-        out = []
-        for k, sent in enumerate(sentences, start=1):
-            try:
-                out.append(run(model, sent))
-            except Exception as exc:
-                raise AnnotationError(kind, k, exc) from exc
-        return out
+        if check is not None:
+            for k, sent in enumerate(sentences, start=1):
+                try:
+                    check(sent)
+                except ValueError as exc:
+                    raise AnnotationError(kind, k, exc) from exc
+        try:
+            return decode(model, sentences)
+        except Exception as exc:
+            sentence = exc.sentence if isinstance(exc, DecodeError) else None
+            raise AnnotationError(kind, sentence, exc) from exc
 
 
 def load_model(kind, path):

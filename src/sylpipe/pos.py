@@ -5,8 +5,8 @@ from __future__ import annotations
 import unicodedata
 
 from .model import Sentence, Token
-from .seqlabel import (TrainingError, make_templates, train_averaged_perceptron,
-                       viterbi_decode)
+from .seqlabel import (TrainingError, make_templates, tag_sentences,
+                       train_averaged_perceptron, viterbi_decode)
 
 # Word-level context, affix, and shape features; every label stays legal at
 # every position.
@@ -30,6 +30,12 @@ def tag_pos(model, sentence):
         return sentence
     labels, _ = viterbi_decode(model, sentence)
     return sentence.with_pos_tags(labels)
+
+
+def tag_pos_sentences(model, sentences):
+    """tag_pos of every sentence, decoded as one document (seqlabel.tag_sentences)."""
+    return [sent.with_pos_tags(labels) if labels else sent
+            for sent, labels in zip(sentences, tag_sentences(model, sentences))]
 
 
 def train_pos(corpus, epochs=8, shuffle_seed=1, templates=None, on_epoch=None):

@@ -1,197 +1,39 @@
 """Linear-chain sequence labeling engine shared by the POS and NER annotators.
 
 Scoring is emission + adjacent-label transition weights with a virtual start
-label. Decoding is Viterbi over the dense lattice; training is the averaged
-structured perceptron. A brute-force decoder over all label sequences serves
-as the test oracle.
+label. Decoding is Viterbi over the dense lattice, one sentence at a time
+(viterbi_decode) or a whole document at once (tag_sentences); training is
+the averaged structured perceptron. A brute-force decoder over all label
+sequences serves as the test oracle.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import re
-from dataclasses import dataclass
+import threading
 
 import numpy as np
 
 from . import _kernels
 from ._kernels import NEG_INF
 from .linear import AveragedWeights, ModelFormat, epoch_orders
-
-BOUNDARY_LEFT = "<s>"
-BOUNDARY_RIGHT = "</s>"
-
-_ATOM_RE = re.compile(r"(?P<name>[a-z]+)(?P<arg>\d+)?@(?P<offset>[+-]?\d+)")
+# The template names stay importable from here, where they always were.
+from .templates import (BOUNDARY_LEFT, BOUNDARY_RIGHT, FeatureTemplate,  # noqa: F401
+                        extract_features, make_templates, word_shape)
 
 
 class DecodeError(ValueError):
-    pass
+    """No legal label sequence; `sentence` is its 1-based number in a
+    document decode (tag_sentences), else None."""
+
+    def __init__(self, message, sentence=None):
+        super().__init__(message)
+        self.sentence = sentence
 
 
 class TrainingError(ValueError):
     pass
-
-
-def word_shape(form):
-    """Squeezed character-class shape, e.g. "Hà_Nội" -> "AaxAa"."""
-    out = []
-    last = None
-    for ch in form:
-        if ch.isupper():
-            c = "A"
-        elif ch.islower():
-            c = "a"
-        elif ch.isdigit():
-            c = "9"
-        else:
-            c = "x"
-        if c != last:
-            out.append(c)
-            last = c
-    return "".join(out)
-
-
-def _compile_atom(name, arg, offset):
-    if name == "form":
-        def get(tokens, i, resources):
-            p = i + offset
-            if p < 0:
-                return BOUNDARY_LEFT
-            if p >= len(tokens):
-                return BOUNDARY_RIGHT
-            return tokens[p].form
-    elif name == "lower":
-        def get(tokens, i, resources):
-            p = i + offset
-            if p < 0:
-                return BOUNDARY_LEFT
-            if p >= len(tokens):
-                return BOUNDARY_RIGHT
-            return tokens[p].form.lower()
-    elif name == "pos":
-        def get(tokens, i, resources):
-            p = i + offset
-            if p < 0:
-                return BOUNDARY_LEFT
-            if p >= len(tokens):
-                return BOUNDARY_RIGHT
-            return tokens[p].pos_tag
-    elif name == "ner":
-        def get(tokens, i, resources):
-            p = i + offset
-            if p < 0:
-                return BOUNDARY_LEFT
-            if p >= len(tokens):
-                return BOUNDARY_RIGHT
-            return tokens[p].ner_label
-    elif name == "prefix":
-        k = arg
-        def get(tokens, i, resources):
-            p = i + offset
-            if p < 0 or p >= len(tokens):
-                return None
-            return tokens[p].form[:k]
-    elif name == "suffix":
-        k = arg
-        def get(tokens, i, resources):
-            p = i + offset
-            if p < 0 or p >= len(tokens):
-                return None
-            return tokens[p].form[-k:]
-    elif name == "shape":
-        def get(tokens, i, resources):
-            p = i + offset
-            if p < 0 or p >= len(tokens):
-                return None
-            return word_shape(tokens[p].form)
-    elif name == "hasdigit":
-        def get(tokens, i, resources):
-            p = i + offset
-            if p < 0 or p >= len(tokens):
-                return None
-            return "1" if any(c.isdigit() for c in tokens[p].form) else "0"
-    elif name == "hashyphen":
-        def get(tokens, i, resources):
-            p = i + offset
-            if p < 0 or p >= len(tokens):
-                return None
-            return "1" if "-" in tokens[p].form else "0"
-    elif name == "isfirst":
-        def get(tokens, i, resources):
-            return "1" if i + offset == 0 else "0"
-    elif name == "islast":
-        def get(tokens, i, resources):
-            return "1" if i + offset == len(tokens) - 1 else "0"
-    elif name == "gaz":
-        def get(tokens, i, resources):
-            p = i + offset
-            if p < 0 or p >= len(tokens):
-                return None
-            gaz = resources.get("gazetteer") if resources else None
-            if gaz is None:
-                return "0"
-            form = tokens[p].form
-            return "1" if form in gaz or form.lower() in gaz else "0"
-    else:
-        raise ValueError(f"unknown feature atom {name!r}")
-    return get
-
-
-@dataclass(frozen=True)
-class FeatureTemplate:
-    """A named extractor over token attributes at relative offsets.
-
-    The descriptor is a "&"-joined list of atoms like "form@-1&form@0" or
-    "prefix3@0"; each atom reads one attribute at one offset. A template
-    whose atoms hit an unset attribute emits nothing at that position.
-    """
-
-    name: str
-    descriptor: str
-
-    def __post_init__(self):
-        specs = []
-        for part in self.descriptor.split("&"):
-            m = _ATOM_RE.fullmatch(part)
-            if m is None:
-                raise ValueError(f"bad atom {part!r} in template {self.descriptor!r}")
-            arg = int(m.group("arg")) if m.group("arg") else None
-            specs.append((m.group("name"), arg, int(m.group("offset"))))
-        # (name, arg, offset) per atom, read by the compiled decode path.
-        object.__setattr__(self, "specs", tuple(specs))
-        object.__setattr__(self, "_atoms", tuple(_compile_atom(*s) for s in specs))
-
-    def extract(self, tokens, i, resources=None):
-        values = []
-        for atom in self._atoms:
-            v = atom(tokens, i, resources)
-            if v is None:
-                return None
-            values.append(v)
-        return self.name + "=" + "|".join(values)
-
-
-def make_templates(descriptors):
-    return [FeatureTemplate(d, d) for d in descriptors]
-
-
-def extract_features(templates, tokens, i, resources=None, induced_index=None):
-    """Feature strings fired at position i (base templates, then induced pairs)."""
-    feats = []
-    for tpl in templates:
-        f = tpl.extract(tokens, i, resources)
-        if f is not None:
-            feats.append(f)
-    if induced_index:
-        fired = set(feats)
-        extra = []
-        for f in feats:
-            for other, name in induced_index.get(f, ()):
-                if other in fired:
-                    extra.append(name)
-        feats.extend(extra)
-    return feats
 
 
 def bio_transition_mask(labels):
@@ -283,7 +125,7 @@ class LinearModel:
     def emission_matrix(self, tokens):
         """(T, L) emission scores, bit-identical to reference_emission_matrix."""
         return _kernels.sum_rows(self.emission_weights,
-                                 _kernels.pack_rows(self._compiled.sentence_ids(tokens)))
+                                 self._compiled.document_ids([tokens]).T)
 
     def reference_emission_matrix(self, tokens):
         """Emissions from feature strings, one position at a time: the oracle
@@ -310,11 +152,16 @@ _IDENTITY_ATOM = {"form": "form", "pos_tag": "pos", "ner_label": "ner"}
 class _Column:
     """The templates that read one token attribute, resolved once per value.
 
-    An entry is (ids, values): ids[s] holds the known feature ids of the
-    single-atom templates at offset offsets[s] for a token with this value;
-    values[a] is the value of conjunction atom a at that token, or None.
-    Everything is computed by FeatureTemplate.extract, so the atoms keep one
-    definition.
+    A value resolves, through FeatureTemplate.extract so that the atoms keep
+    one definition, to a row of ids and a tuple of values: the row holds one
+    feature id per single-atom template (-1 if the model does not know it),
+    the templates of offset o in columns spans[o]; the tuple holds the value
+    of each conjunction atom at that token, or None. Rows 0 and 1 of `table`
+    are the left and right sentence boundary. A value gets a row of its own
+    only if the model knows its identity feature, so the table is bounded by
+    the alphabet; other values are resolved again in every call. A row is
+    written before `cache` publishes it, under a lock, so threads that read
+    without the lock see only whole rows.
     """
 
     def __init__(self, attr, index, resources):
@@ -323,7 +170,8 @@ class _Column:
         self.resources = resources
         self.singles = {}  # offset -> [(template, is identity atom)]
         self.probes = []  # one single-atom template at offset 0 per conjunction atom
-        self.cache = {}
+        self.cache = {}  # value -> row of table
+        self._lock = threading.Lock()
 
     def probe_slot(self, name, arg):
         descriptor = f"{name}{'' if arg is None else arg}@0"
@@ -335,52 +183,103 @@ class _Column:
 
     def finish(self):
         self.offsets = sorted(self.singles)
+        self.spans = {}
+        width = 0
+        for offset in self.offsets:
+            self.spans[offset] = (width, width + len(self.singles[offset]))
+            width += len(self.singles[offset])
+        self.width = width
         # Outside the sentence an atom's value depends only on the side.
-        self.left, _ = self.resolve((), -1)
-        self.right, _ = self.resolve((), 0)
+        (left, left_values), _ = self.resolve((), -1)
+        (right, right_values), _ = self.resolve((), 0)
+        self.table = np.array([left, right], dtype=np.intp).reshape(2, width)
+        self.values = [left_values, right_values]
 
     def resolve(self, tokens, p):
-        """(entry for tokens[p], whether the model knows its value)."""
+        """((ids, values) of tokens[p], whether the model knows its value)."""
         index, resources = self.index, self.resources
         known = False
         ids = []
         for offset in self.offsets:
-            found = []
             for tpl, identity in self.singles[offset]:
                 j = index.get(tpl.extract(tokens, p - offset, resources))
-                if j is not None:
-                    found.append(j)
+                if j is None:
+                    ids.append(-1)
+                else:
+                    ids.append(j)
                     known = known or identity
-            ids.append(tuple(found))
         values = []
         for probe in self.probes:
             f = probe.extract(tokens, p, resources)
             values.append(None if f is None else f[1:])
-        return (tuple(ids), tuple(values)), known
+        return (ids, tuple(values)), known
 
-    def entries(self, tokens, margin):
-        """Entries of every token, padded with `margin` boundary entries per side."""
-        attr, cache = self.attr, self.cache
-        out = [self.left] * margin
-        for p, tok in enumerate(tokens):
-            value = getattr(tok, attr)
-            entry = cache.get(value)
-            if entry is None:
-                entry, known = self.resolve(tokens, p)
-                if known:
-                    cache[value] = entry
-            out.append(entry)
-        out.extend([self.right] * margin)
-        return out
+    def local_rows(self, tokens):
+        """(codes, ids, values): row codes[i] of ids and of values is tokens[i]'s.
+
+        The rows are those of the distinct values among the tokens, after the
+        two boundary rows.
+        """
+        values = [getattr(tok, self.attr) for tok in tokens]
+        token_of = dict(zip(values, tokens))
+        cache = self.cache
+        rows = [0, 1]
+        code = {}
+        fresh = []
+        for value in token_of:
+            row = cache.get(value)
+            if row is None:
+                fresh.append(value)
+            else:
+                code[value] = len(rows)
+                rows.append(row)
+        # Read after the rows: every row seen in the cache is in this table.
+        table, row_values = self.table, self.values
+        ids = table[rows]
+        local_values = [row_values[r] for r in rows]
+        if fresh:
+            entries = []
+            known = []
+            for k, value in enumerate(fresh, len(rows)):
+                entry, is_known = self.resolve((token_of[value],), 0)
+                code[value] = k
+                entries.append(entry)
+                if is_known:
+                    known.append((value, entry))
+            ids = np.concatenate([ids, np.array([e[0] for e in entries], dtype=np.intp)
+                                  .reshape(len(entries), self.width)])
+            local_values.extend(e[1] for e in entries)
+            if known:
+                self._admit(known)
+        codes = np.fromiter(map(code.__getitem__, values), dtype=np.intp, count=len(values))
+        return codes, ids, local_values
+
+    def _admit(self, known):
+        """Give each (value, entry) its own row, unless another thread did."""
+        with self._lock:
+            known = [(value, entry) for value, entry in known if value not in self.cache]
+            if not known:
+                return
+            n = len(self.values)
+            table = self.table
+            if n + len(known) > len(table):
+                table = np.empty((2 * (n + len(known)), self.width), dtype=np.intp)
+                table[:n] = self.table[:n]
+            table[n:n + len(known)] = [ids for _, (ids, _) in known]
+            self.table = table
+            self.values.extend(values for _, (_, values) in known)
+            for row, (value, _) in enumerate(known, n):
+                self.cache[value] = row
 
 
 class _CompiledFeatures:
     """The feature ids of a LinearModel, resolved per word type, not per position.
 
     Single-atom templates over the form, the POS tag or the NER label resolve
-    once per value (_Column); isfirst/islast resolve here, once per model;
-    conjunctions of attribute atoms join the cached atom values into the
-    feature string; induced pairs join ids. Other templates fall back to
+    once per value (_Column) and read by one fancy index per offset;
+    isfirst/islast resolve here, once per model, and are compared with each
+    position's place in its sentence; conjunctions of attribute atoms join
+    the cached atom values into the feature string; induced pairs join ids. Other templates fall back to
     FeatureTemplate.extract at each position. Built on first decode, so
     loading a model does no extra work.
     """
@@ -406,8 +305,8 @@ class _CompiledFeatures:
             elif len(specs) == 1 and specs[0][0] in ("isfirst", "islast"):
                 offset = specs[0][2]
                 # One dummy token: position -offset is both first and last.
-                hit = index.get(tpl.extract((None,), -offset))
-                miss = index.get(tpl.extract((None,), 1 - offset))
+                hit = index.get(tpl.extract((None,), -offset), -1)
+                miss = index.get(tpl.extract((None,), 1 - offset), -1)
                 self.positional.append((offset, specs[0][0] == "islast", hit, miss))
             elif None not in attrs:
                 atoms = []
@@ -419,14 +318,16 @@ class _CompiledFeatures:
                 self.fallback.append(tpl)
         for column in self.columns.values():
             column.finish()
-        self.singles = [(attr, s, offset) for attr, column in self.columns.items()
-                        for s, offset in enumerate(column.offsets)]
         self.margin = margin
-        self.pairs = {}
+        self.pairs = []  # (id of one part, id of the other, id of the pair)
         for a, b in model.induced_pairs:
             name = index.get(f"{a}&&{b}")
             if name is not None:
-                self.pairs.setdefault(index[a], []).append((index[b], name))
+                self.pairs.append((index[a], index[b], name))
+        # Columns of document_ids before the padding is dropped.
+        self.width = (sum(column.width for column in self.columns.values())
+                      + len(self.positional) + len(self.conjunctions)
+                      + len(self.fallback) + len(self.pairs))
 
     def _column(self, attr):
         if attr not in self.columns:
@@ -436,43 +337,77 @@ class _CompiledFeatures:
     def cache_size(self):
         return sum(len(column.cache) for column in self.columns.values())
 
-    def sentence_ids(self, tokens):
-        """Ascending distinct feature ids at each position, as position_feature_ids."""
-        T = len(tokens)
-        m = self.margin
-        index = self.index
-        cols = {attr: column.entries(tokens, m) for attr, column in self.columns.items()}
-        # One length-T list of id tuples per group of templates.
-        parts = [[e[0][s] for e in cols[k][m + offset:m + offset + T]]
-                 for k, s, offset in self.singles]
-        for offset, last, hit, miss in self.positional:
-            ids = [miss] * T
-            at = (T - 1 if last else 0) - offset
-            if 0 <= at < T:
-                ids[at] = hit
-            parts.append(_groups(ids))
+    def document_ids(self, token_lists):
+        """(N, K) feature ids of every position of the sentences, in order.
+
+        Row n holds the ids position_feature_ids gives at that position, in
+        ascending order but with -1 wherever a template fires no known
+        feature or repeats an id; sum_rows takes the padding anywhere.
+        """
+        lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=len(token_lists))
+        N = int(lengths.sum())
+        sentence = np.repeat(np.arange(len(lengths)), lengths)
+        starts = np.cumsum(lengths) - lengths
+        ids = np.empty((N, self.width), dtype=np.intp)
+        k = 0  # next column of ids
+        codes = {}  # attribute -> (codes with boundary margins, values of a code)
+        if self.columns:
+            # Each sentence is padded with `margin` boundary codes per side,
+            # so an offset never reads another sentence.
+            m = self.margin
+            where = np.arange(N) + (2 * sentence + 1) * m
+            left = ((starts + 2 * m * np.arange(len(lengths)))[:, None]
+                    + np.arange(m)).ravel()
+            flat = list(itertools.chain.from_iterable(token_lists))
+            for attr, column in self.columns.items():
+                local, table, values = column.local_rows(flat)
+                padded = np.ones(N + 2 * m * len(lengths), dtype=np.intp)
+                padded[left] = 0
+                padded[where] = local
+                codes[attr] = (padded, values)
+                for offset, (lo, hi) in column.spans.items():
+                    ids[:, k:k + hi - lo] = table[padded[where + offset], lo:hi]
+                    k += hi - lo
+        if self.positional:
+            at = np.arange(N) - starts[sentence]  # position in its sentence
+            last = lengths[sentence] - 1
+        for offset, is_last, hit, miss in self.positional:
+            ids[:, k] = np.where(at == (last if is_last else 0) - offset, hit, miss)
+            k += 1
         for prefix, atoms in self.conjunctions:
-            values = zip(*[[e[1][a] for e in cols[k][m + offset:m + offset + T]]
-                           for k, a, offset in atoms])
-            parts.append(_groups(None if None in vs else index.get(prefix + "|".join(vs))
-                                 for vs in values))
+            ids[:, k] = self._conjunction_ids(prefix, atoms, codes, where)
+            k += 1
         for tpl in self.fallback:
-            parts.append(_groups(index.get(tpl.extract(tokens, i, self.resources))
-                                 for i in range(T)))
-        rows = []
-        pairs = self.pairs
-        for groups in zip(*parts):
-            fired = set(itertools.chain.from_iterable(groups))
-            if pairs:
-                fired.update([name for a in fired for b, name in pairs.get(a, ())
-                              if b in fired])
-            rows.append(sorted(fired))
-        return rows
+            get, extract, resources = self.index.get, tpl.extract, self.resources
+            ids[:, k] = np.fromiter(
+                (get(extract(tokens, i, resources), -1)
+                 for tokens in token_lists for i in range(len(tokens))),
+                dtype=np.intp, count=N)
+            k += 1
+        base = ids[:, :k]
+        present = {}
+        for a, b, name in self.pairs:
+            for part in (a, b):
+                if part not in present:
+                    present[part] = (base == part).any(axis=1)
+            ids[:, k] = np.where(present[a] & present[b], name, -1)
+            k += 1
+        ids.sort(axis=1)
+        if N:  # drop the columns of padding that every row starts with
+            ids = ids[:, int(np.count_nonzero(ids < 0, axis=1).min()):]
+        ids[:, 1:][ids[:, 1:] == ids[:, :-1]] = -1
+        return ids
 
-
-def _groups(ids):
-    """Each id as a one-id group; None, an unknown feature, as an empty one."""
-    return [() if j is None else (j,) for j in ids]
+    def _conjunction_ids(self, prefix, atoms, codes, where):
+        """Ids of one conjunction template: its atoms' cached values, joined."""
+        columns = []
+        for attr, slot, offset in atoms:
+            padded, values = codes[attr]
+            value_of = [v[slot] for v in values]
+            columns.append([value_of[c] for c in padded[where + offset].tolist()])
+        get = self.index.get
+        return np.fromiter((-1 if None in vs else get(prefix + "|".join(vs), -1)
+                            for vs in zip(*columns)), dtype=np.intp, count=len(where))
 
 
 def _index_pairs(pairs):
@@ -538,6 +473,68 @@ def viterbi_decode(model, sentence, legal_labels=None):
     if score == NEG_INF:
         raise DecodeError("no legal label sequence for this input")
     return [model.labels[p] for p in path], score
+
+
+# A document decode takes its sentences by length. Feature ids are built for
+# at most TAG_CHUNK_POSITIONS positions at a time, and their emissions are
+# summed by exact gathers of at most TAG_GROUP_CELLS float64 cells
+# (positions x feature columns x labels, 256 KB). Groups of sentences then
+# each take one batched Viterbi, whose three (sentences, longest length,
+# labels) arrays stay within the same number of cells; at most
+# TAG_GROUP_SENTENCES sentences a group also bounds its per-step
+# (sentences, labels, labels) array.
+TAG_CHUNK_POSITIONS = 1 << 11
+TAG_GROUP_SENTENCES = 256
+TAG_GROUP_CELLS = 1 << 15
+
+
+def tag_sentences(model, sentences):
+    """viterbi_decode's labels for every sentence, decoded as one document.
+
+    The labels equal viterbi_decode's, one sentence at a time. Empty
+    sentences get []. A sentence with no legal label sequence raises
+    DecodeError naming it.
+    """
+    token_lists = [_tokens_of(s) for s in sentences]
+    out = [[] for _ in token_lists]
+    todo = sorted((k for k, tokens in enumerate(token_lists) if tokens),
+                  key=lambda k: len(token_lists[k]))
+    lengths = [len(token_lists[k]) for k in todo]
+    compiled = model._compiled
+    L = len(model.labels)
+    gather = max(1, TAG_GROUP_CELLS // (max(1, compiled.width) * L))
+    trans, start = model.masked_scores()
+    for chunk in _length_groups(lengths, len(lengths), TAG_CHUNK_POSITIONS):
+        ids = compiled.document_ids([token_lists[k] for k in todo[chunk]])
+        em = np.concatenate([_kernels.sum_rows(model.emission_weights, ids[a:a + gather].T)
+                             for a in range(0, len(ids), gather)])
+        row = 0
+        for group in _length_groups(lengths[chunk], TAG_GROUP_SENTENCES,
+                                    TAG_GROUP_CELLS // (3 * L)):
+            group_lengths = lengths[chunk][group]
+            n = sum(group_lengths)
+            decoded = _kernels.viterbi_paths(em[row:row + n], group_lengths, trans, start)
+            row += n
+            for k, (path, score) in zip(todo[chunk][group], decoded):
+                if score == NEG_INF:
+                    raise DecodeError(f"no legal label sequence for sentence {k + 1}",
+                                      sentence=k + 1)
+                out[k] = [model.labels[y] for y in path.tolist()]
+    return out
+
+
+def _length_groups(lengths, most_sentences, most_positions):
+    """Consecutive slices of the ascending lengths, each as long as it can be
+    with at most most_sentences sentences and most_positions padded positions
+    (sentences times the longest length); a longer sentence gets its own."""
+    lo = 0
+    while lo < len(lengths):
+        hi = lo + 1
+        while (hi < len(lengths) and hi - lo < most_sentences
+               and (hi + 1 - lo) * lengths[hi] <= most_positions):
+            hi += 1
+        yield slice(lo, hi)
+        lo = hi
 
 
 MAX_BRUTE_FORCE = 10 ** 6

@@ -53,5 +53,8 @@ def test_kernel_comparison_rows():
     kernels = {(k, b) for k, b, _ in rows}
     assert ("viterbi", "numpy") in kernels
     assert ("row_sum", "numpy") in kernels
+    assert ("viterbi_doc", "numpy") in kernels
+    assert ("viterbi_doc", "batched") in kernels
+    assert all(seconds > 0 for _, _, seconds in rows)
     report = bench.format_kernel_report(rows)
     assert "active backend:" in report

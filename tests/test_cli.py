@@ -3,6 +3,7 @@ import os
 import pytest
 
 from conftest import DEMO_ANNOTATED, DEMO_INPUT, TOY_DIR
+from sylpipe import depparse
 from sylpipe.cli import main
 
 
@@ -86,6 +87,17 @@ class TestAnnotate:
                      "-fout", str(tmp_path / "x.txt"),
                      "-models", cli_models, "-annotators", "wseg,frobnicate"])
         assert code == 2
+
+    def test_decode_fault_exits_5_naming_the_stage(self, cli_models, tmp_path,
+                                                   monkeypatch, capsys):
+        def fail(model, sentences, **kwargs):
+            raise KeyError(("RIGHT-ARC", "nope"))
+
+        monkeypatch.setattr(depparse, "parse_sentences", fail)
+        code = main(["annotate", "-fin", DEMO_INPUT, "-fout", str(tmp_path / "o.txt"),
+                     "-models", cli_models])
+        assert code == 5
+        assert "parse failed: ('RIGHT-ARC', 'nope')" in capsys.readouterr().err
 
     def test_missing_models_exit_3(self, tmp_path):
         code = main(["annotate", "-fin", DEMO_INPUT,
@@ -182,6 +194,7 @@ class TestBench:
         out = capsys.readouterr().out
         assert "active backend:" in out
         assert "viterbi" in out and "row_sum" in out
+        assert any(l.split()[:2] == ["viterbi_doc", "batched"] for l in out.splitlines()), out
 
 
 def test_env_var_model_dir(cli_models, tmp_path, monkeypatch, capsys):

@@ -98,6 +98,30 @@ def test_viterbi_all_illegal_is_neg_inf():
     assert score == _kernels.NEG_INF
 
 
+@pytest.mark.parametrize("integer", [True, False])
+def test_viterbi_paths_equal_one_lattice_at_a_time(integer):
+    # The batch must return the numpy viterbi_path's path and score for
+    # every lattice, bit for bit: integer weights force ties, and -inf
+    # masks include lattices with no legal path at all.
+    rng = np.random.default_rng(int(integer))
+    for k in range(300):
+        L = int(rng.integers(1, 6))
+        lengths = rng.integers(1, 8, size=int(rng.integers(1, 7)))
+        lattices = [random_lattice(rng, T, L, integer)[0] for T in lengths]
+        _, tr, st = random_lattice(rng, 1, L, integer)
+        if k % 3 == 0:
+            tr[rng.random((L, L)) < 0.4] = _kernels.NEG_INF
+            st[rng.random(L) < 0.3] = _kernels.NEG_INF
+            for em in lattices:
+                em[rng.random(em.shape) < 0.2] = _kernels.NEG_INF
+        batch = _kernels.viterbi_paths(np.concatenate(lattices), lengths, tr, st)
+        for em, (path, score) in zip(lattices, batch):
+            p = np.empty(len(em), dtype=np.int64)
+            expected = _kernels._viterbi_numpy(em, tr, st, p)
+            assert np.array_equal(path, p)
+            assert np.float64(score).tobytes() == np.float64(expected).tobytes()
+
+
 def test_viterbi_empty_lattice():
     path, score = _kernels.viterbi_path(np.zeros((0, 3)), np.zeros((3, 3)),
                                         np.zeros(3))

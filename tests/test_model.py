@@ -42,6 +42,23 @@ class TestToken:
         with pytest.raises(ValueError):
             Token(**kwargs)
 
+    @pytest.mark.parametrize("bad", [" ", "\t", "\n", "\r"])
+    @pytest.mark.parametrize("where", ["{}x", "x{}", "x{}y", "{}"])
+    def test_each_whitespace_character_rejected(self, bad, where):
+        with pytest.raises(ValueError, match="whitespace"):
+            Token(index=1, form=where.format(bad))
+
+    @pytest.mark.parametrize("form", [
+        "Nguye\u0302\u0303n",  # NFD: combining circumflex and tilde
+        "Ha\u0300_No\u0323\u0302i",
+        "東京", "Москва", "القاهرة", "กรุงเทพ",
+        "a\u00a0b", "a\u2003b", "a\u200bb", "a\x0bb", "a\x0cb", "a\x85b",
+    ])
+    def test_other_forms_accepted(self, form):
+        # Only space, tab, newline and carriage return are refused; other
+        # Unicode spaces and controls pass, as they always have.
+        assert Token(index=1, form=form).form == form
+
 
 class TestSentence:
     def test_index_gap(self):

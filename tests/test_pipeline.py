@@ -1,13 +1,16 @@
 import logging
+import random
 
 import pytest
 
 from conftest import DEMO_ANNOTATED, DEMO_INPUT
-from sylpipe import depparse
+from helpers import random_linear_model
+from sylpipe import depparse, ner, pos
 from sylpipe.model import Document, Sentence, Token
 from sylpipe.pipeline import (AnnotationError, ModelLoadError, Pipeline,
                               PipelineConfigError, build_pipeline,
                               prerequisite_closure)
+from sylpipe.seqlabel import DecodeError, LinearModel
 
 
 class TestPrerequisiteClosure:
@@ -154,6 +157,57 @@ class TestAnnotate:
             stages.annotate(Document("x\nx\nx", sentences))
         assert exc.value.stage == "parse"
         assert exc.value.sentence_index == bad
+
+    @pytest.mark.parametrize("bad", [2, 3])
+    def test_ner_input_failure_names_the_sentence(self, model_dir, bad):
+        # NER tags a document at once; its input check still names the
+        # sentence that lacks POS tags.
+        tagged = Sentence([Token(index=1, form="x", pos_tag="N")])
+        sentences = [tagged, tagged, tagged]
+        sentences[bad - 1] = Sentence([Token(index=1, form="x")])
+        stages = Pipeline({"ner": build_pipeline(["ner"], model_dir=model_dir)
+                           .models["ner"]}, ("ner",))
+        with pytest.raises(AnnotationError, match=f"ner failed on sentence {bad}:"):
+            stages.annotate(Document("x\nx\nx", sentences))
+
+    @pytest.mark.parametrize("stage, owner, name", [
+        ("pos", pos, "tag_pos_sentences"),
+        ("ner", ner, "tag_ner_sentences"),
+        ("parse", depparse, "parse_sentences"),
+    ])
+    def test_decode_faults_name_the_stage(self, model_dir, monkeypatch, stage, owner, name):
+        pipe = build_pipeline(model_dir=model_dir)
+        text = "Họ làm việc ở Hà Nội .\nÔng Lê Văn Minh viết về nhà máy tính ."
+
+        def fail(model, sentences, **kwargs):
+            raise KeyError("nope")
+
+        monkeypatch.setattr(owner, name, fail)
+        with pytest.raises(AnnotationError, match=f"^{stage} failed: 'nope'$") as exc:
+            pipe.annotate(text)
+        assert exc.value.stage == stage
+        assert exc.value.sentence_index is None
+
+        def no_path(model, sentences, **kwargs):
+            raise DecodeError("no legal label sequence for sentence 2", sentence=2)
+
+        monkeypatch.setattr(owner, name, no_path)
+        with pytest.raises(AnnotationError, match=f"^{stage} failed on sentence 2:") as exc:
+            pipe.annotate(text)
+        assert exc.value.sentence_index == 2
+
+    def test_no_legal_label_sequence_names_the_sentence(self):
+        # A BIO model whose only label is I-PER has no legal sequence for
+        # any non-empty sentence; the empty first sentence decodes.
+        base = random_linear_model(random.Random(1), ["I-PER"])
+        only_inside = LinearModel(base.labels, base.templates, base.feature_index,
+                                  base.emission_weights, base.transition_weights,
+                                  bio_constrained=True)
+        tagged = Sentence([Token(index=1, form="xe", pos_tag="N")])
+        stages = Pipeline({"ner": only_inside}, ("ner",))
+        with pytest.raises(AnnotationError, match="ner failed on sentence 2:") as exc:
+            stages.annotate(Document("\nx", [Sentence(()), tagged]))
+        assert isinstance(exc.value.__cause__, DecodeError)
 
 
 class TestNerFeatureToggle:

@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 from helpers import (CORRUPT_LAYOUTS, FORMS, NER_LABELS, POS_TAGS,
                      random_form_sentence, random_linear_model, split_model_file)
-from sylpipe import seqlabel
+from sylpipe import _kernels, seqlabel
 from sylpipe.model import Sentence, Token
 from sylpipe.pipeline import ModelLoadError, load_model
 from sylpipe.seqlabel import (DecodeError, FeatureTemplate, LinearModel,
                               TrainingError, bio_transition_mask,
                               brute_force_decode, extract_features,
                               load_linear_model, make_templates,
-                              save_linear_model, sequence_score,
+                              save_linear_model, sequence_score, tag_sentences,
                               train_averaged_perceptron, viterbi_decode,
                               word_shape)
 
@@ -366,6 +366,117 @@ def decoding_cases(draw):
     return model, sentences
 
 
+@st.composite
+def document_cases(draw):
+    """A trained model with random weights (integers force ties), plus a
+    document of empty, one-token and longer sentences with unseen forms."""
+    bio = draw(st.booleans())
+    pool = ["O", "B-PER", "I-PER", "B-LOC", "I-LOC"] if bio else ["A", "B", "C", "D"]
+    labels = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+    names = draw(st.lists(descriptors, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        names.append("isfirst@0&form@0")  # not an attribute conjunction: the fallback
+    if draw(st.booleans()):
+        names.append(draw(st.sampled_from(["isfirst", "islast"]))
+                     + draw(st.sampled_from(["@0", "@-1", "@+1"])))
+    templates = make_templates(names)
+    corpus = []
+    for _ in range(draw(st.integers(1, 6))):
+        sent = draw(tokens_of(FORMS))
+        corpus.append((sent, [draw(st.sampled_from(labels)) for _ in sent]))
+    gazetteer = draw(st.none() | st.frozensets(st.sampled_from(FORMS + ["hà"]),
+                                               max_size=8))
+    trained = train_averaged_perceptron(templates, corpus, epochs=2,
+                                        bio_constrained=bio, gazetteer=gazetteer,
+                                        combine_top_k=draw(st.integers(0, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    F, L = trained.emission_weights.shape
+    if draw(st.booleans()):
+        emissions = rng.integers(-2, 3, (F, L)).astype(np.float64)
+        transitions = rng.integers(-2, 3, (L + 1, L)).astype(np.float64)
+    else:
+        emissions = rng.standard_normal((F, L)) * 10.0 ** rng.integers(-3, 4, (F, 1))
+        transitions = rng.standard_normal((L + 1, L))
+    model = LinearModel(trained.labels, templates, trained.feature_index, emissions,
+                        transitions, bio_constrained=bio,
+                        induced_pairs=trained.induced_pairs, gazetteer=gazetteer)
+    document = draw(st.lists(tokens_of(FORMS + UNSEEN_FORMS, min_size=0, max_size=7),
+                             min_size=1, max_size=8))
+    return model, document
+
+
+def decode_each(model, document):
+    """viterbi_decode's labels per sentence, or the DecodeError it raised."""
+    out = []
+    for sent in document:
+        try:
+            out.append(viterbi_decode(model, sent)[0])
+        except DecodeError as exc:
+            out.append(exc)
+    return out
+
+
+class TestDocumentDecoding:
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(document_cases(), st.sampled_from([3, seqlabel.TAG_GROUP_SENTENCES]),
+           st.sampled_from([1, 40, 200, seqlabel.TAG_GROUP_CELLS]),
+           st.sampled_from([1, 5, 20, seqlabel.TAG_CHUNK_POSITIONS]))
+    def test_document_equals_sentence_by_sentence(self, case, sentences, cells, chunk):
+        # Small caps split the document into many chunks, gathers and groups.
+        model, document = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(seqlabel, "TAG_GROUP_SENTENCES", sentences)
+            mp.setattr(seqlabel, "TAG_GROUP_CELLS", cells)
+            mp.setattr(seqlabel, "TAG_CHUNK_POSITIONS", chunk)
+            expected = decode_each(model, document)
+            failed = [k + 1 for k, e in enumerate(expected) if isinstance(e, DecodeError)]
+            if failed:
+                with pytest.raises(DecodeError) as exc:
+                    tag_sentences(model, document)
+                assert exc.value.sentence in failed
+            else:
+                assert tag_sentences(model, document) == expected
+        ids = model._compiled.document_ids([sent.tokens for sent in document])
+        em = _kernels.sum_rows(model.emission_weights, ids.T)
+        ref = np.concatenate([model.reference_emission_matrix(sent.tokens)
+                              for sent in document])
+        assert em.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("sentences, cells, chunk", [
+        (3, seqlabel.TAG_GROUP_CELLS, seqlabel.TAG_CHUNK_POSITIONS),
+        (256, 40, 20), (3, 200, 50), (2, 1, 1)])
+    def test_long_document_in_many_groups(self, monkeypatch, sentences, cells, chunk):
+        # Thirty sentences of 1 to 12 tokens cross many chunk, gather and
+        # group boundaries.
+        rng = random.Random(11)
+        m = random_linear_model(rng, ["A", "B", "C"])
+        document = [random_form_sentence(rng, n=rng.randint(1, 12)) for _ in range(30)]
+        monkeypatch.setattr(seqlabel, "TAG_GROUP_SENTENCES", sentences)
+        monkeypatch.setattr(seqlabel, "TAG_GROUP_CELLS", cells)
+        monkeypatch.setattr(seqlabel, "TAG_CHUNK_POSITIONS", chunk)
+        assert tag_sentences(m, document) == [viterbi_decode(m, s)[0] for s in document]
+
+    def test_empty_document(self, pos_model):
+        assert tag_sentences(pos_model, []) == []
+        assert tag_sentences(pos_model, [Sentence(())]) == [[]]
+
+    def test_no_legal_sequence_names_the_sentence(self):
+        # I-PER can neither start a sentence nor follow O.
+        base = random_linear_model(random.Random(3), ["I-PER", "O"])
+        m = LinearModel(base.labels, base.templates, base.feature_index,
+                        base.emission_weights, base.transition_weights,
+                        bio_constrained=True)
+        only_inside = LinearModel(["I-PER"], base.templates, base.feature_index,
+                                  base.emission_weights[:, :1],
+                                  base.transition_weights[:2, :1],
+                                  bio_constrained=True)
+        assert tag_sentences(m, [sentence("xe"), sentence("máy")]) == [["O"], ["O"]]
+        with pytest.raises(DecodeError, match="sentence 2") as exc:
+            tag_sentences(only_inside, [Sentence(()), sentence("xe", "máy")])
+        assert exc.value.sentence == 2
+
+
 class TestCompiledFeatures:
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -409,6 +520,12 @@ class TestCompiledFeatures:
                 model.emission_matrix(s.tokens)
             assert compiled.cache_size() == before
             assert set(compiled.columns["form"].cache) <= known
+            rows = {attr: len(c.values) for attr, c in compiled.columns.items()}
+            unseen = [Sentence(Token(i + 1, f"unseen{rng.randrange(10 ** 6)}", pos_tag="N")
+                               for i in range(rng.randint(0, 6))) for _ in range(50)]
+            tag_sentences(model, unseen)
+            assert compiled.cache_size() == before
+            assert {attr: len(c.values) for attr, c in compiled.columns.items()} == rows
 
     def test_concurrent_decoding_matches_serial(self, toy_pos_corpus, tmp_path):
         # Threads race to fill one fresh model's cache; every result must
@@ -420,20 +537,48 @@ class TestCompiledFeatures:
         sentences = [sent for sent, _ in toy_pos_corpus] * 3
         expected = [viterbi_decode(load_linear_model(path), s) for s in sentences]
         model = load_linear_model(path)
-        results = [None] * 4
+        results = race(4, lambda k: [viterbi_decode(model, s) for s in sentences])
+        assert results == [expected] * 4
+
+    def test_concurrent_document_decoding_matches_serial(self, toy_pos_corpus, tmp_path):
+        # Threads tag documents of the corpus in different orders, so each
+        # one's first sight of a form races the others' table growth.
+        path = tmp_path / "pos.model"
+        save_linear_model(train_averaged_perceptron(
+            make_templates(["form@0", "form@-1&form@0", "suffix2@+1", "prefix1@-1"]),
+            toy_pos_corpus, epochs=2), path)
+        sentences = [sent for sent, _ in toy_pos_corpus]
+        documents = [sentences[k:k + 3] for k in range(0, len(sentences), 3)]
+        expected = [tag_sentences(load_linear_model(path), doc) for doc in documents]
+        model = load_linear_model(path)
 
         def work(k):
-            results[k] = [viterbi_decode(model, s) for s in sentences]
+            order = documents[k:] + documents[:k] if k % 2 else documents[::-1]
+            return [tag_sentences(model, doc) for doc in order]
 
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(old)
-        assert not any(t.is_alive() for t in threads)
-        assert results == [expected] * 4
+        results = race(4, work)
+        for k in range(4):
+            order = expected[k:] + expected[:k] if k % 2 else expected[::-1]
+            assert results[k] == order
+        assert model._compiled.cache_size() > 0
+
+
+def race(n, work):
+    """work(k) of n threads started together, with a 1 microsecond switch interval."""
+    results = [None] * n
+
+    def run(k):
+        results[k] = work(k)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    return results
