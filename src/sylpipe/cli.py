@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 missing/unreadable input file, 2 configuration
 error (bad annotator or arguments), 3 model load failure, 4 data format or
 alignment error, 5 unexpected internal error.
+
+Exit 4 covers model.DataError, whose subclasses include FormatError,
+AlignmentError, TrainingError and DecodeError, and input that is not UTF-8.
+Any other ValueError is a fault of the program and exits 5.
 """
 
 from __future__ import annotations
@@ -13,10 +17,10 @@ import os
 import sys
 
 from . import bench, depparse, metrics, ner, pos, wseg
-from .model import (FormatError, dump_six_column, read_six_column)
+from .model import DataError, dump_six_column, read_six_column
 from .pipeline import (ANNOTATOR_KINDS, MODEL_FILES, ModelLoadError, Pipeline,
                        PipelineConfigError, build_pipeline, load_model)
-from .seqlabel import DecodeError, TrainingError, save_linear_model, tag_sentences
+from .seqlabel import save_linear_model, tag_sentences
 
 MODELS_ENV_VAR = "SYLPIPE_MODELS"
 
@@ -158,8 +162,7 @@ def cmd_eval(args):
             pred = wseg.read_segmented_corpus(args.pred)
         else:
             model = _load_eval_model(args)
-            pred = [[t.form for t in wseg.segment(model, [s for w in sent
-                                                          for s in w.split("_")])]
+            pred = [wseg.segment(model, [s for w in sent for s in w.split("_")]).forms
                     for sent in gold]
         score = metrics.segmentation_f1(gold, pred)
         _print_report("word segmentation", {
@@ -327,8 +330,7 @@ def main(argv=None):
     except ModelLoadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except (FormatError, metrics.AlignmentError, TrainingError, DecodeError,
-            ValueError) as exc:
+    except (DataError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - safety net

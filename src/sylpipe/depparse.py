@@ -32,7 +32,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import NEG_INF
 from .linear import AveragedWeights, ModelFormat, epoch_orders
-from .model import Sentence
+from .model import DataError, FormatError, Sentence, Token
 from .seqlabel import TrainingError
 
 logger = logging.getLogger(__name__)
@@ -212,8 +212,8 @@ def static_oracle(sentence):
     non-projective input, naming the crossing arc pair.
     """
     n = len(sentence)
-    gold_head = [-1] + [t.head for t in sentence]
-    gold_label = [None] + [t.dep_label for t in sentence]
+    gold_head = [-1, *sentence.column("head")]
+    gold_label = [None, *sentence.column("dep_label")]
     if any(h is None for h in gold_head[1:]):
         raise OracleError("gold tree has unset heads")
     crossing = find_crossing_arcs(gold_head[1:])
@@ -389,8 +389,8 @@ class _CompiledStateFeatures:
         legal[3, -1] = True
         self.illegal = ~legal
 
-    def sentence_values(self, tokens, use_ner):
-        """Value ids of a sentence: (forms, tags, child tags, NER labels or None).
+    def sentence_values(self, sentence, use_ner):
+        """Value ids of a Sentence: (forms, tags, child tags, NER labels or None).
 
         Index 0 is the root, 1..n the tokens and -1 a missing position; in
         the child tags, index 0 is a missing child.
@@ -400,7 +400,7 @@ class _CompiledStateFeatures:
 
         def column(attr):
             return [root, *[none if v is None else get(v, -1)
-                            for v in (getattr(t, attr) for t in tokens)], none]
+                            for v in sentence.column(attr)], none]
 
         tags = column("pos_tag")
         return (column("form"), tags, [none, *tags[1:]],
@@ -536,11 +536,11 @@ def _legal_action_mask(state, n_relations, root_labels, action_index):
 
 
 def check_input(sentence, use_ner):
-    """Raise ValueError unless sentence carries what the parser reads."""
-    if any(t.pos_tag is None for t in sentence):
-        raise ValueError("parsing requires POS tags on every token")
-    if use_ner and any(t.ner_label is None for t in sentence):
-        raise ValueError("this parser uses NER features; run NER first")
+    """Raise DataError unless sentence carries what the parser reads."""
+    if None in sentence.column("pos_tag"):
+        raise DataError("parsing requires POS tags on every token")
+    if use_ner and None in sentence.column("ner_label"):
+        raise DataError("this parser uses NER features; run NER first")
 
 
 # Sentences decoded together at most; bounds the (K, B, A) float64 gather
@@ -571,7 +571,7 @@ def parse_sentences(model, sentences, use_ner_features=None):
     repaired = 0
     for lo in range(0, len(todo), LOCKSTEP_SENTENCES):
         group = todo[lo:lo + LOCKSTEP_SENTENCES]
-        states = _decode_lockstep(model, [out[k].tokens for k in group], use_ner)
+        states = _decode_lockstep(model, [out[k] for k in group], use_ner)
         for k, state in zip(group, states):
             repaired += _attach_headless(model, state)
             out[k] = out[k].with_parse(state.heads[1:], state.labels[1:])
@@ -581,11 +581,11 @@ def parse_sentences(model, sentences, use_ner_features=None):
     return out
 
 
-def _decode_lockstep(model, token_lists, use_ner):
+def _decode_lockstep(model, sentences, use_ner):
     """Greedy end states of the sentences, one transition of each per step."""
     compiled = model._compiled
-    states = [ParserState(len(tokens)) for tokens in token_lists]
-    values = [compiled.sentence_values(tokens, use_ner) for tokens in token_lists]
+    states = [ParserState(len(s)) for s in sentences]
+    values = [compiled.sentence_values(s, use_ner) for s in sentences]
     actions = model.actions
     active = range(len(states))
     while active:
@@ -659,11 +659,10 @@ def _lift_to_projective(heads):
 
 def projectivize(sentence):
     """Pseudo-projective copy of a gold sentence (labels kept), or None."""
-    heads = [t.head for t in sentence]
-    lifted = _lift_to_projective(heads)
+    lifted = _lift_to_projective(sentence.column("head"))
     if lifted is None:
         return None
-    return sentence.with_parse(lifted, [t.dep_label for t in sentence])
+    return sentence.with_parse(lifted, sentence.column("dep_label"))
 
 
 def train_parser(treebank, epochs=10, shuffle_seed=1, use_ner_features=False,
@@ -680,19 +679,19 @@ def train_parser(treebank, epochs=10, shuffle_seed=1, use_ner_features=False,
         raise ValueError(f"bad nonprojective mode {nonprojective!r}")
     if use_ner_features:
         for sent in treebank:
-            if any(t.ner_label is None for t in sent):
+            if None in sent.column("ner_label"):
                 raise TrainingError("use_ner_features needs NER labels on every "
                                     "training token")
     for sent in treebank:
-        if any(t.head is None or t.dep_label is None for t in sent):
+        if None in sent.column("head") or None in sent.column("dep_label"):
             raise TrainingError("treebank sentence with unset heads or relations")
-        if any(t.pos_tag is None for t in sent):
+        if None in sent.column("pos_tag"):
             raise TrainingError("treebank sentence with unset POS tags")
 
     usable = []
     skipped = 0
     for sent in treebank:
-        if is_projective([t.head for t in sent]):
+        if is_projective(sent.column("head")):
             usable.append(sent)
             continue
         if nonprojective == "lift":
@@ -707,12 +706,12 @@ def train_parser(treebank, epochs=10, shuffle_seed=1, use_ner_features=False,
     if not usable:
         raise TrainingError("no projective sentences left to train on")
 
-    relations = sorted({t.dep_label for sent in usable for t in sent})
+    relations = sorted({rel for sent in usable for rel in sent.column("dep_label")})
     root_counts = {}
     for sent in usable:
-        for t in sent:
-            if t.head == 0:
-                root_counts[t.dep_label] = root_counts.get(t.dep_label, 0) + 1
+        for head, rel in zip(sent.column("head"), sent.column("dep_label")):
+            if head == 0:
+                root_counts[rel] = root_counts.get(rel, 0) + 1
     root_labels = tuple(sorted(root_counts))
     root_label = max(sorted(root_counts), key=lambda r: root_counts[r])
 
@@ -724,10 +723,11 @@ def train_parser(treebank, epochs=10, shuffle_seed=1, use_ner_features=False,
     for sent in usable:
         seq = static_oracle(sent)
         state = ParserState(len(sent))
+        tokens = sent.tokens
         steps = []
         for transition in seq:
             ids = {feature_index.setdefault(f, len(feature_index))
-                   for f in state_features(state, sent.tokens, use_ner_features)}
+                   for f in state_features(state, tokens, use_ner_features)}
             mask = _legal_action_mask(state, len(relations), root_labels,
                                       action_index)
             steps.append((np.asarray(sorted(ids), dtype=np.int64), mask,
@@ -787,8 +787,6 @@ def load_parser(path):
 
 def read_conllx(path):
     """10-column CoNLL-X-style import: ID, FORM, _, POS, _, _, HEAD, DEPREL, _, _."""
-    from .model import FormatError, Token
-
     sentences = []
     rows = []
     with open(path, encoding="utf-8") as fh:

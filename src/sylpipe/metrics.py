@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .model import DataError, Sentence, split_form
 from .ner import entity_spans, is_valid_bio
 
 
-class AlignmentError(ValueError):
+class AlignmentError(DataError):
     pass
 
 
@@ -46,15 +47,15 @@ def _word_spans(words):
     spans = []
     pos = 0
     for w in words:
-        k = w.count("_") + 1
+        k = len(split_form(w))
         spans.append((pos, pos + k))
         pos += k
     return spans
 
 
 def _forms_of(sentence):
-    if hasattr(sentence, "tokens"):
-        return [t.form for t in sentence.tokens]
+    if isinstance(sentence, Sentence):
+        return sentence.forms
     return list(sentence)
 
 
@@ -67,8 +68,8 @@ def segmentation_f1(gold_sentences, predicted_sentences):
     for k, (g, p) in enumerate(zip(gold_sentences, predicted_sentences)):
         g_words = _forms_of(g)
         p_words = _forms_of(p)
-        g_syl = [s for w in g_words for s in w.split("_")]
-        p_syl = [s for w in p_words for s in w.split("_")]
+        g_syl = [s for w in g_words for s in split_form(w)]
+        p_syl = [s for w in p_words for s in split_form(w)]
         if g_syl != p_syl:
             raise AlignmentError(f"sentence {k + 1}: syllable sequences differ")
         g_spans = set(_word_spans(g_words))
@@ -114,7 +115,7 @@ def chunk_f1(gold_corpora, predicted_corpora):
             raise AlignmentError(f"sentence {k + 1}: length mismatch")
         for name, labels in (("gold", g_labels), ("predicted", p_labels)):
             if not is_valid_bio(labels):
-                raise ValueError(f"sentence {k + 1}: invalid BIO in {name} labels; "
+                raise DataError(f"sentence {k + 1}: invalid BIO in {name} labels; "
                                  "repair_bio them first")
         g_spans = set((s.type, s.start, s.end) for s in entity_spans(g_labels))
         p_spans = set((s.type, s.start, s.end) for s in entity_spans(p_labels))
@@ -145,16 +146,18 @@ def attachment_scores(gold_sentences, predicted_sentences):
     for k, (g, p) in enumerate(zip(gold_sentences, predicted_sentences)):
         if len(g) != len(p):
             raise AlignmentError(f"sentence {k + 1}: token count mismatch")
-        for gt, pt in zip(g.tokens, p.tokens):
-            if gt.form != pt.form:
+        for g_form, p_form, g_head, p_head, g_rel, p_rel in zip(
+                g.column("form"), p.column("form"), g.column("head"), p.column("head"),
+                g.column("dep_label"), p.column("dep_label")):
+            if g_form != p_form:
                 raise AlignmentError(f"sentence {k + 1}: token forms differ "
-                                     f"({gt.form!r} vs {pt.form!r})")
-            if gt.head is None or pt.head is None:
+                                     f"({g_form!r} vs {p_form!r})")
+            if g_head is None or p_head is None:
                 raise AlignmentError(f"sentence {k + 1}: unset head")
             total += 1
-            if gt.head == pt.head:
+            if g_head == p_head:
                 head_hits += 1
-                if gt.dep_label == pt.dep_label:
+                if g_rel == p_rel:
                     label_hits += 1
     if total == 0:
         raise AlignmentError("no tokens to score")

@@ -3,18 +3,33 @@
 A token row carries: index, form, POS tag, NER label, head index, dependency
 relation. Multi-syllable word forms join their syllables with "_". Unset
 fields render as "_", except the NER column which renders "O".
+
+A Sentence stores its tokens as columns, one tuple per field. The stages
+add a column each (with_pos_tags, with_ner_labels, with_parse), share the
+columns they leave alone and check only the new one. A sentence built from
+Tokens keeps them; any other gives a Token view of its columns on each read.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 _NER_SHAPE = re.compile(r"O|[BI]-\S+")
 _BAD_FORM_CHAR = re.compile(r"[ \t\n\r]")
 
+# Token fields in column order; a Sentence holds one tuple per field.
+FIELDS = ("form", "pos_tag", "ner_label", "head", "dep_label")
+_COLUMN = {name: k for k, name in enumerate(FIELDS)}
 
-class FormatError(ValueError):
+
+class DataError(ValueError):
+    """Input data that breaks the data model: a token field, a sentence's
+    shape or tree, a label or a word form."""
+
+
+class FormatError(DataError):
     """Malformed six-column text; carries the 1-based offending line number."""
 
     def __init__(self, message, line=None):
@@ -22,6 +37,33 @@ class FormatError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+# One check per field, shared by Token and by the column checks of Sentence.
+
+def _check_index(index):
+    if index < 1:
+        raise DataError(f"token index must be >= 1, got {index}")
+
+
+def _check_form(form):
+    if not form:
+        raise DataError("token form must be non-empty")
+    if _BAD_FORM_CHAR.search(form):
+        raise DataError(f"token form may not contain whitespace: {form!r}")
+
+
+def _check_ner_label(label):
+    if label is not None and not _NER_SHAPE.fullmatch(label):
+        raise DataError(f"bad NER label {label!r}")
+
+
+def _check_head(index, head):
+    if head is not None:
+        if head < 0:
+            raise DataError(f"head must be >= 0, got {head}")
+        if head == index:
+            raise DataError(f"token {index} cannot head itself")
 
 
 @dataclass(frozen=True)
@@ -36,104 +78,177 @@ class Token:
     dep_label: str | None = None
 
     def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"token index must be >= 1, got {self.index}")
-        if not self.form:
-            raise ValueError("token form must be non-empty")
-        if _BAD_FORM_CHAR.search(self.form):
-            raise ValueError(f"token form may not contain whitespace: {self.form!r}")
-        if self.ner_label is not None and not _NER_SHAPE.fullmatch(self.ner_label):
-            raise ValueError(f"bad NER label {self.ner_label!r}")
-        if self.head is not None:
-            if self.head < 0:
-                raise ValueError(f"head must be >= 0, got {self.head}")
-            if self.head == self.index:
-                raise ValueError(f"token {self.index} cannot head itself")
+        _check_index(self.index)
+        _check_form(self.form)
+        _check_ner_label(self.ner_label)
+        _check_head(self.index, self.head)
 
 
-@dataclass(frozen=True)
+def _token_view(index, form, pos_tag, ner_label, head, dep_label):
+    """A Token over fields that were checked when their column was."""
+    token = object.__new__(Token)
+    token.__dict__.update(index=index, form=form, pos_tag=pos_tag,
+                          ner_label=ner_label, head=head, dep_label=dep_label)
+    return token
+
+
+def split_form(form):
+    """The syllables of a word form: the form split on the "_" joiner, except
+    that the form "_" is the one syllable "_"."""
+    return [form] if form == "_" else form.split("_")
+
+
 class Sentence:
     """An ordered token sequence; indices are exactly 1..n.
 
     When every head is set the sentence must form a tree: exactly one token
     attached to the artificial root 0, and no cycles.
+
+    Sentence(tokens) and from_columns check every field; the with_* methods
+    check the column they add. column(name) is the tuple of one field.
+    sent[i], iteration and sent.tokens give the Tokens the sentence was built
+    from, or else views of its columns, built on each read and not kept: a
+    kept view would hold a sentence's memory several times over.
     """
 
-    tokens: tuple[Token, ...]
+    __slots__ = ("_columns", "_tokens")
 
     def __init__(self, tokens):
-        object.__setattr__(self, "tokens", tuple(tokens))
-        self._validate()
-
-    def _validate(self):
-        n = len(self.tokens)
-        for i, tok in enumerate(self.tokens, start=1):
+        tokens = tuple(tokens)
+        n = len(tokens)
+        for i, tok in enumerate(tokens, start=1):
             if tok.index != i:
-                raise ValueError(f"token indices must be 1..{n} in order, "
-                                 f"found index {tok.index} at position {i}")
-            if tok.head is not None and tok.head > n:
-                raise ValueError(f"token {i} head {tok.head} out of range 0..{n}")
-        heads = [t.head for t in self.tokens]
-        if n and all(h is not None for h in heads):
-            roots = [t.index for t in self.tokens if t.head == 0]
-            if len(roots) != 1:
-                raise ValueError(f"expected exactly one root-attached token, got {roots}")
-            _check_acyclic(heads)
+                raise DataError(f"token indices must be 1..{n} in order, "
+                                f"found index {tok.index} at position {i}")
+        self._columns = tuple(tuple(getattr(t, name) for t in tokens) for name in FIELDS)
+        self._tokens = tokens
+        _check_heads(self._columns[3])
+
+    @classmethod
+    def from_columns(cls, forms, pos_tags=None, ner_labels=None, heads=None,
+                     dep_labels=None):
+        """A sentence from one value per token and field, checked as Token and
+        Sentence(tokens) check them; a field given as None is unset throughout."""
+        forms = tuple(forms)
+        unset = (None,) * len(forms)
+        columns = [forms]
+        for values in (pos_tags, ner_labels, heads, dep_labels):
+            columns.append(unset if values is None else _new_column(values, len(forms)))
+        for form in forms:
+            _check_form(form)
+        for label in columns[2]:
+            _check_ner_label(label)
+        _check_heads(columns[3])
+        return cls._of(tuple(columns))
+
+    @classmethod
+    def _of(cls, columns):
+        sent = object.__new__(cls)
+        sent._columns = columns
+        sent._tokens = None
+        return sent
 
     def __len__(self):
-        return len(self.tokens)
+        return len(self._columns[0])
+
+    @property
+    def tokens(self):
+        return self._tokens if self._tokens is not None else tuple(self)
 
     def __iter__(self):
-        return iter(self.tokens)
+        if self._tokens is not None:
+            return iter(self._tokens)
+        return map(_token_view, itertools.count(1), *self._columns)
 
     def __getitem__(self, i):
-        return self.tokens[i]
+        if self._tokens is not None or isinstance(i, slice):
+            return self.tokens[i]
+        index = range(1, len(self) + 1)[i]
+        return _token_view(index, *(column[index - 1] for column in self._columns))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._columns == other._columns
+
+    def __hash__(self):
+        return hash(self._columns)
+
+    def __repr__(self):
+        return f"Sentence(tokens={self.tokens!r})"
+
+    def column(self, name):
+        """The tuple of one field over the tokens, named as the Token field."""
+        return self._columns[_COLUMN[name]]
 
     @property
     def forms(self):
-        return [t.form for t in self.tokens]
+        return list(self._columns[0])
 
     @property
     def pos_tags(self):
-        return [t.pos_tag for t in self.tokens]
+        return list(self._columns[1])
 
     @property
     def ner_labels(self):
-        return [t.ner_label for t in self.tokens]
+        return list(self._columns[2])
 
     @property
     def heads(self):
-        return [t.head for t in self.tokens]
+        return list(self._columns[3])
 
     @property
     def dep_labels(self):
-        return [t.dep_label for t in self.tokens]
+        return list(self._columns[4])
 
     def syllables(self):
-        """All syllables in order (forms split on the "_" joiner)."""
+        """All syllables in order (see split_form)."""
         out = []
-        for t in self.tokens:
-            out.extend(t.form.split("_"))
+        for form in self._columns[0]:
+            out.extend(split_form(form))
         return out
 
     def with_pos_tags(self, tags):
-        if len(tags) != len(self.tokens):
-            raise ValueError("tag count does not match token count")
-        return Sentence(replace(t, pos_tag=tag) for t, tag in zip(self.tokens, tags))
+        forms, _, labels, heads, deps = self._columns
+        return Sentence._of((forms, _new_column(tags, len(forms), "tag"),
+                             labels, heads, deps))
 
     def with_ner_labels(self, labels):
-        if len(labels) != len(self.tokens):
-            raise ValueError("label count does not match token count")
-        return Sentence(replace(t, ner_label=lab) for t, lab in zip(self.tokens, labels))
+        forms, tags, _, heads, deps = self._columns
+        labels = _new_column(labels, len(forms), "label")
+        for label in labels:
+            _check_ner_label(label)
+        return Sentence._of((forms, tags, labels, heads, deps))
 
     def with_parse(self, heads, dep_labels):
-        if len(heads) != len(self.tokens) or len(dep_labels) != len(self.tokens):
-            raise ValueError("head/label count does not match token count")
-        return Sentence(replace(t, head=h, dep_label=l)
-                        for t, h, l in zip(self.tokens, heads, dep_labels))
+        forms, tags, labels, _, _ = self._columns
+        heads = _new_column(heads, len(forms), "head")
+        deps = _new_column(dep_labels, len(forms), "relation")
+        _check_heads(heads)
+        return Sentence._of((forms, tags, labels, heads, deps))
 
     def __str__(self):
         return to_six_column(self)
+
+
+def _new_column(values, n, what="value"):
+    if len(values) != n:
+        raise DataError(f"{what} count does not match token count")
+    return tuple(values)
+
+
+def _check_heads(heads):
+    """Token's check of each head, each in range 0..n, and a tree when all are set."""
+    n = len(heads)
+    for index, head in enumerate(heads, start=1):
+        _check_head(index, head)
+        if head is not None and head > n:
+            raise DataError(f"token {index} head {head} out of range 0..{n}")
+    if n and None not in heads:
+        roots = [i for i, head in enumerate(heads, start=1) if head == 0]
+        if len(roots) != 1:
+            raise DataError(f"expected exactly one root-attached token, got {roots}")
+        _check_acyclic(heads)
 
 
 def _check_acyclic(heads):
@@ -149,7 +264,7 @@ def _check_acyclic(heads):
             path.append(node)
             node = heads[node - 1]
         if state[node] == 1:
-            raise ValueError(f"head links contain a cycle through token {node}")
+            raise DataError(f"head links contain a cycle through token {node}")
         for v in path:
             state[v] = 2
 
@@ -175,17 +290,11 @@ class Document:
 
 def to_six_column(sentence):
     """Render one sentence as tab-separated six-column lines (no trailing newline)."""
-    lines = []
-    for t in sentence.tokens:
-        lines.append("\t".join((
-            str(t.index),
-            t.form,
-            t.pos_tag if t.pos_tag is not None else "_",
-            t.ner_label if t.ner_label is not None else "O",
-            str(t.head) if t.head is not None else "_",
-            t.dep_label if t.dep_label is not None else "_",
-        )))
-    return "\n".join(lines)
+    return "\n".join(
+        f"{i}\t{form}\t{'_' if tag is None else tag}\t{'O' if label is None else label}"
+        f"\t{'_' if head is None else head}\t{'_' if dep is None else dep}"
+        for i, form, tag, label, head, dep in zip(
+            itertools.count(1), *(sentence.column(name) for name in FIELDS)))
 
 
 def dump_six_column(sentences):

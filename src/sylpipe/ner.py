@@ -8,9 +8,9 @@ repair_bio exists for third-party files.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .model import Sentence, Token
+from .model import DataError, Sentence
 from .pos import POS_TEMPLATE_DESCRIPTORS, tag_pos_sentences
 from .seqlabel import (TrainingError, make_templates, tag_sentences,
                        train_averaged_perceptron, viterbi_decode)
@@ -46,9 +46,9 @@ class EntitySpan:
 
 
 def check_input(sentence):
-    """Raise ValueError unless every token carries the POS tag NER reads."""
-    if any(t.pos_tag is None for t in sentence):
-        raise ValueError("NER tagging requires POS tags on every token")
+    """Raise DataError unless every token carries the POS tag NER reads."""
+    if None in sentence.column("pos_tag"):
+        raise DataError("NER tagging requires POS tags on every token")
 
 
 def tag_ner(model, sentence):
@@ -96,7 +96,7 @@ def _split_bio(label):
         return "O", None
     if len(label) > 2 and label[1] == "-" and label[0] in "BI":
         return label[0], label[2:]
-    raise ValueError(f"bad BIO label {label!r}")
+    raise DataError(f"bad BIO label {label!r}")
 
 
 def is_valid_bio(labels):
@@ -126,7 +126,7 @@ def repair_bio(labels):
 def entity_spans(labels):
     """Maximal B-X (I-X)* runs as EntitySpans; labels must be valid BIO."""
     if not is_valid_bio(labels):
-        raise ValueError("invalid BIO sequence; repair_bio it first")
+        raise DataError("invalid BIO sequence; repair_bio it first")
     spans = []
     start = None
     etype = None
@@ -146,9 +146,9 @@ def entity_spans(labels):
 
 
 def extract_entities(sentence):
-    labels = [t.ner_label for t in sentence]
-    if any(lab is None for lab in labels):
-        raise ValueError("sentence has unset NER labels")
+    labels = sentence.ner_labels
+    if None in labels:
+        raise DataError("sentence has unset NER labels")
     return entity_spans(labels)
 
 
@@ -172,28 +172,25 @@ def merge_name_syllables(sentence):
     Mirrors the preprocessing that turns per-syllable full-name annotation
     into word-level tokens; everything outside PER runs is untouched.
     """
-    tokens = list(sentence.tokens)
-    if not any(t.ner_label in ("B-PER", "I-PER") for t in tokens):
+    forms, tags, labels = (sentence.column(name) for name in ("form", "pos_tag", "ner_label"))
+    if "B-PER" not in labels and "I-PER" not in labels:
         return sentence
     # Indices shift, so any head links would dangle; merged output is
     # pre-parse data and drops them.
-    out = []
+    out_forms, out_tags, out_labels = [], [], []
     i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok.ner_label in ("B-PER", "I-PER"):
-            j = i + 1
-            while j < len(tokens) and tokens[j].ner_label == "I-PER":
+    while i < len(forms):
+        j = i + 1
+        label = labels[i]
+        if label in ("B-PER", "I-PER"):
+            while j < len(forms) and labels[j] == "I-PER":
                 j += 1
-            form = "_".join(t.form for t in tokens[i:j])
-            out.append(Token(index=len(out) + 1, form=form,
-                             pos_tag=tok.pos_tag, ner_label="B-PER"))
-            i = j
-        else:
-            out.append(Token(index=len(out) + 1, form=tok.form,
-                             pos_tag=tok.pos_tag, ner_label=tok.ner_label))
-            i += 1
-    return Sentence(out)
+            label = "B-PER"
+        out_forms.append("_".join(forms[i:j]))
+        out_tags.append(tags[i])
+        out_labels.append(label)
+        i = j
+    return Sentence.from_columns(out_forms, out_tags, out_labels)
 
 
 def replace_gold_pos_with_predicted(corpus, pos_model):
@@ -209,9 +206,7 @@ def parse_three_column(text):
     def flush():
         nonlocal rows
         if rows:
-            sentences.append(Sentence(
-                Token(index=i + 1, form=f, pos_tag=p, ner_label=lab)
-                for i, (f, p, lab) in enumerate(rows)))
+            sentences.append(Sentence.from_columns(*zip(*rows)))
             rows = []
 
     for line_no, line in enumerate(unicodedata.normalize("NFC", text).split("\n"), start=1):
@@ -235,8 +230,8 @@ def read_three_column(path):
 def dump_three_column(sentences):
     blocks = []
     for sent in sentences:
-        blocks.append("\n".join(f"{t.form}\t{t.pos_tag}\t{t.ner_label}"
-                                for t in sent.tokens))
+        blocks.append("\n".join(f"{form}\t{tag}\t{label}" for form, tag, label in zip(
+            sent.column("form"), sent.column("pos_tag"), sent.column("ner_label"))))
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
@@ -244,10 +239,10 @@ def training_pairs(sentences):
     """3-column sentences -> (sentence stripped of NER, gold labels) pairs."""
     pairs = []
     for sent in sentences:
-        labels = [t.ner_label for t in sent]
-        if any(lab is None for lab in labels):
+        labels = sent.ner_labels
+        if None in labels:
             raise TrainingError("NER corpus sentence missing a label")
-        stripped = Sentence(replace(t, ner_label=None) for t in sent)
+        stripped = sent.with_ner_labels([None] * len(sent))
         pairs.append((stripped, labels))
     return pairs
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import unicodedata
 
-from .model import Sentence, Token
+from .model import Sentence
 from .seqlabel import (TrainingError, make_templates, tag_sentences,
                        train_averaged_perceptron, viterbi_decode)
 
@@ -55,7 +55,7 @@ def parse_two_column(text):
     def flush():
         nonlocal forms, tags
         if forms:
-            sent = Sentence(Token(index=i + 1, form=f) for i, f in enumerate(forms))
+            sent = Sentence.from_columns(forms)
             pairs.append((sent, tags))
             forms = []
             tags = []
@@ -82,5 +82,5 @@ def read_two_column(path):
 def dump_two_column(pairs):
     blocks = []
     for sent, tags in pairs:
-        blocks.append("\n".join(f"{t.form}\t{tag}" for t, tag in zip(sent.tokens, tags)))
+        blocks.append("\n".join(f"{form}\t{tag}" for form, tag in zip(sent.column("form"), tags)))
     return "\n\n".join(blocks) + ("\n" if blocks else "")

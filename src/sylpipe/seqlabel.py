@@ -12,18 +12,20 @@ from __future__ import annotations
 import functools
 import itertools
 import threading
+import types
 
 import numpy as np
 
 from . import _kernels
 from ._kernels import NEG_INF
 from .linear import AveragedWeights, ModelFormat, epoch_orders
+from .model import DataError, Sentence
 # The template names stay importable from here, where they always were.
 from .templates import (BOUNDARY_LEFT, BOUNDARY_RIGHT, FeatureTemplate,  # noqa: F401
                         extract_features, make_templates, word_shape)
 
 
-class DecodeError(ValueError):
+class DecodeError(DataError):
     """No legal label sequence; `sentence` is its 1-based number in a
     document decode (tag_sentences), else None."""
 
@@ -32,7 +34,7 @@ class DecodeError(ValueError):
         self.sentence = sentence
 
 
-class TrainingError(ValueError):
+class TrainingError(DataError):
     pass
 
 
@@ -123,9 +125,10 @@ class LinearModel:
         return _CompiledFeatures(self)
 
     def emission_matrix(self, tokens):
-        """(T, L) emission scores, bit-identical to reference_emission_matrix."""
+        """(T, L) emission scores of a Sentence or token sequence,
+        bit-identical to reference_emission_matrix."""
         return _kernels.sum_rows(self.emission_weights,
-                                 self._compiled.document_ids([tokens]).T)
+                                 self._compiled.document_ids([_sentence_of(tokens)]).T)
 
     def reference_emission_matrix(self, tokens):
         """Emissions from feature strings, one position at a time: the oracle
@@ -150,7 +153,8 @@ _IDENTITY_ATOM = {"form": "form", "pos_tag": "pos", "ner_label": "ner"}
 
 
 class _Column:
-    """The templates that read one token attribute, resolved once per value.
+    """The templates that read one token attribute (a Sentence column),
+    resolved once per value.
 
     A value resolves, through FeatureTemplate.extract so that the atoms keep
     one definition, to a row of ids and a tuple of values: the row holds one
@@ -214,19 +218,17 @@ class _Column:
             values.append(None if f is None else f[1:])
         return (ids, tuple(values)), known
 
-    def local_rows(self, tokens):
-        """(codes, ids, values): row codes[i] of ids and of values is tokens[i]'s.
+    def local_rows(self, values):
+        """(codes, ids, values): row codes[i] of ids and of values is values[i]'s.
 
-        The rows are those of the distinct values among the tokens, after the
-        two boundary rows.
+        values holds the attribute at each token. The rows are those of its
+        distinct values, after the two boundary rows.
         """
-        values = [getattr(tok, self.attr) for tok in tokens]
-        token_of = dict(zip(values, tokens))
         cache = self.cache
         rows = [0, 1]
         code = {}
         fresh = []
-        for value in token_of:
+        for value in dict.fromkeys(values):
             row = cache.get(value)
             if row is None:
                 fresh.append(value)
@@ -241,7 +243,9 @@ class _Column:
             entries = []
             known = []
             for k, value in enumerate(fresh, len(rows)):
-                entry, is_known = self.resolve((token_of[value],), 0)
+                # A one-token sentence carrying only the attribute read here.
+                token = types.SimpleNamespace(**{self.attr: value})
+                entry, is_known = self.resolve((token,), 0)
                 code[value] = k
                 entries.append(entry)
                 if is_known:
@@ -337,14 +341,14 @@ class _CompiledFeatures:
     def cache_size(self):
         return sum(len(column.cache) for column in self.columns.values())
 
-    def document_ids(self, token_lists):
-        """(N, K) feature ids of every position of the sentences, in order.
+    def document_ids(self, sentences):
+        """(N, K) feature ids of every position of the Sentences, in order.
 
         Row n holds the ids position_feature_ids gives at that position, in
         ascending order but with -1 wherever a template fires no known
         feature or repeats an id; sum_rows takes the padding anywhere.
         """
-        lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=len(token_lists))
+        lengths = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
         N = int(lengths.sum())
         sentence = np.repeat(np.arange(len(lengths)), lengths)
         starts = np.cumsum(lengths) - lengths
@@ -358,9 +362,9 @@ class _CompiledFeatures:
             where = np.arange(N) + (2 * sentence + 1) * m
             left = ((starts + 2 * m * np.arange(len(lengths)))[:, None]
                     + np.arange(m)).ravel()
-            flat = list(itertools.chain.from_iterable(token_lists))
             for attr, column in self.columns.items():
-                local, table, values = column.local_rows(flat)
+                local, table, values = column.local_rows(list(itertools.chain.from_iterable(
+                    s.column(attr) for s in sentences)))
                 padded = np.ones(N + 2 * m * len(lengths), dtype=np.intp)
                 padded[left] = 0
                 padded[where] = local
@@ -377,6 +381,7 @@ class _CompiledFeatures:
         for prefix, atoms in self.conjunctions:
             ids[:, k] = self._conjunction_ids(prefix, atoms, codes, where)
             k += 1
+        token_lists = [s.tokens for s in sentences] if self.fallback else ()
         for tpl in self.fallback:
             get, extract, resources = self.index.get, tpl.extract, self.resources
             ids[:, k] = np.fromiter(
@@ -462,12 +467,12 @@ def viterbi_decode(model, sentence, legal_labels=None):
     entries leave a position unrestricted). Ties between equal-scoring
     sequences resolve to the lowest label index, earliest position first.
     """
-    tokens = _tokens_of(sentence)
-    T = len(tokens)
+    sentence = _sentence_of(sentence)
+    T = len(sentence)
     if T == 0:
         return [], 0.0
     legal_sets = _legal_index_sets(model, legal_labels, T)
-    em = _apply_position_mask(model.emission_matrix(tokens), legal_sets)
+    em = _apply_position_mask(model.emission_matrix(sentence), legal_sets)
     trans, start = model.masked_scores()
     path, score = _kernels.viterbi_path(em, trans, start)
     if score == NEG_INF:
@@ -495,17 +500,17 @@ def tag_sentences(model, sentences):
     sentences get []. A sentence with no legal label sequence raises
     DecodeError naming it.
     """
-    token_lists = [_tokens_of(s) for s in sentences]
-    out = [[] for _ in token_lists]
-    todo = sorted((k for k, tokens in enumerate(token_lists) if tokens),
-                  key=lambda k: len(token_lists[k]))
-    lengths = [len(token_lists[k]) for k in todo]
+    sentences = [_sentence_of(s) for s in sentences]
+    out = [[] for _ in sentences]
+    todo = sorted((k for k, s in enumerate(sentences) if len(s)),
+                  key=lambda k: len(sentences[k]))
+    lengths = [len(sentences[k]) for k in todo]
     compiled = model._compiled
     L = len(model.labels)
     gather = max(1, TAG_GROUP_CELLS // (max(1, compiled.width) * L))
     trans, start = model.masked_scores()
     for chunk in _length_groups(lengths, len(lengths), TAG_CHUNK_POSITIONS):
-        ids = compiled.document_ids([token_lists[k] for k in todo[chunk]])
+        ids = compiled.document_ids([sentences[k] for k in todo[chunk]])
         em = np.concatenate([_kernels.sum_rows(model.emission_weights, ids[a:a + gather].T)
                              for a in range(0, len(ids), gather)])
         row = 0
@@ -547,8 +552,8 @@ def brute_force_decode(model, sentence, legal_labels=None):
     keeps the lexicographically smallest maximum, so the two decoders agree
     exactly, ties included.
     """
-    tokens = _tokens_of(sentence)
-    T = len(tokens)
+    sentence = _sentence_of(sentence)
+    T = len(sentence)
     if T == 0:
         return [], 0.0
     legal_sets = _legal_index_sets(model, legal_labels, T)
@@ -560,7 +565,7 @@ def brute_force_decode(model, sentence, legal_labels=None):
         count *= len(c)
         if count > MAX_BRUTE_FORCE:
             raise DecodeError(f"instance too large for brute force: > {MAX_BRUTE_FORCE} sequences")
-    em = model.emission_matrix(tokens)
+    em = model.emission_matrix(sentence)
     trans, start = model.masked_scores()
     best_score = NEG_INF
     best = None
@@ -579,12 +584,12 @@ def brute_force_decode(model, sentence, legal_labels=None):
 
 def sequence_score(model, sentence, labels):
     """Score of a given label sequence under the model (same arithmetic as decode)."""
-    tokens = _tokens_of(sentence)
-    T = len(tokens)
+    sentence = _sentence_of(sentence)
+    T = len(sentence)
     if T == 0:
         return 0.0
     ys = [model.label_index[lab] for lab in labels]
-    em = model.emission_matrix(tokens)
+    em = model.emission_matrix(sentence)
     trans, start = model.masked_scores()
     s = em[T - 1, ys[T - 1]]
     for i in range(T - 2, -1, -1):
@@ -592,8 +597,9 @@ def sequence_score(model, sentence, labels):
     return float(start[ys[0]] + s)
 
 
-def _tokens_of(sentence):
-    return sentence.tokens if hasattr(sentence, "tokens") else tuple(sentence)
+def _sentence_of(sentence):
+    """A Sentence as it is; a token sequence as the Sentence of its tokens."""
+    return sentence if isinstance(sentence, Sentence) else Sentence(sentence)
 
 
 def train_averaged_perceptron(templates, corpus, epochs=5, shuffle_seed=None,
@@ -612,8 +618,7 @@ def train_averaged_perceptron(templates, corpus, epochs=5, shuffle_seed=None,
         raise TrainingError("training corpus is empty")
     label_set = set()
     for sent, gold in corpus:
-        tokens = _tokens_of(sent)
-        if len(tokens) != len(gold):
+        if len(sent) != len(gold):
             raise TrainingError("gold label count does not match sentence length")
         label_set.update(gold)
     if not label_set:
@@ -643,7 +648,7 @@ def _train(templates, corpus, labels, epochs, shuffle_seed, bio_constrained,
     packed_by_sentence = []
     golds = []
     for sent, gold in corpus:
-        tokens = _tokens_of(sent)
+        tokens = _sentence_of(sent).tokens
         sent_feats = []
         sent_ids = []
         for i in range(len(tokens)):

@@ -13,7 +13,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 
-from .model import Sentence, Token
+from .model import DataError, Sentence
 from .seqlabel import TrainingError, word_shape
 
 JOIN = True
@@ -81,14 +81,18 @@ def _split_line(text, sentences):
 
 
 class Lexicon:
-    """Known words as syllable tuples; lookup is exact on the sequence."""
+    """Known words as syllable tuples; lookup is exact on the sequence.
+
+    No syllable of an entry may hold the "_" joiner, so the lexicon never
+    joins the syllable "_" to a neighbour.
+    """
 
     def __init__(self, words):
         entries = set()
         for w in words:
             w = tuple(w)
-            if not w or not all(w):
-                raise ValueError(f"bad lexicon entry {w!r}")
+            if not w or not all(w) or any("_" in s for s in w):
+                raise DataError(f"bad lexicon entry {w!r}")
             entries.add(w)
         self.entries = frozenset(entries)
         self.folded = frozenset(tuple(s.lower() for s in w) for w in entries)
@@ -158,9 +162,15 @@ class TransformationRule:
 
 
 class _SentenceContext:
-    """Per-sentence caches used while matching rule patterns."""
+    """Per-sentence caches used while matching rule patterns.
 
-    __slots__ = ("syllables", "n", "decisions", "lexicon", "_shapes", "_lex", "positions")
+    unjoinable holds the boundaries next to a "_" syllable, which no rule
+    may join: the form "_" must stay a word of its own to read back as one
+    syllable.
+    """
+
+    __slots__ = ("syllables", "n", "decisions", "lexicon", "_shapes", "_lex", "positions",
+                 "unjoinable")
 
     def __init__(self, syllables, decisions, lexicon):
         self.syllables = list(syllables)
@@ -173,6 +183,7 @@ class _SentenceContext:
         for p, s in enumerate(self.syllables):
             positions.setdefault(s, []).append(p)
         self.positions = positions
+        self.unjoinable = {j for p in positions.get("_", ()) for j in (p - 1, p)}
 
     def syl(self, k):
         if k < 0:
@@ -248,6 +259,7 @@ def baseline_decisions(lexicon, syllables):
 def _apply_pattern(ctx, action, template, values):
     """Apply one rule pattern left to right; later matches see earlier flips."""
     want = action == "join"
+    blocked = ctx.unjoinable if want else ()
     slots = TEMPLATES[template]
     anchor = None
     for idx, (kind, off) in enumerate(slots):
@@ -259,11 +271,12 @@ def _apply_pattern(ctx, action, template, values):
         off, value = anchor
         for p in ctx.positions.get(value, ()):
             j = p - off
-            if 0 <= j < ctx.n - 1 and dec[j] != want and ctx.matches(j, template, values):
+            if (0 <= j < ctx.n - 1 and dec[j] != want and j not in blocked
+                    and ctx.matches(j, template, values)):
                 dec[j] = want
     else:
         for j in range(ctx.n - 1):
-            if dec[j] != want and ctx.matches(j, template, values):
+            if dec[j] != want and j not in blocked and ctx.matches(j, template, values):
                 dec[j] = want
 
 
@@ -278,29 +291,29 @@ class SegmenterModel:
     window_radius: int = 2
 
 
-def _decisions_to_tokens(syllables, decisions):
-    tokens = []
+def _decisions_to_forms(syllables, decisions):
+    forms = []
     start = 0
-    for j in range(len(syllables)):
-        if j == len(syllables) - 1 or not decisions[j]:
-            form = "_".join(syllables[start:j + 1])
-            tokens.append(Token(index=len(tokens) + 1, form=form))
+    for j, join in enumerate(decisions):
+        if not join:
+            forms.append("_".join(syllables[start:j + 1]))
             start = j + 1
-    return tokens
+    forms.append("_".join(syllables[start:]))
+    return forms
 
 
 def segment(model, syllables):
     """Segment one syllable sequence into a Sentence of word tokens."""
     syllables = list(syllables)
     if not syllables:
-        return Sentence(())
+        return Sentence.from_columns(())
     decisions = baseline_decisions(model.lexicon, syllables)
     if model.rules:
         ctx = _SentenceContext(syllables, decisions, model.lexicon)
         for rule in model.rules:
             _apply_rule(rule, ctx)
         decisions = ctx.decisions
-    return Sentence(_decisions_to_tokens(syllables, decisions))
+    return Sentence.from_columns(_decisions_to_forms(syllables, decisions))
 
 
 def words_to_decisions(words):
@@ -310,7 +323,7 @@ def words_to_decisions(words):
     for w, word in enumerate(words):
         parts = word.split("_")
         if any(not p for p in parts):
-            raise ValueError(f"bad word form {word!r}")
+            raise DataError(f"bad word form {word!r}")
         for k, p in enumerate(parts):
             syllables.append(p)
             if k < len(parts) - 1:
@@ -469,7 +482,7 @@ def load_segmenter(path):
     for k in range(header("lexicon")):
         line = next_line(f"lexicon entry {k + 1}")
         word = tuple(line.split(" "))
-        if "\t" in line or not all(word):
+        if "\t" in line or "_" in line or not all(word):
             raise corrupt(f"bad lexicon entry {line!r}")
         words.append(word)
     rules = []

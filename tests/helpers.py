@@ -3,6 +3,8 @@
 import json
 import os
 import random
+import re
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -232,3 +234,92 @@ CORRUPT_LAYOUTS = {
         join_model_file(lines, weights, marker=b"WEIGHT"),
         f"line {len(lines) + 1} is not the WEIGHTS marker"),
 }
+
+
+# The row-per-token Token and Sentence that the columnar Sentence replaced,
+# kept as they were as the oracle of what a sentence accepts and holds.
+
+_NER_SHAPE = re.compile(r"O|[BI]-\S+")
+_BAD_FORM_CHAR = re.compile(r"[ \t\n\r]")
+
+
+@dataclass(frozen=True)
+class OldToken:
+    index: int
+    form: str
+    pos_tag: str | None = None
+    ner_label: str | None = None
+    head: int | None = None
+    dep_label: str | None = None
+
+    def __post_init__(self):
+        if self.index < 1:
+            raise ValueError(f"token index must be >= 1, got {self.index}")
+        if not self.form:
+            raise ValueError("token form must be non-empty")
+        if _BAD_FORM_CHAR.search(self.form):
+            raise ValueError(f"token form may not contain whitespace: {self.form!r}")
+        if self.ner_label is not None and not _NER_SHAPE.fullmatch(self.ner_label):
+            raise ValueError(f"bad NER label {self.ner_label!r}")
+        if self.head is not None:
+            if self.head < 0:
+                raise ValueError(f"head must be >= 0, got {self.head}")
+            if self.head == self.index:
+                raise ValueError(f"token {self.index} cannot head itself")
+
+
+@dataclass(frozen=True)
+class OldSentence:
+    tokens: tuple
+
+    def __init__(self, tokens):
+        object.__setattr__(self, "tokens", tuple(tokens))
+        self._validate()
+
+    def _validate(self):
+        n = len(self.tokens)
+        for i, tok in enumerate(self.tokens, start=1):
+            if tok.index != i:
+                raise ValueError(f"token indices must be 1..{n} in order, "
+                                 f"found index {tok.index} at position {i}")
+            if tok.head is not None and tok.head > n:
+                raise ValueError(f"token {i} head {tok.head} out of range 0..{n}")
+        heads = [t.head for t in self.tokens]
+        if n and all(h is not None for h in heads):
+            roots = [t.index for t in self.tokens if t.head == 0]
+            if len(roots) != 1:
+                raise ValueError(f"expected exactly one root-attached token, got {roots}")
+            _old_check_acyclic(heads)
+
+    def with_pos_tags(self, tags):
+        if len(tags) != len(self.tokens):
+            raise ValueError("tag count does not match token count")
+        return OldSentence(replace(t, pos_tag=tag) for t, tag in zip(self.tokens, tags))
+
+    def with_ner_labels(self, labels):
+        if len(labels) != len(self.tokens):
+            raise ValueError("label count does not match token count")
+        return OldSentence(replace(t, ner_label=lab) for t, lab in zip(self.tokens, labels))
+
+    def with_parse(self, heads, dep_labels):
+        if len(heads) != len(self.tokens) or len(dep_labels) != len(self.tokens):
+            raise ValueError("head/label count does not match token count")
+        return OldSentence(replace(t, head=h, dep_label=l)
+                           for t, h, l in zip(self.tokens, heads, dep_labels))
+
+
+def _old_check_acyclic(heads):
+    n = len(heads)
+    state = [0] * (n + 1)
+    state[0] = 2
+    for start in range(1, n + 1):
+        node = start
+        path = []
+        while state[node] == 0:
+            state[node] = 1
+            path.append(node)
+            node = heads[node - 1]
+        if state[node] == 1:
+            raise ValueError(f"head links contain a cycle through token {node}")
+        for v in path:
+            state[v] = 2

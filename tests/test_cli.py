@@ -3,7 +3,7 @@ import os
 import pytest
 
 from conftest import DEMO_ANNOTATED, DEMO_INPUT, TOY_DIR
-from sylpipe import depparse
+from sylpipe import depparse, metrics, pos
 from sylpipe.cli import main
 
 
@@ -32,6 +32,20 @@ class TestTrain:
                 content = fh.read()
             if task != "wseg":
                 assert "training_accuracy=" in content
+
+    def test_bad_word_form_exits_4(self, tmp_path):
+        corpus = tmp_path / "seg.txt"
+        corpus.write_text("a__b c\n", encoding="utf-8")
+        assert main(["train", "wseg", "-corpus", str(corpus), "-models", str(tmp_path)]) == 4
+
+    def test_internal_value_error_exits_5(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise ValueError("planted fault")
+
+        monkeypatch.setattr(pos, "train_pos", fail)
+        assert main(["train", "pos", "-corpus", os.path.join(TOY_DIR, "pos.tsv"),
+                     "-models", str(tmp_path)]) == 5
+        assert "internal error: planted fault" in capsys.readouterr().err
 
     def test_missing_corpus(self, tmp_path):
         assert main(["train", "pos", "-corpus", str(tmp_path / "nope.tsv"),
@@ -166,6 +180,33 @@ class TestEval:
     def test_missing_model_exits_3(self, tmp_path, task, gold):
         assert main(["eval", task, "-gold", os.path.join(TOY_DIR, gold),
                      "-models", str(tmp_path / "empty")]) == 3
+
+    @pytest.mark.parametrize("name, text", [
+        ("bad NER label", "Hà\tNp\tX-LOC\n"),
+        ("invalid BIO", "Hà\tNp\tI-LOC\n"),
+        ("form with a space", "Hà Nội\tNp\tB-LOC\n"),
+    ])
+    def test_bad_prediction_file_exits_4(self, tmp_path, capsys, name, text):
+        pred = tmp_path / "pred.tsv"
+        gold = tmp_path / "gold.tsv"
+        pred.write_text(text, encoding="utf-8")
+        gold.write_text("Hà\tNp\tB-LOC\n", encoding="utf-8")
+        assert main(["eval", "ner", "-gold", str(gold), "-pred", str(pred)]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_input_not_utf8_exits_4(self, tmp_path):
+        gold = tmp_path / "gold.tsv"
+        gold.write_bytes(b"H\xe0\tNp\n")
+        assert main(["eval", "pos", "-gold", str(gold), "-pred", str(gold)]) == 4
+
+    def test_internal_value_error_exits_5(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise ValueError("planted fault")
+
+        monkeypatch.setattr(metrics, "tagging_accuracy", fail)
+        gold = os.path.join(TOY_DIR, "pos.tsv")
+        assert main(["eval", "pos", "-gold", gold, "-pred", gold]) == 5
+        assert "internal error: planted fault" in capsys.readouterr().err
 
     def test_needs_pred_or_models(self, tmp_path, monkeypatch):
         monkeypatch.delenv("SYLPIPE_MODELS", raising=False)

@@ -217,7 +217,7 @@ def reference_parse(model, sentence, use_ner, visited=None):
     if n == 0:
         return sentence
     tokens = sentence.tokens
-    values = model._compiled.sentence_values(tokens, use_ner)
+    values = model._compiled.sentence_values(sentence, use_ner)
     state = ParserState(n)
     while not state.is_terminal():
         assert_compiled_state(model, state, tokens, values, use_ner)
@@ -300,7 +300,7 @@ class TestLockstepDecoding:
         model, bank, sentences, use_ner = case
         for gold_sent in bank:
             tokens = gold_sent.tokens
-            values = model._compiled.sentence_values(tokens, use_ner)
+            values = model._compiled.sentence_values(gold_sent, use_ner)
             state = ParserState(len(gold_sent))
             for transition in static_oracle(gold_sent):
                 assert_compiled_state(model, state, tokens, values, use_ner)

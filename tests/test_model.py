@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_annotated_sentence
-from sylpipe.model import (Document, FormatError, Sentence, Token,
+from helpers import (OldSentence, OldToken, random_annotated_sentence,
+                     random_projective_heads)
+from sylpipe.model import (FIELDS, DataError, Document, FormatError, Sentence, Token,
                            dump_six_column, from_six_column, to_six_column)
 
 FIXTURE_BLOCK = "\n".join([
@@ -88,6 +89,133 @@ class TestSentence:
     def test_syllables(self):
         s = Sentence([Token(index=1, form="a_b"), Token(index=2, form="c")])
         assert s.syllables() == ["a", "b", "c"]
+
+    def test_lone_joiner_is_one_syllable(self):
+        s = Sentence.from_columns(["_", "a_b", "_"])
+        assert s.syllables() == ["_", "a", "b", "_"]
+
+    def test_with_methods_share_unchanged_columns(self):
+        s = Sentence.from_columns(["a", "b", "c"])
+        tagged = s.with_pos_tags(["N", "V", "N"])
+        labeled = tagged.with_ner_labels(["O", "B-PER", "I-PER"])
+        parsed = labeled.with_parse([2, 0, 2], ["sub", "root", "dob"])
+        assert parsed.column("form") is s.column("form")
+        assert parsed.column("pos_tag") is tagged.column("pos_tag")
+        assert parsed.column("ner_label") is labeled.column("ner_label")
+        assert parsed.column("pos_tag") == ("N", "V", "N")
+
+    def test_token_views(self):
+        s = Sentence.from_columns(["a", "b", "c"]).with_pos_tags(["N", "V", "N"])
+        assert s[1] == s[-2] == Token(index=2, form="b", pos_tag="V")
+        assert list(s) == list(s.tokens) == list(s[:]) == [s[0], s[1], s[2]]
+        with pytest.raises(IndexError):
+            s[3]
+        tokens = [Token(index=1, form="a")]
+        assert Sentence(tokens).tokens[0] is tokens[0]
+
+
+# Random token fields for the old and the columnar sentence: forms with
+# whitespace and joiners, NER labels of every shape, and heads that are out
+# of range, point at their own token, form cycles or give several roots.
+FORMS_ANY = st.text(st.sampled_from(["a", "é", "_", "Ư", " ", "\t", "\n", "\r", "\x0b",
+                                     "\x85", "\u00a0", "\u200b", "\ufeff"]), max_size=3)
+TAGS_ANY = st.one_of(st.none(), st.sampled_from(["N", "V", "", "_"]))
+LABELS_ANY = st.one_of(st.none(), st.sampled_from(
+    ["O", "B-PER", "I-LOC", "B-a|b", "X-PER", "B-", "I- x", "b-PER", "", "OO", "O "]))
+RELATIONS_ANY = st.one_of(st.none(), st.sampled_from(["root", "nmod", ""]))
+
+
+@st.composite
+def heads_any(draw, n):
+    """Heads of n tokens: all unset, or a projective tree or any heads in
+    range, with up to two faults: out of range, the token itself, or unset."""
+    kind = draw(st.sampled_from(["unset", "tree", "any"]))
+    if kind == "unset":
+        return [None] * n
+    if kind == "tree":
+        heads = random_projective_heads(random.Random(draw(st.integers(0, 2 ** 16))), n)[0]
+    else:
+        heads = draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
+    if n:
+        for k in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+            heads[k] = draw(st.sampled_from([-1, n + 1, k + 1, None]))
+    return heads
+
+
+@st.composite
+def token_rows(draw, forms=FORMS_ANY, labels=LABELS_ANY):
+    n = draw(st.integers(0, 6))
+    indices = list(range(1, n + 1))
+    if n and draw(st.integers(0, 4)) == 0:
+        indices[draw(st.integers(0, n - 1))] = draw(st.integers(-1, n + 1))
+    return list(zip(indices, draw(st.lists(forms, min_size=n, max_size=n)),
+                    draw(st.lists(TAGS_ANY, min_size=n, max_size=n)),
+                    draw(st.lists(labels, min_size=n, max_size=n)),
+                    draw(heads_any(n)),
+                    draw(st.lists(RELATIONS_ANY, min_size=n, max_size=n))))
+
+
+@st.composite
+def column_edits(draw, n):
+    """One with_* call as (method, args), its columns now and then one short or long."""
+    m = draw(st.sampled_from([n, n, n, n, n + 1, max(n - 1, 0)]))
+    method = draw(st.sampled_from(["with_pos_tags", "with_ner_labels", "with_parse"]))
+    if method == "with_pos_tags":
+        return method, (draw(st.lists(TAGS_ANY, min_size=m, max_size=m)),)
+    if method == "with_ner_labels":
+        return method, (draw(st.lists(LABELS_ANY, min_size=m, max_size=m)),)
+    return method, (draw(heads_any(m)), draw(st.lists(RELATIONS_ANY, min_size=n, max_size=n)))
+
+
+def outcome(build):
+    try:
+        return True, build()
+    except Exception as exc:  # compared with the other version's outcome
+        return False, exc
+
+
+def assert_same_outcome(old_build, new_build):
+    """Both accept with equal fields, or both reject with the same exception
+    type, a bare ValueError now being the typed DataError."""
+    (old_ok, old), (new_ok, new) = outcome(old_build), outcome(new_build)
+    assert old_ok == new_ok, (old, new)
+    if not old_ok:
+        assert type(new) is (DataError if type(old) is ValueError else type(old)), (old, new)
+        return None
+    assert len(new) == len(old.tokens)
+    for name in ("index",) + FIELDS:
+        values = tuple(getattr(t, name) for t in old.tokens)
+        assert tuple(getattr(t, name) for t in new) == values
+        if name != "index":
+            assert new.column(name) == values
+    return old, new
+
+
+class TestColumnarSentenceMatchesRowSentence:
+    @settings(max_examples=400, deadline=None)
+    @given(token_rows())
+    def test_constructors(self, rows):
+        assert_same_outcome(lambda: OldSentence(OldToken(*r) for r in rows),
+                            lambda: Sentence(Token(*r) for r in rows))
+        if [r[0] for r in rows] == list(range(1, len(rows) + 1)):
+            columns = list(zip(*rows))[1:] or [()]
+            assert_same_outcome(lambda: OldSentence(OldToken(*r) for r in rows),
+                                lambda: Sentence.from_columns(*columns))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_with_methods(self, data):
+        rows = data.draw(token_rows(forms=st.sampled_from(["a", "b_c", "_"]),
+                                    labels=st.sampled_from(["O", "B-PER", None])))
+        pair = assert_same_outcome(lambda: OldSentence(OldToken(*r) for r in rows),
+                                   lambda: Sentence(Token(*r) for r in rows))
+        for _ in range(data.draw(st.integers(1, 4))):
+            if pair is None:
+                return
+            old, new = pair
+            method, args = data.draw(column_edits(len(new)))
+            pair = assert_same_outcome(lambda: getattr(old, method)(*args),
+                                       lambda: getattr(new, method)(*args))
 
 
 class TestToSixColumn:

@@ -1,12 +1,15 @@
+import itertools
 import logging
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import DEMO_ANNOTATED, DEMO_INPUT
-from helpers import random_linear_model
-from sylpipe import depparse, ner, pos
-from sylpipe.model import Document, Sentence, Token
+from helpers import FORMS, random_linear_model
+from sylpipe import depparse, ner, pos, wseg
+from sylpipe.model import Document, Sentence, Token, dump_six_column, from_six_column
 from sylpipe.pipeline import (AnnotationError, ModelLoadError, Pipeline,
                               PipelineConfigError, build_pipeline,
                               prerequisite_closure)
@@ -247,3 +250,41 @@ class TestNerFeatureToggle:
         text = "Ông Lê Văn Minh viết về nhà máy tính ."
         assert all(t.head is not None for t in on.annotate(text).sentences[0])
         assert all(t.head is not None for t in off.annotate(text).sentences[0])
+
+
+# Pieces of odd input: controls, NEL, BOM, zero-width joiner and space, line
+# and paragraph separators, NFD letters, CJK, Arabic, joiners, punctuation
+# and numbers, besides known words.
+ODD_PIECES = ["\x00", "\x01", "\x1b", "\x1f", "\x7f", "\x85", "\ufeff", "\u200d",
+              "\u200b", "\u2028", "\u2029", "\r", "\t", "\n", " ", "\xa0", "_", "__",
+              "a_b", "_x_", "Nguye\u0302\u0303n", "a\u0301", "\u0301", "東京", "北京大学",
+              "مرحبا", "القاهرة", ".", "!", "?", "...", "…", "1.000,5", "TS.", "A."] + FORMS
+
+@pytest.fixture(scope="module")
+def full_pipeline(model_dir):
+    return build_pipeline(model_dir=model_dir)
+
+
+def check_annotation(pipe, text):
+    """Annotating text raises nothing, keeps the tokenizer's syllables
+    sentence by sentence and writes text that reads back as the output."""
+    syllables = wseg.split_and_tokenize(text)
+    doc = pipe.annotate(text)
+    assert [s.syllables() for s in doc.sentences] == syllables
+    assert from_six_column(dump_six_column(doc.sentences)) == list(doc.sentences)
+    return syllables
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(ODD_PIECES), st.text(max_size=3)),
+                max_size=40).map("".join))
+@example("_ __ a_b")
+def test_odd_input_annotates_and_round_trips(full_pipeline, text):
+    check_annotation(full_pipeline, text)
+
+
+def test_line_of_over_ten_thousand_syllables(full_pipeline):
+    line = " ".join(itertools.islice(itertools.cycle(
+        ["nhà", "máy", "_", "Hà", "Nội", "東", "a_b", "\ufeff", "x\u0301"]), 9000))
+    syllables = check_annotation(full_pipeline, line)
+    assert len(syllables) == 1 and len(syllables[0]) > 10_000

@@ -437,7 +437,7 @@ class TestDocumentDecoding:
                 assert exc.value.sentence in failed
             else:
                 assert tag_sentences(model, document) == expected
-        ids = model._compiled.document_ids([sent.tokens for sent in document])
+        ids = model._compiled.document_ids(document)
         em = _kernels.sum_rows(model.emission_weights, ids.T)
         ref = np.concatenate([model.reference_emission_matrix(sent.tokens)
                               for sent in document])

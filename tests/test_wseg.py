@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from sylpipe import wseg
 from sylpipe.metrics import segmentation_f1
 from sylpipe.seqlabel import TrainingError
-from sylpipe.wseg import (Lexicon, SegmenterModel, baseline_decisions,
-                          load_segmenter, save_segmenter, segment,
-                          split_and_tokenize, train_segmenter,
+from sylpipe.wseg import (Lexicon, SegmenterModel, TransformationRule,
+                          baseline_decisions, load_segmenter, save_segmenter,
+                          segment, split_and_tokenize, train_segmenter,
                           words_to_decisions)
 
 
@@ -117,6 +117,42 @@ class TestSegment:
         out = segment(model, syllables)
         rebuilt = [s for t in out for s in t.form.split("_")]
         assert rebuilt == syllables
+
+
+class TestLoneJoiner:
+    """A syllable "_" stays a word of its own, so its form reads back as it."""
+
+    def test_tokenizer_keeps_each_underscore(self):
+        assert split_and_tokenize("_ __ a_b") == [["_", "_", "_", "a", "_", "b"]]
+
+    def test_lexicon_refuses_joiner_syllables(self):
+        for entry in [("_", "a"), ("a_b",), ("_",)]:
+            with pytest.raises(ValueError, match="bad lexicon entry"):
+                Lexicon([entry])
+
+    def test_no_rule_joins_a_lone_joiner(self):
+        # Joins at every pair of shapes ("_" and "." have shape "x"), so only
+        # the boundaries next to a "_" stay split.
+        rules = tuple(TransformationRule("join", "shapes", (a, b), 1)
+                      for a in "ax" for b in "ax")
+        model = SegmenterModel(lexicon=Lexicon.from_forms(["a_b"]), rules=rules)
+        syllables = ["_", "_", "a", "_", "b", "c", "."]
+        out = segment(model, syllables)
+        assert out.forms == ["_", "_", "a", "_", "b_c_."]
+        assert out.syllables() == syllables
+
+    def test_rules_still_split_next_to_a_joiner(self):
+        model = SegmenterModel(lexicon=Lexicon.from_forms(["a_b"]), rules=(
+            TransformationRule("split", "pair", ("a", "b"), 1),))
+        assert segment(model, ["_", "a", "b"]).forms == ["_", "a", "b"]
+
+    def test_model_file_with_joiner_in_lexicon_is_corrupt(self, tmp_path):
+        bad = tmp_path / "bad.model"
+        bad.write_text(f"{wseg.MODEL_MAGIC}\nradius\t2\nlexicon\t1\n_ a\nrules\t0\n",
+                       encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                "corrupt segmenter model (line 4: bad lexicon entry '_ a')")):
+            load_segmenter(bad)
 
 
 class TestTraining:
