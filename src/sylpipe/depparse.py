@@ -32,7 +32,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import NEG_INF
 from .linear import AveragedWeights, ModelFormat, epoch_orders
-from .model import DataError, FormatError, Sentence, Token
+from .model import DataError, FormatError, Sentence, Token, check_label
 from .seqlabel import TrainingError
 
 logger = logging.getLogger(__name__)
@@ -476,6 +476,8 @@ class ParserModel:
         self.relations = list(relations)
         if not self.relations or len(set(self.relations)) != len(self.relations):
             raise ValueError("relation alphabet must be non-empty and duplicate-free")
+        for relation in (*self.relations, root_label, fallback_label):
+            check_label(relation, "relation")
         self.actions = _actions(self.relations)
         self.action_index = {a: i for i, a in enumerate(self.actions)}
         self.feature_index = dict(feature_index)

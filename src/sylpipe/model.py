@@ -2,7 +2,9 @@
 
 A token row carries: index, form, POS tag, NER label, head index, dependency
 relation. Multi-syllable word forms join their syllables with "_". Unset
-fields render as "_", except the NER column which renders "O".
+fields render as "_", except the NER column which renders "O"; so a POS tag
+or relation may not be "_", empty, or hold a tab or line break, which would
+not read back as itself.
 
 A Sentence stores its tokens as columns, one tuple per field. The stages
 add a column each (with_pos_tags, with_ner_labels, with_parse), share the
@@ -18,6 +20,10 @@ from dataclasses import dataclass, field
 
 _NER_SHAPE = re.compile(r"O|[BI]-\S+")
 _BAD_FORM_CHAR = re.compile(r"[ \t\n\r]")
+_BAD_LABEL_CHAR = re.compile(r"[\t\n\r]")
+# POS tags and relations that six-column text cannot hold: "_" reads back as
+# unset, and an empty field as a missing one.
+_UNWRITABLE_LABELS = ("_", "")
 
 # Token fields in column order; a Sentence holds one tuple per field.
 FIELDS = ("form", "pos_tag", "ner_label", "head", "dep_label")
@@ -53,6 +59,27 @@ def _check_form(form):
         raise DataError(f"token form may not contain whitespace: {form!r}")
 
 
+def _check_forms(forms):
+    """_check_form over a column: one membership test and one search."""
+    if "" in forms or _BAD_FORM_CHAR.search("".join(forms)):
+        for form in forms:
+            _check_form(form)
+
+
+def check_label(label, what):
+    """A POS tag or relation must read back from six-column text as itself."""
+    if label is not None and (label in _UNWRITABLE_LABELS or _BAD_LABEL_CHAR.search(label)):
+        raise DataError(f"bad {what} {label!r}: six-column text cannot hold it")
+
+
+def _check_labels(labels, what):
+    """check_label over a column: two membership tests and one search."""
+    if ("_" in labels or "" in labels
+            or _BAD_LABEL_CHAR.search("".join(filter(None, labels)))):
+        for label in labels:
+            check_label(label, what)
+
+
 def _check_ner_label(label):
     if label is not None and not _NER_SHAPE.fullmatch(label):
         raise DataError(f"bad NER label {label!r}")
@@ -80,8 +107,10 @@ class Token:
     def __post_init__(self):
         _check_index(self.index)
         _check_form(self.form)
+        check_label(self.pos_tag, "POS tag")
         _check_ner_label(self.ner_label)
         _check_head(self.index, self.head)
+        check_label(self.dep_label, "relation")
 
 
 def _token_view(index, form, pos_tag, ner_label, head, dep_label):
@@ -134,11 +163,16 @@ class Sentence:
         columns = [forms]
         for values in (pos_tags, ner_labels, heads, dep_labels):
             columns.append(unset if values is None else _new_column(values, len(forms)))
-        for form in forms:
-            _check_form(form)
-        for label in columns[2]:
-            _check_ner_label(label)
-        _check_heads(columns[3])
+        _check_forms(forms)
+        if pos_tags is not None:
+            _check_labels(columns[1], "POS tag")
+        if ner_labels is not None:
+            for label in columns[2]:
+                _check_ner_label(label)
+        if heads is not None:
+            _check_heads(columns[3])
+        if dep_labels is not None:
+            _check_labels(columns[4], "relation")
         return cls._of(tuple(columns))
 
     @classmethod
@@ -210,8 +244,9 @@ class Sentence:
 
     def with_pos_tags(self, tags):
         forms, _, labels, heads, deps = self._columns
-        return Sentence._of((forms, _new_column(tags, len(forms), "tag"),
-                             labels, heads, deps))
+        tags = _new_column(tags, len(forms), "tag")
+        _check_labels(tags, "POS tag")
+        return Sentence._of((forms, tags, labels, heads, deps))
 
     def with_ner_labels(self, labels):
         forms, tags, _, heads, deps = self._columns
@@ -225,6 +260,7 @@ class Sentence:
         heads = _new_column(heads, len(forms), "head")
         deps = _new_column(dep_labels, len(forms), "relation")
         _check_heads(heads)
+        _check_labels(deps, "relation")
         return Sentence._of((forms, tags, labels, heads, deps))
 
     def __str__(self):

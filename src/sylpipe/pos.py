@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import unicodedata
 
-from .model import Sentence
+from .model import DataError, Sentence, check_label
 from .seqlabel import (TrainingError, make_templates, tag_sentences,
                        train_averaged_perceptron, viterbi_decode)
 
@@ -68,6 +68,10 @@ def parse_two_column(text):
         if len(cols) != 2:
             raise TrainingError(f"line {line_no}: expected 2 tab-separated columns, "
                                 f"got {len(cols)}")
+        try:
+            check_label(cols[1], "POS tag")
+        except DataError as exc:
+            raise TrainingError(f"line {line_no}: {exc}") from None
         forms.append(cols[0])
         tags.append(cols[1])
     flush()

@@ -19,7 +19,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import NEG_INF
 from .linear import AveragedWeights, ModelFormat, epoch_orders
-from .model import DataError, Sentence
+from .model import DataError, Sentence, check_label
 # The template names stay importable from here, where they always were.
 from .templates import (BOUNDARY_LEFT, BOUNDARY_RIGHT, FeatureTemplate,  # noqa: F401
                         extract_features, make_templates, word_shape)
@@ -73,6 +73,8 @@ class LinearModel:
         self.labels = list(labels)
         if not self.labels or len(set(self.labels)) != len(self.labels):
             raise ValueError("label alphabet must be non-empty and duplicate-free")
+        for label in self.labels:
+            check_label(label, "label")
         self.label_index = {lab: i for i, lab in enumerate(self.labels)}
         self.templates = list(templates)
         self.feature_index = dict(feature_index)

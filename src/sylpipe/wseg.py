@@ -5,13 +5,26 @@ words, then applies an ordered list of learned transformation rules that
 flip individual join/split decisions in context. Rules are learned by
 error-driven search: each round keeps the single rule with the largest net
 reduction of training errors, as long as that reduction is positive.
+
+Both steps run on compiled forms. The lexicon indexes each lowercased first
+syllable to the lengths of the entries it starts (Lexicon.starts), so the
+longest match lowercases each syllable once and tries only lengths that can
+hit. A sentence becomes four padded rows, one per slot kind: syllables,
+shapes, lexicon-pair flags and the live decisions. A model compiles its
+rules once, on first use, each to an anchor syllable plus (row, offset,
+value) checks, so a slot read is one list index. One matcher, _apply, runs
+the rules for segment and the candidate rules for train_segmenter, which
+also reads its candidates' patterns from the same rows.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import unicodedata
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 
 from .model import DataError, Sentence
 from .seqlabel import TrainingError, word_shape
@@ -21,7 +34,10 @@ SPLIT = False
 
 _SYL_RE = re.compile(r"\d+(?:[.,]\d+)+|[^\W_]+|\.{2,}|\S")
 
-_TERMINALS = {".", "!", "?", "…"}
+# Terminal punctuation is exactly the tokens that start with one of these:
+# _SYL_RE makes "!", "?" and "…" tokens of one character, and "." a token
+# alone or in a run of dots.
+_TERMINAL_FIRST = frozenset(".!?…")
 
 # Titles and common abbreviations that do not end a sentence when followed
 # by a period.
@@ -29,12 +45,6 @@ _ABBREVIATIONS = frozenset({
     "TS", "ThS", "GS", "PGS", "KS", "BS", "CN", "TP", "Tp", "Q", "P",
     "Mr", "Mrs", "Ms", "Dr", "Prof", "St", "vs", "tr", "etc",
 })
-
-
-def _is_terminal(tok):
-    if tok in _TERMINALS:
-        return True
-    return len(tok) >= 2 and tok.count(".") == len(tok)
 
 
 def _is_abbreviation(tok):
@@ -61,23 +71,22 @@ def split_and_tokenize(raw_text):
 
 
 def _split_line(text, sentences):
-    matches = [(m.group(), m.start(), m.end()) for m in _SYL_RE.finditer(text)]
-    cur = []
-    for k, (tok, _, end) in enumerate(matches):
-        cur.append(tok)
-        if not _is_terminal(tok) or k + 1 >= len(matches):
+    matches = list(_SYL_RE.finditer(text))
+    tokens = list(map(re.Match.group, matches))
+    start = 0
+    terminal = map(_TERMINAL_FIRST.__contains__, map(itemgetter(0), tokens))
+    for k in compress(range(len(tokens) - 1), terminal):
+        nxt = tokens[k + 1]
+        if matches[k + 1].start() <= matches[k].end():
             continue
-        nxt_tok, nxt_start, _ = matches[k + 1]
-        if nxt_start <= end:
+        if not (nxt[0].isupper() or nxt[0].isdigit()):
             continue
-        if not (nxt_tok[0].isupper() or nxt_tok[0].isdigit()):
+        if tokens[k] == "." and k > start and _is_abbreviation(tokens[k - 1]):
             continue
-        if tok == "." and len(cur) >= 2 and _is_abbreviation(cur[-2]):
-            continue
-        sentences.append(cur)
-        cur = []
-    if cur:
-        sentences.append(cur)
+        sentences.append(tokens[start:k + 1])
+        start = k + 1
+    if start < len(tokens):
+        sentences.append(tokens[start:])
 
 
 class Lexicon:
@@ -96,7 +105,6 @@ class Lexicon:
             entries.add(w)
         self.entries = frozenset(entries)
         self.folded = frozenset(tuple(s.lower() for s in w) for w in entries)
-        self.max_len = max((len(w) for w in entries), default=1)
 
     @classmethod
     def from_forms(cls, forms):
@@ -109,9 +117,19 @@ class Lexicon:
         return len(self.entries)
 
     def contains_folded(self, word):
-        """Exact lookup, then a lowercased retry so sentence-case forms match."""
-        w = tuple(word)
-        return w in self.entries or tuple(s.lower() for s in w) in self.folded
+        """Lowercased lookup, so sentence-case forms match; an exact entry
+        always matches its own lowercased form."""
+        return tuple(s.lower() for s in word) in self.folded
+
+    @functools.cached_property
+    def starts(self):
+        """Lowercased first syllable -> the lengths, 2 or more and longest
+        first, of the lowercased entries that begin with it."""
+        lengths = {}
+        for word in self.folded:
+            if len(word) > 1:
+                lengths.setdefault(word[0], set()).add(len(word))
+        return {first: tuple(sorted(ls, reverse=True)) for first, ls in lengths.items()}
 
 
 # Rule pattern templates. A slot reads, relative to the boundary between
@@ -132,6 +150,9 @@ TEMPLATES = {
 }
 TEMPLATE_ORDER = ("pair", "left3", "right3", "window4", "left1", "right1",
                   "shapes", "shapelex", "lexflags", "pairdec")
+
+# The values a lex or dec slot can read; a rule holding any other never matches.
+SLOT_VALUES = {"lex": ("0", "1", "-"), "dec": ("J", "S", "-")}
 
 # Syllable offsets used by each template; radius w admits offsets -(w-1)..w.
 _RADIUS_1_TEMPLATES = ("pair", "left1", "right1", "shapes", "shapelex", "pairdec")
@@ -161,127 +182,122 @@ class TransformationRule:
             raise ValueError("retained rules must have a positive score")
 
 
-class _SentenceContext:
-    """Per-sentence caches used while matching rule patterns.
-
-    unjoinable holds the boundaries next to a "_" syllable, which no rule
-    may join: the form "_" must stay a word of its own to read back as one
-    syllable.
-    """
-
-    __slots__ = ("syllables", "n", "decisions", "lexicon", "_shapes", "_lex", "positions",
-                 "unjoinable")
-
-    def __init__(self, syllables, decisions, lexicon):
-        self.syllables = list(syllables)
-        self.n = len(self.syllables)
-        self.decisions = decisions
-        self.lexicon = lexicon
-        self._shapes = [None] * self.n
-        self._lex = [None] * max(self.n - 1, 0)
-        positions = {}
-        for p, s in enumerate(self.syllables):
-            positions.setdefault(s, []).append(p)
-        self.positions = positions
-        self.unjoinable = {j for p in positions.get("_", ()) for j in (p - 1, p)}
-
-    def syl(self, k):
-        if k < 0:
-            return "<s>"
-        if k >= self.n:
-            return "</s>"
-        return self.syllables[k]
-
-    def shape(self, k):
-        if k < 0:
-            return "<s>"
-        if k >= self.n:
-            return "</s>"
-        v = self._shapes[k]
-        if v is None:
-            v = word_shape(self.syllables[k])
-            self._shapes[k] = v
-        return v
-
-    def lex(self, j):
-        if j < 0 or j >= self.n - 1:
-            return "-"
-        v = self._lex[j]
-        if v is None:
-            v = "1" if self.lexicon.contains_folded(
-                (self.syllables[j], self.syllables[j + 1])) else "0"
-            self._lex[j] = v
-        return v
-
-    def dec(self, j):
-        if j < 0 or j >= self.n - 1:
-            return "-"
-        return "J" if self.decisions[j] else "S"
-
-    def slot_value(self, j, kind, off):
-        if kind == "syl":
-            return self.syl(j + off)
-        if kind == "shape":
-            return self.shape(j + off)
-        if kind == "lex":
-            return self.lex(j + off)
-        return self.dec(j + off)
-
-    def pattern_key(self, j, template):
-        return tuple(self.slot_value(j, kind, off) for kind, off in TEMPLATES[template])
-
-    def matches(self, j, template, values):
-        for (kind, off), v in zip(TEMPLATES[template], values):
-            if self.slot_value(j, kind, off) != v:
-                return False
-        return True
+# A sentence of n syllables is matched as four rows, one per slot kind, each
+# padded by one sentinel at both ends: syllables and shapes by "<s>" and
+# "</s>", the lexicon-pair flags ("1"/"0") and the live decisions ("J"/"S")
+# by "-". Boundary q, 1..n-1, lies between the q-th and the next syllable,
+# and a slot at offset off reads rows[kind][q + off].
+SYL, SHAPE, LEX, DEC = range(4)
+_ROW = {"syl": SYL, "shape": SHAPE, "lex": LEX, "dec": DEC}
+_FLAG = ("0", "1")
+_NOWHERE = frozenset()
 
 
-def baseline_decisions(lexicon, syllables):
-    """Greedy left-to-right longest match; unknown syllables stay single."""
-    n = len(syllables)
-    dec = [SPLIT] * max(n - 1, 0)
-    sylls = tuple(syllables)
-    i = 0
-    while i < n:
-        step = 1
-        top = min(lexicon.max_len, n - i)
-        for length in range(top, 1, -1):
-            if lexicon.contains_folded(sylls[i:i + length]):
-                for k in range(i, i + length - 1):
-                    dec[k] = JOIN
-                step = length
+def _longest_match(lexicon, folded):
+    """Greedy left-to-right longest match of the lowercased syllables, as a
+    padded decision row; unknown syllables stay single."""
+    n = len(folded)
+    row = ["-"] + ["S"] * (n - 1) + ["-"]
+    entries = lexicon.folded
+    heads = list(map(lexicon.starts.get, folded))
+    end = 0
+    for i in compress(range(n - 1), heads):
+        if i < end:
+            continue
+        for length in heads[i]:
+            if i + length <= n and tuple(folded[i:i + length]) in entries:
+                end = i + length
+                row[i + 1:end] = ["J"] * (length - 1)
                 break
-        i += step
-    return dec
+    return row
 
 
-def _apply_pattern(ctx, action, template, values):
-    """Apply one rule pattern left to right; later matches see earlier flips."""
-    want = action == "join"
-    blocked = ctx.unjoinable if want else ()
-    slots = TEMPLATES[template]
-    anchor = None
-    for idx, (kind, off) in enumerate(slots):
-        if kind == "syl" and 0 <= off <= 1:
-            anchor = (off, values[idx])
-            break
-    dec = ctx.decisions
-    if anchor is not None:
-        off, value = anchor
-        for p in ctx.positions.get(value, ()):
-            j = p - off
-            if (0 <= j < ctx.n - 1 and dec[j] != want and j not in blocked
-                    and ctx.matches(j, template, values)):
-                dec[j] = want
+def _sentence_rows(lexicon, syllables, kinds):
+    """The rows of one sentence, decisions from the longest match; the shape
+    and lexicon-flag rows only when kinds reads them (else None)."""
+    folded = list(map(str.lower, syllables))
+    shapes = flags = None
+    if "shape" in kinds:
+        shape_of = {s: word_shape(s) for s in set(syllables)}
+        shapes = ["<s>", *map(shape_of.__getitem__, syllables), "</s>"]
+    if "lex" in kinds:
+        pairs = map(lexicon.folded.__contains__, zip(folded, folded[1:]))
+        flags = ["-", *map(_FLAG.__getitem__, pairs), "-"]
+    return ["<s>", *syllables, "</s>"], shapes, flags, _longest_match(lexicon, folded)
+
+
+def _positions(syllables, anchors):
+    """Each syllable in anchors -> its positions in the rows, ascending."""
+    positions = {}
+    for p in compress(range(1, len(syllables) + 1), map(anchors.__contains__, syllables)):
+        positions.setdefault(syllables[p - 1], []).append(p)
+    return positions
+
+
+def _unjoinable(syllables):
+    """The boundaries next to a "_" syllable, which no rule may join: the
+    form "_" must stay a word of its own to read back as one syllable."""
+    if "_" not in syllables:
+        return _NOWHERE
+    return {q for p, s in enumerate(syllables, start=1) if s == "_" for q in (p - 1, p)}
+
+
+def _compile_rule(action, template, values):
+    """(want, anchor, anchor offset, checks, values) with checks as (row,
+    offset, value).
+
+    The anchor is the first syllable slot at offset 0 or 1, whose value a
+    match must hold at a known position; the checks are the other slots. A
+    rule without one compares all its values at every boundary at once.
+    """
+    want = "J" if action == "join" else "S"
+    checks = [(_ROW[kind], off, v) for (kind, off), v in zip(TEMPLATES[template], values)]
+    for k, (row, off, v) in enumerate(checks):
+        if row == SYL and 0 <= off <= 1:
+            return want, v, off, tuple(checks[:k] + checks[k + 1:]), None
+    return want, None, 0, tuple(checks), tuple(values)
+
+
+def _apply(rule, rows, positions, unjoinable):
+    """Flip each boundary the compiled rule matches, left to right, so a
+    match reads the flips made before it; returns the flipped boundaries.
+
+    positions must hold the rule's anchor. A boundary next to a "_"
+    syllable is never joined, so a split rule never finds one to flip.
+    """
+    want, anchor, off, checks, values = rule
+    dec = rows[DEC]
+    n = len(dec) - 1
+    if anchor is None:
+        # No template without an anchor reads a decision, so the matches
+        # are known before the first flip.
+        found = compress(range(1, n), map(values.__eq__, zip(
+            *[rows[row][1 + o:n + o] for row, o, _ in checks])))
+        checks = ()
     else:
-        for j in range(ctx.n - 1):
-            if dec[j] != want and j not in blocked and ctx.matches(j, template, values):
-                dec[j] = want
+        found = [p - off for p in positions.get(anchor, ())]
+    flipped = []
+    for q in found:
+        if dec[q] != want and 0 < q < n and q not in unjoinable:
+            for row, o, v in checks:
+                if rows[row][q + o] != v:
+                    break
+            else:
+                dec[q] = want
+                flipped.append(q)
+    return flipped
 
 
-def _apply_rule(rule, ctx):
-    _apply_pattern(ctx, rule.action, rule.template, rule.values)
+class _CompiledRules:
+    """A model's rules compiled for _apply, with the slot kinds they read and
+    their anchor syllables."""
+
+    __slots__ = ("rules", "kinds", "anchors")
+
+    def __init__(self, rules):
+        self.rules = tuple(_compile_rule(r.action, r.template, r.values) for r in rules)
+        self.kinds = frozenset(kind for r in rules for kind, _ in TEMPLATES[r.template])
+        self.anchors = frozenset(rule[1] for rule in self.rules if rule[1] is not None)
 
 
 @dataclass(frozen=True)
@@ -290,16 +306,16 @@ class SegmenterModel:
     rules: tuple
     window_radius: int = 2
 
+    @functools.cached_property
+    def _compiled(self):
+        return _CompiledRules(self.rules)
 
-def _decisions_to_forms(syllables, decisions):
-    forms = []
-    start = 0
-    for j, join in enumerate(decisions):
-        if not join:
-            forms.append("_".join(syllables[start:j + 1]))
-            start = j + 1
-    forms.append("_".join(syllables[start:]))
-    return forms
+
+def _decisions_to_forms(syllables, dec):
+    """The word forms of the syllables under a padded decision row."""
+    n = len(syllables)
+    bounds = [0, *compress(range(1, n), map("S".__eq__, dec[1:n])), n]
+    return ["_".join(syllables[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def segment(model, syllables):
@@ -307,13 +323,14 @@ def segment(model, syllables):
     syllables = list(syllables)
     if not syllables:
         return Sentence.from_columns(())
-    decisions = baseline_decisions(model.lexicon, syllables)
-    if model.rules:
-        ctx = _SentenceContext(syllables, decisions, model.lexicon)
-        for rule in model.rules:
-            _apply_rule(rule, ctx)
-        decisions = ctx.decisions
-    return Sentence.from_columns(_decisions_to_forms(syllables, decisions))
+    compiled = model._compiled
+    rows = _sentence_rows(model.lexicon, syllables, compiled.kinds)
+    if compiled.rules:
+        positions = _positions(syllables, compiled.anchors)
+        unjoinable = _unjoinable(syllables)
+        for rule in compiled.rules:
+            _apply(rule, rows, positions, unjoinable)
+    return Sentence.from_columns(_decisions_to_forms(syllables, rows[DEC]))
 
 
 def words_to_decisions(words):
@@ -333,77 +350,113 @@ def words_to_decisions(words):
     return syllables, decisions
 
 
+class _TrainingSentence:
+    """One gold sentence's rows, gold row and anchor positions."""
+
+    __slots__ = ("rows", "gold", "n", "positions", "unjoinable")
+
+    def __init__(self, lexicon, syllables, gold):
+        self.rows = _sentence_rows(lexicon, syllables, _ROW)
+        self.gold = ["-", *("J" if g else "S" for g in gold), "-"]
+        self.n = len(syllables)
+        self.positions = _positions(syllables, frozenset(syllables))
+        self.unjoinable = _unjoinable(syllables)
+
+    def errors(self):
+        return sum(map(str.__ne__, self.rows[DEC], self.gold))
+
+    def pattern_key(self, q, slots):
+        """The values of the slots at boundary q."""
+        rows = self.rows
+        return tuple(rows[row][q + o] for row, o in slots)
+
+    def keys(self, slots):
+        """The values of the slots at every boundary, in boundary order."""
+        rows, n = self.rows, self.n
+        return zip(*[rows[row][1 + o:n + o] for row, o in slots])
+
+
 def train_segmenter(corpus, window_radius=2, max_rules=200, on_rule=None):
     """Learn a SegmenterModel from gold-segmented sentences.
 
     corpus: list of sentences, each a list of word forms ("_"-joined
     syllables). The lexicon collects every gold word; rules are then learned
     greedily, each strictly reducing the corpus boundary-error count.
+    Candidates are read from the same rows, and applied by the same matcher,
+    as segment uses.
     """
-    corpus = [list(sent) for sent in corpus]
-    corpus = [sent for sent in corpus if sent]
-    if not corpus:
+    gold_sentences = []
+    words = []
+    for k, sent in enumerate(corpus, start=1):
+        sent = list(sent)
+        if not sent:
+            continue
+        try:
+            gold_sentences.append(words_to_decisions(sent))
+        except DataError as exc:
+            raise DataError(f"segmentation corpus sentence {k}: {exc}") from None
+        words.extend(sent)
+    if not gold_sentences:
         raise TrainingError("segmentation training corpus is empty")
 
-    lexicon = Lexicon(tuple(w.split("_")) for sent in corpus for w in sent)
+    lexicon = Lexicon(tuple(w.split("_")) for w in words)
     templates = templates_for_radius(window_radius)
-
-    golds = []
-    ctxs = []
-    for sent in corpus:
-        syllables, gold = words_to_decisions(sent)
-        current = baseline_decisions(lexicon, syllables)
-        golds.append(gold)
-        ctxs.append(_SentenceContext(syllables, current, lexicon))
-
-    def error_count():
-        total = 0
-        for ctx, gold in zip(ctxs, golds):
-            d = ctx.decisions
-            total += sum(1 for j in range(len(gold)) if d[j] != gold[j])
-        return total
+    slots = {tpl: [(_ROW[kind], off) for kind, off in TEMPLATES[tpl]] for tpl in templates}
+    sentences = [_TrainingSentence(lexicon, syllables, gold)
+                 for syllables, gold in gold_sentences]
 
     rules = []
-    errors = error_count()
+    errors = sum(s.errors() for s in sentences)
     while errors > 0 and len(rules) < max_rules:
-        # Candidate rules come from the current error sites.
-        candidates = {}
-        for ctx, gold in zip(ctxs, golds):
-            d = ctx.decisions
-            for j in range(len(gold)):
-                if d[j] == gold[j]:
+        # Candidate rules come from the current error sites, numbered in the
+        # order they are first seen: candidates[(action, template)][values].
+        candidates = {(action, tpl): {} for action in ("join", "split") for tpl in templates}
+        seen = 0
+        for s in sentences:
+            dec, gold = s.rows[DEC], s.gold
+            for q in range(1, s.n):
+                if dec[q] == gold[q]:
                     continue
-                action = "join" if gold[j] else "split"
+                action = "join" if gold[q] == "J" else "split"
                 for tpl in templates:
-                    key = (action, tpl, ctx.pattern_key(j, tpl))
-                    if key not in candidates:
-                        candidates[key] = [len(candidates), 0]
+                    values = s.pattern_key(q, slots[tpl])
+                    table = candidates[action, tpl]
+                    if values not in table:
+                        table[values] = [seen, 0]
+                        seen += 1
         # Estimated net = fixes - breakages over every boundary it would flip.
-        for ctx, gold in zip(ctxs, golds):
-            d = ctx.decisions
-            for j in range(len(gold)):
-                action = "split" if d[j] else "join"
-                for tpl in templates:
-                    key = (action, tpl, ctx.pattern_key(j, tpl))
-                    entry = candidates.get(key)
+        for s in sentences:
+            dec = s.rows[DEC]
+            current = dec[1:s.n]
+            right = list(map(str.__eq__, current, s.gold[1:s.n]))
+            for tpl in templates:
+                # A joined boundary meets the split candidates, and so on.
+                table = {"J": candidates["split", tpl], "S": candidates["join", tpl]}
+                for values, d, ok in zip(s.keys(slots[tpl]), current, right):
+                    entry = table[d].get(values)
                     if entry is not None:
-                        entry[1] += 1 if d[j] != gold[j] else -1
-        ranked = sorted(candidates.items(), key=lambda kv: (-kv[1][1], kv[1][0]))
+                        entry[1] += -1 if ok else 1
+        ranked = sorted(((entry[1], entry[0], action, tpl, values)
+                         for (action, tpl), table in candidates.items()
+                         for values, entry in table.items()),
+                        key=lambda c: (-c[0], c[1]))
 
         accepted = None
-        for (action, tpl, values), (_, est) in ranked[:200]:
+        for est, _, action, tpl, values in ranked[:200]:
             if est <= 0:
                 break
-            saved = [list(ctx.decisions) for ctx in ctxs]
-            for ctx in ctxs:
-                _apply_pattern(ctx, action, tpl, values)
-            new_errors = error_count()
+            rule = _compile_rule(action, tpl, values)
+            flips = [(s, _apply(rule, s.rows, s.positions, s.unjoinable)) for s in sentences]
+            new_errors = errors + sum(1 if s.rows[DEC][q] != s.gold[q] else -1
+                                      for s, flipped in flips for q in flipped)
             if new_errors < errors:
                 accepted = TransformationRule(action, tpl, values, errors - new_errors)
                 errors = new_errors
                 break
-            for ctx, old in zip(ctxs, saved):
-                ctx.decisions[:] = old
+            for s, flipped in flips:
+                dec = s.rows[DEC]
+                for q in flipped:
+                    dec[q] = "S" if dec[q] == "J" else "J"
         if accepted is None:
             break
         rules.append(accepted)
@@ -496,6 +549,10 @@ def load_segmenter(path):
         if len(values) != len(TEMPLATES[template]):
             raise corrupt(f"a {template} rule takes {len(TEMPLATES[template])} "
                           f"values, found {len(values)}")
+        for (kind, _), value in zip(TEMPLATES[template], values):
+            if value not in SLOT_VALUES.get(kind, (value,)):
+                raise corrupt(f"a {kind} slot takes one of {', '.join(SLOT_VALUES[kind])}, "
+                              f"found {value!r}")
         rules.append(rule)
     if line_no < len(lines) - 1 or lines[-1]:
         line_no += 1

@@ -237,10 +237,17 @@ CORRUPT_LAYOUTS = {
 
 
 # The row-per-token Token and Sentence that the columnar Sentence replaced,
-# kept as they were as the oracle of what a sentence accepts and holds.
+# kept as the oracle of what a sentence accepts and holds. Their only change
+# since is the round-trip rule for POS tags and relations (_old_check_label).
 
 _NER_SHAPE = re.compile(r"O|[BI]-\S+")
 _BAD_FORM_CHAR = re.compile(r"[ \t\n\r]")
+_BAD_LABEL_CHAR = re.compile(r"[\t\n\r]")
+
+
+def _old_check_label(label):
+    if label is not None and (label in ("_", "") or _BAD_LABEL_CHAR.search(label)):
+        raise ValueError(f"bad label {label!r}")
 
 
 @dataclass(frozen=True)
@@ -259,6 +266,8 @@ class OldToken:
             raise ValueError("token form must be non-empty")
         if _BAD_FORM_CHAR.search(self.form):
             raise ValueError(f"token form may not contain whitespace: {self.form!r}")
+        _old_check_label(self.pos_tag)
+        _old_check_label(self.dep_label)
         if self.ner_label is not None and not _NER_SHAPE.fullmatch(self.ner_label):
             raise ValueError(f"bad NER label {self.ner_label!r}")
         if self.head is not None:

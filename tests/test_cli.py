@@ -38,6 +38,16 @@ class TestTrain:
         corpus.write_text("a__b c\n", encoding="utf-8")
         assert main(["train", "wseg", "-corpus", str(corpus), "-models", str(tmp_path)]) == 4
 
+    @pytest.mark.parametrize("text, message", [
+        ("a b\nc _ d\n", "sentence 2: bad word form '_'"),
+        ("x__y z\n", "sentence 1: bad word form 'x__y'"),
+    ])
+    def test_bad_word_form_named_with_its_sentence(self, tmp_path, capsys, text, message):
+        corpus = tmp_path / "seg.txt"
+        corpus.write_text(text, encoding="utf-8")
+        assert main(["train", "wseg", "-corpus", str(corpus), "-models", str(tmp_path)]) == 4
+        assert message in capsys.readouterr().err
+
     def test_internal_value_error_exits_5(self, tmp_path, monkeypatch, capsys):
         def fail(*args, **kwargs):
             raise ValueError("planted fault")
@@ -174,6 +184,24 @@ class TestEval:
         (models / f"{task}.model").write_bytes(data[:-20])
         assert main(["eval", task, "-gold", os.path.join(TOY_DIR, gold),
                      "-models", str(models)]) == 3
+
+    @pytest.mark.parametrize("task, gold, label", [
+        ("pos", "pos.tsv", b'"N"'), ("parse", "parse.conll", b'"dob"'),
+        ("parse", "parse.conll", b'"dep"')])
+    def test_label_that_cannot_round_trip_exits_3(self, cli_models, tmp_path, capsys,
+                                                  task, gold, label):
+        # Rename one label of the header line to "_", which six-column text
+        # reads back as unset.
+        models = tmp_path / "models"
+        models.mkdir()
+        magic, header, rest = open(os.path.join(cli_models, f"{task}.model"),
+                                   "rb").read().split(b"\n", 2)
+        assert header.count(label) == 1
+        (models / f"{task}.model").write_bytes(
+            b"\n".join((magic, header.replace(label, b'"_"'), rest)))
+        assert main(["eval", task, "-gold", os.path.join(TOY_DIR, gold),
+                     "-models", str(models)]) == 3
+        assert "six-column text cannot hold it" in capsys.readouterr().err
 
     @pytest.mark.parametrize("task, gold", [("wseg", "wseg.txt"), ("pos", "pos.tsv"),
                                             ("ner", "ner.tsv"), ("parse", "parse.conll")])

@@ -308,6 +308,48 @@ class TestRoundTrip:
         assert from_six_column(text) == sents
 
 
+class TestLabelsThatCannotRoundTrip:
+    """A POS tag or relation of "_", empty, or holding a tab or line break
+    would not read back from six-column text as itself, so it is refused."""
+
+    BAD = ["_", "", "N\tV", "N\nV", "N\rV", "\n"]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_refused_by_every_constructor(self, bad):
+        builds = [
+            lambda: Token(index=1, form="a", pos_tag=bad),
+            lambda: Token(index=1, form="a", head=0, dep_label=bad),
+            lambda: Sentence.from_columns(["a"], [bad]),
+            lambda: Sentence.from_columns(["a"], None, None, [0], [bad]),
+            lambda: Sentence.from_columns(["a", "b"]).with_pos_tags(["N", bad]),
+            lambda: Sentence.from_columns(["a", "b"]).with_parse([0, 1], ["root", bad]),
+        ]
+        for build in builds:
+            with pytest.raises(DataError, match="six-column text cannot hold it"):
+                build()
+
+    def test_example_that_read_back_unset(self):
+        with pytest.raises(DataError, match="bad POS tag '_'"):
+            Sentence.from_columns(["a"], ["_"], ["O"], [0], ["_"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(st.sampled_from(["N", "_", " ", "|", "\t", "\n", "\r",
+                                             "\x85", "\u2028"]), max_size=3),
+                    min_size=4, max_size=4))
+    def test_accepted_labels_round_trip(self, labels):
+        tag_a, tag_b, rel_a, rel_b = labels
+        refused = any(v in ("_", "") or any(c in v for c in "\t\n\r") for v in labels)
+        try:
+            sent = Sentence.from_columns(["a", "b"], [tag_a, tag_b], ["O", "O"], [0, 1],
+                                         [rel_a, rel_b])
+        except DataError:
+            assert refused
+            return
+        assert not refused
+        assert from_six_column(to_six_column(sent)) == [sent]
+        assert from_six_column(dump_six_column([sent])) == [sent]
+
+
 class TestDocument:
     def test_from_text(self):
         doc = Document.from_text("abc xyz")

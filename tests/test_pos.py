@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -22,6 +23,11 @@ class TestParseTwoColumn:
     def test_wrong_columns(self):
         with pytest.raises(TrainingError):
             pos.parse_two_column("a\tN\tX\n")
+
+    @pytest.mark.parametrize("tag", ["_", "", "N\r"])
+    def test_tag_that_cannot_round_trip_names_the_line(self, tag):
+        with pytest.raises(TrainingError, match=re.escape(f"line 3: bad POS tag {tag!r}")):
+            pos.parse_two_column(f"a\tN\n\nb\t{tag}\n")
 
     def test_dump_round_trip(self, toy_pos_corpus):
         text = pos.dump_two_column(toy_pos_corpus)

@@ -1,3 +1,4 @@
+import random
 import re
 import time
 
@@ -5,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wseg_oracle as oracle
 from sylpipe import wseg
 from sylpipe.metrics import segmentation_f1
+from sylpipe.model import DataError
 from sylpipe.seqlabel import TrainingError
-from sylpipe.wseg import (Lexicon, SegmenterModel, TransformationRule,
-                          baseline_decisions, load_segmenter, save_segmenter,
-                          segment, split_and_tokenize, train_segmenter,
-                          words_to_decisions)
+from sylpipe.wseg import (TEMPLATE_ORDER, TEMPLATES, Lexicon, SegmenterModel,
+                          TransformationRule, load_segmenter, save_segmenter, segment,
+                          split_and_tokenize, train_segmenter, words_to_decisions)
 
 
 class TestSplitAndTokenize:
@@ -65,6 +67,14 @@ class TestSplitAndTokenize:
         assert split_and_tokenize("") == []
         assert split_and_tokenize("   \n \n") == []
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(
+        [".", "..", "...", "!", "?", "…", " ", "  ", "\n", "\t", ",", "_", "a", "A", "Ư",
+         "TS", "Tp", "vs", "1", "3,5", "1.000,5", "Nguyễn", "Ha\u0300", "\u0300", "x.Y"]),
+        max_size=30).map("".join))
+    def test_matches_token_by_token_splitter(self, text):
+        assert split_and_tokenize(text) == oracle.split_and_tokenize(text)
+
 
 class TestLexicon:
     def test_exact_lookup(self):
@@ -72,7 +82,7 @@ class TestLexicon:
         assert ("a", "b") in lex
         assert ("c",) in lex
         assert ("a",) not in lex
-        assert lex.max_len == 2
+        assert lex.starts == {"a": (2,)}
 
     def test_folded_lookup(self):
         lex = Lexicon.from_forms(["làm_việc"])
@@ -82,6 +92,10 @@ class TestLexicon:
     def test_bad_entry(self):
         with pytest.raises(ValueError):
             Lexicon([()])
+
+    def test_starts_index(self):
+        lex = Lexicon.from_forms(["Hà_Nội", "hà_nội_mới", "Hà", "x_y", "x_y_z_w"])
+        assert lex.starts == {"hà": (3, 2), "x": (4, 2)}
 
 
 class TestSegment:
@@ -117,6 +131,33 @@ class TestSegment:
         out = segment(model, syllables)
         rebuilt = [s for t in out for s in t.form.split("_")]
         assert rebuilt == syllables
+
+
+class TestRuleOrder:
+    def test_templates_without_an_anchor_read_no_decision(self):
+        # The matcher finds such a rule's matches before its first flip.
+        for slots in TEMPLATES.values():
+            if not any(kind == "syl" and 0 <= off <= 1 for kind, off in slots):
+                assert all(kind != "dec" for kind, _ in slots)
+
+    def test_pairdec_reads_flips_made_earlier_in_the_scan(self):
+        # Baseline: b | a_a_a_a. Split after a split: the scan left to right
+        # splits each boundary in turn; right to left it would split only
+        # the first.
+        model = SegmenterModel(lexicon=Lexicon.from_forms(["a_a_a_a"]), rules=(
+            TransformationRule("split", "pairdec", ("a", "a", "S"), 1),))
+        syllables = ["b", "a", "a", "a", "a"]
+        assert segment(model, syllables).forms == syllables
+        assert oracle.segment(oracle.oracle_model(model), syllables).forms == syllables
+
+    def test_rules_apply_in_order(self):
+        lexicon = Lexicon.from_forms(["a_b"])
+        split_then_join = (TransformationRule("split", "pair", ("a", "b"), 1),
+                           TransformationRule("join", "left1", ("a",), 1))
+        model = SegmenterModel(lexicon=lexicon, rules=split_then_join)
+        assert segment(model, ["a", "b"]).forms == ["a_b"]
+        model = SegmenterModel(lexicon=lexicon, rules=split_then_join[::-1])
+        assert segment(model, ["a", "b"]).forms == ["a", "b"]
 
 
 class TestLoneJoiner:
@@ -217,6 +258,15 @@ class TestTraining:
         with pytest.raises(TrainingError):
             train_segmenter([])
 
+    @pytest.mark.parametrize("corpus, message", [
+        ([["a", "_", "b"]], "sentence 1: bad word form '_'"),
+        ([[], ["a_b"], ["x__y", "z"]], "sentence 3: bad word form 'x__y'"),
+        ([["a_b"], ["c_"]], "sentence 2: bad word form 'c_'"),
+    ])
+    def test_bad_word_named_with_its_sentence(self, corpus, message):
+        with pytest.raises(DataError, match=re.escape(message)):
+            train_segmenter(corpus)
+
     def test_max_rules_cap(self):
         corpus = [["học_sinh", "học", "sinh_học", "."],
                   ["nhà", "máy_tính", "mới", "."]]
@@ -231,14 +281,12 @@ class TestTraining:
 
 class TestBaseline:
     def test_window_limited_by_max_len(self):
-        lex = Lexicon.from_forms(["a_b"])
-        decisions = baseline_decisions(lex, ["a", "b", "a", "b"])
-        assert decisions == [True, False, True]
+        model = SegmenterModel(lexicon=Lexicon.from_forms(["a_b"]), rules=())
+        assert segment(model, ["a", "b", "a", "b"]).forms == ["a_b", "a_b"]
 
     def test_folded_match_at_sentence_start(self):
-        lex = Lexicon.from_forms(["làm_việc"])
-        decisions = baseline_decisions(lex, ["Làm", "việc"])
-        assert decisions == [True]
+        model = SegmenterModel(lexicon=Lexicon.from_forms(["làm_việc"]), rules=())
+        assert segment(model, ["Làm", "việc"]).forms == ["Làm_việc"]
 
 
 class TestSerialization:
@@ -311,6 +359,22 @@ class TestSerialization:
                 f"corrupt segmenter model (line {len(lines) - 1}: a ")):
             load_segmenter(bad)
 
+    @pytest.mark.parametrize("rule, problem", [
+        ("join\tlexflags\t1\t0\t2\t1", "a lex slot takes one of 0, 1, -, found '2'"),
+        ("join\tshapelex\t1\ta\ta\tJ", "a lex slot takes one of 0, 1, -, found 'J'"),
+        ("split\tpairdec\t1\ta\tb\t1", "a dec slot takes one of J, S, -, found '1'"),
+    ])
+    def test_rule_with_value_its_slot_never_reads(self, tmp_path, seg_model, rule, problem):
+        good = tmp_path / "good.model"
+        save_segmenter(seg_model, good)
+        lines = good.read_text(encoding="utf-8").split("\n")
+        lines[-2] = rule
+        bad = tmp_path / "bad.model"
+        bad.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"corrupt segmenter model (line {len(lines) - 1}: {problem})")):
+            load_segmenter(bad)
+
 
 def test_speed_smoke(seg_model):
     # desk-scale floor: 50K syllables/sec on synthetic text
@@ -325,3 +389,74 @@ def test_speed_smoke(seg_model):
         segment(seg_model, s)
     rate = syllables / (time.perf_counter() - t0)
     assert rate >= 50000, f"segmentation too slow: {rate:.0f} syllables/sec"
+
+
+# The compiled segmenter against the slot-by-slot one it replaced
+# (tests/wseg_oracle.py). Syllables mix case, NFC and NFD forms ("Hà" and
+# "Ha" + U+0300) and the lone "_".
+SYLLABLES = ["a", "A", "b", "B", "học", "Học", "HỌC", "sinh", "Sinh", "Hà",
+             "Ha\u0300", "hà", "nội", "Nội", "1,5", "x1", "."]
+SHAPES = ["a", "A", "Aa", "AaxAa", "Aax", "ax", "x", "9x9", "a9"]
+RULE_VALUES = SYLLABLES + ["_", "<s>", "</s>"] + SHAPES + ["0", "1", "-", "J", "S"]
+
+words = st.lists(st.sampled_from(SYLLABLES), min_size=1, max_size=4)
+
+
+@st.composite
+def rules(draw):
+    template = draw(st.sampled_from(TEMPLATE_ORDER))
+    values = draw(st.lists(st.sampled_from(RULE_VALUES), min_size=len(TEMPLATES[template]),
+                           max_size=len(TEMPLATES[template])))
+    return TransformationRule(draw(st.sampled_from(["join", "split"])), template,
+                              tuple(values), 1)
+
+
+@st.composite
+def models(draw):
+    lexicon = Lexicon(draw(st.lists(words, max_size=12)))
+    return SegmenterModel(lexicon=lexicon, rules=tuple(draw(st.lists(rules(), max_size=12))))
+
+
+class TestCompiledMatchesOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(models(), st.lists(st.lists(st.sampled_from(SYLLABLES + ["_"]), max_size=25),
+                              min_size=1, max_size=4))
+    def test_segment(self, model, sentences):
+        reference = oracle.oracle_model(model)
+        for syllables in sentences:
+            assert segment(model, syllables) == oracle.segment(reference, syllables)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(words.map("_".join), min_size=1, max_size=8),
+                    min_size=1, max_size=8),
+           st.sampled_from([1, 2]), st.integers(1, 8))
+    def test_train_segmenter(self, corpus, radius, max_rules):
+        def train(trainer):
+            seen = []
+            model = trainer(corpus, window_radius=radius, max_rules=max_rules,
+                            on_rule=lambda *args: seen.append(args))
+            return model.rules, model.lexicon.entries, model.window_radius, seen
+
+        assert train(train_segmenter) == train(oracle.train_segmenter)
+
+    def test_long_sentence_has_no_quadratic_path(self, seg_model, toy_seg_corpus):
+        # Rules of every template, each read off the sentence so that it
+        # matches somewhere, over one sentence of 12,000 syllables.
+        rng = random.Random(17)
+        pool = sorted({s for sent in toy_seg_corpus for w in sent for s in w.split("_")})
+        syllables = [rng.choice(pool + SYLLABLES + ["_"]) for _ in range(12000)]
+        lexicon = oracle.Lexicon(seg_model.lexicon.entries)
+        ctx = oracle._SentenceContext(
+            syllables, oracle.baseline_decisions(lexicon, syllables), lexicon)
+        extra = tuple(TransformationRule(rng.choice(["join", "split"]), tpl,
+                                         ctx.pattern_key(rng.randrange(len(syllables) - 1), tpl), 1)
+                      for tpl in TEMPLATE_ORDER for _ in range(3))
+        model = SegmenterModel(lexicon=seg_model.lexicon, rules=seg_model.rules + extra)
+        segment(model, syllables[:100])  # compile the model before timing
+        t0 = time.perf_counter()
+        out = segment(model, syllables)
+        elapsed = time.perf_counter() - t0
+        assert out == oracle.segment(oracle.oracle_model(model), syllables)
+        # About 0.02 s on a 2-vCPU virtual machine; a path quadratic in the
+        # sentence length would take many seconds.
+        assert elapsed < 1.0
