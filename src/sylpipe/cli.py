@@ -52,6 +52,17 @@ def _parse_annotators(value):
     return names
 
 
+def _positive_int(value):
+    """An argparse type: an integer of at least 1."""
+    try:
+        number = int(value)
+    except ValueError:
+        number = 0
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value!r}")
+    return number
+
+
 def _require_input(path):
     if not os.path.isfile(path):
         raise FileNotFoundError(f"input file not found: {path}")
@@ -259,7 +270,7 @@ def build_arg_parser():
     p_train.add_argument("task", choices=("wseg", "pos", "ner", "parse"))
     p_train.add_argument("-corpus", "--corpus", required=True)
     p_train.add_argument("-models", "--models", default=None)
-    p_train.add_argument("-epochs", "--epochs", type=int, default=8)
+    p_train.add_argument("-epochs", "--epochs", type=_positive_int, default=8)
     p_train.add_argument("-seed", "--seed", type=int, default=1)
     p_train.add_argument("-window", "--window", type=int, default=2,
                          help="wseg rule context radius")

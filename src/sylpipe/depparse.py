@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import NEG_INF
-from .linear import AveragedWeights, ModelFormat, epoch_orders
+from .linear import AveragedWeights, ModelFormat, check_epochs, train_epochs
 from .model import DataError, FormatError, Sentence, Token, check_label
 from .seqlabel import TrainingError
 
@@ -674,6 +674,7 @@ def train_parser(treebank, epochs=10, shuffle_seed=1, use_ner_features=False,
     Non-projective sentences are skipped (default) or pseudo-projectivized
     by head-lifting when nonprojective="lift"; the skip count is logged.
     """
+    check_epochs(epochs)
     treebank = [s for s in treebank if len(s)]
     if not treebank:
         raise TrainingError("treebank is empty")
@@ -738,23 +739,23 @@ def train_parser(treebank, epochs=10, shuffle_seed=1, use_ner_features=False,
         per_sentence.append(steps)
 
     weights = AveragedWeights(len(feature_index), len(action_index))
-    step = 0
-    for epoch, order in enumerate(epoch_orders(len(per_sentence), epochs, shuffle_seed), 1):
+
+    def learn(si, step):
+        states = per_sentence[si]
         correct = 0
-        total = 0
-        for si in order:
-            for ids, mask, gold_a in per_sentence[si]:
-                step += 1
-                scores = _kernels.row_sum(weights.W, ids)
-                scores[~mask] = NEG_INF
-                pred = int(np.argmax(scores))
-                total += 1
-                if pred == gold_a:
-                    correct += 1
-                    continue
-                weights.update((ids, gold_a), (ids, pred), step)
-        if on_epoch is not None:
-            on_epoch(epoch, total - correct, correct / total if total else 1.0)
+        for ids, mask, gold_a in states:
+            step += 1
+            scores = _kernels.row_sum(weights.W, ids)
+            scores[~mask] = NEG_INF
+            pred = int(np.argmax(scores))
+            if pred == gold_a:
+                correct += 1
+                continue
+            weights.update((ids, gold_a), (ids, pred), step)
+        return len(states) - correct, correct, len(states)
+
+    step = train_epochs((weights,), [len(states) for states in per_sentence], epochs,
+                        shuffle_seed, learn, on_epoch)
 
     return ParserModel(relations, feature_index, weights.averaged(step),
                        use_ner_features=use_ner_features,

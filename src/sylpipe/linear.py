@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import logging
 import os
 import random
 from dataclasses import dataclass
@@ -17,15 +18,18 @@ from typing import Callable
 
 import numpy as np
 
+logger = logging.getLogger(__name__)
+
 
 class AveragedWeights:
     """Perceptron weights W, averaged lazily (Collins 2002): U sums every
     update times its step, so the mean of W over all steps is
-    ((step + 1) * W - U) / step."""
+    ((step + 1) * W - U) / step. updates counts the calls of update."""
 
     def __init__(self, rows, cols):
         self.W = np.zeros((rows, cols))
         self.U = np.zeros((rows, cols))
+        self.updates = 0
 
     def update(self, gold_index, pred_index, step):
         """Add one at the numpy index gold_index, subtract one at pred_index."""
@@ -34,6 +38,7 @@ class AveragedWeights:
         W[pred_index] -= 1.0
         U[gold_index] += step
         U[pred_index] -= step
+        self.updates += 1
 
     def averaged(self, step):
         """The mean of W as it stood after each of steps 1..step (W if none)."""
@@ -52,6 +57,53 @@ def epoch_orders(count, epochs, shuffle_seed):
         if rng is not None:
             rng.shuffle(order)
         yield tuple(order)
+
+
+def check_epochs(epochs):
+    """Refuse an epoch count below one, which would train nothing."""
+    if epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {epochs!r}")
+
+
+def train_epochs(weights, steps, epochs, shuffle_seed, learn, on_epoch=None):
+    """Run the epochs of an averaged perceptron; return the last step.
+
+    Instance i takes steps[i] averaging steps an epoch, one per decision,
+    in the order epoch_orders gives. learn(i, step) decodes instance i with
+    the current weights, updates them (weights, a sequence of
+    AveragedWeights) at steps step + 1 onward, and returns its (mistakes,
+    correct, total) counts. on_epoch(epoch, mistakes, correct / total) is
+    called after each epoch.
+
+    An epoch that makes no update leaves every W as it found it, and each
+    prediction depends on W and its instance alone, whatever the order. So
+    every later epoch would make no update either: those epochs are not
+    run. Their steps are still counted and on_epoch hears (epoch, 0, 1.0),
+    what they would report, so averaged(step) and the calls are as if they
+    had run.
+    """
+    per_epoch = sum(steps)
+    step = 0
+    for epoch, order in enumerate(epoch_orders(len(steps), epochs, shuffle_seed), 1):
+        updates = sum(w.updates for w in weights)
+        mistakes = correct = total = 0
+        for i in order:
+            m, c, t = learn(i, step)
+            step += steps[i]
+            mistakes += m
+            correct += c
+            total += t
+        if on_epoch is not None:
+            on_epoch(epoch, mistakes, correct / total if total else 1.0)
+        if epoch < epochs and sum(w.updates for w in weights) == updates:
+            logger.debug("no update in epoch %d of %d; epochs %d-%d change nothing "
+                         "and are not scored", epoch, epochs, epoch + 1, epochs)
+            for later in range(epoch + 1, epochs + 1):
+                step += per_epoch
+                if on_epoch is not None:
+                    on_epoch(later, 0, 1.0)
+            break
+    return step
 
 
 def _strings(value, size=None):

@@ -52,7 +52,8 @@ def _check_index(index):
         raise DataError(f"token index must be >= 1, got {index}")
 
 
-def _check_form(form):
+def check_form(form):
+    """A word form must be non-empty and hold no space, tab or line break."""
     if not form:
         raise DataError("token form must be non-empty")
     if _BAD_FORM_CHAR.search(form):
@@ -60,10 +61,10 @@ def _check_form(form):
 
 
 def _check_forms(forms):
-    """_check_form over a column: one membership test and one search."""
+    """check_form over a column: one membership test and one search."""
     if "" in forms or _BAD_FORM_CHAR.search("".join(forms)):
         for form in forms:
-            _check_form(form)
+            check_form(form)
 
 
 def check_label(label, what):
@@ -80,7 +81,8 @@ def _check_labels(labels, what):
             check_label(label, what)
 
 
-def _check_ner_label(label):
+def check_ner_label(label):
+    """An NER label, when set, is O or a B- or I- marker and a type."""
     if label is not None and not _NER_SHAPE.fullmatch(label):
         raise DataError(f"bad NER label {label!r}")
 
@@ -106,9 +108,9 @@ class Token:
 
     def __post_init__(self):
         _check_index(self.index)
-        _check_form(self.form)
+        check_form(self.form)
         check_label(self.pos_tag, "POS tag")
-        _check_ner_label(self.ner_label)
+        check_ner_label(self.ner_label)
         _check_head(self.index, self.head)
         check_label(self.dep_label, "relation")
 
@@ -168,7 +170,7 @@ class Sentence:
             _check_labels(columns[1], "POS tag")
         if ner_labels is not None:
             for label in columns[2]:
-                _check_ner_label(label)
+                check_ner_label(label)
         if heads is not None:
             _check_heads(columns[3])
         if dep_labels is not None:
@@ -252,7 +254,7 @@ class Sentence:
         forms, tags, _, heads, deps = self._columns
         labels = _new_column(labels, len(forms), "label")
         for label in labels:
-            _check_ner_label(label)
+            check_ner_label(label)
         return Sentence._of((forms, tags, labels, heads, deps))
 
     def with_parse(self, heads, dep_labels):

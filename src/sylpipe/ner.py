@@ -10,7 +10,7 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 
-from .model import DataError, Sentence
+from .model import DataError, Sentence, check_form, check_label, check_ner_label
 from .pos import POS_TEMPLATE_DESCRIPTORS, tag_pos_sentences
 from .seqlabel import (TrainingError, make_templates, tag_sentences,
                        train_averaged_perceptron, viterbi_decode)
@@ -199,7 +199,9 @@ def replace_gold_pos_with_predicted(corpus, pos_model):
 
 
 def parse_three_column(text):
-    """Parse "form<TAB>pos<TAB>bio" lines into POS-tagged sentences."""
+    """Parse "form<TAB>pos<TAB>bio" lines into POS-tagged sentences.
+
+    A bad column raises TrainingError naming its line."""
     sentences = []
     rows = []
 
@@ -217,6 +219,12 @@ def parse_three_column(text):
         if len(cols) != 3:
             raise TrainingError(f"line {line_no}: expected 3 tab-separated columns, "
                                 f"got {len(cols)}")
+        try:
+            check_form(cols[0])
+            check_label(cols[1], "POS tag")
+            check_ner_label(cols[2])
+        except DataError as exc:
+            raise TrainingError(f"line {line_no}: {exc}") from None
         rows.append(cols)
     flush()
     return sentences

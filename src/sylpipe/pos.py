@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import unicodedata
 
-from .model import DataError, Sentence, check_label
+from .model import DataError, Sentence, check_form, check_label
 from .seqlabel import (TrainingError, make_templates, tag_sentences,
                        train_averaged_perceptron, viterbi_decode)
 
@@ -47,7 +47,9 @@ def train_pos(corpus, epochs=8, shuffle_seed=1, templates=None, on_epoch=None):
 
 
 def parse_two_column(text):
-    """Parse "form<TAB>tag" lines with blank-line sentence separation."""
+    """Parse "form<TAB>tag" lines with blank-line sentence separation.
+
+    A bad column raises TrainingError naming its line."""
     pairs = []
     forms = []
     tags = []
@@ -69,6 +71,7 @@ def parse_two_column(text):
             raise TrainingError(f"line {line_no}: expected 2 tab-separated columns, "
                                 f"got {len(cols)}")
         try:
+            check_form(cols[0])
             check_label(cols[1], "POS tag")
         except DataError as exc:
             raise TrainingError(f"line {line_no}: {exc}") from None

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import NEG_INF
-from .linear import AveragedWeights, ModelFormat, epoch_orders
+from .linear import AveragedWeights, ModelFormat, check_epochs, train_epochs
 from .model import DataError, Sentence, check_label
 # The template names stay importable from here, where they always were.
 from .templates import (BOUNDARY_LEFT, BOUNDARY_RIGHT, FeatureTemplate,  # noqa: F401
@@ -615,6 +615,7 @@ def train_averaged_perceptron(templates, corpus, epochs=5, shuffle_seed=None,
     top-K feature pairs co-firing at mistaken positions to conjunction
     features, then restarts training with the augmented feature space.
     """
+    check_epochs(epochs)
     corpus = list(corpus)
     if not corpus:
         raise TrainingError("training corpus is empty")
@@ -668,48 +669,43 @@ def _train(templates, corpus, labels, epochs, shuffle_seed, bio_constrained,
     start = L
     mask = bio_transition_mask(labels) if bio_constrained else None
 
-    step = 0
-    for epoch, order in enumerate(epoch_orders(len(corpus), epochs, shuffle_seed), 1):
-        correct = 0
-        total = 0
-        mistakes = 0
-        for si in order:
-            ids = ids_by_sentence[si]
-            gold = golds[si]
-            T = len(gold)
-            step += 1
-            if T == 0:
-                continue
-            em = _kernels.sum_rows(emissions.W, packed_by_sentence[si])
-            trans = transitions.W[:L].copy()
-            st = transitions.W[start].copy()
-            if mask is not None:
-                trans[~mask[:L]] = NEG_INF
-                st[~mask[start]] = NEG_INF
-            pred, _ = _kernels.viterbi_path(em, trans, st)
-            total += T
-            correct += int(np.sum(pred == gold))
-            if np.array_equal(pred, gold):
-                continue
-            mistakes += 1
-            for i in range(T):
-                g = gold[i]
-                p = pred[i]
-                if g != p:
-                    if collect_error_pairs is not None:
-                        feats = feats_by_sentence[si][i]
-                        for a_i in range(len(feats)):
-                            for b_i in range(a_i + 1, len(feats)):
-                                a, b = feats[a_i], feats[b_i]
-                                pair = (a, b) if a <= b else (b, a)
-                                collect_error_pairs[pair] = collect_error_pairs.get(pair, 0) + 1
-                    emissions.update((ids[i], g), (ids[i], p), step)
-                pg = gold[i - 1] if i else start
-                pp = pred[i - 1] if i else start
-                if (pg, g) != (pp, p):
-                    transitions.update((pg, g), (pp, p), step)
-        if on_epoch is not None:
-            on_epoch(epoch, mistakes, correct / total if total else 1.0)
+    def learn(si, step):
+        ids = ids_by_sentence[si]
+        gold = golds[si]
+        T = len(gold)
+        if T == 0:
+            return 0, 0, 0
+        step += 1
+        em = _kernels.sum_rows(emissions.W, packed_by_sentence[si])
+        trans = transitions.W[:L].copy()
+        st = transitions.W[start].copy()
+        if mask is not None:
+            trans[~mask[:L]] = NEG_INF
+            st[~mask[start]] = NEG_INF
+        pred, _ = _kernels.viterbi_path(em, trans, st)
+        correct = int(np.sum(pred == gold))
+        if np.array_equal(pred, gold):
+            return 0, correct, T
+        for i in range(T):
+            g = gold[i]
+            p = pred[i]
+            if g != p:
+                if collect_error_pairs is not None:
+                    feats = feats_by_sentence[si][i]
+                    for a_i in range(len(feats)):
+                        for b_i in range(a_i + 1, len(feats)):
+                            a, b = feats[a_i], feats[b_i]
+                            pair = (a, b) if a <= b else (b, a)
+                            collect_error_pairs[pair] = collect_error_pairs.get(pair, 0) + 1
+                emissions.update((ids[i], g), (ids[i], p), step)
+            pg = gold[i - 1] if i else start
+            pp = pred[i - 1] if i else start
+            if (pg, g) != (pp, p):
+                transitions.update((pg, g), (pp, p), step)
+        return 1, correct, T
+
+    step = train_epochs((emissions, transitions), [1] * len(corpus), epochs,
+                        shuffle_seed, learn, on_epoch)
 
     return LinearModel(labels, templates, feature_index, emissions.averaged(step),
                        transitions.averaged(step),

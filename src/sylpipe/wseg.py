@@ -89,22 +89,32 @@ def _split_line(text, sentences):
         sentences.append(tokens[start:])
 
 
+# What no syllable of a lexicon entry may hold: the "_" joiner, so the
+# lexicon never joins the syllable "_" to a neighbour, and whitespace, which
+# save_segmenter cannot write.
+_BAD_SYLLABLE = re.compile(r"[\s_]")
+
+
+def _bad_entry(word):
+    return not word or not all(word) or _BAD_SYLLABLE.search("".join(word)) is not None
+
+
 class Lexicon:
     """Known words as syllable tuples; lookup is exact on the sequence.
 
-    No syllable of an entry may hold the "_" joiner, so the lexicon never
-    joins the syllable "_" to a neighbour.
+    No syllable of an entry may be empty or hold the "_" joiner or
+    whitespace.
     """
 
     def __init__(self, words):
-        entries = set()
-        for w in words:
-            w = tuple(w)
-            if not w or not all(w) or any("_" in s for s in w):
-                raise DataError(f"bad lexicon entry {w!r}")
-            entries.add(w)
-        self.entries = frozenset(entries)
-        self.folded = frozenset(tuple(s.lower() for s in w) for w in entries)
+        words = [tuple(w) for w in words]
+        syllables = [s for w in words for s in w]
+        # One search over all syllables at once; a fault is then looked up
+        # entry by entry, to name the first bad one.
+        if () in words or not all(syllables) or _BAD_SYLLABLE.search("".join(syllables)):
+            raise DataError(f"bad lexicon entry {next(filter(_bad_entry, words))!r}")
+        self.entries = frozenset(words)
+        self.folded = frozenset(tuple(s.lower() for s in w) for w in self.entries)
 
     @classmethod
     def from_forms(cls, forms):
@@ -535,7 +545,7 @@ def load_segmenter(path):
     for k in range(header("lexicon")):
         line = next_line(f"lexicon entry {k + 1}")
         word = tuple(line.split(" "))
-        if "\t" in line or "_" in line or not all(word):
+        if _bad_entry(word):
             raise corrupt(f"bad lexicon entry {line!r}")
         words.append(word)
     rules = []

@@ -57,6 +57,23 @@ class TestTrain:
                      "-models", str(tmp_path)]) == 5
         assert "internal error: planted fault" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task, corpus, epochs", [
+        ("pos", "pos.tsv", "0"), ("ner", "ner.tsv", "0"),
+        ("parse", "parse.conll", "-2"), ("pos", "pos.tsv", "x"),
+    ])
+    def test_non_positive_epochs_exit_2_without_a_model(self, tmp_path, capsys, task,
+                                                        corpus, epochs):
+        assert main(["train", task, "-corpus", os.path.join(TOY_DIR, corpus),
+                     "-models", str(tmp_path), "-epochs", epochs]) == 2
+        assert "expected a positive integer" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_bad_corpus_column_exits_4_naming_the_line(self, tmp_path, capsys):
+        corpus = tmp_path / "pos.tsv"
+        corpus.write_text("a\tN\nb c\tV\n", encoding="utf-8")
+        assert main(["train", "pos", "-corpus", str(corpus), "-models", str(tmp_path)]) == 4
+        assert "line 2: token form may not contain whitespace" in capsys.readouterr().err
+
     def test_missing_corpus(self, tmp_path):
         assert main(["train", "pos", "-corpus", str(tmp_path / "nope.tsv"),
                      "-models", str(tmp_path)]) == 1

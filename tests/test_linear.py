@@ -1,0 +1,239 @@
+"""The perceptron trainers stop scoring at their fixed point.
+
+Once an epoch makes no update, every later epoch would decode each instance
+with the same weights and make no update either, so linear.train_epochs
+counts those epochs without running them. The trainers must save the same
+bytes and report the same epochs as the trainers that ran every epoch
+(tests/perceptron_oracle.py).
+"""
+
+import logging
+import os
+import random
+import tempfile
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import perceptron_oracle as oracle
+from helpers import FORMS, random_projective_heads
+from sylpipe import _kernels, depparse, ner, pos
+from sylpipe.linear import AveragedWeights, train_epochs
+from sylpipe.model import Sentence
+from sylpipe.seqlabel import (make_templates, save_linear_model,
+                              train_averaged_perceptron)
+
+TEMPLATES = make_templates(("form@0", "form@-1", "form@+1", "suffix1@0",
+                            "form@-1&form@0"))
+LABEL_POOLS = {False: ["A", "B", "C"], True: ["O", "B-PER", "I-PER", "B-LOC"]}
+
+
+def saved_bytes(save, model):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "model")
+        save(model, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def trained(train, *args, **kwargs):
+    """(model, on_epoch calls) of one training run."""
+    calls = []
+    model = train(*args, on_epoch=lambda *call: calls.append(call), **kwargs)
+    return model, calls
+
+
+def assert_trains_as_oracle(train, oracle_train, save, *args, **options):
+    model, calls = trained(train, *args, **options)
+    expected, expected_calls = trained(oracle_train, *args, **options)
+    assert calls == expected_calls
+    assert saved_bytes(save, model) == saved_bytes(save, expected)
+
+
+@st.composite
+def tagging_cases(draw):
+    """A corpus with empty sentences and, when drawn, one sentence given two
+    gold labelings, which no weights fit; plus the training settings."""
+    bio = draw(st.booleans())
+    labels = st.sampled_from(LABEL_POOLS[bio])
+    sentences = st.lists(st.sampled_from(FORMS[:6]), min_size=0, max_size=5)
+    first = draw(sentences.filter(len))
+    corpus = [(first, draw(st.lists(labels, min_size=len(first), max_size=len(first))))]
+    for forms in draw(st.lists(sentences, max_size=5)):
+        corpus.append((forms, draw(st.lists(labels, min_size=len(forms),
+                                            max_size=len(forms)))))
+    if draw(st.booleans()):
+        forms, gold = corpus[draw(st.integers(0, len(corpus) - 1))]
+        other = draw(st.lists(labels, min_size=len(forms), max_size=len(forms)))
+        corpus.append((forms, other))
+    corpus = [(Sentence.from_columns(forms), gold) for forms, gold in corpus]
+    return corpus, dict(epochs=draw(st.sampled_from(range(1, 7))),
+                        shuffle_seed=draw(st.none() | st.integers(0, 3)),
+                        bio_constrained=bio,
+                        combine_top_k=draw(st.sampled_from([0, 2])))
+
+
+def two_root_sentence(forms, tags, ner_labels):
+    """Tokens 1 and 2 both on the root. Sentence refuses such a tree, so this
+    builds it from its columns unchecked; the decode mask lets one arc from
+    the root at most, so the parser never matches its second gold arc."""
+    return Sentence._of((tuple(forms), tuple(tags), tuple(ner_labels), (0, 0),
+                         ("root", "root")))
+
+
+@st.composite
+def parsing_cases(draw):
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def columns(n):
+        return ([rng.choice(FORMS[:6]) for _ in range(n)],
+                [rng.choice(["N", "V", "A"]) for _ in range(n)],
+                [rng.choice(["O", "B-PER", "I-PER"]) for _ in range(n)])
+
+    treebank = []
+    for n in draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)):
+        forms, tags, ner_labels = columns(n)
+        heads, deps = random_projective_heads(rng, n, relations=("root", "sub", "nmod"))
+        treebank.append(Sentence.from_columns(forms, tags, ner_labels, heads, deps))
+    if draw(st.booleans()):
+        treebank.insert(draw(st.integers(0, len(treebank))),
+                        two_root_sentence(*columns(2)))
+    return treebank, dict(epochs=draw(st.sampled_from(range(1, 9))),
+                          shuffle_seed=draw(st.none() | st.integers(0, 3)),
+                          use_ner_features=draw(st.booleans()))
+
+
+class TestSkipMatchesOracle:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(tagging_cases())
+    def test_tagger(self, case):
+        corpus, options = case
+        assert_trains_as_oracle(train_averaged_perceptron, oracle.train_averaged_perceptron,
+                                save_linear_model, TEMPLATES, corpus, **options)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(parsing_cases())
+    def test_parser(self, case):
+        treebank, options = case
+        assert_trains_as_oracle(depparse.train_parser, oracle.train_parser,
+                                depparse.save_parser, treebank, **options)
+
+    def test_toy_corpora(self, toy_pos_corpus, toy_ner_sentences, toy_treebank):
+        assert_trains_as_oracle(train_averaged_perceptron, oracle.train_averaged_perceptron,
+                                save_linear_model, pos.pos_templates(), toy_pos_corpus,
+                                epochs=8, shuffle_seed=1)
+        assert_trains_as_oracle(train_averaged_perceptron, oracle.train_averaged_perceptron,
+                                save_linear_model, ner.ner_templates(),
+                                ner.training_pairs(toy_ner_sentences),
+                                epochs=8, shuffle_seed=1, bio_constrained=True)
+        assert_trains_as_oracle(depparse.train_parser, oracle.train_parser,
+                                depparse.save_parser, toy_treebank, epochs=12)
+
+
+def scored_per_epoch(monkeypatch, kernel, train, *args, epochs):
+    """How many times each epoch called the _kernels function kernel."""
+    calls = []
+    real = getattr(_kernels, kernel)
+
+    def counted(*a, **k):
+        calls.append(None)
+        return real(*a, **k)
+
+    monkeypatch.setattr(_kernels, kernel, counted)
+    totals = []
+    train(*args, epochs=epochs, on_epoch=lambda *_: totals.append(len(calls)))
+    return [b - a for a, b in zip([0, *totals], totals)]
+
+
+class TestFixedPoint:
+    def test_tagger_stops_scoring_after_the_first_epoch_without_update(
+            self, monkeypatch, toy_pos_corpus):
+        per_epoch = scored_per_epoch(monkeypatch, "viterbi_path", pos.train_pos,
+                                     toy_pos_corpus, epochs=8)
+        # Mistaken sentences per epoch: 32, 6, 0.
+        sentences = sum(1 for sent, _ in toy_pos_corpus if len(sent))
+        assert per_epoch == [sentences] * 3 + [0] * 5
+
+    def test_tagger_that_never_fits_scores_every_epoch(self, monkeypatch):
+        sent = Sentence.from_columns(["a", "b"])
+        corpus = [(sent, ["N", "V"]), (sent, ["V", "N"])]
+        per_epoch = scored_per_epoch(monkeypatch, "viterbi_path", pos.train_pos,
+                                     corpus, epochs=6)
+        assert per_epoch == [2] * 6
+
+    def test_parser_stops_scoring_after_the_first_epoch_without_update(
+            self, monkeypatch, toy_treebank):
+        per_epoch = scored_per_epoch(monkeypatch, "row_sum", depparse.train_parser,
+                                     toy_treebank, epochs=12)
+        # Mistaken transitions per epoch: 49, 0.
+        states = sum(len(depparse.static_oracle(sent)) for sent in toy_treebank)
+        assert per_epoch == [states] * 2 + [0] * 10
+
+    def test_parser_that_never_fits_scores_every_epoch(self, monkeypatch, toy_treebank):
+        treebank = [*toy_treebank[:3], two_root_sentence(["a", "b"], ["N", "V"], ["O", "O"])]
+        per_epoch = scored_per_epoch(monkeypatch, "row_sum", depparse.train_parser,
+                                     treebank, epochs=5)
+        states = sum(len(depparse.static_oracle(sent)) for sent in treebank)
+        assert per_epoch == [states] * 5
+
+    def test_fixed_point_logged_at_debug(self, caplog, toy_pos_corpus):
+        caplog.set_level(logging.DEBUG, logger="sylpipe.linear")
+        pos.train_pos(toy_pos_corpus, epochs=8)
+        assert [r.getMessage() for r in caplog.records if r.name == "sylpipe.linear"] == [
+            "no update in epoch 3 of 8; epochs 4-8 change nothing and are not scored"]
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_nothing_logged_when_no_epoch_is_left(self, caplog, toy_pos_corpus, epochs):
+        caplog.set_level(logging.DEBUG, logger="sylpipe.linear")
+        pos.train_pos(toy_pos_corpus, epochs=epochs)
+        assert not [r for r in caplog.records if r.name == "sylpipe.linear"]
+
+
+class TestTrainEpochs:
+    def test_counts_the_steps_of_the_epochs_it_does_not_run(self):
+        weights = AveragedWeights(1, 2)
+        learned = []
+
+        def learn(i, step):
+            learned.append((i, step))
+            if step == 0:  # one update, in the first instance of epoch 1
+                weights.update((0, 0), (0, 1), step + 1)
+                return 1, 1, 3
+            return 0, 3, 3
+
+        calls = []
+        step = train_epochs((weights,), [3, 1], 4, None, learn,
+                            lambda *call: calls.append(call))
+        assert learned == [(0, 0), (1, 3), (0, 4), (1, 7)]
+        assert step == 16
+        assert calls == [(1, 1, 4 / 6), (2, 0, 1.0), (3, 0, 1.0), (4, 0, 1.0)]
+
+    def test_any_update_keeps_the_epochs_running(self):
+        # The test is "no update", not "no mistake", over every weight table:
+        # a learner that reports no mistake but updates the second table,
+        # even without changing it, still runs every epoch.
+        weights = (AveragedWeights(1, 1), AveragedWeights(1, 1))
+        learned = []
+
+        def learn(i, step):
+            learned.append(step)
+            weights[1].update((0, 0), (0, 0), step + 1)
+            return 0, 1, 1
+
+        assert train_epochs(weights, [1], 3, None, learn) == 3
+        assert learned == [0, 1, 2]
+
+
+@pytest.mark.parametrize("epochs", [0, -2])
+def test_non_positive_epochs_refused(epochs, toy_pos_corpus, toy_ner_sentences,
+                                     toy_treebank):
+    pairs = ner.training_pairs(toy_ner_sentences)
+    for train, args in [(train_averaged_perceptron, (TEMPLATES, toy_pos_corpus)),
+                        (pos.train_pos, (toy_pos_corpus,)),
+                        (ner.train_ner, (pairs,)),
+                        (depparse.train_parser, (toy_treebank,))]:
+        with pytest.raises(ValueError, match=f"epochs must be at least 1, got {epochs}"):
+            train(*args, epochs=epochs)

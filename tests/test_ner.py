@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -188,6 +189,17 @@ class TestCorpusIO:
     def test_wrong_columns(self):
         with pytest.raises(TrainingError):
             ner.parse_three_column("a\tN\n")
+
+    @pytest.mark.parametrize("row, problem", [
+        ("b c\tV\tO", "token form may not contain whitespace: 'b c'"),
+        ("\tV\tO", "token form must be non-empty"),
+        ("b\t_\tO", "bad POS tag '_'"),
+        ("b\tV\tX-PER", "bad NER label 'X-PER'"),
+        ("b\tV\tB-", "bad NER label 'B-'"),
+    ])
+    def test_bad_column_names_the_line(self, row, problem):
+        with pytest.raises(TrainingError, match=re.escape(f"line 3: {problem}")):
+            ner.parse_three_column(f"a\tN\tO\n\n{row}\nc\tN\tO\n")
 
     def test_training_pairs_strip_labels(self, toy_ner_sentences):
         pairs = ner.training_pairs(toy_ner_sentences[:2])

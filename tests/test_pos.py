@@ -29,6 +29,14 @@ class TestParseTwoColumn:
         with pytest.raises(TrainingError, match=re.escape(f"line 3: bad POS tag {tag!r}")):
             pos.parse_two_column(f"a\tN\n\nb\t{tag}\n")
 
+    @pytest.mark.parametrize("form, problem", [
+        ("b c", "token form may not contain whitespace: 'b c'"),
+        ("", "token form must be non-empty"),
+    ])
+    def test_bad_form_names_the_line(self, form, problem):
+        with pytest.raises(TrainingError, match=re.escape(f"line 2: {problem}")):
+            pos.parse_two_column(f"a\tN\n{form}\tV\nc\tN\n")
+
     def test_dump_round_trip(self, toy_pos_corpus):
         text = pos.dump_two_column(toy_pos_corpus)
         assert pos.parse_two_column(text) == toy_pos_corpus

@@ -93,6 +93,18 @@ class TestLexicon:
         with pytest.raises(ValueError):
             Lexicon([()])
 
+    @pytest.mark.parametrize("entry", [("a b",), ("a", "b\tc"), ("a\n",), ("\r",),
+                                       ("a\u00a0b",), ("a", "")])
+    def test_refuses_a_syllable_it_cannot_save(self, entry):
+        with pytest.raises(DataError, match="bad lexicon entry"):
+            Lexicon([("x",), entry])
+
+    def test_accepted_lexicon_round_trips(self, tmp_path):
+        entries = [("a",), ("Hà", "Nội"), ("x", "y", "z"), ("1.000",), ("…",), ("a-b", "c")]
+        path = tmp_path / "lex.model"
+        save_segmenter(SegmenterModel(Lexicon(entries), ()), path)
+        assert load_segmenter(path).lexicon.entries == frozenset(entries)
+
     def test_starts_index(self):
         lex = Lexicon.from_forms(["Hà_Nội", "hà_nội_mới", "Hà", "x_y", "x_y_z_w"])
         assert lex.starts == {"hà": (3, 2), "x": (4, 2)}
@@ -193,6 +205,15 @@ class TestLoneJoiner:
                        encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(
                 "corrupt segmenter model (line 4: bad lexicon entry '_ a')")):
+            load_segmenter(bad)
+
+    @pytest.mark.parametrize("line", ["a\x0cb", "a\x85b", "a\u2028b"])
+    def test_model_file_with_whitespace_in_lexicon_is_corrupt(self, tmp_path, line):
+        bad = tmp_path / "bad.model"
+        bad.write_text(f"{wseg.MODEL_MAGIC}\nradius\t2\nlexicon\t1\n{line}\nrules\t0\n",
+                       encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"corrupt segmenter model (line 4: bad lexicon entry {line!r})")):
             load_segmenter(bad)
 
 
