@@ -1,22 +1,29 @@
-"""Dense decode kernels: numba-compiled hot loops with a pure-numpy fallback.
+"""Dense decode kernels in numpy, with optional numba copies for the trainers.
 
-The numba path is used whenever numba imports cleanly; set SYLPIPE_NO_NUMBA=1
-to force the numpy path (useful for debugging and for the kernel benchmark).
-The row sums of both paths add the rows in id order from a +0.0 start, so
-they are bit-identical for any weights. The two Viterbi kernels compare the
-same sums but add them in their own ways, so they are identical whenever the
-inputs are exactly representable (integer weights) and agree to rounding
-noise otherwise.
+The annotation pipeline runs only numpy kernels: sum_rows gathers the
+emission or transition scores of many positions at once, and viterbi_paths
+decodes many lattices at once. The trainers' online updates cannot batch,
+so they call the one-sentence kernels viterbi_path and row_sum; numba
+compiles those two loops when it imports (set SYLPIPE_NO_NUMBA=1 to keep
+numpy). The row sums of both backends add the rows in id order from a +0.0
+start, so they are bit-identical for any weights. The two Viterbi kernels
+compare the same sums but add them in their own ways, so they are
+identical whenever the inputs are exactly representable (integer weights)
+and agree to rounding noise otherwise.
 
-viterbi_paths decodes many lattices at once with numpy on every backend, so
-the annotation pipeline does not depend on numba. The lattices are
-end-aligned in one zero-padded (B, T, L) array: each step takes one max and
-one argmax over a (B, L, L) array, and the padding before a short lattice
-never feeds the suffix scores of its real positions. Its sums and maxima
-are those of the numpy viterbi_path, and every argmax keeps the first
-maximum, so each path and score equals the numpy viterbi_path's, ties and
--inf masks included. viterbi_path stays the one-lattice kernel of the
-trainers, whose online updates cannot batch.
+Every Viterbi kernel takes the maximum of a step as the value at its first
+maximum, the one its argmax keeps: the loop of _viterbi_core_py keeps it by
+comparing with >, and the numpy kernels gather it at the argmax, which is
+also cheaper than a second reduction over the short last axis. Only tied
+signed zeros tell this apart from a max(), whose choice among them numpy
+leaves open.
+
+viterbi_paths end-aligns the lattices in one zero-padded (B, T, L) array.
+Each step takes one argmax over a (B, L, L) array and gathers its maxima;
+the padding before a short lattice never feeds the suffix scores of its
+real positions. Its sums are those of the numpy viterbi_path, so each path
+and score equals the numpy viterbi_path's bit for bit, ties, signed zeros
+and -inf masks included.
 """
 
 from __future__ import annotations
@@ -74,8 +81,10 @@ def _viterbi_numpy(emissions, transitions, start_trans, path):
     T, L = emissions.shape
     beta = np.empty((T, L))
     beta[T - 1] = emissions[T - 1]
+    rows = np.arange(L)
     for i in range(T - 2, -1, -1):
-        beta[i] = emissions[i] + (transitions + beta[i + 1][None, :]).max(axis=1)
+        step = transitions + beta[i + 1][None, :]
+        beta[i] = emissions[i] + step[rows, step.argmax(axis=1)]
     first = start_trans + beta[0]
     y = int(np.argmax(first))
     path[0] = y
@@ -183,10 +192,13 @@ def viterbi_paths(emissions, lengths, transitions, start_trans):
     beta = np.empty((B, T, L))
     back = np.empty((B, T, L), dtype=np.intp)
     beta[:, T - 1] = em[:, T - 1]
+    cells = np.arange(B * L)
     for i in range(T - 2, -1, -1):
-        step = transitions + beta[:, i + 1, None, :]
-        back[:, i] = step.argmax(axis=2)
-        beta[:, i] = em[:, i] + step.max(axis=2)
+        # Row (b, y) of step holds transitions[y] + beta[b, i + 1].
+        step = (transitions + beta[:, i + 1, None, :]).reshape(B * L, L)
+        arg = step.argmax(axis=1)
+        back[:, i] = arg.reshape(B, L)
+        beta[:, i] = em[:, i] + step[cells, arg].reshape(B, L)
     scores = start_trans + beta[batch, first]
     y = scores.argmax(axis=1)
     scores = scores[batch, y]

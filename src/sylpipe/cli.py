@@ -52,15 +52,21 @@ def _parse_annotators(value):
     return names
 
 
-def _positive_int(value):
-    """An argparse type: an integer of at least 1."""
-    try:
-        number = int(value)
-    except ValueError:
-        number = 0
-    if number < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value!r}")
-    return number
+def _int_at_least(least, what):
+    """An argparse type: an integer of at least `least`, called a `what` integer."""
+    def parse(value):
+        try:
+            number = int(value)
+        except ValueError:
+            number = least - 1
+        if number < least:
+            raise argparse.ArgumentTypeError(f"expected a {what} integer, got {value!r}")
+        return number
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
 
 
 def _require_input(path):
@@ -272,13 +278,13 @@ def build_arg_parser():
     p_train.add_argument("-models", "--models", default=None)
     p_train.add_argument("-epochs", "--epochs", type=_positive_int, default=8)
     p_train.add_argument("-seed", "--seed", type=int, default=1)
-    p_train.add_argument("-window", "--window", type=int, default=2,
+    p_train.add_argument("-window", "--window", type=_non_negative_int, default=2,
                          help="wseg rule context radius")
-    p_train.add_argument("-max-rules", "--max-rules", dest="max_rules", type=int,
-                         default=200)
+    p_train.add_argument("-max-rules", "--max-rules", dest="max_rules",
+                         type=_non_negative_int, default=200)
     p_train.add_argument("-gazetteer", "--gazetteer", default=None,
                          help="ner: optional gazetteer file, one entry per line")
-    p_train.add_argument("-combine", "--combine", type=int, default=0,
+    p_train.add_argument("-combine", "--combine", type=_non_negative_int, default=0,
                          help="ner: pairwise feature-combination budget (0 = off)")
     p_train.add_argument("-merge-names", "--merge-names", dest="merge_names",
                          action="store_true",
@@ -308,7 +314,7 @@ def build_arg_parser():
     p_bench.add_argument("-annotators", "--annotators",
                          default=",".join(ANNOTATOR_KINDS))
     p_bench.add_argument("-models", "--models", default=None)
-    p_bench.add_argument("-reps", "--reps", type=int, default=3)
+    p_bench.add_argument("-reps", "--reps", type=_positive_int, default=3)
     p_bench.add_argument("--kernels", action="store_true",
                          help="also benchmark the numba vs numpy kernel paths")
     return parser

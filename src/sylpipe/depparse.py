@@ -11,20 +11,22 @@ parse_sentences decodes a document in lockstep: every unfinished sentence
 takes one greedy transition per step, all of them scored by one gather
 (_kernels.sum_rows, bit-identical to a row_sum per state) and masked by one
 array operation, in groups of at most LOCKSTEP_SENTENCES sentences. The
+masked argmax is legal, so it is applied by ParserState.advance, the
+mutation half of ParserState.apply, without apply's legality checks. The
 features of a state resolve to ids without building strings
 (_CompiledStateFeatures): every value string in the model's alphabet is
-interned, and each template maps the tuple of its atoms' value ids to a
-feature id. A feature "<template>=<value>" of an n-atom template is
-registered under every split of <value> at "|" into n parts, because the
+interned; a one-atom template reads a list by value id, and a conjunction
+maps the tuple of its atoms' value ids to a feature id. A feature
+"<template>=<value>" of an n-atom template is registered under every split
+of <value> at "|" into n parts (templates.value_splits), because the
 string path joins the atom values with "|"; so a lookup hits exactly when
 state_features' string is in the alphabet, whatever the values contain.
-Training and the reference path stay on state_features.
+Training and the reference path stay on state_features and apply.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 
 import numpy as np
@@ -34,6 +36,7 @@ from ._kernels import NEG_INF
 from .linear import AveragedWeights, ModelFormat, check_epochs, train_epochs
 from .model import DataError, FormatError, Sentence, Token, check_label
 from .seqlabel import TrainingError
+from .templates import value_splits
 
 logger = logging.getLogger(__name__)
 
@@ -130,6 +133,10 @@ class ParserState:
                 raise IllegalTransition(f"{kind} requires a relation label")
         elif label is not None:
             raise IllegalTransition(f"{kind} takes no relation label")
+        return self.advance(kind, label)
+
+    def advance(self, kind, label):
+        """apply without its checks, for a transition known to be legal."""
         if kind == SHIFT:
             self.stack.append(self.buffer_start)
             self.buffer_start += 1
@@ -349,10 +356,13 @@ class _CompiledStateFeatures:
     """A ParserModel's state_features, resolved to feature ids without strings.
 
     values interns every value string of the alphabet; a string outside it
-    interns to -1, which no table key holds. Each template's table maps a
-    value id (one-atom templates) or a tuple of value ids to the feature id.
-    So the tables are bounded by the alphabet, and a lookup hits exactly
-    when the feature string is in it.
+    interns to -1. A one-atom template's table is a list by value id, whose
+    last entry, -1, is the one a -1 reads; dist and the valencies, which
+    take a handful of values, are lists by distance min(b0 - s0, 5) and by
+    valency min(v, 3). A conjunction's table maps the tuple of its atoms'
+    value ids to the feature id. So the tables are bounded by the alphabet
+    and the number of values, and a lookup hits exactly when the feature
+    string is in the alphabet.
     """
 
     def __init__(self, model):
@@ -364,19 +374,21 @@ class _CompiledStateFeatures:
             n = arity.get(name) if sep else None
             if n is None:
                 continue
-            parts = value.split("|")
-            for cuts in itertools.combinations(range(1, len(parts)), n - 1):
-                bounds = (0, *cuts, len(parts))
-                key = tuple(values.setdefault("|".join(parts[a:b]), len(values))
-                            for a, b in zip(bounds, bounds[1:]))
+            for parts in value_splits(value, n):
+                key = tuple(values.setdefault(part, len(values)) for part in parts)
                 tables[name][key if n > 1 else key[0]] = j
         self.values = values
-        self._gets = tuple(tables[name].get for name in _TEMPLATES)
         get = values.get
         self.root = get(_ROOT_VALUE, -1)
         self.none = get(_NONE_VALUE, -1)
         self.dist = [get(str(d), -1) for d in range(5)] + [get("5+", -1)]
-        self.valency = [get(str(v), -1) for v in range(3)] + [get("3+", -1)]
+        valency = [get(str(v), -1) for v in range(3)] + [get("3+", -1)]
+        # The value ids a one-atom template's list holds an entry for, in order.
+        entries = {"dist": self.dist, "s0lv": valency, "s0rv": valency, "b0lv": valency}
+        self._tables = tuple(
+            tables[name].get if arity[name] > 1
+            else [tables[name].get(v, -1) for v in entries.get(name, range(len(values) + 1))]
+            for name in _TEMPLATES)
         # Legal actions by _mask_code; the buffer is never empty in a state
         # that is decoded, so SHIFT is always legal.
         R = len(model.relations)
@@ -392,8 +404,8 @@ class _CompiledStateFeatures:
     def sentence_values(self, sentence, use_ner):
         """Value ids of a Sentence: (forms, tags, child tags, NER labels or None).
 
-        Index 0 is the root, 1..n the tokens and -1 a missing position; in
-        the child tags, index 0 is a missing child.
+        Index 0 is the root, 1..n the tokens, and n + 1 and -1 a missing
+        position; in the child tags, index 0 is a missing child.
         """
         get = self.values.get
         root, none = self.root, self.none
@@ -417,40 +429,38 @@ class _CompiledStateFeatures:
         (s0w_, s0p_, s1p_, s2p_, b0w_, b0p_, b1w_, b1p_, b2p_, s0p_b0p, s0w_b0w,
          s0w_b0p, s0p_b0w, b0p_b1p, s0p_b0p_b1p, s1p_s0p_b0p, s0lcp_, s0rcp_,
          b0lcp_, dist_, s0p_b0p_dist, s0lv_, s0rv_, b0lv_, s0n_, b0n_,
-         s0n_b0n) = self._gets
+         s0n_b0n) = self._tables
         none = self.none
         stack = state.stack
         depth = len(stack)
         s0 = stack[-1]
         b0 = state.buffer_start
         n = state.n
-        b1 = b0 + 1 if b0 < n else -1
         s0w, s0p = forms[s0], tags[s0]
         b0w, b0p = forms[b0], tags[b0]
-        b1p = tags[b1]
+        b1p = tags[b0 + 1]
         s1p = tags[stack[-2]] if depth > 1 else none
         d = b0 - s0
-        dist = self.dist[d if d <= 4 else 5]
-        valency = self.valency
+        d = d if d <= 4 else 5
         lv, rv, blv = state.lval[s0], state.rval[s0], state.lval[b0]
-        ids = [s0w_(s0w, -1), s0p_(s0p, -1), s1p_(s1p, -1),
-               s2p_(tags[stack[-3]] if depth > 2 else none, -1),
-               b0w_(b0w, -1), b0p_(b0p, -1), b1w_(forms[b1], -1), b1p_(b1p, -1),
-               b2p_(tags[b0 + 2] if b0 + 2 <= n else none, -1),
+        ids = [s0w_[s0w], s0p_[s0p], s1p_[s1p],
+               s2p_[tags[stack[-3]] if depth > 2 else none],
+               b0w_[b0w], b0p_[b0p], b1w_[forms[b0 + 1]], b1p_[b1p],
+               b2p_[tags[b0 + 2] if b0 + 2 <= n else none],
                s0p_b0p((s0p, b0p), -1), s0w_b0w((s0w, b0w), -1),
                s0w_b0p((s0w, b0p), -1), s0p_b0w((s0p, b0w), -1),
                b0p_b1p((b0p, b1p), -1), s0p_b0p_b1p((s0p, b0p, b1p), -1),
                s1p_s0p_b0p((s1p, s0p, b0p), -1),
-               s0lcp_(child_tags[state.lchild[s0]], -1),
-               s0rcp_(child_tags[state.rchild[s0]], -1),
-               b0lcp_(child_tags[state.lchild[b0]], -1), dist_(dist, -1),
-               s0p_b0p_dist((s0p, b0p, dist), -1),
-               s0lv_(valency[lv if lv <= 2 else 3], -1),
-               s0rv_(valency[rv if rv <= 2 else 3], -1),
-               b0lv_(valency[blv if blv <= 2 else 3], -1)]
+               s0lcp_[child_tags[state.lchild[s0]]],
+               s0rcp_[child_tags[state.rchild[s0]]],
+               b0lcp_[child_tags[state.lchild[b0]]], dist_[d],
+               s0p_b0p_dist((s0p, b0p, self.dist[d]), -1),
+               s0lv_[lv if lv <= 2 else 3],
+               s0rv_[rv if rv <= 2 else 3],
+               b0lv_[blv if blv <= 2 else 3]]
         if ners is not None:
             s0n, b0n = ners[s0], ners[b0]
-            ids += [s0n_(s0n, -1), b0n_(b0n, -1), s0n_b0n((s0n, b0n), -1)]
+            ids += [s0n_[s0n], b0n_[b0n], s0n_b0n((s0n, b0n), -1)]
         return ids
 
 
@@ -584,7 +594,10 @@ def parse_sentences(model, sentences, use_ner_features=None):
 
 
 def _decode_lockstep(model, sentences, use_ner):
-    """Greedy end states of the sentences, one transition of each per step."""
+    """Greedy end states of the sentences, one transition of each per step.
+
+    The masked argmax is legal, so it is applied without apply's checks.
+    """
     compiled = model._compiled
     states = [ParserState(len(s)) for s in sentences]
     values = [compiled.sentence_values(s, use_ner) for s in sentences]
@@ -593,8 +606,12 @@ def _decode_lockstep(model, sentences, use_ner):
     while active:
         scores = _lockstep_scores(model, [states[j] for j in active],
                                   [values[j] for j in active])
-        active = [j for j, a in zip(active, scores.argmax(axis=1).tolist())
-                  if not states[j].apply(actions[a]).is_terminal()]
+        still = []
+        for j, a in zip(active, scores.argmax(axis=1).tolist()):
+            state = states[j].advance(*actions[a])
+            if state.buffer_start <= state.n:
+                still.append(j)
+        active = still
     return states
 
 
@@ -606,8 +623,10 @@ def _lockstep_scores(model, states, values):
     sort first, add nothing.
     """
     compiled = model._compiled
-    ids = np.array([compiled.state_ids(state, v) for state, v in zip(states, values)],
-                   dtype=np.intp)
+    ids = []
+    for state, v in zip(states, values):
+        ids += compiled.state_ids(state, v)
+    ids = np.array(ids, dtype=np.intp).reshape(len(states), -1)
     ids.sort(axis=1)
     scores = _kernels.sum_rows(model.weights, ids.T)
     scores[compiled.illegal[[_mask_code(state) for state in states]]] = NEG_INF

@@ -5,6 +5,12 @@ label. Decoding is Viterbi over the dense lattice, one sentence at a time
 (viterbi_decode) or a whole document at once (tag_sentences); training is
 the averaged structured perceptron. A brute-force decoder over all label
 sequences serves as the test oracle.
+
+Decoding resolves features to ids without building a string per position
+(_CompiledFeatures): single-atom templates through per-value tables, and
+conjunctions through one sorted int64 key table of their atoms' interned
+value ids, looked up for a whole document with one np.searchsorted.
+Training and reference_emission_matrix stay on the feature strings.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ from .linear import AveragedWeights, ModelFormat, check_epochs, train_epochs
 from .model import DataError, Sentence, check_label
 # The template names stay importable from here, where they always were.
 from .templates import (BOUNDARY_LEFT, BOUNDARY_RIGHT, FeatureTemplate,  # noqa: F401
-                        extract_features, make_templates, word_shape)
+                        compile_atom, extract_features, make_templates, value_splits,
+                        word_shape)
 
 
 class DecodeError(DataError):
@@ -158,36 +165,46 @@ class _Column:
     """The templates that read one token attribute (a Sentence column),
     resolved once per value.
 
-    A value resolves, through FeatureTemplate.extract so that the atoms keep
-    one definition, to a row of ids and a tuple of values: the row holds one
-    feature id per single-atom template (-1 if the model does not know it),
-    the templates of offset o in columns spans[o]; the tuple holds the value
-    of each conjunction atom at that token, or None. Rows 0 and 1 of `table`
-    are the left and right sentence boundary. A value gets a row of its own
-    only if the model knows its identity feature, so the table is bounded by
-    the alphabet; other values are resolved again in every call. A row is
-    written before `cache` publishes it, under a lock, so threads that read
-    without the lock see only whole rows.
+    A value resolves to a row of `table`: one feature id per single-atom
+    template (-1 if the model does not know it), the templates of offset o
+    in columns spans[o], then from column `width` on the interned value id
+    of each conjunction slot (_ConjunctionKeys). Each distinct atom is read
+    once per value, through templates.compile_atom, so the atoms keep one
+    definition. Rows 0 and 1 of `table` are the left and right sentence
+    boundary. A value gets a row of its own only if the model knows its
+    identity feature, so the table is bounded by the alphabet; other values
+    are resolved again in every call. A row is written before `cache`
+    publishes it, under a lock, so threads that read without the lock see
+    only whole rows.
     """
 
     def __init__(self, attr, index, resources):
         self.attr = attr
         self.index = index
         self.resources = resources
-        self.singles = {}  # offset -> [(template, is identity atom)]
-        self.probes = []  # one single-atom template at offset 0 per conjunction atom
+        self.atoms = {}  # (name, arg) -> position in readers
+        self.readers = []  # one reader per distinct atom, at offset 0
+        self.singles = {}  # offset -> [(template prefix, atom, is identity atom)]
+        self.slots = []  # the atom of each conjunction slot
         self.cache = {}  # value -> row of table
         self._lock = threading.Lock()
 
-    def probe_slot(self, name, arg):
-        descriptor = f"{name}{'' if arg is None else arg}@0"
-        for k, probe in enumerate(self.probes):
-            if probe.descriptor == descriptor:
-                return k
-        self.probes.append(FeatureTemplate("", descriptor))
-        return len(self.probes) - 1
+    def atom(self, name, arg):
+        """Position of the atom in readers; added on first sight."""
+        if (name, arg) not in self.atoms:
+            self.atoms[(name, arg)] = len(self.readers)
+            self.readers.append(compile_atom(name, arg, 0))
+        return self.atoms[(name, arg)]
 
-    def finish(self):
+    def slot(self, name, arg):
+        """The conjunction slot of the atom; added on first sight."""
+        k = self.atom(name, arg)
+        if k not in self.slots:
+            self.slots.append(k)
+        return self.slots.index(k)
+
+    def finish(self, keys):
+        self.keys = keys
         self.offsets = sorted(self.singles)
         self.spans = {}
         width = 0
@@ -196,35 +213,33 @@ class _Column:
             width += len(self.singles[offset])
         self.width = width
         # Outside the sentence an atom's value depends only on the side.
-        (left, left_values), _ = self.resolve((), -1)
-        (right, right_values), _ = self.resolve((), 0)
-        self.table = np.array([left, right], dtype=np.intp).reshape(2, width)
-        self.values = [left_values, right_values]
+        left, _ = self.resolve((), -1)
+        right, _ = self.resolve((), 0)
+        self.table = np.array([left, right], dtype=np.intp)
+        self.size = 2  # rows of table in use
 
     def resolve(self, tokens, p):
-        """((ids, values) of tokens[p], whether the model knows its value)."""
-        index, resources = self.index, self.resources
+        """(row of tokens[p], whether the model knows its value)."""
+        resources = self.resources
+        values = [read(tokens, p, resources) for read in self.readers]
+        get = self.index.get
         known = False
-        ids = []
+        row = []
         for offset in self.offsets:
-            for tpl, identity in self.singles[offset]:
-                j = index.get(tpl.extract(tokens, p - offset, resources))
-                if j is None:
-                    ids.append(-1)
-                else:
-                    ids.append(j)
-                    known = known or identity
-        values = []
-        for probe in self.probes:
-            f = probe.extract(tokens, p, resources)
-            values.append(None if f is None else f[1:])
-        return (ids, tuple(values)), known
+            for prefix, k, identity in self.singles[offset]:
+                j = -1 if values[k] is None else get(prefix + values[k], -1)
+                row.append(j)
+                known = known or (identity and j >= 0)
+        value_id, unknown = self.keys.values.get, self.keys.unknown
+        row += [unknown if values[k] is None else value_id(values[k], unknown)
+                for k in self.slots]
+        return row, known
 
     def local_rows(self, values):
-        """(codes, ids, values): row codes[i] of ids and of values is values[i]'s.
+        """(codes, rows): row codes[i] of rows is values[i]'s.
 
-        values holds the attribute at each token. The rows are those of its
-        distinct values, after the two boundary rows.
+        values holds the attribute at each token. rows holds the table rows
+        of its distinct values, after the two boundary rows.
         """
         cache = self.cache
         rows = [0, 1]
@@ -238,9 +253,7 @@ class _Column:
                 code[value] = len(rows)
                 rows.append(row)
         # Read after the rows: every row seen in the cache is in this table.
-        table, row_values = self.table, self.values
-        ids = table[rows]
-        local_values = [row_values[r] for r in rows]
+        table = self.table[rows]
         if fresh:
             entries = []
             known = []
@@ -252,30 +265,121 @@ class _Column:
                 entries.append(entry)
                 if is_known:
                     known.append((value, entry))
-            ids = np.concatenate([ids, np.array([e[0] for e in entries], dtype=np.intp)
-                                  .reshape(len(entries), self.width)])
-            local_values.extend(e[1] for e in entries)
+            table = np.concatenate([table, np.array(entries, dtype=np.intp)])
             if known:
                 self._admit(known)
         codes = np.fromiter(map(code.__getitem__, values), dtype=np.intp, count=len(values))
-        return codes, ids, local_values
+        return codes, table
 
     def _admit(self, known):
-        """Give each (value, entry) its own row, unless another thread did."""
+        """Give each (value, row) its own row of table, unless another thread did."""
         with self._lock:
-            known = [(value, entry) for value, entry in known if value not in self.cache]
+            known = [(value, row) for value, row in known if value not in self.cache]
             if not known:
                 return
-            n = len(self.values)
+            n = self.size
             table = self.table
             if n + len(known) > len(table):
-                table = np.empty((2 * (n + len(known)), self.width), dtype=np.intp)
+                table = np.empty((2 * (n + len(known)), table.shape[1]), dtype=np.intp)
                 table[:n] = self.table[:n]
-            table[n:n + len(known)] = [ids for _, (ids, _) in known]
+            table[n:n + len(known)] = [row for _, row in known]
             self.table = table
-            self.values.extend(values for _, (_, values) in known)
+            self.size = n + len(known)
             for row, (value, _) in enumerate(known, n):
                 self.cache[value] = row
+
+
+# Conjunction keys are int64: every key of the table stays below this.
+_KEY_BOUND = 1 << 63
+
+
+class _ConjunctionKeys:
+    """The conjunction templates of a model as one sorted int64 key table.
+
+    Every value in a conjunction feature of the alphabet is interned: the
+    feature is registered under every split of its value at "|" into the
+    template's atoms (templates.value_splits), because the string path
+    joins the atom values with "|"; so a lookup hits exactly when the joined
+    string is in the alphabet, whatever the values contain. A key holds its
+    atoms' value ids as digits in base radix, the number of values plus one;
+    the top digit, `unknown`, stands for an unset value or one outside the
+    alphabet and is in no key. Its lowest digit is the template's place
+    among the C kept templates, key = code * C + t, so templates of
+    different arity never share a key. Where the next digit could carry a
+    code to the bound, the code is first replaced by its rank among the
+    registered prefixes (plans; an unregistered prefix ranks last), so keys
+    stay exact for any arity and alphabet. Templates of which the alphabet
+    holds no feature are not kept: they never fire.
+    """
+
+    def __init__(self, templates, index):
+        by_name = {}
+        for t, tpl in enumerate(templates):
+            by_name.setdefault(tpl.name, []).append(t)
+        values = {}
+        found = [[] for _ in templates]  # (value ids, feature id) per template
+        for feature, j in index.items():
+            cut = feature.find("=")
+            while cut >= 0:  # a template name may hold "=" itself
+                for t in by_name.get(feature[:cut], ()):
+                    for parts in value_splits(feature[cut + 1:], len(templates[t].specs)):
+                        found[t].append(([values.setdefault(v, len(values)) for v in parts], j))
+                cut = feature.find("=", cut + 1)
+        self.values = values
+        self.unknown = len(values)
+        self.radix = radix = len(values) + 1
+        self.kept = [t for t in range(len(templates)) if found[t]]
+        C = len(self.kept)
+        self.plans = []  # per kept template and atom: the prefix ranks, or None
+        keys = [np.empty(0, dtype=np.int64)]
+        ids = [np.empty(0, dtype=np.intp)]
+        for c, t in enumerate(self.kept):
+            digits = np.array([d for d, _ in found[t]], dtype=np.int64)
+            code, span, plan = 0, 1, []
+            for a in range(digits.shape[1]):
+                ranks = None
+                if span * radix * C >= _KEY_BOUND:
+                    ranks = np.unique(code)
+                    code = np.searchsorted(ranks, code)
+                    span = len(ranks) + 1
+                    if span * radix * C >= _KEY_BOUND:
+                        raise ValueError("feature alphabet too large for int64 "
+                                         "conjunction keys")
+                plan.append(ranks)
+                code = code * radix + digits[:, a]
+                span *= radix
+            self.plans.append(plan)
+            keys.append(code * C + c)
+            ids.append(np.array([j for _, j in found[t]], dtype=np.intp))
+        keys = np.concatenate(keys)
+        order = np.argsort(keys)
+        self.keys = keys[order]
+        # A key outside the table ranks last, at the -1 after its ids.
+        self.ids = np.append(np.concatenate(ids)[order], -1)
+
+    def lookup(self, atoms, digit):
+        """(N, C) feature ids of N positions, -1 where none fires.
+
+        atoms[c] lists the atoms of kept template c; digit(atom) returns the
+        (N,) value ids that the atom reads.
+        """
+        radix, C = self.radix, len(self.kept)
+        keys = []
+        for c, (template_atoms, plan) in enumerate(zip(atoms, self.plans)):
+            code = 0
+            for atom, ranks in zip(template_atoms, plan):
+                if ranks is not None:
+                    code = _rank(ranks, code)
+                code = code * radix + digit(atom)
+            keys.append(code * C + c)
+        return self.ids[_rank(self.keys, np.stack(keys, axis=1))]
+
+
+def _rank(table, x):
+    """Position of each x in the sorted table, len(table) where it is absent."""
+    r = np.searchsorted(table, x)
+    hit = table[np.minimum(r, len(table) - 1)] == x
+    return np.where(hit, r, len(table))
 
 
 class _CompiledFeatures:
@@ -284,10 +388,11 @@ class _CompiledFeatures:
     Single-atom templates over the form, the POS tag or the NER label resolve
     once per value (_Column) and read by one fancy index per offset;
     isfirst/islast resolve here, once per model, and are compared with each
-    position's place in its sentence; conjunctions of attribute atoms join
-    the cached atom values into the feature string; induced pairs join ids. Other templates fall back to
-    FeatureTemplate.extract at each position. Built on first decode, so
-    loading a model does no extra work.
+    position's place in its sentence; conjunctions of attribute atoms read
+    the cached value ids of their atoms and look the keys they make up in
+    one sorted table (_ConjunctionKeys); induced pairs join ids. Other
+    templates fall back to FeatureTemplate.extract at each position. Built
+    on first decode, so loading a model does no extra work.
     """
 
     def __init__(self, model):
@@ -296,17 +401,17 @@ class _CompiledFeatures:
         self.resources = model._resources
         self.columns = {}  # token attribute -> _Column
         self.positional = []  # (offset, is islast, id if true, id if false)
-        self.conjunctions = []  # ("<name>=", [(attribute, value slot, offset)])
         self.fallback = []
+        conjunctions = []  # (template, attribute per atom)
         margin = 0
         for tpl in model.templates:
             specs = tpl.specs
             attrs = [_ATTRIBUTE_OF_ATOM.get(name) for name, _, _ in specs]
             if len(specs) == 1 and attrs[0] is not None:
-                name, _, offset = specs[0]
+                name, arg, offset = specs[0]
                 column = self._column(attrs[0])
                 column.singles.setdefault(offset, []).append(
-                    (tpl, name == _IDENTITY_ATOM[attrs[0]]))
+                    (tpl.prefix, column.atom(name, arg), name == _IDENTITY_ATOM[attrs[0]]))
                 margin = max(margin, abs(offset))
             elif len(specs) == 1 and specs[0][0] in ("isfirst", "islast"):
                 offset = specs[0][2]
@@ -315,15 +420,20 @@ class _CompiledFeatures:
                 miss = index.get(tpl.extract((None,), 1 - offset), -1)
                 self.positional.append((offset, specs[0][0] == "islast", hit, miss))
             elif None not in attrs:
-                atoms = []
-                for (name, arg, offset), attr in zip(specs, attrs):
-                    atoms.append((attr, self._column(attr).probe_slot(name, arg), offset))
-                    margin = max(margin, abs(offset))
-                self.conjunctions.append((tpl.name + "=", atoms))
+                conjunctions.append((tpl, attrs))
             else:
                 self.fallback.append(tpl)
+        self.keys = _ConjunctionKeys([tpl for tpl, _ in conjunctions], index)
+        self.conjunctions = []  # [(attribute, slot, offset)] per kept template
+        for t in self.keys.kept:
+            tpl, attrs = conjunctions[t]
+            atoms = []
+            for (name, arg, offset), attr in zip(tpl.specs, attrs):
+                atoms.append((attr, self._column(attr).slot(name, arg), offset))
+                margin = max(margin, abs(offset))
+            self.conjunctions.append(atoms)
         for column in self.columns.values():
-            column.finish()
+            column.finish(self.keys)
         self.margin = margin
         self.pairs = []  # (id of one part, id of the other, id of the pair)
         for a, b in model.induced_pairs:
@@ -356,7 +466,7 @@ class _CompiledFeatures:
         starts = np.cumsum(lengths) - lengths
         ids = np.empty((N, self.width), dtype=np.intp)
         k = 0  # next column of ids
-        codes = {}  # attribute -> (codes with boundary margins, values of a code)
+        rows = {}  # attribute -> (row of each position with boundary margins, rows)
         if self.columns:
             # Each sentence is padded with `margin` boundary codes per side,
             # so an offset never reads another sentence.
@@ -365,12 +475,12 @@ class _CompiledFeatures:
             left = ((starts + 2 * m * np.arange(len(lengths)))[:, None]
                     + np.arange(m)).ravel()
             for attr, column in self.columns.items():
-                local, table, values = column.local_rows(list(itertools.chain.from_iterable(
+                local, table = column.local_rows(list(itertools.chain.from_iterable(
                     s.column(attr) for s in sentences)))
                 padded = np.ones(N + 2 * m * len(lengths), dtype=np.intp)
                 padded[left] = 0
                 padded[where] = local
-                codes[attr] = (padded, values)
+                rows[attr] = (padded, table)
                 for offset, (lo, hi) in column.spans.items():
                     ids[:, k:k + hi - lo] = table[padded[where + offset], lo:hi]
                     k += hi - lo
@@ -380,9 +490,14 @@ class _CompiledFeatures:
         for offset, is_last, hit, miss in self.positional:
             ids[:, k] = np.where(at == (last if is_last else 0) - offset, hit, miss)
             k += 1
-        for prefix, atoms in self.conjunctions:
-            ids[:, k] = self._conjunction_ids(prefix, atoms, codes, where)
-            k += 1
+        if self.conjunctions:
+            def digit(atom):
+                attr, slot, offset = atom
+                padded, table = rows[attr]
+                return table[padded[where + offset], self.columns[attr].width + slot]
+
+            ids[:, k:k + len(self.conjunctions)] = self.keys.lookup(self.conjunctions, digit)
+            k += len(self.conjunctions)
         token_lists = [s.tokens for s in sentences] if self.fallback else ()
         for tpl in self.fallback:
             get, extract, resources = self.index.get, tpl.extract, self.resources
@@ -404,17 +519,6 @@ class _CompiledFeatures:
             ids = ids[:, int(np.count_nonzero(ids < 0, axis=1).min()):]
         ids[:, 1:][ids[:, 1:] == ids[:, :-1]] = -1
         return ids
-
-    def _conjunction_ids(self, prefix, atoms, codes, where):
-        """Ids of one conjunction template: its atoms' cached values, joined."""
-        columns = []
-        for attr, slot, offset in atoms:
-            padded, values = codes[attr]
-            value_of = [v[slot] for v in values]
-            columns.append([value_of[c] for c in padded[where + offset].tolist()])
-        get = self.index.get
-        return np.fromiter((-1 if None in vs else get(prefix + "|".join(vs), -1)
-                            for vs in zip(*columns)), dtype=np.intp, count=len(where))
 
 
 def _index_pairs(pairs):

@@ -8,6 +8,7 @@ once per word type.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -36,7 +37,9 @@ def word_shape(form):
     return "".join(out)
 
 
-def _compile_atom(name, arg, offset):
+def compile_atom(name, arg, offset):
+    """The reader of one atom: get(tokens, i, resources) -> its value at
+    position i, or None where the atom is unset."""
     if name == "form":
         def get(tokens, i, resources):
             p = i + offset
@@ -144,7 +147,10 @@ class FeatureTemplate:
             specs.append((m.group("name"), arg, int(m.group("offset"))))
         # (name, arg, offset) per atom, read by the compiled decode path.
         object.__setattr__(self, "specs", tuple(specs))
-        object.__setattr__(self, "_atoms", tuple(_compile_atom(*s) for s in specs))
+        object.__setattr__(self, "_atoms", tuple(compile_atom(*s) for s in specs))
+        # Each feature of the template is prefix + its atoms' values joined
+        # by "|"; the compiled decode path forms features from it too.
+        object.__setattr__(self, "prefix", self.name + "=")
 
     def extract(self, tokens, i, resources=None):
         values = []
@@ -153,7 +159,19 @@ class FeatureTemplate:
             if v is None:
                 return None
             values.append(v)
-        return self.name + "=" + "|".join(values)
+        return self.prefix + "|".join(values)
+
+
+def value_splits(value, n):
+    """Every way to cut a feature value at "|" into n parts, as tuples.
+
+    A template joins its atom values with "|", and a value may itself
+    hold "|", so one feature string can come from several value tuples.
+    """
+    parts = value.split("|")
+    for cuts in itertools.combinations(range(1, len(parts)), n - 1):
+        bounds = (0, *cuts, len(parts))
+        yield tuple("|".join(parts[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 def make_templates(descriptors):

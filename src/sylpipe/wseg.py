@@ -395,6 +395,10 @@ def train_segmenter(corpus, window_radius=2, max_rules=200, on_rule=None):
     Candidates are read from the same rows, and applied by the same matcher,
     as segment uses.
     """
+    if window_radius < 0:
+        raise ValueError(f"window radius must be >= 0, got {window_radius}")
+    if max_rules < 0:
+        raise ValueError(f"rule cap must be >= 0, got {max_rules}")
     gold_sentences = []
     words = []
     for k, sent in enumerate(corpus, start=1):

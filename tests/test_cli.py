@@ -3,7 +3,7 @@ import os
 import pytest
 
 from conftest import DEMO_ANNOTATED, DEMO_INPUT, TOY_DIR
-from sylpipe import depparse, metrics, pos
+from sylpipe import depparse, metrics, pos, wseg
 from sylpipe.cli import main
 
 
@@ -67,6 +67,23 @@ class TestTrain:
                      "-models", str(tmp_path), "-epochs", epochs]) == 2
         assert "expected a positive integer" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("task, corpus, option, value", [
+        ("wseg", "wseg.txt", "-window", "-1"), ("wseg", "wseg.txt", "-max-rules", "-3"),
+        ("wseg", "wseg.txt", "-window", "two"), ("ner", "ner.tsv", "-combine", "-2"),
+    ])
+    def test_negative_counts_exit_2_without_a_model(self, tmp_path, capsys, task, corpus,
+                                                    option, value):
+        assert main(["train", task, "-corpus", os.path.join(TOY_DIR, corpus),
+                     "-models", str(tmp_path), option, value]) == 2
+        assert "expected a non-negative integer" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_zero_counts_train_a_segmenter(self, tmp_path):
+        assert main(["train", "wseg", "-corpus", os.path.join(TOY_DIR, "wseg.txt"),
+                     "-models", str(tmp_path), "-window", "0", "-max-rules", "0"]) == 0
+        model = wseg.load_segmenter(str(tmp_path / "wseg.model"))
+        assert (model.window_radius, model.rules) == (0, ())
 
     def test_bad_corpus_column_exits_4_naming_the_line(self, tmp_path, capsys):
         corpus = tmp_path / "pos.tsv"
@@ -271,6 +288,13 @@ class TestBench:
         for stage in ("wseg", "pos", "ner", "parse", "full"):
             assert any(l.startswith(stage) and "words/sec" in l
                        for l in out.splitlines()), out
+
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_non_positive_reps_exit_2(self, cli_models, tmp_path, capsys, reps):
+        src = tmp_path / "bench.txt"
+        src.write_text("Họ đang làm việc ở Hà Nội .\n", encoding="utf-8")
+        assert main(["bench", "-fin", str(src), "-models", cli_models, "-reps", reps]) == 2
+        assert "expected a positive integer" in capsys.readouterr().err
 
     def test_kernel_comparison(self, cli_models, tmp_path, capsys):
         src = tmp_path / "bench.txt"

@@ -137,3 +137,29 @@ def test_row_sum_values():
     W = np.arange(12, dtype=np.float64).reshape(4, 3)
     out = _kernels.row_sum(W, np.array([0, 2], dtype=np.int64))
     assert np.array_equal(out, W[0] + W[2])
+
+
+def test_viterbi_kernels_keep_the_value_at_the_first_maximum():
+    # Tied +0.0 and -0.0 are the only equal maxima whose value depends on
+    # which entry is taken. Every kernel takes the one at its argmax, the
+    # first maximum, as the plain loop does, so the scores agree bit for bit.
+    rng = np.random.default_rng(5)
+    entries = np.array([0.0, -0.0, 0.0, -0.0, 1.0, _kernels.NEG_INF])
+    signs = set()
+    for _ in range(400):
+        L = int(rng.integers(1, 5))
+        lengths = rng.integers(1, 6, size=int(rng.integers(1, 6)))
+        lattices = [rng.choice(entries, size=(T, L)) for T in lengths]
+        tr = rng.choice(entries, size=(L, L))
+        st = rng.choice(entries, size=L)
+        batch = _kernels.viterbi_paths(np.concatenate(lattices), lengths, tr, st)
+        for em, (path, score) in zip(lattices, batch):
+            expected = np.empty(len(em), dtype=np.int64)
+            loop_score = _kernels._viterbi_core_py(em, tr, st, expected)
+            one_path, one_score = _kernels.viterbi_path(em, tr, st)
+            assert np.array_equal(path, expected) and np.array_equal(one_path, expected)
+            assert np.float64(score).tobytes() == np.float64(loop_score).tobytes()
+            assert np.float64(one_score).tobytes() == np.float64(loop_score).tobytes()
+            if score == 0.0:
+                signs.add(np.signbit(score))
+    assert signs == {False, True}

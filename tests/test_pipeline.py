@@ -40,6 +40,14 @@ class TestBuildPipeline:
         pipe = build_pipeline(["wseg", "pos", "ner", "parse"], model_dir=model_dir)
         assert pipe.order == ("wseg", "pos", "ner", "parse")
 
+    def test_loading_builds_no_compiled_tables(self, model_dir):
+        # The decode tables are built on the first decode, so set-up time
+        # stays that of reading the files.
+        pipe = build_pipeline(["wseg", "pos", "ner", "parse"], model_dir=model_dir)
+        assert [kind for kind, m in pipe.models.items() if "_compiled" in vars(m)] == []
+        pipe.annotate("Họ đang làm việc ở Hà Nội .")
+        assert all("_compiled" in vars(m) for m in pipe.models.values())
+
     def test_auto_insert_logs(self, model_dir, caplog):
         with caplog.at_level(logging.INFO, logger="sylpipe.pipeline"):
             pipe = build_pipeline(["parse"], model_dir=model_dir)

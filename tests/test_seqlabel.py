@@ -322,14 +322,25 @@ class TestSerialization:
             load_model("pos", str(bad))
 
 
-ATOM_KINDS = ("form", "lower", "prefix", "suffix", "shape", "hasdigit",
-              "hashyphen", "gaz", "pos", "ner", "isfirst", "islast")
+ATTRIBUTE_ATOMS = ("form", "lower", "prefix", "suffix", "shape", "hasdigit",
+                   "hashyphen", "gaz", "pos", "ner")
+ATOM_KINDS = ATTRIBUTE_ATOMS + ("isfirst", "islast")
 UNSEEN_FORMS = ["zzz", "Qx-1", "a2b", "Ôi_Trời", "xe-máy", "9", "Nội_xe"]
+# Values that collide with the feature syntax ("|" joins atom values, "="
+# ends a template name) or with the sentence boundaries.
+ODD_VALUES = ["a|b", "|", "a||b", "x=y", "<s>", "</s>"]
+ODD_NER_LABELS = ["B-a|b", "I-|", "B-a||b", "B-x=y"]
 
-atoms = st.builds(
-    lambda kind, n, offset: f"{kind}{n if kind in ('prefix', 'suffix') else ''}@{offset}",
-    st.sampled_from(ATOM_KINDS), st.integers(1, 4), st.integers(-2, 2))
-descriptors = st.lists(atoms, min_size=1, max_size=3).map("&".join)
+
+def atoms_of(kinds):
+    return st.builds(
+        lambda kind, n, offset: f"{kind}{n if kind in ('prefix', 'suffix') else ''}@{offset}",
+        st.sampled_from(kinds), st.integers(1, 4), st.integers(-2, 2))
+
+
+descriptors = st.lists(atoms_of(ATOM_KINDS), min_size=1, max_size=3).map("&".join)
+# Two- and three-atom conjunctions of attributes, looked up as int64 keys.
+conjunctions = st.lists(atoms_of(ATTRIBUTE_ATOMS), min_size=2, max_size=3).map("&".join)
 
 
 @st.composite
@@ -337,19 +348,20 @@ def tokens_of(draw, forms, min_size=1, max_size=7):
     n = draw(st.integers(min_size, max_size))
     return Sentence(
         Token(index=i + 1, form=draw(st.sampled_from(forms)),
-              pos_tag=draw(st.none() | st.sampled_from(POS_TAGS[:4])),
-              ner_label=draw(st.none() | st.sampled_from(NER_LABELS[:3])))
+              pos_tag=draw(st.none() | st.sampled_from(POS_TAGS[:4] + ODD_VALUES)),
+              ner_label=draw(st.none() | st.sampled_from(NER_LABELS[:3] + ODD_NER_LABELS)))
         for i in range(n))
 
 
 @st.composite
 def decoding_cases(draw):
     """A model trained on random data with random real weights, plus test sentences."""
-    templates = make_templates(draw(st.lists(descriptors, min_size=1, max_size=8)))
+    templates = make_templates(draw(st.lists(descriptors, min_size=1, max_size=8))
+                               + draw(st.lists(conjunctions, max_size=3)))
     labels = ["A", "B", "C", "D"][:draw(st.integers(1, 4))]
     corpus = []
     for _ in range(draw(st.integers(1, 6))):
-        sent = draw(tokens_of(FORMS))
+        sent = draw(tokens_of(FORMS + ODD_VALUES))
         corpus.append((sent, [draw(st.sampled_from(labels)) for _ in sent]))
     gazetteer = draw(st.none() | st.frozensets(st.sampled_from(FORMS + ["hà"]),
                                                max_size=8))
@@ -362,7 +374,8 @@ def decoding_cases(draw):
                         rng.standard_normal((F, L)) * 10.0 ** rng.integers(-3, 4, (F, 1)),
                         rng.standard_normal((L + 1, L)),
                         induced_pairs=trained.induced_pairs, gazetteer=gazetteer)
-    sentences = draw(st.lists(tokens_of(FORMS + UNSEEN_FORMS), min_size=1, max_size=5))
+    sentences = draw(st.lists(tokens_of(FORMS + UNSEEN_FORMS + ODD_VALUES),
+                              min_size=1, max_size=5))
     return model, sentences
 
 
@@ -373,7 +386,8 @@ def document_cases(draw):
     bio = draw(st.booleans())
     pool = ["O", "B-PER", "I-PER", "B-LOC", "I-LOC"] if bio else ["A", "B", "C", "D"]
     labels = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
-    names = draw(st.lists(descriptors, min_size=1, max_size=8))
+    names = (draw(st.lists(descriptors, min_size=1, max_size=8))
+             + draw(st.lists(conjunctions, max_size=3)))
     if draw(st.booleans()):
         names.append("isfirst@0&form@0")  # not an attribute conjunction: the fallback
     if draw(st.booleans()):
@@ -382,7 +396,7 @@ def document_cases(draw):
     templates = make_templates(names)
     corpus = []
     for _ in range(draw(st.integers(1, 6))):
-        sent = draw(tokens_of(FORMS))
+        sent = draw(tokens_of(FORMS + ODD_VALUES))
         corpus.append((sent, [draw(st.sampled_from(labels)) for _ in sent]))
     gazetteer = draw(st.none() | st.frozensets(st.sampled_from(FORMS + ["hà"]),
                                                max_size=8))
@@ -400,8 +414,8 @@ def document_cases(draw):
     model = LinearModel(trained.labels, templates, trained.feature_index, emissions,
                         transitions, bio_constrained=bio,
                         induced_pairs=trained.induced_pairs, gazetteer=gazetteer)
-    document = draw(st.lists(tokens_of(FORMS + UNSEEN_FORMS, min_size=0, max_size=7),
-                             min_size=1, max_size=8))
+    document = draw(st.lists(tokens_of(FORMS + UNSEEN_FORMS + ODD_VALUES, min_size=0,
+                                       max_size=7), min_size=1, max_size=8))
     return model, document
 
 
@@ -490,6 +504,49 @@ class TestCompiledFeatures:
             assert np.array_equal(em, ref)
             assert em.tobytes() == ref.tobytes()
 
+    def test_conjunction_keys_rank_prefixes_past_int64(self):
+        # 3,000 values and a six-atom template: radix ** 6 passes 2 ** 63,
+        # so the key table ranks prefixes, and every lookup stays exact.
+        rng = random.Random(17)
+        pool = [f"w{k}" for k in range(2900)] + [f"p|q{k}" for k in range(100)]
+        rng.shuffle(pool)
+        seen = [sentence(*pool[k:k + 50]) for k in range(0, len(pool), 50)]
+        templates = make_templates(["form@0", "form@-1&form@0",
+                                    "form@-3&form@-2&form@-1&form@0&form@+1&form@+2"])
+        index = {}
+        for sent in seen:
+            for i in range(len(sent)):
+                for f in extract_features(templates, sent.tokens, i):
+                    index.setdefault(f, len(index))
+        weights = np.random.default_rng(3).integers(-9, 10, (len(index), 3)).astype(float)
+        model = LinearModel(["A", "B", "C"], templates, index, weights, np.zeros((4, 3)))
+        mixed = [sentence(*rng.sample(pool, 40)) for _ in range(10)]
+        document = seen + mixed + [sentence(*(seen[0].column("form")[:7] + ("p|q", "w1")))]
+        em = _kernels.sum_rows(model.emission_weights, model._compiled.document_ids(document).T)
+        ref = np.concatenate([model.reference_emission_matrix(s.tokens) for s in document])
+        assert em.tobytes() == ref.tobytes()
+        keys = model._compiled.keys
+        assert keys.radix ** 6 * len(keys.kept) >= seqlabel._KEY_BOUND
+        # Five digits of about 3,000 values fit; the sixth follows a rank.
+        assert [[ranks is not None for ranks in plan] for plan in keys.plans] == \
+            [[False, False], [False] * 5 + [True]]
+        assert keys.keys.max() < seqlabel._KEY_BOUND
+
+    def test_template_names_holding_equals_signs(self):
+        # "c=d=e|f" is fired by template "c" over ("d=e", "f") and by
+        # template "c=d" over ("e", "f"): the key table registers it for both.
+        templates = [FeatureTemplate("c", "form@-1&form@0"),
+                     FeatureTemplate("c=d", "form@0&form@+1")]
+        index = {f: k for k, f in enumerate(
+            extract_features(templates[:1], sentence("d=e", "f").tokens, 1))}
+        assert index == {"c=d=e|f": 0}
+        model = LinearModel(["A", "B"], templates, index, np.array([[1.0, -2.0]]),
+                            np.zeros((3, 2)))
+        for sent in (sentence("d=e", "f"), sentence("e", "f"), sentence("x", "e", "f")):
+            em = model.emission_matrix(sent.tokens)
+            assert em.tobytes() == model.reference_emission_matrix(sent.tokens).tobytes()
+            assert em.any()
+
     def test_pairs_with_unknown_parts_rejected(self, tmp_path):
         m = random_linear_model(random.Random(3), ["A", "B"])
         with pytest.raises(ValueError, match="outside the feature alphabet"):
@@ -520,12 +577,12 @@ class TestCompiledFeatures:
                 model.emission_matrix(s.tokens)
             assert compiled.cache_size() == before
             assert set(compiled.columns["form"].cache) <= known
-            rows = {attr: len(c.values) for attr, c in compiled.columns.items()}
+            rows = {attr: c.size for attr, c in compiled.columns.items()}
             unseen = [Sentence(Token(i + 1, f"unseen{rng.randrange(10 ** 6)}", pos_tag="N")
                                for i in range(rng.randint(0, 6))) for _ in range(50)]
             tag_sentences(model, unseen)
             assert compiled.cache_size() == before
-            assert {attr: len(c.values) for attr, c in compiled.columns.items()} == rows
+            assert {attr: c.size for attr, c in compiled.columns.items()} == rows
 
     def test_concurrent_decoding_matches_serial(self, toy_pos_corpus, tmp_path):
         # Threads race to fill one fresh model's cache; every result must

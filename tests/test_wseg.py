@@ -224,6 +224,13 @@ class TestTraining:
         assert model.rules == ()
         assert ("a", "b") in model.lexicon
 
+    @pytest.mark.parametrize("radius, cap, message", [
+        (-1, 200, "window radius must be >= 0, got -1"),
+        (2, -3, "rule cap must be >= 0, got -3")])
+    def test_negative_radius_or_cap_refused(self, radius, cap, message):
+        with pytest.raises(ValueError, match=message):
+            train_segmenter([["a_b", "c"]], window_radius=radius, max_rules=cap)
+
     def test_rules_strictly_reduce_errors(self):
         corpus = [
             ["học_sinh", "học", "sinh_học", "."],
