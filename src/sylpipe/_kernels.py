@@ -1,155 +1,37 @@
-"""Dense decode kernels in numpy, with optional numba copies for the trainers.
+"""Dense decode kernels in numpy, one per job.
 
-The annotation pipeline runs only numpy kernels: sum_rows gathers the
-emission or transition scores of many positions at once, and viterbi_paths
-decodes many lattices at once. The trainers' online updates cannot batch,
-so they call the one-sentence kernels viterbi_path and row_sum; numba
-compiles those two loops when it imports (set SYLPIPE_NO_NUMBA=1 to keep
-numpy). The row sums of both backends add the rows in id order from a +0.0
-start, so they are bit-identical for any weights. The two Viterbi kernels
-compare the same sums but add them in their own ways, so they are
-identical whenever the inputs are exactly representable (integer weights)
-and agree to rounding noise otherwise.
+The annotation pipeline decodes in batches: sum_rows gathers the emission
+or transition scores of many positions at once, and viterbi_paths decodes
+many lattices at once. The trainers' online updates cannot batch, so they
+call the one-sentence kernels row_sum and viterbi_path. row_sum and
+sum_rows add the rows in id order from a +0.0 start, and viterbi_path and
+viterbi_paths make the same additions on the same operands, so each batch
+kernel equals its one-sentence kernel bit for bit for any weights, float
+weights included. The plain loops in tests/kernel_oracle.py pin both.
 
 Every Viterbi kernel takes the maximum of a step as the value at its first
-maximum, the one its argmax keeps: the loop of _viterbi_core_py keeps it by
-comparing with >, and the numpy kernels gather it at the argmax, which is
-also cheaper than a second reduction over the short last axis. Only tied
-signed zeros tell this apart from a max(), whose choice among them numpy
-leaves open.
+maximum, the one its argmax keeps, by gathering it at the argmax, which is
+also cheaper than a second reduction over the short last axis; the oracle
+loop keeps the same value by comparing with >. Only tied signed zeros tell
+this apart from a max(), whose choice among them numpy leaves open.
 
 viterbi_paths end-aligns the lattices in one zero-padded (B, T, L) array.
 Each step takes one argmax over a (B, L, L) array and gathers its maxima;
 the padding before a short lattice never feeds the suffix scores of its
-real positions. Its sums are those of the numpy viterbi_path, so each path
-and score equals the numpy viterbi_path's bit for bit, ties, signed zeros
-and -inf masks included.
+real positions. Its sums are those of viterbi_path, so each path and score
+equals viterbi_path's bit for bit, ties, signed zeros and -inf masks
+included.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 
 import numpy as np
 
 NEG_INF = float("-inf")
 
-_FORCE_NUMPY = os.environ.get("SYLPIPE_NO_NUMBA", "").strip() not in ("", "0")
-
-
-def _viterbi_core_py(emissions, transitions, start_trans, path):
-    # Best-suffix DP followed by a left-to-right readout. The readout picks
-    # the lowest label index at every decision, which makes the returned path
-    # the lexicographically smallest among the maximum-scoring ones.
-    T, L = emissions.shape
-    beta = np.empty((T, L))
-    for y in range(L):
-        beta[T - 1, y] = emissions[T - 1, y]
-    for i in range(T - 2, -1, -1):
-        for y in range(L):
-            best = NEG_INF
-            for y2 in range(L):
-                s = transitions[y, y2] + beta[i + 1, y2]
-                if s > best:
-                    best = s
-            beta[i, y] = emissions[i, y] + best
-
-    best = NEG_INF
-    arg = 0
-    for y in range(L):
-        s = start_trans[y] + beta[0, y]
-        if s > best:
-            best = s
-            arg = y
-    path[0] = arg
-    total = best
-    for i in range(1, T):
-        prev = path[i - 1]
-        best = NEG_INF
-        arg = 0
-        for y in range(L):
-            s = transitions[prev, y] + beta[i, y]
-            if s > best:
-                best = s
-                arg = y
-        path[i] = arg
-    return total
-
-
-def _viterbi_numpy(emissions, transitions, start_trans, path):
-    T, L = emissions.shape
-    beta = np.empty((T, L))
-    beta[T - 1] = emissions[T - 1]
-    rows = np.arange(L)
-    for i in range(T - 2, -1, -1):
-        step = transitions + beta[i + 1][None, :]
-        beta[i] = emissions[i] + step[rows, step.argmax(axis=1)]
-    first = start_trans + beta[0]
-    y = int(np.argmax(first))
-    path[0] = y
-    total = float(first[y])
-    for i in range(1, T):
-        scores = transitions[path[i - 1]] + beta[i]
-        path[i] = int(np.argmax(scores))
-    return total
-
-
-def _row_sum_py(weights, ids, out):
-    # out[y] = sum over ids of weights[id, y]
-    L = weights.shape[1]
-    for y in range(L):
-        out[y] = 0.0
-    for k in range(ids.shape[0]):
-        row = ids[k]
-        for y in range(L):
-            out[y] += weights[row, y]
-
-
-def _row_sum_numpy(weights, ids, out):
-    # Summing (k, L) over axis 0 adds the k rows in order from +0.0 when
-    # L > 1; a single column would be summed pairwise, so L == 1 takes a
-    # cumulative sum, which is sequential (see _sequential_sum).
-    if ids.shape[0] == 0:
-        out[:] = 0.0
-    elif weights.shape[1] == 1:
-        out[:] = _sequential_sum(weights[ids])
-    else:
-        np.sum(weights[ids], axis=0, out=out)
-
-
-def _sequential_sum(stack):
-    """stack summed over axis 0 in order from a +0.0 start, as _row_sum_py adds.
-
-    A cumulative sum starts from the first slice instead; its partial sums
-    equal those from +0.0 except that a zero may be -0.0, and the final
-    + 0.0 turns that into +0.0.
-    """
-    return np.cumsum(stack, axis=0)[-1] + 0.0
-
-
-HAVE_NUMBA = False
-_viterbi_numba = None
-_row_sum_numba = None
-
-if not _FORCE_NUMPY:
-    try:
-        from numba import njit
-
-        _viterbi_numba = njit(cache=True, nogil=True)(_viterbi_core_py)
-        _row_sum_numba = njit(cache=True, nogil=True)(_row_sum_py)
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
-
-if HAVE_NUMBA:
-    BACKEND = "numba"
-    _viterbi_impl = _viterbi_numba
-    _row_sum_impl = _row_sum_numba
-else:
-    BACKEND = "numpy"
-    _viterbi_impl = _viterbi_numpy
-    _row_sum_impl = _row_sum_numpy
+BACKEND = "numpy"
 
 
 def viterbi_path(emissions, transitions, start_trans):
@@ -162,12 +44,23 @@ def viterbi_path(emissions, transitions, start_trans):
     Among maximum-scoring label sequences the lexicographically smallest one
     (by label index) is returned. A -inf score means no legal sequence exists.
     """
-    T = emissions.shape[0]
+    T, L = emissions.shape
     path = np.empty(T, dtype=np.int64)
     if T == 0:
         return path, 0.0
-    score = _viterbi_impl(emissions, transitions, start_trans, path)
-    return path, float(score)
+    beta = np.empty((T, L))
+    beta[T - 1] = emissions[T - 1]
+    rows = np.arange(L)
+    for i in range(T - 2, -1, -1):
+        step = transitions + beta[i + 1][None, :]
+        beta[i] = emissions[i] + step[rows, step.argmax(axis=1)]
+    first = start_trans + beta[0]
+    y = int(np.argmax(first))
+    path[0] = y
+    for i in range(1, T):
+        scores = transitions[path[i - 1]] + beta[i]
+        path[i] = int(np.argmax(scores))
+    return path, float(first[y])
 
 
 def viterbi_paths(emissions, lengths, transitions, start_trans):
@@ -175,7 +68,7 @@ def viterbi_paths(emissions, lengths, transitions, start_trans):
 
     emissions holds the (T, L) lattices one after another, lengths their T
     (each at least 1); transitions and start_trans are shared. Each result
-    equals viterbi_path's on the numpy backend, bit for bit.
+    equals viterbi_path's, bit for bit.
     """
     lengths = np.asarray(lengths, dtype=np.intp)
     B = len(lengths)
@@ -214,11 +107,32 @@ def viterbi_paths(emissions, lengths, transitions, start_trans):
 
 
 def row_sum(weights, ids, out=None):
-    """Sum the `ids` rows of `weights` into a length-L vector."""
+    """Sum the `ids` rows of `weights` into a length-L vector, in id order from +0.0.
+
+    Summing (k, L) over axis 0 adds the k rows in order from +0.0 when
+    L > 1; a single column would be summed pairwise, so L == 1 takes a
+    cumulative sum, which is sequential (see _sequential_sum).
+    """
     if out is None:
         out = np.empty(weights.shape[1])
-    _row_sum_impl(weights, ids, out)
+    if ids.shape[0] == 0:
+        out[:] = 0.0
+    elif weights.shape[1] == 1:
+        out[:] = _sequential_sum(weights[ids])
+    else:
+        np.sum(weights[ids], axis=0, out=out)
     return out
+
+
+def _sequential_sum(stack):
+    """stack summed over axis 0 in order from a +0.0 start, as the loop in
+    tests/kernel_oracle.py adds.
+
+    A cumulative sum starts from the first slice instead; its partial sums
+    equal those from +0.0 except that a zero may be -0.0, and the final
+    + 0.0 turns that into +0.0.
+    """
+    return np.cumsum(stack, axis=0)[-1] + 0.0
 
 
 def pack_rows(rows):
@@ -254,12 +168,3 @@ def sum_rows(weights, packed):
     if L == 1:
         return _sequential_sum(gathered)
     return gathered.sum(axis=0)
-
-
-def warmup():
-    """Trigger JIT compilation so timed runs do not pay the compile cost."""
-    em = np.zeros((3, 2))
-    tr = np.zeros((2, 2))
-    st = np.zeros(2)
-    viterbi_path(em, tr, st)
-    row_sum(np.zeros((4, 2)), np.array([0, 2], dtype=np.int64))

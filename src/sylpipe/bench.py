@@ -1,14 +1,12 @@
-"""Throughput measurement (words per second) and the kernel backend benchmark."""
+"""Throughput measurement: words per second of the pipeline and of each stage."""
 
 from __future__ import annotations
 
 import statistics
 import time
 
-import numpy as np
-
-from . import _kernels, wseg
-from .model import Document
+from . import wseg
+from .model import DataError, Document
 
 
 def _word_count(sentences):
@@ -18,19 +16,19 @@ def _word_count(sentences):
 def benchmark_throughput(pipeline, document, repetitions=3):
     """Median words/second over warm runs of the full pipeline.
 
-    Model loading stays outside the timed region; one untimed warmup run
-    triggers any JIT compilation first.
+    Model loading stays outside the timed region; one untimed run first
+    fills the per-type caches.
     """
     if isinstance(document, str):
         document = Document.from_text(document)
     if not document.raw_text.strip() and not document.sentences:
-        raise ValueError("cannot benchmark an empty document")
+        raise DataError("cannot benchmark an empty document")
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     warm = pipeline.annotate(document)
     words = _word_count(warm.sentences)
     if words == 0:
-        raise ValueError("document produced no tokens")
+        raise DataError("document produced no tokens")
     rates = []
     for _ in range(repetitions):
         t0 = time.perf_counter()
@@ -59,7 +57,7 @@ def benchmark_stages(pipeline, document, repetitions=3):
 
     syllable_lists = wseg.split_and_tokenize(document.raw_text)
     if not syllable_lists:
-        raise ValueError("cannot benchmark an empty document")
+        raise DataError("cannot benchmark an empty document")
 
     # Warm pass, also producing the input each stage is timed on.
     inputs = {}
@@ -88,62 +86,3 @@ def benchmark_stages(pipeline, document, repetitions=3):
             t += med["ner"]
         rates["parse"] = words / t
     return rates, words
-
-
-def compare_kernels(lattice_shape=(40, 24), n_lattices=200, gather_rows=30,
-                    repetitions=3, seed=7):
-    """Time the numba and numpy kernel paths on synthetic inputs.
-
-    Returns a list of (kernel, backend, seconds) rows. The numba rows are
-    absent when the numba path is unavailable (SYLPIPE_NO_NUMBA=1 or numba
-    missing). The viterbi_doc rows decode lattices of mixed lengths (1 to
-    the lattice length) the way a document is tagged: once as one batch
-    (backend "batched", _kernels.viterbi_paths) and once one lattice at a
-    time through each backend's viterbi_path.
-    """
-    rng = np.random.default_rng(seed)
-    T, L = lattice_shape
-    emissions = [rng.standard_normal((T, L)) for _ in range(n_lattices)]
-    trans = rng.standard_normal((L, L))
-    start = rng.standard_normal(L)
-    weights = rng.standard_normal((5000, L))
-    id_sets = [rng.integers(0, 5000, size=gather_rows).astype(np.int64)
-               for _ in range(n_lattices)]
-    lengths = rng.integers(1, T + 1, size=n_lattices)
-    document = [em[:n] for em, n in zip(emissions, lengths)]
-    stacked = np.concatenate(document)
-    path = np.empty(T, dtype=np.int64)
-    out = np.empty(L)
-
-    def best_of(run):
-        run()  # warm / compile
-        best = None
-        for _ in range(repetitions):
-            t0 = time.perf_counter()
-            run()
-            dt = time.perf_counter() - t0
-            best = dt if best is None else min(best, dt)
-        return best
-
-    backends = [("numpy", _kernels._viterbi_numpy, _kernels._row_sum_numpy)]
-    if _kernels.HAVE_NUMBA:
-        backends.append(("numba", _kernels._viterbi_numba, _kernels._row_sum_numba))
-
-    rows = []
-    for name, viterbi_fn, row_sum_fn in backends:
-        rows.append(("viterbi", name, best_of(
-            lambda: [viterbi_fn(em, trans, start, path) for em in emissions])))
-        rows.append(("row_sum", name, best_of(
-            lambda: [row_sum_fn(weights, ids, out) for ids in id_sets])))
-        rows.append(("viterbi_doc", name, best_of(
-            lambda: [viterbi_fn(em, trans, start, path) for em in document])))
-    rows.append(("viterbi_doc", "batched", best_of(
-        lambda: _kernels.viterbi_paths(stacked, lengths, trans, start))))
-    return rows
-
-
-def format_kernel_report(rows):
-    lines = [f"active backend: {_kernels.BACKEND}"]
-    for kernel, backend, seconds in rows:
-        lines.append(f"{kernel:<11} {backend:<7} {seconds * 1e3:8.2f} ms")
-    return "\n".join(lines)

@@ -249,9 +249,6 @@ def cmd_bench(args):
     if len(pipe.order) > 1:
         full = bench.benchmark_throughput(pipe, text, repetitions=args.reps)
         print(f"full   {full:12.0f} words/sec  ({'+'.join(pipe.order)})")
-    if args.kernels:
-        print()
-        print(bench.format_kernel_report(bench.compare_kernels()))
     return EXIT_OK
 
 
@@ -315,8 +312,6 @@ def build_arg_parser():
                          default=",".join(ANNOTATOR_KINDS))
     p_bench.add_argument("-models", "--models", default=None)
     p_bench.add_argument("-reps", "--reps", type=_positive_int, default=3)
-    p_bench.add_argument("--kernels", action="store_true",
-                         help="also benchmark the numba vs numpy kernel paths")
     return parser
 
 

@@ -717,9 +717,12 @@ def train_averaged_perceptron(templates, corpus, epochs=5, shuffle_seed=None,
     None keeps corpus order; otherwise each epoch reshuffles with one seeded
     generator. combine_top_k > 0 first runs one probe epoch, promotes the
     top-K feature pairs co-firing at mistaken positions to conjunction
-    features, then restarts training with the augmented feature space.
+    features, then restarts training with the augmented feature space;
+    0 turns that off, and a count below 0 is refused.
     """
     check_epochs(epochs)
+    if combine_top_k < 0:
+        raise ValueError(f"combine_top_k must be at least 0, got {combine_top_k!r}")
     corpus = list(corpus)
     if not corpus:
         raise TrainingError("training corpus is empty")

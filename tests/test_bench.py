@@ -45,16 +45,3 @@ def test_stage_rates_keys(pipes):
     assert set(rates) == {"wseg", "pos", "ner", "parse"}
     assert words > 1000
     assert all(v > 0 for v in rates.values())
-
-
-def test_kernel_comparison_rows():
-    rows = bench.compare_kernels(lattice_shape=(10, 6), n_lattices=20,
-                                 repetitions=1)
-    kernels = {(k, b) for k, b, _ in rows}
-    assert ("viterbi", "numpy") in kernels
-    assert ("row_sum", "numpy") in kernels
-    assert ("viterbi_doc", "numpy") in kernels
-    assert ("viterbi_doc", "batched") in kernels
-    assert all(seconds > 0 for _, _, seconds in rows)
-    report = bench.format_kernel_report(rows)
-    assert "active backend:" in report

@@ -296,15 +296,11 @@ class TestBench:
         assert main(["bench", "-fin", str(src), "-models", cli_models, "-reps", reps]) == 2
         assert "expected a positive integer" in capsys.readouterr().err
 
-    def test_kernel_comparison(self, cli_models, tmp_path, capsys):
+    def test_whitespace_only_input_exits_4(self, cli_models, tmp_path, capsys):
         src = tmp_path / "bench.txt"
-        src.write_text("Họ đang làm việc ở Hà Nội .\n" * 5, encoding="utf-8")
-        assert main(["bench", "-fin", str(src), "-models", cli_models,
-                     "-reps", "1", "-annotators", "wseg", "--kernels"]) == 0
-        out = capsys.readouterr().out
-        assert "active backend:" in out
-        assert "viterbi" in out and "row_sum" in out
-        assert any(l.split()[:2] == ["viterbi_doc", "batched"] for l in out.splitlines()), out
+        src.write_text("  \n\t\n", encoding="utf-8")
+        assert main(["bench", "-fin", str(src), "-models", cli_models, "-reps", "1"]) == 4
+        assert "error: cannot benchmark an empty document" in capsys.readouterr().err
 
 
 def test_env_var_model_dir(cli_models, tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import kernel_oracle as oracle
 from sylpipe import _kernels
 
 
@@ -17,45 +18,13 @@ def random_lattice(rng, T, L, integer=True):
 
 
 def test_backend_active():
-    assert _kernels.BACKEND in ("numba", "numpy")
-
-
-def test_warmup_runs():
-    _kernels.warmup()
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba backend unavailable")
-def test_viterbi_backends_agree():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        T = int(rng.integers(1, 12))
-        L = int(rng.integers(1, 7))
-        em, tr, st = random_lattice(rng, T, L)
-        p1 = np.empty(T, dtype=np.int64)
-        p2 = np.empty(T, dtype=np.int64)
-        s1 = _kernels._viterbi_numba(em, tr, st, p1)
-        s2 = _kernels._viterbi_numpy(em, tr, st, p2)
-        assert s1 == s2
-        assert np.array_equal(p1, p2)
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba backend unavailable")
-def test_row_sum_backends_agree():
-    rng = np.random.default_rng(1)
-    W = rng.integers(-9, 10, size=(200, 8)).astype(np.float64)
-    for _ in range(50):
-        ids = rng.integers(0, 200, size=int(rng.integers(0, 40))).astype(np.int64)
-        o1 = np.empty(8)
-        o2 = np.empty(8)
-        _kernels._row_sum_numba(W, ids, o1)
-        _kernels._row_sum_numpy(W, ids, o2)
-        assert np.array_equal(o1, o2)
+    assert _kernels.BACKEND == "numpy"
 
 
 @pytest.mark.parametrize("L", [1, 2, 24])
 def test_numpy_row_sum_adds_in_id_order(L):
-    # The numpy kernels must add exactly as the numba loop does: in the
-    # given id order from +0.0, here run as plain Python. sum_rows must
+    # row_sum must add exactly as the oracle loop does: in the given id
+    # order from +0.0, for float weights of mixed magnitudes. sum_rows must
     # equal row_sum wherever its -1 padding sits.
     rng = np.random.default_rng(L)
     W = rng.standard_normal((300, L)) * 10.0 ** rng.integers(-6, 7, (300, 1))
@@ -68,10 +37,8 @@ def test_numpy_row_sum_adds_in_id_order(L):
         expected = np.zeros((len(rows), L))
         for t, ids in enumerate(rows):
             ids = np.asarray(ids, dtype=np.int64)
-            _kernels._row_sum_py(W, ids, expected[t])
-            got = np.empty(L)
-            _kernels._row_sum_numpy(W, ids, got)
-            assert got.tobytes() == expected[t].tobytes()
+            expected[t] = oracle.row_sum(W, ids)
+            assert _kernels.row_sum(W, ids).tobytes() == expected[t].tobytes()
         packed = _kernels.pack_rows(rows)
         assert _kernels.sum_rows(W, packed).tobytes() == expected.tobytes()
         # The same ids with the padding moved to the front of each column.
@@ -100,9 +67,10 @@ def test_viterbi_all_illegal_is_neg_inf():
 
 @pytest.mark.parametrize("integer", [True, False])
 def test_viterbi_paths_equal_one_lattice_at_a_time(integer):
-    # The batch must return the numpy viterbi_path's path and score for
-    # every lattice, bit for bit: integer weights force ties, and -inf
-    # masks include lattices with no legal path at all.
+    # The batch and viterbi_path must both return the oracle loop's path
+    # and score for every lattice, bit for bit, for integer weights, which
+    # force ties, and for float weights. -inf masks include lattices with
+    # no legal path at all.
     rng = np.random.default_rng(int(integer))
     for k in range(300):
         L = int(rng.integers(1, 6))
@@ -116,10 +84,12 @@ def test_viterbi_paths_equal_one_lattice_at_a_time(integer):
                 em[rng.random(em.shape) < 0.2] = _kernels.NEG_INF
         batch = _kernels.viterbi_paths(np.concatenate(lattices), lengths, tr, st)
         for em, (path, score) in zip(lattices, batch):
-            p = np.empty(len(em), dtype=np.int64)
-            expected = _kernels._viterbi_numpy(em, tr, st, p)
-            assert np.array_equal(path, p)
+            expected_path, expected = oracle.viterbi_path(em, tr, st)
+            one_path, one_score = _kernels.viterbi_path(em, tr, st)
+            assert np.array_equal(path, expected_path)
+            assert np.array_equal(one_path, expected_path)
             assert np.float64(score).tobytes() == np.float64(expected).tobytes()
+            assert np.float64(one_score).tobytes() == np.float64(expected).tobytes()
 
 
 def test_viterbi_empty_lattice():
@@ -154,8 +124,7 @@ def test_viterbi_kernels_keep_the_value_at_the_first_maximum():
         st = rng.choice(entries, size=L)
         batch = _kernels.viterbi_paths(np.concatenate(lattices), lengths, tr, st)
         for em, (path, score) in zip(lattices, batch):
-            expected = np.empty(len(em), dtype=np.int64)
-            loop_score = _kernels._viterbi_core_py(em, tr, st, expected)
+            expected, loop_score = oracle.viterbi_path(em, tr, st)
             one_path, one_score = _kernels.viterbi_path(em, tr, st)
             assert np.array_equal(path, expected) and np.array_equal(one_path, expected)
             assert np.float64(score).tobytes() == np.float64(loop_score).tobytes()

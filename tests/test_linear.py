@@ -237,3 +237,11 @@ def test_non_positive_epochs_refused(epochs, toy_pos_corpus, toy_ner_sentences,
                         (depparse.train_parser, (toy_treebank,))]:
         with pytest.raises(ValueError, match=f"epochs must be at least 1, got {epochs}"):
             train(*args, epochs=epochs)
+
+
+def test_negative_combine_top_k_refused(toy_pos_corpus, toy_ner_sentences):
+    pairs = ner.training_pairs(toy_ner_sentences)
+    for train, args in [(train_averaged_perceptron, (TEMPLATES, toy_pos_corpus)),
+                        (ner.train_ner, (pairs,))]:
+        with pytest.raises(ValueError, match="combine_top_k must be at least 0, got -2"):
+            train(*args, epochs=1, combine_top_k=-2)
