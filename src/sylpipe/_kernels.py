@@ -2,12 +2,16 @@
 
 The annotation pipeline decodes in batches: sum_rows gathers the emission
 or transition scores of many positions at once, and viterbi_paths decodes
-many lattices at once. The trainers' online updates cannot batch, so they
-call the one-sentence kernels row_sum and viterbi_path. row_sum and
-sum_rows add the rows in id order from a +0.0 start, and viterbi_path and
-viterbi_paths make the same additions on the same operands, so each batch
-kernel equals its one-sentence kernel bit for bit for any weights, float
-weights included. The plain loops in tests/kernel_oracle.py pin both.
+many lattices at once. The tagger trainers decode one sentence at a time
+with viterbi_path; the parser trainer scores all states of a sentence
+after its last update in one sum_rows gather. row_sum, the sum for one
+position or state, stays: the string-path reference (seqlabel's
+reference_emission_matrix) calls it, perfbench/tracing.py looks it up by
+name, and on a single row it is faster than a one-column sum_rows. row_sum
+and sum_rows add the rows in id order from a +0.0 start, and viterbi_path
+and viterbi_paths make the same additions on the same operands, so each
+batch kernel equals its one-sentence kernel bit for bit for any weights,
+float weights included. The plain loops in tests/kernel_oracle.py pin both.
 
 Every Viterbi kernel takes the maximum of a step as the value at its first
 maximum, the one its argmax keeps, by gathering it at the argmax, which is

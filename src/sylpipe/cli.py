@@ -78,7 +78,7 @@ def cmd_annotate(args):
     _require_input(args.fin)
     annotators = _parse_annotators(args.annotators)
     pipe = build_pipeline(annotators, model_dir=_models_dir(args))
-    with open(args.fin, encoding="utf-8") as fh:
+    with open(args.fin, encoding="utf-8-sig") as fh:
         text = fh.read()
     document = pipe.annotate(text)
     with open(args.fout, "w", encoding="utf-8") as fh:
@@ -234,7 +234,7 @@ def cmd_bench(args):
     _require_input(args.fin)
     annotators = _parse_annotators(args.annotators)
     pipe = build_pipeline(annotators, model_dir=_models_dir(args))
-    with open(args.fin, encoding="utf-8") as fh:
+    with open(args.fin, encoding="utf-8-sig") as fh:
         text = fh.read()
     rates, words = bench.benchmark_stages(pipe, text, repetitions=args.reps)
     print(f"words: {words}   repetitions: {args.reps} (median)")
@@ -260,7 +260,7 @@ def build_arg_parser():
     p_ann = sub.add_parser("annotate", allow_abbrev=False,
                            help="annotate raw text into the six-column format")
     p_ann.add_argument("-fin", "--input", dest="fin", required=True,
-                       help="raw UTF-8 text file")
+                       help="raw UTF-8 text file; a leading byte-order mark is skipped")
     p_ann.add_argument("-fout", "--output", dest="fout", required=True,
                        help="six-column output file")
     p_ann.add_argument("-annotators", "--annotators", default=",".join(ANNOTATOR_KINDS),

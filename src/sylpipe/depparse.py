@@ -21,7 +21,17 @@ maps the tuple of its atoms' value ids to a feature id. A feature
 of <value> at "|" into n parts (templates.value_splits), because the
 string path joins the atom values with "|"; so a lookup hits exactly when
 state_features' string is in the alphabet, whatever the values contain.
-Training and the reference path stay on state_features and apply.
+The reference path stays on state_features and apply.
+
+train_parser freezes each sentence once: it replays the static oracle's
+transitions with advance (static_oracle has checked each with apply) and
+keeps the sorted feature ids of every state, their illegal actions from the
+table that decoding reads, and the gold actions. The weights change only at
+an update, so an epoch scores all states of a sentence in one sum_rows
+gather, finds the first state whose masked argmax is not gold, updates
+there at the step it takes one state at a time, and scores again only the
+states after it: a sentence without a mistake costs one gather, and the
+model is the one that scoring each state alone trains, bit for bit.
 """
 
 from __future__ import annotations
@@ -389,17 +399,8 @@ class _CompiledStateFeatures:
             tables[name].get if arity[name] > 1
             else [tables[name].get(v, -1) for v in entries.get(name, range(len(values) + 1))]
             for name in _TEMPLATES)
-        # Legal actions by _mask_code; the buffer is never empty in a state
-        # that is decoded, so SHIFT is always legal.
-        R = len(model.relations)
-        legal = np.zeros((4, 2 * R + 2), dtype=bool)
-        legal[:, 0] = True
-        for rel in model.root_labels:
-            legal[0, model.action_index[(RIGHT_ARC, rel)]] = True
-        legal[2:, 1 + R:1 + 2 * R] = True
-        legal[2, 1:1 + R] = True
-        legal[3, -1] = True
-        self.illegal = ~legal
+        self.illegal = _illegal_actions(len(model.relations), model.root_labels,
+                                        model.action_index)
 
     def sentence_values(self, sentence, use_ner):
         """Value ids of a Sentence: (forms, tags, child tags, NER labels or None).
@@ -464,8 +465,25 @@ class _CompiledStateFeatures:
         return ids
 
 
+def _illegal_actions(n_relations, root_labels, action_index):
+    """(4, A) table of the illegal actions of a state, by its _mask_code.
+
+    Only for states with a non-empty buffer, the ones decoded and trained
+    on, so SHIFT is always legal.
+    """
+    R = n_relations
+    legal = np.zeros((4, 2 * R + 2), dtype=bool)
+    legal[:, 0] = True
+    for rel in root_labels:
+        legal[0, action_index[(RIGHT_ARC, rel)]] = True
+    legal[2:, 1 + R:1 + 2 * R] = True
+    legal[2, 1:1 + R] = True
+    legal[3, -1] = True
+    return ~legal
+
+
 def _mask_code(state):
-    """Row of _CompiledStateFeatures.illegal for a state with a non-empty buffer.
+    """Row of _illegal_actions for a state with a non-empty buffer.
 
     The same legality as _legal_action_mask: 0 and 1 have the root on top,
     with no root dependent yet or with one; 2 and 3 a token without or with
@@ -737,44 +755,71 @@ def train_parser(treebank, epochs=10, shuffle_seed=1, use_ner_features=False,
     root_labels = tuple(sorted(root_counts))
     root_label = max(sorted(root_counts), key=lambda r: root_counts[r])
 
-    # Replay each gold sequence once, freezing features, masks and gold
-    # action ids per decision point.
+    # Replay each gold sequence once, freezing per sentence its states'
+    # feature ids (one pack_rows array, each state's ids sorted), their
+    # illegal actions and their gold action ids. static_oracle has checked
+    # every transition with apply, so the replay advances without checks.
     action_index = {a: i for i, a in enumerate(_actions(relations))}
+    illegal_by_code = _illegal_actions(len(relations), root_labels, action_index)
     feature_index = {}
     per_sentence = []
     for sent in usable:
         seq = static_oracle(sent)
         state = ParserState(len(sent))
         tokens = sent.tokens
-        steps = []
-        for transition in seq:
-            ids = {feature_index.setdefault(f, len(feature_index))
-                   for f in state_features(state, tokens, use_ner_features)}
-            mask = _legal_action_mask(state, len(relations), root_labels,
-                                      action_index)
-            steps.append((np.asarray(sorted(ids), dtype=np.int64), mask,
-                          action_index[transition]))
-            state.apply(transition)
-        per_sentence.append(steps)
+        rows = []
+        codes = []
+        for kind, label in seq:
+            rows.append(sorted({feature_index.setdefault(f, len(feature_index))
+                                for f in state_features(state, tokens, use_ner_features)}))
+            codes.append(_mask_code(state))
+            state.advance(kind, label)
+        per_sentence.append((_kernels.pack_rows(rows), illegal_by_code[codes],
+                             np.array([action_index[t] for t in seq])))
 
     weights = AveragedWeights(len(feature_index), len(action_index))
+    scored = [0, 0]  # gathers and rows of the epoch so far
 
     def learn(si, step):
-        states = per_sentence[si]
-        correct = 0
-        for ids, mask, gold_a in states:
-            step += 1
-            scores = _kernels.row_sum(weights.W, ids)
-            scores[~mask] = NEG_INF
-            pred = int(np.argmax(scores))
-            if pred == gold_a:
-                correct += 1
-                continue
-            weights.update((ids, gold_a), (ids, pred), step)
-        return len(states) - correct, correct, len(states)
+        # The weights change only at an update, so all states after the
+        # last one are scored ahead in one gather; row j of it equals
+        # row_sum over state j's ids bit for bit. The first mistaken state
+        # is updated at the step it would take one state at a time, and
+        # only the states after it are scored again.
+        ids, illegal, gold = per_sentence[si]
+        S = len(gold)
+        mistakes = 0
+        j = 0
+        while j < S:
+            scores = _kernels.sum_rows(weights.W, ids[:, j:])
+            scores[illegal[j:]] = NEG_INF
+            pred = scores.argmax(axis=1)
+            scored[0] += 1
+            scored[1] += S - j
+            wrong = np.flatnonzero(pred != gold[j:])
+            if not len(wrong):
+                break
+            k = int(wrong[0])
+            j += k
+            row = ids[:, j]
+            row = row[row >= 0]
+            weights.update((row, gold[j]), (row, pred[k]), step + j + 1)
+            mistakes += 1
+            j += 1
+        return mistakes, S - mistakes, S
 
-    step = train_epochs((weights,), [len(states) for states in per_sentence], epochs,
-                        shuffle_seed, learn, on_epoch)
+    steps = [len(gold) for _, _, gold in per_sentence]
+    states = sum(steps)
+
+    def epoch_done(epoch, mistakes, accuracy):
+        if scored[0]:
+            logger.debug("epoch %d: %d gather(s) scored %d row(s) for %d state(s)",
+                         epoch, scored[0], scored[1], states)
+            scored[:] = [0, 0]
+        if on_epoch is not None:
+            on_epoch(epoch, mistakes, accuracy)
+
+    step = train_epochs((weights,), steps, epochs, shuffle_seed, learn, epoch_done)
 
     return ParserModel(relations, feature_index, weights.averaged(step),
                        use_ner_features=use_ner_features,
@@ -811,7 +856,7 @@ def read_conllx(path):
     """10-column CoNLL-X-style import: ID, FORM, _, POS, _, _, HEAD, DEPREL, _, _."""
     sentences = []
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():

@@ -407,7 +407,7 @@ def from_six_column(text):
 
 
 def read_six_column(path):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return from_six_column(fh.read())
 
 

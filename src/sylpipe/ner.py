@@ -231,7 +231,7 @@ def parse_three_column(text):
 
 
 def read_three_column(path):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_three_column(fh.read())
 
 
@@ -258,7 +258,7 @@ def training_pairs(sentences):
 def read_gazetteer(path):
     """One entry per line; entries are word forms with "_"-joined syllables."""
     entries = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line in fh:
             entry = unicodedata.normalize("NFC", line.strip())
             if entry:

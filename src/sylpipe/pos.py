@@ -82,7 +82,7 @@ def parse_two_column(text):
 
 
 def read_two_column(path):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_two_column(fh.read())
 
 

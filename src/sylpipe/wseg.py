@@ -483,7 +483,7 @@ def train_segmenter(corpus, window_radius=2, max_rules=200, on_rule=None):
 
 def read_segmented_corpus(path):
     """One sentence per line, words space-separated, syllables "_"-joined."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     return parse_segmented_corpus(text)
 

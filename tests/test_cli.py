@@ -91,6 +91,20 @@ class TestTrain:
         assert main(["train", "pos", "-corpus", str(corpus), "-models", str(tmp_path)]) == 4
         assert "line 2: token form may not contain whitespace" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task, corpus, epochs", [
+        ("wseg", "wseg.txt", "8"), ("pos", "pos.tsv", "8"), ("ner", "ner.tsv", "8"),
+        ("parse", "parse.conll", "12"),
+    ])
+    def test_byte_order_mark_ignored(self, cli_models, tmp_path, task, corpus, epochs):
+        with open(os.path.join(TOY_DIR, corpus), "rb") as fh:
+            text = fh.read()
+        (tmp_path / corpus).write_bytes(b"\xef\xbb\xbf" + text)
+        assert main(["train", task, "-corpus", str(tmp_path / corpus),
+                     "-models", str(tmp_path), "-epochs", epochs]) == 0
+        model = f"{task}.model"
+        with open(os.path.join(cli_models, model), "rb") as fh:
+            assert (tmp_path / model).read_bytes() == fh.read()
+
     def test_missing_corpus(self, tmp_path):
         assert main(["train", "pos", "-corpus", str(tmp_path / "nope.tsv"),
                      "-models", str(tmp_path)]) == 1
@@ -117,6 +131,19 @@ class TestAnnotate:
         pipe = build_pipeline(model_dir=cli_models)
         with open(out, encoding="utf-8") as fh:
             assert fh.read() == pipe.annotate(src.read_text(encoding="utf-8")).to_text()
+
+    def test_byte_order_mark_ignored(self, cli_models, tmp_path):
+        text = "Hà Nội .\nCông ty có hai nhà máy lớn .\n".encode("utf-8")
+        outputs = []
+        for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+            src = tmp_path / f"{name}.txt"
+            src.write_bytes(data)
+            out = tmp_path / f"{name}.out"
+            assert main(["annotate", "-fin", str(src), "-fout", str(out),
+                         "-models", cli_models]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0]
+        assert outputs[0].startswith("1\tHà".encode("utf-8"))
 
     def test_workers_flag_removed(self, cli_models, tmp_path):
         out = tmp_path / "never.txt"
@@ -288,6 +315,17 @@ class TestBench:
         for stage in ("wseg", "pos", "ner", "parse", "full"):
             assert any(l.startswith(stage) and "words/sec" in l
                        for l in out.splitlines()), out
+
+    def test_byte_order_mark_not_counted(self, cli_models, tmp_path, capsys):
+        text = "Hà Nội .\nCông ty có hai nhà máy lớn .\n".encode("utf-8")
+        words = []
+        for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+            src = tmp_path / f"{name}.txt"
+            src.write_bytes(data)
+            assert main(["bench", "-fin", str(src), "-models", cli_models,
+                         "-reps", "1"]) == 0
+            words.append(capsys.readouterr().out.split()[1])
+        assert words[1] == words[0]
 
     @pytest.mark.parametrize("reps", ["0", "-1"])
     def test_non_positive_reps_exit_2(self, cli_models, tmp_path, capsys, reps):

@@ -412,6 +412,47 @@ class TestNerFeatureAblation:
             assert without <= with_ner
 
 
+def oracle_states(sentence):
+    """Every state that the static oracle's walk over sentence decides in."""
+    state = ParserState(len(sentence))
+    for transition in static_oracle(sentence):
+        yield state
+        state.apply(transition)
+
+
+class TestLegalityTable:
+    """Decoding and training read illegal actions from one table by
+    _mask_code; at every state the oracle reaches, its row is the mask of
+    _legal_action_mask."""
+
+    @pytest.mark.parametrize("root_labels", [("root",), ("root", "sub"), RELS])
+    def test_rows_match_the_mask_on_oracle_walks(self, toy_treebank, root_labels):
+        rng = random.Random(11)
+        # Root arcs take "root", the other arcs any of RELS, "root" included,
+        # so the root relations are a strict subset of the relations.
+        trees = [random_projective_heads(rng, rng.randint(1, 9), relations=("root", *RELS))
+                 for _ in range(300)]
+        # Two tokens on the root: the walk reaches the root on top of the
+        # stack again after its dependent was reduced.
+        two_roots = Sentence._of((("a", "b"), ("N", "V"), ("O", "O"), (0, 0),
+                                  ("root", "root")))
+        sentences = [*toy_treebank, two_roots,
+                     *(Sentence.from_columns([rng.choice(FORMS) for _ in heads],
+                                             ["N"] * len(heads), None, heads, deps)
+                       for heads, deps in trees)]
+        relations = sorted({*RELS, *(rel for s in sentences for rel in s.column("dep_label"))})
+        action_index = {a: i for i, a in enumerate(depparse._actions(relations))}
+        table = depparse._illegal_actions(len(relations), root_labels, action_index)
+        codes = set()
+        for sentence in sentences:
+            for state in oracle_states(sentence):
+                code = depparse._mask_code(state)
+                codes.add(code)
+                assert np.array_equal(~table[code], depparse._legal_action_mask(
+                    state, len(relations), root_labels, action_index))
+        assert codes == {0, 1, 2, 3}
+
+
 class TestTrainParser:
     def test_toy_treebank_uas(self, toy_treebank, parse_model):
         stripped = [Sentence(Token(t.index, t.form, pos_tag=t.pos_tag)
@@ -585,6 +626,8 @@ class TestSerialization:
         bank = depparse.read_conllx(path)
         assert len(bank) == 3
         assert [t.head for t in bank[0]] == [t.head for t in toy_treebank[0]]
+        path.write_text("\ufeff" + "\n".join(lines), encoding="utf-8")
+        assert depparse.read_conllx(path) == bank
 
 
 def test_speed_smoke(seg_model, pos_model, parse_model):

@@ -12,6 +12,7 @@ import os
 import random
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -148,6 +149,22 @@ def scored_per_epoch(monkeypatch, kernel, train, *args, epochs):
     return [b - a for a, b in zip([0, *totals], totals)]
 
 
+def parser_gathers_per_epoch(monkeypatch, treebank, epochs):
+    """The id arrays that each epoch of train_parser passed to _kernels.sum_rows;
+    each column is one state scored."""
+    calls = []
+    real = _kernels.sum_rows
+
+    def recorded(weights, packed):
+        calls.append(packed.copy())
+        return real(weights, packed)
+
+    monkeypatch.setattr(_kernels, "sum_rows", recorded)
+    ends = []
+    depparse.train_parser(treebank, epochs=epochs, on_epoch=lambda *_: ends.append(len(calls)))
+    return [calls[a:b] for a, b in zip([0, *ends], ends)]
+
+
 class TestFixedPoint:
     def test_tagger_stops_scoring_after_the_first_epoch_without_update(
             self, monkeypatch, toy_pos_corpus):
@@ -166,18 +183,53 @@ class TestFixedPoint:
 
     def test_parser_stops_scoring_after_the_first_epoch_without_update(
             self, monkeypatch, toy_treebank):
-        per_epoch = scored_per_epoch(monkeypatch, "row_sum", depparse.train_parser,
-                                     toy_treebank, epochs=12)
-        # Mistaken transitions per epoch: 49, 0.
+        per_epoch = parser_gathers_per_epoch(monkeypatch, toy_treebank, epochs=12)
+        rows = [sum(packed.shape[1] for packed in gathers) for gathers in per_epoch]
+        # Mistaken transitions per epoch: 49, 0. Epoch 1 scores again the
+        # states after each mistake; epoch 2 scores each sentence in one
+        # gather of all its states.
         states = sum(len(depparse.static_oracle(sent)) for sent in toy_treebank)
-        assert per_epoch == [states] * 2 + [0] * 10
+        assert rows[0] > states and len(per_epoch[0]) > len(toy_treebank)
+        assert rows[1:] == [states] + [0] * 10
+        assert len(per_epoch[1]) == len(toy_treebank)
 
     def test_parser_that_never_fits_scores_every_epoch(self, monkeypatch, toy_treebank):
         treebank = [*toy_treebank[:3], two_root_sentence(["a", "b"], ["N", "V"], ["O", "O"])]
-        per_epoch = scored_per_epoch(monkeypatch, "row_sum", depparse.train_parser,
-                                     treebank, epochs=5)
+        per_epoch = parser_gathers_per_epoch(monkeypatch, treebank, epochs=5)
         states = sum(len(depparse.static_oracle(sent)) for sent in treebank)
-        assert per_epoch == [states] * 5
+        assert len(per_epoch) == 5
+        for gathers in per_epoch:
+            assert len(gathers) >= len(treebank)
+            assert sum(packed.shape[1] for packed in gathers) >= states
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_parser_scores_again_only_the_states_after_a_mistake(self, monkeypatch, n):
+        # Tokens 1..n-1 hang on token n, the root's dependent, so the oracle
+        # shifts n - 1 times and leaves SHIFT first at state j = n - 1. The
+        # weights start at zero, where SHIFT, action 0 and always legal,
+        # wins every state: the first mistake is at state j.
+        sent = Sentence.from_columns(FORMS[:n], ["N"] * n, ["O"] * n,
+                                     [n] * (n - 1) + [0], ["sub"] * (n - 1) + ["root"])
+        seq = depparse.static_oracle(sent)
+        j = n - 1
+        assert [kind for kind, _ in seq[:j]] == [depparse.SHIFT] * j
+        assert seq[j][0] != depparse.SHIFT
+        (gathers,) = parser_gathers_per_epoch(monkeypatch, [sent], epochs=1)
+        assert gathers[0].shape[1] == len(seq)
+        if j + 1 < len(seq):
+            assert np.array_equal(gathers[1], gathers[0][:, j + 1:])
+        else:
+            assert len(gathers) == 1
+
+    def test_parser_gathers_logged_at_debug(self, caplog, monkeypatch, toy_treebank):
+        caplog.set_level(logging.DEBUG, logger="sylpipe.depparse")
+        per_epoch = parser_gathers_per_epoch(monkeypatch, toy_treebank, epochs=12)
+        states = sum(len(depparse.static_oracle(sent)) for sent in toy_treebank)
+        assert [r.getMessage() for r in caplog.records if r.name == "sylpipe.depparse"] == [
+            f"epoch {epoch}: {len(gathers)} gather(s) scored "
+            f"{sum(packed.shape[1] for packed in gathers)} row(s) for {states} state(s)"
+            for epoch, gathers in enumerate(per_epoch, 1) if gathers]
+        assert [bool(gathers) for gathers in per_epoch] == [True] * 2 + [False] * 10
 
     def test_fixed_point_logged_at_debug(self, caplog, toy_pos_corpus):
         caplog.set_level(logging.DEBUG, logger="sylpipe.linear")

@@ -233,6 +233,8 @@ class TestTraining:
         gaz = tmp_path / "gaz.txt"
         gaz.write_text("Hà_Nội\nViệt_Nam\n", encoding="utf-8")
         entries = ner.read_gazetteer(gaz)
+        gaz.write_text("\ufeffHà_Nội\nViệt_Nam\n", encoding="utf-8")
+        assert ner.read_gazetteer(gaz) == entries
         pairs = ner.training_pairs(toy_ner_sentences)
         m = ner.train_ner(pairs, epochs=2, gazetteer=entries)
         assert m.gazetteer == entries
