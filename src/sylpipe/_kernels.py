@@ -4,7 +4,8 @@ The annotation pipeline decodes in batches: sum_rows gathers the emission
 or transition scores of many positions at once, and viterbi_paths decodes
 many lattices at once. The tagger trainers decode one sentence at a time
 with viterbi_path; the parser trainer scores all states of a sentence
-after its last update in one sum_rows gather. row_sum, the sum for one
+after its last update in one sum_rows gather. Both trainers freeze their
+ids into the layout sum_rows reads with pack_ids. row_sum, the sum for one
 position or state, stays: the string-path reference (seqlabel's
 reference_emission_matrix) calls it, perfbench/tracing.py looks it up by
 name, and on a single row it is faster than a one-column sum_rows. row_sum
@@ -28,8 +29,6 @@ included.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -139,15 +138,19 @@ def _sequential_sum(stack):
     return np.cumsum(stack, axis=0)[-1] + 0.0
 
 
-def pack_rows(rows):
-    """Pack per-position id lists for sum_rows: a (K, T) id array padded with -1.
+def pack_ids(ids):
+    """Pack an (N, W) array of feature ids, -1 where none, for sum_rows: (K, N).
 
-    Column t holds the ids of position t in the given order, then padding.
+    Column n holds the distinct ids of row n in ascending order, the order
+    row_sum is given them, with -1 in place of a repeat and as padding; the
+    columns of padding that every row starts with are dropped. Sorts ids in
+    place.
     """
-    K = max(map(len, rows), default=0)
-    pads = [-1] * K
-    flat = itertools.chain.from_iterable(r + pads[len(r):] for r in rows)
-    return np.fromiter(flat, dtype=np.intp, count=len(rows) * K).reshape(len(rows), K).T
+    ids.sort(axis=1)
+    if len(ids):
+        ids = ids[:, int(np.count_nonzero(ids < 0, axis=1).min()):]
+    ids[:, 1:][ids[:, 1:] == ids[:, :-1]] = -1
+    return np.ascontiguousarray(ids.T)
 
 
 def sum_rows(weights, packed):
@@ -155,13 +158,12 @@ def sum_rows(weights, packed):
 
     packed is (K, T): column t holds the ids of position t in the order
     row_sum is given them, and -1 as padding, which may sit anywhere in the
-    column (pack_rows puts it last). One gather into a zero-padded
-    (K, T, L) array, summed over K. Numpy adds the K slices in order from a
-    +0.0 start, as row_sum does, and each padding slot adds +0.0, which
-    leaves a partial sum from +0.0 unchanged. (np.add.reduceat would be
-    faster but is not exact.) When T == L == 1 the slices are single
-    numbers that numpy would sum pairwise, so L == 1 takes the cumulative
-    sum that row_sum uses.
+    column. One gather into a zero-padded (K, T, L) array, summed over K.
+    Numpy adds the K slices in order from a +0.0 start, as row_sum does,
+    and each padding slot adds +0.0, which leaves a partial sum from +0.0
+    unchanged. (np.add.reduceat would be faster but is not exact.) When
+    T == L == 1 the slices are single numbers that numpy would sum
+    pairwise, so L == 1 takes the cumulative sum that row_sum uses.
     """
     K, T = packed.shape
     L = weights.shape[1]

@@ -23,20 +23,25 @@ string path joins the atom values with "|"; so a lookup hits exactly when
 state_features' string is in the alphabet, whatever the values contain.
 The reference path stays on state_features and apply.
 
-train_parser freezes each sentence once: it replays the static oracle's
-transitions with advance (static_oracle has checked each with apply) and
-keeps the sorted feature ids of every state, their illegal actions from the
-table that decoding reads, and the gold actions. The weights change only at
-an update, so an epoch scores all states of a sentence in one sum_rows
-gather, finds the first state whose masked argmax is not gold, updates
-there at the step it takes one state at a time, and scores again only the
-states after it: a sentence without a mistake costs one gather, and the
-model is the one that scoring each state alone trains, bit for bit.
+train_parser freezes its states once (_freeze): it walks each sentence's
+static oracle and records per state the positions and buckets that
+state_features reads. Each template is then a gather over columns of
+interned value ids, and only its distinct value tuples become strings
+(seqlabel.freeze_features), numbered in the order state_features would
+first fire them. It keeps the sorted feature ids of every state, their
+illegal actions from the table that decoding reads, and the gold actions.
+The weights change only at an update, so an epoch scores all states of a
+sentence in one sum_rows gather, finds the first state whose masked argmax
+is not gold, updates there at the step it takes one state at a time, and
+scores again only the states after it: a sentence without a mistake costs
+one gather, and the model is the one that scoring each state alone trains,
+bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 
 import numpy as np
@@ -45,7 +50,7 @@ from . import _kernels
 from ._kernels import NEG_INF
 from .linear import AveragedWeights, ModelFormat, check_epochs, train_epochs
 from .model import DataError, FormatError, Sentence, Token, check_label
-from .seqlabel import TrainingError
+from .seqlabel import TrainingError, freeze_features
 from .templates import value_splits
 
 logger = logging.getLogger(__name__)
@@ -228,6 +233,12 @@ def static_oracle(sentence):
     business left of the stack top, else SHIFT. Raises OracleError on
     non-projective input, naming the crossing arc pair.
     """
+    return [t for _, t in _oracle_walk(sentence)]
+
+
+def _oracle_walk(sentence):
+    """Yield (state, transition) along static_oracle's sequence: the one
+    state, as it stands before the transition, which is then applied."""
     n = len(sentence)
     gold_head = [-1, *sentence.column("head")]
     gold_label = [None, *sentence.column("dep_label")]
@@ -238,7 +249,6 @@ def static_oracle(sentence):
         raise OracleError(f"non-projective tree: arcs {crossing[0]} and "
                           f"{crossing[1]} cross")
     state = ParserState(n)
-    seq = []
     while state.buffer_start <= n:
         s = state.stack[-1]
         b = state.buffer_start
@@ -252,9 +262,8 @@ def static_oracle(sentence):
             t = (REDUCE, None)
         else:
             t = (SHIFT, None)
-        seq.append(t)
+        yield state, t
         state.apply(t)
-    return seq
 
 
 def replay(transitions, n):
@@ -704,6 +713,88 @@ def projectivize(sentence):
     return sentence.with_parse(lifted, sentence.column("dep_label"))
 
 
+# The atoms of the templates: the value each reads and the field of a
+# state's record (_freeze) it reads it at. The record holds the positions
+# s0, s1, s2, b0, b1, b2, the left and right child of s0 and the left child
+# of b0, then the distance bucket min(b0 - s0, 5) and the valency buckets
+# min(v, 3) of s0's left and right and b0's left dependents.
+_ATOMS = {"s0w": ("form", 0), "s0p": ("tag", 0), "s1p": ("tag", 1), "s2p": ("tag", 2),
+          "b0w": ("form", 3), "b0p": ("tag", 3), "b1w": ("form", 4), "b1p": ("tag", 4),
+          "b2p": ("tag", 5), "s0lcp": ("tag", 6), "s0rcp": ("tag", 7),
+          "b0lcp": ("tag", 8), "dist": ("dist", 9), "s0lv": ("valency", 10),
+          "s0rv": ("valency", 11), "b0lv": ("valency", 12), "s0n": ("ner", 0),
+          "b0n": ("ner", 3)}
+
+
+def _freeze(sentences, action_index, use_ner):
+    """Walk the static oracle of each sentence and freeze its states.
+
+    Returns (feature_index, ids, codes, gold, bounds): the alphabet of
+    state_features' strings, numbered as they first fire state by state;
+    the (K, S) array that sum_rows reads, column j the sorted ids of state
+    j; each state's _mask_code and gold action id; and bounds, where
+    sentence k's states start and end.
+
+    The walk records of each state the positions and buckets that
+    state_features reads, a position as its slot in columns of value ids:
+    slot 0 of a sentence is the root, 1..n its tokens and n + 1 a missing
+    position or child. Each template is then one gather per atom, and only
+    its distinct value tuples become strings (seqlabel.freeze_features).
+    """
+    records = []
+    codes = []
+    gold = []
+    bounds = [0]
+    bases = []
+    base = 0
+    for sent in sentences:
+        n = len(sent)
+        none = n + 1
+        for state, transition in _oracle_walk(sent):
+            stack, lchild, lval = state.stack, state.lchild, state.lval
+            s0 = stack[-1]
+            b0 = state.buffer_start
+            depth = len(stack)
+            records += (s0, stack[-2] if depth > 1 else none,
+                        stack[-3] if depth > 2 else none, b0, b0 + 1,
+                        b0 + 2 if b0 + 2 <= n else none, lchild[s0] or none,
+                        state.rchild[s0] or none, lchild[b0] or none, b0 - s0,
+                        lval[s0], state.rval[s0], lval[b0])
+            codes.append(_mask_code(state))
+            gold.append(action_index[transition])
+        bases += [base] * (len(gold) - bounds[-1])
+        bounds.append(len(gold))
+        base += n + 2
+    S = len(gold)
+    records = np.array(records, dtype=np.intp).reshape(S, 13)
+    records[:, :9] += np.array(bases, dtype=np.intp)[:, None]
+    np.minimum(records[:, 9:], [5, 3, 3, 3], out=records[:, 9:])
+
+    # Value ids of the positions of every sentence, by slot, and of the buckets.
+    slots = {table: list(itertools.chain.from_iterable(
+        part for sent in sentences
+        for part in ((_ROOT_VALUE,), sent.column(attr), (_NONE_VALUE,))))
+        for table, attr in (("form", "form"), ("tag", "pos_tag"), ("ner", "ner_label"))
+        if use_ner or table != "ner"}
+    slots["dist"] = [_NONE_VALUE, "1", "2", "3", "4", "5+"]  # bucket 0 never occurs
+    slots["valency"] = ["0", "1", "2", "3+"]
+    values = {v: k for k, v in enumerate(dict.fromkeys(
+        itertools.chain.from_iterable(slots.values())))}
+    tables = {table: np.fromiter(map(values.__getitem__, column), dtype=np.intp,
+                                 count=len(column))
+              for table, column in slots.items()}
+    templates = _TEMPLATES if use_ner else _TEMPLATES[:-3]
+    digits = {atom: tables[table][records[:, field]]
+              for atom, (table, field) in _ATOMS.items() if table in tables}
+    features, _, fired = freeze_features(
+        templates, [[digits[atom] for atom in name.removeprefix("ner:").split("|")]
+                    for name in templates], list(values), S)
+    logger.debug("froze %d state(s) of %d template(s): %d distinct value(s) read, "
+                 "%d feature(s)", S, len(templates), len(values), len(features))
+    return (features, _kernels.pack_ids(fired), np.array(codes, dtype=np.intp),
+            np.array(gold), bounds)
+
+
 def train_parser(treebank, epochs=10, shuffle_seed=1, use_ner_features=False,
                  nonprojective="skip", on_epoch=None):
     """Averaged perceptron over static-oracle transition sequences.
@@ -755,27 +846,12 @@ def train_parser(treebank, epochs=10, shuffle_seed=1, use_ner_features=False,
     root_labels = tuple(sorted(root_counts))
     root_label = max(sorted(root_counts), key=lambda r: root_counts[r])
 
-    # Replay each gold sequence once, freezing per sentence its states'
-    # feature ids (one pack_rows array, each state's ids sorted), their
-    # illegal actions and their gold action ids. static_oracle has checked
-    # every transition with apply, so the replay advances without checks.
     action_index = {a: i for i, a in enumerate(_actions(relations))}
-    illegal_by_code = _illegal_actions(len(relations), root_labels, action_index)
-    feature_index = {}
-    per_sentence = []
-    for sent in usable:
-        seq = static_oracle(sent)
-        state = ParserState(len(sent))
-        tokens = sent.tokens
-        rows = []
-        codes = []
-        for kind, label in seq:
-            rows.append(sorted({feature_index.setdefault(f, len(feature_index))
-                                for f in state_features(state, tokens, use_ner_features)}))
-            codes.append(_mask_code(state))
-            state.advance(kind, label)
-        per_sentence.append((_kernels.pack_rows(rows), illegal_by_code[codes],
-                             np.array([action_index[t] for t in seq])))
+    feature_index, ids, codes, gold, bounds = _freeze(usable, action_index,
+                                                      use_ner_features)
+    illegal = _illegal_actions(len(relations), root_labels, action_index)[codes]
+    per_sentence = [(ids[:, a:b], illegal[a:b], gold[a:b])
+                    for a, b in zip(bounds, bounds[1:])]
 
     weights = AveragedWeights(len(feature_index), len(action_index))
     scored = [0, 0]  # gathers and rows of the epoch so far

@@ -10,13 +10,21 @@ Decoding resolves features to ids without building a string per position
 (_CompiledFeatures): single-atom templates through per-value tables, and
 conjunctions through one sorted int64 key table of their atoms' interned
 value ids, looked up for a whole document with one np.searchsorted.
-Training and reference_emission_matrix stay on the feature strings.
+Training freezes its alphabet without a string per position either
+(_freeze): each atom reads each distinct attribute value once, the
+interned value ids of every template's atoms over the whole corpus pack
+into exact integer keys, and only each distinct (template, value tuple)
+becomes a string (freeze_features), in the order extract_features would
+first fire it. reference_emission_matrix stays on the feature strings, the
+oracle of both.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
+import logging
 import threading
 import types
 
@@ -30,6 +38,8 @@ from .model import DataError, Sentence, check_label
 from .templates import (BOUNDARY_LEFT, BOUNDARY_RIGHT, FeatureTemplate,  # noqa: F401
                         compile_atom, extract_features, make_templates, value_splits,
                         word_shape)
+
+logger = logging.getLogger(__name__)
 
 
 class DecodeError(DataError):
@@ -380,6 +390,73 @@ def _rank(table, x):
     r = np.searchsorted(table, x)
     hit = table[np.minimum(r, len(table) - 1)] == x
     return np.where(hit, r, len(table))
+
+
+def _tuple_codes(digits, radix):
+    """One int64 per column of the (n, N) digits, equal where the columns are.
+
+    The digits are value ids below radix; they are packed in base radix, and
+    where the next digit could carry a code to the bound, the code is first
+    replaced by its rank among the codes present, so codes stay exact for
+    any arity and number of values.
+    """
+    code = digits[0]
+    span = radix
+    for d in digits[1:]:
+        if span * radix >= _KEY_BOUND:
+            ranks, code = np.unique(code, return_inverse=True)
+            span = len(ranks)
+            if span * radix >= _KEY_BOUND:
+                raise ValueError("too many values for int64 feature keys")
+        code = code * radix + d
+        span *= radix
+    return code
+
+
+def freeze_features(names, digits, values, rows):
+    """The features that templates fire at rows positions, numbered first-seen.
+
+    names[t] is the name of template t, digits[t] the (rows,) value-id
+    arrays of its atoms, ids into the list values, -1 where an atom is
+    unset, so that the template fires nothing there. The feature of a
+    template at a position is "<name>=" and its atoms' values joined by "|".
+    Only one string is made per distinct (template, value tuple), and the
+    strings are numbered in the order in which the string path, position by
+    position and template by template, first fires them; two tuples that
+    join to one string get one number.
+
+    Returns (features, starts, fired): features maps each string to its
+    number, starts lists the first position of each number (ascending), and
+    fired is the (rows, T) array of the number that each template fires at
+    each position, -1 where it fires none.
+    """
+    entries = []  # (first positions, strings, where it fires, inverse) per template
+    for name, atoms in zip(names, digits):
+        stack = np.array(atoms, dtype=np.int64)
+        where = np.flatnonzero((stack >= 0).all(axis=0))
+        _, first, inverse = np.unique(_tuple_codes(stack[:, where], len(values)),
+                                      return_index=True, return_inverse=True)
+        first = where[first]
+        prefix = name + "="
+        parts = [list(map(values.__getitem__, digit.tolist())) for digit in stack[:, first]]
+        entries.append((first, [prefix + "|".join(p) for p in zip(*parts)], where, inverse))
+    first = np.concatenate([np.empty(0, dtype=np.intp), *[e[0] for e in entries]])
+    template = np.repeat(np.arange(len(names)), [len(e[0]) for e in entries])
+    order = np.lexsort((template, first))
+    strings = [s for _, strings, _, _ in entries for s in strings]
+    strings = [strings[e] for e in order.tolist()]
+    features = {s: k for k, s in enumerate(dict.fromkeys(strings))}
+    number = np.empty(len(strings), dtype=np.intp)
+    number[order] = np.fromiter(map(features.__getitem__, strings), dtype=np.intp,
+                                count=len(strings))
+    _, seen = np.unique(number[order], return_index=True)
+    starts = first[order][seen].tolist()
+    fired = np.full((rows, len(names)), -1, dtype=np.intp)
+    lo = 0
+    for t, (entry_first, _, where, inverse) in enumerate(entries):
+        fired[where, t] = number[lo:lo + len(entry_first)][inverse]
+        lo += len(entry_first)
+    return features, starts, fired
 
 
 class _CompiledFeatures:
@@ -744,32 +821,126 @@ def train_averaged_perceptron(templates, corpus, epochs=5, shuffle_seed=None,
                   bio_constrained, gazetteer, induced, on_epoch)
 
 
+def _atom_digits(templates, sentences, resources):
+    """(digits, values): the value ids of each template's atoms at every
+    position of the sentences, as freeze_features takes them.
+
+    An atom over a token attribute reads each distinct value of the
+    attribute once, through compile_atom at offset 0 as _Column.resolve
+    does, and each sentence boundary once; isfirst and islast compare each
+    position's place in its sentence. values lists the value strings by id.
+    """
+    lengths = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
+    N = int(lengths.sum())
+    sentence = np.repeat(np.arange(len(lengths)), lengths)
+    at = np.arange(N) - (np.cumsum(lengths) - lengths)[sentence]  # place in its sentence
+    length = lengths[sentence]
+    values = {}
+
+    def intern(value):
+        return -1 if value is None else values.setdefault(value, len(values))
+
+    columns = {}  # attribute -> (code of each position, one token per distinct value)
+    tables = {}  # (name, arg) -> value id by code: left boundary, right, then values
+    read = {}  # atom spec -> value id at each position
+
+    def atom(name, arg, offset):
+        spec = (name, arg, offset)
+        if spec in read:
+            return read[spec]
+        p = at + offset
+        if name in ("isfirst", "islast"):
+            hit = p == (0 if name == "isfirst" else length - 1)
+            read[spec] = np.where(hit, intern("1"), intern("0"))
+            return read[spec]
+        attr = _ATTRIBUTE_OF_ATOM[name]
+        if attr not in columns:
+            distinct = dict.fromkeys(itertools.chain.from_iterable(
+                s.column(attr) for s in sentences))
+            code = {value: k for k, value in enumerate(distinct, 2)}
+            columns[attr] = (np.fromiter(map(code.__getitem__, itertools.chain.from_iterable(
+                s.column(attr) for s in sentences)), dtype=np.intp, count=N),
+                [types.SimpleNamespace(**{attr: value}) for value in distinct])
+        codes, tokens = columns[attr]
+        if (name, arg) not in tables:
+            get = compile_atom(name, arg, 0)
+            tables[(name, arg)] = np.array(
+                [intern(get((), -1, resources)), intern(get((), 0, resources))]
+                + [intern(get(tokens, k, resources)) for k in range(len(tokens))],
+                dtype=np.int64)
+        inside = codes[np.clip(np.arange(N) + offset, 0, max(N - 1, 0))]
+        read[spec] = tables[(name, arg)][np.where(p < 0, 0, np.where(p >= length, 1, inside))]
+        return read[spec]
+
+    digits = [[atom(*spec) for spec in tpl.specs] for tpl in templates]
+    return digits, list(values)
+
+
+def _freeze(templates, sentences, resources, induced_pairs):
+    """The feature alphabet of a tagger and the features of every position.
+
+    Returns (feature_index, fired, ids): fired is the (N, T) array of the id
+    that each template fires at each of the N positions, -1 where none;
+    ids is the (K, N) array that sum_rows reads, column n the ids of
+    position n, the induced pairs' included, ascending with -1 as padding.
+    The ids are those that extract_features' strings take when they enter
+    the alphabet position by position: the templates' in template order,
+    then the induced pairs'.
+    """
+    digits, values = _atom_digits(templates, sentences, resources)
+    N = sum(map(len, sentences))
+    features, starts, fired = freeze_features([tpl.name for tpl in templates], digits,
+                                              values, N)
+    pairs = []  # (first position, first template firing its first part, k, pair, fires)
+    for k, (a, b) in enumerate(induced_pairs):
+        if a not in features or b not in features:
+            continue
+        has_a = fired == features[a]
+        fires = has_a.any(axis=1) & (fired == features[b]).any(axis=1)
+        if fires.any():
+            p = int(fires.argmax())
+            pairs.append((p, int(has_a[p].argmax()), k, f"{a}&&{b}", fires))
+    columns = [fired]
+    if pairs:
+        # At each position extract_features fires the templates' strings,
+        # then for each of them in order the pairs it is the first part of.
+        feature_index = {}
+        strings = list(features)
+        new_id = np.empty(len(strings) + 1, dtype=np.intp)
+        new_id[-1] = -1
+        done = 0
+        for p, _, _, name, fires in sorted(pairs, key=lambda pair: pair[:3]):
+            stop = bisect.bisect_right(starts, p)
+            for c in range(done, stop):
+                new_id[c] = feature_index.setdefault(strings[c], len(feature_index))
+            done = stop
+            columns.append(np.where(fires, feature_index.setdefault(name, len(feature_index)),
+                                    -1)[:, None])
+        for c in range(done, len(strings)):
+            new_id[c] = feature_index.setdefault(strings[c], len(feature_index))
+        fired = new_id[fired]
+        columns[0] = fired
+    else:
+        feature_index = features
+    logger.debug("froze %d position(s) of %d template(s): %d distinct value(s) read, "
+                 "%d feature(s)", N, len(templates), len(values), len(feature_index))
+    return feature_index, fired, _kernels.pack_ids(np.concatenate(columns, axis=1))
+
+
 def _train(templates, corpus, labels, epochs, shuffle_seed, bio_constrained,
            gazetteer, induced_pairs, on_epoch, collect_error_pairs=None):
     L = len(labels)
     label_index = {lab: i for i, lab in enumerate(labels)}
     resources = {"gazetteer": frozenset(gazetteer)} if gazetteer is not None else None
-    induced_index = _index_pairs(induced_pairs)
 
-    # Freeze the feature alphabet with one pass over the corpus.
-    feature_index = {}
-    feats_by_sentence = []
-    ids_by_sentence = []
-    packed_by_sentence = []
-    golds = []
-    for sent, gold in corpus:
-        tokens = _sentence_of(sent).tokens
-        sent_feats = []
-        sent_ids = []
-        for i in range(len(tokens)):
-            feats = extract_features(templates, tokens, i, resources, induced_index)
-            sent_feats.append(feats)
-            sent_ids.append(sorted({feature_index.setdefault(f, len(feature_index))
-                                    for f in feats}))
-        feats_by_sentence.append(sent_feats)
-        packed_by_sentence.append(_kernels.pack_rows(sent_ids))
-        ids_by_sentence.append([np.asarray(r, dtype=np.int64) for r in sent_ids])
-        golds.append(np.asarray([label_index[g] for g in gold], dtype=np.int64))
+    # Freeze the feature alphabet with one pass over the corpus; sentence
+    # si holds columns bounds[si]:bounds[si + 1] of ids.
+    sentences = [_sentence_of(sent) for sent, _ in corpus]
+    feature_index, fired, ids = _freeze(templates, sentences, resources, induced_pairs)
+    bounds = np.cumsum([0, *map(len, sentences)]).tolist()
+    golds = [np.asarray([label_index[g] for g in gold], dtype=np.int64) for _, gold in corpus]
+    # The probe epoch, which collects the error pairs, has no induced pairs.
+    names = list(feature_index) if collect_error_pairs is not None else None
 
     emissions = AveragedWeights(len(feature_index), L)
     transitions = AveragedWeights(L + 1, L)
@@ -777,13 +948,14 @@ def _train(templates, corpus, labels, epochs, shuffle_seed, bio_constrained,
     mask = bio_transition_mask(labels) if bio_constrained else None
 
     def learn(si, step):
-        ids = ids_by_sentence[si]
+        lo = bounds[si]
+        packed = ids[:, lo:bounds[si + 1]]
         gold = golds[si]
         T = len(gold)
         if T == 0:
             return 0, 0, 0
         step += 1
-        em = _kernels.sum_rows(emissions.W, packed_by_sentence[si])
+        em = _kernels.sum_rows(emissions.W, packed)
         trans = transitions.W[:L].copy()
         st = transitions.W[start].copy()
         if mask is not None:
@@ -798,13 +970,15 @@ def _train(templates, corpus, labels, epochs, shuffle_seed, bio_constrained,
             p = pred[i]
             if g != p:
                 if collect_error_pairs is not None:
-                    feats = feats_by_sentence[si][i]
+                    feats = [names[j] for j in fired[lo + i].tolist() if j >= 0]
                     for a_i in range(len(feats)):
                         for b_i in range(a_i + 1, len(feats)):
                             a, b = feats[a_i], feats[b_i]
                             pair = (a, b) if a <= b else (b, a)
                             collect_error_pairs[pair] = collect_error_pairs.get(pair, 0) + 1
-                emissions.update((ids[i], g), (ids[i], p), step)
+                row = packed[:, i]
+                row = row[row >= 0]
+                emissions.update((row, g), (row, p), step)
             pg = gold[i - 1] if i else start
             pp = pred[i - 1] if i else start
             if (pg, g) != (pp, p):

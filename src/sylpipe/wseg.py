@@ -52,8 +52,11 @@ def _is_abbreviation(tok):
 
 
 def tokenize_syllables(text):
-    """Split text into syllable tokens; punctuation becomes its own token."""
-    return [m.group() for m in _SYL_RE.finditer(unicodedata.normalize("NFC", text))]
+    """Split text into syllable tokens; punctuation becomes its own token. A
+    byte-order mark that starts the text is dropped, as split_and_tokenize
+    drops it."""
+    return [m.group() for m in _SYL_RE.finditer(
+        unicodedata.normalize("NFC", text.removeprefix("\ufeff")))]
 
 
 def split_and_tokenize(raw_text):
@@ -62,10 +65,11 @@ def split_and_tokenize(raw_text):
     Line breaks are hard sentence boundaries. Within a line, a sentence ends
     at terminal punctuation (. ! ? ...) followed by whitespace and an
     uppercase letter or digit, unless the preceding token is a known
-    abbreviation or a single uppercase initial.
+    abbreviation or a single uppercase initial. A byte-order mark that
+    starts the text is dropped, as the file readers drop it.
     """
     sentences = []
-    for line in unicodedata.normalize("NFC", raw_text).split("\n"):
+    for line in unicodedata.normalize("NFC", raw_text.removeprefix("\ufeff")).split("\n"):
         _split_line(line, sentences)
     return sentences
 

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+import tempfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -332,3 +333,26 @@ def _old_check_acyclic(heads):
             raise ValueError(f"head links contain a cycle through token {node}")
         for v in path:
             state[v] = 2
+
+
+def saved_bytes(save, model):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "model")
+        save(model, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def trained(train, *args, **kwargs):
+    """(model, on_epoch calls) of one training run."""
+    calls = []
+    model = train(*args, on_epoch=lambda *call: calls.append(call), **kwargs)
+    return model, calls
+
+
+def assert_trains_as_oracle(train, oracle_train, save, *args, **options):
+    """train and oracle_train report the same epochs and save the same bytes."""
+    model, calls = trained(train, *args, **options)
+    expected, expected_calls = trained(oracle_train, *args, **options)
+    assert calls == expected_calls
+    assert saved_bytes(save, model) == saved_bytes(save, expected)

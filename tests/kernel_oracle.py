@@ -62,3 +62,15 @@ def row_sum(weights, ids):
         for y in range(L):
             out[y] += weights[row, y]
     return out
+
+
+def pack_rows(rows):
+    """Pack per-position id lists for sum_rows: a (K, T) id array padded with -1.
+
+    Column t holds the ids of position t in the given order, then padding.
+    """
+    K = max(map(len, rows), default=0)
+    packed = np.full((len(rows), K), -1, dtype=np.intp)
+    for t, row in enumerate(rows):
+        packed[t, :len(row)] = row
+    return packed.T

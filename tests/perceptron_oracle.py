@@ -5,11 +5,15 @@ Copied verbatim from the last versions of sylpipe.seqlabel
 (train_averaged_perceptron, _train, _induce_pairs) and of
 sylpipe.depparse.train_parser that scored every instance in every epoch,
 so the trainers that skip the epochs after one with no update can be
-checked against them.
+checked against them. They freeze their alphabets from the feature strings
+of every position and state (extract_features, state_features), so they
+are also the oracle of the trainers' freeze from interned value ids.
+pack_rows, which only they use, lives in kernel_oracle.
 """
 
 import numpy as np
 
+from kernel_oracle import pack_rows
 from sylpipe import _kernels
 from sylpipe._kernels import NEG_INF
 from sylpipe.depparse import (ParserModel, ParserState, _actions, _legal_action_mask,
@@ -75,7 +79,7 @@ def _train(templates, corpus, labels, epochs, shuffle_seed, bio_constrained,
             sent_ids.append(sorted({feature_index.setdefault(f, len(feature_index))
                                     for f in feats}))
         feats_by_sentence.append(sent_feats)
-        packed_by_sentence.append(_kernels.pack_rows(sent_ids))
+        packed_by_sentence.append(pack_rows(sent_ids))
         ids_by_sentence.append([np.asarray(r, dtype=np.int64) for r in sent_ids])
         golds.append(np.asarray([label_index[g] for g in gold], dtype=np.int64))
 

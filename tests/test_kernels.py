@@ -39,12 +39,28 @@ def test_numpy_row_sum_adds_in_id_order(L):
             ids = np.asarray(ids, dtype=np.int64)
             expected[t] = oracle.row_sum(W, ids)
             assert _kernels.row_sum(W, ids).tobytes() == expected[t].tobytes()
-        packed = _kernels.pack_rows(rows)
+        packed = oracle.pack_rows(rows)
         assert _kernels.sum_rows(W, packed).tobytes() == expected.tobytes()
         # The same ids with the padding moved to the front of each column.
         front = np.array([sorted(col, key=lambda j: j >= 0) for col in packed.T]).T
         front = front.reshape(packed.shape)
         assert _kernels.sum_rows(W, front).tobytes() == expected.tobytes()
+
+
+def test_pack_ids_sorts_and_drops_repeats():
+    # Each column keeps its row's distinct ids in ascending order, the
+    # order row_sum adds them in; padding and repeats become -1.
+    rng = np.random.default_rng(7)
+    W = rng.standard_normal((12, 5))
+    ids = rng.integers(-1, 12, size=(60, 7))
+    ids[:, :2] = -1  # padding every row starts with is dropped
+    rows = [sorted(set(row) - {-1}) for row in ids.tolist()]
+    packed = _kernels.pack_ids(ids.copy())
+    assert packed.shape[0] <= 5 and packed.flags.c_contiguous
+    assert [col[col >= 0].tolist() for col in packed.T] == rows
+    assert _kernels.sum_rows(W, packed).tobytes() == \
+        _kernels.sum_rows(W, oracle.pack_rows(rows)).tobytes()
+    assert _kernels.pack_ids(np.empty((0, 3), dtype=np.intp)).shape == (3, 0)
 
 
 def test_viterbi_masked_scores():

@@ -296,3 +296,13 @@ def test_line_of_over_ten_thousand_syllables(full_pipeline):
         ["nhà", "máy", "_", "Hà", "Nội", "東", "a_b", "\ufeff", "x\u0301"]), 9000))
     syllables = check_annotation(full_pipeline, line)
     assert len(syllables) == 1 and len(syllables[0]) > 10_000
+
+
+def test_leading_byte_order_mark_dropped(full_pipeline):
+    plain = full_pipeline.annotate("Hà Nội .")
+    marked = full_pipeline.annotate("\ufeffHà Nội .")
+    assert dump_six_column(marked.sentences) == dump_six_column(plain.sentences)
+    assert wseg.split_and_tokenize("\ufeffHà Nội .") == [["Hà", "Nội", "."]]
+    assert wseg.tokenize_syllables("\ufeffHà Nội .") == ["Hà", "Nội", "."]
+    # Only the mark that starts the text: one inside a line stays a token.
+    assert wseg.split_and_tokenize("Hà\ufeffNội .") == [["Hà", "\ufeff", "Nội", "."]]
