@@ -4,15 +4,16 @@ The annotation pipeline decodes in batches: sum_rows gathers the emission
 or transition scores of many positions at once, and viterbi_paths decodes
 many lattices at once. The tagger trainers decode one sentence at a time
 with viterbi_path; the parser trainer scores all states of a sentence
-after its last update in one sum_rows gather. Both trainers freeze their
-ids into the layout sum_rows reads with pack_ids. row_sum, the sum for one
-position or state, stays: the string-path reference (seqlabel's
-reference_emission_matrix) calls it, perfbench/tracing.py looks it up by
-name, and on a single row it is faster than a one-column sum_rows. row_sum
-and sum_rows add the rows in id order from a +0.0 start, and viterbi_path
-and viterbi_paths make the same additions on the same operands, so each
-batch kernel equals its one-sentence kernel bit for bit for any weights,
-float weights included. The plain loops in tests/kernel_oracle.py pin both.
+after its last update in one sum_rows gather. The taggers' decode and both
+trainers pack their ids into the layout sum_rows reads with pack_ids.
+row_sum, the sum for one position or state, stays: the string-path
+reference (seqlabel's reference_emission_matrix) calls it,
+perfbench/tracing.py looks it up by name, and on a single row it is faster
+than a one-column sum_rows. row_sum and sum_rows add the rows in id order
+from a +0.0 start, and viterbi_path and viterbi_paths make the same
+additions on the same operands, so each batch kernel equals its
+one-sentence kernel bit for bit for any weights, float weights included.
+The plain loops in tests/kernel_oracle.py pin both.
 
 Every Viterbi kernel takes the maximum of a step as the value at its first
 maximum, the one its argmax keeps, by gathering it at the argmax, which is
@@ -144,13 +145,15 @@ def pack_ids(ids):
     Column n holds the distinct ids of row n in ascending order, the order
     row_sum is given them, with -1 in place of a repeat and as padding; the
     columns of padding that every row starts with are dropped. Sorts ids in
-    place.
+    place and returns a transposed view of it: sum_rows reads any strides,
+    and a contiguous copy measured slower at decode and no faster in the
+    trainers.
     """
     ids.sort(axis=1)
     if len(ids):
         ids = ids[:, int(np.count_nonzero(ids < 0, axis=1).min()):]
     ids[:, 1:][ids[:, 1:] == ids[:, :-1]] = -1
-    return np.ascontiguousarray(ids.T)
+    return ids.T
 
 
 def sum_rows(weights, packed):

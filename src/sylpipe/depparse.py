@@ -18,9 +18,10 @@ features of a state resolve to ids without building strings
 interned; a one-atom template reads a list by value id, and a conjunction
 maps the tuple of its atoms' value ids to a feature id. A feature
 "<template>=<value>" of an n-atom template is registered under every split
-of <value> at "|" into n parts (templates.value_splits), because the
-string path joins the atom values with "|"; so a lookup hits exactly when
-state_features' string is in the alphabet, whatever the values contain.
+of <value> at "|" into n parts (templates.alphabet_tuples, the reader the
+taggers' key table uses too), because the string path joins the atom
+values with "|"; so a lookup hits exactly when state_features' string is
+in the alphabet, whatever the values contain.
 The reference path stays on state_features and apply.
 
 train_parser freezes its states once (_freeze): it walks each sentence's
@@ -51,7 +52,7 @@ from ._kernels import NEG_INF
 from .linear import AveragedWeights, ModelFormat, check_epochs, train_epochs
 from .model import DataError, FormatError, Sentence, Token, check_label
 from .seqlabel import TrainingError, freeze_features
-from .templates import value_splits
+from .templates import alphabet_tuples
 
 logger = logging.getLogger(__name__)
 
@@ -65,6 +66,10 @@ DEFAULT_ROOT_LABEL = "root"
 
 _ROOT_VALUE = "<root>"
 _NONE_VALUE = "<none>"
+# The values of the distance bucket min(b0 - s0, 5), whose 0 never occurs,
+# and of a valency bucket min(v, 3), by bucket.
+_DISTANCES = (_NONE_VALUE, "1", "2", "3", "4", "5+")
+_VALENCIES = ("0", "1", "2", "3+")
 
 
 class IllegalTransition(ValueError):
@@ -231,23 +236,28 @@ def static_oracle(sentence):
 
     Prefers LEFT-ARC, then RIGHT-ARC, then REDUCE when the buffer front has
     business left of the stack top, else SHIFT. Raises OracleError on
-    non-projective input, naming the crossing arc pair.
+    unset heads and on non-projective input, naming the crossing arc pair.
     """
+    heads = sentence.column("head")
+    if None in heads:
+        raise OracleError("gold tree has unset heads")
+    crossing = find_crossing_arcs(heads)
+    if crossing is not None:
+        raise OracleError(f"non-projective tree: arcs {crossing[0]} and "
+                          f"{crossing[1]} cross")
     return [t for _, t in _oracle_walk(sentence)]
 
 
 def _oracle_walk(sentence):
     """Yield (state, transition) along static_oracle's sequence: the one
-    state, as it stands before the transition, which is then applied."""
+    state, as it stands before the transition, which is then applied.
+
+    The gold tree must be projective with every head set, as static_oracle
+    and train_parser check first.
+    """
     n = len(sentence)
     gold_head = [-1, *sentence.column("head")]
     gold_label = [None, *sentence.column("dep_label")]
-    if any(h is None for h in gold_head[1:]):
-        raise OracleError("gold tree has unset heads")
-    crossing = find_crossing_arcs(gold_head[1:])
-    if crossing is not None:
-        raise OracleError(f"non-projective tree: arcs {crossing[0]} and "
-                          f"{crossing[1]} cross")
     state = ParserState(n)
     while state.buffer_start <= n:
         s = state.stack[-1]
@@ -385,29 +395,24 @@ class _CompiledStateFeatures:
     """
 
     def __init__(self, model):
-        arity = {name: name.count("|") + 1 for name in _TEMPLATES}
+        arities = [name.count("|") + 1 for name in _TEMPLATES]
         values = {}
-        tables = {name: {} for name in arity}
-        for feature, j in model.feature_index.items():
-            name, sep, value = feature.partition("=")
-            n = arity.get(name) if sep else None
-            if n is None:
-                continue
-            for parts in value_splits(value, n):
-                key = tuple(values.setdefault(part, len(values)) for part in parts)
-                tables[name][key if n > 1 else key[0]] = j
+        tables = [{} for _ in _TEMPLATES]
+        for t, parts, j in alphabet_tuples(model.feature_index, _TEMPLATES, arities):
+            key = tuple(values.setdefault(part, len(values)) for part in parts)
+            tables[t][key if arities[t] > 1 else key[0]] = j
         self.values = values
         get = values.get
         self.root = get(_ROOT_VALUE, -1)
         self.none = get(_NONE_VALUE, -1)
-        self.dist = [get(str(d), -1) for d in range(5)] + [get("5+", -1)]
-        valency = [get(str(v), -1) for v in range(3)] + [get("3+", -1)]
+        self.dist = [get(v, -1) for v in _DISTANCES]
+        valency = [get(v, -1) for v in _VALENCIES]
         # The value ids a one-atom template's list holds an entry for, in order.
         entries = {"dist": self.dist, "s0lv": valency, "s0rv": valency, "b0lv": valency}
         self._tables = tuple(
-            tables[name].get if arity[name] > 1
-            else [tables[name].get(v, -1) for v in entries.get(name, range(len(values) + 1))]
-            for name in _TEMPLATES)
+            table.get if n > 1
+            else [table.get(v, -1) for v in entries.get(name, range(len(values) + 1))]
+            for name, n, table in zip(_TEMPLATES, arities, tables))
         self.illegal = _illegal_actions(len(model.relations), model.root_labels,
                                         model.action_index)
 
@@ -776,8 +781,8 @@ def _freeze(sentences, action_index, use_ner):
         for part in ((_ROOT_VALUE,), sent.column(attr), (_NONE_VALUE,))))
         for table, attr in (("form", "form"), ("tag", "pos_tag"), ("ner", "ner_label"))
         if use_ner or table != "ner"}
-    slots["dist"] = [_NONE_VALUE, "1", "2", "3", "4", "5+"]  # bucket 0 never occurs
-    slots["valency"] = ["0", "1", "2", "3+"]
+    slots["dist"] = _DISTANCES
+    slots["valency"] = _VALENCIES
     values = {v: k for k, v in enumerate(dict.fromkeys(
         itertools.chain.from_iterable(slots.values())))}
     tables = {table: np.fromiter(map(values.__getitem__, column), dtype=np.intp,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .model import DataError, Sentence, check_form, check_label, check_ner_label
 from .pos import POS_TEMPLATE_DESCRIPTORS, tag_pos_sentences
 from .seqlabel import (TrainingError, make_templates, tag_sentences,
-                       train_averaged_perceptron, viterbi_decode)
+                       train_averaged_perceptron)
 
 ENTITY_TYPES = ("PER", "LOC", "ORG", "MISC")
 
@@ -53,11 +53,7 @@ def check_input(sentence):
 
 def tag_ner(model, sentence):
     """Return the sentence with ner_label set; output is always valid BIO."""
-    if len(sentence) == 0:
-        return sentence
-    check_input(sentence)
-    labels, _ = viterbi_decode(model, sentence)
-    return sentence.with_ner_labels(labels)
+    return tag_ner_sentences(model, [sentence])[0]
 
 
 def tag_ner_sentences(model, sentences):

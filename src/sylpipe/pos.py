@@ -6,7 +6,7 @@ import unicodedata
 
 from .model import DataError, Sentence, check_form, check_label
 from .seqlabel import (TrainingError, make_templates, tag_sentences,
-                       train_averaged_perceptron, viterbi_decode)
+                       train_averaged_perceptron)
 
 # Word-level context, affix, and shape features; every label stays legal at
 # every position.
@@ -26,10 +26,7 @@ def pos_templates():
 
 def tag_pos(model, sentence):
     """Return the sentence with pos_tag set on every token; other fields untouched."""
-    if len(sentence) == 0:
-        return sentence
-    labels, _ = viterbi_decode(model, sentence)
-    return sentence.with_pos_tags(labels)
+    return tag_pos_sentences(model, [sentence])[0]
 
 
 def tag_pos_sentences(model, sentences):

@@ -7,16 +7,17 @@ the averaged structured perceptron. A brute-force decoder over all label
 sequences serves as the test oracle.
 
 Decoding resolves features to ids without building a string per position
-(_CompiledFeatures): single-atom templates through per-value tables, and
-conjunctions through one sorted int64 key table of their atoms' interned
-value ids, looked up for a whole document with one np.searchsorted.
-Training freezes its alphabet without a string per position either
-(_freeze): each atom reads each distinct attribute value once, the
-interned value ids of every template's atoms over the whole corpus pack
-into exact integer keys, and only each distinct (template, value tuple)
-becomes a string (freeze_features), in the order extract_features would
-first fire it. reference_emission_matrix stays on the feature strings, the
-oracle of both.
+(_CompiledFeatures): single-atom templates through per-value tables or the
+position's place in its sentence, and conjunctions through one sorted int64
+key table of their atoms' interned value ids, looked up for a whole
+document with one np.searchsorted. Training freezes its alphabet without a
+string per position either (_freeze): each atom reads each distinct
+attribute value once, the interned value ids of every template's atoms over
+the whole corpus pack into exact integer keys, and only each distinct
+(template, value tuple) becomes a string (freeze_features), in the order
+extract_features would first fire it. Both pack value ids with _tuple_codes
+and their ids for sum_rows with _kernels.pack_ids. reference_emission_matrix
+stays on the feature strings, the oracle of both.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .linear import AveragedWeights, ModelFormat, check_epochs, train_epochs
 from .model import DataError, Sentence, check_label
 # The template names stay importable from here, where they always were.
 from .templates import (BOUNDARY_LEFT, BOUNDARY_RIGHT, FeatureTemplate,  # noqa: F401
-                        compile_atom, extract_features, make_templates, value_splits,
-                        word_shape)
+                        alphabet_tuples, compile_atom, extract_features, make_templates,
+                        value_splits, word_shape)
 
 logger = logging.getLogger(__name__)
 
@@ -73,6 +74,18 @@ def bio_transition_mask(labels):
             else:
                 mask[p, j] = labels[p] in (f"B-{ent}", f"I-{ent}")
     return mask
+
+
+def _masked_transitions(transition_weights, mask):
+    """(transitions, start): copies of the (L + 1, L) weights' label rows and
+    start row, -inf where the mask (None for none) forbids."""
+    L = transition_weights.shape[1]
+    trans = transition_weights[:L].copy()
+    start = transition_weights[L].copy()
+    if mask is not None:
+        trans[~mask[:L]] = NEG_INF
+        start[~mask[L]] = NEG_INF
+    return trans, start
 
 
 class LinearModel:
@@ -119,14 +132,9 @@ class LinearModel:
     def masked_scores(self):
         """(transitions, start) with -inf where the BIO constraint forbids."""
         if self._masked is None:
-            L = len(self.labels)
-            trans = self.transition_weights[:L].copy()
-            start = self.transition_weights[L].copy()
-            if self.bio_constrained:
-                mask = bio_transition_mask(self.labels)
-                trans[~mask[:L]] = NEG_INF
-                start[~mask[L]] = NEG_INF
-            self._masked = (trans, start)
+            self._masked = _masked_transitions(
+                self.transition_weights,
+                bio_transition_mask(self.labels) if self.bio_constrained else None)
         return self._masked
 
     def position_features(self, tokens, i):
@@ -147,7 +155,7 @@ class LinearModel:
         """(T, L) emission scores of a Sentence or token sequence,
         bit-identical to reference_emission_matrix."""
         return _kernels.sum_rows(self.emission_weights,
-                                 self._compiled.document_ids([_sentence_of(tokens)]).T)
+                                 self._compiled.document_ids([_sentence_of(tokens)]))
 
     def reference_emission_matrix(self, tokens):
         """Emissions from feature strings, one position at a time: the oracle
@@ -307,57 +315,37 @@ class _ConjunctionKeys:
     """The conjunction templates of a model as one sorted int64 key table.
 
     Every value in a conjunction feature of the alphabet is interned: the
-    feature is registered under every split of its value at "|" into the
-    template's atoms (templates.value_splits), because the string path
-    joins the atom values with "|"; so a lookup hits exactly when the joined
-    string is in the alphabet, whatever the values contain. A key holds its
-    atoms' value ids as digits in base radix, the number of values plus one;
-    the top digit, `unknown`, stands for an unset value or one outside the
-    alphabet and is in no key. Its lowest digit is the template's place
+    feature is registered under every reading of it as the template's atom
+    values (templates.alphabet_tuples), because the string path joins the
+    atom values with "|"; so a lookup hits exactly when the joined string is
+    in the alphabet, whatever the values contain. A key packs its atoms'
+    value ids with _tuple_codes in base radix, the number of values plus
+    one; the top digit, `unknown`, stands for an unset value or one outside
+    the alphabet and is in no key. Its lowest digit is the template's place
     among the C kept templates, key = code * C + t, so templates of
-    different arity never share a key. Where the next digit could carry a
-    code to the bound, the code is first replaced by its rank among the
-    registered prefixes (plans; an unregistered prefix ranks last), so keys
-    stay exact for any arity and alphabet. Templates of which the alphabet
-    holds no feature are not kept: they never fire.
+    different arity never share a key. plans holds each kept template's
+    rank plan, which a lookup follows (an unregistered prefix ranks last).
+    Templates of which the alphabet holds no feature are not kept: they
+    never fire.
     """
 
     def __init__(self, templates, index):
-        by_name = {}
-        for t, tpl in enumerate(templates):
-            by_name.setdefault(tpl.name, []).append(t)
         values = {}
         found = [[] for _ in templates]  # (value ids, feature id) per template
-        for feature, j in index.items():
-            cut = feature.find("=")
-            while cut >= 0:  # a template name may hold "=" itself
-                for t in by_name.get(feature[:cut], ()):
-                    for parts in value_splits(feature[cut + 1:], len(templates[t].specs)):
-                        found[t].append(([values.setdefault(v, len(values)) for v in parts], j))
-                cut = feature.find("=", cut + 1)
+        for t, parts, j in alphabet_tuples(index, [tpl.name for tpl in templates],
+                                           [len(tpl.specs) for tpl in templates]):
+            found[t].append(([values.setdefault(v, len(values)) for v in parts], j))
         self.values = values
         self.unknown = len(values)
-        self.radix = radix = len(values) + 1
+        self.radix = len(values) + 1
         self.kept = [t for t in range(len(templates)) if found[t]]
         C = len(self.kept)
         self.plans = []  # per kept template and atom: the prefix ranks, or None
         keys = [np.empty(0, dtype=np.int64)]
         ids = [np.empty(0, dtype=np.intp)]
         for c, t in enumerate(self.kept):
-            digits = np.array([d for d, _ in found[t]], dtype=np.int64)
-            code, span, plan = 0, 1, []
-            for a in range(digits.shape[1]):
-                ranks = None
-                if span * radix * C >= _KEY_BOUND:
-                    ranks = np.unique(code)
-                    code = np.searchsorted(ranks, code)
-                    span = len(ranks) + 1
-                    if span * radix * C >= _KEY_BOUND:
-                        raise ValueError("feature alphabet too large for int64 "
-                                         "conjunction keys")
-                plan.append(ranks)
-                code = code * radix + digits[:, a]
-                span *= radix
+            digits = np.array([d for d, _ in found[t]], dtype=np.int64).T
+            code, plan = _tuple_codes(digits, self.radix, C)
             self.plans.append(plan)
             keys.append(code * C + c)
             ids.append(np.array([j for _, j in found[t]], dtype=np.intp))
@@ -392,25 +380,31 @@ def _rank(table, x):
     return np.where(hit, r, len(table))
 
 
-def _tuple_codes(digits, radix):
-    """One int64 per column of the (n, N) digits, equal where the columns are.
+def _tuple_codes(digits, radix, scale=1):
+    """(codes, plan): one int64 per column of the (n, N) digits, equal where
+    the columns are, and below the bound once multiplied by scale.
 
     The digits are value ids below radix; they are packed in base radix, and
     where the next digit could carry a code to the bound, the code is first
     replaced by its rank among the codes present, so codes stay exact for
-    any arity and number of values.
+    any arity and number of values. plan[a] holds those ranks before digit
+    a, or None: a lookup that ranks a prefix outside them as len(ranks)
+    packs the same codes.
     """
-    code = digits[0]
-    span = radix
-    for d in digits[1:]:
-        if span * radix >= _KEY_BOUND:
+    code = np.zeros(digits.shape[1], dtype=np.int64)
+    span = 1
+    plan = []
+    for d in digits:
+        ranks = None
+        if span * radix * scale >= _KEY_BOUND:
             ranks, code = np.unique(code, return_inverse=True)
-            span = len(ranks)
-            if span * radix >= _KEY_BOUND:
+            span = len(ranks) + 1
+            if span * radix * scale >= _KEY_BOUND:
                 raise ValueError("too many values for int64 feature keys")
+        plan.append(ranks)
         code = code * radix + d
         span *= radix
-    return code
+    return code, plan
 
 
 def freeze_features(names, digits, values, rows):
@@ -434,8 +428,8 @@ def freeze_features(names, digits, values, rows):
     for name, atoms in zip(names, digits):
         stack = np.array(atoms, dtype=np.int64)
         where = np.flatnonzero((stack >= 0).all(axis=0))
-        _, first, inverse = np.unique(_tuple_codes(stack[:, where], len(values)),
-                                      return_index=True, return_inverse=True)
+        codes, _ = _tuple_codes(stack[:, where], len(values))
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
         first = where[first]
         prefix = name + "="
         parts = [list(map(values.__getitem__, digit.tolist())) for digit in stack[:, first]]
@@ -462,14 +456,15 @@ def freeze_features(names, digits, values, rows):
 class _CompiledFeatures:
     """The feature ids of a LinearModel, resolved per word type, not per position.
 
-    Single-atom templates over the form, the POS tag or the NER label resolve
-    once per value (_Column) and read by one fancy index per offset;
-    isfirst/islast resolve here, once per model, and are compared with each
-    position's place in its sentence; conjunctions of attribute atoms read
-    the cached value ids of their atoms and look the keys they make up in
-    one sorted table (_ConjunctionKeys); induced pairs join ids. Other
-    templates fall back to FeatureTemplate.extract at each position. Built
-    on first decode, so loading a model does no extra work.
+    Every template resolves in one of three ways. A single atom over the
+    form, the POS tag or the NER label resolves once per value (_Column) and
+    is read by one fancy index per offset; a single isfirst/islast resolves
+    here, once per model, and is compared with each position's place in its
+    sentence; a conjunction looks the key of its atoms' value ids up in one
+    sorted table (_ConjunctionKeys), an attribute atom reading the cached
+    value id of its column and an isfirst/islast atom the id of "1" or "0"
+    by the position's place. Induced pairs join ids. Built on first decode,
+    so loading a model does no extra work.
     """
 
     def __init__(self, model):
@@ -478,8 +473,7 @@ class _CompiledFeatures:
         self.resources = model._resources
         self.columns = {}  # token attribute -> _Column
         self.positional = []  # (offset, is islast, id if true, id if false)
-        self.fallback = []
-        conjunctions = []  # (template, attribute per atom)
+        conjunctions = []  # (template, attribute per atom, None for isfirst/islast)
         margin = 0
         for tpl in model.templates:
             specs = tpl.specs
@@ -490,22 +484,24 @@ class _CompiledFeatures:
                 column.singles.setdefault(offset, []).append(
                     (tpl.prefix, column.atom(name, arg), name == _IDENTITY_ATOM[attrs[0]]))
                 margin = max(margin, abs(offset))
-            elif len(specs) == 1 and specs[0][0] in ("isfirst", "islast"):
+            elif len(specs) == 1:
                 offset = specs[0][2]
                 # One dummy token: position -offset is both first and last.
                 hit = index.get(tpl.extract((None,), -offset), -1)
                 miss = index.get(tpl.extract((None,), 1 - offset), -1)
                 self.positional.append((offset, specs[0][0] == "islast", hit, miss))
-            elif None not in attrs:
-                conjunctions.append((tpl, attrs))
             else:
-                self.fallback.append(tpl)
+                conjunctions.append((tpl, attrs))
         self.keys = _ConjunctionKeys([tpl for tpl, _ in conjunctions], index)
-        self.conjunctions = []  # [(attribute, slot, offset)] per kept template
+        # [(attribute, slot, offset), or (None, is islast, offset)] per kept template
+        self.conjunctions = []
         for t in self.keys.kept:
             tpl, attrs = conjunctions[t]
             atoms = []
             for (name, arg, offset), attr in zip(tpl.specs, attrs):
+                if attr is None:
+                    atoms.append((None, name == "islast", offset))
+                    continue
                 atoms.append((attr, self._column(attr).slot(name, arg), offset))
                 margin = max(margin, abs(offset))
             self.conjunctions.append(atoms)
@@ -517,10 +513,9 @@ class _CompiledFeatures:
             name = index.get(f"{a}&&{b}")
             if name is not None:
                 self.pairs.append((index[a], index[b], name))
-        # Columns of document_ids before the padding is dropped.
+        # Columns of document_ids before packing.
         self.width = (sum(column.width for column in self.columns.values())
-                      + len(self.positional) + len(self.conjunctions)
-                      + len(self.fallback) + len(self.pairs))
+                      + len(self.positional) + len(self.conjunctions) + len(self.pairs))
 
     def _column(self, attr):
         if attr not in self.columns:
@@ -531,16 +526,20 @@ class _CompiledFeatures:
         return sum(len(column.cache) for column in self.columns.values())
 
     def document_ids(self, sentences):
-        """(N, K) feature ids of every position of the Sentences, in order.
-
-        Row n holds the ids position_feature_ids gives at that position, in
-        ascending order but with -1 wherever a template fires no known
-        feature or repeats an id; sum_rows takes the padding anywhere.
+        """(K, N) feature ids of the N positions of the Sentences, as sum_rows
+        reads them (_kernels.pack_ids): column n holds the ids that
+        position_feature_ids gives at position n.
         """
         lengths = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
         N = int(lengths.sum())
         sentence = np.repeat(np.arange(len(lengths)), lengths)
         starts = np.cumsum(lengths) - lengths
+        at = np.arange(N) - starts[sentence]  # position in its sentence
+        last = lengths[sentence] - 1
+
+        def place(is_last, offset, hit, miss):
+            return np.where(at == (last if is_last else 0) - offset, hit, miss)
+
         ids = np.empty((N, self.width), dtype=np.intp)
         k = 0  # next column of ids
         rows = {}  # attribute -> (row of each position with boundary margins, rows)
@@ -561,28 +560,22 @@ class _CompiledFeatures:
                 for offset, (lo, hi) in column.spans.items():
                     ids[:, k:k + hi - lo] = table[padded[where + offset], lo:hi]
                     k += hi - lo
-        if self.positional:
-            at = np.arange(N) - starts[sentence]  # position in its sentence
-            last = lengths[sentence] - 1
         for offset, is_last, hit, miss in self.positional:
-            ids[:, k] = np.where(at == (last if is_last else 0) - offset, hit, miss)
+            ids[:, k] = place(is_last, offset, hit, miss)
             k += 1
         if self.conjunctions:
+            value_id, unknown = self.keys.values.get, self.keys.unknown
+            yes, no = value_id("1", unknown), value_id("0", unknown)
+
             def digit(atom):
                 attr, slot, offset = atom
+                if attr is None:
+                    return place(slot, offset, yes, no)
                 padded, table = rows[attr]
                 return table[padded[where + offset], self.columns[attr].width + slot]
 
             ids[:, k:k + len(self.conjunctions)] = self.keys.lookup(self.conjunctions, digit)
             k += len(self.conjunctions)
-        token_lists = [s.tokens for s in sentences] if self.fallback else ()
-        for tpl in self.fallback:
-            get, extract, resources = self.index.get, tpl.extract, self.resources
-            ids[:, k] = np.fromiter(
-                (get(extract(tokens, i, resources), -1)
-                 for tokens in token_lists for i in range(len(tokens))),
-                dtype=np.intp, count=N)
-            k += 1
         base = ids[:, :k]
         present = {}
         for a, b, name in self.pairs:
@@ -591,11 +584,7 @@ class _CompiledFeatures:
                     present[part] = (base == part).any(axis=1)
             ids[:, k] = np.where(present[a] & present[b], name, -1)
             k += 1
-        ids.sort(axis=1)
-        if N:  # drop the columns of padding that every row starts with
-            ids = ids[:, int(np.count_nonzero(ids < 0, axis=1).min()):]
-        ids[:, 1:][ids[:, 1:] == ids[:, :-1]] = -1
-        return ids
+        return _kernels.pack_ids(ids)
 
 
 def _index_pairs(pairs):
@@ -606,58 +595,18 @@ def _index_pairs(pairs):
     return index
 
 
-def _legal_index_sets(model, legal_labels, T):
-    """Per-position ascending label-index lists; None means all labels legal."""
-    if legal_labels is None:
-        return None
-    if len(legal_labels) != T:
-        raise ValueError("legal label mask length does not match sentence length")
-    out = []
-    for i, allowed in enumerate(legal_labels):
-        if allowed is None:
-            out.append(None)
-            continue
-        idxs = []
-        for lab in allowed:
-            j = model.label_index.get(lab)
-            if j is None:
-                raise ValueError(f"unknown label {lab!r} in legal set at position {i}")
-            idxs.append(j)
-        idxs = sorted(set(idxs))
-        if not idxs:
-            raise DecodeError(f"empty legal label set at position {i}")
-        out.append(idxs)
-    return out
+def viterbi_decode(model, sentence):
+    """Best label sequence of one sentence and its score.
 
-
-def _apply_position_mask(em, legal_sets):
-    if legal_sets is None:
-        return em
-    L = em.shape[1]
-    for i, idxs in enumerate(legal_sets):
-        if idxs is None or len(idxs) == L:
-            continue
-        keep = np.zeros(L, dtype=bool)
-        keep[idxs] = True
-        em[i, ~keep] = NEG_INF
-    return em
-
-
-def viterbi_decode(model, sentence, legal_labels=None):
-    """Best label sequence and its score.
-
-    legal_labels restricts each position to a subset of the alphabet (None
-    entries leave a position unrestricted). Ties between equal-scoring
-    sequences resolve to the lowest label index, earliest position first.
+    Every label is legal at every position; only the BIO transitions of a
+    bio_constrained model are masked. Ties between equal-scoring sequences
+    resolve to the lowest label index, earliest position first.
     """
     sentence = _sentence_of(sentence)
-    T = len(sentence)
-    if T == 0:
+    if len(sentence) == 0:
         return [], 0.0
-    legal_sets = _legal_index_sets(model, legal_labels, T)
-    em = _apply_position_mask(model.emission_matrix(sentence), legal_sets)
     trans, start = model.masked_scores()
-    path, score = _kernels.viterbi_path(em, trans, start)
+    path, score = _kernels.viterbi_path(model.emission_matrix(sentence), trans, start)
     if score == NEG_INF:
         raise DecodeError("no legal label sequence for this input")
     return [model.labels[p] for p in path], score
@@ -694,8 +643,8 @@ def tag_sentences(model, sentences):
     trans, start = model.masked_scores()
     for chunk in _length_groups(lengths, len(lengths), TAG_CHUNK_POSITIONS):
         ids = compiled.document_ids([sentences[k] for k in todo[chunk]])
-        em = np.concatenate([_kernels.sum_rows(model.emission_weights, ids[a:a + gather].T)
-                             for a in range(0, len(ids), gather)])
+        em = np.concatenate([_kernels.sum_rows(model.emission_weights, ids[:, a:a + gather])
+                             for a in range(0, ids.shape[1], gather)])
         row = 0
         for group in _length_groups(lengths[chunk], TAG_GROUP_SENTENCES,
                                     TAG_GROUP_CELLS // (3 * L)):
@@ -728,7 +677,7 @@ def _length_groups(lengths, most_sentences, most_positions):
 MAX_BRUTE_FORCE = 10 ** 6
 
 
-def brute_force_decode(model, sentence, legal_labels=None):
+def brute_force_decode(model, sentence):
     """Exhaustive argmax over legal label sequences; test oracle for Viterbi.
 
     Scores every sequence with the same arithmetic as the Viterbi kernel and
@@ -739,20 +688,13 @@ def brute_force_decode(model, sentence, legal_labels=None):
     T = len(sentence)
     if T == 0:
         return [], 0.0
-    legal_sets = _legal_index_sets(model, legal_labels, T)
-    L = len(model.labels)
-    choices = [legal_sets[i] if legal_sets and legal_sets[i] is not None else range(L)
-               for i in range(T)]
-    count = 1
-    for c in choices:
-        count *= len(c)
-        if count > MAX_BRUTE_FORCE:
-            raise DecodeError(f"instance too large for brute force: > {MAX_BRUTE_FORCE} sequences")
+    if len(model.labels) ** T > MAX_BRUTE_FORCE:
+        raise DecodeError(f"instance too large for brute force: > {MAX_BRUTE_FORCE} sequences")
     em = model.emission_matrix(sentence)
     trans, start = model.masked_scores()
     best_score = NEG_INF
     best = None
-    for ys in itertools.product(*choices):
+    for ys in itertools.product(range(len(model.labels)), repeat=T):
         s = em[T - 1, ys[T - 1]]
         for i in range(T - 2, -1, -1):
             s = em[i, ys[i]] + (trans[ys[i], ys[i + 1]] + s)
@@ -946,6 +888,7 @@ def _train(templates, corpus, labels, epochs, shuffle_seed, bio_constrained,
     transitions = AveragedWeights(L + 1, L)
     start = L
     mask = bio_transition_mask(labels) if bio_constrained else None
+    masked = [None]  # the masked transitions, rebuilt after they change
 
     def learn(si, step):
         lo = bounds[si]
@@ -956,12 +899,9 @@ def _train(templates, corpus, labels, epochs, shuffle_seed, bio_constrained,
             return 0, 0, 0
         step += 1
         em = _kernels.sum_rows(emissions.W, packed)
-        trans = transitions.W[:L].copy()
-        st = transitions.W[start].copy()
-        if mask is not None:
-            trans[~mask[:L]] = NEG_INF
-            st[~mask[start]] = NEG_INF
-        pred, _ = _kernels.viterbi_path(em, trans, st)
+        if masked[0] is None:
+            masked[0] = _masked_transitions(transitions.W, mask)
+        pred, _ = _kernels.viterbi_path(em, *masked[0])
         correct = int(np.sum(pred == gold))
         if np.array_equal(pred, gold):
             return 0, correct, T
@@ -983,6 +923,7 @@ def _train(templates, corpus, labels, epochs, shuffle_seed, bio_constrained,
             pp = pred[i - 1] if i else start
             if (pg, g) != (pp, p):
                 transitions.update((pg, g), (pp, p), step)
+                masked[0] = None
         return 1, correct, T
 
     step = train_epochs((emissions, transitions), [1] * len(corpus), epochs,

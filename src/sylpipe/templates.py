@@ -174,6 +174,26 @@ def value_splits(value, n):
         yield tuple("|".join(parts[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
+def alphabet_tuples(feature_index, names, arities):
+    """(template, value tuple, id) for every reading of an alphabet feature.
+
+    Template t is named names[t] and has arities[t] atoms; a feature
+    "<name>=<value>" reads as each template of that name over each split of
+    <value> (value_splits). A name may hold "=" and may repeat, so a feature
+    is tried at every "=" and for every template of the name before it.
+    """
+    by_name = {}
+    for t, name in enumerate(names):
+        by_name.setdefault(name, []).append(t)
+    for feature, j in feature_index.items():
+        cut = feature.find("=")
+        while cut >= 0:
+            for t in by_name.get(feature[:cut], ()):
+                for parts in value_splits(feature[cut + 1:], arities[t]):
+                    yield t, parts, j
+            cut = feature.find("=", cut + 1)
+
+
 def make_templates(descriptors):
     return [FeatureTemplate(d, d) for d in descriptors]
 

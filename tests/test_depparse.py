@@ -148,6 +148,12 @@ class TestStaticOracle:
             static_oracle(tree)
         assert "cross" in str(exc.value)
 
+    def test_unset_heads_error(self):
+        tree = Sentence([Token(index=1, form="a", pos_tag="N", head=0, dep_label="root"),
+                         Token(index=2, form="b", pos_tag="N")])
+        with pytest.raises(OracleError, match="unset heads"):
+            static_oracle(tree)
+
     def test_oracle_soundness_random_trees(self):
         rng = random.Random(77)
         for _ in range(200):
@@ -538,6 +544,17 @@ class TestTrainParser:
     def test_empty_treebank(self):
         with pytest.raises(TrainingError):
             train_parser([], epochs=1)
+
+    def test_crossing_arcs_checked_once_per_sentence(self, toy_treebank, monkeypatch):
+        calls = []
+
+        def counted(heads):
+            calls.append(tuple(heads))
+            return find_crossing_arcs(heads)
+
+        monkeypatch.setattr(depparse, "find_crossing_arcs", counted)
+        train_parser(toy_treebank, epochs=1)
+        assert calls == [s.column("head") for s in toy_treebank]
 
     def test_nonprojective_skip_and_lift(self, caplog):
         nonproj = Sentence([

@@ -177,9 +177,11 @@ class TestKeyExactness:
         rng = np.random.default_rng(5)
         digits = rng.integers(0, 1000, size=(4, 500))
         digits[:, 250:] = digits[:, :250]
-        codes = seqlabel._tuple_codes(digits, 1000)
+        codes, plan = seqlabel._tuple_codes(digits, 1000)
+        assert plan == [None] * 4
         monkeypatch.setattr(seqlabel, "_KEY_BOUND", 1000 ** 2)
-        ranked = seqlabel._tuple_codes(digits, 1000)
+        ranked, plan = seqlabel._tuple_codes(digits, 1000)
+        assert [ranks is not None for ranks in plan] == [False, True, True, True]
         assert ranked.max() < 250 * 1000 < codes.max()
         same = (digits[:, :, None] == digits[:, None, :]).all(axis=0)
         assert np.array_equal(ranked[:, None] == ranked[None, :], same)

@@ -84,25 +84,6 @@ class TestDecoding:
             b = brute_force_decode(m, s)
             assert v == b
 
-    def test_equivalence_with_position_masks(self):
-        rng = random.Random(7)
-        labels = ["A", "B", "C"]
-        for _ in range(60):
-            m = random_linear_model(rng, labels)
-            s = random_form_sentence(rng, n=rng.randint(1, 5))
-            legal = [rng.sample(labels, rng.randint(1, 3)) for _ in range(len(s))]
-            assert viterbi_decode(m, s, legal) == brute_force_decode(m, s, legal)
-
-    def test_empty_legal_set_is_error(self):
-        m = random_linear_model(random.Random(3), ["A", "B"])
-        with pytest.raises(DecodeError):
-            viterbi_decode(m, sentence("xe", "máy"), [["A"], []])
-
-    def test_unknown_legal_label_is_error(self):
-        m = random_linear_model(random.Random(3), ["A", "B"])
-        with pytest.raises(ValueError):
-            viterbi_decode(m, sentence("xe"), [["Z"]])
-
     def test_brute_force_refuses_large_instances(self):
         m = random_linear_model(random.Random(4), ["A", "B", "C", "D"])
         s = random_form_sentence(random.Random(5), n=12)
@@ -341,6 +322,12 @@ def atoms_of(kinds):
 descriptors = st.lists(atoms_of(ATOM_KINDS), min_size=1, max_size=3).map("&".join)
 # Two- and three-atom conjunctions of attributes, looked up as int64 keys.
 conjunctions = st.lists(atoms_of(ATTRIBUTE_ATOMS), min_size=2, max_size=3).map("&".join)
+# Conjunctions with an isfirst or islast atom, whose digit is the place of
+# the position in its sentence: mixed with attribute atoms, or positional only.
+POSITIONAL_ATOMS = ("isfirst", "islast")
+positional_conjunctions = (
+    st.tuples(atoms_of(POSITIONAL_ATOMS), atoms_of(ATTRIBUTE_ATOMS)).flatmap(st.permutations)
+    | st.lists(atoms_of(POSITIONAL_ATOMS), min_size=2, max_size=3)).map("&".join)
 
 
 @st.composite
@@ -386,12 +373,15 @@ def document_cases(draw):
     bio = draw(st.booleans())
     pool = ["O", "B-PER", "I-PER", "B-LOC", "I-LOC"] if bio else ["A", "B", "C", "D"]
     labels = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
-    names = (draw(st.lists(descriptors, min_size=1, max_size=8))
-             + draw(st.lists(conjunctions, max_size=3)))
     if draw(st.booleans()):
-        names.append("isfirst@0&form@0")  # not an attribute conjunction: the fallback
+        names = (draw(st.lists(descriptors, min_size=1, max_size=8))
+                 + draw(st.lists(conjunctions, max_size=3)))
+    else:  # no template over a token attribute alone
+        names = []
+    names += draw(st.lists(positional_conjunctions, min_size=0 if names else 1,
+                           max_size=3))
     if draw(st.booleans()):
-        names.append(draw(st.sampled_from(["isfirst", "islast"]))
+        names.append(draw(st.sampled_from(POSITIONAL_ATOMS))
                      + draw(st.sampled_from(["@0", "@-1", "@+1"])))
     templates = make_templates(names)
     corpus = []
@@ -452,7 +442,8 @@ class TestDocumentDecoding:
             else:
                 assert tag_sentences(model, document) == expected
         ids = model._compiled.document_ids(document)
-        em = _kernels.sum_rows(model.emission_weights, ids.T)
+        assert ids.shape[1] == sum(map(len, document))
+        em = _kernels.sum_rows(model.emission_weights, ids)
         ref = np.concatenate([model.reference_emission_matrix(sent.tokens)
                               for sent in document])
         assert em.tobytes() == ref.tobytes()
@@ -522,7 +513,7 @@ class TestCompiledFeatures:
         model = LinearModel(["A", "B", "C"], templates, index, weights, np.zeros((4, 3)))
         mixed = [sentence(*rng.sample(pool, 40)) for _ in range(10)]
         document = seen + mixed + [sentence(*(seen[0].column("form")[:7] + ("p|q", "w1")))]
-        em = _kernels.sum_rows(model.emission_weights, model._compiled.document_ids(document).T)
+        em = _kernels.sum_rows(model.emission_weights, model._compiled.document_ids(document))
         ref = np.concatenate([model.reference_emission_matrix(s.tokens) for s in document])
         assert em.tobytes() == ref.tobytes()
         keys = model._compiled.keys
