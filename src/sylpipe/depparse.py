@@ -44,6 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
+import unicodedata
 
 import numpy as np
 
@@ -253,7 +254,8 @@ def _oracle_walk(sentence):
     state, as it stands before the transition, which is then applied.
 
     The gold tree must be projective with every head set, as static_oracle
-    and train_parser check first.
+    and train_parser check first. The oracle builds only legal transitions,
+    so they are applied with advance, without apply's checks.
     """
     n = len(sentence)
     gold_head = [-1, *sentence.column("head")]
@@ -273,7 +275,7 @@ def _oracle_walk(sentence):
         else:
             t = (SHIFT, None)
         yield state, t
-        state.apply(t)
+        state.advance(*t)
 
 
 def replay(transitions, n):
@@ -934,12 +936,13 @@ def load_parser(path):
 
 
 def read_conllx(path):
-    """10-column CoNLL-X-style import: ID, FORM, _, POS, _, _, HEAD, DEPREL, _, _."""
+    """10-column CoNLL-X-style import: ID, FORM, _, POS, _, _, HEAD, DEPREL, _, _,
+    normalized to NFC."""
     sentences = []
     rows = []
     with open(path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
+            line = unicodedata.normalize("NFC", line.rstrip("\n"))
             if not line.strip():
                 if rows:
                     sentences.append(Sentence(rows))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import unicodedata
 from dataclasses import dataclass, field
 
 _NER_SHAPE = re.compile(r"O|[BI]-\S+")
@@ -407,8 +408,9 @@ def from_six_column(text):
 
 
 def read_six_column(path):
+    """from_six_column of a file, normalized to NFC as annotate's input is."""
     with open(path, encoding="utf-8-sig") as fh:
-        return from_six_column(fh.read())
+        return from_six_column(unicodedata.normalize("NFC", fh.read()))
 
 
 def write_six_column(sentences, path):

@@ -15,9 +15,11 @@ string per position either (_freeze): each atom reads each distinct
 attribute value once, the interned value ids of every template's atoms over
 the whole corpus pack into exact integer keys, and only each distinct
 (template, value tuple) becomes a string (freeze_features), in the order
-extract_features would first fire it. Both pack value ids with _tuple_codes
-and their ids for sum_rows with _kernels.pack_ids. reference_emission_matrix
-stays on the feature strings, the oracle of both.
+extract_features would first fire it. Both read an atom's values through
+its templates.ATOMS entry and a document's places and offsets through one
+_Layout, pack value ids with _tuple_codes and their ids for sum_rows with
+_kernels.pack_ids. reference_emission_matrix stays on the feature strings,
+the oracle of both.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import functools
 import itertools
 import logging
 import threading
-import types
 
 import numpy as np
 
@@ -36,9 +37,9 @@ from ._kernels import NEG_INF
 from .linear import AveragedWeights, ModelFormat, check_epochs, train_epochs
 from .model import DataError, Sentence, check_label
 # The template names stay importable from here, where they always were.
-from .templates import (BOUNDARY_LEFT, BOUNDARY_RIGHT, FeatureTemplate,  # noqa: F401
-                        alphabet_tuples, compile_atom, extract_features, make_templates,
-                        value_splits, word_shape)
+from .templates import (ATOMS, BOUNDARY_LEFT, BOUNDARY_RIGHT,  # noqa: F401
+                        FeatureTemplate, alphabet_tuples, compile_atom, extract_features,
+                        make_templates, value_splits, word_shape)
 
 logger = logging.getLogger(__name__)
 
@@ -168,11 +169,6 @@ class LinearModel:
         return em
 
 
-# Atoms whose value depends only on one attribute of the token they read.
-_ATTRIBUTE_OF_ATOM = {"form": "form", "lower": "form", "prefix": "form",
-                      "suffix": "form", "shape": "form", "hasdigit": "form",
-                      "hashyphen": "form", "gaz": "form",
-                      "pos": "pos_tag", "ner": "ner_label"}
 # The atom whose value is the attribute itself. A value is cached only if the
 # model knows a single-atom feature of this atom for it, so a cache holds at
 # most one entry per such feature.
@@ -186,33 +182,27 @@ class _Column:
     A value resolves to a row of `table`: one feature id per single-atom
     template (-1 if the model does not know it), the templates of offset o
     in columns spans[o], then from column `width` on the interned value id
-    of each conjunction slot (_ConjunctionKeys). Each distinct atom is read
-    once per value, through templates.compile_atom, so the atoms keep one
-    definition. Rows 0 and 1 of `table` are the left and right sentence
-    boundary. A value gets a row of its own only if the model knows its
-    identity feature, so the table is bounded by the alphabet; other values
-    are resolved again in every call. A row is written before `cache`
-    publishes it, under a lock, so threads that read without the lock see
-    only whole rows.
+    of each conjunction slot (_ConjunctionKeys). Each distinct atom reads
+    a value once, through its entry in templates.ATOMS, and rows 0 and 1 of
+    `table` hold the entries' values left and right of a sentence. A value
+    gets a row of its own only if the model knows its identity feature, so
+    the table is bounded by the alphabet; other values are resolved again
+    in every call. A row is written before `cache` publishes it, under a
+    lock, so threads that read without the lock see only whole rows.
     """
 
-    def __init__(self, attr, index, resources):
-        self.attr = attr
+    def __init__(self, index, resources):
         self.index = index
         self.resources = resources
-        self.atoms = {}  # (name, arg) -> position in readers
-        self.readers = []  # one reader per distinct atom, at offset 0
+        self.atoms = {}  # (name, arg) -> position among the distinct atoms
         self.singles = {}  # offset -> [(template prefix, atom, is identity atom)]
         self.slots = []  # the atom of each conjunction slot
         self.cache = {}  # value -> row of table
         self._lock = threading.Lock()
 
     def atom(self, name, arg):
-        """Position of the atom in readers; added on first sight."""
-        if (name, arg) not in self.atoms:
-            self.atoms[(name, arg)] = len(self.readers)
-            self.readers.append(compile_atom(name, arg, 0))
-        return self.atoms[(name, arg)]
+        """Position of the atom in atoms; added on first sight."""
+        return self.atoms.setdefault((name, arg), len(self.atoms))
 
     def slot(self, name, arg):
         """The conjunction slot of the atom; added on first sight."""
@@ -230,16 +220,14 @@ class _Column:
             self.spans[offset] = (width, width + len(self.singles[offset]))
             width += len(self.singles[offset])
         self.width = width
-        # Outside the sentence an atom's value depends only on the side.
-        left, _ = self.resolve((), -1)
-        right, _ = self.resolve((), 0)
+        left, _ = self.resolve([ATOMS[name].left for name, _ in self.atoms])
+        right, _ = self.resolve([ATOMS[name].right for name, _ in self.atoms])
         self.table = np.array([left, right], dtype=np.intp)
         self.size = 2  # rows of table in use
 
-    def resolve(self, tokens, p):
-        """(row of tokens[p], whether the model knows its value)."""
-        resources = self.resources
-        values = [read(tokens, p, resources) for read in self.readers]
+    def resolve(self, values):
+        """(row of the atoms' values, listed as atoms, whether the model
+        knows the value of the attribute)."""
         get = self.index.get
         known = False
         row = []
@@ -275,10 +263,11 @@ class _Column:
         if fresh:
             entries = []
             known = []
+            resources = self.resources
+            atoms = [(ATOMS[name].value, arg) for name, arg in self.atoms]
             for k, value in enumerate(fresh, len(rows)):
-                # A one-token sentence carrying only the attribute read here.
-                token = types.SimpleNamespace(**{self.attr: value})
-                entry, is_known = self.resolve((token,), 0)
+                entry, is_known = self.resolve([read(value, arg, resources)
+                                                for read, arg in atoms])
                 code[value] = k
                 entries.append(entry)
                 if is_known:
@@ -453,6 +442,45 @@ def freeze_features(names, digits, values, rows):
     return features, starts, fired
 
 
+def _margin(templates):
+    return max((abs(offset) for tpl in templates for _, _, offset in tpl.specs), default=0)
+
+
+class _Layout:
+    """The N positions of a document's sentences, end to end.
+
+    at[n] is position n's place in its sentence and last[n] the place of
+    that sentence's last token. pad(codes) lays a column's N codes out
+    with `margin` codes around each sentence, 0 before it and 1 after it,
+    so that shift(padded, o) reads each position's code at offset o.
+    """
+
+    def __init__(self, sentences, margin):
+        lengths = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
+        self.N = N = int(lengths.sum())
+        sentence = np.repeat(np.arange(len(lengths)), lengths)
+        starts = np.cumsum(lengths) - lengths
+        self.at = np.arange(N) - starts[sentence]
+        self.last = lengths[sentence] - 1
+        self.where = np.arange(N) + (2 * sentence + 1) * margin
+        self.left = ((starts + 2 * margin * np.arange(len(lengths)))[:, None]
+                     + np.arange(margin)).ravel()
+        self.size = N + 2 * margin * len(lengths)
+
+    def edge(self, is_last, offset):
+        """Whether the token at offset is its sentence's last (else first)."""
+        return self.at == (self.last if is_last else 0) - offset
+
+    def pad(self, codes):
+        padded = np.ones(self.size, dtype=np.intp)
+        padded[self.left] = 0
+        padded[self.where] = codes
+        return padded
+
+    def shift(self, padded, offset):
+        return padded[self.where + offset]
+
+
 class _CompiledFeatures:
     """The feature ids of a LinearModel, resolved per word type, not per position.
 
@@ -474,16 +502,14 @@ class _CompiledFeatures:
         self.columns = {}  # token attribute -> _Column
         self.positional = []  # (offset, is islast, id if true, id if false)
         conjunctions = []  # (template, attribute per atom, None for isfirst/islast)
-        margin = 0
         for tpl in model.templates:
             specs = tpl.specs
-            attrs = [_ATTRIBUTE_OF_ATOM.get(name) for name, _, _ in specs]
+            attrs = [ATOMS[name].attribute for name, _, _ in specs]
             if len(specs) == 1 and attrs[0] is not None:
                 name, arg, offset = specs[0]
                 column = self._column(attrs[0])
                 column.singles.setdefault(offset, []).append(
                     (tpl.prefix, column.atom(name, arg), name == _IDENTITY_ATOM[attrs[0]]))
-                margin = max(margin, abs(offset))
             elif len(specs) == 1:
                 offset = specs[0][2]
                 # One dummy token: position -offset is both first and last.
@@ -503,11 +529,10 @@ class _CompiledFeatures:
                     atoms.append((None, name == "islast", offset))
                     continue
                 atoms.append((attr, self._column(attr).slot(name, arg), offset))
-                margin = max(margin, abs(offset))
             self.conjunctions.append(atoms)
         for column in self.columns.values():
             column.finish(self.keys)
-        self.margin = margin
+        self.margin = _margin(model.templates)
         self.pairs = []  # (id of one part, id of the other, id of the pair)
         for a, b in model.induced_pairs:
             name = index.get(f"{a}&&{b}")
@@ -519,7 +544,7 @@ class _CompiledFeatures:
 
     def _column(self, attr):
         if attr not in self.columns:
-            self.columns[attr] = _Column(attr, self.index, self.resources)
+            self.columns[attr] = _Column(self.index, self.resources)
         return self.columns[attr]
 
     def cache_size(self):
@@ -530,38 +555,20 @@ class _CompiledFeatures:
         reads them (_kernels.pack_ids): column n holds the ids that
         position_feature_ids gives at position n.
         """
-        lengths = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
-        N = int(lengths.sum())
-        sentence = np.repeat(np.arange(len(lengths)), lengths)
-        starts = np.cumsum(lengths) - lengths
-        at = np.arange(N) - starts[sentence]  # position in its sentence
-        last = lengths[sentence] - 1
-
-        def place(is_last, offset, hit, miss):
-            return np.where(at == (last if is_last else 0) - offset, hit, miss)
-
-        ids = np.empty((N, self.width), dtype=np.intp)
+        layout = _Layout(sentences, self.margin)
+        ids = np.empty((layout.N, self.width), dtype=np.intp)
         k = 0  # next column of ids
-        rows = {}  # attribute -> (row of each position with boundary margins, rows)
-        if self.columns:
-            # Each sentence is padded with `margin` boundary codes per side,
-            # so an offset never reads another sentence.
-            m = self.margin
-            where = np.arange(N) + (2 * sentence + 1) * m
-            left = ((starts + 2 * m * np.arange(len(lengths)))[:, None]
-                    + np.arange(m)).ravel()
-            for attr, column in self.columns.items():
-                local, table = column.local_rows(list(itertools.chain.from_iterable(
-                    s.column(attr) for s in sentences)))
-                padded = np.ones(N + 2 * m * len(lengths), dtype=np.intp)
-                padded[left] = 0
-                padded[where] = local
-                rows[attr] = (padded, table)
-                for offset, (lo, hi) in column.spans.items():
-                    ids[:, k:k + hi - lo] = table[padded[where + offset], lo:hi]
-                    k += hi - lo
+        rows = {}  # attribute -> (padded codes, rows of the column's table)
+        for attr, column in self.columns.items():
+            local, table = column.local_rows(list(itertools.chain.from_iterable(
+                s.column(attr) for s in sentences)))
+            padded = layout.pad(local)
+            rows[attr] = padded, table
+            for offset, (lo, hi) in column.spans.items():
+                ids[:, k:k + hi - lo] = table[layout.shift(padded, offset), lo:hi]
+                k += hi - lo
         for offset, is_last, hit, miss in self.positional:
-            ids[:, k] = place(is_last, offset, hit, miss)
+            ids[:, k] = np.where(layout.edge(is_last, offset), hit, miss)
             k += 1
         if self.conjunctions:
             value_id, unknown = self.keys.values.get, self.keys.unknown
@@ -570,9 +577,9 @@ class _CompiledFeatures:
             def digit(atom):
                 attr, slot, offset = atom
                 if attr is None:
-                    return place(slot, offset, yes, no)
+                    return np.where(layout.edge(slot, offset), yes, no)
                 padded, table = rows[attr]
-                return table[padded[where + offset], self.columns[attr].width + slot]
+                return table[layout.shift(padded, offset), self.columns[attr].width + slot]
 
             ids[:, k:k + len(self.conjunctions)] = self.keys.lookup(self.conjunctions, digit)
             k += len(self.conjunctions)
@@ -768,21 +775,18 @@ def _atom_digits(templates, sentences, resources):
     position of the sentences, as freeze_features takes them.
 
     An atom over a token attribute reads each distinct value of the
-    attribute once, through compile_atom at offset 0 as _Column.resolve
-    does, and each sentence boundary once; isfirst and islast compare each
-    position's place in its sentence. values lists the value strings by id.
+    attribute once, through its entry in templates.ATOMS as _Column does,
+    and takes the entry's boundary values outside a sentence; the atoms
+    read offsets and places through the _Layout of document_ids. values
+    lists the value strings by id.
     """
-    lengths = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
-    N = int(lengths.sum())
-    sentence = np.repeat(np.arange(len(lengths)), lengths)
-    at = np.arange(N) - (np.cumsum(lengths) - lengths)[sentence]  # place in its sentence
-    length = lengths[sentence]
+    layout = _Layout(sentences, _margin(templates))
     values = {}
 
     def intern(value):
         return -1 if value is None else values.setdefault(value, len(values))
 
-    columns = {}  # attribute -> (code of each position, one token per distinct value)
+    columns = {}  # attribute -> (padded code of each position, distinct values)
     tables = {}  # (name, arg) -> value id by code: left boundary, right, then values
     read = {}  # atom spec -> value id at each position
 
@@ -790,28 +794,23 @@ def _atom_digits(templates, sentences, resources):
         spec = (name, arg, offset)
         if spec in read:
             return read[spec]
-        p = at + offset
-        if name in ("isfirst", "islast"):
-            hit = p == (0 if name == "isfirst" else length - 1)
-            read[spec] = np.where(hit, intern("1"), intern("0"))
+        entry = ATOMS[name]
+        if entry.attribute is None:
+            read[spec] = np.where(layout.edge(name == "islast", offset),
+                                  intern("1"), intern("0"))
             return read[spec]
-        attr = _ATTRIBUTE_OF_ATOM[name]
-        if attr not in columns:
-            distinct = dict.fromkeys(itertools.chain.from_iterable(
-                s.column(attr) for s in sentences))
-            code = {value: k for k, value in enumerate(distinct, 2)}
-            columns[attr] = (np.fromiter(map(code.__getitem__, itertools.chain.from_iterable(
-                s.column(attr) for s in sentences)), dtype=np.intp, count=N),
-                [types.SimpleNamespace(**{attr: value}) for value in distinct])
-        codes, tokens = columns[attr]
+        if entry.attribute not in columns:
+            column = list(itertools.chain.from_iterable(
+                s.column(entry.attribute) for s in sentences))
+            code = {value: k for k, value in enumerate(dict.fromkeys(column), 2)}
+            columns[entry.attribute] = (layout.pad(np.fromiter(
+                map(code.__getitem__, column), dtype=np.intp, count=len(column))), list(code))
+        padded, distinct = columns[entry.attribute]
         if (name, arg) not in tables:
-            get = compile_atom(name, arg, 0)
             tables[(name, arg)] = np.array(
-                [intern(get((), -1, resources)), intern(get((), 0, resources))]
-                + [intern(get(tokens, k, resources)) for k in range(len(tokens))],
-                dtype=np.int64)
-        inside = codes[np.clip(np.arange(N) + offset, 0, max(N - 1, 0))]
-        read[spec] = tables[(name, arg)][np.where(p < 0, 0, np.where(p >= length, 1, inside))]
+                [intern(entry.left), intern(entry.right)]
+                + [intern(entry.value(v, arg, resources)) for v in distinct], dtype=np.int64)
+        read[spec] = tables[(name, arg)][layout.shift(padded, offset)]
         return read[spec]
 
     digits = [[atom(*spec) for spec in tpl.specs] for tpl in templates]

@@ -1,9 +1,10 @@
 """Feature templates: named extractors over token attributes at relative offsets.
 
 A template such as "form@-1&form@0" fires the feature string
-"form@-1&form@0=<form before>|<form>" at a position. The taggers in seqlabel
-score these features; its compiled decode path resolves the same templates
-once per word type.
+"form@-1&form@0=<form before>|<form>" at a position. ATOMS defines each
+atom once: compile_atom reads it from tokens for this string path, and the
+taggers' decoder and freeze in seqlabel read the same entries once per
+word type.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 BOUNDARY_LEFT = "<s>"
 BOUNDARY_RIGHT = "</s>"
@@ -37,91 +39,65 @@ def word_shape(form):
     return "".join(out)
 
 
+class Atom(NamedTuple):
+    """One atom of the grammar. An attribute atom reads `attribute` of the
+    token at its offset: its value is value(attribute value, length,
+    resources), or `left` and `right` outside the sentence (None: unset).
+    A positional atom (attribute None) reads its offset's place instead."""
+
+    attribute: str | None
+    value: Callable | None
+    takes_length: bool
+    left: str | None = None
+    right: str | None = None
+
+
+def _in_gazetteer(form, _, resources):
+    gazetteer = resources.get("gazetteer") if resources else None
+    return "1" if gazetteer and (form in gazetteer or form.lower() in gazetteer) else "0"
+
+
+ATOMS = {
+    "form": Atom("form", lambda v, *_: v, False, BOUNDARY_LEFT, BOUNDARY_RIGHT),
+    "lower": Atom("form", lambda v, *_: v.lower(), False, BOUNDARY_LEFT, BOUNDARY_RIGHT),
+    "pos": Atom("pos_tag", lambda v, *_: v, False, BOUNDARY_LEFT, BOUNDARY_RIGHT),
+    "ner": Atom("ner_label", lambda v, *_: v, False, BOUNDARY_LEFT, BOUNDARY_RIGHT),
+    "prefix": Atom("form", lambda v, k, _: v[:k], True),
+    "suffix": Atom("form", lambda v, k, _: v[-k:], True),
+    "shape": Atom("form", lambda v, *_: word_shape(v), False),
+    "hasdigit": Atom("form", lambda v, *_: "1" if any(c.isdigit() for c in v) else "0", False),
+    "hashyphen": Atom("form", lambda v, *_: "1" if "-" in v else "0", False),
+    "gaz": Atom("form", _in_gazetteer, False),
+    "isfirst": Atom(None, None, False),
+    "islast": Atom(None, None, False),
+}
+
+
 def compile_atom(name, arg, offset):
     """The reader of one atom: get(tokens, i, resources) -> its value at
-    position i, or None where the atom is unset."""
-    if name == "form":
-        def get(tokens, i, resources):
-            p = i + offset
-            if p < 0:
-                return BOUNDARY_LEFT
-            if p >= len(tokens):
-                return BOUNDARY_RIGHT
-            return tokens[p].form
-    elif name == "lower":
-        def get(tokens, i, resources):
-            p = i + offset
-            if p < 0:
-                return BOUNDARY_LEFT
-            if p >= len(tokens):
-                return BOUNDARY_RIGHT
-            return tokens[p].form.lower()
-    elif name == "pos":
-        def get(tokens, i, resources):
-            p = i + offset
-            if p < 0:
-                return BOUNDARY_LEFT
-            if p >= len(tokens):
-                return BOUNDARY_RIGHT
-            return tokens[p].pos_tag
-    elif name == "ner":
-        def get(tokens, i, resources):
-            p = i + offset
-            if p < 0:
-                return BOUNDARY_LEFT
-            if p >= len(tokens):
-                return BOUNDARY_RIGHT
-            return tokens[p].ner_label
-    elif name == "prefix":
-        k = arg
-        def get(tokens, i, resources):
-            p = i + offset
-            if p < 0 or p >= len(tokens):
-                return None
-            return tokens[p].form[:k]
-    elif name == "suffix":
-        k = arg
-        def get(tokens, i, resources):
-            p = i + offset
-            if p < 0 or p >= len(tokens):
-                return None
-            return tokens[p].form[-k:]
-    elif name == "shape":
-        def get(tokens, i, resources):
-            p = i + offset
-            if p < 0 or p >= len(tokens):
-                return None
-            return word_shape(tokens[p].form)
-    elif name == "hasdigit":
-        def get(tokens, i, resources):
-            p = i + offset
-            if p < 0 or p >= len(tokens):
-                return None
-            return "1" if any(c.isdigit() for c in tokens[p].form) else "0"
-    elif name == "hashyphen":
-        def get(tokens, i, resources):
-            p = i + offset
-            if p < 0 or p >= len(tokens):
-                return None
-            return "1" if "-" in tokens[p].form else "0"
-    elif name == "isfirst":
-        def get(tokens, i, resources):
-            return "1" if i + offset == 0 else "0"
-    elif name == "islast":
-        def get(tokens, i, resources):
-            return "1" if i + offset == len(tokens) - 1 else "0"
-    elif name == "gaz":
-        def get(tokens, i, resources):
-            p = i + offset
-            if p < 0 or p >= len(tokens):
-                return None
-            gaz = resources.get("gazetteer") if resources else None
-            if gaz is None:
-                return "0"
-            form = tokens[p].form
-            return "1" if form in gaz or form.lower() in gaz else "0"
-    else:
+    position i, or None where the atom is unset. Raises ValueError for an
+    unknown atom or a length it does not take."""
+    atom = ATOMS.get(name)
+    if atom is None:
         raise ValueError(f"unknown feature atom {name!r}")
+    if atom.takes_length != (arg is not None) or arg == 0:
+        raise ValueError(f"feature atom {name!r} takes "
+                         + ("a length of at least 1" if atom.takes_length else "no length"))
+    if atom.attribute is None:
+        is_last = name == "islast"
+
+        def get(tokens, i, resources):
+            return "1" if i + offset == (len(tokens) - 1 if is_last else 0) else "0"
+        return get
+    attribute, value, left, right = atom.attribute, atom.value, atom.left, atom.right
+
+    def get(tokens, i, resources):
+        p = i + offset
+        if p < 0:
+            return left
+        if p >= len(tokens):
+            return right
+        return value(getattr(tokens[p], attribute), arg, resources)
     return get
 
 
@@ -130,8 +106,9 @@ class FeatureTemplate:
     """A named extractor over token attributes at relative offsets.
 
     The descriptor is a "&"-joined list of atoms like "form@-1&form@0" or
-    "prefix3@0"; each atom reads one attribute at one offset. A template
-    whose atoms hit an unset attribute emits nothing at that position.
+    "prefix3@0"; each atom reads one attribute at one offset (ATOMS). A
+    template whose atoms hit an unset attribute emits nothing at that
+    position. An unknown atom or a length it does not take raises ValueError.
     """
 
     name: str

@@ -1,4 +1,6 @@
 import os
+import shutil
+import unicodedata
 
 import pytest
 
@@ -105,6 +107,24 @@ class TestTrain:
         with open(os.path.join(cli_models, model), "rb") as fh:
             assert (tmp_path / model).read_bytes() == fh.read()
 
+    @pytest.mark.parametrize("option", [[], ["-conllx"]])
+    def test_decomposed_treebank_trains_the_same_model(self, tmp_path, option):
+        with open(os.path.join(TOY_DIR, "parse.conll"), encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+        if option:
+            # ID, FORM, _, POS, _, _, HEAD, DEPREL, _, _ from the six columns.
+            lines = ["\t".join((c[0], c[1], "_", c[2], "_", "_", c[4], c[5], "_", "_"))
+                     if len(c) == 6 else "" for c in (line.split("\t") for line in lines)]
+        models = []
+        for form in ("NFC", "NFD"):
+            (tmp_path / form).mkdir()
+            corpus = tmp_path / form / "parse.conll"
+            corpus.write_text(unicodedata.normalize(form, "\n".join(lines)), encoding="utf-8")
+            assert main(["train", "parse", "-corpus", str(corpus), *option,
+                         "-models", str(tmp_path / form), "-epochs", "12"]) == 0
+            models.append((tmp_path / form / "parse.model").read_bytes())
+        assert models[0] == models[1]
+
     def test_missing_corpus(self, tmp_path):
         assert main(["train", "pos", "-corpus", str(tmp_path / "nope.tsv"),
                      "-models", str(tmp_path)]) == 1
@@ -189,6 +209,23 @@ class TestAnnotate:
                      "-fout", str(tmp_path / "x.txt"),
                      "-models", str(tmp_path / "empty")])
         assert code == 3
+
+    @pytest.mark.parametrize("old, new", [(b"suffix2@0", b"suffix@0"),
+                                          (b"suffix2@0", b"suffix0@0"),
+                                          (b"prefix2@0", b"prefix0@0"),
+                                          (b"form@0", b"form3@0")])
+    def test_bad_atom_length_exits_3(self, cli_models, tmp_path, capsys, old, new):
+        # Rewrite one template of the header line, its name and its descriptor.
+        models = tmp_path / "models"
+        shutil.copytree(cli_models, models)
+        magic, header, rest = (models / "pos.model").read_bytes().split(b"\n", 2)
+        assert header.count(b'"%s"' % old) == 2
+        (models / "pos.model").write_bytes(
+            b"\n".join((magic, header.replace(b'"%s"' % old, b'"%s"' % new), rest)))
+        code = main(["annotate", "-fin", DEMO_INPUT, "-fout", str(tmp_path / "o.txt"),
+                     "-models", str(models)])
+        assert code == 3
+        assert "pos: failed to load" in capsys.readouterr().err
 
 
 class TestEval:

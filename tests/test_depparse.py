@@ -524,6 +524,20 @@ class TestTrainParser:
         np.testing.assert_allclose(trained.weights, total / steps, rtol=1e-9,
                                    atol=1e-12)
 
+    def test_oracle_transitions_are_not_checked_again(self, toy_treebank, monkeypatch):
+        # The oracle builds only legal transitions, which TestStaticOracle
+        # replays through apply; training advances without the checks.
+        bank = list(toy_treebank)[:10]
+        checked = train_parser(bank, epochs=2)
+
+        def refuse(self, transition):
+            raise AssertionError("training checked an oracle transition")
+
+        monkeypatch.setattr(ParserState, "apply", refuse)
+        model = train_parser(bank, epochs=2)
+        assert model.feature_index == checked.feature_index
+        np.testing.assert_array_equal(model.weights, checked.weights)
+
     def test_use_ner_features_needs_labels(self, toy_treebank):
         bank = [Sentence(Token(t.index, t.form, pos_tag=t.pos_tag, head=t.head,
                                dep_label=t.dep_label) for t in s)

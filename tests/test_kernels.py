@@ -62,6 +62,14 @@ def test_pack_ids_sorts_and_drops_repeats():
     assert _kernels.sum_rows(W, packed).tobytes() == \
         _kernels.sum_rows(W, oracle.pack_rows(rows)).tobytes()
     assert _kernels.pack_ids(np.empty((0, 3), dtype=np.intp)).shape == (3, 0)
+    # Exactly the columns of padding that every row starts with are dropped.
+    for padding in (3, 0):
+        ids = rng.integers(0, 12, size=(60, 7))
+        ids[:, :padding] = -1
+        rows = [sorted(set(row) - {-1}) for row in ids.tolist()]
+        packed = _kernels.pack_ids(ids)
+        assert packed.shape == (7 - padding, 60)
+        assert [col[col >= 0].tolist() for col in packed.T] == rows
 
 
 def test_viterbi_masked_scores():

@@ -52,6 +52,17 @@ class TestTemplates:
         with pytest.raises(ValueError):
             FeatureTemplate("x", "frm@0")
 
+    @pytest.mark.parametrize("descriptor, message", [
+        ("suffix@0", "'suffix' takes a length of at least 1"),
+        ("suffix0@0", "'suffix' takes a length of at least 1"),
+        ("prefix0@0", "'prefix' takes a length of at least 1"),
+        ("form3@0", "'form' takes no length"),
+        ("isfirst1@0", "'isfirst' takes no length"),
+    ])
+    def test_bad_atom_length(self, descriptor, message):
+        with pytest.raises(ValueError, match=message):
+            FeatureTemplate(descriptor, descriptor)
+
     def test_word_shape(self):
         assert word_shape("Nguyễn_Khắc_Chúc") == "AaxAaxAa"
         assert word_shape("12a") == "9a"
