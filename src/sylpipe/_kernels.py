@@ -15,6 +15,10 @@ additions on the same operands, so each batch kernel equals its
 one-sentence kernel bit for bit for any weights, float weights included.
 The plain loops in tests/kernel_oracle.py pin both.
 
+Both Viterbi kernels compute suffix scores backwards, keep each step's
+argmax as back-pointers, and read the path forwards by following them, so
+no step is scored twice.
+
 Every Viterbi kernel takes the maximum of a step as the value at its first
 maximum, the one its argmax keeps, by gathering it at the argmax, which is
 also cheaper than a second reduction over the short last axis; the oracle
@@ -47,24 +51,35 @@ def viterbi_path(emissions, transitions, start_trans):
 
     Among maximum-scoring label sequences the lexicographically smallest one
     (by label index) is returned. A -inf score means no legal sequence exists.
+
+    The backward pass keeps each step's argmax as back-pointers, and the path
+    is read by following them from the best first label, as viterbi_paths
+    reads its paths: the argmax a readout would take at position i is the
+    one taken over the same row when the suffix scores of position i - 1
+    were computed.
     """
     T, L = emissions.shape
-    path = np.empty(T, dtype=np.int64)
     if T == 0:
-        return path, 0.0
-    beta = np.empty((T, L))
-    beta[T - 1] = emissions[T - 1]
+        return np.empty(0, dtype=np.int64), 0.0
+    # beta: the best score of the suffix from the current position, by its
+    # label; back: per step, from the last one, the label that follows each
+    # label on that suffix.
+    beta = emissions[T - 1]
+    back = []
     rows = np.arange(L)
     for i in range(T - 2, -1, -1):
-        step = transitions + beta[i + 1][None, :]
-        beta[i] = emissions[i] + step[rows, step.argmax(axis=1)]
-    first = start_trans + beta[0]
-    y = int(np.argmax(first))
-    path[0] = y
-    for i in range(1, T):
-        scores = transitions[path[i - 1]] + beta[i]
-        path[i] = int(np.argmax(scores))
-    return path, float(first[y])
+        step = transitions + beta
+        arg = step.argmax(axis=1)
+        back.append(arg.tolist())
+        beta = emissions[i] + step[rows, arg]
+    first = start_trans + beta
+    y = int(first.argmax())
+    score = float(first[y])
+    path = [y]
+    for arg in reversed(back):
+        y = arg[y]
+        path.append(y)
+    return np.array(path, dtype=np.int64), score
 
 
 def viterbi_paths(emissions, lengths, transitions, start_trans):

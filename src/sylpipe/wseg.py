@@ -15,19 +15,32 @@ rules once, on first use, each to an anchor syllable plus (row, offset,
 value) checks, so a slot read is one list index. One matcher, _apply, runs
 the rules for segment and the candidate rules for train_segmenter, which
 also reads its candidates' patterns from the same rows.
+
+train_segmenter estimates its candidates with arrays, after the array form
+of the candidate counts in Ngai and Florian (NAACL 2001, "Transformation-
+Based Learning in the Fast Lane"): the values of each template at every
+corpus boundary are numbered once, and each round counts, with one bincount
+per template, the wrong minus the right boundaries of every (number, flip
+direction). The tries stay exact: each candidate is applied by _apply and
+undone unless it lowers the error count.
 """
 
 from __future__ import annotations
 
 import functools
+import logging
 import re
 import unicodedata
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, compress
 from operator import itemgetter
 
+import numpy as np
+
 from .model import DataError, Sentence
-from .seqlabel import TrainingError, word_shape
+from .seqlabel import TrainingError, _tuple_codes, word_shape
+
+logger = logging.getLogger(__name__)
 
 JOIN = True
 SPLIT = False
@@ -376,18 +389,23 @@ class _TrainingSentence:
         self.positions = _positions(syllables, frozenset(syllables))
         self.unjoinable = _unjoinable(syllables)
 
-    def errors(self):
-        return sum(map(str.__ne__, self.rows[DEC], self.gold))
 
-    def pattern_key(self, q, slots):
-        """The values of the slots at boundary q."""
-        rows = self.rows
-        return tuple(rows[row][q + o] for row, o in slots)
+# A decision row's values as the codes train_segmenter counts with.
+_DECISIONS = "JS-"
+_DECISION_CODE = {d: k for k, d in enumerate(_DECISIONS)}
 
-    def keys(self, slots):
-        """The values of the slots at every boundary, in boundary order."""
-        rows, n = self.rows, self.n
-        return zip(*[rows[row][1 + o:n + o] for row, o in slots])
+
+def _laid_end_to_end(sentences, kind):
+    """The kind rows of the sentences one after another, n + 2 slots for a
+    sentence of n syllables: a lexicon-flag or decision row, one slot
+    shorter, takes one more "-". Boundary q of a sentence whose rows start
+    at slot p then reads its slot at offset o, |o| <= 2, at p + q + o."""
+    flat = []
+    for s in sentences:
+        flat += s.rows[kind]
+        if kind >= LEX:
+            flat.append("-")
+    return flat
 
 
 def train_segmenter(corpus, window_radius=2, max_rules=200, on_rule=None):
@@ -398,6 +416,18 @@ def train_segmenter(corpus, window_radius=2, max_rules=200, on_rule=None):
     greedily, each strictly reducing the corpus boundary-error count.
     Candidates are read from the same rows, and applied by the same matcher,
     as segment uses.
+
+    Each round ranks the candidates, the (action, template, values) found at
+    a wrong boundary, by an estimate, and tries them best first until one
+    lowers the error count. The estimate of a candidate is the number of
+    wrong boundaries its pattern matches, minus the right ones, among those
+    whose decision it would flip; ties go to the candidate whose first wrong
+    boundary comes first in the corpus, then to template order. All of it
+    is counted with arrays: each template's values at every boundary are
+    numbered once (a slot that reads a decision adds the round's decision
+    there as one more digit), and one bincount per template and round
+    counts, for every number and flip direction, the wrong boundaries minus
+    the right ones.
     """
     if window_radius < 0:
         raise ValueError(f"window radius must be >= 0, got {window_radius}")
@@ -419,64 +449,89 @@ def train_segmenter(corpus, window_radius=2, max_rules=200, on_rule=None):
 
     lexicon = Lexicon(tuple(w.split("_")) for w in words)
     templates = templates_for_radius(window_radius)
-    slots = {tpl: [(_ROW[kind], off) for kind, off in TEMPLATES[tpl]] for tpl in templates}
+    slots = [[(_ROW[kind], off) for kind, off in TEMPLATES[tpl]] for tpl in templates]
     sentences = [_TrainingSentence(lexicon, syllables, gold)
                  for syllables, gold in gold_sentences]
 
+    # Every sentence's rows laid end to end; at holds the slot of each
+    # boundary, in corpus order, and dec the live decision codes, which
+    # follow each accepted rule's flips.
+    starts = list(accumulate((s.n + 2 for s in sentences), initial=0))
+    flat = [_laid_end_to_end(sentences, kind) for kind in (SYL, SHAPE, LEX)]
+    dec = np.array(list(map(_DECISION_CODE.__getitem__, _laid_end_to_end(sentences, DEC))))
+    gold = np.array([_DECISION_CODE[g] for s in sentences for g in (*s.gold, "-")])
+    at = np.flatnonzero(gold < 2)
+    gold = gold[at]
+    # Each template's values at every boundary, numbered below len(at), and
+    # the offsets of its slots that read a decision, whose values change.
+    ids = {}
+    digits = [np.array([ids.setdefault(v, len(ids)) for v in row]) for row in flat]
+    codes = []
+    for tpl_slots in slots:
+        packed, _ = _tuple_codes(np.stack([digits[row][at + o] for row, o in tpl_slots
+                                           if row != DEC]), len(ids))
+        codes.append((np.unique(packed, return_inverse=True)[1],
+                      [o for row, o in tpl_slots if row == DEC]))
+
     rules = []
-    errors = sum(s.errors() for s in sentences)
+    errors = int(np.sum(dec[at] != gold))
     while errors > 0 and len(rules) < max_rules:
-        # Candidate rules come from the current error sites, numbered in the
-        # order they are first seen: candidates[(action, template)][values].
-        candidates = {(action, tpl): {} for action in ("join", "split") for tpl in templates}
-        seen = 0
-        for s in sentences:
-            dec, gold = s.rows[DEC], s.gold
-            for q in range(1, s.n):
-                if dec[q] == gold[q]:
-                    continue
-                action = "join" if gold[q] == "J" else "split"
-                for tpl in templates:
-                    values = s.pattern_key(q, slots[tpl])
-                    table = candidates[action, tpl]
-                    if values not in table:
-                        table[values] = [seen, 0]
-                        seen += 1
-        # Estimated net = fixes - breakages over every boundary it would flip.
-        for s in sentences:
-            dec = s.rows[DEC]
-            current = dec[1:s.n]
-            right = list(map(str.__eq__, current, s.gold[1:s.n]))
-            for tpl in templates:
-                # A joined boundary meets the split candidates, and so on.
-                table = {"J": candidates["split", tpl], "S": candidates["join", tpl]}
-                for values, d, ok in zip(s.keys(slots[tpl]), current, right):
-                    entry = table[d].get(values)
-                    if entry is not None:
-                        entry[1] += -1 if ok else 1
-        ranked = sorted(((entry[1], entry[0], action, tpl, values)
-                         for (action, tpl), table in candidates.items()
-                         for values, entry in table.items()),
-                        key=lambda c: (-c[0], c[1]))
+        # A join candidate meets the split boundaries (decision code 1) and
+        # a split candidate the joined ones (0), so key = number * 2 + code.
+        current = dec[at]
+        wrong = current != gold
+        weight = np.where(wrong, 1.0, -1.0)
+        wrong_at = np.flatnonzero(wrong)
+        estimates, firsts, owners = [], [], []
+        candidates = 0
+        for t, (numbers, offsets) in enumerate(codes):
+            for o in offsets:
+                numbers = numbers * 3 + dec[at + o]
+            keys = numbers * 2 + current
+            keyed, first = np.unique(keys[wrong], return_index=True)
+            candidates += len(keyed)
+            estimate = np.bincount(keys, weights=weight)[keyed]
+            positive = estimate > 0
+            estimates.append(estimate[positive])
+            firsts.append(first[positive])
+            owners.append(np.full(np.count_nonzero(positive), t))
+        estimates, firsts, owners = map(np.concatenate, (estimates, firsts, owners))
+        ranked = np.lexsort((owners, firsts, -estimates))[:200]
 
         accepted = None
-        for est, _, action, tpl, values in ranked[:200]:
-            if est <= 0:
-                break
+        tried = 0
+        for k in ranked.tolist():
+            tried += 1
+            b = int(at[wrong_at[firsts[k]]])
+            tpl = templates[owners[k]]
+            action = "join" if dec[b] == 1 else "split"
+            values = tuple(_DECISIONS[dec[b + o]] if row == DEC else flat[row][b + o]
+                           for row, o in slots[owners[k]])
             rule = _compile_rule(action, tpl, values)
-            flips = [(s, _apply(rule, s.rows, s.positions, s.unjoinable)) for s in sentences]
+            flips = [(p, s, _apply(rule, s.rows, s.positions, s.unjoinable))
+                     for p, s in zip(starts, sentences)]
             new_errors = errors + sum(1 if s.rows[DEC][q] != s.gold[q] else -1
-                                      for s, flipped in flips for q in flipped)
+                                      for _, s, flipped in flips for q in flipped)
             if new_errors < errors:
                 accepted = TransformationRule(action, tpl, values, errors - new_errors)
                 errors = new_errors
+                for p, _, flipped in flips:
+                    for q in flipped:
+                        dec[p + q] = 1 - dec[p + q]
                 break
-            for s, flipped in flips:
-                dec = s.rows[DEC]
+            for _, s, flipped in flips:
+                row = s.rows[DEC]
                 for q in flipped:
-                    dec[q] = "S" if dec[q] == "J" else "J"
+                    row[q] = "S" if row[q] == "J" else "J"
         if accepted is None:
+            logger.debug("rule round %d: %d candidate(s), %d estimated to help; none of "
+                         "the %d tried removes an error", len(rules) + 1, candidates,
+                         len(estimates), tried)
             break
+        logger.debug("rule round %d: %d candidate(s), %d estimated to help; %d applied "
+                     "and undone before %s %s was accepted, estimated at %d, removing %d "
+                     "error(s)", len(rules) + 1, candidates, len(estimates), tried - 1,
+                     accepted.action, accepted.template, estimates[k], accepted.score)
         rules.append(accepted)
         if on_rule is not None:
             on_rule(len(rules), accepted, errors)

@@ -1,3 +1,4 @@
+import logging
 import random
 import re
 import time
@@ -295,6 +296,23 @@ class TestTraining:
         with pytest.raises(DataError, match=re.escape(message)):
             train_segmenter(corpus)
 
+    def test_logs_each_rule_round(self, caplog):
+        # One DEBUG line a round: the candidates, the ones estimated to help,
+        # the ones applied and undone, and the estimate against the score.
+        corpus = [["."], ["a_."], [".", "học", "học_học_học", "A", "Học_a"],
+                  [".", "A_Hà_b", "Học_A", "học_a_a", "a_A_hà"]]
+        with caplog.at_level(logging.DEBUG, logger="sylpipe.wseg"):
+            model = train_segmenter(corpus, window_radius=1, max_rules=8)
+        lines = [r.getMessage() for r in caplog.records if r.name == "sylpipe.wseg"]
+        assert len(model.rules) == 2
+        assert lines == [
+            "rule round 1: 17 candidate(s), 7 estimated to help; 1 applied and undone "
+            "before join pair was accepted, estimated at 1, removing 1 error(s)",
+            "rule round 2: 11 candidate(s), 4 estimated to help; 1 applied and undone "
+            "before split pair was accepted, estimated at 1, removing 1 error(s)",
+            "rule round 3: 6 candidate(s), 1 estimated to help; none of the 1 tried "
+            "removes an error"]
+
     def test_max_rules_cap(self):
         corpus = [["học_sinh", "học", "sinh_học", "."],
                   ["nhà", "máy_tính", "mới", "."]]
@@ -448,6 +466,15 @@ def models(draw):
     return SegmenterModel(lexicon=lexicon, rules=tuple(draw(st.lists(rules(), max_size=12))))
 
 
+def trained(trainer, corpus, radius, max_rules=200):
+    """Everything a training run returns or reports: the rules, the lexicon,
+    the radius and the on_rule calls."""
+    seen = []
+    model = trainer(corpus, window_radius=radius, max_rules=max_rules,
+                    on_rule=lambda *args: seen.append(args))
+    return model.rules, model.lexicon.entries, model.window_radius, seen
+
+
 class TestCompiledMatchesOracle:
     @settings(max_examples=400, deadline=None)
     @given(models(), st.lists(st.lists(st.sampled_from(SYLLABLES + ["_"]), max_size=25),
@@ -461,13 +488,40 @@ class TestCompiledMatchesOracle:
     @given(st.lists(st.lists(gold_words, min_size=1, max_size=8), min_size=1, max_size=10),
            st.sampled_from([1, 2]), st.integers(1, 8))
     def test_train_segmenter(self, corpus, radius, max_rules):
-        def train(trainer):
-            seen = []
-            model = trainer(corpus, window_radius=radius, max_rules=max_rules,
-                            on_rule=lambda *args: seen.append(args))
-            return model.rules, model.lexicon.entries, model.window_radius, seen
+        assert trained(train_segmenter, corpus, radius, max_rules) == \
+            trained(oracle.train_segmenter, corpus, radius, max_rules)
 
-        assert train(train_segmenter) == train(oracle.train_segmenter)
+    def test_train_many_rules(self):
+        # Ten rounds, four of them pairdec rules, whose decision slot reads
+        # the flips of the rules accepted before.
+        corpus = [["b_học", "A", "học", "học_hà_1,5", ".", "._hà"],
+                  ["học_hà_A", "học_a", "sinh_hà", "hà_A", "A_A", "nội_hà", "1,5", "Hà"],
+                  [".", "học_nội_b", "A_sinh_a", "học_b"],
+                  ["._Học_sinh", "hà_b", "nội", "sinh", "Hà_1,5", "sinh_nội", "Học", "Hà"],
+                  ["1,5_A_sinh", "học_Hà_học", "Học", "học_Học", "hà"],
+                  ["Học_hà", "1,5", "A_b", "học", "Học"], ["hà", "b_nội"]]
+        result = trained(train_segmenter, corpus, 1)
+        assert result == trained(oracle.train_segmenter, corpus, 1)
+        assert [r.template for r in result[0]] == ["pair"] * 6 + ["pairdec"] * 4
+
+    @pytest.mark.parametrize("corpus, expected", [
+        # In the second round join lexflags, split lexflags, join shapes and
+        # join shapelex all have the best estimate, 2: the candidate first
+        # seen at a wrong boundary wins, and the runner-up comes next.
+        ([["Học_A"], ["hà_hà", "a", ".", "Hà_A", "Hà_hà_học"],
+          ["học_hà", "học_hà_Học", "học_hà", "b_Học_Học"],
+          ["hà_A_Hà", "Học_b", "A_hà", "hà_hà", "Học_b_Hà"]],
+         [("join", "shapelex"), ("join", "lexflags"), ("split", "lexflags"),
+          ("split", "left3"), ("join", "pair"), ("join", "left3")]),
+        # Each round's best candidates are first seen at one boundary, so
+        # template order decides: right3 over window4, lexflags and pairdec,
+        # then pair over left3, right3 and window4.
+        ([["A_a", "A_a_A"], ["Hà_Hà_hà"]], [("split", "right3"), ("join", "pair")]),
+    ])
+    def test_tied_estimates_go_to_the_first_seen_candidate(self, corpus, expected):
+        result = trained(train_segmenter, corpus, 2)
+        assert result == trained(oracle.train_segmenter, corpus, 2)
+        assert [(r.action, r.template) for r in result[0]] == expected
 
     def test_train_past_a_candidate_that_fails(self):
         # The best estimate here is split pairdec ("học", "học", "S"), whose
