@@ -7,19 +7,19 @@ the averaged structured perceptron. A brute-force decoder over all label
 sequences serves as the test oracle.
 
 Decoding resolves features to ids without building a string per position
-(_CompiledFeatures): single-atom templates through per-value tables or the
-position's place in its sentence, and conjunctions through one sorted int64
-key table of their atoms' interned value ids, looked up for a whole
-document with one np.searchsorted. Training freezes its alphabet without a
-string per position either (_freeze): each atom reads each distinct
-attribute value once, the interned value ids of every template's atoms over
-the whole corpus pack into exact integer keys, and only each distinct
-(template, value tuple) becomes a string (freeze_features), in the order
-extract_features would first fire it. Both read an atom's values through
-its templates.ATOMS entry and a document's places and offsets through one
-_Layout, pack value ids with _tuple_codes and their ids for sum_rows with
-_kernels.pack_ids. reference_emission_matrix stays on the feature strings,
-the oracle of both.
+(_CompiledFeatures): templates of a single attribute atom through per-value
+tables, and all others, conjunctions and lone isfirst/islast atoms, through
+one sorted int64 key table of their atoms' interned value ids, looked up for
+a whole document with one np.searchsorted. Training freezes its alphabet
+without a string per position either (_freeze): each atom reads each
+distinct attribute value once, the interned value ids of every template's
+atoms over the whole corpus pack into exact integer keys, and only each
+distinct (template, value tuple) becomes a string (freeze_features), in the
+order extract_features would first fire it. Both read an atom's values
+through its templates.ATOMS entry and a document's places and offsets
+through one _Layout, pack value ids with _tuple_codes and their ids for
+sum_rows with _kernels.pack_ids. reference_emission_matrix stays on the
+feature strings, the oracle of both.
 """
 
 from __future__ import annotations
@@ -301,9 +301,10 @@ _KEY_BOUND = 1 << 63
 
 
 class _ConjunctionKeys:
-    """The conjunction templates of a model as one sorted int64 key table.
+    """The conjunction templates of a model, with its lone isfirst/islast
+    templates, as one sorted int64 key table.
 
-    Every value in a conjunction feature of the alphabet is interned: the
+    Every value in an alphabet feature of these templates is interned: the
     feature is registered under every reading of it as the template's atom
     values (templates.alphabet_tuples), because the string path joins the
     atom values with "|"; so a lookup hits exactly when the joined string is
@@ -484,15 +485,14 @@ class _Layout:
 class _CompiledFeatures:
     """The feature ids of a LinearModel, resolved per word type, not per position.
 
-    Every template resolves in one of three ways. A single atom over the
+    Every template resolves in one of two ways. A single atom over the
     form, the POS tag or the NER label resolves once per value (_Column) and
-    is read by one fancy index per offset; a single isfirst/islast resolves
-    here, once per model, and is compared with each position's place in its
-    sentence; a conjunction looks the key of its atoms' value ids up in one
-    sorted table (_ConjunctionKeys), an attribute atom reading the cached
-    value id of its column and an isfirst/islast atom the id of "1" or "0"
-    by the position's place. Induced pairs join ids. Built on first decode,
-    so loading a model does no extra work.
+    is read by one fancy index per offset. Any other template, a conjunction
+    or a lone isfirst/islast, looks the key of its atoms' value ids up in
+    one sorted table (_ConjunctionKeys), an attribute atom reading the
+    cached value id of its column and an isfirst/islast atom the id of "1"
+    or "0" by the position's place in its sentence. Induced pairs join ids.
+    Built on first decode, so loading a model does no extra work.
     """
 
     def __init__(self, model):
@@ -500,7 +500,6 @@ class _CompiledFeatures:
         self.index = index
         self.resources = model._resources
         self.columns = {}  # token attribute -> _Column
-        self.positional = []  # (offset, is islast, id if true, id if false)
         conjunctions = []  # (template, attribute per atom, None for isfirst/islast)
         for tpl in model.templates:
             specs = tpl.specs
@@ -510,12 +509,6 @@ class _CompiledFeatures:
                 column = self._column(attrs[0])
                 column.singles.setdefault(offset, []).append(
                     (tpl.prefix, column.atom(name, arg), name == _IDENTITY_ATOM[attrs[0]]))
-            elif len(specs) == 1:
-                offset = specs[0][2]
-                # One dummy token: position -offset is both first and last.
-                hit = index.get(tpl.extract((None,), -offset), -1)
-                miss = index.get(tpl.extract((None,), 1 - offset), -1)
-                self.positional.append((offset, specs[0][0] == "islast", hit, miss))
             else:
                 conjunctions.append((tpl, attrs))
         self.keys = _ConjunctionKeys([tpl for tpl, _ in conjunctions], index)
@@ -540,7 +533,7 @@ class _CompiledFeatures:
                 self.pairs.append((index[a], index[b], name))
         # Columns of document_ids before packing.
         self.width = (sum(column.width for column in self.columns.values())
-                      + len(self.positional) + len(self.conjunctions) + len(self.pairs))
+                      + len(self.conjunctions) + len(self.pairs))
 
     def _column(self, attr):
         if attr not in self.columns:
@@ -567,9 +560,6 @@ class _CompiledFeatures:
             for offset, (lo, hi) in column.spans.items():
                 ids[:, k:k + hi - lo] = table[layout.shift(padded, offset), lo:hi]
                 k += hi - lo
-        for offset, is_last, hit, miss in self.positional:
-            ids[:, k] = np.where(layout.edge(is_last, offset), hit, miss)
-            k += 1
         if self.conjunctions:
             value_id, unknown = self.keys.values.get, self.keys.unknown
             yes, no = value_id("1", unknown), value_id("0", unknown)

@@ -9,20 +9,22 @@ reduction of training errors, as long as that reduction is positive.
 Both steps run on compiled forms. The lexicon indexes each lowercased first
 syllable to the lengths of the entries it starts (Lexicon.starts), so the
 longest match lowercases each syllable once and tries only lengths that can
-hit. A sentence becomes four padded rows, one per slot kind: syllables,
-shapes, lexicon-pair flags and the live decisions. A model compiles its
-rules once, on first use, each to an anchor syllable plus (row, offset,
-value) checks, so a slot read is one list index. One matcher, _apply, runs
-the rules for segment and the candidate rules for train_segmenter, which
-also reads its candidates' patterns from the same rows.
+hit. One builder, _rows, lays sentences end to end as four rows, one per
+slot kind: syllables, shapes, lexicon-pair flags and the live decisions.
+segment lays out one sentence and train_segmenter its whole corpus, once. A
+model compiles its rules once, on first use, each to an anchor syllable plus
+(row, offset, value) checks, so a slot read is one list index. One matcher,
+_apply, runs the rules for segment and each candidate rule of
+train_segmenter over the whole corpus, which also reads its candidates'
+patterns from the same rows.
 
 train_segmenter estimates its candidates with arrays, after the array form
 of the candidate counts in Ngai and Florian (NAACL 2001, "Transformation-
 Based Learning in the Fast Lane"): the values of each template at every
 corpus boundary are numbered once, and each round counts, with one bincount
 per template, the wrong minus the right boundaries of every (number, flip
-direction). The tries stay exact: each candidate is applied by _apply and
-undone unless it lowers the error count.
+direction). The tries stay exact: each candidate is applied by one _apply
+over the corpus and undone unless it lowers the error count.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import logging
 import re
 import unicodedata
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import compress
 from operator import itemgetter
 
 import numpy as np
@@ -209,22 +211,25 @@ class TransformationRule:
             raise ValueError("retained rules must have a positive score")
 
 
-# A sentence of n syllables is matched as four rows, one per slot kind, each
-# padded by one sentinel at both ends: syllables and shapes by "<s>" and
-# "</s>", the lexicon-pair flags ("1"/"0") and the live decisions ("J"/"S")
-# by "-". Boundary q, 1..n-1, lies between the q-th and the next syllable,
-# and a slot at offset off reads rows[kind][q + off].
+# Sentences are matched as four rows, one per slot kind, laid end to end: a
+# sentence of n syllables takes n + 2 slots of each. The syllable and shape
+# rows put "<s>" before its n values and "</s>" after them; the lexicon-pair
+# flags ("1"/"0") and the live decisions ("J"/"S"), n - 1 values each, take
+# "-" once before and twice after. Boundary q of a sentence whose slots
+# start at p, 1..n-1, lies between its q-th and next syllable, and a slot at
+# offset off, |off| <= 2, reads rows[kind][p + q + off] inside the sentence.
 SYL, SHAPE, LEX, DEC = range(4)
 _ROW = {"syl": SYL, "shape": SHAPE, "lex": LEX, "dec": DEC}
 _FLAG = ("0", "1")
 _NOWHERE = frozenset()
+_FLIPS_FROM = {"J": "S", "S": "J"}
 
 
 def _longest_match(lexicon, folded):
     """Greedy left-to-right longest match of the lowercased syllables, as a
-    padded decision row; unknown syllables stay single."""
+    decision row with its three sentinels; unknown syllables stay single."""
     n = len(folded)
-    row = ["-"] + ["S"] * (n - 1) + ["-"]
+    row = ["-"] + ["S"] * (n - 1) + ["-", "-"]
     entries = lexicon.folded
     heads = list(map(lexicon.starts.get, folded))
     end = 0
@@ -239,34 +244,47 @@ def _longest_match(lexicon, folded):
     return row
 
 
-def _sentence_rows(lexicon, syllables, kinds):
-    """The rows of one sentence, decisions from the longest match; the shape
-    and lexicon-flag rows only when kinds reads them (else None)."""
-    folded = list(map(str.lower, syllables))
+def _rows(lexicon, sentences, kinds, anchors):
+    """(rows, positions) of the sentences, each of one syllable or more,
+    laid end to end; segment passes one sentence, train_segmenter its corpus.
+
+    The decisions come from the longest match; the shape and lexicon-flag
+    rows are built only when kinds reads them (else None). positions maps
+    each syllable in anchors to its slots, ascending. Shapes and positions
+    come from syllable slots only, never from a sentinel, which a syllable
+    may be spelled like.
+    """
+    syl, dec = [], []
     shapes = flags = None
     if "shape" in kinds:
-        shape_of = {s: word_shape(s) for s in set(syllables)}
-        shapes = ["<s>", *map(shape_of.__getitem__, syllables), "</s>"]
+        shape_of = {s: word_shape(s) for s in {s for syllables in sentences for s in syllables}}
+        shapes = []
     if "lex" in kinds:
-        pairs = map(lexicon.folded.__contains__, zip(folded, folded[1:]))
-        flags = ["-", *map(_FLAG.__getitem__, pairs), "-"]
-    return ["<s>", *syllables, "</s>"], shapes, flags, _longest_match(lexicon, folded)
-
-
-def _positions(syllables, anchors):
-    """Each syllable in anchors -> its positions in the rows, ascending."""
+        flags = []
+    entries = lexicon.folded
     positions = {}
-    for p in compress(range(1, len(syllables) + 1), map(anchors.__contains__, syllables)):
-        positions.setdefault(syllables[p - 1], []).append(p)
-    return positions
+    for syllables in sentences:
+        p = len(syl)
+        folded = list(map(str.lower, syllables))
+        syl += ["<s>", *syllables, "</s>"]
+        if shapes is not None:
+            shapes += ["<s>", *map(shape_of.__getitem__, syllables), "</s>"]
+        if flags is not None:
+            pairs = map(entries.__contains__, zip(folded, folded[1:]))
+            flags += ["-", *map(_FLAG.__getitem__, pairs), "-", "-"]
+        dec += _longest_match(lexicon, folded)
+        for k in compress(range(p + 1, len(syl) - 1), map(anchors.__contains__, syllables)):
+            positions.setdefault(syl[k], []).append(k)
+    return [syl, shapes, flags, dec], positions
 
 
-def _unjoinable(syllables):
-    """The boundaries next to a "_" syllable, which no rule may join: the
-    form "_" must stay a word of its own to read back as one syllable."""
-    if "_" not in syllables:
+def _unjoinable(syl):
+    """The boundaries next to a "_" syllable of the syllable row, which no
+    rule may join: the form "_" must stay a word of its own to read back as
+    one syllable."""
+    if "_" not in syl:
         return _NOWHERE
-    return {q for p, s in enumerate(syllables, start=1) if s == "_" for q in (p - 1, p)}
+    return {q for p, s in enumerate(syl) if s == "_" for q in (p - 1, p)}
 
 
 def _compile_rule(action, template, values):
@@ -289,15 +307,19 @@ def _apply(rule, rows, positions, unjoinable):
     """Flip each boundary the compiled rule matches, left to right, so a
     match reads the flips made before it; returns the flipped boundaries.
 
-    positions must hold the rule's anchor. A boundary next to a "_"
-    syllable is never joined, so a split rule never finds one to flip.
+    positions must hold the rule's anchor. Only a slot that holds the
+    decision the rule flips from is flipped: a sentinel slot holds "-", so
+    a match never leaves its sentence, for one sentence as for a corpus. A
+    boundary next to a "_" syllable is never joined, so a split rule never
+    finds one to flip.
     """
     want, anchor, off, checks, values = rule
     dec = rows[DEC]
-    n = len(dec) - 1
+    flips_from = _FLIPS_FROM[want]
     if anchor is None:
         # No template without an anchor reads a decision, so the matches
         # are known before the first flip.
+        n = len(dec) - 1
         found = compress(range(1, n), map(values.__eq__, zip(
             *[rows[row][1 + o:n + o] for row, o, _ in checks])))
         checks = ()
@@ -305,7 +327,7 @@ def _apply(rule, rows, positions, unjoinable):
         found = [p - off for p in positions.get(anchor, ())]
     flipped = []
     for q in found:
-        if dec[q] != want and 0 < q < n and q not in unjoinable:
+        if dec[q] == flips_from and q not in unjoinable:
             for row, o, v in checks:
                 if rows[row][q + o] != v:
                     break
@@ -351,10 +373,9 @@ def segment(model, syllables):
     if not syllables:
         return Sentence.from_columns(())
     compiled = model._compiled
-    rows = _sentence_rows(model.lexicon, syllables, compiled.kinds)
+    rows, positions = _rows(model.lexicon, [syllables], compiled.kinds, compiled.anchors)
     if compiled.rules:
-        positions = _positions(syllables, compiled.anchors)
-        unjoinable = _unjoinable(syllables)
+        unjoinable = _unjoinable(rows[SYL])
         for rule in compiled.rules:
             _apply(rule, rows, positions, unjoinable)
     return Sentence.from_columns(_decisions_to_forms(syllables, rows[DEC]))
@@ -377,35 +398,8 @@ def words_to_decisions(words):
     return syllables, decisions
 
 
-class _TrainingSentence:
-    """One gold sentence's rows, gold row and anchor positions."""
-
-    __slots__ = ("rows", "gold", "n", "positions", "unjoinable")
-
-    def __init__(self, lexicon, syllables, gold):
-        self.rows = _sentence_rows(lexicon, syllables, _ROW)
-        self.gold = ["-", *("J" if g else "S" for g in gold), "-"]
-        self.n = len(syllables)
-        self.positions = _positions(syllables, frozenset(syllables))
-        self.unjoinable = _unjoinable(syllables)
-
-
 # A decision row's values as the codes train_segmenter counts with.
-_DECISIONS = "JS-"
-_DECISION_CODE = {d: k for k, d in enumerate(_DECISIONS)}
-
-
-def _laid_end_to_end(sentences, kind):
-    """The kind rows of the sentences one after another, n + 2 slots for a
-    sentence of n syllables: a lexicon-flag or decision row, one slot
-    shorter, takes one more "-". Boundary q of a sentence whose rows start
-    at slot p then reads its slot at offset o, |o| <= 2, at p + q + o."""
-    flat = []
-    for s in sentences:
-        flat += s.rows[kind]
-        if kind >= LEX:
-            flat.append("-")
-    return flat
+_DECISION_CODE = {"J": 0, "S": 1, "-": 2}
 
 
 def train_segmenter(corpus, window_radius=2, max_rules=200, on_rule=None):
@@ -413,9 +407,12 @@ def train_segmenter(corpus, window_radius=2, max_rules=200, on_rule=None):
 
     corpus: list of sentences, each a list of word forms ("_"-joined
     syllables). The lexicon collects every gold word; rules are then learned
-    greedily, each strictly reducing the corpus boundary-error count.
-    Candidates are read from the same rows, and applied by the same matcher,
-    as segment uses.
+    greedily, each strictly reducing the corpus boundary-error count. The
+    corpus is laid end to end once, by the row builder segment uses (_rows):
+    one set of rows, a gold decision row beside it, one positions map and
+    one set of unjoinable boundaries. Candidates are read from those rows,
+    and each is tried by one _apply over them; a rejected one is undone in
+    the live decision row.
 
     Each round ranks the candidates, the (action, template, values) found at
     a wrong boundary, by an estimate, and tries them best first until one
@@ -450,22 +447,22 @@ def train_segmenter(corpus, window_radius=2, max_rules=200, on_rule=None):
     lexicon = Lexicon(tuple(w.split("_")) for w in words)
     templates = templates_for_radius(window_radius)
     slots = [[(_ROW[kind], off) for kind, off in TEMPLATES[tpl]] for tpl in templates]
-    sentences = [_TrainingSentence(lexicon, syllables, gold)
-                 for syllables, gold in gold_sentences]
+    sentences = [syllables for syllables, _ in gold_sentences]
+    rows, positions = _rows(lexicon, sentences, _ROW,
+                            frozenset(s for syllables in sentences for s in syllables))
+    unjoinable = _unjoinable(rows[SYL])
 
-    # Every sentence's rows laid end to end; at holds the slot of each
-    # boundary, in corpus order, and dec the live decision codes, which
-    # follow each accepted rule's flips.
-    starts = list(accumulate((s.n + 2 for s in sentences), initial=0))
-    flat = [_laid_end_to_end(sentences, kind) for kind in (SYL, SHAPE, LEX)]
-    dec = np.array(list(map(_DECISION_CODE.__getitem__, _laid_end_to_end(sentences, DEC))))
-    gold = np.array([_DECISION_CODE[g] for s in sentences for g in (*s.gold, "-")])
+    # dec holds the codes of the live decision row, which follow each
+    # accepted rule's flips, gold those of the gold row, and at the slot of
+    # each boundary, in corpus order.
+    dec = np.array(list(map(_DECISION_CODE.__getitem__, rows[DEC])))
+    gold = np.array([_DECISION_CODE[g] for _, decisions in gold_sentences
+                     for g in ("-", *("J" if d else "S" for d in decisions), "-", "-")])
     at = np.flatnonzero(gold < 2)
-    gold = gold[at]
     # Each template's values at every boundary, numbered below len(at), and
     # the offsets of its slots that read a decision, whose values change.
     ids = {}
-    digits = [np.array([ids.setdefault(v, len(ids)) for v in row]) for row in flat]
+    digits = [np.array([ids.setdefault(v, len(ids)) for v in row]) for row in rows[:DEC]]
     codes = []
     for tpl_slots in slots:
         packed, _ = _tuple_codes(np.stack([digits[row][at + o] for row, o in tpl_slots
@@ -474,12 +471,12 @@ def train_segmenter(corpus, window_radius=2, max_rules=200, on_rule=None):
                       [o for row, o in tpl_slots if row == DEC]))
 
     rules = []
-    errors = int(np.sum(dec[at] != gold))
+    errors = int(np.count_nonzero(dec != gold))
     while errors > 0 and len(rules) < max_rules:
         # A join candidate meets the split boundaries (decision code 1) and
         # a split candidate the joined ones (0), so key = number * 2 + code.
         current = dec[at]
-        wrong = current != gold
+        wrong = current != gold[at]
         weight = np.where(wrong, 1.0, -1.0)
         wrong_at = np.flatnonzero(wrong)
         estimates, firsts, owners = [], [], []
@@ -505,24 +502,20 @@ def train_segmenter(corpus, window_radius=2, max_rules=200, on_rule=None):
             b = int(at[wrong_at[firsts[k]]])
             tpl = templates[owners[k]]
             action = "join" if dec[b] == 1 else "split"
-            values = tuple(_DECISIONS[dec[b + o]] if row == DEC else flat[row][b + o]
-                           for row, o in slots[owners[k]])
+            values = tuple(rows[row][b + o] for row, o in slots[owners[k]])
             rule = _compile_rule(action, tpl, values)
-            flips = [(p, s, _apply(rule, s.rows, s.positions, s.unjoinable))
-                     for p, s in zip(starts, sentences)]
-            new_errors = errors + sum(1 if s.rows[DEC][q] != s.gold[q] else -1
-                                      for _, s, flipped in flips for q in flipped)
+            flipped = _apply(rule, rows, positions, unjoinable)
+            # Each flip rights a wrong boundary or wrongs a right one.
+            right = int(np.count_nonzero(dec[flipped] == gold[flipped]))
+            new_errors = errors + 2 * right - len(flipped)
             if new_errors < errors:
                 accepted = TransformationRule(action, tpl, values, errors - new_errors)
                 errors = new_errors
-                for p, _, flipped in flips:
-                    for q in flipped:
-                        dec[p + q] = 1 - dec[p + q]
+                dec[flipped] = 1 - dec[flipped]
                 break
-            for _, s, flipped in flips:
-                row = s.rows[DEC]
-                for q in flipped:
-                    row[q] = "S" if row[q] == "J" else "J"
+            live = rows[DEC]
+            for q in flipped:
+                live[q] = _FLIPS_FROM[live[q]]
         if accepted is None:
             logger.debug("rule round %d: %d candidate(s), %d estimated to help; none of "
                          "the %d tried removes an error", len(rules) + 1, candidates,

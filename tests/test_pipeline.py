@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from conftest import DEMO_ANNOTATED, DEMO_INPUT
 from helpers import FORMS, random_linear_model
-from sylpipe import depparse, ner, pos, wseg
+from sylpipe import depparse, ner, pos, seqlabel, templates, wseg
 from sylpipe.model import Document, Sentence, Token, dump_six_column, from_six_column
 from sylpipe.pipeline import (AnnotationError, ModelLoadError, Pipeline,
                               PipelineConfigError, build_pipeline,
                               prerequisite_closure)
-from sylpipe.seqlabel import DecodeError, LinearModel
+from sylpipe.seqlabel import DecodeError, LinearModel, save_linear_model
 
 
 class TestPrerequisiteClosure:
@@ -68,6 +68,51 @@ class TestBuildPipeline:
     def test_unknown_annotator(self, model_dir):
         with pytest.raises(PipelineConfigError):
             build_pipeline(["pos", "frobnicate"], model_dir=model_dir)
+
+
+# The string path of the feature layer: the reference that tests the
+# compiled decoders and trainers, which build no feature string themselves.
+STRING_PATH = [(templates.FeatureTemplate, "extract"), (templates, "extract_features"),
+               (seqlabel, "extract_features"), (depparse, "state_features")]
+
+
+def refuse_feature_strings(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a feature string was built")
+    for owner, name in STRING_PATH:
+        monkeypatch.setattr(owner, name, refuse)
+
+
+class TestNoFeatureStrings:
+    def test_annotate_builds_no_feature_strings(self, model_dir, monkeypatch):
+        with open(DEMO_INPUT, encoding="utf-8") as fh:
+            text = fh.read()
+        text += "Bà Trần Thị Lan cũng làm việc tại Hà Nội.\nZzz xe-máy 1.000,5 .\n"
+        expected = dump_six_column(build_pipeline(model_dir=model_dir).annotate(text).sentences)
+        refuse_feature_strings(monkeypatch)
+        # A new pipeline, so its decoders compile their tables under the patch.
+        doc = build_pipeline(model_dir=model_dir).annotate(text)
+        assert dump_six_column(doc.sentences) == expected
+
+    def test_training_builds_no_feature_strings(self, tmp_path, monkeypatch, toy_pos_corpus,
+                                                toy_ner_sentences, toy_treebank):
+        trainers = {
+            "pos": (lambda: pos.train_pos(toy_pos_corpus), save_linear_model),
+            "ner": (lambda: ner.train_ner(ner.training_pairs(toy_ner_sentences),
+                                          combine_top_k=4), save_linear_model),
+            "parse": (lambda: depparse.train_parser(toy_treebank, epochs=12),
+                      depparse.save_parser),
+        }
+
+        def train_all(directory):
+            directory.mkdir()
+            for kind, (train, save) in trainers.items():
+                save(train(), directory / kind)
+            return {kind: (directory / kind).read_bytes() for kind in trainers}
+
+        expected = train_all(tmp_path / "plain")
+        refuse_feature_strings(monkeypatch)
+        assert train_all(tmp_path / "refused") == expected
 
 
 class TestAnnotate:

@@ -393,7 +393,7 @@ def document_cases(draw):
                            max_size=3))
     if draw(st.booleans()):
         names.append(draw(st.sampled_from(POSITIONAL_ATOMS))
-                     + draw(st.sampled_from(["@0", "@-1", "@+1"])))
+                     + draw(st.sampled_from(["@-2", "@-1", "@0", "@+1", "@+2"])))
     templates = make_templates(names)
     corpus = []
     for _ in range(draw(st.integers(1, 6))):
@@ -548,6 +548,22 @@ class TestCompiledFeatures:
             em = model.emission_matrix(sent.tokens)
             assert em.tobytes() == model.reference_emission_matrix(sent.tokens).tobytes()
             assert em.any()
+
+    def test_positional_template_sharing_a_name_with_a_form_template(self):
+        # "c=1" is fired by isfirst@0 at a sentence's first position and by
+        # form@0 on the form "1", "c=0" likewise: both templates resolve to
+        # the same two ids, apart or at one position.
+        templates = [FeatureTemplate("c", "isfirst@0"), FeatureTemplate("c", "form@0")]
+        model = LinearModel(["A", "B"], templates, {"c=1": 0, "c=0": 1},
+                            np.array([[1.0, -2.0], [0.25, 3.0]]), np.zeros((3, 2)))
+        document = [sentence("1", "0"), sentence("0", "1", "0"), sentence("1"),
+                    sentence("0"), sentence("x", "1")]
+        for sent in document:
+            em = model.emission_matrix(sent.tokens)
+            assert em.tobytes() == model.reference_emission_matrix(sent.tokens).tobytes()
+        em = _kernels.sum_rows(model.emission_weights, model._compiled.document_ids(document))
+        ref = np.concatenate([model.reference_emission_matrix(s.tokens) for s in document])
+        assert em.tobytes() == ref.tobytes()
 
     def test_pairs_with_unknown_parts_rejected(self, tmp_path):
         m = random_linear_model(random.Random(3), ["A", "B"])

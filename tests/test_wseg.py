@@ -4,7 +4,7 @@ import re
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wseg_oracle as oracle
@@ -439,15 +439,20 @@ def test_speed_smoke(seg_model):
 
 # The compiled segmenter against the slot-by-slot one it replaced
 # (tests/wseg_oracle.py). Syllables mix case, NFC and NFD forms ("Hà" and
-# "Ha" + U+0300) and the lone "_".
+# "Ha" + U+0300) and the lone "_". The sentences and gold words also hold
+# syllables spelled like a sentinel or a row value, which the rows must keep
+# apart from the sentinels: shapes and anchor positions come from syllable
+# slots only.
 SYLLABLES = ["a", "A", "b", "B", "học", "Học", "HỌC", "sinh", "Sinh", "Hà",
              "Ha\u0300", "hà", "nội", "Nội", "1,5", "x1", "."]
+SENTINEL_SPELLED = ["<s>", "</s>", "-", "J", "S"]
 SHAPES = ["a", "A", "Aa", "AaxAa", "Aax", "ax", "x", "9x9", "a9"]
 RULE_VALUES = SYLLABLES + ["_", "<s>", "</s>"] + SHAPES + ["0", "1", "-", "J", "S"]
 
 words = st.lists(st.sampled_from(SYLLABLES), min_size=1, max_size=4)
 # Few syllables, so that gold words overlap and most corpora learn rules.
-gold_words = st.lists(st.sampled_from(["a", "A", "b", "học", "Học", "Hà", "Ha\u0300", "hà", "."]),
+gold_words = st.lists(st.sampled_from(["a", "A", "b", "học", "Học", "Hà", "Ha\u0300", "hà", "."]
+                                      + SENTINEL_SPELLED),
                       min_size=1, max_size=3).map("_".join)
 
 
@@ -477,8 +482,12 @@ def trained(trainer, corpus, radius, max_rules=200):
 
 class TestCompiledMatchesOracle:
     @settings(max_examples=400, deadline=None)
-    @given(models(), st.lists(st.lists(st.sampled_from(SYLLABLES + ["_"]), max_size=25),
-                              min_size=1, max_size=4))
+    @given(models(), st.lists(st.lists(st.sampled_from(SYLLABLES + ["_"] + SENTINEL_SPELLED),
+                                       max_size=25), min_size=1, max_size=4))
+    # The syllable "<s>" has the shape "xax", not the sentinel's "<s>".
+    @example(SegmenterModel(lexicon=Lexicon([]), rules=(
+        TransformationRule("join", "shapes", ("<s>", "a"), 1),
+        TransformationRule("join", "shapes", ("a", "xax"), 1))), [["<s>", "a", "</s>"]])
     def test_segment(self, model, sentences):
         reference = oracle.oracle_model(model)
         for syllables in sentences:
