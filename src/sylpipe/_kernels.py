@@ -15,6 +15,15 @@ additions on the same operands, so each batch kernel equals its
 one-sentence kernel bit for bit for any weights, float weights included.
 The plain loops in tests/kernel_oracle.py pin both.
 
+Every weight array that sum_rows reads ends in a row of zeros, which the
+padding id -1 reads, so a decode step is one gather and one sum, with no
+masking pass. A partial sum from +0.0 is never -0.0, so adding a +0.0 row
+leaves it unchanged. The parser puts its action legality into the same
+array: after its feature rows come one row per kind of state, 0.0 at a
+legal action and -inf at an illegal one, and each state adds its row last.
+The models bound every weight by 2**53, so no sum is +inf and each masked
+score is the sum itself or exactly -inf.
+
 Both Viterbi kernels compute suffix scores backwards, keep each step's
 argmax as back-pointers, and read the path forwards by following them, so
 no step is scored twice.
@@ -134,9 +143,7 @@ def row_sum(weights, ids, out=None):
     """
     if out is None:
         out = np.empty(weights.shape[1])
-    if ids.shape[0] == 0:
-        out[:] = 0.0
-    elif weights.shape[1] == 1:
+    if weights.shape[1] == 1:
         out[:] = _sequential_sum(weights[ids])
     else:
         np.sum(weights[ids], axis=0, out=out)
@@ -149,8 +156,10 @@ def _sequential_sum(stack):
 
     A cumulative sum starts from the first slice instead; its partial sums
     equal those from +0.0 except that a zero may be -0.0, and the final
-    + 0.0 turns that into +0.0.
+    + 0.0 turns that into +0.0. An empty stack sums to zeros.
     """
+    if len(stack) == 0:
+        return np.zeros(stack.shape[1:])
     return np.cumsum(stack, axis=0)[-1] + 0.0
 
 
@@ -175,21 +184,17 @@ def pack_ids(ids):
 def sum_rows(weights, packed):
     """(T, L) array whose row t is row_sum(weights, ids of position t), bit for bit.
 
-    packed is (K, T): column t holds the ids of position t in the order
-    row_sum is given them, and -1 as padding, which may sit anywhere in the
-    column. One gather into a zero-padded (K, T, L) array, summed over K.
-    Numpy adds the K slices in order from a +0.0 start, as row_sum does,
-    and each padding slot adds +0.0, which leaves a partial sum from +0.0
-    unchanged. (np.add.reduceat would be faster but is not exact.) When
-    T == L == 1 the slices are single numbers that numpy would sum
-    pairwise, so L == 1 takes the cumulative sum that row_sum uses.
+    weights ends in a row of zeros. packed is (K, T): column t holds the
+    ids of position t in the order row_sum is given them, and -1 as
+    padding, which may sit anywhere in the column and reads the zero row.
+    One gather into a (K, T, L) array, summed over K: numpy adds the K
+    slices in order from a +0.0 start, as row_sum does, and each padding
+    slot adds +0.0, which leaves a partial sum from +0.0 unchanged.
+    (np.add.reduceat would be faster but is not exact.) When T == L == 1
+    the slices are single numbers that numpy would sum pairwise, so L == 1
+    takes the cumulative sum that row_sum uses.
     """
-    K, T = packed.shape
-    L = weights.shape[1]
-    if K == 0:
-        return np.zeros((T, L))
     gathered = weights[packed]
-    gathered[packed < 0] = 0.0
-    if L == 1:
+    if weights.shape[1] == 1:
         return _sequential_sum(gathered)
     return gathered.sum(axis=0)

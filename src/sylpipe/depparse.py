@@ -8,12 +8,20 @@ at termination are attached afterwards (the first to the root if none was
 chosen, the rest to the root token with a fallback relation).
 
 parse_sentences decodes a document in lockstep: every unfinished sentence
-takes one greedy transition per step, all of them scored by one gather
-(_kernels.sum_rows, bit-identical to a row_sum per state) and masked by one
-array operation, in groups of at most LOCKSTEP_SENTENCES sentences. The
-masked argmax is legal, so it is applied by ParserState.advance, the
-mutation half of ParserState.apply, without apply's legality checks. The
-features of a state resolve to ids without building strings
+takes one greedy transition per step, in groups of at most
+LOCKSTEP_SENTENCES sentences, and one gather and sum (_kernels.sum_rows)
+scores and masks all of them. The array a model scores with holds its
+feature rows, then one mask row per _mask_code, 0.0 where an action is
+legal and -inf where it is not (_score_tail), then the zero row that the
+padding id -1 reads. Each state's ids end with its mask row's, the
+largest, so after the sort the mask is added last: a legal score is
+bit-identical to a row_sum over the state's ids, since a sum from +0.0 is
+never -0.0, and an illegal one is exactly -inf, since the weight bound
+keeps every sum finite. The masked argmax is legal, so it is applied by
+ParserState.advance, the mutation half of ParserState.apply, without
+apply's legality checks.
+
+The features of a state resolve to ids without building strings
 (_CompiledStateFeatures): every value string in the model's alphabet is
 interned; a one-atom template reads a list by value id, and a conjunction
 maps the tuple of its atoms' value ids to a feature id. A feature
@@ -30,7 +38,8 @@ state_features reads. Each template is then a gather over columns of
 interned value ids, and only its distinct value tuples become strings
 (seqlabel.freeze_features), numbered in the order state_features would
 first fire them. It keeps the sorted feature ids of every state, their
-illegal actions from the table that decoding reads, and the gold actions.
+illegal actions from the table that decoding's mask rows are made of
+(_illegal_actions), and the gold actions.
 The weights change only at an update, so an epoch scores all states of a
 sentence in one sum_rows gather, finds the first state whose masked argmax
 is not gold, updates there at the step it takes one state at a time, and
@@ -50,7 +59,8 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import NEG_INF
-from .linear import AveragedWeights, ModelFormat, check_epochs, train_epochs
+from .linear import (AveragedWeights, ModelFormat, check_epochs, check_weights,
+                     train_epochs, weight_rows)
 from .model import DataError, FormatError, Sentence, Token, check_label
 from .seqlabel import TrainingError, freeze_features
 from .templates import alphabet_tuples
@@ -415,8 +425,6 @@ class _CompiledStateFeatures:
             table.get if n > 1
             else [table.get(v, -1) for v in entries.get(name, range(len(values) + 1))]
             for name, n, table in zip(_TEMPLATES, arities, tables))
-        self.illegal = _illegal_actions(len(model.relations), model.root_labels,
-                                        model.action_index)
 
     def sentence_values(self, sentence, use_ner):
         """Value ids of a Sentence: (forms, tags, child tags, NER labels or None).
@@ -498,6 +506,26 @@ def _illegal_actions(n_relations, root_labels, action_index):
     return ~legal
 
 
+@functools.lru_cache(maxsize=16)
+def _score_tail(relations, root_labels):
+    """The rows that a parser scores with after its F feature rows, read-only.
+
+    Row F + c adds 0.0 to each legal and -inf to each illegal action of a
+    state whose _mask_code is c, and the last row, which the padding id -1
+    reads, is zero. Refuses root labels that are not relations. Takes
+    tuples; loading a model builds the rows twice, for the reader and for
+    the model, so they are cached.
+    """
+    if not set(root_labels) <= set(relations):
+        raise ValueError("root labels must be relations")
+    actions = _actions(relations)
+    illegal = _illegal_actions(len(relations), root_labels,
+                               {a: i for i, a in enumerate(actions)})
+    tail = np.vstack([np.where(illegal, NEG_INF, 0.0), np.zeros((1, len(actions)))])
+    tail.flags.writeable = False
+    return tail
+
+
 def _mask_code(state):
     """Row of _illegal_actions for a state with a non-empty buffer.
 
@@ -525,15 +553,18 @@ class ParserModel:
         self.actions = _actions(self.relations)
         self.action_index = {a: i for i, a in enumerate(self.actions)}
         self.feature_index = dict(feature_index)
-        self.weights = np.ascontiguousarray(weights, dtype=np.float64)
-        if self.weights.shape != (len(self.feature_index), len(self.actions)):
+        weights = np.asarray(weights, dtype=np.float64)
+        F = len(self.feature_index)
+        if weights.shape != (F, len(self.actions)):
             raise ValueError("weight shape mismatch")
-        if not np.all(np.isfinite(self.weights)):
-            raise ValueError("weights must be finite")
         self.use_ner_features = bool(use_ner_features)
         self.root_labels = tuple(root_labels)
-        if not set(self.root_labels) <= set(self.relations):
-            raise ValueError("root labels must be relations")
+        # The array _lockstep_scores reads: the feature rows, the mask rows
+        # and the zero row.
+        self._rows = weight_rows(weights, _score_tail(tuple(self.relations),
+                                                      self.root_labels))
+        self.weights = self._rows[:F]
+        check_weights(self.weights)
         self.root_label = root_label
         self.fallback_label = fallback_label
 
@@ -652,19 +683,21 @@ def _decode_lockstep(model, sentences, use_ner):
 def _lockstep_scores(model, states, values):
     """(B, A) transition scores of B states, illegal ones -inf.
 
-    Row b is bit-identical to row_sum over state b's sorted feature ids:
-    sorting each row of ids puts them in that order, and the -1s, which
-    sort first, add nothing.
+    Row b is bit-identical to row_sum over state b's sorted feature ids
+    with its illegal actions then set to -inf: sorting each row of ids puts
+    them in that order, the -1s, which sort first, read the zero row, and
+    the id of the state's mask row, the largest, sorts last (see the
+    module docstring).
     """
-    compiled = model._compiled
+    state_ids = model._compiled.state_ids
+    masks = len(model.weights)  # the id of the mask row of _mask_code 0
     ids = []
     for state, v in zip(states, values):
-        ids += compiled.state_ids(state, v)
+        ids += state_ids(state, v)
+        ids.append(masks + _mask_code(state))
     ids = np.array(ids, dtype=np.intp).reshape(len(states), -1)
     ids.sort(axis=1)
-    scores = _kernels.sum_rows(model.weights, ids.T)
-    scores[compiled.illegal[[_mask_code(state) for state in states]]] = NEG_INF
-    return scores
+    return _kernels.sum_rows(model._rows, ids.T)
 
 
 def _attach_headless(model, state):
@@ -913,7 +946,8 @@ DEP1 = ModelFormat(
     b"SYLPIPE-DEP1\n",
     {"relations": "string list", "use_ner": "boolean", "root_labels": "string list",
      "root_label": "string", "fallback_label": "string"},
-    lambda h: ((h["feature_count"], 2 * len(h["relations"]) + 2),))
+    lambda h: ((h["feature_count"], 2 * len(h["relations"]) + 2),),
+    lambda h: (_score_tail(tuple(h["relations"]), tuple(h["root_labels"])),))
 
 
 def save_parser(model, path):

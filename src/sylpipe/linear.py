@@ -24,11 +24,16 @@ logger = logging.getLogger(__name__)
 class AveragedWeights:
     """Perceptron weights W, averaged lazily (Collins 2002): U sums every
     update times its step, so the mean of W over all steps is
-    ((step + 1) * W - U) / step. updates counts the calls of update."""
+    ((step + 1) * W - U) / step. updates counts the calls of update.
+
+    W and U hold `rows` rows and then a row of zeros, the one that the
+    padding id -1 of _kernels.sum_rows reads; the trainers drop ids below 0
+    from their updates, so no update reaches it.
+    """
 
     def __init__(self, rows, cols):
-        self.W = np.zeros((rows, cols))
-        self.U = np.zeros((rows, cols))
+        self.W = np.zeros((rows + 1, cols))
+        self.U = np.zeros((rows + 1, cols))
         self.updates = 0
 
     def update(self, gold_index, pred_index, step):
@@ -41,10 +46,55 @@ class AveragedWeights:
         self.updates += 1
 
     def averaged(self, step):
-        """The mean of W as it stood after each of steps 1..step (W if none)."""
+        """The mean of W as it stood after each of steps 1..step (W if none),
+        without the zero row: a view of an array that ends in it, which a
+        model takes as it is (weight_rows)."""
         if step == 0:
-            return self.W
-        return ((step + 1) * self.W - self.U) / step
+            return self.W[:-1]
+        mean = self.W * (step + 1)
+        mean -= self.U
+        mean /= step
+        return mean[:-1]
+
+
+# Every weight a perceptron trains is a mean of integers no larger than its
+# number of updates. Models refuse weights beyond this bound, so that no sum
+# of a model's scores overflows to an infinity.
+WEIGHT_BOUND = 2.0 ** 53
+
+
+def check_weights(*arrays):
+    """Refuse weights that are not finite or exceed WEIGHT_BOUND in magnitude.
+
+    A NaN makes the minimum and the maximum NaN, which fails both tests.
+    """
+    for array in arrays:
+        if not (-WEIGHT_BOUND <= array.min(initial=0.0)
+                and array.max(initial=0.0) <= WEIGHT_BOUND):
+            raise ValueError("weights must be finite and at most 2**53 in magnitude")
+
+
+def weight_rows(weights, tail):
+    """The float64 array that a model scores with: the (F, C) weights, then
+    the rows of tail, which end in the zero row that sum_rows' padding
+    reads. The model's public weights are a view of its first F rows.
+
+    Weights that already head such an array, with these tail rows, are not
+    copied: ModelFormat.read and AveragedWeights.averaged return them so.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    F, C = weights.shape
+    base = weights.base
+    if (isinstance(base, np.ndarray) and base.dtype == np.float64
+            and base.flags.c_contiguous and weights.flags.c_contiguous
+            and base.shape == (F + len(tail), C)
+            and weights.__array_interface__["data"] == base.__array_interface__["data"]
+            and base[F:].tobytes() == tail.tobytes()):
+        return base
+    rows = np.empty((F + len(tail), C))
+    rows[:F] = weights
+    rows[F:] = tail
+    return rows
 
 
 def epoch_orders(count, epochs, shuffle_seed):
@@ -145,11 +195,13 @@ def _alphabet_fault(lines, F):
 class ModelFormat:
     """A model-file format. fields maps the header keys besides "feature_count"
     to _FIELD_TYPES names; shapes maps a checked header to the (rows, cols) of
-    each weight array."""
+    each weight array, and tails to the rows that its model keeps after each
+    (weight_rows), an empty array where it keeps none."""
 
     magic: bytes
     fields: dict
     shapes: Callable
+    tails: Callable
 
     def write(self, path, header, feature_index, arrays):
         """Write a model whose feature_index maps its features to ids 0..F-1."""
@@ -168,7 +220,8 @@ class ModelFormat:
 
     def read(self, path):
         """(header, feature index, weight arrays) of a model file. A fault
-        raises ValueError naming the file, and the line where it has one."""
+        of the layout raises ValueError naming the file, and the line where
+        it has one; tails may refuse the header too."""
         with open(path, "rb") as fh:
             if fh.readline(len(self.magic)) != self.magic:
                 raise ValueError(f"{path}: not a {self.magic[:-1].decode()} model file")
@@ -200,7 +253,12 @@ class ModelFormat:
                 raise _corrupt(path, _alphabet_fault(lines, F))
             if fh.readline() != b"WEIGHTS\n":
                 raise _corrupt(path, f"line {F + 3} is not the WEIGHTS marker")
-            arrays = [np.empty(shape, dtype="<f8") for shape in self.shapes(header)]
+            # Each array is read into the head of the array its model keeps.
+            arrays = []
+            for (rows, cols), tail in zip(self.shapes(header), self.tails(header)):
+                block = np.empty((rows + len(tail), cols), dtype="<f8")
+                block[rows:] = tail
+                arrays.append(block[:rows])
             expected = sum(array.nbytes for array in arrays)
             found = os.fstat(fh.fileno()).st_size - fh.tell()
             if found != expected:

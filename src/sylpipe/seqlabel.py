@@ -34,7 +34,8 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import NEG_INF
-from .linear import AveragedWeights, ModelFormat, check_epochs, train_epochs
+from .linear import (AveragedWeights, ModelFormat, check_epochs, check_weights,
+                     train_epochs, weight_rows)
 from .model import DataError, Sentence, check_label
 # The template names stay importable from here, where they always were.
 from .templates import (ATOMS, BOUNDARY_LEFT, BOUNDARY_RIGHT,  # noqa: F401
@@ -109,16 +110,17 @@ class LinearModel:
         self.label_index = {lab: i for i, lab in enumerate(self.labels)}
         self.templates = list(templates)
         self.feature_index = dict(feature_index)
-        self.emission_weights = np.ascontiguousarray(emission_weights, dtype=np.float64)
+        emission_weights = np.asarray(emission_weights, dtype=np.float64)
         self.transition_weights = np.ascontiguousarray(transition_weights, dtype=np.float64)
-        L = len(self.labels)
-        if self.emission_weights.shape != (len(self.feature_index), L):
+        F, L = len(self.feature_index), len(self.labels)
+        if emission_weights.shape != (F, L):
             raise ValueError("emission weight shape mismatch")
         if self.transition_weights.shape != (L + 1, L):
             raise ValueError("transition weight shape mismatch")
-        if not np.all(np.isfinite(self.emission_weights)) or \
-                not np.all(np.isfinite(self.transition_weights)):
-            raise ValueError("weights must be finite")
+        # The emissions sum_rows reads: the feature rows, then the zero row.
+        self._rows = weight_rows(emission_weights, np.zeros((1, L)))
+        self.emission_weights = self._rows[:F]
+        check_weights(self.emission_weights, self.transition_weights)
         self.bio_constrained = bool(bio_constrained)
         self.induced_pairs = tuple(tuple(p) for p in induced_pairs)
         # Training pairs seen features; the compiled path joins pairs by id.
@@ -155,7 +157,7 @@ class LinearModel:
     def emission_matrix(self, tokens):
         """(T, L) emission scores of a Sentence or token sequence,
         bit-identical to reference_emission_matrix."""
-        return _kernels.sum_rows(self.emission_weights,
+        return _kernels.sum_rows(self._rows,
                                  self._compiled.document_ids([_sentence_of(tokens)]))
 
     def reference_emission_matrix(self, tokens):
@@ -640,7 +642,7 @@ def tag_sentences(model, sentences):
     trans, start = model.masked_scores()
     for chunk in _length_groups(lengths, len(lengths), TAG_CHUNK_POSITIONS):
         ids = compiled.document_ids([sentences[k] for k in todo[chunk]])
-        em = np.concatenate([_kernels.sum_rows(model.emission_weights, ids[:, a:a + gather])
+        em = np.concatenate([_kernels.sum_rows(model._rows, ids[:, a:a + gather])
                              for a in range(0, ids.shape[1], gather)])
         row = 0
         for group in _length_groups(lengths[chunk], TAG_GROUP_SENTENCES,
@@ -938,7 +940,8 @@ SEQ1 = ModelFormat(
     {"labels": "string list", "templates": "string pair list", "bio": "boolean",
      "pairs": "string pair list", "gazetteer": "string list or null"},
     lambda h: ((h["feature_count"], len(h["labels"])),
-               (len(h["labels"]) + 1, len(h["labels"]))))
+               (len(h["labels"]) + 1, len(h["labels"]))),
+    lambda h: (np.zeros((1, len(h["labels"]))), np.zeros((0, len(h["labels"])))))
 
 
 def save_linear_model(model, path):

@@ -1,10 +1,12 @@
 import os
 import shutil
+import struct
 import unicodedata
 
 import pytest
 
 from conftest import DEMO_ANNOTATED, DEMO_INPUT, TOY_DIR
+from helpers import join_model_file, split_model_file
 from sylpipe import depparse, metrics, pos, wseg
 from sylpipe.cli import main
 
@@ -226,6 +228,24 @@ class TestAnnotate:
                      "-models", str(models)])
         assert code == 3
         assert "pos: failed to load" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("task", ["ner", "parse"])
+    @pytest.mark.parametrize("value, code", [(2.0 ** 53 + 2, 3), (-2.0 ** 54, 3),
+                                             (2.0 ** 53, 0), (-2.0 ** 53, 0)])
+    def test_weight_beyond_2_to_53_exits_3(self, cli_models, tmp_path, capsys, task,
+                                            value, code):
+        # A finite weight beyond the bound could make a score sum overflow.
+        models = tmp_path / "models"
+        shutil.copytree(cli_models, models)
+        path = models / f"{task}.model"
+        lines, weights = split_model_file(path.read_bytes())
+        path.write_bytes(join_model_file(lines, struct.pack("<d", value) + weights[8:]))
+        assert main(["annotate", "-fin", DEMO_INPUT, "-fout", str(tmp_path / "o.txt"),
+                     "-models", str(models)]) == code
+        if code:
+            assert (f"{task}: failed to load {path}: weights must be finite and at "
+                    f"most 2**53 in magnitude") in capsys.readouterr().err
 
 
 class TestEval:

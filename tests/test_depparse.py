@@ -247,12 +247,12 @@ def reference_parse(model, sentence, use_ner, visited=None):
 
 
 def assert_compiled_state(model, state, tokens, values, use_ner):
-    compiled = model._compiled
-    ids = compiled.state_ids(state, values)
+    ids = model._compiled.state_ids(state, values)
     expected = model.feature_ids(state_features(state, tokens, use_ner))
     assert sorted(j for j in ids if j >= 0) == expected.tolist()
-    legal = ~compiled.illegal[depparse._mask_code(state)]
-    assert np.array_equal(legal, model.action_mask(state))
+    # The state's mask row adds 0.0 to the legal actions, -inf to the others.
+    mask_row = model._rows[len(model.weights) + depparse._mask_code(state)]
+    assert mask_row.tobytes() == np.where(model.action_mask(state), 0.0, NEG_INF).tobytes()
 
 
 def parses(sentences):

@@ -25,11 +25,14 @@ def test_backend_active():
 def test_numpy_row_sum_adds_in_id_order(L):
     # row_sum must add exactly as the oracle loop does: in the given id
     # order from +0.0, for float weights of mixed magnitudes. sum_rows must
-    # equal row_sum wherever its -1 padding sits.
+    # equal row_sum wherever its -1 padding sits, which reads the trailing
+    # zero row, and with no ids at all (K == 0).
     rng = np.random.default_rng(L)
     W = rng.standard_normal((300, L)) * 10.0 ** rng.integers(-6, 7, (300, 1))
     W[0] = -0.0
-    cases = [[[0]], [[0, 0], [0, 0]], [[], [0]]]  # sums of -0.0 rows only
+    W = np.vstack([W, np.zeros((1, L))])
+    cases = [[[0]], [[0, 0], [0, 0]], [[], [0]],  # sums of -0.0 rows only
+             [[]], [[], [], []]]  # no ids: K == 0
     for _ in range(100):
         cases.append([rng.integers(0, 300, size=int(rng.integers(0, 30))).tolist()
                       for _ in range(int(rng.integers(1, 5)))])
@@ -40,9 +43,12 @@ def test_numpy_row_sum_adds_in_id_order(L):
             expected[t] = oracle.row_sum(W, ids)
             assert _kernels.row_sum(W, ids).tobytes() == expected[t].tobytes()
         packed = oracle.pack_rows(rows)
+        if not any(rows):
+            assert packed.shape[0] == 0
         assert _kernels.sum_rows(W, packed).tobytes() == expected.tobytes()
         # The same ids with the padding moved to the front of each column.
-        front = np.array([sorted(col, key=lambda j: j >= 0) for col in packed.T]).T
+        front = np.array([sorted(col, key=lambda j: j >= 0) for col in packed.T],
+                         dtype=np.intp).T
         front = front.reshape(packed.shape)
         assert _kernels.sum_rows(W, front).tobytes() == expected.tobytes()
 
@@ -51,7 +57,7 @@ def test_pack_ids_sorts_and_drops_repeats():
     # Each column keeps its row's distinct ids in ascending order, the
     # order row_sum adds them in; padding and repeats become -1.
     rng = np.random.default_rng(7)
-    W = rng.standard_normal((12, 5))
+    W = np.vstack([rng.standard_normal((12, 5)), np.zeros((1, 5))])
     ids = rng.integers(-1, 12, size=(60, 7))
     ids[:, :2] = -1  # padding every row starts with is dropped
     rows = [sorted(set(row) - {-1}) for row in ids.tolist()]

@@ -454,7 +454,7 @@ class TestDocumentDecoding:
                 assert tag_sentences(model, document) == expected
         ids = model._compiled.document_ids(document)
         assert ids.shape[1] == sum(map(len, document))
-        em = _kernels.sum_rows(model.emission_weights, ids)
+        em = _kernels.sum_rows(model._rows, ids)
         ref = np.concatenate([model.reference_emission_matrix(sent.tokens)
                               for sent in document])
         assert em.tobytes() == ref.tobytes()
@@ -524,7 +524,7 @@ class TestCompiledFeatures:
         model = LinearModel(["A", "B", "C"], templates, index, weights, np.zeros((4, 3)))
         mixed = [sentence(*rng.sample(pool, 40)) for _ in range(10)]
         document = seen + mixed + [sentence(*(seen[0].column("form")[:7] + ("p|q", "w1")))]
-        em = _kernels.sum_rows(model.emission_weights, model._compiled.document_ids(document))
+        em = _kernels.sum_rows(model._rows, model._compiled.document_ids(document))
         ref = np.concatenate([model.reference_emission_matrix(s.tokens) for s in document])
         assert em.tobytes() == ref.tobytes()
         keys = model._compiled.keys
@@ -561,7 +561,7 @@ class TestCompiledFeatures:
         for sent in document:
             em = model.emission_matrix(sent.tokens)
             assert em.tobytes() == model.reference_emission_matrix(sent.tokens).tobytes()
-        em = _kernels.sum_rows(model.emission_weights, model._compiled.document_ids(document))
+        em = _kernels.sum_rows(model._rows, model._compiled.document_ids(document))
         ref = np.concatenate([model.reference_emission_matrix(s.tokens) for s in document])
         assert em.tobytes() == ref.tobytes()
 
