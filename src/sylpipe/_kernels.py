@@ -3,9 +3,9 @@
 The annotation pipeline decodes in batches: sum_rows gathers the emission
 or transition scores of many positions at once, and viterbi_paths decodes
 many lattices at once. The tagger trainers decode one sentence at a time
-with viterbi_path; the parser trainer scores all states of a sentence
-after its last update in one sum_rows gather. The taggers' decode and both
-trainers pack their ids into the layout sum_rows reads with pack_ids.
+with viterbi_path; the parser trainer scores and masks all states of a
+sentence after its last update in one sum_rows gather. Both trainers and
+the taggers' decode pack their ids into sum_rows' layout with pack_ids.
 row_sum, the sum for one position or state, stays: the string-path
 reference (seqlabel's reference_emission_matrix) calls it,
 perfbench/tracing.py looks it up by name, and on a single row it is faster
@@ -21,8 +21,8 @@ masking pass. A partial sum from +0.0 is never -0.0, so adding a +0.0 row
 leaves it unchanged. The parser puts its action legality into the same
 array: after its feature rows come one row per kind of state, 0.0 at a
 legal action and -inf at an illegal one, and each state adds its row last.
-The models bound every weight by 2**53, so no sum is +inf and each masked
-score is the sum itself or exactly -inf.
+The models bound every weight by 2**53 (a trainer's by its update count),
+so no sum is +inf and each masked score is the sum itself or exactly -inf.
 
 Both Viterbi kernels compute suffix scores backwards, keep each step's
 argmax as back-pointers, and read the path forwards by following them, so

@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import bench, depparse, metrics, ner, pos, wseg
-from .model import DataError, dump_six_column, read_six_column
+from .model import DataError, dump_six_column, read_six_column, split_form
 from .pipeline import (ANNOTATOR_KINDS, MODEL_FILES, ModelLoadError, Pipeline,
                        PipelineConfigError, build_pipeline, load_model)
 from .seqlabel import save_linear_model, tag_sentences
@@ -179,7 +179,7 @@ def cmd_eval(args):
             pred = wseg.read_segmented_corpus(args.pred)
         else:
             model = _load_eval_model(args)
-            pred = [wseg.segment(model, [s for w in sent for s in w.split("_")]).forms
+            pred = [wseg.segment(model, [s for w in sent for s in split_form(w)]).forms
                     for sent in gold]
         score = metrics.segmentation_f1(gold, pred)
         _print_report("word segmentation", {

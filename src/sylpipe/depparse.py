@@ -37,9 +37,10 @@ static oracle and records per state the positions and buckets that
 state_features reads. Each template is then a gather over columns of
 interned value ids, and only its distinct value tuples become strings
 (seqlabel.freeze_features), numbered in the order state_features would
-first fire them. It keeps the sorted feature ids of every state, their
-illegal actions from the table that decoding's mask rows are made of
-(_illegal_actions), and the gold actions.
+first fire them. It keeps the gold actions and each state's ids as
+decoding gives them, its mask row's last, and its AveragedWeights end in
+the model's mask rows and zero row: it masks as decoding does, and the
+model keeps the averaged array.
 The weights change only at an update, so an epoch scores all states of a
 sentence in one sum_rows gather, finds the first state whose masked argmax
 is not gold, updates there at the step it takes one state at a time, and
@@ -489,45 +490,32 @@ class _CompiledStateFeatures:
         return ids
 
 
-def _illegal_actions(n_relations, root_labels, action_index):
-    """(4, A) table of the illegal actions of a state, by its _mask_code.
-
-    Only for states with a non-empty buffer, the ones decoded and trained
-    on, so SHIFT is always legal.
-    """
-    R = n_relations
-    legal = np.zeros((4, 2 * R + 2), dtype=bool)
-    legal[:, 0] = True
-    for rel in root_labels:
-        legal[0, action_index[(RIGHT_ARC, rel)]] = True
-    legal[2:, 1 + R:1 + 2 * R] = True
-    legal[2, 1:1 + R] = True
-    legal[3, -1] = True
-    return ~legal
-
-
 @functools.lru_cache(maxsize=16)
 def _score_tail(relations, root_labels):
     """The rows that a parser scores with after its F feature rows, read-only.
 
     Row F + c adds 0.0 to each legal and -inf to each illegal action of a
-    state whose _mask_code is c, and the last row, which the padding id -1
-    reads, is zero. Refuses root labels that are not relations. Takes
-    tuples; loading a model builds the rows twice, for the reader and for
-    the model, so they are cached.
+    state whose _mask_code is c, a state with a non-empty buffer, where
+    SHIFT is legal; the last row, which the padding id -1 reads, is zero.
+    Refuses root labels outside the relations. Takes tuples; loading a model
+    builds the rows twice, for the reader and for the model: they are cached.
     """
     if not set(root_labels) <= set(relations):
         raise ValueError("root labels must be relations")
-    actions = _actions(relations)
-    illegal = _illegal_actions(len(relations), root_labels,
-                               {a: i for i, a in enumerate(actions)})
-    tail = np.vstack([np.where(illegal, NEG_INF, 0.0), np.zeros((1, len(actions)))])
+    R = len(relations)
+    tail = np.full((5, 2 * R + 2), NEG_INF)
+    tail[:, 0] = 0.0
+    tail[0, [1 + R + relations.index(rel) for rel in root_labels]] = 0.0
+    tail[2:4, 1 + R:1 + 2 * R] = 0.0
+    tail[2, 1:1 + R] = 0.0
+    tail[3, -1] = 0.0
+    tail[4] = 0.0
     tail.flags.writeable = False
     return tail
 
 
 def _mask_code(state):
-    """Row of _illegal_actions for a state with a non-empty buffer.
+    """Mask row of _score_tail for a state with a non-empty buffer.
 
     The same legality as _legal_action_mask: 0 and 1 have the root on top,
     with no root dependent yet or with one; 2 and 3 a token without or with
@@ -769,11 +757,12 @@ _ATOMS = {"s0w": ("form", 0), "s0p": ("tag", 0), "s1p": ("tag", 1), "s2p": ("tag
 def _freeze(sentences, action_index, use_ner):
     """Walk the static oracle of each sentence and freeze its states.
 
-    Returns (feature_index, ids, codes, gold, bounds): the alphabet of
+    Returns (feature_index, ids, gold, bounds): the alphabet of
     state_features' strings, numbered as they first fire state by state;
     the (K, S) array that sum_rows reads, column j the sorted ids of state
-    j; each state's _mask_code and gold action id; and bounds, where
-    sentence k's states start and end.
+    j, its mask row's F + _mask_code(state) last, as in _lockstep_scores;
+    each state's gold action id; and bounds, where sentence k's states
+    start and end.
 
     The walk records of each state the positions and buckets that
     state_features reads, a position as its slot in columns of value ids:
@@ -831,8 +820,8 @@ def _freeze(sentences, action_index, use_ner):
                     for name in templates], list(values), S)
     logger.debug("froze %d state(s) of %d template(s): %d distinct value(s) read, "
                  "%d feature(s)", S, len(templates), len(values), len(features))
-    return (features, _kernels.pack_ids(fired), np.array(codes, dtype=np.intp),
-            np.array(gold), bounds)
+    ids = np.column_stack([fired, len(features) + np.array(codes, dtype=np.intp)])
+    return features, _kernels.pack_ids(ids), np.array(gold), bounds
 
 
 def train_parser(treebank, epochs=10, shuffle_seed=1, use_ner_features=False,
@@ -887,29 +876,23 @@ def train_parser(treebank, epochs=10, shuffle_seed=1, use_ner_features=False,
     root_label = max(sorted(root_counts), key=lambda r: root_counts[r])
 
     action_index = {a: i for i, a in enumerate(_actions(relations))}
-    feature_index, ids, codes, gold, bounds = _freeze(usable, action_index,
-                                                      use_ner_features)
-    illegal = _illegal_actions(len(relations), root_labels, action_index)[codes]
-    per_sentence = [(ids[:, a:b], illegal[a:b], gold[a:b])
-                    for a, b in zip(bounds, bounds[1:])]
+    feature_index, ids, gold, bounds = _freeze(usable, action_index, use_ner_features)
+    per_sentence = [(ids[:, a:b], gold[a:b]) for a, b in zip(bounds, bounds[1:])]
 
-    weights = AveragedWeights(len(feature_index), len(action_index))
+    weights = AveragedWeights(len(feature_index), _score_tail(tuple(relations), root_labels))
     scored = [0, 0]  # gathers and rows of the epoch so far
 
     def learn(si, step):
         # The weights change only at an update, so all states after the
-        # last one are scored ahead in one gather; row j of it equals
-        # row_sum over state j's ids bit for bit. The first mistaken state
-        # is updated at the step it would take one state at a time, and
-        # only the states after it are scored again.
-        ids, illegal, gold = per_sentence[si]
+        # last one are scored and masked ahead in one gather. The first
+        # mistaken state is updated on its feature ids, all but the last, at
+        # the step it would take one state at a time; the rest are rescored.
+        ids, gold = per_sentence[si]
         S = len(gold)
         mistakes = 0
         j = 0
         while j < S:
-            scores = _kernels.sum_rows(weights.W, ids[:, j:])
-            scores[illegal[j:]] = NEG_INF
-            pred = scores.argmax(axis=1)
+            pred = _kernels.sum_rows(weights.W, ids[:, j:]).argmax(axis=1)
             scored[0] += 1
             scored[1] += S - j
             wrong = np.flatnonzero(pred != gold[j:])
@@ -917,14 +900,14 @@ def train_parser(treebank, epochs=10, shuffle_seed=1, use_ner_features=False,
                 break
             k = int(wrong[0])
             j += k
-            row = ids[:, j]
+            row = ids[:-1, j]
             row = row[row >= 0]
             weights.update((row, gold[j]), (row, pred[k]), step + j + 1)
             mistakes += 1
             j += 1
         return mistakes, S - mistakes, S
 
-    steps = [len(gold) for _, _, gold in per_sentence]
+    steps = [len(gold) for _, gold in per_sentence]
     states = sum(steps)
 
     def epoch_done(epoch, mistakes, accuracy):
@@ -971,15 +954,19 @@ def load_parser(path):
 
 def read_conllx(path):
     """10-column CoNLL-X-style import: ID, FORM, _, POS, _, _, HEAD, DEPREL, _, _,
-    normalized to NFC."""
+    normalized to NFC. A fault names its line, a sentence's its first line."""
     sentences = []
     rows = []
     with open(path, encoding="utf-8-sig") as fh:
-        for line_no, line in enumerate(fh, start=1):
+        # A blank line after the file's last line ends its last sentence.
+        for line_no, line in enumerate(itertools.chain(fh, [""]), start=1):
             line = unicodedata.normalize("NFC", line.rstrip("\n"))
             if not line.strip():
                 if rows:
-                    sentences.append(Sentence(rows))
+                    try:
+                        sentences.append(Sentence(rows))
+                    except ValueError as exc:
+                        raise FormatError(str(exc), line=first) from exc
                     rows = []
                 continue
             if line.startswith("#"):
@@ -996,8 +983,11 @@ def read_conllx(path):
             if idx != len(rows) + 1:
                 raise FormatError(f"token index {idx} breaks the 1..n sequence",
                                   line=line_no)
-            rows.append(Token(index=idx, form=cols[1], pos_tag=cols[3],
-                              head=head, dep_label=cols[7]))
-    if rows:
-        sentences.append(Sentence(rows))
+            if not rows:
+                first = line_no
+            try:
+                rows.append(Token(index=idx, form=cols[1], pos_tag=cols[3],
+                                  head=head, dep_label=cols[7]))
+            except ValueError as exc:
+                raise FormatError(str(exc), line=line_no) from exc
     return sentences

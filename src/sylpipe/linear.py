@@ -26,14 +26,16 @@ class AveragedWeights:
     update times its step, so the mean of W over all steps is
     ((step + 1) * W - U) / step. updates counts the calls of update.
 
-    W and U hold `rows` rows and then a row of zeros, the one that the
-    padding id -1 of _kernels.sum_rows reads; the trainers drop ids below 0
-    from their updates, so no update reaches it.
+    W is `rows` rows of zeros, then tail: the rows its model keeps after its
+    weights (weight_rows). U is zeros of that shape. Both come from np.zeros,
+    which leaves the pages of rows that no update writes unallocated.
     """
 
-    def __init__(self, rows, cols):
-        self.W = np.zeros((rows + 1, cols))
-        self.U = np.zeros((rows + 1, cols))
+    def __init__(self, rows, tail):
+        self.rows = rows
+        self.W = np.zeros((rows + len(tail), tail.shape[1]))
+        self.W[rows:] = tail
+        self.U = np.zeros(self.W.shape)
         self.updates = 0
 
     def update(self, gold_index, pred_index, step):
@@ -47,14 +49,15 @@ class AveragedWeights:
 
     def averaged(self, step):
         """The mean of W as it stood after each of steps 1..step (W if none),
-        without the zero row: a view of an array that ends in it, which a
-        model takes as it is (weight_rows)."""
+        without the tail: a view of an array that ends in the tail's bytes,
+        which a model takes as it is (weight_rows); U is zero there, so a
+        +0.0 or -inf row stays as it is."""
         if step == 0:
-            return self.W[:-1]
+            return self.W[:self.rows]
         mean = self.W * (step + 1)
         mean -= self.U
         mean /= step
-        return mean[:-1]
+        return mean[:self.rows]
 
 
 # Every weight a perceptron trains is a mean of integers no larger than its

@@ -78,6 +78,11 @@ def bio_transition_mask(labels):
     return mask
 
 
+def _tails(L):
+    """The rows a tagger keeps after its emission and transition weights (weight_rows)."""
+    return np.zeros((1, L)), np.zeros((0, L))
+
+
 def _masked_transitions(transition_weights, mask):
     """(transitions, start): copies of the (L + 1, L) weights' label rows and
     start row, -inf where the mask (None for none) forbids."""
@@ -118,7 +123,7 @@ class LinearModel:
         if self.transition_weights.shape != (L + 1, L):
             raise ValueError("transition weight shape mismatch")
         # The emissions sum_rows reads: the feature rows, then the zero row.
-        self._rows = weight_rows(emission_weights, np.zeros((1, L)))
+        self._rows = weight_rows(emission_weights, _tails(L)[0])
         self.emission_weights = self._rows[:F]
         check_weights(self.emission_weights, self.transition_weights)
         self.bio_constrained = bool(bio_constrained)
@@ -875,8 +880,9 @@ def _train(templates, corpus, labels, epochs, shuffle_seed, bio_constrained,
     # The probe epoch, which collects the error pairs, has no induced pairs.
     names = list(feature_index) if collect_error_pairs is not None else None
 
-    emissions = AveragedWeights(len(feature_index), L)
-    transitions = AveragedWeights(L + 1, L)
+    emission_tail, transition_tail = _tails(L)
+    emissions = AveragedWeights(len(feature_index), emission_tail)
+    transitions = AveragedWeights(L + 1, transition_tail)
     start = L
     mask = bio_transition_mask(labels) if bio_constrained else None
     masked = [None]  # the masked transitions, rebuilt after they change
@@ -941,7 +947,7 @@ SEQ1 = ModelFormat(
      "pairs": "string pair list", "gazetteer": "string list or null"},
     lambda h: ((h["feature_count"], len(h["labels"])),
                (len(h["labels"]) + 1, len(h["labels"]))),
-    lambda h: (np.zeros((1, len(h["labels"]))), np.zeros((0, len(h["labels"])))))
+    lambda h: _tails(len(h["labels"])))
 
 
 def save_linear_model(model, path):

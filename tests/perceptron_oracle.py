@@ -83,8 +83,8 @@ def _train(templates, corpus, labels, epochs, shuffle_seed, bio_constrained,
         ids_by_sentence.append([np.asarray(r, dtype=np.int64) for r in sent_ids])
         golds.append(np.asarray([label_index[g] for g in gold], dtype=np.int64))
 
-    emissions = AveragedWeights(len(feature_index), L)
-    transitions = AveragedWeights(L + 1, L)
+    emissions = AveragedWeights(len(feature_index), np.zeros((1, L)))
+    transitions = AveragedWeights(L + 1, np.zeros((0, L)))
     start = L
     mask = bio_transition_mask(labels) if bio_constrained else None
 
@@ -217,7 +217,7 @@ def train_parser(treebank, epochs=10, shuffle_seed=1, use_ner_features=False,
             state.apply(transition)
         per_sentence.append(steps)
 
-    weights = AveragedWeights(len(feature_index), len(action_index))
+    weights = AveragedWeights(len(feature_index), np.zeros((0, len(action_index))))
     step = 0
     for epoch, order in enumerate(epoch_orders(len(per_sentence), epochs, shuffle_seed), 1):
         correct = 0

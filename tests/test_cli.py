@@ -127,6 +127,21 @@ class TestTrain:
             models.append((tmp_path / form / "parse.model").read_bytes())
         assert models[0] == models[1]
 
+    @pytest.mark.parametrize("text, fault", [
+        ("1\ta\t_\t_\t_\t_\t0\troot\t_\t_\n", "line 1: bad POS tag '_'"),
+        ("1\ta\t_\tN\t_\t_\t0\troot\t_\t_\n\n1\ta\t_\tN\t_\t_\t1\troot\t_\t_\n",
+         "line 3: token 1 cannot head itself"),
+        ("1\ta\t_\tN\t_\t_\t0\troot\t_\t_\n\n# two roots\n"
+         "1\ta\t_\tN\t_\t_\t0\troot\t_\t_\n2\tb\t_\tN\t_\t_\t0\troot\t_\t_\n",
+         "line 4: expected exactly one root-attached token, got [1, 2]"),
+    ], ids=["pos_tag", "self_head", "two_roots"])
+    def test_conllx_fault_names_its_line(self, tmp_path, capsys, text, fault):
+        corpus = tmp_path / "parse.conllx"
+        corpus.write_text(text, encoding="utf-8")
+        assert main(["train", "parse", "-corpus", str(corpus), "-conllx",
+                     "-models", str(tmp_path)]) == 4
+        assert capsys.readouterr().err.startswith(f"error: {fault}")
+
     def test_missing_corpus(self, tmp_path):
         assert main(["train", "pos", "-corpus", str(tmp_path / "nope.tsv"),
                      "-models", str(tmp_path)]) == 1
@@ -278,6 +293,14 @@ class TestEval:
         uas = float([l for l in out.splitlines()
                      if l.startswith("uas=")][0].split("=")[1])
         assert uas >= 0.95
+
+    def test_wseg_gold_with_a_lone_underscore(self, cli_models, tmp_path, capsys):
+        # A lone "_" is the one-syllable word "_", as metrics reads it.
+        gold = tmp_path / "gold.txt"
+        gold.write_text("Hà_Nội _ đẹp\n", encoding="utf-8")
+        assert main(["eval", "wseg", "-gold", str(gold), "-models", cli_models]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "gold_words=3" in out and "predicted_words=3" in out
 
     def test_pred_file_comparison(self, cli_models, tmp_path, capsys):
         gold = os.path.join(TOY_DIR, "pos.tsv")

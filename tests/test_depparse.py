@@ -427,9 +427,9 @@ def oracle_states(sentence):
 
 
 class TestLegalityTable:
-    """Decoding and training read illegal actions from one table by
-    _mask_code; at every state the oracle reaches, its row is the mask of
-    _legal_action_mask."""
+    """Decoding and training read illegal actions from one set of mask rows
+    by _mask_code; at every state the oracle reaches, its row is -inf
+    exactly where _legal_action_mask is False."""
 
     @pytest.mark.parametrize("root_labels", [("root",), ("root", "sub"), RELS])
     def test_rows_match_the_mask_on_oracle_walks(self, toy_treebank, root_labels):
@@ -448,7 +448,7 @@ class TestLegalityTable:
                        for heads, deps in trees)]
         relations = sorted({*RELS, *(rel for s in sentences for rel in s.column("dep_label"))})
         action_index = {a: i for i, a in enumerate(depparse._actions(relations))}
-        table = depparse._illegal_actions(len(relations), root_labels, action_index)
+        table = np.isneginf(depparse._score_tail(tuple(relations), root_labels)[:4])
         codes = set()
         for sentence in sentences:
             for state in oracle_states(sentence):
@@ -457,6 +457,32 @@ class TestLegalityTable:
                 assert np.array_equal(~table[code], depparse._legal_action_mask(
                     state, len(relations), root_labels, action_index))
         assert codes == {0, 1, 2, 3}
+
+
+class TestTrainerIds:
+    @pytest.mark.parametrize("use_ner", [False, True])
+    def test_trainer_and_decoder_give_a_state_the_same_ids(self, toy_treebank, use_ner):
+        # The trainer scores its frozen columns with the array decoding
+        # reads, so each column holds the ids _lockstep_scores gives the
+        # state: its feature ids, sorted, then its mask row's.
+        treebank = [s for s in toy_treebank if is_projective(s.column("head"))]
+        relations = sorted({rel for s in treebank for rel in s.column("dep_label")})
+        action_index = {a: i for i, a in enumerate(depparse._actions(relations))}
+        feature_index, ids, gold, bounds = depparse._freeze(treebank, action_index, use_ner)
+        F = len(feature_index)
+        model = ParserModel(relations, feature_index, np.zeros((F, len(action_index))),
+                            use_ner_features=use_ner, root_labels=relations)
+        compiled = model._compiled
+        j = 0
+        for sentence in treebank:
+            values = compiled.sentence_values(sentence, use_ner)
+            for state in oracle_states(sentence):
+                column = ids[:, j]
+                expected = sorted(i for i in compiled.state_ids(state, values) if i >= 0)
+                assert column[column >= 0].tolist() == \
+                    expected + [F + depparse._mask_code(state)]
+                j += 1
+        assert j == ids.shape[1] == len(gold) == bounds[-1]
 
 
 class TestTrainParser:

@@ -150,8 +150,8 @@ def frozen_tagger(chosen, corpus):
 def frozen_parser(treebank, use_ner):
     relations = sorted({rel for sent in treebank for rel in sent.column("dep_label")})
     action_index = {a: i for i, a in enumerate(depparse._actions(relations))}
-    feature_index, ids, codes, gold, bounds = depparse._freeze(treebank, action_index, use_ner)
-    return list(feature_index.items()), ids, codes, gold, bounds
+    feature_index, ids, gold, bounds = depparse._freeze(treebank, action_index, use_ner)
+    return list(feature_index.items()), ids, gold, bounds
 
 
 def radix_and_result(monkeypatch, freeze):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import perceptron_oracle as oracle
 from helpers import FORMS, assert_trains_as_oracle, random_projective_heads
-from sylpipe import _kernels, depparse, ner, pos
+from sylpipe import _kernels, depparse, linear, ner, pos
 from sylpipe.linear import AveragedWeights, train_epochs
 from sylpipe.model import Sentence
 from sylpipe.seqlabel import (make_templates, save_linear_model,
@@ -221,9 +221,26 @@ class TestFixedPoint:
         assert not [r for r in caplog.records if r.name == "sylpipe.linear"]
 
 
+class TestAveragedWeights:
+    def test_the_mean_heads_an_array_that_ends_in_the_tail(self):
+        # A -inf tail row stays -inf and a zero one +0.0 through the
+        # averaging, so a model takes the averaged array as it is.
+        tail = np.array([[0.0, float("-inf")], [0.0, 0.0]])
+        weights = AveragedWeights(2, tail)
+        assert weights.W.shape == weights.U.shape == (4, 2)
+        for step in range(4):
+            if step:
+                weights.update((step % 2, 0), (step % 2, 1), step)
+            mean = weights.averaged(step)
+            assert mean.shape == (2, 2)
+            assert mean.base[2:].tobytes() == tail.tobytes()
+            assert linear.weight_rows(mean, tail) is mean.base
+        assert weights.averaged(3).tolist() == [[2 / 3, -2 / 3], [4 / 3, -4 / 3]]
+
+
 class TestTrainEpochs:
     def test_counts_the_steps_of_the_epochs_it_does_not_run(self):
-        weights = AveragedWeights(1, 2)
+        weights = AveragedWeights(1, np.zeros((1, 2)))
         learned = []
 
         def learn(i, step):
@@ -244,7 +261,8 @@ class TestTrainEpochs:
         # The test is "no update", not "no mistake", over every weight table:
         # a learner that reports no mistake but updates the second table,
         # even without changing it, still runs every epoch.
-        weights = (AveragedWeights(1, 1), AveragedWeights(1, 1))
+        weights = (AveragedWeights(1, np.zeros((1, 1))),
+                   AveragedWeights(1, np.zeros((1, 1))))
         learned = []
 
         def learn(i, step):

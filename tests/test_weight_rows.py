@@ -12,7 +12,7 @@ overflows.
 import numpy as np
 import pytest
 
-from sylpipe import depparse, linear, pos, seqlabel
+from sylpipe import depparse, linear, ner, pos, seqlabel
 from sylpipe.depparse import ParserModel, load_parser, parse_sentences, save_parser
 from sylpipe.model import Sentence, Token
 from sylpipe.seqlabel import LinearModel, load_linear_model, save_linear_model, tag_sentences
@@ -21,10 +21,16 @@ NEG_INF = float("-inf")
 
 
 def parser_tail(model):
-    """The mask rows, 0.0 where _illegal_actions has a legal action, then zeros."""
-    illegal = depparse._illegal_actions(len(model.relations), model.root_labels,
-                                        model.action_index)
-    return np.vstack([np.where(illegal, NEG_INF, 0.0), np.zeros((1, len(model.actions)))])
+    """The mask rows, 0.0 where model.action_mask allows an action at a
+    state of each _mask_code, then zeros."""
+    root_arc = (depparse.RIGHT_ARC, model.root_labels[0])
+    walks = [[], [root_arc, (depparse.REDUCE, None)], [(depparse.SHIFT, None)], [root_arc]]
+    rows = []
+    for code, walk in enumerate(walks):
+        state = depparse.replay(walk, 3)
+        assert depparse._mask_code(state) == code
+        rows.append(np.where(model.action_mask(state), 0.0, NEG_INF))
+    return np.vstack([*rows, np.zeros((1, len(model.actions)))])
 
 
 @pytest.fixture
@@ -79,9 +85,21 @@ class TestPublicWeightsAreViews:
         save_parser(loaded, again)
         assert again.read_bytes() == path.read_bytes()
 
-    def test_trained_tagger_takes_the_averaged_array(self, toy_pos_corpus, copies):
-        pos.train_pos(toy_pos_corpus, epochs=2)
+    def test_trained_tagger_takes_the_averaged_array(self, toy_pos_corpus,
+                                                     toy_ner_sentences, copies):
+        model = pos.train_pos(toy_pos_corpus, epochs=2)
         assert copies == [False]
+        # The transitions keep no row after their L + 1 either.
+        assert model.transition_weights.base.shape == model.transition_weights.shape
+        ner.train_ner(ner.training_pairs(toy_ner_sentences), epochs=2)
+        assert copies == [False, False]
+
+    @pytest.mark.parametrize("use_ner", [False, True])
+    def test_trained_parser_takes_the_averaged_array(self, toy_treebank, copies, use_ner):
+        # The trainer's weights end in the model's mask rows and zero row.
+        model = depparse.train_parser(toy_treebank, epochs=2, use_ner_features=use_ner)
+        assert copies == [False]
+        assert model._rows[len(model.weights):].tobytes() == parser_tail(model).tobytes()
 
     def test_other_tail_rows_are_copied_not_written(self, parse_model):
         # A parser built on another's weights with other root labels gets
