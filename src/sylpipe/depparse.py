@@ -18,35 +18,34 @@ largest, so after the sort the mask is added last: a legal score is
 bit-identical to a row_sum over the state's ids, since a sum from +0.0 is
 never -0.0, and an illegal one is exactly -inf, since the weight bound
 keeps every sum finite. The masked argmax is legal, so it is applied by
-ParserState.advance, the mutation half of ParserState.apply, without
-apply's legality checks.
+ParserState.advance, apply without its legality checks.
 
-The features of a state resolve to ids without building strings
-(_CompiledStateFeatures): every value string in the model's alphabet is
-interned; a one-atom template reads a list by value id, and a conjunction
-maps the tuple of its atoms' value ids to a feature id. A feature
-"<template>=<value>" of an n-atom template is registered under every split
-of <value> at "|" into n parts (templates.alphabet_tuples, the reader the
-taggers' key table uses too), because the string path joins the atom
-values with "|"; so a lookup hits exactly when state_features' string is
-in the alphabet, whatever the values contain.
-The reference path stays on state_features and apply.
+The features are written once, as tables (_TEMPLATES, _ATOMS, _FIELDS).
+The code that reads them at a state is generated from the tables, as
+collections.namedtuple and dataclasses build methods from source text:
+straight-line code for _CompiledStateFeatures.state_ids, which resolves a
+state's features to ids without strings for decoding, and _state_record,
+the record that training freezes. state_features, written by hand, builds
+the same features as strings; it is the oracle both are tested against.
+state_ids interns every value string in the model's alphabet: a one-atom
+template reads a list by value id, and a conjunction maps the tuple of its
+atoms' value ids to a feature id. A feature "<template>=<value>" is
+registered under every split of <value> at "|" into its template's atoms
+(templates.alphabet_tuples), as the string path joins them with "|"; so a
+lookup hits exactly when state_features' string is in the alphabet.
 
 train_parser freezes its states once (_freeze): it walks each sentence's
-static oracle and records per state the positions and buckets that
-state_features reads. Each template is then a gather over columns of
-interned value ids, and only its distinct value tuples become strings
-(seqlabel.freeze_features), numbered in the order state_features would
-first fire them. It keeps the gold actions and each state's ids as
-decoding gives them, its mask row's last, and its AveragedWeights end in
-the model's mask rows and zero row: it masks as decoding does, and the
-model keeps the averaged array.
-The weights change only at an update, so an epoch scores all states of a
-sentence in one sum_rows gather, finds the first state whose masked argmax
-is not gold, updates there at the step it takes one state at a time, and
-scores again only the states after it: a sentence without a mistake costs
-one gather, and the model is the one that scoring each state alone trains,
-bit for bit.
+static oracle and records each state's fields. Each template is then a
+gather over columns of interned value ids, and only its distinct value
+tuples become strings (seqlabel.freeze_features), numbered in the order
+state_features would first fire them. It scores each state's ids, its
+mask row's last, with AveragedWeights that end in the model's mask rows
+and zero row: it masks as decoding does, and the model keeps the averaged
+array. The weights change only at an update, so an epoch scores all
+states of a sentence in one sum_rows gather, updates at the first state
+whose masked argmax is not gold, at the step it takes one state at a
+time, and scores again only the states after it: the model is the one
+that scoring each state alone trains, bit for bit.
 """
 
 from __future__ import annotations
@@ -54,6 +53,7 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
+import re
 import unicodedata
 
 import numpy as np
@@ -78,10 +78,6 @@ DEFAULT_ROOT_LABEL = "root"
 
 _ROOT_VALUE = "<root>"
 _NONE_VALUE = "<none>"
-# The values of the distance bucket min(b0 - s0, 5), whose 0 never occurs,
-# and of a valency bucket min(v, 3), by bucket.
-_DISTANCES = (_NONE_VALUE, "1", "2", "3", "4", "5+")
-_VALENCIES = ("0", "1", "2", "3+")
 
 
 class IllegalTransition(ValueError):
@@ -304,28 +300,17 @@ def state_features(state, tokens, use_ner_features=False):
     is the artificial root. NER-derived features all carry the "ner:" prefix
     so the with/without feature sets differ exactly in them.
     """
-    def form(i):
-        if i is None:
-            return _NONE_VALUE
-        if i == 0:
-            return _ROOT_VALUE
-        return tokens[i - 1].form
+    def value(attr):
+        def at(i):
+            if i is None:
+                return _NONE_VALUE
+            if i == 0:
+                return _ROOT_VALUE
+            v = getattr(tokens[i - 1], attr)
+            return v if v is not None else _NONE_VALUE
+        return at
 
-    def pos(i):
-        if i is None:
-            return _NONE_VALUE
-        if i == 0:
-            return _ROOT_VALUE
-        tag = tokens[i - 1].pos_tag
-        return tag if tag is not None else _NONE_VALUE
-
-    def ner(i):
-        if i is None:
-            return _NONE_VALUE
-        if i == 0:
-            return _ROOT_VALUE
-        lab = tokens[i - 1].ner_label
-        return lab if lab is not None else _NONE_VALUE
+    form, pos, ner = value("form"), value("pos_tag"), value("ner_label")
 
     stack = state.stack
     s0 = stack[-1] if stack else None
@@ -385,30 +370,122 @@ def state_features(state, tokens, use_ner_features=False):
 
 
 # The templates of state_features, in its order, the three NER ones last.
-# A template's value is the values of its atoms, the parts of its name after
-# any "ner:", joined by "|".
+# A template's value is the values of its atoms (_atoms) joined by "|".
 _TEMPLATES = ("s0w", "s0p", "s1p", "s2p", "b0w", "b0p", "b1w", "b1p", "b2p",
               "s0p|b0p", "s0w|b0w", "s0w|b0p", "s0p|b0w", "b0p|b1p",
               "s0p|b0p|b1p", "s1p|s0p|b0p", "s0lcp", "s0rcp", "b0lcp", "dist",
               "s0p|b0p|dist", "s0lv", "s0rv", "b0lv",
               "ner:s0n", "ner:b0n", "ner:s0n|b0n")
 
+# The fields of a state with a non-empty buffer (its stack holds the root),
+# each an expression over _STATE and the fields before it. s0, s1, s2 are
+# the stack's top three, b0, b1, b2 the buffer's front three, s0lc, s0rc and
+# b0lc the leftmost and rightmost child of s0 and the leftmost of b0, each a
+# slot of the value columns: 0 the root, 1..n the tokens, n + 1 none. d is
+# the distance bucket min(b0 - s0, 5), never 0, and s0l, s0r, b0l the
+# valency buckets min(v, 3).
+_STATE = {"stack": "state.stack", "depth": "len(stack)", "n": "state.n", "none": "n + 1"}
+_FIELDS = {
+    "s0": "stack[-1]", "s1": "stack[-2] if depth > 1 else none",
+    "s2": "stack[-3] if depth > 2 else none", "b0": "state.buffer_start",
+    "b1": "b0 + 1", "b2": "b0 + 2 if b0 + 2 <= n else none",
+    "s0lc": "state.lchild[s0] or none", "s0rc": "state.rchild[s0] or none",
+    "b0lc": "state.lchild[b0] or none", "d": "d if (d := b0 - s0) <= 4 else 5",
+    "s0l": "v if (v := state.lval[s0]) <= 2 else 3",
+    "s0r": "v if (v := state.rval[s0]) <= 2 else 3",
+    "b0l": "v if (v := state.lval[b0]) <= 2 else 3"}
+
+# The column each atom reads and the field that indexes it: a Token
+# attribute's value ids by slot (sentence_values), or a bucket's by bucket.
+_ATOMS = {"s0w": ("form", "s0"), "s0p": ("pos_tag", "s0"), "s1p": ("pos_tag", "s1"),
+          "s2p": ("pos_tag", "s2"), "b0w": ("form", "b0"), "b0p": ("pos_tag", "b0"),
+          "b1w": ("form", "b1"), "b1p": ("pos_tag", "b1"), "b2p": ("pos_tag", "b2"),
+          "s0lcp": ("pos_tag", "s0lc"), "s0rcp": ("pos_tag", "s0rc"),
+          "b0lcp": ("pos_tag", "b0lc"), "dist": ("distance", "d"),
+          "s0lv": ("valency", "s0l"), "s0rv": ("valency", "s0r"),
+          "b0lv": ("valency", "b0l"), "s0n": ("ner_label", "s0"),
+          "b0n": ("ner_label", "b0")}
+_BUCKETS = {"distance": (_NONE_VALUE, "1", "2", "3", "4", "5+"),
+            "valency": ("0", "1", "2", "3+")}
+_COLUMNS = tuple(dict.fromkeys(c for c, _ in _ATOMS.values() if c not in _BUCKETS))
+
+
+def _atoms(name):
+    """The atoms of a template: the parts of its name after any "ner:"."""
+    return name.removeprefix("ner:").split("|")
+
+
+def _straight_line(named, lines):
+    """lines, with the names of named, each an expression over the names
+    before it, set in them: a name read once is written where it is read,
+    in parentheses next to an operator, and one read more than once is set
+    ahead of the first line that reads it and of the names set there."""
+    lines = list(lines)
+    for name, expr in reversed(named.items()):
+        reads = [(k, m) for k, line in enumerate(lines)
+                 for m in re.finditer(r"(?<![.\w])\w+", line) if m[0] == name]
+        if len(reads) == 1:
+            (k, m), = reads
+            before, after = lines[k][:m.start()], lines[k][m.end():]
+            if " " in expr and not (before.rstrip()[-1:] in "[(," and after.lstrip()[:1] in "]),"):
+                expr = f"({expr})"
+            lines[k] = before + expr + after
+        elif reads:
+            k = first = reads[0][0]
+            while k and lines[k - 1].split(" = ")[0].strip() in named:
+                k -= 1
+            lines.insert(k, f"{re.match(' *', lines[first])[0]}{name} = {expr}")
+    return lines
+
+
+# The fields of a state in _FIELDS order: the record _freeze collects.
+exec(compile("\n".join(["def state_record(state):", *_straight_line(
+    {**_STATE, **_FIELDS}, ["    return (" + ", ".join(_FIELDS) + ")"])]),
+    f"<{__name__} state_record>", "exec"), _generated := {})
+_state_record = _generated["state_record"]
+
+
+@functools.lru_cache(maxsize=4)
+def _state_ids_code(templates):
+    """(names, source, code) of state_ids over the templates, run where names
+    are bound to the tables (_CompiledStateFeatures). The NER templates come
+    last and are looked up when the values carry NER labels."""
+    names = [*(re.sub(r"\W", "_", name) + "_" for name in templates), *_BUCKETS]
+
+    def ids(ner, pad, op):
+        found = []
+        for k, name in enumerate(templates):
+            atoms = _atoms(name)
+            column, field = _ATOMS[atoms[0]]
+            if name.startswith("ner:") == ner:
+                found.append(f"{names[k]}(({', '.join(atoms)}), -1)" if len(atoms) > 1
+                             else f"{names[k]}[{field if column in _BUCKETS else atoms[0]}]")
+        return [f"{pad}ids {op} [", *(f"{pad}    {e}," for e in found), f"{pad}]"]
+
+    body = [f"    {', '.join(_COLUMNS)} = values", "\n".join(ids(False, " " * 4, "="))]
+    if any(name.startswith("ner:") for name in templates):
+        body += ["    if ner_label is not None:", "\n".join(ids(True, " " * 8, "+="))]
+    named = {**_STATE, **_FIELDS, **{a: "{}[{}]".format(*ca) for a, ca in _ATOMS.items()}}
+    source = "\n".join([
+        "def state_ids(state, values):",
+        '    """The id of each feature of state_features(state, ...), -1 if unknown,',
+        '    in template order."""', *_straight_line(named, body), "    return ids\n"])
+    return names, source, compile(source, f"<{__name__} state_ids>", "exec")
+
 
 class _CompiledStateFeatures:
     """A ParserModel's state_features, resolved to feature ids without strings.
 
-    values interns every value string of the alphabet; a string outside it
-    interns to -1. A one-atom template's table is a list by value id, whose
-    last entry, -1, is the one a -1 reads; dist and the valencies, which
-    take a handful of values, are lists by distance min(b0 - s0, 5) and by
-    valency min(v, 3). A conjunction's table maps the tuple of its atoms'
-    value ids to the feature id. So the tables are bounded by the alphabet
-    and the number of values, and a lookup hits exactly when the feature
-    string is in the alphabet.
+    tables holds a lookup per template of _TEMPLATES, then each bucket's
+    value ids: a one-atom template's list by value id (its last entry, -1,
+    is read by the value id -1 of a string outside the alphabet) or by
+    bucket, a conjunction's dict.get by its atoms' value ids. state_ids is
+    straight-line code generated from the tables (source holds its text),
+    and the hand-written state_features is the oracle it is tested against.
     """
 
     def __init__(self, model):
-        arities = [name.count("|") + 1 for name in _TEMPLATES]
+        arities = [len(_atoms(name)) for name in _TEMPLATES]
         values = {}
         tables = [{} for _ in _TEMPLATES]
         for t, parts, j in alphabet_tuples(model.feature_index, _TEMPLATES, arities):
@@ -416,78 +493,25 @@ class _CompiledStateFeatures:
             tables[t][key if arities[t] > 1 else key[0]] = j
         self.values = values
         get = values.get
-        self.root = get(_ROOT_VALUE, -1)
-        self.none = get(_NONE_VALUE, -1)
-        self.dist = [get(v, -1) for v in _DISTANCES]
-        valency = [get(v, -1) for v in _VALENCIES]
-        # The value ids a one-atom template's list holds an entry for, in order.
-        entries = {"dist": self.dist, "s0lv": valency, "s0rv": valency, "b0lv": valency}
-        self._tables = tuple(
-            table.get if n > 1
-            else [table.get(v, -1) for v in entries.get(name, range(len(values) + 1))]
-            for name, n, table in zip(_TEMPLATES, arities, tables))
+        buckets = {column: [get(v, -1) for v in b] for column, b in _BUCKETS.items()}
+        self.tables = (*(
+            table.get if n > 1 else
+            [table.get(v, -1) for v in buckets.get(_ATOMS[_atoms(name)[0]][0],
+                                                   range(len(values) + 1))]
+            for name, n, table in zip(_TEMPLATES, arities, tables)), *buckets.values())
+        names, self.source, code = _state_ids_code(_TEMPLATES)
+        exec(code, namespace := dict(zip(names, self.tables)))
+        self.state_ids = namespace["state_ids"]
 
     def sentence_values(self, sentence, use_ner):
-        """Value ids of a Sentence: (forms, tags, child tags, NER labels or None).
-
-        Index 0 is the root, 1..n the tokens, and n + 1 and -1 a missing
-        position; in the child tags, index 0 is a missing child.
-        """
+        """Value ids of a Sentence by slot (0 the root, 1..n the tokens, n + 1
+        none), a list per column of _COLUMNS; None for NER labels unless use_ner."""
         get = self.values.get
-        root, none = self.root, self.none
-
-        def column(attr):
-            return [root, *[none if v is None else get(v, -1)
-                            for v in sentence.column(attr)], none]
-
-        tags = column("pos_tag")
-        return (column("form"), tags, [none, *tags[1:]],
-                column("ner_label") if use_ner else None)
-
-    def state_ids(self, state, values):
-        """The id of each feature of state_features(state, ...), -1 if unknown.
-
-        In template order, one id per template. The state must have a
-        non-empty buffer; its stack always holds the root, which no
-        transition pops.
-        """
-        forms, tags, child_tags, ners = values
-        (s0w_, s0p_, s1p_, s2p_, b0w_, b0p_, b1w_, b1p_, b2p_, s0p_b0p, s0w_b0w,
-         s0w_b0p, s0p_b0w, b0p_b1p, s0p_b0p_b1p, s1p_s0p_b0p, s0lcp_, s0rcp_,
-         b0lcp_, dist_, s0p_b0p_dist, s0lv_, s0rv_, b0lv_, s0n_, b0n_,
-         s0n_b0n) = self._tables
-        none = self.none
-        stack = state.stack
-        depth = len(stack)
-        s0 = stack[-1]
-        b0 = state.buffer_start
-        n = state.n
-        s0w, s0p = forms[s0], tags[s0]
-        b0w, b0p = forms[b0], tags[b0]
-        b1p = tags[b0 + 1]
-        s1p = tags[stack[-2]] if depth > 1 else none
-        d = b0 - s0
-        d = d if d <= 4 else 5
-        lv, rv, blv = state.lval[s0], state.rval[s0], state.lval[b0]
-        ids = [s0w_[s0w], s0p_[s0p], s1p_[s1p],
-               s2p_[tags[stack[-3]] if depth > 2 else none],
-               b0w_[b0w], b0p_[b0p], b1w_[forms[b0 + 1]], b1p_[b1p],
-               b2p_[tags[b0 + 2] if b0 + 2 <= n else none],
-               s0p_b0p((s0p, b0p), -1), s0w_b0w((s0w, b0w), -1),
-               s0w_b0p((s0w, b0p), -1), s0p_b0w((s0p, b0w), -1),
-               b0p_b1p((b0p, b1p), -1), s0p_b0p_b1p((s0p, b0p, b1p), -1),
-               s1p_s0p_b0p((s1p, s0p, b0p), -1),
-               s0lcp_[child_tags[state.lchild[s0]]],
-               s0rcp_[child_tags[state.rchild[s0]]],
-               b0lcp_[child_tags[state.lchild[b0]]], dist_[d],
-               s0p_b0p_dist((s0p, b0p, self.dist[d]), -1),
-               s0lv_[lv if lv <= 2 else 3],
-               s0rv_[rv if rv <= 2 else 3],
-               b0lv_[blv if blv <= 2 else 3]]
-        if ners is not None:
-            s0n, b0n = ners[s0], ners[b0]
-            ids += [s0n_[s0n], b0n_[b0n], s0n_b0n((s0n, b0n), -1)]
-        return ids
+        root, none = get(_ROOT_VALUE, -1), get(_NONE_VALUE, -1)
+        return tuple([root, *[none if v is None else get(v, -1)
+                              for v in sentence.column(column)], none]
+                     if use_ner or column != "ner_label" else None
+                     for column in _COLUMNS)
 
 
 @functools.lru_cache(maxsize=16)
@@ -741,19 +765,6 @@ def projectivize(sentence):
     return sentence.with_parse(lifted, sentence.column("dep_label"))
 
 
-# The atoms of the templates: the value each reads and the field of a
-# state's record (_freeze) it reads it at. The record holds the positions
-# s0, s1, s2, b0, b1, b2, the left and right child of s0 and the left child
-# of b0, then the distance bucket min(b0 - s0, 5) and the valency buckets
-# min(v, 3) of s0's left and right and b0's left dependents.
-_ATOMS = {"s0w": ("form", 0), "s0p": ("tag", 0), "s1p": ("tag", 1), "s2p": ("tag", 2),
-          "b0w": ("form", 3), "b0p": ("tag", 3), "b1w": ("form", 4), "b1p": ("tag", 4),
-          "b2p": ("tag", 5), "s0lcp": ("tag", 6), "s0rcp": ("tag", 7),
-          "b0lcp": ("tag", 8), "dist": ("dist", 9), "s0lv": ("valency", 10),
-          "s0rv": ("valency", 11), "b0lv": ("valency", 12), "s0n": ("ner", 0),
-          "b0n": ("ner", 3)}
-
-
 def _freeze(sentences, action_index, use_ner):
     """Walk the static oracle of each sentence and freeze its states.
 
@@ -764,11 +775,10 @@ def _freeze(sentences, action_index, use_ner):
     each state's gold action id; and bounds, where sentence k's states
     start and end.
 
-    The walk records of each state the positions and buckets that
-    state_features reads, a position as its slot in columns of value ids:
-    slot 0 of a sentence is the root, 1..n its tokens and n + 1 a missing
-    position or child. Each template is then one gather per atom, and only
-    its distinct value tuples become strings (seqlabel.freeze_features).
+    The walk records each state's fields (_state_record), a position as its
+    slot in a column of value ids that lays the sentences end to end. Each
+    template is then one gather per atom, and only its distinct value
+    tuples become strings (seqlabel.freeze_features).
     """
     records = []
     codes = []
@@ -777,47 +787,37 @@ def _freeze(sentences, action_index, use_ner):
     bases = []
     base = 0
     for sent in sentences:
-        n = len(sent)
-        none = n + 1
         for state, transition in _oracle_walk(sent):
-            stack, lchild, lval = state.stack, state.lchild, state.lval
-            s0 = stack[-1]
-            b0 = state.buffer_start
-            depth = len(stack)
-            records += (s0, stack[-2] if depth > 1 else none,
-                        stack[-3] if depth > 2 else none, b0, b0 + 1,
-                        b0 + 2 if b0 + 2 <= n else none, lchild[s0] or none,
-                        state.rchild[s0] or none, lchild[b0] or none, b0 - s0,
-                        lval[s0], state.rval[s0], lval[b0])
+            records += _state_record(state)
             codes.append(_mask_code(state))
             gold.append(action_index[transition])
         bases += [base] * (len(gold) - bounds[-1])
         bounds.append(len(gold))
-        base += n + 2
+        base += len(sent) + 2
     S = len(gold)
-    records = np.array(records, dtype=np.intp).reshape(S, 13)
-    records[:, :9] += np.array(bases, dtype=np.intp)[:, None]
-    np.minimum(records[:, 9:], [5, 3, 3, 3], out=records[:, 9:])
+    records = np.array(records, dtype=np.intp).reshape(S, len(_FIELDS))
+    bases = np.array(bases, dtype=np.intp)
 
-    # Value ids of the positions of every sentence, by slot, and of the buckets.
-    slots = {table: list(itertools.chain.from_iterable(
-        part for sent in sentences
-        for part in ((_ROOT_VALUE,), sent.column(attr), (_NONE_VALUE,))))
-        for table, attr in (("form", "form"), ("tag", "pos_tag"), ("ner", "ner_label"))
-        if use_ner or table != "ner"}
-    slots["dist"] = _DISTANCES
-    slots["valency"] = _VALENCIES
+    # The value columns the templates read: a Token attribute of every
+    # sentence by slot, or a bucket's values.
+    templates = [name for name in _TEMPLATES if use_ner or not name.startswith("ner:")]
+    slots = {column: _BUCKETS[column] if column in _BUCKETS
+             else list(itertools.chain.from_iterable(
+                 part for sent in sentences
+                 for part in ((_ROOT_VALUE,), sent.column(column), (_NONE_VALUE,))))
+             for column in dict.fromkeys(_ATOMS[atom][0] for name in templates
+                                         for atom in _atoms(name))}
     values = {v: k for k, v in enumerate(dict.fromkeys(
         itertools.chain.from_iterable(slots.values())))}
-    tables = {table: np.fromiter(map(values.__getitem__, column), dtype=np.intp,
-                                 count=len(column))
-              for table, column in slots.items()}
-    templates = _TEMPLATES if use_ner else _TEMPLATES[:-3]
-    digits = {atom: tables[table][records[:, field]]
-              for atom, (table, field) in _ATOMS.items() if table in tables}
+    tables = {column: np.fromiter(map(values.__getitem__, slot), dtype=np.intp,
+                                  count=len(slot))
+              for column, slot in slots.items()}
+    digits = {atom: tables[column][records[:, list(_FIELDS).index(field)]
+                                   + (0 if column in _BUCKETS else bases)]
+              for atom, (column, field) in _ATOMS.items() if column in tables}
     features, _, fired = freeze_features(
-        templates, [[digits[atom] for atom in name.removeprefix("ner:").split("|")]
-                    for name in templates], list(values), S)
+        templates, [[digits[atom] for atom in _atoms(name)] for name in templates],
+        list(values), S)
     logger.debug("froze %d state(s) of %d template(s): %d distinct value(s) read, "
                  "%d feature(s)", S, len(templates), len(values), len(features))
     ids = np.column_stack([fired, len(features) + np.array(codes, dtype=np.intp)])

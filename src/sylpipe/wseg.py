@@ -39,7 +39,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .model import DataError, Sentence
+from .model import DataError, FormatError, Sentence, split_form
 from .seqlabel import TrainingError, _tuple_codes, word_shape
 
 logger = logging.getLogger(__name__)
@@ -382,11 +382,12 @@ def segment(model, syllables):
 
 
 def words_to_decisions(words):
-    """Gold words -> (syllables, gold join/split decisions)."""
+    """Gold words -> (syllables, gold join/split decisions); a word's
+    syllables are model.split_form's."""
     syllables = []
     decisions = []
     for w, word in enumerate(words):
-        parts = word.split("_")
+        parts = split_form(word)
         if any(not p for p in parts):
             raise DataError(f"bad word form {word!r}")
         for k, p in enumerate(parts):
@@ -406,13 +407,13 @@ def train_segmenter(corpus, window_radius=2, max_rules=200, on_rule=None):
     """Learn a SegmenterModel from gold-segmented sentences.
 
     corpus: list of sentences, each a list of word forms ("_"-joined
-    syllables). The lexicon collects every gold word; rules are then learned
-    greedily, each strictly reducing the corpus boundary-error count. The
-    corpus is laid end to end once, by the row builder segment uses (_rows):
-    one set of rows, a gold decision row beside it, one positions map and
-    one set of unjoinable boundaries. Candidates are read from those rows,
-    and each is tried by one _apply over them; a rejected one is undone in
-    the live decision row.
+    syllables, split_form). The lexicon collects every gold word but the
+    lone "_"; rules are then learned greedily, each strictly reducing the
+    corpus boundary-error count. The corpus is laid end to end once, by the
+    row builder segment uses (_rows): one set of rows, a gold decision row
+    beside it, one positions map and one set of unjoinable boundaries.
+    Candidates are read from those rows, and each is tried by one _apply
+    over them; a rejected one is undone in the live decision row.
 
     Each round ranks the candidates, the (action, template, values) found at
     a wrong boundary, by an estimate, and tries them best first until one
@@ -444,7 +445,8 @@ def train_segmenter(corpus, window_radius=2, max_rules=200, on_rule=None):
     if not gold_sentences:
         raise TrainingError("segmentation training corpus is empty")
 
-    lexicon = Lexicon(tuple(w.split("_")) for w in words)
+    # The one-syllable word "_" holds no join, and a lexicon entry cannot.
+    lexicon = Lexicon(w.split("_") for w in words if w != "_")
     templates = templates_for_radius(window_radius)
     slots = [[(_ROW[kind], off) for kind, off in TEMPLATES[tpl]] for tpl in templates]
     sentences = [syllables for syllables, _ in gold_sentences]
@@ -541,9 +543,15 @@ def read_segmented_corpus(path):
 
 
 def parse_segmented_corpus(text):
+    """The sentences of read_segmented_corpus's text. A word with an empty
+    syllable (split_form), such as "__", "Hà_" or "_Nội", raises FormatError
+    naming its line; the lone "_" is the one-syllable word "_"."""
     corpus = []
-    for line in unicodedata.normalize("NFC", text).split("\n"):
+    for line_no, line in enumerate(unicodedata.normalize("NFC", text).split("\n"), start=1):
         words = line.split()
+        for word in words:
+            if not all(split_form(word)):
+                raise FormatError(f"bad word form {word!r}", line=line_no)
         if words:
             corpus.append(words)
     return corpus

@@ -43,14 +43,32 @@ class TestTrain:
         assert main(["train", "wseg", "-corpus", str(corpus), "-models", str(tmp_path)]) == 4
 
     @pytest.mark.parametrize("text, message", [
-        ("a b\nc _ d\n", "sentence 2: bad word form '_'"),
-        ("x__y z\n", "sentence 1: bad word form 'x__y'"),
+        ("a b\n\nc __ d\n", "line 3: bad word form '__'"),
+        ("x__y z\n", "line 1: bad word form 'x__y'"),
     ])
-    def test_bad_word_form_named_with_its_sentence(self, tmp_path, capsys, text, message):
+    def test_bad_word_form_named_with_its_line(self, tmp_path, capsys, text, message):
         corpus = tmp_path / "seg.txt"
         corpus.write_text(text, encoding="utf-8")
         assert main(["train", "wseg", "-corpus", str(corpus), "-models", str(tmp_path)]) == 4
         assert message in capsys.readouterr().err
+
+    def test_wseg_trains_on_the_lone_underscore_annotate_writes(self, cli_models, tmp_path):
+        # annotate writes a lone "_" as the one-syllable word "_"; its forms,
+        # space-separated, are a segmentation corpus.
+        text, out = tmp_path / "in.txt", tmp_path / "out.txt"
+        text.write_text("Tôi _ đi học.\n", encoding="utf-8")
+        assert main(["annotate", "-fin", str(text), "-fout", str(out),
+                     "-models", cli_models]) == 0
+        forms = [line.split("\t")[1] for line in out.read_text(encoding="utf-8").splitlines()
+                 if line]
+        assert "_" in forms
+        corpus = tmp_path / "seg.txt"
+        corpus.write_text(" ".join(forms) + "\n", encoding="utf-8")
+        models = tmp_path / "models"
+        assert main(["train", "wseg", "-corpus", str(corpus), "-models", str(models)]) == 0
+        model = wseg.load_segmenter(models / "wseg.model")
+        assert ("_",) not in model.lexicon
+        assert wseg.segment(model, forms).forms == forms
 
     def test_internal_value_error_exits_5(self, tmp_path, monkeypatch, capsys):
         def fail(*args, **kwargs):
@@ -301,6 +319,16 @@ class TestEval:
         assert main(["eval", "wseg", "-gold", str(gold), "-models", cli_models]) == 0
         out = capsys.readouterr().out.splitlines()
         assert "gold_words=3" in out and "predicted_words=3" in out
+
+    @pytest.mark.parametrize("source", ["-models", "-pred"])
+    def test_wseg_gold_with_an_empty_syllable(self, cli_models, tmp_path, capsys, source):
+        # "__" is no word: neither three empty syllables nor an error that
+        # names no line.
+        gold = tmp_path / "gold.txt"
+        gold.write_text("a b\nx __ y\n", encoding="utf-8")
+        assert main(["eval", "wseg", "-gold", str(gold), source,
+                     cli_models if source == "-models" else str(gold)]) == 4
+        assert "line 2: bad word form '__'" in capsys.readouterr().err
 
     def test_pred_file_comparison(self, cli_models, tmp_path, capsys):
         gold = os.path.join(TOY_DIR, "pos.tsv")

@@ -1,4 +1,6 @@
+import cProfile
 import logging
+import pstats
 import random
 import re
 import sys
@@ -459,30 +461,79 @@ class TestLegalityTable:
         assert codes == {0, 1, 2, 3}
 
 
+def assert_trainer_and_decoder_agree(treebank, use_ner):
+    """At every oracle state, the trainer's frozen column holds the ids that
+    _lockstep_scores gives the state: its feature ids, sorted, then its
+    mask row's."""
+    relations = sorted({rel for s in treebank for rel in s.column("dep_label")})
+    action_index = {a: i for i, a in enumerate(depparse._actions(relations))}
+    feature_index, ids, gold, bounds = depparse._freeze(treebank, action_index, use_ner)
+    F = len(feature_index)
+    model = ParserModel(relations, feature_index, np.zeros((F, len(action_index))),
+                        use_ner_features=use_ner, root_labels=relations)
+    compiled = model._compiled
+    j = 0
+    for sentence in treebank:
+        values = compiled.sentence_values(sentence, use_ner)
+        for state in oracle_states(sentence):
+            column = ids[:, j]
+            expected = sorted(i for i in compiled.state_ids(state, values) if i >= 0)
+            assert column[column >= 0].tolist() == \
+                expected + [F + depparse._mask_code(state)]
+            j += 1
+    assert j == ids.shape[1] == len(gold) == bounds[-1]
+    return feature_index
+
+
+# A reordered subset of the parser's templates, the NER ones last.
+SOME_TEMPLATES = ("b0lv", "s0p|b0p|dist", "b1w", "s1p|s0p|b0p", "s0w", "dist",
+                  "b0p|b1p", "s0lcp", "b2p", "s0w|b0w", "ner:s0n|b0n", "ner:b0n")
+
+
 class TestTrainerIds:
     @pytest.mark.parametrize("use_ner", [False, True])
     def test_trainer_and_decoder_give_a_state_the_same_ids(self, toy_treebank, use_ner):
         # The trainer scores its frozen columns with the array decoding
         # reads, so each column holds the ids _lockstep_scores gives the
-        # state: its feature ids, sorted, then its mask row's.
+        # state.
         treebank = [s for s in toy_treebank if is_projective(s.column("head"))]
-        relations = sorted({rel for s in treebank for rel in s.column("dep_label")})
-        action_index = {a: i for i, a in enumerate(depparse._actions(relations))}
-        feature_index, ids, gold, bounds = depparse._freeze(treebank, action_index, use_ner)
-        F = len(feature_index)
-        model = ParserModel(relations, feature_index, np.zeros((F, len(action_index))),
-                            use_ner_features=use_ner, root_labels=relations)
-        compiled = model._compiled
-        j = 0
-        for sentence in treebank:
-            values = compiled.sentence_values(sentence, use_ner)
+        assert_trainer_and_decoder_agree(treebank, use_ner)
+
+    @pytest.mark.parametrize("use_ner", [False, True])
+    def test_one_template_table_drives_both(self, toy_treebank, monkeypatch, use_ner):
+        # Decoding and the freeze both follow _TEMPLATES, whatever it holds.
+        monkeypatch.setattr(depparse, "_TEMPLATES", SOME_TEMPLATES)
+        treebank = [s for s in toy_treebank if is_projective(s.column("head"))]
+        feature_index = assert_trainer_and_decoder_agree(treebank, use_ner)
+        fired = {f.split("=", 1)[0] for f in feature_index}
+        assert fired == {t for t in SOME_TEMPLATES if use_ner or not t.startswith("ner:")}
+
+    @pytest.mark.parametrize("use_ner", [False, True])
+    def test_state_features_fire_the_table_in_order(self, toy_treebank, use_ner):
+        templates = depparse._TEMPLATES if use_ner else depparse._TEMPLATES[:-3]
+        for sentence in toy_treebank:
             for state in oracle_states(sentence):
-                column = ids[:, j]
-                expected = sorted(i for i in compiled.state_ids(state, values) if i >= 0)
-                assert column[column >= 0].tolist() == \
-                    expected + [F + depparse._mask_code(state)]
-                j += 1
-        assert j == ids.shape[1] == len(gold) == bounds[-1]
+                fired = state_features(state, sentence.tokens, use_ner)
+                assert [f.split("=", 1)[0] for f in fired] == list(templates)
+
+    def test_generated_state_ids_keeps_its_name_and_runs_from_its_source(
+            self, toy_treebank, parse_model):
+        compiled = parse_model._compiled
+        state_ids = compiled.state_ids
+        assert state_ids.__name__ == state_ids.__qualname__ == "state_ids"
+        names, source, _ = depparse._state_ids_code(depparse._TEMPLATES)
+        assert compiled.source == source
+        namespace = dict(zip(names, compiled.tables))
+        exec(compile(compiled.source, "<state_ids>", "exec"), namespace)
+        for use_ner in (False, True):
+            for sentence in toy_treebank[:5]:
+                values = compiled.sentence_values(sentence, use_ner)
+                for state in oracle_states(sentence):
+                    assert namespace["state_ids"](state, values) == state_ids(state, values)
+        # cProfile names it as it names a function written by hand.
+        profile = cProfile.Profile()
+        profile.runcall(parse_sentences, parse_model, toy_treebank[:3])
+        assert "state_ids" in {name for _, _, name in pstats.Stats(profile).stats}
 
 
 class TestTrainParser:

@@ -288,13 +288,21 @@ class TestTraining:
             train_segmenter([])
 
     @pytest.mark.parametrize("corpus, message", [
-        ([["a", "_", "b"]], "sentence 1: bad word form '_'"),
+        ([["a", "__", "b"]], "sentence 1: bad word form '__'"),
         ([[], ["a_b"], ["x__y", "z"]], "sentence 3: bad word form 'x__y'"),
         ([["a_b"], ["c_"]], "sentence 2: bad word form 'c_'"),
     ])
     def test_bad_word_named_with_its_sentence(self, corpus, message):
         with pytest.raises(DataError, match=re.escape(message)):
             train_segmenter(corpus)
+
+    def test_lone_underscore_is_a_word_outside_the_lexicon(self):
+        # The one-syllable word "_" (model.split_form) holds no join.
+        assert words_to_decisions(["a", "_", "b_c"]) == (
+            ["a", "_", "b", "c"], [wseg.SPLIT, wseg.SPLIT, wseg.JOIN])
+        model = train_segmenter([["a", "_", "b_c"], ["_", "b_c"]])
+        assert set(model.lexicon.entries) == {("a",), ("b", "c")}
+        assert segment(model, ["_", "b", "c"]).forms == ["_", "b_c"]
 
     def test_logs_each_rule_round(self, caplog):
         # One DEBUG line a round: the candidates, the ones estimated to help,
