@@ -6,7 +6,9 @@ alignment error, 5 unexpected internal error.
 
 Exit 4 covers model.DataError, whose subclasses include FormatError,
 AlignmentError, TrainingError and DecodeError, and input that is not UTF-8.
-Any other ValueError is a fault of the program and exits 5.
+A fault in any corpus file, for train and eval alike, reads "line N:
+<problem> (in <file>)" (model.read_corpus). Any other ValueError is a fault
+of the program and exits 5.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import os
 import sys
 
 from . import bench, depparse, metrics, ner, pos, wseg
-from .model import DataError, dump_six_column, read_six_column, split_form
+from .model import DataError, dump_six_column, read_corpus, read_six_column, split_form
 from .pipeline import (ANNOTATOR_KINDS, MODEL_FILES, ModelLoadError, Pipeline,
                        PipelineConfigError, build_pipeline, load_model)
 from .seqlabel import save_linear_model, tag_sentences
@@ -78,9 +80,7 @@ def cmd_annotate(args):
     _require_input(args.fin)
     annotators = _parse_annotators(args.annotators)
     pipe = build_pipeline(annotators, model_dir=_models_dir(args))
-    with open(args.fin, encoding="utf-8-sig") as fh:
-        text = fh.read()
-    document = pipe.annotate(text)
+    document = pipe.annotate(read_corpus(args.fin))
     with open(args.fout, "w", encoding="utf-8") as fh:
         fh.write(dump_six_column(document.sentences))
     return EXIT_OK
@@ -234,8 +234,7 @@ def cmd_bench(args):
     _require_input(args.fin)
     annotators = _parse_annotators(args.annotators)
     pipe = build_pipeline(annotators, model_dir=_models_dir(args))
-    with open(args.fin, encoding="utf-8-sig") as fh:
-        text = fh.read()
+    text = read_corpus(args.fin)
     rates, words = bench.benchmark_stages(pipe, text, repetitions=args.reps)
     print(f"words: {words}   repetitions: {args.reps} (median)")
     for kind in pipe.order:

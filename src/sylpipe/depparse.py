@@ -54,7 +54,6 @@ import functools
 import itertools
 import logging
 import re
-import unicodedata
 
 import numpy as np
 
@@ -62,8 +61,8 @@ from . import _kernels
 from ._kernels import NEG_INF
 from .linear import (AveragedWeights, ModelFormat, check_epochs, check_weights,
                      train_epochs, weight_rows)
-from .model import DataError, FormatError, Sentence, Token, check_label
-from .seqlabel import TrainingError, freeze_features
+from .model import check_label, read_corpus, sentence_of_rows, tab_blocks
+from .seqlabel import DecodeError, TrainingError, freeze_features
 from .templates import alphabet_tuples
 
 logger = logging.getLogger(__name__)
@@ -624,12 +623,13 @@ def _legal_action_mask(state, n_relations, root_labels, action_index):
     return mask
 
 
-def check_input(sentence, use_ner):
-    """Raise DataError unless sentence carries what the parser reads."""
+def check_input(sentence, use_ner, number=None):
+    """Raise DecodeError, naming the sentence by its 1-based document number,
+    unless the sentence carries what the parser reads."""
     if None in sentence.column("pos_tag"):
-        raise DataError("parsing requires POS tags on every token")
+        raise DecodeError("parsing requires POS tags on every token", number)
     if use_ner and None in sentence.column("ner_label"):
-        raise DataError("this parser uses NER features; run NER first")
+        raise DecodeError("this parser uses NER features; run NER first", number)
 
 
 # Sentences decoded together at most; bounds the (K, B, A) float64 gather
@@ -647,15 +647,16 @@ def parse_sentences(model, sentences, use_ner_features=None):
 
     Empty sentences come back as given. Every other sentence is checked for
     POS tags (and NER labels when the NER features are used) before any is
-    decoded. Tokens left without a head are attached by the fallback rule;
-    their number is logged at DEBUG level when it is not zero.
+    decoded; a fault raises DecodeError naming the sentence. Tokens left
+    without a head are attached by the fallback rule; their number is
+    logged at DEBUG level when it is not zero.
     """
     use_ner = model.use_ner_features if use_ner_features is None else use_ner_features
     out = list(sentences)
     todo = []
     for k, sentence in enumerate(out):
         if len(sentence):
-            check_input(sentence, use_ner)
+            check_input(sentence, use_ner, k + 1)
             todo.append(k)
     repaired = 0
     for lo in range(0, len(todo), LOCKSTEP_SENTENCES):
@@ -952,42 +953,14 @@ def load_parser(path):
                        fallback_label=header["fallback_label"])
 
 
+def parse_conllx(text):
+    """Sentences of 10-column CoNLL-X-style text, taken as given: ID, FORM, _,
+    POS, _, _, HEAD, DEPREL, _, _. A line starting "#" is a comment. A fault
+    raises FormatError naming its line, a sentence's its first line."""
+    return [sentence_of_rows(rows, (0, 1, 3, None, 6, 7))
+            for rows in tab_blocks(text, 10, comments=True)]
+
+
 def read_conllx(path):
-    """10-column CoNLL-X-style import: ID, FORM, _, POS, _, _, HEAD, DEPREL, _, _,
-    normalized to NFC. A fault names its line, a sentence's its first line."""
-    sentences = []
-    rows = []
-    with open(path, encoding="utf-8-sig") as fh:
-        # A blank line after the file's last line ends its last sentence.
-        for line_no, line in enumerate(itertools.chain(fh, [""]), start=1):
-            line = unicodedata.normalize("NFC", line.rstrip("\n"))
-            if not line.strip():
-                if rows:
-                    try:
-                        sentences.append(Sentence(rows))
-                    except ValueError as exc:
-                        raise FormatError(str(exc), line=first) from exc
-                    rows = []
-                continue
-            if line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) != 10:
-                raise FormatError(f"expected 10 tab-separated columns, got {len(cols)}",
-                                  line=line_no)
-            try:
-                idx = int(cols[0])
-                head = int(cols[6])
-            except ValueError:
-                raise FormatError("non-numeric index or head", line=line_no) from None
-            if idx != len(rows) + 1:
-                raise FormatError(f"token index {idx} breaks the 1..n sequence",
-                                  line=line_no)
-            if not rows:
-                first = line_no
-            try:
-                rows.append(Token(index=idx, form=cols[1], pos_tag=cols[3],
-                                  head=head, dep_label=cols[7]))
-            except ValueError as exc:
-                raise FormatError(str(exc), line=line_no) from exc
-    return sentences
+    """parse_conllx of a file read by model.read_corpus."""
+    return read_corpus(path, parse_conllx)

@@ -10,6 +10,13 @@ A Sentence stores its tokens as columns, one tuple per field. The stages
 add a column each (with_pos_tags, with_ner_labels, with_parse), share the
 columns they leave alone and check only the new one. A sentence built from
 Tokens keeps them; any other gives a Token view of its columns on each read.
+
+Every corpus file is read one way: read_corpus opens it (UTF-8, a leading
+byte-order mark dropped, NFC) and names the file in a FormatError its
+parser raises; the text parsers take their text as given. tab_blocks splits
+tab-separated text into blank-line blocks and checks each line's width, and
+sentence_of_rows builds a sentence from index/head rows, for six-column and
+CoNLL-X alike.
 """
 
 from __future__ import annotations
@@ -37,13 +44,16 @@ class DataError(ValueError):
 
 
 class FormatError(DataError):
-    """Malformed six-column text; carries the 1-based offending line number."""
+    """Malformed corpus text: the problem, its 1-based line number and, once
+    read_corpus has read it from a file, the file's path. The message is
+    "line N: <problem>", then the path."""
 
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    def __init__(self, problem, line=None, path=None):
+        message = problem if line is None else f"line {line}: {problem}"
+        super().__init__(message if path is None else f"{message} (in {path})")
+        self.problem = problem
         self.line = line
+        self.path = path
 
 
 # One check per field, shared by Token and by the column checks of Sentence.
@@ -344,73 +354,100 @@ def dump_six_column(sentences):
     return "\n\n".join(blocks) + "\n"
 
 
-def from_six_column(text):
-    """Parse six-column text into sentences.
+def read_corpus(path, parse=str):
+    """parse(text) of a corpus or input file: UTF-8 with a leading byte-order
+    mark dropped, normalized to NFC. A FormatError that parse raises is
+    raised again naming the file."""
+    with open(path, encoding="utf-8-sig") as fh:
+        text = unicodedata.normalize("NFC", fh.read())
+    try:
+        return parse(text)
+    except FormatError as exc:
+        raise FormatError(exc.problem, exc.line, path) from exc
 
-    Inverse of :func:`to_six_column`: "_" reads back as an unset POS/head/
-    relation field. Raises :class:`FormatError` naming the offending line on
-    wrong column counts, non-numeric index/head fields, or index gaps.
-    """
-    sentences = []
-    rows = []
-    block_start = None
 
-    def flush(line_no):
-        nonlocal rows, block_start
-        if not rows:
-            return
+def tab_blocks(text, width, comments=False):
+    """The blank-line separated blocks of tab-separated text, each an iterator
+    over its (line number, fields) rows. A line without `width` fields raises
+    FormatError at its line when the iterator reaches it, so row checks meet
+    faults in line order. With comments, a "#" line is skipped but counted."""
+    lines = enumerate(text.split("\n"), start=1)
+    if comments:
+        lines = (item for item in lines if not item[1].startswith("#"))
+    for blank, block in itertools.groupby(lines, lambda item: not item[1].strip()):
+        if not blank:
+            yield (_tab_fields(line_no, line, width) for line_no, line in block)
+
+
+def _tab_fields(line_no, line, width):
+    fields = line.split("\t")
+    if len(fields) != width:
+        raise FormatError(f"expected {width} tab-separated columns, got {len(fields)}",
+                          line=line_no)
+    return line_no, fields
+
+
+def checked_rows(rows, *checks):
+    """The fields of a tab_blocks block's rows, each row's k-th field passed
+    to checks[k]; a fault raises FormatError at its line."""
+    out = []
+    for line_no, fields in rows:
         try:
-            sentences.append(Sentence(rows))
-        except ValueError as exc:
-            raise FormatError(str(exc), line=block_start) from exc
-        rows = []
-        block_start = None
+            for check, value in zip(checks, fields):
+                check(value)
+        except DataError as exc:
+            raise FormatError(str(exc), line=line_no) from None
+        out.append(fields)
+    return out
 
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            flush(line_no)
-            continue
-        cols = line.split("\t")
-        if len(cols) != 6:
-            raise FormatError(f"expected 6 tab-separated columns, got {len(cols)}",
-                              line=line_no)
-        idx_s, form, pos, ner, head_s, dep = cols
+
+def sentence_of_rows(rows, columns, unset=None):
+    """The Sentence of a tab_blocks block whose rows carry an index and a head.
+
+    columns gives the field positions of the index, form, POS tag, NER label,
+    head and relation, None for a field the format lacks; a POS tag, head or
+    relation equal to `unset` is not set. Indices and heads are integers, the
+    indices 1..n. A field fault raises FormatError at its line, a tree fault
+    at the block's first line."""
+    tokens = []
+    for line_no, fields in rows:
+        index, form, pos_tag, ner_label, head, dep_label = (
+            None if k is None else fields[k] for k in columns)
+        pos_tag, head, dep_label = (None if v == unset else v
+                                    for v in (pos_tag, head, dep_label))
         try:
-            idx = int(idx_s)
+            index = int(index)
         except ValueError:
-            raise FormatError(f"non-numeric token index {idx_s!r}", line=line_no) from None
-        if idx != len(rows) + 1:
-            raise FormatError(f"token index {idx} breaks the 1..n sequence "
-                              f"(expected {len(rows) + 1})", line=line_no)
-        if head_s == "_":
-            head = None
-        else:
-            try:
-                head = int(head_s)
-            except ValueError:
-                raise FormatError(f"non-numeric head index {head_s!r}", line=line_no) from None
+            raise FormatError(f"non-numeric token index {index!r}", line=line_no) from None
+        if index != len(tokens) + 1:
+            raise FormatError(f"token index {index} breaks the 1..n sequence "
+                              f"(expected {len(tokens) + 1})", line=line_no)
         try:
-            token = Token(
-                index=idx,
-                form=form,
-                pos_tag=None if pos == "_" else pos,
-                ner_label=ner,
-                head=head,
-                dep_label=None if dep == "_" else dep,
-            )
-        except ValueError as exc:
+            head = None if head is None else int(head)
+        except ValueError:
+            raise FormatError(f"non-numeric head index {head!r}", line=line_no) from None
+        if not tokens:
+            first = line_no
+        try:
+            tokens.append(Token(index, form, pos_tag, ner_label, head, dep_label))
+        except DataError as exc:
             raise FormatError(str(exc), line=line_no) from exc
-        if block_start is None:
-            block_start = line_no
-        rows.append(token)
-    flush(None)
-    return sentences
+    try:
+        return Sentence(tokens)
+    except DataError as exc:
+        raise FormatError(str(exc), line=first) from exc
+
+
+def from_six_column(text):
+    """Sentences of six-column text, taken as given: the inverse of
+    to_six_column, where "_" reads back as an unset POS tag, head or relation.
+    A fault raises FormatError naming its line (see sentence_of_rows)."""
+    return [sentence_of_rows(rows, range(6), unset="_") for rows in tab_blocks(text, 6)]
 
 
 def read_six_column(path):
-    """from_six_column of a file, normalized to NFC as annotate's input is."""
-    with open(path, encoding="utf-8-sig") as fh:
-        return from_six_column(unicodedata.normalize("NFC", fh.read()))
+    """from_six_column of a file read by read_corpus."""
+    return read_corpus(path, from_six_column)
 
 
 def write_six_column(sentences, path):

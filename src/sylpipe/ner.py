@@ -7,12 +7,12 @@ repair_bio exists for third-party files.
 
 from __future__ import annotations
 
-import unicodedata
 from dataclasses import dataclass
 
-from .model import DataError, Sentence, check_form, check_label, check_ner_label
-from .pos import POS_TEMPLATE_DESCRIPTORS, tag_pos_sentences
-from .seqlabel import (TrainingError, make_templates, tag_sentences,
+from .model import (DataError, Sentence, check_form, check_ner_label, checked_rows,
+                    read_corpus, tab_blocks)
+from .pos import POS_TEMPLATE_DESCRIPTORS, check_tag, tag_pos_sentences
+from .seqlabel import (DecodeError, TrainingError, make_templates, tag_sentences,
                        train_averaged_perceptron)
 
 ENTITY_TYPES = ("PER", "LOC", "ORG", "MISC")
@@ -45,10 +45,11 @@ class EntitySpan:
             raise ValueError(f"bad span boundaries [{self.start}, {self.end}]")
 
 
-def check_input(sentence):
-    """Raise DataError unless every token carries the POS tag NER reads."""
+def check_input(sentence, number=None):
+    """Raise DecodeError, naming the sentence by its 1-based document number,
+    unless every token carries the POS tag NER reads."""
     if None in sentence.column("pos_tag"):
-        raise DataError("NER tagging requires POS tags on every token")
+        raise DecodeError("NER tagging requires POS tags on every token", number)
 
 
 def tag_ner(model, sentence):
@@ -59,10 +60,11 @@ def tag_ner(model, sentence):
 def tag_ner_sentences(model, sentences):
     """tag_ner of every sentence, decoded as one document (seqlabel.tag_sentences).
 
-    Every sentence is checked before any is decoded.
+    Every sentence is checked before any is decoded; a sentence without POS
+    tags raises DecodeError naming it.
     """
-    for sentence in sentences:
-        check_input(sentence)
+    for k, sentence in enumerate(sentences, start=1):
+        check_input(sentence, k)
     return [sent.with_ner_labels(labels) if labels else sent
             for sent, labels in zip(sentences, tag_sentences(model, sentences))]
 
@@ -195,40 +197,16 @@ def replace_gold_pos_with_predicted(corpus, pos_model):
 
 
 def parse_three_column(text):
-    """Parse "form<TAB>pos<TAB>bio" lines into POS-tagged sentences.
-
-    A bad column raises TrainingError naming its line."""
-    sentences = []
-    rows = []
-
-    def flush():
-        nonlocal rows
-        if rows:
-            sentences.append(Sentence.from_columns(*zip(*rows)))
-            rows = []
-
-    for line_no, line in enumerate(unicodedata.normalize("NFC", text).split("\n"), start=1):
-        if not line.strip():
-            flush()
-            continue
-        cols = line.split("\t")
-        if len(cols) != 3:
-            raise TrainingError(f"line {line_no}: expected 3 tab-separated columns, "
-                                f"got {len(cols)}")
-        try:
-            check_form(cols[0])
-            check_label(cols[1], "POS tag")
-            check_ner_label(cols[2])
-        except DataError as exc:
-            raise TrainingError(f"line {line_no}: {exc}") from None
-        rows.append(cols)
-    flush()
-    return sentences
+    """Parse "form<TAB>pos<TAB>bio" lines into POS-tagged sentences, taking the
+    text as given. A bad column raises FormatError naming its line."""
+    return [Sentence.from_columns(*zip(*checked_rows(rows, check_form, check_tag,
+                                                     check_ner_label)))
+            for rows in tab_blocks(text, 3)]
 
 
 def read_three_column(path):
-    with open(path, encoding="utf-8-sig") as fh:
-        return parse_three_column(fh.read())
+    """parse_three_column of a file read by model.read_corpus."""
+    return read_corpus(path, parse_three_column)
 
 
 def dump_three_column(sentences):
@@ -252,11 +230,6 @@ def training_pairs(sentences):
 
 
 def read_gazetteer(path):
-    """One entry per line; entries are word forms with "_"-joined syllables."""
-    entries = set()
-    with open(path, encoding="utf-8-sig") as fh:
-        for line in fh:
-            entry = unicodedata.normalize("NFC", line.strip())
-            if entry:
-                entries.add(entry)
-    return frozenset(entries)
+    """One entry per line of a file read by model.read_corpus, surrounding
+    whitespace dropped; entries are word forms with "_"-joined syllables."""
+    return frozenset(filter(None, map(str.strip, read_corpus(path).split("\n"))))

@@ -97,8 +97,8 @@ class Pipeline:
         """One annotator over a document: its sentences, or syllable lists for wseg.
 
         Failures name the stage and, where one is to blame, the 1-based
-        sentence. The taggers and the parser decode the whole document at
-        once, so their input is checked first, sentence by sentence.
+        sentence: the taggers and the parser decode the whole document at
+        once, and their DecodeError, for an input fault too, names it.
         """
         model = self.models[kind]
         if kind == "wseg":
@@ -110,23 +110,14 @@ class Pipeline:
                     raise AnnotationError(kind, k, exc) from exc
             return out
         if kind == "pos":
-            check = None
             decode = pos.tag_pos_sentences
         elif kind == "ner":
-            check = ner.check_input
             decode = ner.tag_ner_sentences
         elif kind == "parse":
-            use_ner = self.parser_uses_ner()
-            check = functools.partial(depparse.check_input, use_ner=use_ner)
-            decode = functools.partial(depparse.parse_sentences, use_ner_features=use_ner)
+            decode = functools.partial(depparse.parse_sentences,
+                                       use_ner_features=self.parser_uses_ner())
         else:
             raise PipelineConfigError(f"unknown annotator {kind!r}")
-        if check is not None:
-            for k, sent in enumerate(sentences, start=1):
-                try:
-                    check(sent)
-                except ValueError as exc:
-                    raise AnnotationError(kind, k, exc) from exc
         try:
             return decode(model, sentences)
         except Exception as exc:

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import unicodedata
+import functools
 
-from .model import DataError, Sentence, check_form, check_label
-from .seqlabel import (TrainingError, make_templates, tag_sentences,
-                       train_averaged_perceptron)
+from .model import (Sentence, check_form, check_label, checked_rows, read_corpus,
+                    tab_blocks)
+from .seqlabel import make_templates, tag_sentences, train_averaged_perceptron
 
 # Word-level context, affix, and shape features; every label stays legal at
 # every position.
@@ -18,6 +18,9 @@ POS_TEMPLATE_DESCRIPTORS = (
     "shape@0", "hasdigit@0", "hashyphen@0",
     "isfirst@0", "islast@0",
 )
+
+
+check_tag = functools.partial(check_label, what="POS tag")
 
 
 def pos_templates():
@@ -44,43 +47,18 @@ def train_pos(corpus, epochs=8, shuffle_seed=1, templates=None, on_epoch=None):
 
 
 def parse_two_column(text):
-    """Parse "form<TAB>tag" lines with blank-line sentence separation.
-
-    A bad column raises TrainingError naming its line."""
+    """Parse "form<TAB>tag" lines with blank-line sentence separation, taking
+    the text as given. A bad column raises FormatError naming its line."""
     pairs = []
-    forms = []
-    tags = []
-
-    def flush():
-        nonlocal forms, tags
-        if forms:
-            sent = Sentence.from_columns(forms)
-            pairs.append((sent, tags))
-            forms = []
-            tags = []
-
-    for line_no, line in enumerate(unicodedata.normalize("NFC", text).split("\n"), start=1):
-        if not line.strip():
-            flush()
-            continue
-        cols = line.split("\t")
-        if len(cols) != 2:
-            raise TrainingError(f"line {line_no}: expected 2 tab-separated columns, "
-                                f"got {len(cols)}")
-        try:
-            check_form(cols[0])
-            check_label(cols[1], "POS tag")
-        except DataError as exc:
-            raise TrainingError(f"line {line_no}: {exc}") from None
-        forms.append(cols[0])
-        tags.append(cols[1])
-    flush()
+    for rows in tab_blocks(text, 2):
+        forms, tags = zip(*checked_rows(rows, check_form, check_tag))
+        pairs.append((Sentence.from_columns(forms), list(tags)))
     return pairs
 
 
 def read_two_column(path):
-    with open(path, encoding="utf-8-sig") as fh:
-        return parse_two_column(fh.read())
+    """parse_two_column of a file read by model.read_corpus."""
+    return read_corpus(path, parse_two_column)
 
 
 def dump_two_column(pairs):

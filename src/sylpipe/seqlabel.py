@@ -46,8 +46,9 @@ logger = logging.getLogger(__name__)
 
 
 class DecodeError(DataError):
-    """No legal label sequence; `sentence` is its 1-based number in a
-    document decode (tag_sentences), else None."""
+    """A sentence a decoder cannot annotate: no legal label sequence, or input
+    without a field the model reads. `sentence` is its 1-based number in a
+    document decode (tag_sentences and the NER and parser batches), else None."""
 
     def __init__(self, message, sentence=None):
         super().__init__(message)

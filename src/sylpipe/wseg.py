@@ -39,7 +39,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .model import DataError, FormatError, Sentence, split_form
+from .model import DataError, FormatError, Sentence, read_corpus, split_form
 from .seqlabel import TrainingError, _tuple_codes, word_shape
 
 logger = logging.getLogger(__name__)
@@ -536,18 +536,17 @@ def train_segmenter(corpus, window_radius=2, max_rules=200, on_rule=None):
 
 
 def read_segmented_corpus(path):
-    """One sentence per line, words space-separated, syllables "_"-joined."""
-    with open(path, encoding="utf-8-sig") as fh:
-        text = fh.read()
-    return parse_segmented_corpus(text)
+    """parse_segmented_corpus of a file read by model.read_corpus."""
+    return read_corpus(path, parse_segmented_corpus)
 
 
 def parse_segmented_corpus(text):
-    """The sentences of read_segmented_corpus's text. A word with an empty
-    syllable (split_form), such as "__", "Hà_" or "_Nội", raises FormatError
-    naming its line; the lone "_" is the one-syllable word "_"."""
+    """One sentence per line, words space-separated, syllables "_"-joined;
+    the text is taken as given. A word with an empty syllable (split_form),
+    such as "__", "Hà_" or "_Nội", raises FormatError naming its line; the
+    lone "_" is the one-syllable word "_"."""
     corpus = []
-    for line_no, line in enumerate(unicodedata.normalize("NFC", text).split("\n"), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         words = line.split()
         for word in words:
             if not all(split_form(word)):

@@ -127,22 +127,38 @@ class TestTrain:
         with open(os.path.join(cli_models, model), "rb") as fh:
             assert (tmp_path / model).read_bytes() == fh.read()
 
-    @pytest.mark.parametrize("option", [[], ["-conllx"]])
-    def test_decomposed_treebank_trains_the_same_model(self, tmp_path, option):
-        with open(os.path.join(TOY_DIR, "parse.conll"), encoding="utf-8") as fh:
+    # Every corpus, the gazetteer too, is read through one NFC rule; the
+    # two parse cases keep their first ids.
+    @pytest.mark.parametrize("task, corpus, option", [
+        pytest.param("parse", "parse.conll", [], id="option0"),
+        pytest.param("parse", "parse.conll", ["-conllx"], id="option1"),
+        pytest.param("wseg", "wseg.txt", [], id="wseg"),
+        pytest.param("pos", "pos.tsv", [], id="pos"),
+        pytest.param("ner", "ner.tsv", [], id="ner"),
+        pytest.param("ner", "ner.tsv", ["-gazetteer"], id="ner-gazetteer"),
+    ])
+    def test_decomposed_treebank_trains_the_same_model(self, tmp_path, task, corpus, option):
+        with open(os.path.join(TOY_DIR, corpus), encoding="utf-8") as fh:
             lines = fh.read().split("\n")
-        if option:
+        if option == ["-conllx"]:
             # ID, FORM, _, POS, _, _, HEAD, DEPREL, _, _ from the six columns.
             lines = ["\t".join((c[0], c[1], "_", c[2], "_", "_", c[4], c[5], "_", "_"))
                      if len(c) == 6 else "" for c in (line.split("\t") for line in lines)]
         models = []
         for form in ("NFC", "NFD"):
             (tmp_path / form).mkdir()
-            corpus = tmp_path / form / "parse.conll"
-            corpus.write_text(unicodedata.normalize(form, "\n".join(lines)), encoding="utf-8")
-            assert main(["train", "parse", "-corpus", str(corpus), *option,
+            path = tmp_path / form / corpus
+            path.write_text(unicodedata.normalize(form, "\n".join(lines)), encoding="utf-8")
+            args = list(option)
+            if option == ["-gazetteer"]:
+                gazetteer = tmp_path / form / "gazetteer.txt"
+                gazetteer.write_text(unicodedata.normalize(form, "Hà_Nội\nViệt_Nam\n"),
+                                     encoding="utf-8")
+                args.append(str(gazetteer))
+            assert main(["train", task, "-corpus", str(path), *args,
                          "-models", str(tmp_path / form), "-epochs", "12"]) == 0
-            models.append((tmp_path / form / "parse.model").read_bytes())
+            models.append((tmp_path / form / f"{task}.model").read_bytes())
+        assert unicodedata.normalize("NFD", "\n".join(lines)) != "\n".join(lines)
         assert models[0] == models[1]
 
     @pytest.mark.parametrize("text, fault", [
@@ -152,7 +168,13 @@ class TestTrain:
         ("1\ta\t_\tN\t_\t_\t0\troot\t_\t_\n\n# two roots\n"
          "1\ta\t_\tN\t_\t_\t0\troot\t_\t_\n2\tb\t_\tN\t_\t_\t0\troot\t_\t_\n",
          "line 4: expected exactly one root-attached token, got [1, 2]"),
-    ], ids=["pos_tag", "self_head", "two_roots"])
+        ("1\ta\t_\tN\t_\t_\t0\troot\t_\n", "line 1: expected 10 tab-separated columns, got 9"),
+        ("1\ta\t_\tN\t_\t_\t0\troot\t_\t_\n\nx\tb\t_\tN\t_\t_\t0\troot\t_\t_\n",
+         "line 3: non-numeric token index 'x'"),
+        ("1\ta\t_\tN\t_\t_\tz\troot\t_\t_\n", "line 1: non-numeric head index 'z'"),
+        ("# a comment\n1\ta\t_\tN\t_\t_\t0\troot\t_\t_\n3\tb\t_\tN\t_\t_\t1\tdep\t_\t_\n",
+         "line 3: token index 3 breaks the 1..n sequence (expected 2)"),
+    ], ids=["pos_tag", "self_head", "two_roots", "width", "index", "head", "gap"])
     def test_conllx_fault_names_its_line(self, tmp_path, capsys, text, fault):
         corpus = tmp_path / "parse.conllx"
         corpus.write_text(text, encoding="utf-8")
@@ -390,6 +412,23 @@ class TestEval:
         gold.write_text("Hà\tNp\tB-LOC\n", encoding="utf-8")
         assert main(["eval", "ner", "-gold", str(gold), "-pred", str(pred)]) == 4
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("task, good, bad, fault", [
+        ("wseg", "a b\n", "a__ b\n", "line 1: bad word form 'a__'"),
+        ("pos", "a\tN\nb\tV\nc\tN\n", "a\tN\nb\tV\nc\t\n", "line 3: bad POS tag ''"),
+        ("ner", "Hà\tNp\tB-LOC\n", "Hà\tNp\tX-LOC\n", "line 1: bad NER label 'X-LOC'"),
+        ("parse", "1\ta\tN\tO\t0\troot\n", "1\ta\tN\tO\tx\troot\n",
+         "line 1: non-numeric head index 'x'"),
+    ], ids=["wseg", "pos", "ner", "parse"])
+    def test_bad_prediction_file_is_named(self, tmp_path, capsys, task, good, bad, fault):
+        gold = tmp_path / "gold.txt"
+        pred = tmp_path / "pred.txt"
+        gold.write_text(good, encoding="utf-8")
+        pred.write_text(bad, encoding="utf-8")
+        assert main(["eval", task, "-gold", str(gold), "-pred", str(pred)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {fault}")
+        assert str(pred) in err and str(gold) not in err
 
     def test_input_not_utf8_exits_4(self, tmp_path):
         gold = tmp_path / "gold.tsv"

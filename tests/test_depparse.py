@@ -736,6 +736,9 @@ class TestSerialization:
         assert [t.head for t in bank[0]] == [t.head for t in toy_treebank[0]]
         path.write_text("\ufeff" + "\n".join(lines), encoding="utf-8")
         assert depparse.read_conllx(path) == bank
+        # A comment line between a sentence's tokens leaves the sentence whole.
+        path.write_text("\n".join(lines[:2] + ["# a comment"] + lines[2:]), encoding="utf-8")
+        assert depparse.read_conllx(path) == bank
 
 
 def test_speed_smoke(seg_model, pos_model, parse_model):

@@ -254,10 +254,11 @@ class TestFromSixColumn:
         assert from_six_column("\n\n") == []
 
     def test_five_columns_error(self):
-        bad = "1\ta\tN\tO\t0"
-        with pytest.raises(FormatError) as exc:
-            from_six_column(bad)
-        assert exc.value.line == 1
+        # A "#" line is no comment in six-column text but a one-column line.
+        for bad, line in (("1\ta\tN\tO\t0", 1), ("1\ta\tN\tO\t0\troot\n# note\n", 2)):
+            with pytest.raises(FormatError, match="expected 6 tab-separated columns") as exc:
+                from_six_column(bad)
+            assert exc.value.line == line
 
     def test_error_names_line(self):
         text = "1\ta\tN\tO\t0\troot\n\n1\tb\tN\tO\t0\troot\nbad line here"

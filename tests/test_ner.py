@@ -6,8 +6,8 @@ import pytest
 from helpers import random_form_sentence, random_linear_model
 from sylpipe import ner, pos
 from sylpipe.metrics import chunk_f1
-from sylpipe.model import Sentence, Token
-from sylpipe.seqlabel import LinearModel, TrainingError, viterbi_decode
+from sylpipe.model import FormatError, Sentence, Token
+from sylpipe.seqlabel import LinearModel, viterbi_decode
 
 
 def tagged(*pairs):
@@ -187,7 +187,7 @@ class TestCorpusIO:
         assert ner.parse_three_column(text) == list(toy_ner_sentences)
 
     def test_wrong_columns(self):
-        with pytest.raises(TrainingError):
+        with pytest.raises(FormatError):
             ner.parse_three_column("a\tN\n")
 
     @pytest.mark.parametrize("row, problem", [
@@ -198,7 +198,7 @@ class TestCorpusIO:
         ("b\tV\tB-", "bad NER label 'B-'"),
     ])
     def test_bad_column_names_the_line(self, row, problem):
-        with pytest.raises(TrainingError, match=re.escape(f"line 3: {problem}")):
+        with pytest.raises(FormatError, match=re.escape(f"line 3: {problem}")):
             ner.parse_three_column(f"a\tN\tO\n\n{row}\nc\tN\tO\n")
 
     def test_training_pairs_strip_labels(self, toy_ner_sentences):

@@ -252,6 +252,19 @@ class TestAnnotate:
             pipe.annotate(text)
         assert exc.value.sentence_index == 2
 
+    def test_each_stage_checks_its_input_once(self, model_dir, monkeypatch):
+        pipe = build_pipeline(model_dir=model_dir)
+        text = "Họ làm việc ở Hà Nội .\nÔng Lê Văn Minh viết về nhà máy tính ."
+        checks = []
+        for owner in (ner, depparse):
+            def counted(sentence, *args, _check=owner.check_input, _stage=owner.__name__):
+                checks.append(_stage)
+                return _check(sentence, *args)
+            monkeypatch.setattr(owner, "check_input", counted)
+        sentences = len(pipe.annotate(text).sentences)
+        assert sentences == 2
+        assert sorted(checks) == ["sylpipe.depparse"] * 2 + ["sylpipe.ner"] * 2
+
     def test_no_legal_label_sequence_names_the_sentence(self):
         # A BIO model whose only label is I-PER has no legal sequence for
         # any non-empty sentence; the empty first sentence decodes.

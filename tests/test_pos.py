@@ -5,8 +5,8 @@ import pytest
 
 from sylpipe import pos, wseg
 from sylpipe.metrics import tagging_accuracy
-from sylpipe.model import Sentence, Token
-from sylpipe.seqlabel import TrainingError, save_linear_model
+from sylpipe.model import FormatError, Sentence, Token
+from sylpipe.seqlabel import save_linear_model
 
 
 def plain(*forms):
@@ -21,12 +21,12 @@ class TestParseTwoColumn:
         assert sent.forms == ["a", "b"] and tags == ["N", "V"]
 
     def test_wrong_columns(self):
-        with pytest.raises(TrainingError):
+        with pytest.raises(FormatError):
             pos.parse_two_column("a\tN\tX\n")
 
     @pytest.mark.parametrize("tag", ["_", "", "N\r"])
     def test_tag_that_cannot_round_trip_names_the_line(self, tag):
-        with pytest.raises(TrainingError, match=re.escape(f"line 3: bad POS tag {tag!r}")):
+        with pytest.raises(FormatError, match=re.escape(f"line 3: bad POS tag {tag!r}")):
             pos.parse_two_column(f"a\tN\n\nb\t{tag}\n")
 
     @pytest.mark.parametrize("form, problem", [
@@ -34,7 +34,7 @@ class TestParseTwoColumn:
         ("", "token form must be non-empty"),
     ])
     def test_bad_form_names_the_line(self, form, problem):
-        with pytest.raises(TrainingError, match=re.escape(f"line 2: {problem}")):
+        with pytest.raises(FormatError, match=re.escape(f"line 2: {problem}")):
             pos.parse_two_column(f"a\tN\n{form}\tV\nc\tN\n")
 
     def test_dump_round_trip(self, toy_pos_corpus):

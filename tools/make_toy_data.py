@@ -5,8 +5,12 @@ Every sentence carries a full annotation row set (form, POS, NER, head,
 relation), rendered into the per-task training formats. The script verifies
 that the toy corpora are actually learnable to the advertised levels before
 writing anything, so the frozen files stay in sync with the trainers.
+
+    python tools/make_toy_data.py          # rebuild, verify, write tests/data
+    python tools/make_toy_data.py --check  # rebuild, verify, compare; write nothing
 """
 
+import argparse
 import os
 import sys
 import unicodedata
@@ -344,20 +348,52 @@ def verify(sentences):
     print("demo sentence reproduced exactly by the toy pipeline")
 
 
-def main():
+def toy_files(sentences):
+    """Every file the script writes, by path under tests/data."""
+    files = render_files(sentences)
+    files.update(demo_files(sentences))
+    return files
+
+
+def drifted(files):
+    """The paths of files whose copy under tests/data differs byte for byte."""
+    drift = []
+    for rel, content in files.items():
+        try:
+            with open(os.path.join(DATA_DIR, rel), "rb") as fh:
+                same = fh.read() == content.encode("utf-8")
+        except FileNotFoundError:
+            same = False
+        if not same:
+            drift.append(rel)
+    return drift
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="build and verify in memory, compare with tests/data "
+                             "byte for byte and write nothing; exit 1 on drift")
+    args = parser.parse_args(argv)
     sentences = build_sentences()
     print(f"{len(sentences)} sentences, "
           f"{sum(len(s) for s in sentences)} tokens")
     verify(sentences)
-    files = render_files(sentences)
-    files.update(demo_files(sentences))
+    files = toy_files(sentences)
+    if args.check:
+        drift = drifted(files)
+        for rel in drift:
+            print(f"drifted: {os.path.join(DATA_DIR, rel)}")
+        print(f"{len(files) - len(drift)} of {len(files)} files match tests/data")
+        return 1 if drift else 0
     os.makedirs(os.path.join(DATA_DIR, "toy"), exist_ok=True)
     for rel, content in files.items():
         path = os.path.join(DATA_DIR, rel)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(content)
         print(f"wrote {path}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
