@@ -6,12 +6,11 @@ many lattices at once. The tagger trainers decode one sentence at a time
 with viterbi_path; the parser trainer scores and masks all states of a
 sentence after its last update in one sum_rows gather. Both trainers and
 the taggers' decode pack their ids into sum_rows' layout with pack_ids.
-row_sum, the sum for one position or state, stays: the string-path
-reference (seqlabel's reference_emission_matrix) calls it,
-perfbench/tracing.py looks it up by name, and on a single row it is faster
-than a one-column sum_rows. row_sum and sum_rows add the rows in id order
-from a +0.0 start, and viterbi_path and viterbi_paths make the same
-additions on the same operands, so each batch kernel equals its
+row_sum, the sum for one position or state, is a one-column sum_rows: the
+string-path reference (seqlabel's reference_emission_matrix) calls it, and
+perfbench/tracing.py looks it up by name. sum_rows adds the rows in id
+order from a +0.0 start, and viterbi_path and viterbi_paths make the same
+additions on the same operands, so the Viterbi batch kernel equals its
 one-sentence kernel bit for bit for any weights, float weights included.
 The plain loops in tests/kernel_oracle.py pin both.
 
@@ -135,18 +134,12 @@ def viterbi_paths(emissions, lengths, transitions, start_trans):
 
 
 def row_sum(weights, ids, out=None):
-    """Sum the `ids` rows of `weights` into a length-L vector, in id order from +0.0.
-
-    Summing (k, L) over axis 0 adds the k rows in order from +0.0 when
-    L > 1; a single column would be summed pairwise, so L == 1 takes a
-    cumulative sum, which is sequential (see _sequential_sum).
-    """
+    """Sum the `ids` rows of `weights` into a length-L vector, in id order
+    from +0.0: a one-column sum_rows, written into out if it is given."""
+    total = sum_rows(weights, np.asarray(ids, dtype=np.intp)[:, None])[0]
     if out is None:
-        out = np.empty(weights.shape[1])
-    if weights.shape[1] == 1:
-        out[:] = _sequential_sum(weights[ids])
-    else:
-        np.sum(weights[ids], axis=0, out=out)
+        return total
+    out[:] = total
     return out
 
 
@@ -167,7 +160,7 @@ def pack_ids(ids):
     """Pack an (N, W) array of feature ids, -1 where none, for sum_rows: (K, N).
 
     Column n holds the distinct ids of row n in ascending order, the order
-    row_sum is given them, with -1 in place of a repeat and as padding; the
+    sum_rows adds them in, with -1 in place of a repeat and as padding; the
     columns of padding that every row starts with are dropped: once the rows
     are sorted, the column maxima ascend, and those columns' are below 0.
     Sorts ids in place and returns a transposed view of it: sum_rows reads
@@ -182,17 +175,18 @@ def pack_ids(ids):
 
 
 def sum_rows(weights, packed):
-    """(T, L) array whose row t is row_sum(weights, ids of position t), bit for bit.
+    """(T, L) array whose row t sums the rows of weights at the ids of
+    position t, in their order from +0.0, as tests/kernel_oracle.py adds.
 
     weights ends in a row of zeros. packed is (K, T): column t holds the
-    ids of position t in the order row_sum is given them, and -1 as
-    padding, which may sit anywhere in the column and reads the zero row.
-    One gather into a (K, T, L) array, summed over K: numpy adds the K
-    slices in order from a +0.0 start, as row_sum does, and each padding
-    slot adds +0.0, which leaves a partial sum from +0.0 unchanged.
-    (np.add.reduceat would be faster but is not exact.) When T == L == 1
-    the slices are single numbers that numpy would sum pairwise, so L == 1
-    takes the cumulative sum that row_sum uses.
+    ids of position t in the order they are added, and -1 as padding,
+    which may sit anywhere in the column and reads the zero row. One gather
+    into a (K, T, L) array, summed over K: numpy adds the K slices in order
+    from a +0.0 start, and each padding slot adds +0.0, which leaves a
+    partial sum from +0.0 unchanged. (np.add.reduceat would be faster but
+    is not exact.) When T == L == 1 the slices are single numbers that
+    numpy would sum pairwise, so L == 1 takes a cumulative sum, which is
+    sequential (see _sequential_sum).
     """
     gathered = weights[packed]
     if weights.shape[1] == 1:

@@ -1,9 +1,12 @@
-"""What the taggers and the parser share: the averaged perceptron and the
-model-file container.
+"""What the models share: the taggers' and the parser's averaged perceptron,
+and the model-file container of every model.
 
 A model file is a magic line, a compact JSON header with sorted keys, the
-feature alphabet one feature per line in id order, a "WEIGHTS" line, then
-the weight arrays as little-endian float64, which end the file.
+alphabet one entry per line in id order, a "WEIGHTS" line, then the weight
+arrays as little-endian float64, which end the file. The taggers (SEQ1) and
+the parser (DEP1) keep their feature alphabet and weights there; the
+segmenter (WSEG2) keeps its lexicon as the alphabet, its rules in the
+header, and no arrays.
 """
 
 from __future__ import annotations
@@ -172,6 +175,7 @@ _FIELD_TYPES = {
     "string list": _strings,
     "string list or null": lambda v: v is None or _strings(v),
     "string pair list": lambda v: isinstance(v, list) and all(_strings(p, 2) for p in v),
+    "string list list": lambda v: isinstance(v, list) and all(map(_strings, v)),
 }
 
 

@@ -406,26 +406,25 @@ def sentence_of_rows(rows, columns, unset=None):
 
     columns gives the field positions of the index, form, POS tag, NER label,
     head and relation, None for a field the format lacks; a POS tag, head or
-    relation equal to `unset` is not set. Indices and heads are integers, the
-    indices 1..n. A field fault raises FormatError at its line, a tree fault
-    at the block's first line."""
+    relation equal to `unset` is not set. Indices and heads are ASCII digits,
+    which write back as read, and the indices are 1..n. A field fault raises
+    FormatError at its line, a tree fault at the block's first line."""
     tokens = []
     for line_no, fields in rows:
         index, form, pos_tag, ner_label, head, dep_label = (
             None if k is None else fields[k] for k in columns)
         pos_tag, head, dep_label = (None if v == unset else v
                                     for v in (pos_tag, head, dep_label))
-        try:
-            index = int(index)
-        except ValueError:
-            raise FormatError(f"non-numeric token index {index!r}", line=line_no) from None
+        if not (index.isascii() and index.isdigit()):
+            raise FormatError(f"non-numeric token index {index!r}", line=line_no)
+        index = int(index)
         if index != len(tokens) + 1:
             raise FormatError(f"token index {index} breaks the 1..n sequence "
                               f"(expected {len(tokens) + 1})", line=line_no)
-        try:
-            head = None if head is None else int(head)
-        except ValueError:
-            raise FormatError(f"non-numeric head index {head!r}", line=line_no) from None
+        if head is not None:
+            if not (head.isascii() and head.isdigit()):
+                raise FormatError(f"non-numeric head index {head!r}", line=line_no)
+            head = int(head)
         if not tokens:
             first = line_no
         try:

@@ -231,5 +231,13 @@ def training_pairs(sentences):
 
 def read_gazetteer(path):
     """One entry per line of a file read by model.read_corpus, surrounding
-    whitespace dropped; entries are word forms with "_"-joined syllables."""
-    return frozenset(filter(None, map(str.strip, read_corpus(path).split("\n"))))
+    whitespace dropped and blank lines skipped. Entries are word forms with
+    "_"-joined syllables: one that check_form refuses, such as "Hà Nội",
+    could match no form and raises FormatError naming its line."""
+    return read_corpus(path, _parse_gazetteer)
+
+
+def _parse_gazetteer(text):
+    lines = enumerate(map(str.strip, text.split("\n")), start=1)
+    return frozenset(entry for (entry,) in checked_rows(
+        ((k, [entry]) for k, entry in lines if entry), check_form))

@@ -67,18 +67,16 @@ def prerequisite_closure(requested):
 class Pipeline:
     """An immutable annotator stack; annotate() is pure and thread-safe."""
 
-    def __init__(self, models, order, use_ner_features_in_parser=True):
+    def __init__(self, models, order):
         self.order = tuple(order)
         self.models = dict(models)
-        self.use_ner_features_in_parser = bool(use_ner_features_in_parser)
         for kind in self.order:
             if kind not in self.models:
                 raise PipelineConfigError(f"no model supplied for annotator {kind!r}")
 
     def parser_uses_ner(self):
         model = self.models.get("parse")
-        return (model is not None and model.use_ner_features
-                and self.use_ner_features_in_parser and "ner" in self.order)
+        return model is not None and model.use_ner_features and "ner" in self.order
 
     def annotate(self, document):
         """Annotate a Document (or raw string); returns a new Document."""
@@ -139,8 +137,7 @@ def load_model(kind, path):
         raise ModelLoadError(f"{kind}: failed to load {path}: {exc}") from exc
 
 
-def build_pipeline(annotators=ANNOTATOR_KINDS, model_dir=None, model_paths=None,
-                   use_ner_features_in_parser=True):
+def build_pipeline(annotators=ANNOTATOR_KINDS, model_dir=None, model_paths=None):
     """Load models and compose the requested annotators plus prerequisites.
 
     Missing prerequisites are inserted automatically (with a log note) so a
@@ -161,9 +158,9 @@ def build_pipeline(annotators=ANNOTATOR_KINDS, model_dir=None, model_paths=None,
             paths[kind] = os.path.join(model_dir, MODEL_FILES[kind])
 
     models = {kind: load_model(kind, paths[kind]) for kind in order}
-    pipe = Pipeline(models, order, use_ner_features_in_parser)
+    pipe = Pipeline(models, order)
     parse_model = models.get("parse")
     if parse_model is not None and parse_model.use_ner_features and not pipe.parser_uses_ner():
         logger.info("parser was trained with NER features but they are disabled "
-                    "for this pipeline (ner missing or toggled off)")
+                    "for this pipeline (no ner stage)")
     return pipe

@@ -25,6 +25,11 @@ corpus boundary are numbered once, and each round counts, with one bincount
 per template, the wrong minus the right boundaries of every (number, flip
 direction). The tries stay exact: each candidate is applied by one _apply
 over the corpus and undone unless it lowers the error count.
+
+A model file is SYLPIPE-WSEG2, in the container of every model file
+(linear.ModelFormat): the sorted lexicon entries, syllables space-separated,
+are its alphabet, its header holds the radius and the rules as [action,
+template, score, *values], and it has no weight arrays.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from .linear import ModelFormat, _corrupt
 from .model import DataError, FormatError, Sentence, read_corpus, split_form
 from .seqlabel import TrainingError, _tuple_codes, word_shape
 
@@ -180,7 +186,7 @@ TEMPLATES = {
 TEMPLATE_ORDER = ("pair", "left3", "right3", "window4", "left1", "right1",
                   "shapes", "shapelex", "lexflags", "pairdec")
 
-# The values a lex or dec slot can read; a rule holding any other never matches.
+# The values a lex or dec slot can read; TransformationRule refuses any other.
 SLOT_VALUES = {"lex": ("0", "1", "-"), "dec": ("J", "S", "-")}
 
 # Syllable offsets used by each template; radius w admits offsets -(w-1)..w.
@@ -195,7 +201,10 @@ def templates_for_radius(window_radius):
 
 @dataclass(frozen=True)
 class TransformationRule:
-    """One learned correction: flip the boundary decision where the pattern matches."""
+    """One learned correction: flip the boundary decision where the pattern
+    matches. A rule is checked whether trained, loaded or built by hand:
+    one value per slot of its template, and a lex or dec slot holds one of
+    its SLOT_VALUES."""
 
     action: str  # "join" or "split"
     template: str
@@ -205,8 +214,16 @@ class TransformationRule:
     def __post_init__(self):
         if self.action not in ("join", "split"):
             raise ValueError(f"bad rule action {self.action!r}")
-        if self.template not in TEMPLATES:
+        slots = TEMPLATES.get(self.template)
+        if slots is None:
             raise ValueError(f"unknown rule template {self.template!r}")
+        if len(self.values) != len(slots):
+            raise ValueError(f"a {self.template} rule takes {len(slots)} values, "
+                             f"found {len(self.values)}")
+        for (kind, _), value in zip(slots, self.values):
+            if value not in SLOT_VALUES.get(kind, (value,)):
+                raise ValueError(f"a {kind} slot takes one of {', '.join(SLOT_VALUES[kind])}, "
+                                 f"found {value!r}")
         if self.score < 1:
             raise ValueError("retained rules must have a positive score")
 
@@ -556,79 +573,36 @@ def parse_segmented_corpus(text):
     return corpus
 
 
-MODEL_MAGIC = "SYLPIPE-WSEG1"
+WSEG2 = ModelFormat(b"SYLPIPE-WSEG2\n", {"radius": "count", "rules": "string list list"},
+                    lambda header: (), lambda header: ())
 
 
 def save_segmenter(model, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(MODEL_MAGIC + "\n")
-        fh.write(f"radius\t{model.window_radius}\n")
-        fh.write(f"lexicon\t{len(model.lexicon)}\n")
-        for word in sorted(model.lexicon.entries):
-            fh.write(" ".join(word) + "\n")
-        fh.write(f"rules\t{len(model.rules)}\n")
-        for r in model.rules:
-            fh.write("\t".join((r.action, r.template, str(r.score), *r.values)) + "\n")
+    WSEG2.write(path, {"radius": model.window_radius,
+                       "rules": [[r.action, r.template, str(r.score), *r.values]
+                                 for r in model.rules]},
+                {" ".join(w): j for j, w in enumerate(sorted(model.lexicon.entries))}, ())
 
 
 def load_segmenter(path):
-    """Read a model written by save_segmenter.
-
-    Any departure from that layout, a file cut short or followed by more
-    text included, raises ValueError("<path>: corrupt segmenter model
-    (line N: ...)").
-    """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if lines[0] != MODEL_MAGIC:
-        raise ValueError(f"{path}: not a segmenter model file")
-    # Line k is lines[k - 1]; every line ends with a newline, so the last
-    # item, the text after the final newline, is empty in a whole file.
-    line_no = 1
-
-    def corrupt(problem):
-        return ValueError(f"{path}: corrupt segmenter model (line {line_no}: {problem})")
-
-    def next_line(what):
-        nonlocal line_no
-        line_no += 1
-        if line_no >= len(lines):
-            raise corrupt(f"the file ends before {what}")
-        return lines[line_no - 1]
-
-    def header(key):
-        line = next_line(f"the {key} header")
-        name, _, count = line.partition("\t")
-        if name != key or not (count.isascii() and count.isdigit()):
-            raise corrupt(f"expected {key!r}, a tab and a count, found {line!r}")
-        return int(count)
-
-    radius = header("radius")
-    words = []
-    for k in range(header("lexicon")):
-        line = next_line(f"lexicon entry {k + 1}")
-        word = tuple(line.split(" "))
-        if _bad_entry(word):
-            raise corrupt(f"bad lexicon entry {line!r}")
-        words.append(word)
+    """Read a model written by save_segmenter. A fault raises ValueError
+    naming the file: a layout fault as ModelFormat.read reports it, a
+    lexicon entry that Lexicon refuses at its line, and a rule whose score
+    is not a count or that TransformationRule refuses by its number."""
+    header, alphabet, _ = WSEG2.read(path)
+    words = [tuple(entry.split(" ")) for entry in alphabet]
+    try:
+        lexicon = Lexicon(words)
+    except DataError:
+        j = next(j for j, word in enumerate(words) if _bad_entry(word))
+        raise _corrupt(path, f"line {j + 3}: bad lexicon entry {' '.join(words[j])!r}") from None
     rules = []
-    for k in range(header("rules")):
-        fields = next_line(f"rule {k + 1}").split("\t")
+    for k, fields in enumerate(header["rules"], start=1):
         try:
             action, template, score, *values = fields
-            rule = TransformationRule(action, template, tuple(values), int(score))
+            if not (score.isascii() and score.isdigit()):
+                raise ValueError(f"bad rule score {score!r}")
+            rules.append(TransformationRule(action, template, tuple(values), int(score)))
         except ValueError as exc:
-            raise corrupt(f"bad rule: {exc}") from None
-        if len(values) != len(TEMPLATES[template]):
-            raise corrupt(f"a {template} rule takes {len(TEMPLATES[template])} "
-                          f"values, found {len(values)}")
-        for (kind, _), value in zip(TEMPLATES[template], values):
-            if value not in SLOT_VALUES.get(kind, (value,)):
-                raise corrupt(f"a {kind} slot takes one of {', '.join(SLOT_VALUES[kind])}, "
-                              f"found {value!r}")
-        rules.append(rule)
-    if line_no < len(lines) - 1 or lines[-1]:
-        line_no += 1
-        raise corrupt("unexpected content after the declared rules")
-    return SegmenterModel(lexicon=Lexicon(words), rules=tuple(rules),
-                          window_radius=radius)
+            raise _corrupt(path, f"rule {k}: {exc}") from None
+    return SegmenterModel(lexicon, tuple(rules), header["radius"])

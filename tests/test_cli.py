@@ -174,13 +174,29 @@ class TestTrain:
         ("1\ta\t_\tN\t_\t_\tz\troot\t_\t_\n", "line 1: non-numeric head index 'z'"),
         ("# a comment\n1\ta\t_\tN\t_\t_\t0\troot\t_\t_\n3\tb\t_\tN\t_\t_\t1\tdep\t_\t_\n",
          "line 3: token index 3 breaks the 1..n sequence (expected 2)"),
-    ], ids=["pos_tag", "self_head", "two_roots", "width", "index", "head", "gap"])
+        ("1\ta\t_\tN\t_\t_\t0\troot\t_\t_\n\n+1\tb\t_\tN\t_\t_\t0\troot\t_\t_\n",
+         "line 3: non-numeric token index '+1'"),
+        ("\u0661\ta\t_\tN\t_\t_\t0\troot\t_\t_\n", "line 1: non-numeric token index '\u0661'"),
+        ("1\ta\t_\tN\t_\t_\t\u0660\troot\t_\t_\n", "line 1: non-numeric head index '\u0660'"),
+        ("1\ta\t_\tN\t_\t_\t 0\troot\t_\t_\n", "line 1: non-numeric head index ' 0'"),
+    ], ids=["pos_tag", "self_head", "two_roots", "width", "index", "head", "gap",
+            "index_sign", "index_arabic_indic", "head_arabic_indic", "head_space"])
     def test_conllx_fault_names_its_line(self, tmp_path, capsys, text, fault):
         corpus = tmp_path / "parse.conllx"
         corpus.write_text(text, encoding="utf-8")
         assert main(["train", "parse", "-corpus", str(corpus), "-conllx",
                      "-models", str(tmp_path)]) == 4
         assert capsys.readouterr().err.startswith(f"error: {fault}")
+
+    def test_gazetteer_entry_with_a_space_exits_4(self, tmp_path, capsys):
+        gazetteer = tmp_path / "gazetteer.txt"
+        gazetteer.write_text("Hà_Nội\n\n  Việt_Nam  \nHà Nội\n", encoding="utf-8")
+        assert main(["train", "ner", "-corpus", os.path.join(TOY_DIR, "ner.tsv"),
+                     "-gazetteer", str(gazetteer), "-models", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 4: token form may not contain whitespace: 'Hà Nội'")
+        assert str(gazetteer) in err
+        assert not (tmp_path / "ner.model").exists()
 
     def test_missing_corpus(self, tmp_path):
         assert main(["train", "pos", "-corpus", str(tmp_path / "nope.tsv"),
@@ -375,6 +391,15 @@ class TestEval:
         (models / f"{task}.model").write_bytes(data[:-20])
         assert main(["eval", task, "-gold", os.path.join(TOY_DIR, gold),
                      "-models", str(models)]) == 3
+
+    def test_old_segmenter_format_exits_3(self, tmp_path, capsys):
+        models = tmp_path / "models"
+        models.mkdir()
+        (models / "wseg.model").write_text("SYLPIPE-WSEG1\nradius\t2\nlexicon\t0\nrules\t0\n",
+                                           encoding="utf-8")
+        assert main(["eval", "wseg", "-gold", os.path.join(TOY_DIR, "wseg.txt"),
+                     "-models", str(models)]) == 3
+        assert "not a SYLPIPE-WSEG2 model file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("task, gold, label", [
         ("pos", "pos.tsv", b'"N"'), ("parse", "parse.conll", b'"dob"'),

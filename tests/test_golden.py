@@ -20,7 +20,7 @@ from sylpipe.pipeline import build_pipeline
 from sylpipe.seqlabel import save_linear_model
 
 MODEL_SHA256 = {
-    "wseg.model": "8687713dd9703bca93f74b47e6314680d097596c085f4b8616e64e14f63e5e65",
+    "wseg.model": "cb1a8be92a814e5bf8aa8777a9f353a346f629891570238b24579a05d574b17f",
     "pos.model": "95aa2595124fa078fbe85abda8b2a9da3a4d315610201327fd6d61912fa3a7f4",
     "ner.model": "829c64b6037da4a965a0b6f3a802d61682a0dfe8606013feacfd4ebde764880e",
     "parse.model": "59cdf7c243b828f5095a1e21a56d91db5a63ea3457326fc42511feb33fd00ae8",
@@ -29,7 +29,7 @@ MODEL_SHA256 = {
     # Parser with the NER features, trained in corpus order.
     "parse-ner.model": "97b38ac5b5e8c2c57141de358588c251abc4dddb2993e23ab09b92b0bb37c878",
     # Segmenter with window_radius=1: shapelex, pair and pairdec rules.
-    "wseg-radius1.model": "b01119a9a8ba5cd1218e1b230b95f983146b52dc5669c9fddce97c32102b1cb3",
+    "wseg-radius1.model": "22a5c9b50d972ad1d2138a2336556dff44d0c343bdd6e8dd87850c4f9f4e5667",
 }
 
 GAZETTEER = frozenset({"Hà_Nội", "Đà_Nẵng", "việt_nam", "Olympic"})

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -266,13 +267,23 @@ class TestFromSixColumn:
             from_six_column(text)
         assert exc.value.line == 4
 
+    # An index or head that int() reads but that would write back otherwise
+    # ("+1", " 1", Arabic-Indic digits, "1_0") is no number either.
     def test_non_numeric_index(self):
         with pytest.raises(FormatError):
             from_six_column("x\ta\tN\tO\t0\troot")
+        for index in ("+1", " 1", "\u0661", "1_0"):
+            with pytest.raises(FormatError, match=re.escape(
+                    f"line 2: non-numeric token index {index!r}")):
+                from_six_column(f"1\ta\tN\tO\t0\troot\n{index}\tb\tN\tO\t1\tx")
 
     def test_non_numeric_head(self):
         with pytest.raises(FormatError):
             from_six_column("1\ta\tN\tO\ty\troot")
+        for head in ("+0", " 1", "\u0660", "1_0"):
+            with pytest.raises(FormatError, match=re.escape(
+                    f"line 2: non-numeric head index {head!r}")):
+                from_six_column(f"1\ta\tN\tO\t0\troot\n2\tb\tN\tO\t{head}\tx")
 
     def test_index_gap(self):
         text = "1\ta\tN\tO\t2\tx\n3\tb\tN\tO\t0\troot"

@@ -229,6 +229,16 @@ class TestTraining:
                                       for t in toy_ner_sentences[0]))
         assert ner.is_valid_bio(out.ner_labels)
 
+    def test_gazetteer_entry_with_whitespace_is_refused(self, tmp_path):
+        gaz = tmp_path / "gaz.txt"
+        gaz.write_text("Hà_Nội\n\n \t\n  Việt_Nam \r\nHà\tNội\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(
+                f"line 5: token form may not contain whitespace: 'Hà\\tNội' (in {gaz})")) as exc:
+            ner.read_gazetteer(gaz)
+        assert exc.value.line == 5
+        gaz.write_text("Hà_Nội\n\n \t\n  Việt_Nam \r\n", encoding="utf-8")
+        assert ner.read_gazetteer(gaz) == {"Hà_Nội", "Việt_Nam"}
+
     def test_gazetteer_flags(self, toy_ner_sentences, tmp_path):
         gaz = tmp_path / "gaz.txt"
         gaz.write_text("Hà_Nội\nViệt_Nam\n", encoding="utf-8")

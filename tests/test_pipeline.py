@@ -62,7 +62,7 @@ class TestBuildPipeline:
     def test_corrupt_segmenter_is_a_load_error(self, model_dir, tmp_path):
         good = (model_dir / "wseg.model").read_text(encoding="utf-8")
         (tmp_path / "wseg.model").write_text(good + "junk\n", encoding="utf-8")
-        with pytest.raises(ModelLoadError, match="corrupt segmenter model"):
+        with pytest.raises(ModelLoadError, match="corrupt model file"):
             build_pipeline(["wseg"], model_dir=tmp_path)
 
     def test_unknown_annotator(self, model_dir):
@@ -307,15 +307,10 @@ class TestNerFeatureToggle:
         paths = {k: os.path.join(tmp, f"{k}.model")
                  for k in ("wseg", "pos", "ner")}
         paths["parse"] = os.path.join(tmp, "parse_ner.model")
-        on = build_pipeline(["wseg", "pos", "ner", "parse"], model_paths=paths,
-                            use_ner_features_in_parser=True)
-        off = build_pipeline(["wseg", "pos", "ner", "parse"], model_paths=paths,
-                             use_ner_features_in_parser=False)
+        on = build_pipeline(["wseg", "pos", "ner", "parse"], model_paths=paths)
         assert on.parser_uses_ner()
-        assert not off.parser_uses_ner()
         text = "Ông Lê Văn Minh viết về nhà máy tính ."
         assert all(t.head is not None for t in on.annotate(text).sentences[0])
-        assert all(t.head is not None for t in off.annotate(text).sentences[0])
 
 
 # Pieces of odd input: controls, NEL, BOM, zero-width joiner and space, line

@@ -1,3 +1,4 @@
+import json
 import logging
 import random
 import re
@@ -8,11 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wseg_oracle as oracle
+from helpers import CORRUPT_LAYOUTS, split_model_file
 from sylpipe import wseg
 from sylpipe.metrics import segmentation_f1
 from sylpipe.model import DataError
+from sylpipe.pipeline import ModelLoadError, load_model
 from sylpipe.seqlabel import TrainingError
-from sylpipe.wseg import (TEMPLATE_ORDER, TEMPLATES, Lexicon, SegmenterModel,
+from sylpipe.wseg import (SLOT_VALUES, TEMPLATE_ORDER, TEMPLATES, Lexicon, SegmenterModel,
                           TransformationRule, load_segmenter, save_segmenter, segment,
                           split_and_tokenize, train_segmenter, words_to_decisions)
 
@@ -202,19 +205,17 @@ class TestLoneJoiner:
 
     def test_model_file_with_joiner_in_lexicon_is_corrupt(self, tmp_path):
         bad = tmp_path / "bad.model"
-        bad.write_text(f"{wseg.MODEL_MAGIC}\nradius\t2\nlexicon\t1\n_ a\nrules\t0\n",
-                       encoding="utf-8")
+        bad.write_bytes(wseg2_bytes(["_ a"]))
         with pytest.raises(ValueError, match=re.escape(
-                "corrupt segmenter model (line 4: bad lexicon entry '_ a')")):
+                f"{bad}: corrupt model file (line 3: bad lexicon entry '_ a')")):
             load_segmenter(bad)
 
     @pytest.mark.parametrize("line", ["a\x0cb", "a\x85b", "a\u2028b"])
     def test_model_file_with_whitespace_in_lexicon_is_corrupt(self, tmp_path, line):
         bad = tmp_path / "bad.model"
-        bad.write_text(f"{wseg.MODEL_MAGIC}\nradius\t2\nlexicon\t1\n{line}\nrules\t0\n",
-                       encoding="utf-8")
+        bad.write_bytes(wseg2_bytes(["a", line]))
         with pytest.raises(ValueError, match=re.escape(
-                f"corrupt segmenter model (line 4: bad lexicon entry {line!r})")):
+                f"{bad}: corrupt model file (line 4: bad lexicon entry {line!r})")):
             load_segmenter(bad)
 
 
@@ -343,6 +344,21 @@ class TestBaseline:
         assert segment(model, ["Làm", "việc"]).forms == ["Làm_việc"]
 
 
+def wseg2_bytes(entries, rules=(), radius=2):
+    """A SYLPIPE-WSEG2 file with these lexicon entries, rules and radius."""
+    header = {"feature_count": len(entries), "radius": radius, "rules": list(rules)}
+    return b"".join([b"SYLPIPE-WSEG2\n", json.dumps(header, sort_keys=True).encode(),
+                     b"\n", *(e.encode("utf-8") + b"\n" for e in entries), b"WEIGHTS\n"])
+
+
+def with_header(data, edit):
+    """A model file's bytes with edit applied to its header."""
+    magic, header, rest = data.split(b"\n", 2)
+    header = json.loads(header)
+    edit(header)
+    return b"\n".join((magic, json.dumps(header, sort_keys=True).encode(), rest))
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path, seg_model):
         p = tmp_path / "seg.model"
@@ -361,17 +377,25 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_segmenter(p)
 
+    def test_old_line_format_is_refused(self, tmp_path):
+        old = tmp_path / "wseg.model"
+        old.write_text("SYLPIPE-WSEG1\nradius\t2\nlexicon\t1\na b\nrules\t0\n",
+                       encoding="utf-8")
+        with pytest.raises(ModelLoadError, match=re.escape(
+                f"{old}: not a SYLPIPE-WSEG2 model file")):
+            load_model("wseg", str(old))
+
     # (name, edit of the file's text, problem); a file cut short fails at its
-    # first incomplete line, one with more text at the line after the rules.
+    # first incomplete line, one with more text at the weight section, which
+    # a segmenter model leaves empty.
     CORRUPTIONS = [
-        ("truncated", lambda text: text[:-30], "the file ends before rule"),
-        ("no final newline", lambda text: text[:-1], "the file ends before rule"),
-        ("cut in the lexicon", lambda text: text[:text.index("rules\t")],
-         "the file ends before the rules header"),
-        ("padded", lambda text: text + "\n", "unexpected content after the declared rules"),
-        ("junk line", lambda text: text + "junk\n",
-         "unexpected content after the declared rules"),
-        ("trailing text", lambda text: text + "x", "unexpected content after the declared rules"),
+        ("truncated", lambda text: text[:-30], "line {line}: alphabet ends after {entry} of"),
+        ("no final newline", lambda text: text[:-1], "line {line} is not the WEIGHTS marker"),
+        ("cut in the lexicon", lambda text: "\n".join(text.split("\n")[:40]) + "\n",
+         "line {line}: alphabet ends after {entry} of"),
+        ("padded", lambda text: text + "\n", "weight section has 1 bytes, expected 0"),
+        ("junk line", lambda text: text + "junk\n", "weight section has 5 bytes, expected 0"),
+        ("trailing text", lambda text: text + "x", "weight section has 1 bytes, expected 0"),
     ]
 
     @pytest.mark.parametrize("name, edit, problem", CORRUPTIONS,
@@ -379,38 +403,62 @@ class TestSerialization:
     def test_corrupt_file_names_the_line(self, tmp_path, seg_model, name, edit, problem):
         good = tmp_path / "good.model"
         save_segmenter(seg_model, good)
-        text = good.read_text(encoding="utf-8")
-        bad_text = edit(text)
-        if len(bad_text) < len(text):
-            line = bad_text.count("\n") + 1
-        else:
-            line = text.count("\n") + 1
+        bad_text = edit(good.read_text(encoding="utf-8"))
+        line = bad_text.count("\n") + 1
         bad = tmp_path / "bad.model"
         bad.write_text(bad_text, encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(
-                f"{bad}: corrupt segmenter model (line {line}: {problem}")):
+                f"{bad}: corrupt model file ({problem.format(line=line, entry=line - 3)}")):
             load_segmenter(bad)
 
     def test_bad_header_names_the_line(self, tmp_path, seg_model):
         good = tmp_path / "good.model"
         save_segmenter(seg_model, good)
         bad = tmp_path / "bad.model"
-        bad.write_text(good.read_text(encoding="utf-8").replace("lexicon\t", "lexicon\t+"),
-                       encoding="utf-8")
+        bad.write_bytes(with_header(good.read_bytes(), lambda h: h.update(radius="+2")))
         with pytest.raises(ValueError, match=re.escape(
-                "corrupt segmenter model (line 3: expected 'lexicon', a tab and a count")):
+                f"{bad}: corrupt model file (header field 'radius' is not a count)")):
+            load_segmenter(bad)
+
+    @pytest.mark.parametrize("fault", sorted(CORRUPT_LAYOUTS))
+    def test_header_and_alphabet_checked(self, tmp_path, seg_model, fault):
+        good = tmp_path / "good.model"
+        save_segmenter(seg_model, good)
+        data, message = CORRUPT_LAYOUTS[fault](*split_model_file(good.read_bytes()))
+        bad = tmp_path / "bad.model"
+        bad.write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{bad}: corrupt model file ({message})")):
+            load_segmenter(bad)
+        with pytest.raises(ModelLoadError):
+            load_model("wseg", str(bad))
+
+    @pytest.mark.parametrize("rules, problem", [
+        ("join pair 1 a b", "header field 'rules' is not a string list list"),
+        ([["join", "pair", 1, "a", "b"]], "header field 'rules' is not a string list list"),
+        ([["join", "pair"]], "rule 1: "),
+        ([["join", "pair", "1", "a", "b"], ["join", "nope", "1", "a"]],
+         "rule 2: unknown rule template 'nope'"),
+        ([["merge", "pair", "1", "a", "b"]], "rule 1: bad rule action 'merge'"),
+    ])
+    def test_header_rules_are_checked(self, tmp_path, rules, problem):
+        bad = tmp_path / "bad.model"
+        bad.write_bytes(wseg2_bytes(["a"], rules))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{bad}: corrupt model file ({problem}")):
             load_segmenter(bad)
 
     def test_rule_with_wrong_value_count(self, tmp_path, seg_model):
         assert seg_model.rules
         good = tmp_path / "good.model"
         save_segmenter(seg_model, good)
-        lines = good.read_text(encoding="utf-8").split("\n")
-        lines[-2] += "\textra"
+        last = seg_model.rules[-1]
         bad = tmp_path / "bad.model"
-        bad.write_text("\n".join(lines), encoding="utf-8")
+        bad.write_bytes(with_header(good.read_bytes(), lambda h: h["rules"][-1].append("extra")))
+        n = len(TEMPLATES[last.template])
         with pytest.raises(ValueError, match=re.escape(
-                f"corrupt segmenter model (line {len(lines) - 1}: a ")):
+                f"{bad}: corrupt model file (rule {len(seg_model.rules)}: a {last.template} "
+                f"rule takes {n} values, found {n + 1})")):
             load_segmenter(bad)
 
     @pytest.mark.parametrize("rule, problem", [
@@ -421,13 +469,33 @@ class TestSerialization:
     def test_rule_with_value_its_slot_never_reads(self, tmp_path, seg_model, rule, problem):
         good = tmp_path / "good.model"
         save_segmenter(seg_model, good)
-        lines = good.read_text(encoding="utf-8").split("\n")
-        lines[-2] = rule
         bad = tmp_path / "bad.model"
-        bad.write_text("\n".join(lines), encoding="utf-8")
+        bad.write_bytes(with_header(good.read_bytes(),
+                                    lambda h: h["rules"].__setitem__(-1, rule.split("\t"))))
         with pytest.raises(ValueError, match=re.escape(
-                f"corrupt segmenter model (line {len(lines) - 1}: {problem})")):
+                f"{bad}: corrupt model file (rule {len(seg_model.rules)}: {problem})")):
             load_segmenter(bad)
+
+    @pytest.mark.parametrize("score, problem", [
+        ("0", "retained rules must have a positive score"), ("+1", "bad rule score '+1'"),
+        (" 1", "bad rule score ' 1'"), ("\u0661", "bad rule score '\u0661'"),
+        ("x", "bad rule score 'x'")])
+    def test_rule_with_bad_score(self, tmp_path, score, problem):
+        bad = tmp_path / "bad.model"
+        bad.write_bytes(wseg2_bytes(["a"], [["join", "pair", score, "a", "b"]]))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{bad}: corrupt model file (rule 1: {problem})")):
+            load_segmenter(bad)
+
+    @pytest.mark.parametrize("template, values, problem", [
+        ("pair", ("a",), "a pair rule takes 2 values, found 1"),
+        ("left1", ("a", "b"), "a left1 rule takes 1 values, found 2"),
+        ("lexflags", ("0", "2", "1"), "a lex slot takes one of 0, 1, -, found '2'"),
+        ("pairdec", ("a", "b", "1"), "a dec slot takes one of J, S, -, found '1'"),
+    ])
+    def test_hand_built_rule_is_checked(self, template, values, problem):
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            TransformationRule("join", template, values, 1)
 
 
 def test_speed_smoke(seg_model):
@@ -467,8 +535,8 @@ gold_words = st.lists(st.sampled_from(["a", "A", "b", "học", "Học", "Hà", "
 @st.composite
 def rules(draw):
     template = draw(st.sampled_from(TEMPLATE_ORDER))
-    values = draw(st.lists(st.sampled_from(RULE_VALUES), min_size=len(TEMPLATES[template]),
-                           max_size=len(TEMPLATES[template])))
+    values = [draw(st.sampled_from(SLOT_VALUES.get(kind, RULE_VALUES)))
+              for kind, _ in TEMPLATES[template]]
     return TransformationRule(draw(st.sampled_from(["join", "split"])), template,
                               tuple(values), 1)
 
