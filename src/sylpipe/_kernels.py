@@ -1,18 +1,17 @@
 """Dense decode kernels in numpy, one per job.
 
-The annotation pipeline decodes in batches: sum_rows gathers the emission
-or transition scores of many positions at once, and viterbi_paths decodes
-many lattices at once. The tagger trainers decode one sentence at a time
-with viterbi_path; the parser trainer scores and masks all states of a
-sentence after its last update in one sum_rows gather. Both trainers and
-the taggers' decode pack their ids into sum_rows' layout with pack_ids.
-row_sum, the sum for one position or state, is a one-column sum_rows: the
-string-path reference (seqlabel's reference_emission_matrix) calls it, and
-perfbench/tracing.py looks it up by name. sum_rows adds the rows in id
-order from a +0.0 start, and viterbi_path and viterbi_paths make the same
-additions on the same operands, so the Viterbi batch kernel equals its
-one-sentence kernel bit for bit for any weights, float weights included.
-The plain loops in tests/kernel_oracle.py pin both.
+sum_rows gathers the emission or transition scores of many positions at
+once, and viterbi_paths decodes many lattices at once; the annotation
+pipeline calls both on whole documents. viterbi_path, viterbi_paths of one
+lattice, keeps its name for its callers: the tagger trainers,
+seqlabel.viterbi_decode, the test oracles and perfbench/tracing.py. The
+parser trainer scores and masks all states of a sentence after its last
+update in one sum_rows gather. Both trainers and the taggers' decode pack
+their ids into sum_rows' layout with pack_ids. row_sum, the sum for one
+position or state, is a one-column sum_rows: the string-path reference
+(seqlabel's reference_emission_matrix) calls it, and perfbench/tracing.py
+looks it up by name. The plain loops in tests/kernel_oracle.py pin every
+kernel bit for bit.
 
 Every weight array that sum_rows reads ends in a row of zeros, which the
 padding id -1 reads, so a decode step is one gather and one sum, with no
@@ -23,25 +22,26 @@ legal action and -inf at an illegal one, and each state adds its row last.
 The models bound every weight by 2**53 (a trainer's by its update count),
 so no sum is +inf and each masked score is the sum itself or exactly -inf.
 
-Both Viterbi kernels compute suffix scores backwards, keep each step's
-argmax as back-pointers, and read the path forwards by following them, so
-no step is scored twice.
+viterbi_paths reads the batch as one time-major (T, B, 1, L) lattice with
+the lattices end-aligned: a reshaped view of the emissions when they all
+have the same length, one zero-padded copy otherwise. The padding before a
+short lattice never feeds the suffix scores of its real positions. Each
+backward step is one (B, L, L) add, one argmax, kept as a flat Python list
+of back-pointers, and one gather of the maxima at the argmax; each path is
+read from its lattice's first column by following the back-pointers in
+Python, with no numpy call per position. So a batch of one costs about what
+a one-lattice kernel would, and the trainers need no second kernel.
 
-Every Viterbi kernel takes the maximum of a step as the value at its first
-maximum, the one its argmax keeps, by gathering it at the argmax, which is
-also cheaper than a second reduction over the short last axis; the oracle
-loop keeps the same value by comparing with >. Only tied signed zeros tell
-this apart from a max(), whose choice among them numpy leaves open.
-
-viterbi_paths end-aligns the lattices in one zero-padded (B, T, L) array.
-Each step takes one argmax over a (B, L, L) array and gathers its maxima;
-the padding before a short lattice never feeds the suffix scores of its
-real positions. Its sums are those of viterbi_path, so each path and score
-equals viterbi_path's bit for bit, ties, signed zeros and -inf masks
-included.
+The maximum of a step is the value at its first maximum, the one its argmax
+keeps, gathered there, which is also cheaper than a second reduction over
+the short last axis; the oracle loop keeps the same value by comparing with
+>. Only tied signed zeros tell this apart from a max(), whose choice among
+them numpy leaves open.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -51,86 +51,78 @@ BACKEND = "numpy"
 
 
 def viterbi_path(emissions, transitions, start_trans):
-    """Return (path, score) for the masked lattice.
-
-    emissions: (T, L) with -inf at illegal (position, label) pairs.
-    transitions: (L, L) with -inf at illegal label bigrams.
-    start_trans: (L,) scores for the virtual start label, -inf where illegal.
-
-    Among maximum-scoring label sequences the lexicographically smallest one
-    (by label index) is returned. A -inf score means no legal sequence exists.
-
-    The backward pass keeps each step's argmax as back-pointers, and the path
-    is read by following them from the best first label, as viterbi_paths
-    reads its paths: the argmax a readout would take at position i is the
-    one taken over the same row when the suffix scores of position i - 1
-    were computed.
-    """
-    T, L = emissions.shape
-    if T == 0:
+    """viterbi_paths of the one (T, L) lattice: its (path, score); T == 0 gives
+    an empty path and 0.0."""
+    if len(emissions) == 0:
         return np.empty(0, dtype=np.int64), 0.0
-    # beta: the best score of the suffix from the current position, by its
-    # label; back: per step, from the last one, the label that follows each
-    # label on that suffix.
-    beta = emissions[T - 1]
-    back = []
-    rows = np.arange(L)
-    for i in range(T - 2, -1, -1):
-        step = transitions + beta
-        arg = step.argmax(axis=1)
-        back.append(arg.tolist())
-        beta = emissions[i] + step[rows, arg]
-    first = start_trans + beta
-    y = int(first.argmax())
-    score = float(first[y])
-    path = [y]
-    for arg in reversed(back):
-        y = arg[y]
-        path.append(y)
-    return np.array(path, dtype=np.int64), score
+    return viterbi_paths(emissions, (len(emissions),), transitions, start_trans)[0]
 
 
 def viterbi_paths(emissions, lengths, transitions, start_trans):
-    """viterbi_path of several lattices at once: a list of (path, score).
+    """Return a (path, score) for each masked lattice.
 
-    emissions holds the (T, L) lattices one after another, lengths their T
-    (each at least 1); transitions and start_trans are shared. Each result
-    equals viterbi_path's, bit for bit.
+    emissions holds the (T, L) lattices one after another, with -inf at
+    illegal (position, label) pairs, and lengths their T (each at least 1).
+    transitions (L, L) and start_trans (L,), the scores after the virtual
+    start label, are shared, with -inf at illegal label bigrams and first
+    labels. Among the maximum-scoring label sequences of a lattice the
+    lexicographically smallest one (by label index) is returned; a -inf
+    score means no legal sequence exists.
     """
-    lengths = np.asarray(lengths, dtype=np.intp)
     B = len(lengths)
-    T = int(lengths.max())
+    T = max(lengths)
     L = emissions.shape[1]
-    first = T - lengths  # column of each lattice's first position
-    starts = np.cumsum(lengths) - lengths  # row of it in emissions
-    batch = np.arange(B)
-    em = np.zeros((B, T, L))
-    em[np.repeat(batch, lengths),
-       np.arange(len(emissions)) + np.repeat(first - starts, lengths)] = emissions
-    # beta[b, i, y]: best score of lattice b's suffix from column i with label y;
-    # back[b, i, y]: the label after y at column i + 1 on that suffix.
-    beta = np.empty((B, T, L))
-    back = np.empty((B, T, L), dtype=np.intp)
-    beta[:, T - 1] = em[:, T - 1]
-    cells = np.arange(B * L)
+    if min(lengths) == T:
+        em = emissions.reshape(B, T, 1, L).transpose(1, 0, 2, 3)
+    else:
+        em = np.zeros((T, B, 1, L))
+        row = 0
+        for b, n in enumerate(lengths):
+            em[T - n:, b, 0] = emissions[row:row + n]
+            row += n
+    cells = _step_cells(B, L)
+    # Each step's argmax is written into arg: its (B, 1, L) view arg3
+    # gathers the maxima straight into beta's shape, and its flat view is
+    # kept as one list a step.
+    arg = np.empty((B, L), dtype=np.intp)
+    arg3 = arg.reshape(B, 1, L)
+    flat = arg.ravel()
+    # beta[b, 0, y]: the best score of lattice b's suffix from the current
+    # column with label y, kept in tops[n] at column T - n, where the
+    # lattices of length n start; back[k][b * L + y]: the label after y at
+    # column T - 2 - k on that suffix.
+    beta = em[T - 1]
+    tops = {1: beta}
+    starts = set(lengths)  # the n of tops
+    back = []
     for i in range(T - 2, -1, -1):
-        # Row (b, y) of step holds transitions[y] + beta[b, i + 1].
-        step = (transitions + beta[:, i + 1, None, :]).reshape(B * L, L)
-        arg = step.argmax(axis=1)
-        back[:, i] = arg.reshape(B, L)
-        beta[:, i] = em[:, i] + step[cells, arg].reshape(B, L)
-    scores = start_trans + beta[batch, first]
-    y = scores.argmax(axis=1)
-    scores = scores[batch, y]
-    # The last padding column of a lattice leads to its first label.
-    padded = first > 0
-    back[padded, first[padded] - 1] = y[padded, None]
-    paths = np.empty((B, T), dtype=np.intp)
-    paths[:, 0] = y
-    for i in range(1, T):
-        y = back[batch, i - 1, y]
-        paths[:, i] = y
-    return [(paths[b, first[b]:], float(scores[b])) for b in range(B)]
+        step = transitions + beta  # step[b, y, y2]
+        step.argmax(axis=2, out=arg)
+        back.append(flat.tolist())
+        beta = em[i] + step.ravel()[cells + arg3]
+        if T - i in starts:
+            tops[T - i] = beta
+    out = []
+    for b, n in enumerate(lengths):
+        first = start_trans + tops[n][b, 0]
+        y = int(first.argmax())
+        score = float(first[y])
+        path = [y]
+        row = b * L
+        for after in reversed(back[:n - 1]):
+            y = after[row + y]
+            path.append(y)
+        out.append((np.array(path, dtype=np.int64), score))
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def _step_cells(B, L):
+    """(B, 1, L) flat offsets of the rows of a (B, L, L) step: adding a row's
+    argmax gives the flat index of the maximum it picks. Shared, so read-only."""
+    cells = (np.arange(B * L) * L).reshape(B, 1, L)
+    cells.flags.writeable = False
+    return cells
 
 
 def row_sum(weights, ids, out=None):

@@ -406,25 +406,22 @@ def sentence_of_rows(rows, columns, unset=None):
 
     columns gives the field positions of the index, form, POS tag, NER label,
     head and relation, None for a field the format lacks; a POS tag, head or
-    relation equal to `unset` is not set. Indices and heads are ASCII digits,
-    which write back as read, and the indices are 1..n. A field fault raises
-    FormatError at its line, a tree fault at the block's first line."""
+    relation equal to `unset` is not set. Indices and heads are ASCII digits
+    without a leading zero, so they write back as read, and the indices are
+    1..n. A field fault raises FormatError at its line, a tree fault at the
+    block's first line."""
     tokens = []
     for line_no, fields in rows:
         index, form, pos_tag, ner_label, head, dep_label = (
             None if k is None else fields[k] for k in columns)
         pos_tag, head, dep_label = (None if v == unset else v
                                     for v in (pos_tag, head, dep_label))
-        if not (index.isascii() and index.isdigit()):
-            raise FormatError(f"non-numeric token index {index!r}", line=line_no)
-        index = int(index)
+        index = _index_of(index, "token index", line_no)
         if index != len(tokens) + 1:
             raise FormatError(f"token index {index} breaks the 1..n sequence "
                               f"(expected {len(tokens) + 1})", line=line_no)
         if head is not None:
-            if not (head.isascii() and head.isdigit()):
-                raise FormatError(f"non-numeric head index {head!r}", line=line_no)
-            head = int(head)
+            head = _index_of(head, "head index", line_no)
         if not tokens:
             first = line_no
         try:
@@ -435,6 +432,15 @@ def sentence_of_rows(rows, columns, unset=None):
         return Sentence(tokens)
     except DataError as exc:
         raise FormatError(str(exc), line=first) from exc
+
+
+def _index_of(field, name, line_no):
+    """The int of an index or head field, which must write back as read."""
+    if not (field.isascii() and field.isdigit()):
+        raise FormatError(f"non-numeric {name} {field!r}", line=line_no)
+    if field[0] == "0" and len(field) > 1:
+        raise FormatError(f"{name} {field!r} has a leading zero", line=line_no)
+    return int(field)
 
 
 def from_six_column(text):

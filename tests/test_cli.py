@@ -179,8 +179,11 @@ class TestTrain:
         ("\u0661\ta\t_\tN\t_\t_\t0\troot\t_\t_\n", "line 1: non-numeric token index '\u0661'"),
         ("1\ta\t_\tN\t_\t_\t\u0660\troot\t_\t_\n", "line 1: non-numeric head index '\u0660'"),
         ("1\ta\t_\tN\t_\t_\t 0\troot\t_\t_\n", "line 1: non-numeric head index ' 0'"),
+        ("01\ta\t_\tN\t_\t_\t0\troot\t_\t_\n", "line 1: token index '01' has a leading zero"),
+        ("1\ta\t_\tN\t_\t_\t00\troot\t_\t_\n", "line 1: head index '00' has a leading zero"),
     ], ids=["pos_tag", "self_head", "two_roots", "width", "index", "head", "gap",
-            "index_sign", "index_arabic_indic", "head_arabic_indic", "head_space"])
+            "index_sign", "index_arabic_indic", "head_arabic_indic", "head_space",
+            "index_leading_zero", "head_leading_zero"])
     def test_conllx_fault_names_its_line(self, tmp_path, capsys, text, fault):
         corpus = tmp_path / "parse.conllx"
         corpus.write_text(text, encoding="utf-8")

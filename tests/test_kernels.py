@@ -126,10 +126,67 @@ def test_viterbi_paths_equal_one_lattice_at_a_time(integer):
             assert np.float64(one_score).tobytes() == np.float64(expected).tobytes()
 
 
+def assert_oracle_paths(lattices, result, tr, st):
+    assert len(result) == len(lattices)
+    for em, (path, score) in zip(lattices, result):
+        expected_path, expected = oracle.viterbi_path(em, tr, st)
+        assert path.dtype == np.int64 and np.array_equal(path, expected_path)
+        assert np.float64(score).tobytes() == np.float64(expected).tobytes()
+
+
+def tied_lattices(rng, lengths, L):
+    # Few distinct entries force ties, both signed zeros and -inf masks.
+    entries = np.array([0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 2.0, _kernels.NEG_INF])
+    lattices = [rng.choice(entries, size=(T, L)) for T in lengths]
+    return lattices, rng.choice(entries, size=(L, L)), rng.choice(entries, size=L)
+
+
+@pytest.mark.parametrize("layout", ["equal", "ragged"])
+def test_viterbi_paths_layouts_equal_the_oracle(layout):
+    # A batch of lattices of one length is decoded through a time-major view
+    # of emissions, a batch of mixed lengths through one end-aligned padded
+    # copy. Both must return the oracle's paths and scores bit for bit and
+    # leave emissions as they were.
+    rng = np.random.default_rng(11 if layout == "equal" else 12)
+    for k in range(300):
+        L = int(rng.integers(1, 13))
+        B = int(rng.integers(2, 8))
+        if layout == "equal":
+            lengths = [int(rng.integers(1, 25))] * B
+        else:
+            lengths = rng.integers(1, 25, size=B).tolist()
+            lengths[0] = max(lengths) + 1
+            rng.shuffle(lengths)
+        if k % 2:
+            lattices, tr, st = tied_lattices(rng, lengths, L)
+        else:
+            lattices = [random_lattice(rng, T, L, k % 4 == 0)[0] for T in lengths]
+            _, tr, st = random_lattice(rng, 1, L, k % 4 == 0)
+        emissions = np.concatenate(lattices)
+        before = emissions.copy()
+        assert_oracle_paths(lattices, _kernels.viterbi_paths(emissions, lengths, tr, st),
+                            tr, st)
+        assert emissions.tobytes() == before.tobytes()
+
+
+def test_viterbi_path_is_one_lattice_of_the_batch():
+    # viterbi_path decodes a batch of one (B = 1).
+    rng = np.random.default_rng(13)
+    for k in range(300):
+        L = int(rng.integers(1, 13))
+        T = int(rng.integers(1, 30))
+        if k % 2:
+            (em,), tr, st = tied_lattices(rng, [T], L)
+        else:
+            em, tr, st = random_lattice(rng, T, L, k % 4 == 0)
+        assert_oracle_paths([em], [_kernels.viterbi_path(em, tr, st)], tr, st)
+
+
 def test_viterbi_empty_lattice():
-    path, score = _kernels.viterbi_path(np.zeros((0, 3)), np.zeros((3, 3)),
-                                        np.zeros(3))
-    assert len(path) == 0 and score == 0.0
+    for L in (1, 3):
+        path, score = _kernels.viterbi_path(np.zeros((0, L)), np.zeros((L, L)),
+                                            np.zeros(L))
+        assert len(path) == 0 and path.dtype == np.int64 and score == 0.0
 
 
 def test_row_sum_empty_ids():

@@ -285,6 +285,16 @@ class TestFromSixColumn:
                     f"line 2: non-numeric head index {head!r}")):
                 from_six_column(f"1\ta\tN\tO\t0\troot\n2\tb\tN\tO\t{head}\tx")
 
+    def test_leading_zero_is_refused(self):
+        # "02" and "00" would load as 2 and 0 and write back without the
+        # zero, so the file would not round trip.
+        for index, head, fault in (("02", "1", "token index '02'"),
+                                   ("2", "00", "head index '00'"),
+                                   ("2", "01", "head index '01'")):
+            with pytest.raises(FormatError, match=re.escape(
+                    f"line 2: {fault} has a leading zero")):
+                from_six_column(f"1\ta\tN\tO\t0\troot\n{index}\tb\tN\tO\t{head}\tx")
+
     def test_index_gap(self):
         text = "1\ta\tN\tO\t2\tx\n3\tb\tN\tO\t0\troot"
         with pytest.raises(FormatError) as exc:
