@@ -137,7 +137,7 @@ def cmd_train(args):
                               gazetteer=gazetteer, combine_top_k=args.combine,
                               on_epoch=on_epoch)
         save_linear_model(model, os.path.join(models_dir, "ner.model"))
-    elif args.task == "parse":
+    else:  # parse
         if args.conllx:
             treebank = depparse.read_conllx(args.corpus)
         else:
@@ -148,8 +148,6 @@ def cmd_train(args):
                                       nonprojective=args.nonprojective,
                                       on_epoch=on_epoch)
         depparse.save_parser(model, os.path.join(models_dir, "parse.model"))
-    else:
-        raise PipelineConfigError(f"unknown training task {args.task!r}")
 
     log_path = _write_log(models_dir, args.task, log_lines)
     print(f"wrote {os.path.join(models_dir, args.task + '.model')}")
@@ -269,32 +267,36 @@ def build_arg_parser():
                        help=f"model directory (default ${MODELS_ENV_VAR} or ./models)")
 
     p_train = sub.add_parser("train", allow_abbrev=False, help="train one annotator")
-    p_train.add_argument("task", choices=("wseg", "pos", "ner", "parse"))
-    p_train.add_argument("-corpus", "--corpus", required=True)
-    p_train.add_argument("-models", "--models", default=None)
-    p_train.add_argument("-epochs", "--epochs", type=_positive_int, default=8)
-    p_train.add_argument("-seed", "--seed", type=int, default=1)
-    p_train.add_argument("-window", "--window", type=_non_negative_int, default=2,
-                         help="wseg rule context radius")
-    p_train.add_argument("-max-rules", "--max-rules", dest="max_rules",
-                         type=_non_negative_int, default=200)
-    p_train.add_argument("-gazetteer", "--gazetteer", default=None,
-                         help="ner: optional gazetteer file, one entry per line")
-    p_train.add_argument("-combine", "--combine", type=_non_negative_int, default=0,
-                         help="ner: pairwise feature-combination budget (0 = off)")
-    p_train.add_argument("-merge-names", "--merge-names", dest="merge_names",
-                         action="store_true",
-                         help="ner: merge contiguous PER-labeled syllables into words")
-    p_train.add_argument("-replace-pos", "--replace-pos", dest="replace_pos",
-                         action="store_true",
-                         help="ner: replace gold POS tags with pos.model predictions")
-    p_train.add_argument("-use-ner-features", "--use-ner-features",
-                         dest="use_ner_features", action="store_true",
-                         help="parse: consume NER labels as features")
-    p_train.add_argument("-nonprojective", "--nonprojective",
-                         choices=("skip", "lift"), default="skip")
-    p_train.add_argument("-conllx", "--conllx", action="store_true",
-                         help="parse: read the corpus as 10-column CoNLL-X")
+    tasks = p_train.add_subparsers(dest="task", required=True)
+    train = {task: tasks.add_parser(task, allow_abbrev=False, help=f"train {task}.model")
+             for task in ("wseg", "pos", "ner", "parse")}
+    for task, p_task in train.items():
+        p_task.add_argument("-corpus", "--corpus", required=True)
+        p_task.add_argument("-models", "--models", default=None)
+        if task != "wseg":
+            p_task.add_argument("-epochs", "--epochs", type=_positive_int, default=8)
+            p_task.add_argument("-seed", "--seed", type=int, default=1)
+    train["wseg"].add_argument("-window", "--window", type=_non_negative_int, default=2,
+                               help="rule context radius")
+    train["wseg"].add_argument("-max-rules", "--max-rules", dest="max_rules",
+                               type=_non_negative_int, default=200)
+    train["ner"].add_argument("-gazetteer", "--gazetteer", default=None,
+                              help="optional gazetteer file, one entry per line")
+    train["ner"].add_argument("-combine", "--combine", type=_non_negative_int, default=0,
+                              help="pairwise feature-combination budget (0 = off)")
+    train["ner"].add_argument("-merge-names", "--merge-names", dest="merge_names",
+                              action="store_true",
+                              help="merge contiguous PER-labeled syllables into words")
+    train["ner"].add_argument("-replace-pos", "--replace-pos", dest="replace_pos",
+                              action="store_true",
+                              help="replace gold POS tags with pos.model predictions")
+    train["parse"].add_argument("-use-ner-features", "--use-ner-features",
+                                dest="use_ner_features", action="store_true",
+                                help="consume NER labels as features")
+    train["parse"].add_argument("-nonprojective", "--nonprojective",
+                                choices=("skip", "lift"), default="skip")
+    train["parse"].add_argument("-conllx", "--conllx", action="store_true",
+                                help="read the corpus as 10-column CoNLL-X")
 
     p_eval = sub.add_parser("eval", allow_abbrev=False,
                             help="score predictions against gold files")

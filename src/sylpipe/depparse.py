@@ -624,12 +624,16 @@ def _legal_action_mask(state, n_relations, root_labels, action_index):
 
 
 def check_input(sentence, use_ner, number=None):
-    """Raise DecodeError, naming the sentence by its 1-based document number,
-    unless the sentence carries what the parser reads."""
+    """Whether a parser with NER features (use_ner) reads the sentence's NER
+    labels: when every token has one. Raises DecodeError, naming the sentence
+    by its 1-based document number, if a token lacks a POS tag or, for such
+    a parser, if only some tokens have an NER label."""
     if None in sentence.column("pos_tag"):
         raise DecodeError("parsing requires POS tags on every token", number)
-    if use_ner and None in sentence.column("ner_label"):
-        raise DecodeError("this parser uses NER features; run NER first", number)
+    labels = sentence.column("ner_label")
+    if use_ner and None in labels and any(labels):
+        raise DecodeError("this parser reads NER labels; only some tokens have one", number)
+    return use_ner and None not in labels
 
 
 # Sentences decoded together at most; bounds the (K, B, A) float64 gather
@@ -637,37 +641,37 @@ def check_input(sentence, use_ner, number=None):
 LOCKSTEP_SENTENCES = 256
 
 
-def parse_sentence(model, sentence, use_ner_features=None):
+def parse_sentence(model, sentence):
     """Greedy parse; the result always has exactly one root and no cycles."""
-    return parse_sentences(model, [sentence], use_ner_features)[0]
+    return parse_sentences(model, [sentence])[0]
 
 
-def parse_sentences(model, sentences, use_ner_features=None):
+def parse_sentences(model, sentences):
     """Greedy parses of the sentences, decoded in lockstep (see the module docstring).
 
-    Empty sentences come back as given. Every other sentence is checked for
-    POS tags (and NER labels when the NER features are used) before any is
-    decoded; a fault raises DecodeError naming the sentence. Tokens left
-    without a head are attached by the fallback rule; their number is
-    logged at DEBUG level when it is not zero.
+    Empty sentences come back as given. Every other sentence is checked
+    (check_input) before any is decoded: it needs POS tags, and a parser
+    trained with NER features reads its NER labels when every token has
+    one, parses it without them when none has, and refuses it when only
+    some have, raising DecodeError naming the sentence. Tokens left without
+    a head are attached by the fallback rule; their number is logged at
+    DEBUG level when it is not zero.
     """
-    use_ner = model.use_ner_features if use_ner_features is None else use_ner_features
     out = list(sentences)
-    todo = []
-    for k, sentence in enumerate(out):
-        if len(sentence):
-            check_input(sentence, use_ner, k + 1)
-            todo.append(k)
+    reads_ner = {k: check_input(sentence, model.use_ner_features, k + 1)
+                 for k, sentence in enumerate(out) if len(sentence)}
     repaired = 0
-    for lo in range(0, len(todo), LOCKSTEP_SENTENCES):
-        group = todo[lo:lo + LOCKSTEP_SENTENCES]
-        states = _decode_lockstep(model, [out[k] for k in group], use_ner)
-        for k, state in zip(group, states):
-            repaired += _attach_headless(model, state)
-            out[k] = out[k].with_parse(state.heads[1:], state.labels[1:])
+    for use_ner in (False, True):  # a lockstep batch reads NER labels in all or none
+        todo = [k for k, reads in reads_ner.items() if reads == use_ner]
+        for lo in range(0, len(todo), LOCKSTEP_SENTENCES):
+            group = todo[lo:lo + LOCKSTEP_SENTENCES]
+            states = _decode_lockstep(model, [out[k] for k in group], use_ner)
+            for k, state in zip(group, states):
+                repaired += _attach_headless(model, state)
+                out[k] = out[k].with_parse(state.heads[1:], state.labels[1:])
     if repaired:
         logger.debug("fallback attached %d token(s) in %d sentence(s)",
-                     repaired, len(todo))
+                     repaired, len(reads_ner))
     return out
 
 

@@ -6,10 +6,10 @@ fields render as "_", except the NER column which renders "O"; so a POS tag
 or relation may not be "_", empty, or hold a tab or line break, which would
 not read back as itself.
 
-A Sentence stores its tokens as columns, one tuple per field. The stages
-add a column each (with_pos_tags, with_ner_labels, with_parse), share the
-columns they leave alone and check only the new one. A sentence built from
-Tokens keeps them; any other gives a Token view of its columns on each read.
+A Sentence stores its tokens as columns, one tuple per field, and nothing
+else. The stages add a column each (with_pos_tags, with_ner_labels,
+with_parse), share the columns they leave alone and check only the new one.
+A Token read from a sentence is a view of its columns, built on each read.
 
 Every corpus file is read one way: read_corpus opens it (UTF-8, a leading
 byte-order mark dropped, NFC) and names the file in a FormatError its
@@ -98,6 +98,12 @@ def check_ner_label(label):
         raise DataError(f"bad NER label {label!r}")
 
 
+def bio_may_follow(label, previous):
+    """The BIO rule: whether the NER label may come right after previous,
+    None at the start of a sentence. I-X comes only right after B-X or I-X."""
+    return not label.startswith("I-") or previous in ("B" + label[1:], label)
+
+
 def _check_head(index, head):
     if head is not None:
         if head < 0:
@@ -147,13 +153,13 @@ class Sentence:
     attached to the artificial root 0, and no cycles.
 
     Sentence(tokens) and from_columns check every field; the with_* methods
-    check the column they add. column(name) is the tuple of one field.
-    sent[i], iteration and sent.tokens give the Tokens the sentence was built
-    from, or else views of its columns, built on each read and not kept: a
-    kept view would hold a sentence's memory several times over.
+    check the column they add. A sentence holds only its columns, and
+    column(name) is the tuple of one field. sent[i], iteration and
+    sent.tokens give Token views of the columns, built on each read and not
+    kept: a kept view would hold a sentence's memory several times over.
     """
 
-    __slots__ = ("_columns", "_tokens")
+    __slots__ = ("_columns",)
 
     def __init__(self, tokens):
         tokens = tuple(tokens)
@@ -163,7 +169,6 @@ class Sentence:
                 raise DataError(f"token indices must be 1..{n} in order, "
                                 f"found index {tok.index} at position {i}")
         self._columns = tuple(tuple(getattr(t, name) for t in tokens) for name in FIELDS)
-        self._tokens = tokens
         _check_heads(self._columns[3])
 
     @classmethod
@@ -192,7 +197,6 @@ class Sentence:
     def _of(cls, columns):
         sent = object.__new__(cls)
         sent._columns = columns
-        sent._tokens = None
         return sent
 
     def __len__(self):
@@ -200,15 +204,13 @@ class Sentence:
 
     @property
     def tokens(self):
-        return self._tokens if self._tokens is not None else tuple(self)
+        return tuple(self)
 
     def __iter__(self):
-        if self._tokens is not None:
-            return iter(self._tokens)
         return map(_token_view, itertools.count(1), *self._columns)
 
     def __getitem__(self, i):
-        if self._tokens is not None or isinstance(i, slice):
+        if isinstance(i, slice):
             return self.tokens[i]
         index = range(1, len(self) + 1)[i]
         return _token_view(index, *(column[index - 1] for column in self._columns))

@@ -1,16 +1,18 @@
 """BIO named-entity annotator, span extraction, and corpus preprocessing.
 
-Decoding masks illegal BIO transitions (I-X after O or at the sentence
-start, I-Y after an X entity), so tagger output never needs repair.
-repair_bio exists for third-party files.
+The BIO rule is written once, in model.py: check_ner_label is a label's
+shape and bio_may_follow which label may follow which. Decoding masks what
+the rule forbids (seqlabel.bio_transition_mask), so tagger output never
+needs repair; is_valid_bio and repair_bio, for third-party files, walk a
+sequence with the rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import (DataError, Sentence, check_form, check_ner_label, checked_rows,
-                    read_corpus, tab_blocks)
+from .model import (DataError, Sentence, bio_may_follow, check_form, check_ner_label,
+                    checked_rows, read_corpus, tab_blocks)
 from .pos import POS_TEMPLATE_DESCRIPTORS, check_tag, tag_pos_sentences
 from .seqlabel import (DecodeError, TrainingError, make_templates, tag_sentences,
                        train_averaged_perceptron)
@@ -79,9 +81,6 @@ def train_ner(corpus, epochs=8, shuffle_seed=1, gazetteer=None,
     """
     if templates is None:
         templates = ner_templates(with_gazetteer=gazetteer is not None)
-    for sent, labels in corpus:
-        for lab in labels:
-            _split_bio(lab)
     return train_averaged_perceptron(templates, corpus, epochs=epochs,
                                      shuffle_seed=shuffle_seed,
                                      bio_constrained=True, gazetteer=gazetteer,
@@ -90,34 +89,27 @@ def train_ner(corpus, epochs=8, shuffle_seed=1, gazetteer=None,
 
 
 def _split_bio(label):
-    if label == "O":
-        return "O", None
-    if len(label) > 2 and label[1] == "-" and label[0] in "BI":
-        return label[0], label[2:]
-    raise DataError(f"bad BIO label {label!r}")
+    """(marker, type) of a label that check_ner_label takes: ("O", None) for O."""
+    check_ner_label(label)
+    return ("O", None) if label == "O" else (label[0], label[2:])
 
 
 def is_valid_bio(labels):
-    prev_marker, prev_type = "O", None
-    for lab in labels:
-        marker, etype = _split_bio(lab)
-        if marker == "I" and (prev_marker == "O" or prev_type != etype):
-            return False
-        prev_marker, prev_type = marker, etype
-    return True
+    """Whether each label, checked by check_ner_label, may follow the one before."""
+    labels = list(labels)
+    for label in labels:
+        check_ner_label(label)
+    return all(map(bio_may_follow, labels, [None, *labels]))
 
 
 def repair_bio(labels):
-    """Turn each illegal I-X into B-X; valid sequences come back unchanged."""
+    """Turn each I-X that may not follow its previous label into B-X; valid
+    sequences come back unchanged."""
     out = []
-    prev_marker, prev_type = "O", None
-    for lab in labels:
-        marker, etype = _split_bio(lab)
-        if marker == "I" and (prev_marker == "O" or prev_type != etype):
-            marker = "B"
-            lab = f"B-{etype}"
-        out.append(lab)
-        prev_marker, prev_type = marker, etype
+    for label in labels:
+        check_ner_label(label)
+        out.append(label if bio_may_follow(label, out[-1] if out else None)
+                   else "B" + label[1:])
     return out
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import logging
 import os
 
@@ -112,8 +111,7 @@ class Pipeline:
         elif kind == "ner":
             decode = ner.tag_ner_sentences
         elif kind == "parse":
-            decode = functools.partial(depparse.parse_sentences,
-                                       use_ner_features=self.parser_uses_ner())
+            decode = depparse.parse_sentences
         else:
             raise PipelineConfigError(f"unknown annotator {kind!r}")
         try:

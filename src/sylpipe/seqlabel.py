@@ -36,7 +36,7 @@ from . import _kernels
 from ._kernels import NEG_INF
 from .linear import (AveragedWeights, ModelFormat, check_epochs, check_weights,
                      train_epochs, weight_rows)
-from .model import DataError, Sentence, check_label
+from .model import DataError, Sentence, bio_may_follow, check_label, check_ner_label
 # The template names stay importable from here, where they always were.
 from .templates import (ATOMS, BOUNDARY_LEFT, BOUNDARY_RIGHT,  # noqa: F401
                         FeatureTemplate, alphabet_tuples, compile_atom, extract_features,
@@ -60,23 +60,19 @@ class TrainingError(DataError):
 
 
 def bio_transition_mask(labels):
-    """Legal (previous, current) label pairs under the BIO scheme.
+    """The (L + 1, L) legal (previous, current) label pairs under the BIO rule
+    (model.bio_may_follow); row L is the virtual start position."""
+    return np.array([[bio_may_follow(label, previous) for label in labels]
+                     for previous in [*labels, None]], dtype=bool)
 
-    Row len(labels) is the virtual start position. I-X is legal only right
-    after B-X or I-X.
-    """
-    L = len(labels)
-    mask = np.ones((L + 1, L), dtype=bool)
-    for j, cur in enumerate(labels):
-        if not cur.startswith("I-"):
-            continue
-        ent = cur[2:]
-        for p in range(L + 1):
-            if p == L:
-                mask[p, j] = False
-            else:
-                mask[p, j] = labels[p] in (f"B-{ent}", f"I-{ent}")
-    return mask
+
+def _check_alphabet(labels, bio_constrained):
+    """Each label must read back from six-column text as itself and, in a
+    BIO-constrained alphabet, be of NER label shape (model.check_ner_label)."""
+    for label in labels:
+        check_label(label, "label")
+        if bio_constrained:
+            check_ner_label(label)
 
 
 def _tails(L):
@@ -111,8 +107,7 @@ class LinearModel:
         self.labels = list(labels)
         if not self.labels or len(set(self.labels)) != len(self.labels):
             raise ValueError("label alphabet must be non-empty and duplicate-free")
-        for label in self.labels:
-            check_label(label, "label")
+        _check_alphabet(self.labels, bio_constrained)
         self.label_index = {lab: i for i, lab in enumerate(self.labels)}
         self.templates = list(templates)
         self.feature_index = dict(feature_index)
@@ -759,6 +754,7 @@ def train_averaged_perceptron(templates, corpus, epochs=5, shuffle_seed=None,
     if not label_set:
         raise TrainingError("training corpus has no labeled tokens")
     labels = sorted(label_set)
+    _check_alphabet(labels, bio_constrained)
 
     induced = ()
     if combine_top_k > 0:

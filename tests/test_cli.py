@@ -101,6 +101,22 @@ class TestTrain:
         assert "expected a non-negative integer" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("task, corpus, options", [
+        ("pos", "pos.tsv", ["-gazetteer", "nope.txt"]), ("pos", "pos.tsv", ["-combine", "5"]),
+        ("pos", "pos.tsv", ["-use-ner-features"]), ("pos", "pos.tsv", ["-window", "0"]),
+        ("wseg", "wseg.txt", ["-epochs", "3"]), ("wseg", "wseg.txt", ["-seed", "9"]),
+        ("ner", "ner.tsv", ["-conllx"]), ("parse", "parse.conll", ["-merge-names"]),
+        ("pos", "pos.tsv", ["-gazetteer", "nope.txt", "-combine", "5", "-use-ner-features",
+                            "-window", "0"]),
+        ("wseg", "wseg.txt", ["-epochs", "3", "-seed", "9"]),
+    ])
+    def test_flag_of_another_task_exits_2_without_a_model(self, tmp_path, capsys, task,
+                                                          corpus, options):
+        assert main(["train", task, "-corpus", os.path.join(TOY_DIR, corpus),
+                     "-models", str(tmp_path), *options]) == 2
+        assert f"unrecognized arguments: {' '.join(options)}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_zero_counts_train_a_segmenter(self, tmp_path):
         assert main(["train", "wseg", "-corpus", os.path.join(TOY_DIR, "wseg.txt"),
                      "-models", str(tmp_path), "-window", "0", "-max-rules", "0"]) == 0
@@ -121,8 +137,9 @@ class TestTrain:
         with open(os.path.join(TOY_DIR, corpus), "rb") as fh:
             text = fh.read()
         (tmp_path / corpus).write_bytes(b"\xef\xbb\xbf" + text)
+        epochs = [] if task == "wseg" else ["-epochs", epochs]  # wseg has no epochs
         assert main(["train", task, "-corpus", str(tmp_path / corpus),
-                     "-models", str(tmp_path), "-epochs", epochs]) == 0
+                     "-models", str(tmp_path), *epochs]) == 0
         model = f"{task}.model"
         with open(os.path.join(cli_models, model), "rb") as fh:
             assert (tmp_path / model).read_bytes() == fh.read()
@@ -155,8 +172,10 @@ class TestTrain:
                 gazetteer.write_text(unicodedata.normalize(form, "Hà_Nội\nViệt_Nam\n"),
                                      encoding="utf-8")
                 args.append(str(gazetteer))
+            if task != "wseg":
+                args += ["-epochs", "12"]
             assert main(["train", task, "-corpus", str(path), *args,
-                         "-models", str(tmp_path / form), "-epochs", "12"]) == 0
+                         "-models", str(tmp_path / form)]) == 0
             models.append((tmp_path / form / f"{task}.model").read_bytes())
         assert unicodedata.normalize("NFD", "\n".join(lines)) != "\n".join(lines)
         assert models[0] == models[1]
@@ -302,6 +321,20 @@ class TestAnnotate:
                      "-models", str(models)])
         assert code == 3
         assert "pos: failed to load" in capsys.readouterr().err
+
+    def test_non_bio_label_in_a_bio_model_exits_3(self, cli_models, tmp_path, capsys):
+        # Rename the label O of the NER model, whose header says "bio": true.
+        models = tmp_path / "models"
+        shutil.copytree(cli_models, models)
+        magic, header, rest = (models / "ner.model").read_bytes().split(b"\n", 2)
+        assert header.count(b'"O"') == 1 and b'"bio":true' in header
+        (models / "ner.model").write_bytes(
+            b"\n".join((magic, header.replace(b'"O"', b'"N"'), rest)))
+        code = main(["annotate", "-fin", DEMO_INPUT, "-fout", str(tmp_path / "o.txt"),
+                     "-models", str(models)])
+        assert code == 3
+        assert (f"ner: failed to load {models / 'ner.model'}: bad NER label 'N'"
+                in capsys.readouterr().err)
 
 
     @pytest.mark.parametrize("task", ["ner", "parse"])

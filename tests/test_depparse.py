@@ -28,7 +28,7 @@ from sylpipe.depparse import (LEFT_ARC, REDUCE, RIGHT_ARC, SHIFT,
 from sylpipe.metrics import attachment_scores
 from sylpipe.model import Sentence, Token
 from sylpipe.pipeline import ModelLoadError, load_model
-from sylpipe.seqlabel import TrainingError
+from sylpipe.seqlabel import DecodeError, TrainingError
 
 RELS = ("nmod", "root", "sub")
 
@@ -317,8 +317,10 @@ class TestLockstepDecoding:
                                    ner_label=t.ner_label) for t in s) for s in bank]
         visited = []
         for doc in (stripped, sentences):
+            if not use_ner:  # a sentence without NER labels parses without them
+                doc = [s.with_ner_labels([None] * len(s)) for s in doc]
             expected = [reference_parse(model, s, use_ner, visited) for s in doc]
-            assert parses(parse_sentences(model, doc, use_ner)) == parses(expected)
+            assert parses(parse_sentences(model, doc)) == parses(expected)
         # All states scored in one batch, each row bit for bit as row_sum.
         states, values, expected = zip(*visited)
         got = depparse._lockstep_scores(model, states, values)
@@ -341,12 +343,20 @@ class TestLockstepDecoding:
         monkeypatch.setattr(depparse, "LOCKSTEP_SENTENCES", 3)
         assert parses(parse_sentences(parse_model, doc)) == parses(expected)
 
-    def test_input_checked_before_decoding(self, parse_model):
+    def test_input_checked_before_decoding(self, parse_model, toy_treebank):
         good = Sentence([Token(1, "a", pos_tag="N")])
         with pytest.raises(ValueError, match="POS tags"):
             parse_sentences(parse_model, [good, Sentence([Token(1, "a")])])
-        with pytest.raises(ValueError, match="NER"):
-            parse_sentences(parse_model, [good], use_ner_features=True)
+        # A parser with NER features reads the labels of a sentence that has
+        # them on every token, parses one without any, and refuses the rest.
+        ner_parser = train_parser(list(toy_treebank)[:10], epochs=1, use_ner_features=True)
+        labelled = Sentence.from_columns(["a", "b"], ["N", "V"], ["B-PER", "O"])
+        partly = labelled.with_ner_labels(["B-PER", None])
+        with pytest.raises(DecodeError, match="only some tokens have one") as exc:
+            parse_sentences(ner_parser, [good, labelled, Sentence(()), partly])
+        assert exc.value.sentence == 4
+        assert parse_sentences(ner_parser, [good, labelled, good]) == [
+            parse_sentence(ner_parser, s) for s in (good, labelled, good)]
 
     def test_fallback_attachments_logged(self, caplog):
         # No feature is known and every weight is 0, so SHIFT (the first

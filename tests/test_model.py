@@ -112,7 +112,7 @@ class TestSentence:
         with pytest.raises(IndexError):
             s[3]
         tokens = [Token(index=1, form="a")]
-        assert Sentence(tokens).tokens[0] is tokens[0]
+        assert Sentence(tokens).tokens[0] == tokens[0]
 
 
 # Random token fields for the old and the columnar sentence: forms with

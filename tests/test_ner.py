@@ -2,12 +2,14 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_form_sentence, random_linear_model
-from sylpipe import ner, pos
+from sylpipe import ner, pos, seqlabel
 from sylpipe.metrics import chunk_f1
-from sylpipe.model import FormatError, Sentence, Token
-from sylpipe.seqlabel import LinearModel, viterbi_decode
+from sylpipe.model import DataError, FormatError, Sentence, Token
+from sylpipe.seqlabel import LinearModel, bio_transition_mask, viterbi_decode
 
 
 def tagged(*pairs):
@@ -39,6 +41,60 @@ class TestRepairBio:
     def test_unknown_label(self):
         with pytest.raises(ValueError):
             ner.repair_bio(["Q-PER"])
+
+
+# Types that share a prefix or hold a marker, so that a rule that compares
+# label prefixes instead of marker and type would be caught.
+BIO_LABELS = st.sampled_from(["O"]) | st.builds(
+    "{}-{}".format, st.sampled_from("BI"),
+    st.sampled_from(["PER", "PERS", "LOC", "I-PER", "B", "a|b", "X-Y"]))
+
+
+def plainly_follows(label, previous):
+    """The BIO rule read off marker and type: I-X only right after B-X or I-X."""
+    marker, etype = label[0], label[2:]
+    return marker != "I" or (previous is not None and previous != "O"
+                             and previous[0] in "BI" and previous[2:] == etype)
+
+
+class TestBioRule:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(BIO_LABELS, min_size=1, max_size=8, unique=True), st.data())
+    def test_mask_validity_and_repair_follow_the_rule(self, alphabet, data):
+        mask = bio_transition_mask(alphabet)
+        assert mask.shape == (len(alphabet) + 1, len(alphabet))
+        for p, previous in enumerate([*alphabet, None]):
+            for j, label in enumerate(alphabet):
+                assert mask[p, j] == plainly_follows(label, previous)
+        labels = data.draw(st.lists(st.sampled_from(alphabet), max_size=10))
+        legal = [plainly_follows(label, previous)
+                 for label, previous in zip(labels, [None, *labels])]
+        assert ner.is_valid_bio(labels) == all(legal)
+        repaired = ner.repair_bio(labels)
+        expected = []
+        for label in labels:
+            expected.append(label if plainly_follows(label, expected[-1] if expected else None)
+                            else "B" + label[1:])
+        assert repaired == expected
+        assert ner.is_valid_bio(repaired)
+        assert ner.repair_bio(repaired) == repaired
+        if all(legal):
+            assert repaired == labels
+
+    @pytest.mark.parametrize("label", ["B-LOC X", "I-", "N", "o", "B_LOC"])
+    def test_one_shape_everywhere(self, label):
+        for check in (ner.is_valid_bio, ner.repair_bio, ner.entity_spans):
+            with pytest.raises(DataError, match=f"bad NER label '{label}'"):
+                check(["O", label])
+
+    def test_training_refuses_a_bad_gold_label_before_the_freeze(self, monkeypatch):
+        def freeze(*args):
+            raise AssertionError("froze a corpus with a bad label")
+
+        monkeypatch.setattr(seqlabel, "_freeze", freeze)
+        s = tagged(("a", "Np"), ("b", "N"))
+        with pytest.raises(DataError, match=re.escape("bad NER label 'B-LOC X'")):
+            ner.train_ner([(s, ["B-LOC X", "O"])], epochs=1)
 
 
 class TestEntitySpans:

@@ -3,9 +3,9 @@ import time
 
 import pytest
 
-from sylpipe import pos, wseg
+from sylpipe import pos, seqlabel, wseg
 from sylpipe.metrics import tagging_accuracy
-from sylpipe.model import FormatError, Sentence, Token
+from sylpipe.model import DataError, FormatError, Sentence, Token
 from sylpipe.seqlabel import save_linear_model
 
 
@@ -40,6 +40,18 @@ class TestParseTwoColumn:
     def test_dump_round_trip(self, toy_pos_corpus):
         text = pos.dump_two_column(toy_pos_corpus)
         assert pos.parse_two_column(text) == toy_pos_corpus
+
+
+class TestTrainPos:
+    @pytest.mark.parametrize("tag", ["_", "", "N\t"])
+    def test_gold_tag_that_cannot_round_trip_is_refused_before_the_freeze(
+            self, monkeypatch, tag):
+        def freeze(*args):
+            raise AssertionError("froze a corpus with a bad tag")
+
+        monkeypatch.setattr(seqlabel, "_freeze", freeze)
+        with pytest.raises(DataError, match=re.escape(f"bad label {tag!r}")):
+            pos.train_pos([(plain("a", "b"), ["N", tag])], epochs=1)
 
 
 class TestTagPos:
