@@ -161,8 +161,9 @@ def pack_ids(ids):
     """
     ids.sort(axis=1)
     if len(ids):
-        ids = ids[:, int(np.searchsorted(ids.max(axis=0), 0)):]
-    ids[:, 1:][ids[:, 1:] == ids[:, :-1]] = -1
+        ids = ids[:, np.maximum.reduce(ids, axis=0).searchsorted(0):]
+    after = ids[:, 1:]
+    after[after == ids[:, :-1]] = -1
     return ids.T
 
 

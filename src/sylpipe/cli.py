@@ -7,8 +7,11 @@ alignment error, 5 unexpected internal error.
 Exit 4 covers model.DataError, whose subclasses include FormatError,
 AlignmentError, TrainingError and DecodeError, and input that is not UTF-8.
 A fault in any corpus file, for train and eval alike, reads "line N:
-<problem> (in <file>)" (model.read_corpus). Any other ValueError is a fault
-of the program and exits 5.
+<problem> (in <file>)" (model.read_corpus). An annotator stage that fails
+with a DecodeError exits 4 too, its message naming the stage and the
+sentence ("<stage> failed on sentence N: ..."); a stage that fails with
+any other exception, like any other ValueError, is a fault of the program
+and exits 5.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ import sys
 
 from . import bench, depparse, metrics, ner, pos, wseg
 from .model import DataError, dump_six_column, read_corpus, read_six_column, split_form
-from .pipeline import (ANNOTATOR_KINDS, MODEL_FILES, ModelLoadError, Pipeline,
-                       PipelineConfigError, build_pipeline, load_model)
-from .seqlabel import save_linear_model, tag_sentences
+from .pipeline import (ANNOTATOR_KINDS, MODEL_FILES, AnnotationError, ModelLoadError,
+                       Pipeline, PipelineConfigError, build_pipeline, load_model)
+from .seqlabel import DecodeError, save_linear_model, tag_sentences
 
 MODELS_ENV_VAR = "SYLPIPE_MODELS"
 
@@ -346,6 +349,12 @@ def main(argv=None):
     except (DataError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except AnnotationError as exc:
+        if isinstance(exc.__cause__, DecodeError):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DATA
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except Exception as exc:  # pragma: no cover - safety net
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

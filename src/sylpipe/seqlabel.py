@@ -10,7 +10,15 @@ Decoding resolves features to ids without building a string per position
 (_CompiledFeatures): templates of a single attribute atom through per-value
 tables, and all others, conjunctions and lone isfirst/islast atoms, through
 one sorted int64 key table of their atoms' interned value ids, looked up for
-a whole document with one np.searchsorted. Training freezes its alphabet
+a whole document with one np.searchsorted. A call costs a fixed number of
+array operations per token attribute, however many templates read it: one
+gather reads the attribute's codes at every offset, a row-slice gather per
+offset of several single-atom templates reads their ids, and one element
+gather the other ids and the conjunction slots, these into a digit matrix
+that the key table folds for every conjunction at once. Values a column
+has not cached are resolved atom by atom: one pass per atom over the
+call's new values, one per template over its strings.
+Training freezes its alphabet
 without a string per position either (_freeze): each atom reads each
 distinct attribute value once, the interned value ids of every template's
 atoms over the whole corpus pack into exact integer keys, and only each
@@ -183,15 +191,21 @@ class _Column:
     resolved once per value.
 
     A value resolves to a row of `table`: one feature id per single-atom
-    template (-1 if the model does not know it), the templates of offset o
-    in columns spans[o], then from column `width` on the interned value id
-    of each conjunction slot (_ConjunctionKeys). Each distinct atom reads
-    a value once, through its entry in templates.ATOMS, and rows 0 and 1 of
-    `table` hold the entries' values left and right of a sentence. A value
-    gets a row of its own only if the model knows its identity feature, so
-    the table is bounded by the alphabet; other values are resolved again
-    in every call. A row is written before `cache` publishes it, under a
-    lock, so threads that read without the lock see only whole rows.
+    template (-1 if the model does not know it), the templates of one offset
+    side by side, then from column `width` on the interned value id of each
+    conjunction slot (_ConjunctionKeys). Rows 0 and 1 of `table` hold the
+    atoms' values left and right of a sentence. A value gets a row of its
+    own only if the model knows its identity feature, so the table is
+    bounded by the alphabet; other values are resolved again in every call,
+    all of a call's at once (resolve), and finish resolves the two boundary
+    rows the same way. A row is written before `cache` publishes it, under
+    a lock, so threads that read without the lock see only whole rows.
+
+    A call reads the column's codes at every offset of the _Layout with one
+    gather; then `gathers` lists a row-slice gather per offset of several
+    single-atom templates, and one element gather (`picks`) reads the ids
+    of the offsets of one template each, then the conjunction slots, whose
+    digit matrix rows are `cells`.
     """
 
     def __init__(self, index, resources):
@@ -200,6 +214,7 @@ class _Column:
         self.atoms = {}  # (name, arg) -> position among the distinct atoms
         self.singles = {}  # offset -> [(template prefix, atom, is identity atom)]
         self.slots = []  # the atom of each conjunction slot
+        self.reads = []  # (offset, slot, digit matrix row) of each conjunction atom
         self.cache = {}  # value -> row of table
         self._lock = threading.Lock()
 
@@ -214,89 +229,99 @@ class _Column:
             self.slots.append(k)
         return self.slots.index(k)
 
-    def finish(self, keys):
+    def finish(self, keys, offsets):
+        """Lay the table's columns out and resolve its boundary rows; offsets
+        lists the offsets of the _Layout's reads."""
         self.keys = keys
-        self.offsets = sorted(self.singles)
-        self.spans = {}
-        width = 0
-        for offset in self.offsets:
-            self.spans[offset] = (width, width + len(self.singles[offset]))
-            width += len(self.singles[offset])
-        self.width = width
-        left, _ = self.resolve([ATOMS[name].left for name, _ in self.atoms])
-        right, _ = self.resolve([ATOMS[name].right for name, _ in self.atoms])
-        self.table = np.array([left, right], dtype=np.intp)
+        at = {offset: i for i, offset in enumerate(offsets)}
+        self.features = []  # (template prefix, atom) per single-atom template
+        self.identity = []  # the columns of the identity atom's templates
+        self.gathers = []  # (reads row, lo, hi) per offset of several templates
+        picks = []  # (reads row, table column) per element read
+        for offset in sorted(self.singles):
+            lo = len(self.features)
+            for prefix, k, identity in self.singles[offset]:
+                if identity:
+                    self.identity.append(len(self.features))
+                self.features.append((prefix, k))
+            if len(self.features) - lo > 1:
+                self.gathers.append((at[offset], lo, len(self.features)))
+            else:
+                picks.append((at[offset], lo))
+        self.width = len(self.features)
+        self.lone = len(picks)  # the single-atom ids among the picks, first
+        picks += [(at[offset], self.width + slot) for offset, slot, _ in self.reads]
+        rows, columns = zip(*picks) if picks else ((), ())
+        self.picks = (np.array(rows, dtype=np.intp),
+                      np.array(columns, dtype=np.intp).reshape(-1, 1))
+        self.cells = np.array([cell for _, _, cell in self.reads], dtype=np.intp)
+        self.readers = [(ATOMS[name].value, arg) for name, arg in self.atoms]
+        rows, _ = self.resolve([value for name, _ in self.atoms
+                                for value in (ATOMS[name].left, ATOMS[name].right)])
+        self.table = np.ascontiguousarray(rows)
         self.size = 2  # rows of table in use
 
     def resolve(self, values):
-        """(row of the atoms' values, listed as atoms, whether the model
-        knows the value of the attribute)."""
+        """(rows, known) of M values of the attribute, given what its atoms
+        read from them atom by atom, atom k's M values at values[k * M:(k +
+        1) * M]: their table rows, and whether the model knows each one's
+        identity feature.
+
+        Each template looks its strings up in one pass over its atom's values.
+        """
+        M = len(values) // len(self.atoms)
+        by_atom = [values[k:k + M] for k in range(0, len(values), M)]
         get = self.index.get
-        known = False
-        row = []
-        for offset in self.offsets:
-            for prefix, k, identity in self.singles[offset]:
-                j = -1 if values[k] is None else get(prefix + values[k], -1)
-                row.append(j)
-                known = known or (identity and j >= 0)
+        ids = [-1 if v is None else get(prefix + v, -1)
+               for prefix, k in self.features for v in by_atom[k]]
+        identity = [ids[j * M:(j + 1) * M] for j in self.identity]
+        known = [max(tops) >= 0 for tops in zip(*identity)] if identity else [False] * M
         value_id, unknown = self.keys.values.get, self.keys.unknown
-        row += [unknown if values[k] is None else value_id(values[k], unknown)
-                for k in self.slots]
-        return row, known
+        ids += [value_id(v, unknown) for k in self.slots for v in by_atom[k]]
+        return np.fromiter(ids, dtype=np.intp, count=len(ids)).reshape(-1, M).T, known
 
     def local_rows(self, values):
-        """(codes, rows): row codes[i] of rows is values[i]'s.
+        """(codes, rows): row codes[n] of rows is values[n]'s, and codes ends
+        in 0 and 1, the rows of the values left and right of a sentence.
 
-        values holds the attribute at each token. rows holds the table rows
-        of its distinct values, after the two boundary rows.
+        values holds the attribute at each token. rows holds the two
+        boundary rows, then one row per distinct value.
         """
-        cache = self.cache
-        rows = [0, 1]
-        code = {}
-        fresh = []
-        for value in dict.fromkeys(values):
-            row = cache.get(value)
-            if row is None:
-                fresh.append(value)
-            else:
-                code[value] = len(rows)
-                rows.append(row)
+        code = dict(zip(dict.fromkeys(values), itertools.count(2)))
+        # The row of each cached value; -1 (read, then overwritten) for the fresh.
+        rows = [0, 1, *map(self.cache.get, code, itertools.repeat(-1))]
         # Read after the rows: every row seen in the cache is in this table.
-        table = self.table[rows]
+        table = self.table.take(rows, axis=0)
+        fresh = [k for k, row in enumerate(rows) if row < 0]
         if fresh:
-            entries = []
-            known = []
+            distinct = list(code)
+            new = [distinct[k - 2] for k in fresh]
             resources = self.resources
-            atoms = [(ATOMS[name].value, arg) for name, arg in self.atoms]
-            for k, value in enumerate(fresh, len(rows)):
-                entry, is_known = self.resolve([read(value, arg, resources)
-                                                for read, arg in atoms])
-                code[value] = k
-                entries.append(entry)
-                if is_known:
-                    known.append((value, entry))
-            table = np.concatenate([table, np.array(entries, dtype=np.intp)])
-            if known:
-                self._admit(known)
-        codes = np.fromiter(map(code.__getitem__, values), dtype=np.intp, count=len(values))
+            entries, known = self.resolve([read(value, arg, resources)
+                                           for read, arg in self.readers for value in new])
+            table[fresh] = entries
+            if any(known):
+                self._admit([value for value, k in zip(new, known) if k], entries[known])
+        codes = np.fromiter(itertools.chain(map(code.__getitem__, values), (0, 1)),
+                            dtype=np.intp, count=len(values) + 2)
         return codes, table
 
-    def _admit(self, known):
-        """Give each (value, row) its own row of table, unless another thread did."""
+    def _admit(self, values, rows):
+        """Give each value its row of table, unless another thread did."""
         with self._lock:
-            known = [(value, row) for value, row in known if value not in self.cache]
-            if not known:
+            new = [k for k, value in enumerate(values) if value not in self.cache]
+            if not new:
                 return
             n = self.size
             table = self.table
-            if n + len(known) > len(table):
-                table = np.empty((2 * (n + len(known)), table.shape[1]), dtype=np.intp)
+            if n + len(new) > len(table):
+                table = np.empty((2 * (n + len(new)), table.shape[1]), dtype=np.intp)
                 table[:n] = self.table[:n]
-            table[n:n + len(known)] = [row for _, row in known]
+            table[n:n + len(new)] = rows[new]
             self.table = table
-            self.size = n + len(known)
-            for row, (value, _) in enumerate(known, n):
-                self.cache[value] = row
+            self.size = n + len(new)
+            for row, k in enumerate(new, n):
+                self.cache[values[k]] = row
 
 
 # Conjunction keys are int64: every key of the table stays below this.
@@ -320,6 +345,14 @@ class _ConjunctionKeys:
     rank plan, which a lookup follows (an unregistered prefix ranks last).
     Templates of which the alphabet holds no feature are not kept: they
     never fire.
+
+    A lookup reads all kept templates' atoms from one digit matrix of
+    `depth` blocks of C rows, `depth` the largest arity: atom i of a
+    template of arity n is in block depth - n + i (cell), so every
+    template ends in the last block and its blocks before the first hold
+    0, which leaves its code 0 until its first digit. One fold over the
+    blocks then makes every template's code, each following its rank plan
+    at its own digits (`ranked`).
     """
 
     def __init__(self, templates, index):
@@ -347,30 +380,43 @@ class _ConjunctionKeys:
         self.keys = keys[order]
         # A key outside the table ranks last, at the -1 after its ids.
         self.ids = np.append(np.concatenate(ids)[order], -1)
-
-    def lookup(self, atoms, digit):
-        """(N, C) feature ids of N positions, -1 where none fires.
-
-        atoms[c] lists the atoms of kept template c; digit(atom) returns the
-        (N,) value ids that the atom reads.
-        """
-        radix, C = self.radix, len(self.kept)
-        keys = []
-        for c, (template_atoms, plan) in enumerate(zip(atoms, self.plans)):
-            code = 0
-            for atom, ranks in zip(template_atoms, plan):
+        self.arity = [len(templates[t].specs) for t in self.kept]
+        self.depth = max(self.arity, default=0)
+        # The (kept template, ranks) of the plans that rank before each block;
+        # a plan never ranks before its first digit.
+        self.ranked = [[] for _ in range(self.depth)]
+        for c, (n, plan) in enumerate(zip(self.arity, self.plans)):
+            for i, ranks in enumerate(plan):
                 if ranks is not None:
-                    code = _rank(ranks, code)
-                code = code * radix + digit(atom)
-            keys.append(code * C + c)
-        return self.ids[_rank(self.keys, np.stack(keys, axis=1))]
+                    self.ranked[self.depth - n + i].append((c, ranks))
+        self.lowest = np.arange(C, dtype=np.int64)[:, None]  # each key's lowest digit
+
+    def cell(self, c, i):
+        """The digit matrix row of atom i of kept template c."""
+        return (self.depth - self.arity[c] + i) * len(self.kept) + c
+
+    def lookup(self, digits):
+        """(C, N) feature ids of N positions, -1 where none fires, from their
+        (depth * C, N) int64 digit matrix: row cell(c, i) holds the value
+        ids that atom i of kept template c reads, and the other rows 0.
+        """
+        C = len(self.kept)
+        code = digits[:C].copy()
+        for block in range(1, self.depth):
+            for c, ranks in self.ranked[block]:
+                code[c] = _rank(ranks, code[c])
+            code *= self.radix
+            code += digits[block * C:(block + 1) * C]
+        code *= C
+        code += self.lowest
+        return self.ids[_rank(self.keys, code)]
 
 
 def _rank(table, x):
     """Position of each x in the sorted table, len(table) where it is absent."""
-    r = np.searchsorted(table, x)
-    hit = table[np.minimum(r, len(table) - 1)] == x
-    return np.where(hit, r, len(table))
+    r = table.searchsorted(x)
+    np.putmask(r, table.take(r, mode="clip") != x, len(table))
+    return r
 
 
 def _tuple_codes(digits, radix, scale=1):
@@ -446,43 +492,43 @@ def freeze_features(names, digits, values, rows):
     return features, starts, fired
 
 
-def _margin(templates):
-    return max((abs(offset) for tpl in templates for _, _, offset in tpl.specs), default=0)
+def _offsets(templates):
+    """The offsets that the templates' atoms read, ascending."""
+    return sorted({offset for tpl in templates for _, _, offset in tpl.specs})
+
+
+def _offset_column(offsets):
+    return np.array(offsets, dtype=np.intp).reshape(-1, 1)
 
 
 class _Layout:
     """The N positions of a document's sentences, end to end.
 
-    at[n] is position n's place in its sentence and last[n] the place of
-    that sentence's last token. pad(codes) lays a column's N codes out
-    with `margin` codes around each sentence, 0 before it and 1 after it,
-    so that shift(padded, o) reads each position's code at offset o.
+    offsets is the (O, 1) column of the offsets that the atoms read
+    (_offset_column). reads[i, n] is the position at offsets[i] from n, or N
+    where that lies before n's sentence and N + 1 where it lies after, so
+    that a column's N codes followed by its left and right boundary codes
+    are read at every offset by one index, codes[reads]. bounds[0, n] and
+    bounds[1, n] are the first and the last position of n's sentence.
     """
 
-    def __init__(self, sentences, margin):
+    def __init__(self, sentences, offsets):
         lengths = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
-        self.N = N = int(lengths.sum())
-        sentence = np.repeat(np.arange(len(lengths)), lengths)
-        starts = np.cumsum(lengths) - lengths
-        self.at = np.arange(N) - starts[sentence]
-        self.last = lengths[sentence] - 1
-        self.where = np.arange(N) + (2 * sentence + 1) * margin
-        self.left = ((starts + 2 * margin * np.arange(len(lengths)))[:, None]
-                     + np.arange(margin)).ravel()
-        self.size = N + 2 * margin * len(lengths)
+        ends = lengths.cumsum()
+        self.N = N = int(ends[-1]) if len(ends) else 0
+        bounds = np.empty((2, len(lengths)), dtype=np.intp)
+        np.subtract(ends, lengths, out=bounds[0])
+        np.subtract(ends, 1, out=bounds[1])
+        self.bounds = bounds = bounds.repeat(lengths, axis=1)
+        self.reads = reads = offsets + np.arange(N)
+        # Right first: N + 1 is never below a sentence's first position.
+        np.putmask(reads, reads > bounds[1], N + 1)
+        np.putmask(reads, reads < bounds[0], N)
 
-    def edge(self, is_last, offset):
-        """Whether the token at offset is its sentence's last (else first)."""
-        return self.at == (self.last if is_last else 0) - offset
-
-    def pad(self, codes):
-        padded = np.ones(self.size, dtype=np.intp)
-        padded[self.left] = 0
-        padded[self.where] = codes
-        return padded
-
-    def shift(self, padded, offset):
-        return padded[self.where + offset]
+    def edge(self, is_last, i):
+        """Whether the token at offsets[i] from each position is its
+        sentence's last (else first)."""
+        return self.reads[i] == self.bounds[int(is_last)]
 
 
 class _CompiledFeatures:
@@ -490,12 +536,13 @@ class _CompiledFeatures:
 
     Every template resolves in one of two ways. A single atom over the
     form, the POS tag or the NER label resolves once per value (_Column) and
-    is read by one fancy index per offset. Any other template, a conjunction
-    or a lone isfirst/islast, looks the key of its atoms' value ids up in
-    one sorted table (_ConjunctionKeys), an attribute atom reading the
-    cached value id of its column and an isfirst/islast atom the id of "1"
-    or "0" by the position's place in its sentence. Induced pairs join ids.
-    Built on first decode, so loading a model does no extra work.
+    is read by a gather of its column's table. Any other template, a
+    conjunction or a lone isfirst/islast, looks the key of its atoms' value
+    ids up in one sorted table (_ConjunctionKeys): an attribute atom reads
+    the cached value id of its column and an isfirst/islast atom the id of
+    "1" or "0" by the position's place in its sentence, each into its row of
+    one digit matrix. Induced pairs join ids. Built on first decode, so
+    loading a model does no extra work.
     """
 
     def __init__(self, model):
@@ -514,21 +561,24 @@ class _CompiledFeatures:
                     (tpl.prefix, column.atom(name, arg), name == _IDENTITY_ATOM[attrs[0]]))
             else:
                 conjunctions.append((tpl, attrs))
-        self.keys = _ConjunctionKeys([tpl for tpl, _ in conjunctions], index)
-        # [(attribute, slot, offset), or (None, is islast, offset)] per kept template
-        self.conjunctions = []
-        for t in self.keys.kept:
+        self.keys = keys = _ConjunctionKeys([tpl for tpl, _ in conjunctions], index)
+        offsets = _offsets(model.templates)
+        self.offsets = _offset_column(offsets)
+        places = []  # (reads row, is islast, digit row) per isfirst/islast atom
+        for c, t in enumerate(keys.kept):
             tpl, attrs = conjunctions[t]
-            atoms = []
-            for (name, arg, offset), attr in zip(tpl.specs, attrs):
+            for i, ((name, arg, offset), attr) in enumerate(zip(tpl.specs, attrs)):
                 if attr is None:
-                    atoms.append((None, name == "islast", offset))
-                    continue
-                atoms.append((attr, self._column(attr).slot(name, arg), offset))
-            self.conjunctions.append(atoms)
+                    places.append((offsets.index(offset), name == "islast",
+                                   keys.cell(c, i)))
+                else:
+                    column = self._column(attr)
+                    column.reads.append((offset, column.slot(name, arg), keys.cell(c, i)))
+        self.places = tuple(np.array(part, dtype=np.intp) for part in zip(*places))
+        self.edges = np.array([keys.values.get("0", keys.unknown),
+                               keys.values.get("1", keys.unknown)], dtype=np.int64)
         for column in self.columns.values():
-            column.finish(self.keys)
-        self.margin = _margin(model.templates)
+            column.finish(keys, offsets)
         self.pairs = []  # (id of one part, id of the other, id of the pair)
         for a, b in model.induced_pairs:
             name = index.get(f"{a}&&{b}")
@@ -536,7 +586,7 @@ class _CompiledFeatures:
                 self.pairs.append((index[a], index[b], name))
         # Columns of document_ids before packing.
         self.width = (sum(column.width for column in self.columns.values())
-                      + len(self.conjunctions) + len(self.pairs))
+                      + len(keys.kept) + len(self.pairs))
 
     def _column(self, attr):
         if attr not in self.columns:
@@ -550,32 +600,40 @@ class _CompiledFeatures:
         """(K, N) feature ids of the N positions of the Sentences, as sum_rows
         reads them (_kernels.pack_ids): column n holds the ids that
         position_feature_ids gives at position n.
+
+        Each column reads its codes at every offset with one gather, then
+        its single-atom ids and conjunction slots with its gathers and one
+        element gather (_Column); one compare with the sentence bounds writes
+        every isfirst/islast digit, and one fold of the digit matrix looks
+        every conjunction up. The array operations are a fixed number per
+        column, not per template.
         """
-        layout = _Layout(sentences, self.margin)
+        layout = _Layout(sentences, self.offsets)
+        keys = self.keys
+        C = len(keys.kept)
         ids = np.empty((layout.N, self.width), dtype=np.intp)
+        digits = np.zeros((keys.depth * C, layout.N), dtype=np.int64)
         k = 0  # next column of ids
-        rows = {}  # attribute -> (padded codes, rows of the column's table)
         for attr, column in self.columns.items():
-            local, table = column.local_rows(list(itertools.chain.from_iterable(
+            codes, table = column.local_rows(list(itertools.chain.from_iterable(
                 s.column(attr) for s in sentences)))
-            padded = layout.pad(local)
-            rows[attr] = padded, table
-            for offset, (lo, hi) in column.spans.items():
-                ids[:, k:k + hi - lo] = table[layout.shift(padded, offset), lo:hi]
+            codes = codes[layout.reads]
+            for i, lo, hi in column.gathers:
+                ids[:, k:k + hi - lo] = table[codes[i], lo:hi]
                 k += hi - lo
-        if self.conjunctions:
-            value_id, unknown = self.keys.values.get, self.keys.unknown
-            yes, no = value_id("1", unknown), value_id("0", unknown)
-
-            def digit(atom):
-                attr, slot, offset = atom
-                if attr is None:
-                    return np.where(layout.edge(slot, offset), yes, no)
-                padded, table = rows[attr]
-                return table[layout.shift(padded, offset), self.columns[attr].width + slot]
-
-            ids[:, k:k + len(self.conjunctions)] = self.keys.lookup(self.conjunctions, digit)
-            k += len(self.conjunctions)
+            rows, columns = column.picks
+            if len(rows):
+                picked = table[codes[rows], columns]
+                ids[:, k:k + column.lone] = picked[:column.lone].T
+                k += column.lone
+                digits[column.cells] = picked[column.lone:]
+        if self.places:
+            at, is_last, cells = self.places
+            digits[cells] = self.edges[(layout.reads[at]
+                                        == layout.bounds[is_last]).view(np.int8)]
+        if C:
+            ids[:, k:k + C] = keys.lookup(digits).T
+            k += C
         base = ids[:, :k]
         present = {}
         for a, b, name in self.pairs:
@@ -738,7 +796,9 @@ def train_averaged_perceptron(templates, corpus, epochs=5, shuffle_seed=None,
     generator. combine_top_k > 0 first runs one probe epoch, promotes the
     top-K feature pairs co-firing at mistaken positions to conjunction
     features, then restarts training with the augmented feature space;
-    0 turns that off, and a count below 0 is refused.
+    0 turns that off, and a count below 0 is refused. A bio_constrained
+    corpus whose gold labels break the BIO rule (model.bio_may_follow), which
+    the decode mask forbids, raises TrainingError naming the sentence.
     """
     check_epochs(epochs)
     if combine_top_k < 0:
@@ -755,6 +815,14 @@ def train_averaged_perceptron(templates, corpus, epochs=5, shuffle_seed=None,
         raise TrainingError("training corpus has no labeled tokens")
     labels = sorted(label_set)
     _check_alphabet(labels, bio_constrained)
+    if bio_constrained:
+        # The decode mask forbids such a gold sequence, so no update could reach it.
+        for k, (_, gold) in enumerate(corpus, start=1):
+            for previous, label in zip([None, *gold], gold):
+                if not bio_may_follow(label, previous):
+                    where = "start a sentence" if previous is None else f"follow {previous!r}"
+                    raise TrainingError(f"sentence {k}: gold label {label!r} may not {where} "
+                                        "(BIO rule)")
 
     induced = ()
     if combine_top_k > 0:
@@ -775,13 +843,14 @@ def _atom_digits(templates, sentences, resources):
     read offsets and places through the _Layout of document_ids. values
     lists the value strings by id.
     """
-    layout = _Layout(sentences, _margin(templates))
+    offsets = _offsets(templates)
+    layout = _Layout(sentences, _offset_column(offsets))
     values = {}
 
     def intern(value):
         return -1 if value is None else values.setdefault(value, len(values))
 
-    columns = {}  # attribute -> (padded code of each position, distinct values)
+    columns = {}  # attribute -> (code of each position, then 0 and 1; distinct values)
     tables = {}  # (name, arg) -> value id by code: left boundary, right, then values
     read = {}  # atom spec -> value id at each position
 
@@ -791,21 +860,22 @@ def _atom_digits(templates, sentences, resources):
             return read[spec]
         entry = ATOMS[name]
         if entry.attribute is None:
-            read[spec] = np.where(layout.edge(name == "islast", offset),
+            read[spec] = np.where(layout.edge(name == "islast", offsets.index(offset)),
                                   intern("1"), intern("0"))
             return read[spec]
         if entry.attribute not in columns:
             column = list(itertools.chain.from_iterable(
                 s.column(entry.attribute) for s in sentences))
             code = {value: k for k, value in enumerate(dict.fromkeys(column), 2)}
-            columns[entry.attribute] = (layout.pad(np.fromiter(
-                map(code.__getitem__, column), dtype=np.intp, count=len(column))), list(code))
-        padded, distinct = columns[entry.attribute]
+            columns[entry.attribute] = (np.fromiter(
+                itertools.chain(map(code.__getitem__, column), (0, 1)), dtype=np.intp,
+                count=len(column) + 2), list(code))
+        codes, distinct = columns[entry.attribute]
         if (name, arg) not in tables:
             tables[(name, arg)] = np.array(
                 [intern(entry.left), intern(entry.right)]
                 + [intern(entry.value(v, arg, resources)) for v in distinct], dtype=np.int64)
-        read[spec] = tables[(name, arg)][layout.shift(padded, offset)]
+        read[spec] = tables[(name, arg)][codes[layout.reads[offsets.index(offset)]]]
         return read[spec]
 
     digits = [[atom(*spec) for spec in tpl.specs] for tpl in templates]

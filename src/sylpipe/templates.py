@@ -65,7 +65,7 @@ ATOMS = {
     "prefix": Atom("form", lambda v, k, _: v[:k], True),
     "suffix": Atom("form", lambda v, k, _: v[-k:], True),
     "shape": Atom("form", lambda v, *_: word_shape(v), False),
-    "hasdigit": Atom("form", lambda v, *_: "1" if any(c.isdigit() for c in v) else "0", False),
+    "hasdigit": Atom("form", lambda v, *_: "1" if any(map(str.isdigit, v)) else "0", False),
     "hashyphen": Atom("form", lambda v, *_: "1" if "-" in v else "0", False),
     "gaz": Atom("form", _in_gazetteer, False),
     "isfirst": Atom(None, None, False),

@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 import struct
 import unicodedata
@@ -220,6 +221,15 @@ class TestTrain:
         assert str(gazetteer) in err
         assert not (tmp_path / "ner.model").exists()
 
+    def test_ner_gold_breaking_the_bio_rule_exits_4(self, tmp_path, capsys):
+        # I-PER right after O: the decode mask forbids it, so training refuses it.
+        corpus = tmp_path / "ner.tsv"
+        corpus.write_text("Tôi\tP\tO\n\nông\tN\tO\nAn\tNp\tI-PER\n", encoding="utf-8")
+        assert main(["train", "ner", "-corpus", str(corpus), "-models", str(tmp_path)]) == 4
+        assert capsys.readouterr().err.startswith(
+            "error: sentence 2: gold label 'I-PER' may not follow 'O' (BIO rule)")
+        assert not (tmp_path / "ner.model").exists()
+
     def test_missing_corpus(self, tmp_path):
         assert main(["train", "pos", "-corpus", str(tmp_path / "nope.tsv"),
                      "-models", str(tmp_path)]) == 1
@@ -298,6 +308,22 @@ class TestAnnotate:
                      "-models", cli_models])
         assert code == 5
         assert "parse failed: ('RIGHT-ARC', 'nope')" in capsys.readouterr().err
+
+    def test_decode_error_in_a_stage_exits_4_naming_the_stage(self, cli_models, tmp_path,
+                                                              capsys):
+        # A "bio": true NER model whose labels are all I-X has no legal label
+        # for a sentence's first token, so the ner stage cannot decode.
+        models = tmp_path / "models"
+        shutil.copytree(cli_models, models)
+        magic, header, rest = (models / "ner.model").read_bytes().split(b"\n", 2)
+        assert b'"bio":true' in header and b'"B-' in header
+        header = header.replace(b'"O"', b'"I-O"').replace(b'"B-', b'"I-B')
+        (models / "ner.model").write_bytes(b"\n".join((magic, header, rest)))
+        code = main(["annotate", "-fin", DEMO_INPUT, "-fout", str(tmp_path / "o.txt"),
+                     "-models", str(models)])
+        assert code == 4
+        assert re.search(r"^error: ner failed on sentence \d+: no legal label sequence",
+                         capsys.readouterr().err, re.M)
 
     def test_missing_models_exit_3(self, tmp_path):
         code = main(["annotate", "-fin", DEMO_INPUT,

@@ -57,9 +57,10 @@ def odd_tagging_cases(draw):
         forms = draw(st.lists(st.sampled_from(ODD_FORMS), min_size=n, max_size=n))
         tags = draw(st.lists(st.sampled_from(ODD_TAGS), min_size=n, max_size=n))
         ner_labels = draw(st.lists(st.sampled_from(ODD_NER), min_size=n, max_size=n))
+        gold = draw(st.lists(labels, min_size=n, max_size=n))
         corpus.append((Sentence.from_columns(forms, tags if with_pos else None,
                                              ner_labels if with_ner else None),
-                       draw(st.lists(labels, min_size=n, max_size=n))))
+                       ner.repair_bio(gold) if bio else gold))
     if not any(gold for _, gold in corpus):
         corpus.append((Sentence.from_columns(["a"]), [LABEL_POOLS[bio][0]]))
     chosen = make_templates(draw(st.lists(st.sampled_from(TEMPLATE_POOL), min_size=1,

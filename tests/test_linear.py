@@ -35,15 +35,18 @@ def tagging_cases(draw):
     bio = draw(st.booleans())
     labels = st.sampled_from(LABEL_POOLS[bio])
     sentences = st.lists(st.sampled_from(FORMS[:6]), min_size=0, max_size=5)
+
+    def gold_of(forms):
+        gold = draw(st.lists(labels, min_size=len(forms), max_size=len(forms)))
+        return ner.repair_bio(gold) if bio else gold
+
     first = draw(sentences.filter(len))
-    corpus = [(first, draw(st.lists(labels, min_size=len(first), max_size=len(first))))]
+    corpus = [(first, gold_of(first))]
     for forms in draw(st.lists(sentences, max_size=5)):
-        corpus.append((forms, draw(st.lists(labels, min_size=len(forms),
-                                            max_size=len(forms)))))
+        corpus.append((forms, gold_of(forms)))
     if draw(st.booleans()):
         forms, gold = corpus[draw(st.integers(0, len(corpus) - 1))]
-        other = draw(st.lists(labels, min_size=len(forms), max_size=len(forms)))
-        corpus.append((forms, other))
+        corpus.append((forms, gold_of(forms)))
     corpus = [(Sentence.from_columns(forms), gold) for forms, gold in corpus]
     return corpus, dict(epochs=draw(st.sampled_from(range(1, 7))),
                         shuffle_seed=draw(st.none() | st.integers(0, 3)),

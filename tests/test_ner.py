@@ -97,6 +97,24 @@ class TestBioRule:
             ner.train_ner([(s, ["B-LOC X", "O"])], epochs=1)
 
 
+    @pytest.mark.parametrize("gold, problem", [
+        (["O", "I-PER"], "'I-PER' may not follow 'O'"),
+        (["I-PER", "I-PER"], "'I-PER' may not start a sentence"),
+        (["B-LOC", "I-PER"], "'I-PER' may not follow 'B-LOC'")])
+    def test_training_refuses_gold_the_bio_mask_forbids(self, monkeypatch, gold, problem):
+        # Such a model would never tag its own gold: train_ner on O I-PER
+        # alone used to return a model that tags the sentence O O.
+        def freeze(*args):
+            raise AssertionError("froze a corpus that breaks the BIO rule")
+
+        monkeypatch.setattr(seqlabel, "_freeze", freeze)
+        good = tagged(("c", "N"))
+        s = tagged(("a", "Np"), ("b", "N"))
+        with pytest.raises(seqlabel.TrainingError,
+                           match=re.escape(f"sentence 2: gold label {problem} (BIO rule)")):
+            ner.train_ner([(good, ["B-PER"]), (s, gold)], epochs=1)
+
+
 class TestEntitySpans:
     def test_fixture_labels(self):
         spans = ner.entity_spans(FIXTURE_LABELS)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import (CORRUPT_LAYOUTS, FORMS, NER_LABELS, POS_TAGS,
                      random_form_sentence, random_linear_model, split_model_file)
-from sylpipe import _kernels, seqlabel
+from sylpipe import _kernels, ner, seqlabel
 from sylpipe.model import Sentence, Token
 from sylpipe.pipeline import ModelLoadError, load_model
 from sylpipe.seqlabel import (DecodeError, FeatureTemplate, LinearModel,
@@ -398,7 +398,8 @@ def document_cases(draw):
     corpus = []
     for _ in range(draw(st.integers(1, 6))):
         sent = draw(tokens_of(FORMS + ODD_VALUES))
-        corpus.append((sent, [draw(st.sampled_from(labels)) for _ in sent]))
+        gold = [draw(st.sampled_from(labels)) for _ in sent]
+        corpus.append((sent, ner.repair_bio(gold) if bio else gold))
     gazetteer = draw(st.none() | st.frozensets(st.sampled_from(FORMS + ["hà"]),
                                                max_size=8))
     trained = train_averaged_perceptron(templates, corpus, epochs=2,
@@ -533,6 +534,45 @@ class TestCompiledFeatures:
         assert [[ranks is not None for ranks in plan] for plan in keys.plans] == \
             [[False, False], [False] * 5 + [True]]
         assert keys.keys.max() < seqlabel._KEY_BOUND
+
+    def test_ranked_keys_fold_exactly_at_every_digit(self, monkeypatch, toy_ner_sentences):
+        # With the bound at radix ** 2 * C, every conjunction ranks its
+        # prefix before each digit after its first: at the second digit for
+        # two atoms, at the second and third for three, beside lone
+        # isfirst/islast templates that rank nowhere. Emissions of mostly
+        # unseen forms and tags stay those of the feature strings.
+        chosen = ner.ner_templates() + make_templates(["pos@-1&pos@0&pos@+1",
+                                                       "isfirst@0&pos@0"])
+        trained = ner.train_ner(ner.training_pairs(toy_ner_sentences), epochs=2,
+                                templates=chosen)
+
+        def fresh():
+            return LinearModel(trained.labels, chosen, trained.feature_index,
+                               trained.emission_weights, trained.transition_weights,
+                               bio_constrained=True)
+
+        keys = fresh()._compiled.keys
+        assert all(ranks is None for plan in keys.plans for ranks in plan)
+        monkeypatch.setattr(seqlabel, "_KEY_BOUND", keys.radix ** 2 * len(keys.kept))
+        model = fresh()
+        ranked = model._compiled.keys
+        assert ranked.radix == keys.radix and ranked.kept == keys.kept
+        plans = sorted([ranks is not None for ranks in plan] for plan in ranked.plans)
+        assert plans == [[False]] * 2 + [[False, True]] * 5 + [[False, True, True]]
+        rng = random.Random(29)
+        known = [s.with_ner_labels([None] * len(s)) for s in toy_ner_sentences[:6]]
+        unseen = []
+        for _ in range(20):
+            n = rng.randint(1, 9)
+            unseen.append(Sentence.from_columns(
+                [f"unseen{rng.randrange(10 ** 6)}" if rng.random() < 0.8 else rng.choice(FORMS)
+                 for _ in range(n)],
+                [rng.choice(POS_TAGS + ["Zz"]) for _ in range(n)]))
+        document = known + unseen + [Sentence(())] + known[:1]
+        em = _kernels.sum_rows(model._rows, model._compiled.document_ids(document))
+        ref = np.concatenate([model.reference_emission_matrix(s.tokens) for s in document])
+        assert em.tobytes() == ref.tobytes()
+        assert em.any()
 
     def test_template_names_holding_equals_signs(self):
         # "c=d=e|f" is fired by template "c" over ("d=e", "f") and by
