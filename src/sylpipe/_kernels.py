@@ -15,12 +15,11 @@ kernel bit for bit.
 
 Every weight array that sum_rows reads ends in a row of zeros, which the
 padding id -1 reads, so a decode step is one gather and one sum, with no
-masking pass. A partial sum from +0.0 is never -0.0, so adding a +0.0 row
-leaves it unchanged. The parser puts its action legality into the same
-array: after its feature rows come one row per kind of state, 0.0 at a
-legal action and -inf at an illegal one, and each state adds its row last.
-The models bound every weight by 2**53 (a trainer's by its update count),
-so no sum is +inf and each masked score is the sum itself or exactly -inf.
+masking pass. The parser puts its action legality into the same array:
+after its feature rows come one row per kind of state, 0.0 at a legal
+action and -inf at an illegal one. The weights are integers whose sums stay
+within 2**53 (linear.check_weights), so every sum is exact in any order,
+and a masked score is the sum itself or exactly -inf.
 
 viterbi_paths reads the batch as one time-major (T, B, 1, L) lattice with
 the lattices end-aligned: a reshaped view of the emissions when they all
@@ -126,8 +125,8 @@ def _step_cells(B, L):
 
 
 def row_sum(weights, ids, out=None):
-    """Sum the `ids` rows of `weights` into a length-L vector, in id order
-    from +0.0: a one-column sum_rows, written into out if it is given."""
+    """Sum the `ids` rows of `weights` into a length-L vector: a one-column
+    sum_rows, written into out if it is given."""
     total = sum_rows(weights, np.asarray(ids, dtype=np.intp)[:, None])[0]
     if out is None:
         return total
@@ -135,29 +134,16 @@ def row_sum(weights, ids, out=None):
     return out
 
 
-def _sequential_sum(stack):
-    """stack summed over axis 0 in order from a +0.0 start, as the loop in
-    tests/kernel_oracle.py adds.
-
-    A cumulative sum starts from the first slice instead; its partial sums
-    equal those from +0.0 except that a zero may be -0.0, and the final
-    + 0.0 turns that into +0.0. An empty stack sums to zeros.
-    """
-    if len(stack) == 0:
-        return np.zeros(stack.shape[1:])
-    return np.cumsum(stack, axis=0)[-1] + 0.0
-
-
 def pack_ids(ids):
     """Pack an (N, W) array of feature ids, -1 where none, for sum_rows: (K, N).
 
-    Column n holds the distinct ids of row n in ascending order, the order
-    sum_rows adds them in, with -1 in place of a repeat and as padding; the
-    columns of padding that every row starts with are dropped: once the rows
-    are sorted, the column maxima ascend, and those columns' are below 0.
-    Sorts ids in place and returns a transposed view of it: sum_rows reads
-    any strides, and a contiguous copy measured slower at decode and no
-    faster in the trainers.
+    Column n holds the distinct ids of row n, ascending, with -1 in place of
+    a repeat and as padding: a feature that two templates fire is added
+    once. The columns of padding that every row starts with are dropped:
+    once the rows are sorted, the column maxima ascend, and those columns'
+    are below 0. Sorts ids in place and returns a transposed view of it:
+    sum_rows reads any strides, and a contiguous copy measured slower at
+    decode and no faster in the trainers.
     """
     ids.sort(axis=1)
     if len(ids):
@@ -169,19 +155,11 @@ def pack_ids(ids):
 
 def sum_rows(weights, packed):
     """(T, L) array whose row t sums the rows of weights at the ids of
-    position t, in their order from +0.0, as tests/kernel_oracle.py adds.
+    position t, as tests/kernel_oracle.py adds them.
 
     weights ends in a row of zeros. packed is (K, T): column t holds the
-    ids of position t in the order they are added, and -1 as padding,
-    which may sit anywhere in the column and reads the zero row. One gather
-    into a (K, T, L) array, summed over K: numpy adds the K slices in order
-    from a +0.0 start, and each padding slot adds +0.0, which leaves a
-    partial sum from +0.0 unchanged. (np.add.reduceat would be faster but
-    is not exact.) When T == L == 1 the slices are single numbers that
-    numpy would sum pairwise, so L == 1 takes a cumulative sum, which is
-    sequential (see _sequential_sum).
+    ids of position t, and -1 as padding, which may sit anywhere in the
+    column and reads the zero row. One gather into a (K, T, L) array,
+    summed over K.
     """
-    gathered = weights[packed]
-    if weights.shape[1] == 1:
-        return _sequential_sum(gathered)
-    return gathered.sum(axis=0)
+    return weights[packed].sum(axis=0)

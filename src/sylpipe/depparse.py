@@ -13,11 +13,10 @@ LOCKSTEP_SENTENCES sentences, and one gather and sum (_kernels.sum_rows)
 scores and masks all of them. The array a model scores with holds its
 feature rows, then one mask row per _mask_code, 0.0 where an action is
 legal and -inf where it is not (_score_tail), then the zero row that the
-padding id -1 reads. Each state's ids end with its mask row's, the
-largest, so after the sort the mask is added last: a legal score is
-bit-identical to a row_sum over the state's ids, since a sum from +0.0 is
-never -0.0, and an illegal one is exactly -inf, since the weight bound
-keeps every sum finite. The masked argmax is legal, so it is applied by
+padding id -1 reads. Each state's ids end with its mask row's: a legal
+score equals a row_sum over the state's feature ids, since the integer
+weights sum exactly in any order (linear.check_weights), and an illegal one
+is exactly -inf. The masked argmax is legal, so it is applied by
 ParserState.advance, apply without its legality checks.
 
 The features are written once, as tables (_TEMPLATES, _ATOMS, _FIELDS).
@@ -370,6 +369,8 @@ def state_features(state, tokens, use_ner_features=False):
 
 # The templates of state_features, in its order, the three NER ones last.
 # A template's value is the values of its atoms (_atoms) joined by "|".
+# A parser reads them all if it has NER features, else all but the NER ones
+# (_templates).
 _TEMPLATES = ("s0w", "s0p", "s1p", "s2p", "b0w", "b0p", "b1w", "b1p", "b2p",
               "s0p|b0p", "s0w|b0w", "s0w|b0p", "s0p|b0w", "b0p|b1p",
               "s0p|b0p|b1p", "s1p|s0p|b0p", "s0lcp", "s0rcp", "b0lcp", "dist",
@@ -407,6 +408,11 @@ _ATOMS = {"s0w": ("form", "s0"), "s0p": ("pos_tag", "s0"), "s1p": ("pos_tag", "s
 _BUCKETS = {"distance": (_NONE_VALUE, "1", "2", "3", "4", "5+"),
             "valency": ("0", "1", "2", "3+")}
 _COLUMNS = tuple(dict.fromkeys(c for c, _ in _ATOMS.values() if c not in _BUCKETS))
+
+
+def _templates(use_ner):
+    """The templates of a parser with NER features (use_ner) or without."""
+    return tuple(name for name in _TEMPLATES if use_ner or not name.startswith("ner:"))
 
 
 def _atoms(name):
@@ -447,23 +453,16 @@ _state_record = _generated["state_record"]
 @functools.lru_cache(maxsize=4)
 def _state_ids_code(templates):
     """(names, source, code) of state_ids over the templates, run where names
-    are bound to the tables (_CompiledStateFeatures). The NER templates come
-    last and are looked up when the values carry NER labels."""
+    are bound to the tables (_CompiledStateFeatures)."""
     names = [*(re.sub(r"\W", "_", name) + "_" for name in templates), *_BUCKETS]
-
-    def ids(ner, pad, op):
-        found = []
-        for k, name in enumerate(templates):
-            atoms = _atoms(name)
-            column, field = _ATOMS[atoms[0]]
-            if name.startswith("ner:") == ner:
-                found.append(f"{names[k]}(({', '.join(atoms)}), -1)" if len(atoms) > 1
-                             else f"{names[k]}[{field if column in _BUCKETS else atoms[0]}]")
-        return [f"{pad}ids {op} [", *(f"{pad}    {e}," for e in found), f"{pad}]"]
-
-    body = [f"    {', '.join(_COLUMNS)} = values", "\n".join(ids(False, " " * 4, "="))]
-    if any(name.startswith("ner:") for name in templates):
-        body += ["    if ner_label is not None:", "\n".join(ids(True, " " * 8, "+="))]
+    found = []
+    for k, name in enumerate(templates):
+        atoms = _atoms(name)
+        column, field = _ATOMS[atoms[0]]
+        found.append(f"{names[k]}(({', '.join(atoms)}), -1)" if len(atoms) > 1
+                     else f"{names[k]}[{field if column in _BUCKETS else atoms[0]}]")
+    body = [f"    {', '.join(_COLUMNS)} = values",
+            "\n".join(["    ids = [", *(f"        {e}," for e in found), "    ]"])]
     named = {**_STATE, **_FIELDS, **{a: "{}[{}]".format(*ca) for a, ca in _ATOMS.items()}}
     source = "\n".join([
         "def state_ids(state, values):",
@@ -475,19 +474,21 @@ def _state_ids_code(templates):
 class _CompiledStateFeatures:
     """A ParserModel's state_features, resolved to feature ids without strings.
 
-    tables holds a lookup per template of _TEMPLATES, then each bucket's
-    value ids: a one-atom template's list by value id (its last entry, -1,
-    is read by the value id -1 of a string outside the alphabet) or by
-    bucket, a conjunction's dict.get by its atoms' value ids. state_ids is
-    straight-line code generated from the tables (source holds its text),
-    and the hand-written state_features is the oracle it is tested against.
+    tables holds a lookup per template that the model reads (_templates),
+    then each bucket's value ids: a one-atom template's list by value id
+    (its last entry, -1, is read by the value id -1 of a string outside the
+    alphabet) or by bucket, a conjunction's dict.get by its atoms' value
+    ids. state_ids is straight-line code generated from the tables (source
+    holds its text), and the hand-written state_features is the oracle it
+    is tested against.
     """
 
     def __init__(self, model):
-        arities = [len(_atoms(name)) for name in _TEMPLATES]
+        templates = _templates(model.use_ner_features)
+        arities = [len(_atoms(name)) for name in templates]
         values = {}
-        tables = [{} for _ in _TEMPLATES]
-        for t, parts, j in alphabet_tuples(model.feature_index, _TEMPLATES, arities):
+        tables = [{} for _ in templates]
+        for t, parts, j in alphabet_tuples(model.feature_index, templates, arities):
             key = tuple(values.setdefault(part, len(values)) for part in parts)
             tables[t][key if arities[t] > 1 else key[0]] = j
         self.values = values
@@ -497,19 +498,20 @@ class _CompiledStateFeatures:
             table.get if n > 1 else
             [table.get(v, -1) for v in buckets.get(_ATOMS[_atoms(name)[0]][0],
                                                    range(len(values) + 1))]
-            for name, n, table in zip(_TEMPLATES, arities, tables)), *buckets.values())
-        names, self.source, code = _state_ids_code(_TEMPLATES)
+            for name, n, table in zip(templates, arities, tables)), *buckets.values())
+        names, self.source, code = _state_ids_code(templates)
         exec(code, namespace := dict(zip(names, self.tables)))
         self.state_ids = namespace["state_ids"]
 
     def sentence_values(self, sentence, use_ner):
         """Value ids of a Sentence by slot (0 the root, 1..n the tokens, n + 1
-        none), a list per column of _COLUMNS; None for NER labels unless use_ner."""
+        none), a list per column of _COLUMNS. Unless use_ner, the NER column
+        is -1 at every slot, which no table knows, so no NER feature fires."""
         get = self.values.get
         root, none = get(_ROOT_VALUE, -1), get(_NONE_VALUE, -1)
         return tuple([root, *[none if v is None else get(v, -1)
                               for v in sentence.column(column)], none]
-                     if use_ner or column != "ner_label" else None
+                     if use_ner or column != "ner_label" else [-1] * (len(sentence) + 2)
                      for column in _COLUMNS)
 
 
@@ -575,7 +577,8 @@ class ParserModel:
         self._rows = weight_rows(weights, _score_tail(tuple(self.relations),
                                                       self.root_labels))
         self.weights = self._rows[:F]
-        check_weights(self.weights)
+        # A state sums one row per template; its mask row is 0.0 or -inf.
+        check_weights(len(_templates(self.use_ner_features)), self.weights)
         self.root_label = root_label
         self.fallback_label = fallback_label
 
@@ -654,35 +657,38 @@ def parse_sentences(model, sentences):
     trained with NER features reads its NER labels when every token has
     one, parses it without them when none has, and refuses it when only
     some have, raising DecodeError naming the sentence. Tokens left without
-    a head are attached by the fallback rule; their number is logged at
-    DEBUG level when it is not zero.
+    a head are attached by the fallback rule; their number, and that of the
+    sentences that had any, is logged at DEBUG level when it is not zero.
     """
     out = list(sentences)
     reads_ner = {k: check_input(sentence, model.use_ner_features, k + 1)
                  for k, sentence in enumerate(out) if len(sentence)}
-    repaired = 0
-    for use_ner in (False, True):  # a lockstep batch reads NER labels in all or none
-        todo = [k for k, reads in reads_ner.items() if reads == use_ner]
-        for lo in range(0, len(todo), LOCKSTEP_SENTENCES):
-            group = todo[lo:lo + LOCKSTEP_SENTENCES]
-            states = _decode_lockstep(model, [out[k] for k in group], use_ner)
-            for k, state in zip(group, states):
-                repaired += _attach_headless(model, state)
-                out[k] = out[k].with_parse(state.heads[1:], state.labels[1:])
+    todo = list(reads_ner)
+    repaired = []  # the headless tokens of each sentence that had any
+    for lo in range(0, len(todo), LOCKSTEP_SENTENCES):
+        group = todo[lo:lo + LOCKSTEP_SENTENCES]
+        states = _decode_lockstep(model, [out[k] for k in group],
+                                  [reads_ner[k] for k in group])
+        for k, state in zip(group, states):
+            count = _attach_headless(model, state)
+            if count:
+                repaired.append(count)
+            out[k] = out[k].with_parse(state.heads[1:], state.labels[1:])
     if repaired:
         logger.debug("fallback attached %d token(s) in %d sentence(s)",
-                     repaired, len(reads_ner))
+                     sum(repaired), len(repaired))
     return out
 
 
-def _decode_lockstep(model, sentences, use_ner):
-    """Greedy end states of the sentences, one transition of each per step.
+def _decode_lockstep(model, sentences, reads_ner):
+    """Greedy end states of the sentences, one transition of each per step;
+    reads_ner says whether each sentence's NER labels are read.
 
     The masked argmax is legal, so it is applied without apply's checks.
     """
     compiled = model._compiled
     states = [ParserState(len(s)) for s in sentences]
-    values = [compiled.sentence_values(s, use_ner) for s in sentences]
+    values = [compiled.sentence_values(s, r) for s, r in zip(sentences, reads_ner)]
     actions = model.actions
     active = range(len(states))
     while active:
@@ -700,11 +706,10 @@ def _decode_lockstep(model, sentences, use_ner):
 def _lockstep_scores(model, states, values):
     """(B, A) transition scores of B states, illegal ones -inf.
 
-    Row b is bit-identical to row_sum over state b's sorted feature ids
-    with its illegal actions then set to -inf: sorting each row of ids puts
-    them in that order, the -1s, which sort first, read the zero row, and
-    the id of the state's mask row, the largest, sorts last (see the
-    module docstring).
+    Row b equals row_sum over state b's feature ids with its illegal actions
+    then set to -inf: its ids go to the gather in template order, the -1s
+    read the zero row, and the id of the state's mask row comes last (see
+    the module docstring).
     """
     state_ids = model._compiled.state_ids
     masks = len(model.weights)  # the id of the mask row of _mask_code 0
@@ -713,7 +718,6 @@ def _lockstep_scores(model, states, values):
         ids += state_ids(state, v)
         ids.append(masks + _mask_code(state))
     ids = np.array(ids, dtype=np.intp).reshape(len(states), -1)
-    ids.sort(axis=1)
     return _kernels.sum_rows(model._rows, ids.T)
 
 
@@ -805,7 +809,7 @@ def _freeze(sentences, action_index, use_ner):
 
     # The value columns the templates read: a Token attribute of every
     # sentence by slot, or a bucket's values.
-    templates = [name for name in _TEMPLATES if use_ner or not name.startswith("ner:")]
+    templates = _templates(use_ner)
     slots = {column: _BUCKETS[column] if column in _BUCKETS
              else list(itertools.chain.from_iterable(
                  part for sent in sentences
@@ -930,8 +934,8 @@ def train_parser(treebank, epochs=10, shuffle_seed=1, use_ner_features=False,
                        root_labels=root_labels, root_label=root_label)
 
 
-DEP1 = ModelFormat(
-    b"SYLPIPE-DEP1\n",
+DEP2 = ModelFormat(
+    b"SYLPIPE-DEP2\n",
     {"relations": "string list", "use_ner": "boolean", "root_labels": "string list",
      "root_label": "string", "fallback_label": "string"},
     lambda h: ((h["feature_count"], 2 * len(h["relations"]) + 2),),
@@ -939,7 +943,7 @@ DEP1 = ModelFormat(
 
 
 def save_parser(model, path):
-    DEP1.write(path, {
+    DEP2.write(path, {
         "relations": model.relations,
         "use_ner": model.use_ner_features,
         "root_labels": list(model.root_labels),
@@ -949,7 +953,7 @@ def save_parser(model, path):
 
 
 def load_parser(path):
-    header, feature_index, (weights,) = DEP1.read(path)
+    header, feature_index, (weights,) = DEP2.read(path)
     return ParserModel(header["relations"], feature_index, weights,
                        use_ner_features=header["use_ner"],
                        root_labels=header["root_labels"],

@@ -3,9 +3,9 @@ and the model-file container of every model.
 
 A model file is a magic line, a compact JSON header with sorted keys, the
 alphabet one entry per line in id order, a "WEIGHTS" line, then the weight
-arrays as little-endian float64, which end the file. The taggers (SEQ1) and
-the parser (DEP1) keep their feature alphabet and weights there; the
-segmenter (WSEG2) keeps its lexicon as the alphabet, its rules in the
+arrays as little-endian float64, which end the file. The taggers (SEQ2) and
+the parser (DEP2) keep their feature alphabet and integer weights there;
+the segmenter (WSEG2) keeps its lexicon as the alphabet, its rules in the
 header, and no arrays.
 """
 
@@ -26,8 +26,8 @@ logger = logging.getLogger(__name__)
 
 class AveragedWeights:
     """Perceptron weights W, averaged lazily (Collins 2002): U sums every
-    update times its step, so the mean of W over all steps is
-    ((step + 1) * W - U) / step. updates counts the calls of update.
+    update times its step, so the sum of W over steps 1..step is
+    (step + 1) * W - U. updates counts the calls of update.
 
     W is `rows` rows of zeros, then tail: the rows its model keeps after its
     weights (weight_rows). U is zeros of that shape. Both come from np.zeros,
@@ -51,33 +51,37 @@ class AveragedWeights:
         self.updates += 1
 
     def averaged(self, step):
-        """The mean of W as it stood after each of steps 1..step (W if none),
+        """The sum of W as it stood after each of steps 1..step (W if none),
         without the tail: a view of an array that ends in the tail's bytes,
         which a model takes as it is (weight_rows); U is zero there, so a
-        +0.0 or -inf row stays as it is."""
-        if step == 0:
-            return self.W[:self.rows]
-        mean = self.W * (step + 1)
-        mean -= self.U
-        mean /= step
-        return mean[:self.rows]
+        +0.0 or -inf row stays as it is.
+
+        The sum is the mean times step. Every model's arrays share step, so
+        it decides as the mean does, and its entries are integers."""
+        total = self.W * (step + 1)
+        total -= self.U
+        return total[:self.rows]
 
 
-# Every weight a perceptron trains is a mean of integers no larger than its
-# number of updates. Models refuse weights beyond this bound, so that no sum
-# of a model's scores overflows to an infinity.
-WEIGHT_BOUND = 2.0 ** 53
+# A model's weights are integers: the sums of the perceptron's integer
+# weights over its steps (AveragedWeights.averaged). A sum of integers is
+# exact in any order while every partial sum stays within 2**53 in
+# magnitude, so a gather may add its rows in any order. Models refuse
+# weights whose largest magnitude, times the most rows that one gather sums,
+# exceeds this bound; no sum then overflows to an infinity either.
+SUM_BOUND = 2.0 ** 53
 
 
-def check_weights(*arrays):
-    """Refuse weights that are not finite or exceed WEIGHT_BOUND in magnitude.
-
-    A NaN makes the minimum and the maximum NaN, which fails both tests.
-    """
+def check_weights(rows, *arrays):
+    """Refuse weights that are not integers, or whose largest magnitude times
+    rows, the most weight rows that one gather sums, exceeds SUM_BOUND."""
+    rows = max(rows, 1)
     for array in arrays:
-        if not (-WEIGHT_BOUND <= array.min(initial=0.0)
-                and array.max(initial=0.0) <= WEIGHT_BOUND):
-            raise ValueError("weights must be finite and at most 2**53 in magnitude")
+        if not np.array_equal(np.trunc(array), array):  # a NaN fails too
+            raise ValueError("weights must be integers")
+        if np.abs(array).max(initial=0.0) > SUM_BOUND / rows:
+            raise ValueError(f"weights must be at most 2**53 / {rows} in magnitude, "
+                             f"so that a sum of {rows} is exact")
 
 
 def weight_rows(weights, tail):
@@ -231,7 +235,9 @@ class ModelFormat:
         it has one; tails may refuse the header too."""
         with open(path, "rb") as fh:
             if fh.readline(len(self.magic)) != self.magic:
-                raise ValueError(f"{path}: not a {self.magic[:-1].decode()} model file")
+                raise ValueError(f"{path}: not a {self.magic[:-1].decode()} model file "
+                                 "(if it is a sylpipe model of an earlier format, "
+                                 "retrain it)")
             try:
                 header = json.loads(fh.readline().decode("utf-8"))
             except ValueError:

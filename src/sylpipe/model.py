@@ -98,6 +98,12 @@ def check_ner_label(label):
         raise DataError(f"bad NER label {label!r}")
 
 
+def _check_ner_labels(labels):
+    """check_ner_label over a column: once per distinct label, in order."""
+    for label in dict.fromkeys(labels):
+        check_ner_label(label)
+
+
 def bio_may_follow(label, previous):
     """The BIO rule: whether the NER label may come right after previous,
     None at the start of a sentence. I-X comes only right after B-X or I-X."""
@@ -185,8 +191,7 @@ class Sentence:
         if pos_tags is not None:
             _check_labels(columns[1], "POS tag")
         if ner_labels is not None:
-            for label in columns[2]:
-                check_ner_label(label)
+            _check_ner_labels(columns[2])
         if heads is not None:
             _check_heads(columns[3])
         if dep_labels is not None:
@@ -266,8 +271,7 @@ class Sentence:
     def with_ner_labels(self, labels):
         forms, tags, _, heads, deps = self._columns
         labels = _new_column(labels, len(forms), "label")
-        for label in labels:
-            check_ner_label(label)
+        _check_ner_labels(labels)
         return Sentence._of((forms, tags, labels, heads, deps))
 
     def with_parse(self, heads, dep_labels):

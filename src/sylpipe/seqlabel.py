@@ -129,9 +129,11 @@ class LinearModel:
         # The emissions sum_rows reads: the feature rows, then the zero row.
         self._rows = weight_rows(emission_weights, _tails(L)[0])
         self.emission_weights = self._rows[:F]
-        check_weights(self.emission_weights, self.transition_weights)
         self.bio_constrained = bool(bio_constrained)
         self.induced_pairs = tuple(tuple(p) for p in induced_pairs)
+        # A position sums at most one row per template and induced pair.
+        check_weights(len(self.templates) + len(self.induced_pairs),
+                      self.emission_weights, self.transition_weights)
         # Training pairs seen features; the compiled path joins pairs by id.
         if any(part not in self.feature_index for pair in self.induced_pairs
                for part in pair):
@@ -1009,8 +1011,8 @@ def _induce_pairs(templates, corpus, labels, bio_constrained, gazetteer, top_k):
     return tuple(pair for pair, _ in ranked[:top_k])
 
 
-SEQ1 = ModelFormat(
-    b"SYLPIPE-SEQ1\n",
+SEQ2 = ModelFormat(
+    b"SYLPIPE-SEQ2\n",
     {"labels": "string list", "templates": "string pair list", "bio": "boolean",
      "pairs": "string pair list", "gazetteer": "string list or null"},
     lambda h: ((h["feature_count"], len(h["labels"])),
@@ -1019,7 +1021,7 @@ SEQ1 = ModelFormat(
 
 
 def save_linear_model(model, path):
-    SEQ1.write(path, {
+    SEQ2.write(path, {
         "labels": model.labels,
         "templates": [[t.name, t.descriptor] for t in model.templates],
         "bio": model.bio_constrained,
@@ -1029,7 +1031,7 @@ def save_linear_model(model, path):
 
 
 def load_linear_model(path):
-    header, feature_index, (em, tr) = SEQ1.read(path)
+    header, feature_index, (em, tr) = SEQ2.read(path)
     templates = [FeatureTemplate(name, desc) for name, desc in header["templates"]]
     return LinearModel(header["labels"], templates, feature_index, em, tr,
                        bio_constrained=header["bio"],

@@ -173,7 +173,7 @@ def synthetic_raw_text(n_words, seed=42):
 
 
 def split_model_file(data):
-    """A SEQ1/DEP1 model file as its lines up to the alphabet's end, and its weights."""
+    """A SEQ2/DEP2 model file as its lines up to the alphabet's end, and its weights."""
     head, _, weights = data.partition(b"\nWEIGHTS\n")
     return head.split(b"\n"), weights
 
@@ -211,7 +211,7 @@ def _count_beyond_file(extra):
     return mutate
 
 
-# Layout faults of a SEQ1/DEP1 model file. Each maps the file's lines (magic,
+# Layout faults of a SEQ2/DEP2 model file. Each maps the file's lines (magic,
 # header, one per feature) and weight bytes to the broken file's bytes and
 # what the loader must say inside "corrupt model file (...)".
 CORRUPT_LAYOUTS = {

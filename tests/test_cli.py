@@ -8,7 +8,7 @@ import pytest
 
 from conftest import DEMO_ANNOTATED, DEMO_INPUT, TOY_DIR
 from helpers import join_model_file, split_model_file
-from sylpipe import depparse, metrics, pos, wseg
+from sylpipe import depparse, metrics, pos, seqlabel, wseg
 from sylpipe.cli import main
 
 
@@ -363,22 +363,46 @@ class TestAnnotate:
                 in capsys.readouterr().err)
 
 
-    @pytest.mark.parametrize("task", ["ner", "parse"])
-    @pytest.mark.parametrize("value, code", [(2.0 ** 53 + 2, 3), (-2.0 ** 54, 3),
-                                             (2.0 ** 53, 0), (-2.0 ** 53, 0)])
-    def test_weight_beyond_2_to_53_exits_3(self, cli_models, tmp_path, capsys, task,
-                                            value, code):
-        # A finite weight beyond the bound could make a score sum overflow.
+    @staticmethod
+    def annotate_with_first_weight(cli_models, tmp_path, task, value):
+        """annotate's exit code with the first weight of the task's model set
+        to value, and the model file's path."""
         models = tmp_path / "models"
-        shutil.copytree(cli_models, models)
+        shutil.copytree(cli_models, models, dirs_exist_ok=True)
         path = models / f"{task}.model"
         lines, weights = split_model_file(path.read_bytes())
         path.write_bytes(join_model_file(lines, struct.pack("<d", value) + weights[8:]))
-        assert main(["annotate", "-fin", DEMO_INPUT, "-fout", str(tmp_path / "o.txt"),
-                     "-models", str(models)]) == code
-        if code:
-            assert (f"{task}: failed to load {path}: weights must be finite and at "
-                    f"most 2**53 in magnitude") in capsys.readouterr().err
+        return main(["annotate", "-fin", DEMO_INPUT, "-fout", str(tmp_path / "o.txt"),
+                     "-models", str(models)]), path
+
+    @pytest.mark.parametrize("task", ["ner", "parse"])
+    @pytest.mark.parametrize("value, code", [(2.0 ** 53 + 2, 3), (-2.0 ** 54, 3),
+                                             (2.0 ** 53, 3), (-2.0 ** 53, 3)])
+    def test_weight_beyond_2_to_53_exits_3(self, cli_models, tmp_path, capsys, task,
+                                            value, code):
+        # A sum of such weights could be rounded or overflow.
+        assert self.annotate_with_first_weight(cli_models, tmp_path, task,
+                                               value)[0] == code
+        assert re.search(rf"{task}: failed to load .*: weights must be at most "
+                         r"2\*\*53 / \d+ in magnitude", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("task", ["ner", "parse"])
+    def test_weight_bound_is_on_a_sum(self, cli_models, tmp_path, capsys, task):
+        # The largest weight times the rows one gather sums may reach 2**53;
+        # one more, or a fraction, exits 3.
+        path = os.path.join(cli_models, f"{task}.model")
+        if task == "parse":
+            rows = len(depparse._templates(depparse.load_parser(path).use_ner_features))
+        else:
+            model = seqlabel.load_linear_model(path)
+            rows = len(model.templates) + len(model.induced_pairs)
+        bound = 2 ** 53 // rows
+        assert self.annotate_with_first_weight(cli_models, tmp_path, task, bound)[0] == 0
+        for value, message in [(-bound - 1, f"weights must be at most 2**53 / {rows}"),
+                               (0.5, "weights must be integers")]:
+            code, path = self.annotate_with_first_weight(cli_models, tmp_path, task, value)
+            assert code == 3
+            assert f"{task}: failed to load {path}: {message}" in capsys.readouterr().err
 
 
 class TestEval:
@@ -453,6 +477,22 @@ class TestEval:
         (models / f"{task}.model").write_bytes(data[:-20])
         assert main(["eval", task, "-gold", os.path.join(TOY_DIR, gold),
                      "-models", str(models)]) == 3
+
+    @pytest.mark.parametrize("task, gold, old, new", [
+        ("pos", "pos.tsv", b"SYLPIPE-SEQ1", "SYLPIPE-SEQ2"),
+        ("parse", "parse.conll", b"SYLPIPE-DEP1", "SYLPIPE-DEP2")])
+    def test_model_of_the_averaged_format_exits_3(self, cli_models, tmp_path, capsys,
+                                                  task, gold, old, new):
+        # SEQ1 and DEP1 files hold rounded means, which no model reads.
+        models = tmp_path / "models"
+        models.mkdir()
+        path = models / f"{task}.model"
+        data = open(os.path.join(cli_models, f"{task}.model"), "rb").read()
+        path.write_bytes(old + data[data.index(b"\n"):])
+        assert main(["eval", task, "-gold", os.path.join(TOY_DIR, gold),
+                     "-models", str(models)]) == 3
+        assert (f"{path}: not a {new} model file (if it is a sylpipe model of an "
+                f"earlier format, retrain it)") in capsys.readouterr().err
 
     def test_old_segmenter_format_exits_3(self, tmp_path, capsys):
         models = tmp_path / "models"

@@ -21,13 +21,13 @@ from sylpipe.seqlabel import save_linear_model
 
 MODEL_SHA256 = {
     "wseg.model": "cb1a8be92a814e5bf8aa8777a9f353a346f629891570238b24579a05d574b17f",
-    "pos.model": "95aa2595124fa078fbe85abda8b2a9da3a4d315610201327fd6d61912fa3a7f4",
-    "ner.model": "829c64b6037da4a965a0b6f3a802d61682a0dfe8606013feacfd4ebde764880e",
-    "parse.model": "59cdf7c243b828f5095a1e21a56d91db5a63ea3457326fc42511feb33fd00ae8",
+    "pos.model": "2911729b5edd1f1d3e4e7107c965140f3af2037393117363a006ec3df431e2d0",
+    "ner.model": "d30ec04141cf546ebf4a886c076909bcc2cf231cecc02aa74d21c99a46cd6979",
+    "parse.model": "67959bd9d8f66461a019e6516b010ddbdafd487c1450c5662034cab6aa8f3e9f",
     # NER with a gazetteer (one entry lower-cased) and three induced pairs.
-    "ner-gazetteer.model": "6291c15bbf9273e09c2623b6f2a88b98b8b9d97b8e7dec8c08b0d0495c729fa8",
+    "ner-gazetteer.model": "8acf3e9b9e5e4b985dd3dcee2d609d71d339700f1dcd05b36188742ca9f84078",
     # Parser with the NER features, trained in corpus order.
-    "parse-ner.model": "97b38ac5b5e8c2c57141de358588c251abc4dddb2993e23ab09b92b0bb37c878",
+    "parse-ner.model": "e983cd5fe426d57a9ec1853f37c3bf8119a8d24809cca52f068294fc300f870f",
     # Segmenter with window_radius=1: shapelex, pair and pairdec rules.
     "wseg-radius1.model": "22a5c9b50d972ad1d2138a2336556dff44d0c343bdd6e8dd87850c4f9f4e5667",
 }

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kernel_oracle as oracle
 from sylpipe import _kernels
@@ -21,17 +23,25 @@ def test_backend_active():
     assert _kernels.BACKEND == "numpy"
 
 
+def integer_weights(rng, rows, L):
+    """Integer weights of mixed magnitudes, below 1e14 in magnitude: a sum
+    of up to 90 of them stays within 2**53, as a model's do
+    (linear.check_weights)."""
+    return (rng.integers(-1000, 1001, (rows, L))
+            * 10.0 ** rng.integers(0, 12, (rows, 1)))
+
+
 @pytest.mark.parametrize("L", [1, 2, 24])
 def test_numpy_row_sum_adds_in_id_order(L):
-    # row_sum must add exactly as the oracle loop does: in the given id
-    # order from +0.0, for float weights of mixed magnitudes. sum_rows must
+    # row_sum must equal the oracle loop, which adds in the given id order
+    # from +0.0, for integer weights of mixed magnitudes. sum_rows must
     # equal row_sum wherever its -1 padding sits, which reads the trailing
     # zero row, and with no ids at all (K == 0).
     rng = np.random.default_rng(L)
-    W = rng.standard_normal((300, L)) * 10.0 ** rng.integers(-6, 7, (300, 1))
-    W[0] = -0.0
+    W = integer_weights(rng, 300, L)
+    W[0] = 0.0
     W = np.vstack([W, np.zeros((1, L))])
-    cases = [[[0]], [[0, 0], [0, 0]], [[], [0]],  # sums of -0.0 rows only
+    cases = [[[0]], [[0, 0], [0, 0]], [[], [0]],  # sums of zero rows only
              [[]], [[], [], []]]  # no ids: K == 0
     for _ in range(100):
         cases.append([rng.integers(0, 300, size=int(rng.integers(0, 30))).tolist()
@@ -53,11 +63,32 @@ def test_numpy_row_sum_adds_in_id_order(L):
         assert _kernels.sum_rows(W, front).tobytes() == expected.tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sum_rows_of_integer_weights_is_exact_in_any_order(data):
+    # Integer weights whose sums stay within 2**53 add exactly in any order:
+    # sum_rows equals the oracle loop over each column's ids shuffled.
+    L = data.draw(st.integers(1, 6))
+    K = data.draw(st.integers(1, 12))
+    F = data.draw(st.integers(1, 20))
+    bound = 2 ** 53 // K
+    W = np.array(data.draw(st.lists(st.lists(st.integers(-bound, bound), min_size=L,
+                                             max_size=L), min_size=F, max_size=F)),
+                 dtype=np.float64)
+    W = np.vstack([W, np.zeros((1, L))])
+    columns = data.draw(st.lists(st.lists(st.integers(-1, F - 1), min_size=K,
+                                          max_size=K), min_size=1, max_size=6))
+    got = _kernels.sum_rows(W, np.array(columns, dtype=np.intp).T)
+    for t, column in enumerate(columns):
+        ids = np.array(data.draw(st.permutations(column)), dtype=np.intp)
+        assert got[t].tobytes() == oracle.row_sum(W, ids).tobytes()
+
+
 def test_pack_ids_sorts_and_drops_repeats():
-    # Each column keeps its row's distinct ids in ascending order, the
-    # order row_sum adds them in; padding and repeats become -1.
+    # Each column keeps its row's distinct ids in ascending order; padding
+    # and repeats become -1, so a repeated id is added once.
     rng = np.random.default_rng(7)
-    W = np.vstack([rng.standard_normal((12, 5)), np.zeros((1, 5))])
+    W = np.vstack([integer_weights(rng, 12, 5), np.zeros((1, 5))])
     ids = rng.integers(-1, 12, size=(60, 7))
     ids[:, :2] = -1  # padding every row starts with is dropped
     rows = [sorted(set(row) - {-1}) for row in ids.tolist()]

@@ -227,7 +227,8 @@ class TestFixedPoint:
 class TestAveragedWeights:
     def test_the_mean_heads_an_array_that_ends_in_the_tail(self):
         # A -inf tail row stays -inf and a zero one +0.0 through the
-        # averaging, so a model takes the averaged array as it is.
+        # averaging, so a model takes the averaged array as it is. The
+        # array holds the sums of W over the steps: the means times step.
         tail = np.array([[0.0, float("-inf")], [0.0, 0.0]])
         weights = AveragedWeights(2, tail)
         assert weights.W.shape == weights.U.shape == (4, 2)
@@ -238,7 +239,9 @@ class TestAveragedWeights:
             assert mean.shape == (2, 2)
             assert mean.base[2:].tobytes() == tail.tobytes()
             assert linear.weight_rows(mean, tail) is mean.base
-        assert weights.averaged(3).tolist() == [[2 / 3, -2 / 3], [4 / 3, -4 / 3]]
+        # W after steps 1, 2, 3: [[0, 0], [1, -1]], [[1, -1], [1, -1]] and
+        # [[1, -1], [2, -2]].
+        assert weights.averaged(3).tolist() == [[2, -2], [4, -4]]
 
 
 class TestTrainEpochs:

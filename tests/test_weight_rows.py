@@ -4,9 +4,9 @@ A model keeps one array per weight matrix that _kernels.sum_rows reads: its
 F feature rows, the parser's four mask rows, then a row of zeros, which the
 padding id -1 reads. The public weights (LinearModel.emission_weights,
 ParserModel.weights) are a view of its first F rows, so model files are
-unchanged and no matrix is held twice. Models refuse weights beyond 2**53
-in magnitude, where every perceptron weight lies, so that no sum of scores
-overflows.
+unchanged and no matrix is held twice. Models refuse weights that are not
+integers, or whose largest magnitude times the rows that one gather sums
+exceeds 2**53, so that every sum of scores is exact in any order.
 """
 
 import numpy as np
@@ -145,49 +145,98 @@ def scaled_parser(model, factor):
                        root_labels=model.root_labels, root_label=model.root_label)
 
 
-def bound_factor(*arrays):
-    """The power of two that scales the largest weight to at most 2**53."""
-    largest = max(float(np.abs(a).max()) for a in arrays)
+def summed_rows(model):
+    """The most weight rows that one gather of the model sums."""
+    if isinstance(model, ParserModel):
+        return len(depparse._templates(model.use_ner_features))
+    return len(model.templates) + len(model.induced_pairs)
+
+
+def bound_factor(rows, *arrays):
+    """The power of two that scales the largest weight times rows to at most
+    2**53."""
+    largest = max(float(np.abs(a).max()) for a in arrays) * rows
     return 2.0 ** (53 - int(np.ceil(np.log2(largest))))
+
+
+SUM_BOUND = r"at most 2\*\*53 / \d+ in magnitude"
 
 
 class TestWeightBound:
     def test_overflowing_ner_weights_refused(self, ner_model):
         # Finite weights whose sums overflow were decoded to labels that
         # break the BIO constraint.
-        with pytest.raises(ValueError, match=r"at most 2\*\*53 in magnitude"):
-            scaled_tagger(ner_model, 1e306, 1e306)
+        largest = max(np.abs(ner_model.emission_weights).max(),
+                      np.abs(ner_model.transition_weights).max())
+        with pytest.raises(ValueError, match=SUM_BOUND):
+            scaled_tagger(ner_model, 1e307 / largest, 1e307)
 
     @pytest.mark.parametrize("value", [2.0 ** 53 + 2, -2.0 ** 54, np.inf, np.nan])
     def test_one_weight_beyond_the_bound_refused(self, pos_model, parse_model, value):
+        message = "weights must be integers" if np.isnan(value) else SUM_BOUND
         em = pos_model.emission_weights.copy()
         em[3, 1] = value
-        with pytest.raises(ValueError, match=r"at most 2\*\*53"):
+        with pytest.raises(ValueError, match=message):
             LinearModel(pos_model.labels, pos_model.templates, pos_model.feature_index,
                         em, pos_model.transition_weights)
         tr = pos_model.transition_weights.copy()
         tr[0, 0] = value
-        with pytest.raises(ValueError, match=r"at most 2\*\*53"):
+        with pytest.raises(ValueError, match=message):
             LinearModel(pos_model.labels, pos_model.templates, pos_model.feature_index,
                         pos_model.emission_weights, tr)
         w = parse_model.weights.copy()
         w[0, 2] = value
-        with pytest.raises(ValueError, match=r"at most 2\*\*53"):
+        with pytest.raises(ValueError, match=message):
             ParserModel(parse_model.relations, parse_model.feature_index, w,
                         root_labels=parse_model.root_labels)
+
+    @pytest.mark.parametrize("value", [0.5, -2.0 ** 40 - 0.25, 1e-300])
+    def test_fractional_weight_refused(self, pos_model, parse_model, value):
+        em = pos_model.emission_weights.copy()
+        em[3, 1] = value
+        with pytest.raises(ValueError, match="weights must be integers"):
+            LinearModel(pos_model.labels, pos_model.templates, pos_model.feature_index,
+                        em, pos_model.transition_weights)
+        w = parse_model.weights.copy()
+        w[0, 2] = value
+        with pytest.raises(ValueError, match="weights must be integers"):
+            ParserModel(parse_model.relations, parse_model.feature_index, w,
+                        root_labels=parse_model.root_labels)
+
+    def test_weight_within_2_to_53_beyond_the_sum_bound_refused(self, pos_model,
+                                                                 parse_model):
+        # The bound is on a sum: the largest weight times the rows of a gather.
+        for model, weights, build in [
+                (pos_model, pos_model.emission_weights,
+                 lambda w: LinearModel(pos_model.labels, pos_model.templates,
+                                       pos_model.feature_index, w,
+                                       pos_model.transition_weights)),
+                (parse_model, parse_model.weights,
+                 lambda w: ParserModel(parse_model.relations, parse_model.feature_index,
+                                       w, root_labels=parse_model.root_labels))]:
+            rows = summed_rows(model)
+            assert rows > 1
+            w = weights.copy()
+            w[0, 0] = 2 ** 53 // rows
+            build(w)
+            w[0, 0] = -(2 ** 53 // rows + 1)
+            with pytest.raises(ValueError, match=f"at most 2\\*\\*53 / {rows} in magnitude"):
+                build(w)
 
     def test_weights_at_the_bound_decode_as_before(self, ner_model, parse_model,
                                                    toy_ner_sentences, toy_treebank):
         # Scaling by a power of two is exact, so every score scales and
         # every decision stays the same.
-        factor = bound_factor(ner_model.emission_weights, ner_model.transition_weights)
+        rows = summed_rows(ner_model)
+        factor = bound_factor(rows, ner_model.emission_weights, ner_model.transition_weights)
         big = scaled_tagger(ner_model, factor)
-        assert np.abs(big.emission_weights).max() > 2.0 ** 52
+        assert np.abs(big.emission_weights).max() * rows > 2.0 ** 52
         sentences = [Sentence(Token(t.index, t.form) for t in s) for s in toy_ner_sentences]
         assert tag_sentences(big, sentences) == tag_sentences(ner_model, sentences)
-        factor = bound_factor(parse_model.weights)
+        rows = summed_rows(parse_model)
+        factor = bound_factor(rows, parse_model.weights)
         big = scaled_parser(parse_model, factor)
-        assert 2.0 ** 52 < np.abs(big.weights).max() <= 2.0 ** 53
+        assert 2.0 ** 52 < np.abs(big.weights).max() * rows <= 2.0 ** 53
         doc = [Sentence(Token(t.index, t.form, pos_tag=t.pos_tag) for t in s)
                for s in toy_treebank]
         heads = [[(t.head, t.dep_label) for t in s] for s in parse_sentences(big, doc)]
@@ -195,8 +244,9 @@ class TestWeightBound:
                          for s in parse_sentences(parse_model, doc)]
 
     def test_weight_of_exactly_the_bound_accepted(self, parse_model, toy_treebank):
-        w = np.full_like(parse_model.weights, -2.0 ** 53)
-        w[:, 0] = 2.0 ** 53
+        bound = 2.0 ** 53 // summed_rows(parse_model)
+        w = np.full_like(parse_model.weights, -bound)
+        w[:, 0] = bound
         model = ParserModel(parse_model.relations, parse_model.feature_index, w,
                             root_labels=parse_model.root_labels)
         doc = [Sentence(Token(t.index, t.form, pos_tag=t.pos_tag) for t in s)
