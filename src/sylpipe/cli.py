@@ -1,8 +1,8 @@
 """Command-line frontend: annotate, train, eval, bench.
 
-Exit codes: 0 success, 1 missing/unreadable input file, 2 configuration
-error (bad annotator or arguments), 3 model load failure, 4 data format or
-alignment error, 5 unexpected internal error.
+Exit codes: 0 success, 1 a named file or directory that cannot be read or
+written, 2 configuration error (bad annotator or arguments), 3 model load
+failure, 4 data format or alignment error, 5 unexpected internal error.
 
 Exit 4 covers model.DataError, whose subclasses include FormatError,
 AlignmentError, TrainingError and DecodeError, and input that is not UTF-8.
@@ -337,7 +337,13 @@ def main(argv=None):
         return int(exc.code) if exc.code is not None else EXIT_CONFIG
     try:
         return _COMMANDS[args.command](args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # One that carries a file name is about a path the user named: an
+        # input, an output or the model directory. _require_input puts the
+        # path in its message instead.
+        if exc.filename is None and not isinstance(exc, FileNotFoundError):
+            print(f"internal error: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except PipelineConfigError as exc:

@@ -36,11 +36,10 @@ lookup hits exactly when state_features' string is in the alphabet.
 train_parser freezes its states once (_freeze): it walks each sentence's
 static oracle and records each state's fields. Each template is then a
 gather over columns of interned value ids, and only its distinct value
-tuples become strings (seqlabel.freeze_features), numbered in the order
-state_features would first fire them. It scores each state's ids, its
-mask row's last, with AveragedWeights that end in the model's mask rows
-and zero row: it masks as decoding does, and the model keeps the averaged
-array. The weights change only at an update, so an epoch scores all
+tuples become strings (seqlabel.freeze_features), numbered in sorted
+string order. It scores each state's ids, its mask row's last, with
+AveragedWeights that end in the model's mask rows and zero row: it masks
+as decoding does, and the model keeps the averaged array. The weights change only at an update, so an epoch scores all
 states of a sentence in one sum_rows gather, updates at the first state
 whose masked argmax is not gold, at the step it takes one state at a
 time, and scores again only the states after it: the model is the one
@@ -778,11 +777,10 @@ def _freeze(sentences, action_index, use_ner):
     """Walk the static oracle of each sentence and freeze its states.
 
     Returns (feature_index, ids, gold, bounds): the alphabet of
-    state_features' strings, numbered as they first fire state by state;
-    the (K, S) array that sum_rows reads, column j the sorted ids of state
-    j, its mask row's F + _mask_code(state) last, as in _lockstep_scores;
-    each state's gold action id; and bounds, where sentence k's states
-    start and end.
+    state_features' strings, numbered in sorted order; the (K, S) array
+    that sum_rows reads, column j the sorted ids of state j, its mask row's
+    F + _mask_code(state) last, as in _lockstep_scores; each state's gold
+    action id; and bounds, where sentence k's states start and end.
 
     The walk records each state's fields (_state_record), a position as its
     slot in a column of value ids that lays the sentences end to end. Each
@@ -824,7 +822,7 @@ def _freeze(sentences, action_index, use_ner):
     digits = {atom: tables[column][records[:, list(_FIELDS).index(field)]
                                    + (0 if column in _BUCKETS else bases)]
               for atom, (column, field) in _ATOMS.items() if column in tables}
-    features, _, fired = freeze_features(
+    features, fired = freeze_features(
         templates, [[digits[atom] for atom in _atoms(name)] for name in templates],
         list(values), S)
     logger.debug("froze %d state(s) of %d template(s): %d distinct value(s) read, "

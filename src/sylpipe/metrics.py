@@ -59,13 +59,19 @@ def _forms_of(sentence):
     return list(sentence)
 
 
+def _aligned(gold, predicted):
+    """(k, (gold k, predicted k)) of each sentence k of two corpora, which
+    must hold as many sentences."""
+    if len(gold) != len(predicted):
+        raise AlignmentError(f"sentence counts differ: {len(gold)} gold "
+                             f"vs {len(predicted)} predicted")
+    return enumerate(zip(gold, predicted))
+
+
 def segmentation_f1(gold_sentences, predicted_sentences):
     """Word-level P/R/F1; words match when their syllable spans coincide."""
-    if len(gold_sentences) != len(predicted_sentences):
-        raise AlignmentError(f"sentence counts differ: {len(gold_sentences)} gold "
-                             f"vs {len(predicted_sentences)} predicted")
     correct = predicted = gold = 0
-    for k, (g, p) in enumerate(zip(gold_sentences, predicted_sentences)):
+    for k, (g, p) in _aligned(gold_sentences, predicted_sentences):
         g_words = _forms_of(g)
         p_words = _forms_of(p)
         g_syl = [s for w in g_words for s in split_form(w)]
@@ -82,11 +88,8 @@ def segmentation_f1(gold_sentences, predicted_sentences):
 
 def tagging_accuracy(gold_sequences, predicted_sequences):
     """Fraction of positions with matching labels."""
-    if len(gold_sequences) != len(predicted_sequences):
-        raise AlignmentError(f"sentence counts differ: {len(gold_sequences)} gold "
-                             f"vs {len(predicted_sequences)} predicted")
     matches = total = 0
-    for k, (g, p) in enumerate(zip(gold_sequences, predicted_sequences)):
+    for k, (g, p) in _aligned(gold_sequences, predicted_sequences):
         g = list(g)
         p = list(p)
         if len(g) != len(p):
@@ -99,16 +102,13 @@ def tagging_accuracy(gold_sequences, predicted_sequences):
 
 def chunk_f1(gold_corpora, predicted_corpora):
     """Exact span-and-type entity F1, micro-averaged, with per-type scores."""
-    if len(gold_corpora) != len(predicted_corpora):
-        raise AlignmentError(f"sentence counts differ: {len(gold_corpora)} gold "
-                             f"vs {len(predicted_corpora)} predicted")
     counts = {}
 
     def bump(etype, field):
         entry = counts.setdefault(etype, [0, 0, 0])  # correct, predicted, gold
         entry[field] += 1
 
-    for k, (g_labels, p_labels) in enumerate(zip(gold_corpora, predicted_corpora)):
+    for k, (g_labels, p_labels) in _aligned(gold_corpora, predicted_corpora):
         g_labels = list(g_labels)
         p_labels = list(p_labels)
         if len(g_labels) != len(p_labels):
@@ -139,11 +139,8 @@ def chunk_f1(gold_corpora, predicted_corpora):
 
 def attachment_scores(gold_sentences, predicted_sentences):
     """LAS/UAS over all tokens, punctuation included."""
-    if len(gold_sentences) != len(predicted_sentences):
-        raise AlignmentError(f"sentence counts differ: {len(gold_sentences)} gold "
-                             f"vs {len(predicted_sentences)} predicted")
     head_hits = label_hits = total = 0
-    for k, (g, p) in enumerate(zip(gold_sentences, predicted_sentences)):
+    for k, (g, p) in _aligned(gold_sentences, predicted_sentences):
         if len(g) != len(p):
             raise AlignmentError(f"sentence {k + 1}: token count mismatch")
         for g_form, p_form, g_head, p_head, g_rel, p_rel in zip(

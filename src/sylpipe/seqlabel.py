@@ -18,21 +18,20 @@ gather the other ids and the conjunction slots, these into a digit matrix
 that the key table folds for every conjunction at once. Values a column
 has not cached are resolved atom by atom: one pass per atom over the
 call's new values, one per template over its strings.
-Training freezes its alphabet
-without a string per position either (_freeze): each atom reads each
-distinct attribute value once, the interned value ids of every template's
-atoms over the whole corpus pack into exact integer keys, and only each
-distinct (template, value tuple) becomes a string (freeze_features), in the
-order extract_features would first fire it. Both read an atom's values
-through its templates.ATOMS entry and a document's places and offsets
-through one _Layout, pack value ids with _tuple_codes and their ids for
-sum_rows with _kernels.pack_ids. reference_emission_matrix stays on the
-feature strings, the oracle of both.
+Training freezes its alphabet without a string per position either
+(_freeze): each atom reads each distinct attribute value once, the
+interned value ids of every template's atoms over the whole corpus pack
+into exact integer keys, and only each distinct (template, value tuple)
+becomes a string (freeze_features), numbered in sorted string order. The
+weights are integers, so any numbering trains the same weight for each
+string. Both read an atom's values through its templates.ATOMS entry and
+a document's places and offsets through one _Layout, pack value ids with
+_tuple_codes and their ids for sum_rows with _kernels.pack_ids.
+reference_emission_matrix stays on the feature strings, the oracle of both.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import logging
@@ -449,49 +448,37 @@ def _tuple_codes(digits, radix, scale=1):
 
 
 def freeze_features(names, digits, values, rows):
-    """The features that templates fire at rows positions, numbered first-seen.
+    """The features that templates fire at rows positions, numbered in
+    sorted string order.
 
     names[t] is the name of template t, digits[t] the (rows,) value-id
     arrays of its atoms, ids into the list values, -1 where an atom is
     unset, so that the template fires nothing there. The feature of a
     template at a position is "<name>=" and its atoms' values joined by "|".
-    Only one string is made per distinct (template, value tuple), and the
-    strings are numbered in the order in which the string path, position by
-    position and template by template, first fires them; two tuples that
-    join to one string get one number.
+    Only one string is made per distinct (template, value tuple); two tuples
+    that join to one string get one number.
 
-    Returns (features, starts, fired): features maps each string to its
-    number, starts lists the first position of each number (ascending), and
-    fired is the (rows, T) array of the number that each template fires at
-    each position, -1 where it fires none.
+    Returns (features, fired): features maps each string to its number, in
+    number order, and fired is the (rows, T) array of the number that each
+    template fires at each position, -1 where it fires none.
     """
-    entries = []  # (first positions, strings, where it fires, inverse) per template
+    entries = []  # (strings, where it fires, inverse) per template
     for name, atoms in zip(names, digits):
         stack = np.array(atoms, dtype=np.int64)
         where = np.flatnonzero((stack >= 0).all(axis=0))
         codes, _ = _tuple_codes(stack[:, where], len(values))
         _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        first = where[first]
         prefix = name + "="
-        parts = [list(map(values.__getitem__, digit.tolist())) for digit in stack[:, first]]
-        entries.append((first, [prefix + "|".join(p) for p in zip(*parts)], where, inverse))
-    first = np.concatenate([np.empty(0, dtype=np.intp), *[e[0] for e in entries]])
-    template = np.repeat(np.arange(len(names)), [len(e[0]) for e in entries])
-    order = np.lexsort((template, first))
-    strings = [s for _, strings, _, _ in entries for s in strings]
-    strings = [strings[e] for e in order.tolist()]
-    features = {s: k for k, s in enumerate(dict.fromkeys(strings))}
-    number = np.empty(len(strings), dtype=np.intp)
-    number[order] = np.fromiter(map(features.__getitem__, strings), dtype=np.intp,
-                                count=len(strings))
-    _, seen = np.unique(number[order], return_index=True)
-    starts = first[order][seen].tolist()
+        parts = [list(map(values.__getitem__, digit.tolist()))
+                 for digit in stack[:, where[first]]]
+        entries.append(([prefix + "|".join(p) for p in zip(*parts)], where, inverse))
+    features = {s: k for k, s in enumerate(sorted({s for e in entries for s in e[0]}))}
     fired = np.full((rows, len(names)), -1, dtype=np.intp)
-    lo = 0
-    for t, (entry_first, _, where, inverse) in enumerate(entries):
-        fired[where, t] = number[lo:lo + len(entry_first)][inverse]
-        lo += len(entry_first)
-    return features, starts, fired
+    for t, (strings, where, inverse) in enumerate(entries):
+        number = np.fromiter(map(features.__getitem__, strings), dtype=np.intp,
+                             count=len(strings))
+        fired[where, t] = number[inverse]
+    return features, fired
 
 
 def _offsets(templates):
@@ -887,49 +874,31 @@ def _atom_digits(templates, sentences, resources):
 def _freeze(templates, sentences, resources, induced_pairs):
     """The feature alphabet of a tagger and the features of every position.
 
-    Returns (feature_index, fired, ids): fired is the (N, T) array of the id
-    that each template fires at each of the N positions, -1 where none;
-    ids is the (K, N) array that sum_rows reads, column n the ids of
-    position n, the induced pairs' included, ascending with -1 as padding.
-    The ids are those that extract_features' strings take when they enter
-    the alphabet position by position: the templates' in template order,
-    then the induced pairs'.
+    Returns (feature_index, fired, ids): feature_index numbers the strings
+    that extract_features fires, the induced pairs' included, in sorted
+    order; fired is the (N, T) array of the id that each template fires at
+    each of the N positions, -1 where none; ids is the (K, N) array that
+    sum_rows reads, column n the ids of position n, the induced pairs'
+    included, ascending with -1 as padding.
     """
     digits, values = _atom_digits(templates, sentences, resources)
     N = sum(map(len, sentences))
-    features, starts, fired = freeze_features([tpl.name for tpl in templates], digits,
-                                              values, N)
-    pairs = []  # (first position, first template firing its first part, k, pair, fires)
-    for k, (a, b) in enumerate(induced_pairs):
-        if a not in features or b not in features:
-            continue
-        has_a = fired == features[a]
-        fires = has_a.any(axis=1) & (fired == features[b]).any(axis=1)
-        if fires.any():
-            p = int(fires.argmax())
-            pairs.append((p, int(has_a[p].argmax()), k, f"{a}&&{b}", fires))
+    features, fired = freeze_features([tpl.name for tpl in templates], digits, values, N)
+    pairs = []  # (string, where it fires) of each induced pair that fires
+    for a, b in induced_pairs:
+        if a in features and b in features:
+            fires = (fired == features[a]).any(axis=1) & (fired == features[b]).any(axis=1)
+            if fires.any():
+                pairs.append((f"{a}&&{b}", fires))
+    feature_index = features
     columns = [fired]
     if pairs:
-        # At each position extract_features fires the templates' strings,
-        # then for each of them in order the pairs it is the first part of.
-        feature_index = {}
-        strings = list(features)
-        new_id = np.empty(len(strings) + 1, dtype=np.intp)
-        new_id[-1] = -1
-        done = 0
-        for p, _, _, name, fires in sorted(pairs, key=lambda pair: pair[:3]):
-            stop = bisect.bisect_right(starts, p)
-            for c in range(done, stop):
-                new_id[c] = feature_index.setdefault(strings[c], len(feature_index))
-            done = stop
-            columns.append(np.where(fires, feature_index.setdefault(name, len(feature_index)),
-                                    -1)[:, None])
-        for c in range(done, len(strings)):
-            new_id[c] = feature_index.setdefault(strings[c], len(feature_index))
-        fired = new_id[fired]
-        columns[0] = fired
-    else:
-        feature_index = features
+        # The pairs join the sorted alphabet, and fired is renumbered once.
+        strings = sorted({*features, *(name for name, _ in pairs)})
+        feature_index = {s: k for k, s in enumerate(strings)}
+        fired = np.array([*map(feature_index.__getitem__, features), -1])[fired]
+        columns = [fired, *(np.where(fires, feature_index[name], -1)[:, None]
+                            for name, fires in pairs)]
     logger.debug("froze %d position(s) of %d template(s): %d distinct value(s) read, "
                  "%d feature(s)", N, len(templates), len(values), len(feature_index))
     return feature_index, fired, _kernels.pack_ids(np.concatenate(columns, axis=1))

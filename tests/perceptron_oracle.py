@@ -9,6 +9,11 @@ checked against them. They freeze their alphabets from the feature strings
 of every position and state (extract_features, state_features), so they
 are also the oracle of the trainers' freeze from interned value ids.
 pack_rows, which only they use, lives in kernel_oracle.
+
+One change to the copies: they number features as they first fire, and
+renumber the trained alphabet in sorted string order at the end
+(renumbered), as the trainers number it. The weights are integers,
+so any numbering trains the same weight for each feature string.
 """
 
 import numpy as np
@@ -22,6 +27,13 @@ from sylpipe.depparse import (ParserModel, ParserState, _actions, _legal_action_
 from sylpipe.linear import AveragedWeights, epoch_orders
 from sylpipe.seqlabel import (LinearModel, TrainingError, _index_pairs, _sentence_of,
                               bio_transition_mask, extract_features)
+
+
+def renumbered(feature_index, weights, strings):
+    """(alphabet, weights) numbered in the order of strings, each feature
+    keeping its weight row."""
+    return ({f: k for k, f in enumerate(strings)},
+            weights[[feature_index[f] for f in strings]])
 
 
 def train_averaged_perceptron(templates, corpus, epochs=5, shuffle_seed=None,
@@ -131,7 +143,9 @@ def _train(templates, corpus, labels, epochs, shuffle_seed, bio_constrained,
         if on_epoch is not None:
             on_epoch(epoch, mistakes, correct / total if total else 1.0)
 
-    return LinearModel(labels, templates, feature_index, emissions.averaged(step),
+    return LinearModel(labels, templates,
+                       *renumbered(feature_index, emissions.averaged(step),
+                                   sorted(feature_index)),
                        transitions.averaged(step),
                        bio_constrained=bio_constrained, induced_pairs=induced_pairs,
                        gazetteer=gazetteer)
@@ -236,6 +250,7 @@ def train_parser(treebank, epochs=10, shuffle_seed=1, use_ner_features=False,
         if on_epoch is not None:
             on_epoch(epoch, total - correct, correct / total if total else 1.0)
 
-    return ParserModel(relations, feature_index, weights.averaged(step),
+    return ParserModel(relations, *renumbered(feature_index, weights.averaged(step),
+                                              sorted(feature_index)),
                        use_ner_features=use_ner_features,
                        root_labels=root_labels, root_label=root_label)

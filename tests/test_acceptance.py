@@ -136,7 +136,8 @@ def test_criterion_06_metric_fixtures():
     chunk_ok = (ch.precision == 1.0 and ch.recall == 0.5
                 and abs(ch.f1 - 2 / 3) < 1e-15)
 
-    fixture = from_six_column(open(DEMO_ANNOTATED, encoding="utf-8").read())[0]
+    with open(DEMO_ANNOTATED, encoding="utf-8") as fh:
+        fixture = from_six_column(fh.read())[0]
     heads = [t.head for t in fixture]
     heads[8] = 6
     moved = fixture.with_parse(heads, [t.dep_label for t in fixture])

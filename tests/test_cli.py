@@ -234,6 +234,15 @@ class TestTrain:
         assert main(["train", "pos", "-corpus", str(tmp_path / "nope.tsv"),
                      "-models", str(tmp_path)]) == 1
 
+    def test_models_path_that_is_a_file_exits_1(self, tmp_path, capsys):
+        models = tmp_path / "models"
+        models.write_text("", encoding="utf-8")
+        assert main(["train", "pos", "-corpus", os.path.join(TOY_DIR, "pos.tsv"),
+                     "-models", str(models)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(models) in err
+        assert models.read_text(encoding="utf-8") == ""
+
 
 class TestAnnotate:
     def test_demo_byte_exact(self, cli_models, tmp_path):
@@ -291,6 +300,15 @@ class TestAnnotate:
                      "-fout", str(out), "-models", cli_models])
         assert code == 1
         assert not out.exists()
+
+    def test_output_path_that_is_a_directory_exits_1(self, cli_models, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["annotate", "-fin", DEMO_INPUT, "-fout", str(out),
+                     "-models", cli_models]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert list(out.iterdir()) == []
 
     def test_bad_annotator_exits_2(self, cli_models, tmp_path):
         code = main(["annotate", "-fin", DEMO_INPUT,
@@ -473,7 +491,8 @@ class TestEval:
     def test_truncated_model_exits_3(self, cli_models, tmp_path, task, gold):
         models = tmp_path / "models"
         models.mkdir()
-        data = open(os.path.join(cli_models, f"{task}.model"), "rb").read()
+        with open(os.path.join(cli_models, f"{task}.model"), "rb") as fh:
+            data = fh.read()
         (models / f"{task}.model").write_bytes(data[:-20])
         assert main(["eval", task, "-gold", os.path.join(TOY_DIR, gold),
                      "-models", str(models)]) == 3
@@ -487,7 +506,8 @@ class TestEval:
         models = tmp_path / "models"
         models.mkdir()
         path = models / f"{task}.model"
-        data = open(os.path.join(cli_models, f"{task}.model"), "rb").read()
+        with open(os.path.join(cli_models, f"{task}.model"), "rb") as fh:
+            data = fh.read()
         path.write_bytes(old + data[data.index(b"\n"):])
         assert main(["eval", task, "-gold", os.path.join(TOY_DIR, gold),
                      "-models", str(models)]) == 3
@@ -512,8 +532,8 @@ class TestEval:
         # reads back as unset.
         models = tmp_path / "models"
         models.mkdir()
-        magic, header, rest = open(os.path.join(cli_models, f"{task}.model"),
-                                   "rb").read().split(b"\n", 2)
+        with open(os.path.join(cli_models, f"{task}.model"), "rb") as fh:
+            magic, header, rest = fh.read().split(b"\n", 2)
         assert header.count(label) == 1
         (models / f"{task}.model").write_bytes(
             b"\n".join((magic, header.replace(label, b'"_"'), rest)))

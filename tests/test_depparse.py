@@ -592,13 +592,13 @@ class TestTrainParser:
 
         # independent reference: the sum of the weights after every
         # transition, in the same seeded epoch order
-        feature_index = {}
+        strings = set()
         for sent in bank:
             state = ParserState(len(sent))
             for t in static_oracle(sent):
-                for f in state_features(state, sent.tokens):
-                    feature_index.setdefault(f, len(feature_index))
+                strings.update(state_features(state, sent.tokens))
                 state.apply(t)
+        feature_index = {f: k for k, f in enumerate(sorted(strings))}
         relations = sorted({t.dep_label for s in bank for t in s})
         root_labels = sorted({t.dep_label for s in bank for t in s if t.head == 0})
         W = np.zeros((len(feature_index), 2 * len(relations) + 2))

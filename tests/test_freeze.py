@@ -4,7 +4,8 @@ seqlabel._train and depparse.train_parser read each atom's value ids over
 the whole corpus and make a feature string only for each distinct (template,
 value tuple). They must save the same model bytes as the string-path trainers
 in tests/perceptron_oracle.py, which call extract_features at every position
-and state_features at every state.
+and state_features at every state. They number the alphabet in sorted string
+order; a model file whose alphabet is in another order decodes the same.
 """
 
 import logging
@@ -17,11 +18,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import perceptron_oracle as oracle
-from helpers import assert_trains_as_oracle, random_projective_heads, saved_bytes
+from helpers import (assert_trains_as_oracle, random_projective_heads, saved_bytes,
+                     split_model_file)
 from sylpipe import depparse, ner, pos, seqlabel, templates
-from sylpipe.model import Sentence
-from sylpipe.seqlabel import (FeatureTemplate, compile_atom, make_templates,
-                              save_linear_model, train_averaged_perceptron)
+from sylpipe.model import Sentence, dump_six_column
+from sylpipe.seqlabel import (FeatureTemplate, LinearModel, compile_atom, load_linear_model,
+                              make_templates, save_linear_model, tag_sentences,
+                              train_averaged_perceptron, viterbi_decode)
 
 # Values that join into one another's strings ("|", "="), that are the
 # boundary and missing-position values themselves, and non-BMP characters.
@@ -169,6 +172,71 @@ def radix_and_result(monkeypatch, freeze):
         patched.setattr(depparse, "freeze_features", spy)
         result = freeze()
     return radices[0], result
+
+
+@pytest.fixture(scope="module")
+def trained(pos_model, toy_ner_sentences, toy_treebank):
+    """A POS model, an NER model whose induced pairs fire, and a parser that
+    reads NER labels, each with its save function."""
+    ner_model = ner.train_ner(ner.training_pairs(toy_ner_sentences), combine_top_k=3,
+                              gazetteer=frozenset({"Hà_Nội", "việt_nam", "Olympic"}))
+    parse_model = depparse.train_parser(toy_treebank, epochs=4, use_ner_features=True)
+    return {"pos": (pos_model, save_linear_model),
+            "ner-gazetteer": (ner_model, save_linear_model),
+            "parse-ner": (parse_model, depparse.save_parser)}
+
+
+class TestSortedAlphabet:
+    @pytest.mark.parametrize("name", ["pos", "ner-gazetteer", "parse-ner"])
+    def test_trained_and_saved_alphabet_is_sorted(self, trained, name):
+        model, save = trained[name]
+        strings = list(model.feature_index)
+        assert list(model.feature_index.values()) == list(range(len(strings)))
+        assert strings == sorted(strings)
+        # UTF-8 keeps code-point order, so the lines ascend as bytes too.
+        alphabet = split_model_file(saved_bytes(save, model))[0][2:]
+        assert len(alphabet) == len(strings)
+        assert all(a < b for a, b in zip(alphabet, alphabet[1:]))
+        if name == "ner-gazetteer":
+            assert model.induced_pairs
+            assert {f"{a}&&{b}" for a, b in model.induced_pairs} & model.feature_index.keys()
+        if name == "parse-ner":
+            assert any(f.startswith("ner:") for f in strings)
+
+    @pytest.mark.parametrize("name", ["pos", "ner-gazetteer"])
+    def test_tagger_file_in_another_order_tags_the_same(self, trained, tmp_path, name,
+                                                        toy_ner_sentences):
+        model, _ = trained[name]
+        path = tmp_path / "reversed.model"
+        save_linear_model(LinearModel(
+            model.labels, model.templates,
+            *oracle.renumbered(model.feature_index, model.emission_weights,
+                               list(reversed(model.feature_index))),
+            model.transition_weights, bio_constrained=model.bio_constrained,
+            induced_pairs=model.induced_pairs, gazetteer=model.gazetteer), path)
+        alphabet = split_model_file(path.read_bytes())[0][2:]
+        assert alphabet == sorted(alphabet, reverse=True)
+        reloaded = load_linear_model(path)
+        sentences = list(toy_ner_sentences)
+        assert tag_sentences(reloaded, sentences) == tag_sentences(model, sentences)
+        for sent in sentences[:20]:
+            assert viterbi_decode(reloaded, sent) == viterbi_decode(model, sent)
+
+    def test_parser_file_in_another_order_parses_the_same(self, trained, tmp_path,
+                                                         toy_treebank):
+        model, _ = trained["parse-ner"]
+        path = tmp_path / "reversed.model"
+        depparse.save_parser(depparse.ParserModel(
+            model.relations, *oracle.renumbered(model.feature_index, model.weights,
+                                                list(reversed(model.feature_index))),
+            use_ner_features=True, root_labels=model.root_labels,
+            root_label=model.root_label), path)
+        alphabet = split_model_file(path.read_bytes())[0][2:]
+        assert alphabet == sorted(alphabet, reverse=True)
+        reloaded = depparse.load_parser(path)
+        sentences = list(toy_treebank)
+        assert dump_six_column(depparse.parse_sentences(reloaded, sentences)) == \
+            dump_six_column(depparse.parse_sentences(model, sentences))
 
 
 class TestKeyExactness:

@@ -21,13 +21,13 @@ from sylpipe.seqlabel import save_linear_model
 
 MODEL_SHA256 = {
     "wseg.model": "cb1a8be92a814e5bf8aa8777a9f353a346f629891570238b24579a05d574b17f",
-    "pos.model": "2911729b5edd1f1d3e4e7107c965140f3af2037393117363a006ec3df431e2d0",
-    "ner.model": "d30ec04141cf546ebf4a886c076909bcc2cf231cecc02aa74d21c99a46cd6979",
-    "parse.model": "67959bd9d8f66461a019e6516b010ddbdafd487c1450c5662034cab6aa8f3e9f",
+    "pos.model": "e37f9cd2690abc4e0ae55847b8188422a60e134c513ab7366a40af1fc85e7ed8",
+    "ner.model": "34bf360c8e47cd841c1cad95e1c46f5f0bafcaa0939a122f0577235cd07b8c97",
+    "parse.model": "8b3c3f4bcff9dce9bd4335881b187e5cb2cf75a97424bd2485ee4502554a3645",
     # NER with a gazetteer (one entry lower-cased) and three induced pairs.
-    "ner-gazetteer.model": "8acf3e9b9e5e4b985dd3dcee2d609d71d339700f1dcd05b36188742ca9f84078",
+    "ner-gazetteer.model": "f29499126ab40a10b14786153e203d00f6b1fb29eb20162159a6fd487282a8cc",
     # Parser with the NER features, trained in corpus order.
-    "parse-ner.model": "e983cd5fe426d57a9ec1853f37c3bf8119a8d24809cca52f068294fc300f870f",
+    "parse-ner.model": "3526d2d9378a91acba0260d9c28e938d89ffdffb8615d81e7b206a85fe5810bb",
     # Segmenter with window_radius=1: shapelex, pair and pairdec rules.
     "wseg-radius1.model": "22a5c9b50d972ad1d2138a2336556dff44d0c343bdd6e8dd87850c4f9f4e5667",
 }

@@ -212,11 +212,9 @@ class TestTraining:
         # independent reference: explicit snapshots after every instance
         labels = sorted({lab for _, g in corpus for lab in g})
         L = len(labels)
-        feature_index = {}
-        for s, _ in corpus:
-            for i in range(len(s)):
-                for f in extract_features(templates, s.tokens, i):
-                    feature_index.setdefault(f, len(feature_index))
+        strings = {f for s, _ in corpus for i in range(len(s))
+                   for f in extract_features(templates, s.tokens, i)}
+        feature_index = {f: k for k, f in enumerate(sorted(strings))}
         F = len(feature_index)
         W = np.zeros((F, L))
         T = np.zeros((L + 1, L))
