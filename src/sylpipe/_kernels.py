@@ -6,8 +6,9 @@ pipeline calls both on whole documents. viterbi_path, viterbi_paths of one
 lattice, keeps its name for its callers: the tagger trainers,
 seqlabel.viterbi_decode, the test oracles and perfbench/tracing.py. The
 parser trainer scores and masks all states of a sentence after its last
-update in one sum_rows gather. Both trainers and the taggers' decode pack
-their ids into sum_rows' layout with pack_ids. row_sum, the sum for one
+update in one sum_rows gather. Both trainers and both decoders hand
+sum_rows their (positions, templates) id arrays transposed: no position
+fires an id twice, so no column needs sorting. row_sum, the sum for one
 position or state, is a one-column sum_rows: the string-path reference
 (seqlabel's reference_emission_matrix) calls it, and perfbench/tracing.py
 looks it up by name. The plain loops in tests/kernel_oracle.py pin every
@@ -134,32 +135,13 @@ def row_sum(weights, ids, out=None):
     return out
 
 
-def pack_ids(ids):
-    """Pack an (N, W) array of feature ids, -1 where none, for sum_rows: (K, N).
-
-    Column n holds the distinct ids of row n, ascending, with -1 in place of
-    a repeat and as padding: a feature that two templates fire is added
-    once. The columns of padding that every row starts with are dropped:
-    once the rows are sorted, the column maxima ascend, and those columns'
-    are below 0. Sorts ids in place and returns a transposed view of it:
-    sum_rows reads any strides, and a contiguous copy measured slower at
-    decode and no faster in the trainers.
-    """
-    ids.sort(axis=1)
-    if len(ids):
-        ids = ids[:, np.maximum.reduce(ids, axis=0).searchsorted(0):]
-    after = ids[:, 1:]
-    after[after == ids[:, :-1]] = -1
-    return ids.T
-
-
-def sum_rows(weights, packed):
+def sum_rows(weights, ids):
     """(T, L) array whose row t sums the rows of weights at the ids of
     position t, as tests/kernel_oracle.py adds them.
 
-    weights ends in a row of zeros. packed is (K, T): column t holds the
-    ids of position t, and -1 as padding, which may sit anywhere in the
-    column and reads the zero row. One gather into a (K, T, L) array,
-    summed over K.
+    weights ends in a row of zeros. ids is (K, T): column t holds the ids
+    of position t, and -1 as padding, which may sit anywhere in the column
+    and reads the zero row. One gather into a (K, T, L) array, summed over
+    K.
     """
-    return weights[packed].sum(axis=0)
+    return weights[ids].sum(axis=0)

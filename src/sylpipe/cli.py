@@ -12,6 +12,12 @@ with a DecodeError exits 4 too, its message naming the stage and the
 sentence ("<stage> failed on sentence N: ..."); a stage that fails with
 any other exception, like any other ValueError, is a fault of the program
 and exits 5.
+
+annotate opens its output after reading its input and before loading a
+model, so an output it cannot write exits 1 before any work. Opening it
+truncates an earlier file of that name; a run that fails after that
+removes the file, unless it is a device or a link, so a failed run leaves
+no output.
 """
 
 from __future__ import annotations
@@ -82,10 +88,17 @@ def _require_input(path):
 def cmd_annotate(args):
     _require_input(args.fin)
     annotators = _parse_annotators(args.annotators)
-    pipe = build_pipeline(annotators, model_dir=_models_dir(args))
-    document = pipe.annotate(read_corpus(args.fin))
+    text = read_corpus(args.fin)
     with open(args.fout, "w", encoding="utf-8") as fh:
-        fh.write(dump_six_column(document.sentences))
+        try:
+            pipe = build_pipeline(annotators, model_dir=_models_dir(args))
+            fh.write(dump_six_column(pipe.annotate(text).sentences))
+        except BaseException:
+            fh.close()
+            # Not a device or a link, such as /dev/stdout.
+            if os.path.isfile(args.fout) and not os.path.islink(args.fout):
+                os.remove(args.fout)
+            raise
     return EXIT_OK
 
 
@@ -280,7 +293,7 @@ def build_arg_parser():
             p_task.add_argument("-epochs", "--epochs", type=_positive_int, default=8)
             p_task.add_argument("-seed", "--seed", type=int, default=1)
     train["wseg"].add_argument("-window", "--window", type=_non_negative_int, default=2,
-                               help="rule context radius")
+                               help="rule context radius (0 trains as 1, above 2 as 2)")
     train["wseg"].add_argument("-max-rules", "--max-rules", dest="max_rules",
                                type=_non_negative_int, default=200)
     train["ner"].add_argument("-gazetteer", "--gazetteer", default=None,

@@ -778,8 +778,9 @@ def _freeze(sentences, action_index, use_ner):
 
     Returns (feature_index, ids, gold, bounds): the alphabet of
     state_features' strings, numbered in sorted order; the (K, S) array
-    that sum_rows reads, column j the sorted ids of state j, its mask row's
-    F + _mask_code(state) last, as in _lockstep_scores; each state's gold
+    that sum_rows reads, column j the ids of state j in template order, -1
+    where a template fires none, and its mask row's F + _mask_code(state)
+    in the last row, as in _lockstep_scores; each state's gold
     action id; and bounds, where sentence k's states start and end.
 
     The walk records each state's fields (_state_record), a position as its
@@ -828,7 +829,7 @@ def _freeze(sentences, action_index, use_ner):
     logger.debug("froze %d state(s) of %d template(s): %d distinct value(s) read, "
                  "%d feature(s)", S, len(templates), len(values), len(features))
     ids = np.column_stack([fired, len(features) + np.array(codes, dtype=np.intp)])
-    return features, _kernels.pack_ids(ids), np.array(gold), bounds
+    return features, ids.T, np.array(gold), bounds
 
 
 def train_parser(treebank, epochs=10, shuffle_seed=1, use_ner_features=False,

@@ -25,8 +25,10 @@ into exact integer keys, and only each distinct (template, value tuple)
 becomes a string (freeze_features), numbered in sorted string order. The
 weights are integers, so any numbering trains the same weight for each
 string. Both read an atom's values through its templates.ATOMS entry and
-a document's places and offsets through one _Layout, pack value ids with
-_tuple_codes and their ids for sum_rows with _kernels.pack_ids.
+a document's places and offsets through one _Layout, and pack value ids
+with _tuple_codes. Both hand sum_rows their (positions, columns) ids
+transposed: a template is its descriptor and the induced pairs are
+distinct, so no position fires an id twice (templates.FeatureTemplate).
 reference_emission_matrix stays on the feature strings, the oracle of both.
 """
 
@@ -82,6 +84,15 @@ def _check_alphabet(labels, bio_constrained):
             check_ner_label(label)
 
 
+def _check_once(items, what):
+    """Refuse an item listed twice, which would make a position fire one id twice."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            raise ValueError(f"{what} {item!r} is listed twice")
+        seen.add(item)
+
+
 def _tails(L):
     """The rows a tagger keeps after its emission and transition weights (weight_rows)."""
     return np.zeros((1, L)), np.zeros((0, L))
@@ -117,6 +128,7 @@ class LinearModel:
         _check_alphabet(self.labels, bio_constrained)
         self.label_index = {lab: i for i, lab in enumerate(self.labels)}
         self.templates = list(templates)
+        _check_once([tpl.descriptor for tpl in self.templates], "template")
         self.feature_index = dict(feature_index)
         emission_weights = np.asarray(emission_weights, dtype=np.float64)
         self.transition_weights = np.ascontiguousarray(transition_weights, dtype=np.float64)
@@ -130,6 +142,7 @@ class LinearModel:
         self.emission_weights = self._rows[:F]
         self.bio_constrained = bool(bio_constrained)
         self.induced_pairs = tuple(tuple(p) for p in induced_pairs)
+        _check_once(self.induced_pairs, "induced pair")
         # A position sums at most one row per template and induced pair.
         check_weights(len(self.templates) + len(self.induced_pairs),
                       self.emission_weights, self.transition_weights)
@@ -359,7 +372,7 @@ class _ConjunctionKeys:
     def __init__(self, templates, index):
         values = {}
         found = [[] for _ in templates]  # (value ids, feature id) per template
-        for t, parts, j in alphabet_tuples(index, [tpl.name for tpl in templates],
+        for t, parts, j in alphabet_tuples(index, [tpl.descriptor for tpl in templates],
                                            [len(tpl.specs) for tpl in templates]):
             found[t].append(([values.setdefault(v, len(values)) for v in parts], j))
         self.values = values
@@ -573,7 +586,7 @@ class _CompiledFeatures:
             name = index.get(f"{a}&&{b}")
             if name is not None:
                 self.pairs.append((index[a], index[b], name))
-        # Columns of document_ids before packing.
+        # Rows of document_ids.
         self.width = (sum(column.width for column in self.columns.values())
                       + len(keys.kept) + len(self.pairs))
 
@@ -587,8 +600,8 @@ class _CompiledFeatures:
 
     def document_ids(self, sentences):
         """(K, N) feature ids of the N positions of the Sentences, as sum_rows
-        reads them (_kernels.pack_ids): column n holds the ids that
-        position_feature_ids gives at position n.
+        reads them: column n holds the ids that position_feature_ids gives at
+        position n, in column order, with -1 where a template fires none.
 
         Each column reads its codes at every offset with one gather, then
         its single-atom ids and conjunction slots with its gathers and one
@@ -631,7 +644,7 @@ class _CompiledFeatures:
                     present[part] = (base == part).any(axis=1)
             ids[:, k] = np.where(present[a] & present[b], name, -1)
             k += 1
-        return _kernels.pack_ids(ids)
+        return ids.T
 
 
 def _index_pairs(pairs):
@@ -659,16 +672,14 @@ def viterbi_decode(model, sentence):
     return [model.labels[p] for p in path], score
 
 
-# A document decode takes its sentences by length. Feature ids are built for
-# at most TAG_CHUNK_POSITIONS positions at a time, and their emissions are
-# summed by exact gathers of at most TAG_GROUP_CELLS float64 cells
-# (positions x feature columns x labels, 256 KB). Groups of sentences then
-# each take one viterbi_paths call over at most a third as many padded cells
-# (sentences x longest length x labels), and at most TAG_GROUP_SENTENCES
-# sentences a group bounds its per-step (sentences, labels, labels) array:
-# with its back-pointer lists and paths, a call took at most 1.7 MB for 6 to
-# 24 labels (tracemalloc).
-TAG_CHUNK_POSITIONS = 1 << 11
+# A document decode takes its sentences by length, in groups of at most
+# TAG_GROUP_SENTENCES sentences and a third of TAG_GROUP_CELLS padded cells
+# (sentences x longest length x labels). Each group makes one document_ids
+# call, sums its emissions by exact gathers of at most TAG_GROUP_CELLS
+# float64 cells (positions x feature columns x labels, 256 KB), and takes one
+# viterbi_paths call. The sentence bound caps the per-step (sentences,
+# labels, labels) array: with its back-pointer lists and paths, a call took
+# at most 1.7 MB for 6 to 24 labels (tracemalloc).
 TAG_GROUP_SENTENCES = 256
 TAG_GROUP_CELLS = 1 << 15
 
@@ -689,22 +700,16 @@ def tag_sentences(model, sentences):
     L = len(model.labels)
     gather = max(1, TAG_GROUP_CELLS // (max(1, compiled.width) * L))
     trans, start = model.masked_scores()
-    for chunk in _length_groups(lengths, len(lengths), TAG_CHUNK_POSITIONS):
-        ids = compiled.document_ids([sentences[k] for k in todo[chunk]])
+    for group in _length_groups(lengths, TAG_GROUP_SENTENCES, TAG_GROUP_CELLS // (3 * L)):
+        ids = compiled.document_ids([sentences[k] for k in todo[group]])
         em = np.concatenate([_kernels.sum_rows(model._rows, ids[:, a:a + gather])
                              for a in range(0, ids.shape[1], gather)])
-        row = 0
-        for group in _length_groups(lengths[chunk], TAG_GROUP_SENTENCES,
-                                    TAG_GROUP_CELLS // (3 * L)):
-            group_lengths = lengths[chunk][group]
-            n = sum(group_lengths)
-            decoded = _kernels.viterbi_paths(em[row:row + n], group_lengths, trans, start)
-            row += n
-            for k, (path, score) in zip(todo[chunk][group], decoded):
-                if score == NEG_INF:
-                    raise DecodeError(f"no legal label sequence for sentence {k + 1}",
-                                      sentence=k + 1)
-                out[k] = [model.labels[y] for y in path.tolist()]
+        decoded = _kernels.viterbi_paths(em, lengths[group], trans, start)
+        for k, (path, score) in zip(todo[group], decoded):
+            if score == NEG_INF:
+                raise DecodeError(f"no legal label sequence for sentence {k + 1}",
+                                  sentence=k + 1)
+            out[k] = [model.labels[y] for y in path.tolist()]
     return out
 
 
@@ -785,13 +790,15 @@ def train_averaged_perceptron(templates, corpus, epochs=5, shuffle_seed=None,
     generator. combine_top_k > 0 first runs one probe epoch, promotes the
     top-K feature pairs co-firing at mistaken positions to conjunction
     features, then restarts training with the augmented feature space;
-    0 turns that off, and a count below 0 is refused. A bio_constrained
+    0 turns that off, and a count below 0 is refused, as is a template
+    list that repeats a descriptor (ValueError). A bio_constrained
     corpus whose gold labels break the BIO rule (model.bio_may_follow), which
     the decode mask forbids, raises TrainingError naming the sentence.
     """
     check_epochs(epochs)
     if combine_top_k < 0:
         raise ValueError(f"combine_top_k must be at least 0, got {combine_top_k!r}")
+    _check_once([tpl.descriptor for tpl in templates], "template")
     corpus = list(corpus)
     if not corpus:
         raise TrainingError("training corpus is empty")
@@ -878,12 +885,12 @@ def _freeze(templates, sentences, resources, induced_pairs):
     that extract_features fires, the induced pairs' included, in sorted
     order; fired is the (N, T) array of the id that each template fires at
     each of the N positions, -1 where none; ids is the (K, N) array that
-    sum_rows reads, column n the ids of position n, the induced pairs'
-    included, ascending with -1 as padding.
+    sum_rows reads, column n the ids of position n in template order, then
+    the induced pairs', with -1 where none fires.
     """
     digits, values = _atom_digits(templates, sentences, resources)
     N = sum(map(len, sentences))
-    features, fired = freeze_features([tpl.name for tpl in templates], digits, values, N)
+    features, fired = freeze_features([tpl.descriptor for tpl in templates], digits, values, N)
     pairs = []  # (string, where it fires) of each induced pair that fires
     for a, b in induced_pairs:
         if a in features and b in features:
@@ -901,7 +908,7 @@ def _freeze(templates, sentences, resources, induced_pairs):
                             for name, fires in pairs)]
     logger.debug("froze %d position(s) of %d template(s): %d distinct value(s) read, "
                  "%d feature(s)", N, len(templates), len(values), len(feature_index))
-    return feature_index, fired, _kernels.pack_ids(np.concatenate(columns, axis=1))
+    return feature_index, fired, np.concatenate(columns, axis=1).T
 
 
 def _train(templates, corpus, labels, epochs, shuffle_seed, bio_constrained,
@@ -928,13 +935,13 @@ def _train(templates, corpus, labels, epochs, shuffle_seed, bio_constrained,
 
     def learn(si, step):
         lo = bounds[si]
-        packed = ids[:, lo:bounds[si + 1]]
+        columns = ids[:, lo:bounds[si + 1]]
         gold = golds[si]
         T = len(gold)
         if T == 0:
             return 0, 0, 0
         step += 1
-        em = _kernels.sum_rows(emissions.W, packed)
+        em = _kernels.sum_rows(emissions.W, columns)
         if masked[0] is None:
             masked[0] = _masked_transitions(transitions.W, mask)
         pred, _ = _kernels.viterbi_path(em, *masked[0])
@@ -946,13 +953,10 @@ def _train(templates, corpus, labels, epochs, shuffle_seed, bio_constrained,
             p = pred[i]
             if g != p:
                 if collect_error_pairs is not None:
-                    feats = [names[j] for j in fired[lo + i].tolist() if j >= 0]
-                    for a_i in range(len(feats)):
-                        for b_i in range(a_i + 1, len(feats)):
-                            a, b = feats[a_i], feats[b_i]
-                            pair = (a, b) if a <= b else (b, a)
-                            collect_error_pairs[pair] = collect_error_pairs.get(pair, 0) + 1
-                row = packed[:, i]
+                    feats = sorted(names[j] for j in fired[lo + i].tolist() if j >= 0)
+                    for pair in itertools.combinations(feats, 2):
+                        collect_error_pairs[pair] = collect_error_pairs.get(pair, 0) + 1
+                row = columns[:, i]
                 row = row[row >= 0]
                 emissions.update((row, g), (row, p), step)
             pg = gold[i - 1] if i else start
@@ -992,7 +996,7 @@ SEQ2 = ModelFormat(
 def save_linear_model(model, path):
     SEQ2.write(path, {
         "labels": model.labels,
-        "templates": [[t.name, t.descriptor] for t in model.templates],
+        "templates": [[t.descriptor, t.descriptor] for t in model.templates],
         "bio": model.bio_constrained,
         "pairs": [list(p) for p in model.induced_pairs],
         "gazetteer": sorted(model.gazetteer) if model.gazetteer is not None else None,
@@ -1001,8 +1005,11 @@ def save_linear_model(model, path):
 
 def load_linear_model(path):
     header, feature_index, (em, tr) = SEQ2.read(path)
-    templates = [FeatureTemplate(name, desc) for name, desc in header["templates"]]
-    return LinearModel(header["labels"], templates, feature_index, em, tr,
+    for name, descriptor in header["templates"]:
+        if name != descriptor:
+            raise ValueError(f"template name {name!r} is not its descriptor {descriptor!r}")
+    return LinearModel(header["labels"], make_templates(d for _, d in header["templates"]),
+                       feature_index, em, tr,
                        bio_constrained=header["bio"],
                        induced_pairs=[tuple(p) for p in header["pairs"]],
                        gazetteer=header["gazetteer"])

@@ -1,6 +1,6 @@
-"""Feature templates: named extractors over token attributes at relative offsets.
+"""Feature templates: extractors over token attributes at relative offsets.
 
-A template such as "form@-1&form@0" fires the feature string
+A template is its descriptor: "form@-1&form@0" fires the feature string
 "form@-1&form@0=<form before>|<form>" at a position. ATOMS defines each
 atom once: compile_atom reads it from tokens for this string path, and the
 taggers' decoder and freeze in seqlabel read the same entries once per
@@ -103,15 +103,17 @@ def compile_atom(name, arg, offset):
 
 @dataclass(frozen=True)
 class FeatureTemplate:
-    """A named extractor over token attributes at relative offsets.
+    """An extractor over token attributes at relative offsets, named by its
+    descriptor.
 
     The descriptor is a "&"-joined list of atoms like "form@-1&form@0" or
     "prefix3@0"; each atom reads one attribute at one offset (ATOMS). A
     template whose atoms hit an unset attribute emits nothing at that
     position. An unknown atom or a length it does not take raises ValueError.
+    A descriptor holds no "=", so the "=" after it ends it in every feature,
+    and two different templates never fire one string.
     """
 
-    name: str
     descriptor: str
 
     def __post_init__(self):
@@ -127,7 +129,7 @@ class FeatureTemplate:
         object.__setattr__(self, "_atoms", tuple(compile_atom(*s) for s in specs))
         # Each feature of the template is prefix + its atoms' values joined
         # by "|"; the compiled decode path forms features from it too.
-        object.__setattr__(self, "prefix", self.name + "=")
+        object.__setattr__(self, "prefix", self.descriptor + "=")
 
     def extract(self, tokens, i, resources=None):
         values = []
@@ -154,25 +156,21 @@ def value_splits(value, n):
 def alphabet_tuples(feature_index, names, arities):
     """(template, value tuple, id) for every reading of an alphabet feature.
 
-    Template t is named names[t] and has arities[t] atoms; a feature
-    "<name>=<value>" reads as each template of that name over each split of
-    <value> (value_splits). A name may hold "=" and may repeat, so a feature
-    is tried at every "=" and for every template of the name before it.
+    Template t is named names[t], a name without "=" that no other template
+    has, and has arities[t] atoms; a feature "<name>=<value>" reads as that
+    template over each split of <value> (value_splits).
     """
-    by_name = {}
-    for t, name in enumerate(names):
-        by_name.setdefault(name, []).append(t)
+    by_name = {name: t for t, name in enumerate(names)}
     for feature, j in feature_index.items():
-        cut = feature.find("=")
-        while cut >= 0:
-            for t in by_name.get(feature[:cut], ()):
-                for parts in value_splits(feature[cut + 1:], arities[t]):
-                    yield t, parts, j
-            cut = feature.find("=", cut + 1)
+        name, cut, value = feature.partition("=")
+        t = by_name.get(name) if cut else None
+        if t is not None:
+            for parts in value_splits(value, arities[t]):
+                yield t, parts, j
 
 
 def make_templates(descriptors):
-    return [FeatureTemplate(d, d) for d in descriptors]
+    return [FeatureTemplate(d) for d in descriptors]
 
 
 def extract_features(templates, tokens, i, resources=None, induced_index=None):

@@ -189,7 +189,9 @@ TEMPLATE_ORDER = ("pair", "left3", "right3", "window4", "left1", "right1",
 # The values a lex or dec slot can read; TransformationRule refuses any other.
 SLOT_VALUES = {"lex": ("0", "1", "-"), "dec": ("J", "S", "-")}
 
-# Syllable offsets used by each template; radius w admits offsets -(w-1)..w.
+# The templates of a radius: 0 and 1 give the six that read only the two
+# syllables at a boundary (syllable offsets 0 and 1); any radius of 2 or more
+# gives all ten, which read offsets -1..2, so a radius above 2 adds nothing.
 _RADIUS_1_TEMPLATES = ("pair", "left1", "right1", "shapes", "shapelex", "pairdec")
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import DEMO_ANNOTATED, DEMO_INPUT, TOY_DIR
 from helpers import join_model_file, split_model_file
-from sylpipe import depparse, metrics, pos, seqlabel, wseg
+from sylpipe import cli, depparse, metrics, pos, seqlabel, wseg
 from sylpipe.cli import main
 
 
@@ -301,7 +301,13 @@ class TestAnnotate:
         assert code == 1
         assert not out.exists()
 
-    def test_output_path_that_is_a_directory_exits_1(self, cli_models, tmp_path, capsys):
+    def test_output_path_that_is_a_directory_exits_1(self, cli_models, tmp_path, capsys,
+                                                     monkeypatch):
+        # The output is opened before any model is loaded.
+        def never(*args, **kwargs):
+            pytest.fail("build_pipeline called before the output was opened")
+
+        monkeypatch.setattr(cli, "build_pipeline", never)
         out = tmp_path / "out"
         out.mkdir()
         assert main(["annotate", "-fin", DEMO_INPUT, "-fout", str(out),
@@ -322,10 +328,61 @@ class TestAnnotate:
             raise KeyError(("RIGHT-ARC", "nope"))
 
         monkeypatch.setattr(depparse, "parse_sentences", fail)
-        code = main(["annotate", "-fin", DEMO_INPUT, "-fout", str(tmp_path / "o.txt"),
+        out = tmp_path / "o.txt"
+        out.write_text("an earlier output\n", encoding="utf-8")
+        code = main(["annotate", "-fin", DEMO_INPUT, "-fout", str(out),
                      "-models", cli_models])
         assert code == 5
         assert "parse failed: ('RIGHT-ARC', 'nope')" in capsys.readouterr().err
+        # The output, opened before the run, is removed when the run fails,
+        # but not through a link.
+        assert not out.exists()
+        link = tmp_path / "link.txt"
+        link.symlink_to(out)
+        assert main(["annotate", "-fin", DEMO_INPUT, "-fout", str(link),
+                     "-models", cli_models]) == 5
+        assert link.is_symlink() and out.read_text(encoding="utf-8") == ""
+
+    def test_segmenter_fault_exits_5_naming_the_sentence(self, cli_models, tmp_path,
+                                                        monkeypatch, capsys):
+        segment = wseg.segment
+        calls = []
+
+        def fail_second(model, syllables):
+            calls.append(syllables)
+            if len(calls) == 2:
+                raise KeyError("nope")
+            return segment(model, syllables)
+
+        monkeypatch.setattr(wseg, "segment", fail_second)
+        text = tmp_path / "in.txt"
+        text.write_text("Họ làm việc ở Hà Nội .\nÔng Lê Văn Minh viết về nhà máy tính .\n",
+                        encoding="utf-8")
+        out = tmp_path / "o.txt"
+        code = main(["annotate", "-fin", str(text), "-fout", str(out), "-models", cli_models])
+        assert code == 5
+        assert "internal error: wseg failed on sentence 2: 'nope'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["c=d", "form@0", "pos@0"])
+    def test_template_name_other_than_its_descriptor_exits_3(self, cli_models, tmp_path,
+                                                             capsys, name):
+        # Rewrite the name of the template prefix2@0 only, not its descriptor.
+        models = tmp_path / "models"
+        shutil.copytree(cli_models, models)
+        path = models / "pos.model"
+        magic, header, rest = path.read_bytes().split(b"\n", 2)
+        pair = b'["prefix2@0","prefix2@0"]'
+        assert header.count(pair) == 1
+        path.write_bytes(b"\n".join(
+            (magic, header.replace(pair, b'["%s","prefix2@0"]' % name.encode()), rest)))
+        out = tmp_path / "o.txt"
+        code = main(["annotate", "-fin", DEMO_INPUT, "-fout", str(out),
+                     "-models", str(models)])
+        assert code == 3
+        assert (f"pos: failed to load {path}: template name {name!r} is not its "
+                "descriptor 'prefix2@0'" in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_decode_error_in_a_stage_exits_4_naming_the_stage(self, cli_models, tmp_path,
                                                               capsys):

@@ -37,13 +37,9 @@ ODD_NER = ["O", "B-a|b", "I-a|b", "B-<none>", "B-=", "I-="]
 TEMPLATE_POOL = ["form@0", "form@-1", "form@+1", "form@-2", "form@+2", "lower@0",
                  "prefix2@0", "suffix1@+1", "shape@0", "hasdigit@-1", "hashyphen@0",
                  "isfirst@0", "islast@0", "islast@+1", "isfirst@-1",
-                 "form@-1&form@0", "form@0&form@+2", "isfirst@0&form@0",
-                 "form@-1&islast@0", "form@+1&isfirst@-1&form@-1", "pos@0", "pos@-1&form@0",
-                 "ner@0", "gaz@0", "gaz@-1&form@0"]
-# Two templates named alike, and names that make one string of two tuples:
-# "c=d=e|f" is template "c" over ("d=e", "f") and "c=d" over ("e", "f").
-ODD_TEMPLATES = [FeatureTemplate("dup", "form@0"), FeatureTemplate("dup", "form@-1"),
-                 FeatureTemplate("c", "form@-1&form@0"), FeatureTemplate("c=d", "form@0&form@+1")]
+                 "form@-1&form@0", "form@0&form@+1", "form@0&form@+2",
+                 "isfirst@0&form@0", "form@-1&islast@0", "form@+1&isfirst@-1&form@-1",
+                 "pos@0", "pos@-1&form@0", "ner@0", "gaz@0", "gaz@-1&form@0"]
 LABEL_POOLS = {False: ["A", "B", "C"], True: ["O", "B-PER", "I-PER"]}
 
 
@@ -68,7 +64,6 @@ def odd_tagging_cases(draw):
         corpus.append((Sentence.from_columns(["a"]), [LABEL_POOLS[bio][0]]))
     chosen = make_templates(draw(st.lists(st.sampled_from(TEMPLATE_POOL), min_size=1,
                                           max_size=8, unique=True)))
-    chosen += draw(st.lists(st.sampled_from(ODD_TEMPLATES), max_size=3))
     chosen = draw(st.permutations(chosen))
     gazetteer = draw(st.none() | st.frozensets(st.sampled_from(ODD_FORMS + ["hà"]),
                                                max_size=4))
@@ -118,19 +113,6 @@ class TestMatchesStringPath:
         treebank, options = case
         assert_trains_as_oracle(depparse.train_parser, oracle.train_parser,
                                 depparse.save_parser, treebank, **options)
-
-    def test_error_pairs_count_repeated_strings(self):
-        # Templates "dup" over form@0 and over form@-1 fire one string where
-        # a form repeats, and the probe epoch counts the pair it makes with
-        # itself, as the string path does.
-        corpus = [(Sentence.from_columns(["a", "a", "b"]), ["A", "B", "A"]),
-                  (Sentence.from_columns(["b", "b"]), ["B", "A"])]
-        chosen = [FeatureTemplate("dup", "form@0"), FeatureTemplate("dup", "form@-1")]
-        model = train_averaged_perceptron(chosen, corpus, epochs=2, combine_top_k=20)
-        assert ("dup=a", "dup=a") in model.induced_pairs
-        assert_trains_as_oracle(train_averaged_perceptron, oracle.train_averaged_perceptron,
-                                save_linear_model, chosen, corpus, epochs=2,
-                                combine_top_k=20)
 
     def test_toy_corpora_with_gazetteer_pairs_and_ner_features(
             self, toy_ner_sentences, toy_treebank):

@@ -84,31 +84,6 @@ def test_sum_rows_of_integer_weights_is_exact_in_any_order(data):
         assert got[t].tobytes() == oracle.row_sum(W, ids).tobytes()
 
 
-def test_pack_ids_sorts_and_drops_repeats():
-    # Each column keeps its row's distinct ids in ascending order; padding
-    # and repeats become -1, so a repeated id is added once.
-    rng = np.random.default_rng(7)
-    W = np.vstack([integer_weights(rng, 12, 5), np.zeros((1, 5))])
-    ids = rng.integers(-1, 12, size=(60, 7))
-    ids[:, :2] = -1  # padding every row starts with is dropped
-    rows = [sorted(set(row) - {-1}) for row in ids.tolist()]
-    sorted_ids = ids.copy()
-    packed = _kernels.pack_ids(sorted_ids)
-    assert packed.shape[0] <= 5 and np.shares_memory(packed, sorted_ids)
-    assert [col[col >= 0].tolist() for col in packed.T] == rows
-    assert _kernels.sum_rows(W, packed).tobytes() == \
-        _kernels.sum_rows(W, oracle.pack_rows(rows)).tobytes()
-    assert _kernels.pack_ids(np.empty((0, 3), dtype=np.intp)).shape == (3, 0)
-    # Exactly the columns of padding that every row starts with are dropped.
-    for padding in (3, 0):
-        ids = rng.integers(0, 12, size=(60, 7))
-        ids[:, :padding] = -1
-        rows = [sorted(set(row) - {-1}) for row in ids.tolist()]
-        packed = _kernels.pack_ids(ids)
-        assert packed.shape == (7 - padding, 60)
-        assert [col[col >= 0].tolist() for col in packed.T] == rows
-
-
 def test_viterbi_masked_scores():
     # -inf entries are never chosen while a finite path exists
     em = np.array([[0.0, _kernels.NEG_INF], [0.0, 5.0]])

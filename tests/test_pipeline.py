@@ -252,6 +252,25 @@ class TestAnnotate:
             pipe.annotate(text)
         assert exc.value.sentence_index == 2
 
+    def test_segmenter_fault_names_the_stage_and_sentence(self, model_dir, monkeypatch):
+        pipe = build_pipeline(model_dir=model_dir)
+        text = "Họ làm việc ở Hà Nội .\nÔng Lê Văn Minh viết về nhà máy tính ."
+        segment = wseg.segment
+        calls = []
+
+        def fail_second(model, syllables):
+            calls.append(syllables)
+            if len(calls) == 2:
+                raise KeyError("nope")
+            return segment(model, syllables)
+
+        monkeypatch.setattr(wseg, "segment", fail_second)
+        with pytest.raises(AnnotationError, match="^wseg failed on sentence 2: 'nope'$") as exc:
+            pipe.annotate(text)
+        assert exc.value.stage == "wseg"
+        assert exc.value.sentence_index == 2
+        assert len(calls) == 2
+
     def test_each_stage_checks_its_input_once(self, model_dir, monkeypatch):
         pipe = build_pipeline(model_dir=model_dir)
         text = "Họ làm việc ở Hà Nội .\nÔng Lê Văn Minh viết về nhà máy tính ."

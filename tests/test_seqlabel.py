@@ -50,7 +50,7 @@ class TestTemplates:
 
     def test_bad_descriptor(self):
         with pytest.raises(ValueError):
-            FeatureTemplate("x", "frm@0")
+            FeatureTemplate("frm@0")
 
     @pytest.mark.parametrize("descriptor, message", [
         ("suffix@0", "'suffix' takes a length of at least 1"),
@@ -61,7 +61,7 @@ class TestTemplates:
     ])
     def test_bad_atom_length(self, descriptor, message):
         with pytest.raises(ValueError, match=message):
-            FeatureTemplate(descriptor, descriptor)
+            FeatureTemplate(descriptor)
 
     def test_word_shape(self):
         assert word_shape("Nguyễn_Khắc_Chúc") == "AaxAaxAa"
@@ -350,8 +350,10 @@ def tokens_of(draw, forms, min_size=1, max_size=7):
 def decoding_cases(draw):
     """A model trained on random data with random integer weights of mixed
     magnitudes, plus test sentences."""
-    templates = make_templates(draw(st.lists(descriptors, min_size=1, max_size=8))
-                               + draw(st.lists(conjunctions, max_size=3)))
+    names = draw(st.lists(descriptors, min_size=1, max_size=8, unique=True))
+    names += draw(st.lists(conjunctions.filter(lambda d: d not in names), max_size=3,
+                           unique=True))
+    templates = make_templates(names)
     labels = ["A", "B", "C", "D"][:draw(st.integers(1, 4))]
     corpus = []
     for _ in range(draw(st.integers(1, 6))):
@@ -381,16 +383,17 @@ def document_cases(draw):
     bio = draw(st.booleans())
     pool = ["O", "B-PER", "I-PER", "B-LOC", "I-LOC"] if bio else ["A", "B", "C", "D"]
     labels = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+    names = []
     if draw(st.booleans()):
-        names = (draw(st.lists(descriptors, min_size=1, max_size=8))
-                 + draw(st.lists(conjunctions, max_size=3)))
-    else:  # no template over a token attribute alone
-        names = []
-    names += draw(st.lists(positional_conjunctions, min_size=0 if names else 1,
-                           max_size=3))
+        names += draw(st.lists(descriptors, min_size=1, max_size=8, unique=True))
+        names += draw(st.lists(conjunctions.filter(lambda d: d not in names), max_size=3,
+                               unique=True))
+    # else no template over a token attribute alone
+    names += draw(st.lists(positional_conjunctions.filter(lambda d: d not in names),
+                           min_size=0 if names else 1, max_size=3, unique=True))
     if draw(st.booleans()):
-        names.append(draw(st.sampled_from(POSITIONAL_ATOMS))
-                     + draw(st.sampled_from(["@-2", "@-1", "@0", "@+1", "@+2"])))
+        names += draw(st.lists(atoms_of(POSITIONAL_ATOMS).filter(lambda d: d not in names),
+                               min_size=1, max_size=1))
     templates = make_templates(names)
     corpus = []
     for _ in range(draw(st.integers(1, 6))):
@@ -433,15 +436,13 @@ class TestDocumentDecoding:
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(document_cases(), st.sampled_from([3, seqlabel.TAG_GROUP_SENTENCES]),
-           st.sampled_from([1, 40, 200, seqlabel.TAG_GROUP_CELLS]),
-           st.sampled_from([1, 5, 20, seqlabel.TAG_CHUNK_POSITIONS]))
-    def test_document_equals_sentence_by_sentence(self, case, sentences, cells, chunk):
-        # Small caps split the document into many chunks, gathers and groups.
+           st.sampled_from([1, 40, 200, seqlabel.TAG_GROUP_CELLS]))
+    def test_document_equals_sentence_by_sentence(self, case, sentences, cells):
+        # Small caps split the document into many groups and gathers.
         model, document = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(seqlabel, "TAG_GROUP_SENTENCES", sentences)
             mp.setattr(seqlabel, "TAG_GROUP_CELLS", cells)
-            mp.setattr(seqlabel, "TAG_CHUNK_POSITIONS", chunk)
             expected = decode_each(model, document)
             failed = [k + 1 for k, e in enumerate(expected) if isinstance(e, DecodeError)]
             if failed:
@@ -457,18 +458,16 @@ class TestDocumentDecoding:
                               for sent in document])
         assert em.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("sentences, cells, chunk", [
-        (3, seqlabel.TAG_GROUP_CELLS, seqlabel.TAG_CHUNK_POSITIONS),
-        (256, 40, 20), (3, 200, 50), (2, 1, 1)])
-    def test_long_document_in_many_groups(self, monkeypatch, sentences, cells, chunk):
-        # Thirty sentences of 1 to 12 tokens cross many chunk, gather and
-        # group boundaries.
+    @pytest.mark.parametrize("sentences, cells", [
+        (3, seqlabel.TAG_GROUP_CELLS), (256, 40), (3, 200), (2, 1)])
+    def test_long_document_in_many_groups(self, monkeypatch, sentences, cells):
+        # Thirty sentences of 1 to 12 tokens cross many gather and group
+        # boundaries.
         rng = random.Random(11)
         m = random_linear_model(rng, ["A", "B", "C"])
         document = [random_form_sentence(rng, n=rng.randint(1, 12)) for _ in range(30)]
         monkeypatch.setattr(seqlabel, "TAG_GROUP_SENTENCES", sentences)
         monkeypatch.setattr(seqlabel, "TAG_GROUP_CELLS", cells)
-        monkeypatch.setattr(seqlabel, "TAG_CHUNK_POSITIONS", chunk)
         assert tag_sentences(m, document) == [viterbi_decode(m, s)[0] for s in document]
 
     def test_empty_document(self, pos_model):
@@ -571,28 +570,42 @@ class TestCompiledFeatures:
         assert em.tobytes() == ref.tobytes()
         assert em.any()
 
-    def test_template_names_holding_equals_signs(self):
-        # "c=d=e|f" is fired by template "c" over ("d=e", "f") and by
-        # template "c=d" over ("e", "f"): the key table registers it for both.
-        templates = [FeatureTemplate("c", "form@-1&form@0"),
-                     FeatureTemplate("c=d", "form@0&form@+1")]
+    def test_template_names_holding_equals_signs(self, tmp_path):
+        # A template is its descriptor, which holds no "=": "c=d" is no
+        # template, and a model file that names a template otherwise is
+        # refused. A value may hold "=": "form@-1&form@0=d=e|f" is read at
+        # its first "=", as template "form@-1&form@0" over ("d=e", "f").
+        with pytest.raises(ValueError, match="bad atom 'c=d'"):
+            FeatureTemplate("c=d")
+        templates = make_templates(["form@-1&form@0", "form@0&form@+1"])
         index = {f: k for k, f in enumerate(
             extract_features(templates[:1], sentence("d=e", "f").tokens, 1))}
-        assert index == {"c=d=e|f": 0}
+        assert index == {"form@-1&form@0=d=e|f": 0}
         model = LinearModel(["A", "B"], templates, index, np.array([[1.0, -2.0]]),
                             np.zeros((3, 2)))
         for sent in (sentence("d=e", "f"), sentence("e", "f"), sentence("x", "e", "f")):
             em = model.emission_matrix(sent.tokens)
             assert em.tobytes() == model.reference_emission_matrix(sent.tokens).tobytes()
-            assert em.any()
+        assert model.emission_matrix(sentence("d=e", "f").tokens).any()
+        path = tmp_path / "named.model"
+        save_linear_model(model, path)
+        magic, header, rest = path.read_bytes().split(b"\n", 2)
+        header = header.replace(b'["form@0&form@+1"', b'["c=d"', 1)
+        path.write_bytes(b"\n".join((magic, header, rest)))
+        with pytest.raises(ValueError, match=re.escape(
+                "template name 'c=d' is not its descriptor 'form@0&form@+1'")):
+            load_linear_model(path)
 
-    def test_positional_template_sharing_a_name_with_a_form_template(self):
-        # "c=1" is fired by isfirst@0 at a sentence's first position and by
-        # form@0 on the form "1", "c=0" likewise: both templates resolve to
-        # the same two ids, apart or at one position.
-        templates = [FeatureTemplate("c", "isfirst@0"), FeatureTemplate("c", "form@0")]
-        model = LinearModel(["A", "B"], templates, {"c=1": 0, "c=0": 1},
-                            np.array([[1.0, -2.0], [4.0, 3.0]]), np.zeros((3, 2)))
+    def test_positional_template_sharing_a_name_with_a_form_template(self, tmp_path):
+        # A template is named by its descriptor, so isfirst@0 and form@0 fire
+        # "isfirst@0=1" and "form@0=1" apart, and a first token "1" adds
+        # both rows once; a model file that names both templates "c" is
+        # refused.
+        templates = make_templates(["isfirst@0", "form@0"])
+        model = LinearModel(["A", "B"], templates,
+                            {"isfirst@0=1": 0, "form@0=1": 1, "form@0=0": 2},
+                            np.array([[1.0, -2.0], [4.0, 3.0], [16.0, 32.0]]),
+                            np.zeros((3, 2)))
         document = [sentence("1", "0"), sentence("0", "1", "0"), sentence("1"),
                     sentence("0"), sentence("x", "1")]
         for sent in document:
@@ -601,6 +614,32 @@ class TestCompiledFeatures:
         em = _kernels.sum_rows(model._rows, model._compiled.document_ids(document))
         ref = np.concatenate([model.reference_emission_matrix(s.tokens) for s in document])
         assert em.tobytes() == ref.tobytes()
+        assert em[:2].tolist() == [[5.0, 1.0], [16.0, 32.0]]
+        path = tmp_path / "shared.model"
+        save_linear_model(model, path)
+        magic, header, rest = path.read_bytes().split(b"\n", 2)
+        old = b'[["isfirst@0","isfirst@0"],["form@0","form@0"]]'
+        assert header.count(old) == 1
+        header = header.replace(old, b'[["c","isfirst@0"],["c","form@0"]]')
+        path.write_bytes(b"\n".join((magic, header, rest)))
+        with pytest.raises(ValueError, match="template name 'c' is not its descriptor"):
+            load_linear_model(path)
+
+    def test_repeated_templates_and_pairs_refused(self, monkeypatch):
+        # Either would make a position fire one id twice. The trainer
+        # refuses a repeated template before it freezes the corpus.
+        m = random_linear_model(random.Random(3), ["A", "B"])
+        twice = m.templates + m.templates[:1]
+        with pytest.raises(ValueError, match="template 'form@0' is listed twice"):
+            LinearModel(m.labels, twice, m.feature_index, m.emission_weights,
+                        m.transition_weights)
+        monkeypatch.setattr(seqlabel, "_freeze", lambda *args: pytest.fail("froze"))
+        with pytest.raises(ValueError, match="template 'form@0' is listed twice"):
+            train_averaged_perceptron(twice, [(sentence("xe"), ["A"])], epochs=1)
+        pair = ("form@0=xe", "form@-1=<s>")
+        with pytest.raises(ValueError, match=re.escape(f"induced pair {pair!r} is listed twice")):
+            LinearModel(m.labels, m.templates, m.feature_index, m.emission_weights,
+                        m.transition_weights, induced_pairs=[pair, list(pair)])
 
     def test_pairs_with_unknown_parts_rejected(self, tmp_path):
         m = random_linear_model(random.Random(3), ["A", "B"])
