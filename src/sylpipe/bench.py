@@ -17,7 +17,7 @@ def benchmark_throughput(pipeline, document, repetitions=3):
     """Median words/second over warm runs of the full pipeline.
 
     Model loading stays outside the timed region; one untimed run first
-    fills the per-type caches.
+    builds the models' feature tables.
     """
     if isinstance(document, str):
         document = Document.from_text(document)

@@ -17,7 +17,10 @@ annotate opens its output after reading its input and before loading a
 model, so an output it cannot write exits 1 before any work. Opening it
 truncates an earlier file of that name; a run that fails after that
 removes the file, unless it is a device or a link, so a failed run leaves
-no output.
+no output. train opens its model and log for appending before it reads
+the corpus, which never truncates, so a path it cannot write exits 1
+before any training; a run that fails after that removes only the files
+it created, so an earlier model stays as it was.
 """
 
 from __future__ import annotations
@@ -102,17 +105,32 @@ def cmd_annotate(args):
     return EXIT_OK
 
 
-def _write_log(models_dir, task, lines):
-    path = os.path.join(models_dir, f"{task}.train.log")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
-    return path
-
-
 def cmd_train(args):
     _require_input(args.corpus)
     models_dir = _models_dir(args)
     os.makedirs(models_dir, exist_ok=True)
+    model_path, log_path = (os.path.join(models_dir, args.task + ext)
+                            for ext in (".model", ".train.log"))
+    created = [path for path in (model_path, log_path) if not os.path.lexists(path)]
+    try:
+        for path in (model_path, log_path):
+            open(path, "ab").close()
+        log_lines = _train(args, models_dir, model_path)
+        with open(log_path, "w", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in log_lines))
+    except BaseException:
+        for path in created:
+            if os.path.isfile(path):
+                os.remove(path)
+        raise
+    print(f"wrote {model_path}")
+    print(f"training log: {log_path}")
+    return EXIT_OK
+
+
+def _train(args, models_dir, model_path):
+    """Train the task's model from its corpus and save it at model_path;
+    returns the lines of its training log."""
     log_lines = []
 
     def on_epoch(epoch, mistakes, accuracy):
@@ -129,13 +147,13 @@ def cmd_train(args):
 
         model = wseg.train_segmenter(corpus, window_radius=args.window,
                                      max_rules=args.max_rules, on_rule=on_rule)
-        wseg.save_segmenter(model, os.path.join(models_dir, "wseg.model"))
+        wseg.save_segmenter(model, model_path)
         log_lines.append(f"lexicon_size={len(model.lexicon)} rules={len(model.rules)}")
     elif args.task == "pos":
         corpus = pos.read_two_column(args.corpus)
         model = pos.train_pos(corpus, epochs=args.epochs, shuffle_seed=args.seed,
                               on_epoch=on_epoch)
-        save_linear_model(model, os.path.join(models_dir, "pos.model"))
+        save_linear_model(model, model_path)
     elif args.task == "ner":
         sentences = ner.read_three_column(args.corpus)
         if args.merge_names:
@@ -152,7 +170,7 @@ def cmd_train(args):
         model = ner.train_ner(corpus, epochs=args.epochs, shuffle_seed=args.seed,
                               gazetteer=gazetteer, combine_top_k=args.combine,
                               on_epoch=on_epoch)
-        save_linear_model(model, os.path.join(models_dir, "ner.model"))
+        save_linear_model(model, model_path)
     else:  # parse
         if args.conllx:
             treebank = depparse.read_conllx(args.corpus)
@@ -163,12 +181,8 @@ def cmd_train(args):
                                       use_ner_features=args.use_ner_features,
                                       nonprojective=args.nonprojective,
                                       on_epoch=on_epoch)
-        depparse.save_parser(model, os.path.join(models_dir, "parse.model"))
-
-    log_path = _write_log(models_dir, args.task, log_lines)
-    print(f"wrote {os.path.join(models_dir, args.task + '.model')}")
-    print(f"training log: {log_path}")
-    return EXIT_OK
+        depparse.save_parser(model, model_path)
+    return log_lines
 
 
 def _print_report(title, values):

@@ -39,11 +39,12 @@ gather over columns of interned value ids, and only its distinct value
 tuples become strings (seqlabel.freeze_features), numbered in sorted
 string order. It scores each state's ids, its mask row's last, with
 AveragedWeights that end in the model's mask rows and zero row: it masks
-as decoding does, and the model keeps the averaged array. The weights change only at an update, so an epoch scores all
-states of a sentence in one sum_rows gather, updates at the first state
-whose masked argmax is not gold, at the step it takes one state at a
-time, and scores again only the states after it: the model is the one
-that scoring each state alone trains, bit for bit.
+as decoding does, and the model keeps the averaged array. The weights
+change only at an update, so an epoch scores all states of a sentence in
+one sum_rows gather, updates at the first state whose masked argmax is
+not gold, at the step it takes one state at a time, and scores again
+only the states after it: the model is the one that scoring each state
+alone trains, bit for bit.
 """
 
 from __future__ import annotations

@@ -15,9 +15,11 @@ array operations per token attribute, however many templates read it: one
 gather reads the attribute's codes at every offset, a row-slice gather per
 offset of several single-atom templates reads their ids, and one element
 gather the other ids and the conjunction slots, these into a digit matrix
-that the key table folds for every conjunction at once. Values a column
-has not cached are resolved atom by atom: one pass per atom over the
-call's new values, one per template over its strings.
+that the key table folds for every conjunction at once. A column's table
+is complete when the model compiles: it holds a row for each value of
+which the alphabet holds an identity feature, and decoding only reads it.
+A call resolves its other values atom by atom into its own copy: one
+pass per atom over those values, one per template over its strings.
 Training freezes its alphabet without a string per position either
 (_freeze): each atom reads each distinct attribute value once, the
 interned value ids of every template's atoms over the whole corpus pack
@@ -37,7 +39,6 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
-import threading
 
 import numpy as np
 
@@ -113,10 +114,10 @@ def _masked_transitions(transition_weights, mask):
 class LinearModel:
     """Feature weights plus label alphabet for Viterbi-decoded labeling.
 
-    The weights and alphabet never change after training. Decoding fills a
-    per-word-type cache (see _CompiledFeatures) that is bounded by the
-    model's feature alphabet, not by the traffic; each entry is written once
-    and whole, so threads may decode with one model concurrently.
+    The weights and alphabet never change after training. The first decode
+    builds the feature tables (_CompiledFeatures) whole, bounded by the
+    model's feature alphabet, not by the traffic; decoding only reads them
+    afterwards, so threads may decode with one model concurrently.
     """
 
     def __init__(self, labels, templates, feature_index, emission_weights,
@@ -153,15 +154,10 @@ class LinearModel:
         self.gazetteer = frozenset(gazetteer) if gazetteer is not None else None
         self._induced_index = _index_pairs(self.induced_pairs)
         self._resources = {"gazetteer": self.gazetteer} if self.gazetteer is not None else None
-        self._masked = None
 
     def masked_scores(self):
         """(transitions, start) with -inf where the BIO constraint forbids."""
-        if self._masked is None:
-            self._masked = _masked_transitions(
-                self.transition_weights,
-                bio_transition_mask(self.labels) if self.bio_constrained else None)
-        return self._masked
+        return self._compiled.masked
 
     def position_features(self, tokens, i):
         return extract_features(self.templates, tokens, i,
@@ -194,10 +190,14 @@ class LinearModel:
         return em
 
 
-# The atom whose value is the attribute itself. A value is cached only if the
-# model knows a single-atom feature of this atom for it, so a cache holds at
-# most one entry per such feature.
+# The atom whose value is the attribute itself. A column's table holds a row
+# for a value only if the model knows a single-atom feature of this atom for
+# it, an identity feature, so the table holds at most one row per such feature.
 _IDENTITY_ATOM = {"form": "form", "pos_tag": "pos", "ner_label": "ner"}
+
+# _Column.finish resolves the values of its table this many at a time, so
+# that compiling peaks near the size of the table it keeps.
+_RESOLVE_SLICE = 1024
 
 
 class _Column:
@@ -208,12 +208,11 @@ class _Column:
     template (-1 if the model does not know it), the templates of one offset
     side by side, then from column `width` on the interned value id of each
     conjunction slot (_ConjunctionKeys). Rows 0 and 1 of `table` hold the
-    atoms' values left and right of a sentence. A value gets a row of its
-    own only if the model knows its identity feature, so the table is
-    bounded by the alphabet; other values are resolved again in every call,
-    all of a call's at once (resolve), and finish resolves the two boundary
-    rows the same way. A row is written before `cache` publishes it, under
-    a lock, so threads that read without the lock see only whole rows.
+    atoms' values left and right of a sentence, and `cache` maps each value
+    of which the model knows an identity feature to its row, so the table
+    is bounded by the alphabet. finish builds the table whole and makes it
+    read-only; a call resolves its other values into its own copy, all of
+    them at once (local_rows).
 
     A call reads the column's codes at every offset of the _Layout with one
     gather; then `gathers` lists a row-slice gather per offset of several
@@ -229,8 +228,6 @@ class _Column:
         self.singles = {}  # offset -> [(template prefix, atom, is identity atom)]
         self.slots = []  # the atom of each conjunction slot
         self.reads = []  # (offset, slot, digit matrix row) of each conjunction atom
-        self.cache = {}  # value -> row of table
-        self._lock = threading.Lock()
 
     def atom(self, name, arg):
         """Position of the atom in atoms; added on first sight."""
@@ -244,19 +241,22 @@ class _Column:
         return self.slots.index(k)
 
     def finish(self, keys, offsets):
-        """Lay the table's columns out and resolve its boundary rows; offsets
-        lists the offsets of the _Layout's reads."""
+        """Lay the table's columns out and build the table: the boundary
+        rows, then a row for each value of which the alphabet holds an
+        identity feature, one whose name before its first "=" is an
+        identity-atom template of the column. offsets lists the offsets of
+        the _Layout's reads."""
         self.keys = keys
         at = {offset: i for i, offset in enumerate(offsets)}
         self.features = []  # (template prefix, atom) per single-atom template
-        self.identity = []  # the columns of the identity atom's templates
+        identity = set()  # the names of the identity atom's templates
         self.gathers = []  # (reads row, lo, hi) per offset of several templates
         picks = []  # (reads row, table column) per element read
         for offset in sorted(self.singles):
             lo = len(self.features)
-            for prefix, k, identity in self.singles[offset]:
-                if identity:
-                    self.identity.append(len(self.features))
+            for prefix, k, is_identity in self.singles[offset]:
+                if is_identity:
+                    identity.add(prefix[:-1])
                 self.features.append((prefix, k))
             if len(self.features) - lo > 1:
                 self.gathers.append((at[offset], lo, len(self.features)))
@@ -270,16 +270,30 @@ class _Column:
                       np.array(columns, dtype=np.intp).reshape(-1, 1))
         self.cells = np.array([cell for _, _, cell in self.reads], dtype=np.intp)
         self.readers = [(ATOMS[name].value, arg) for name, arg in self.atoms]
-        rows, _ = self.resolve([value for name, _ in self.atoms
-                                for value in (ATOMS[name].left, ATOMS[name].right)])
-        self.table = np.ascontiguousarray(rows)
-        self.size = 2  # rows of table in use
+        known = list(dict.fromkeys(value for name, cut, value in
+                                   (feature.partition("=") for feature in self.index)
+                                   if cut and name in identity))
+        table = np.empty((2 + len(known), self.width + len(self.slots)), dtype=np.intp)
+        table[:2] = self.resolve([value for name, _ in self.atoms
+                                  for value in (ATOMS[name].left, ATOMS[name].right)])
+        for lo in range(2, len(table), _RESOLVE_SLICE):
+            table[lo:lo + _RESOLVE_SLICE] = self.resolve(
+                self.read(known[lo - 2:lo - 2 + _RESOLVE_SLICE]))
+        table.flags.writeable = False
+        self.table = table
+        self.cache = dict(zip(known, itertools.count(2)))  # value -> row of table
+
+    def read(self, values):
+        """What the column's atoms read from the values, atom by atom, as
+        resolve takes it."""
+        resources = self.resources
+        return [value_of(value, arg, resources)
+                for value_of, arg in self.readers for value in values]
 
     def resolve(self, values):
-        """(rows, known) of M values of the attribute, given what its atoms
+        """The table rows of M values of the attribute, given what its atoms
         read from them atom by atom, atom k's M values at values[k * M:(k +
-        1) * M]: their table rows, and whether the model knows each one's
-        identity feature.
+        1) * M].
 
         Each template looks its strings up in one pass over its atom's values.
         """
@@ -288,11 +302,9 @@ class _Column:
         get = self.index.get
         ids = [-1 if v is None else get(prefix + v, -1)
                for prefix, k in self.features for v in by_atom[k]]
-        identity = [ids[j * M:(j + 1) * M] for j in self.identity]
-        known = [max(tops) >= 0 for tops in zip(*identity)] if identity else [False] * M
         value_id, unknown = self.keys.values.get, self.keys.unknown
         ids += [value_id(v, unknown) for k in self.slots for v in by_atom[k]]
-        return np.fromiter(ids, dtype=np.intp, count=len(ids)).reshape(-1, M).T, known
+        return np.fromiter(ids, dtype=np.intp, count=len(ids)).reshape(-1, M).T
 
     def local_rows(self, values):
         """(codes, rows): row codes[n] of rows is values[n]'s, and codes ends
@@ -302,40 +314,16 @@ class _Column:
         boundary rows, then one row per distinct value.
         """
         code = dict(zip(dict.fromkeys(values), itertools.count(2)))
-        # The row of each cached value; -1 (read, then overwritten) for the fresh.
+        # The row of each value in the table; -1 (read, then overwritten) for the others.
         rows = [0, 1, *map(self.cache.get, code, itertools.repeat(-1))]
-        # Read after the rows: every row seen in the cache is in this table.
         table = self.table.take(rows, axis=0)
         fresh = [k for k, row in enumerate(rows) if row < 0]
         if fresh:
             distinct = list(code)
-            new = [distinct[k - 2] for k in fresh]
-            resources = self.resources
-            entries, known = self.resolve([read(value, arg, resources)
-                                           for read, arg in self.readers for value in new])
-            table[fresh] = entries
-            if any(known):
-                self._admit([value for value, k in zip(new, known) if k], entries[known])
+            table[fresh] = self.resolve(self.read([distinct[k - 2] for k in fresh]))
         codes = np.fromiter(itertools.chain(map(code.__getitem__, values), (0, 1)),
                             dtype=np.intp, count=len(values) + 2)
         return codes, table
-
-    def _admit(self, values, rows):
-        """Give each value its row of table, unless another thread did."""
-        with self._lock:
-            new = [k for k, value in enumerate(values) if value not in self.cache]
-            if not new:
-                return
-            n = self.size
-            table = self.table
-            if n + len(new) > len(table):
-                table = np.empty((2 * (n + len(new)), table.shape[1]), dtype=np.intp)
-                table[:n] = self.table[:n]
-            table[n:n + len(new)] = rows[new]
-            self.table = table
-            self.size = n + len(new)
-            for row, k in enumerate(new, n):
-                self.cache[values[k]] = row
 
 
 # Conjunction keys are int64: every key of the table stays below this.
@@ -543,8 +531,9 @@ class _CompiledFeatures:
     ids up in one sorted table (_ConjunctionKeys): an attribute atom reads
     the cached value id of its column and an isfirst/islast atom the id of
     "1" or "0" by the position's place in its sentence, each into its row of
-    one digit matrix. Induced pairs join ids. Built on first decode, so
-    loading a model does no extra work.
+    one digit matrix. Induced pairs join ids. Built whole on first decode,
+    so loading a model does no extra work, and only read afterwards; it
+    also holds the model's masked transitions (masked).
     """
 
     def __init__(self, model):
@@ -589,14 +578,14 @@ class _CompiledFeatures:
         # Rows of document_ids.
         self.width = (sum(column.width for column in self.columns.values())
                       + len(keys.kept) + len(self.pairs))
+        self.masked = _masked_transitions(
+            model.transition_weights,
+            bio_transition_mask(model.labels) if model.bio_constrained else None)
 
     def _column(self, attr):
         if attr not in self.columns:
             self.columns[attr] = _Column(self.index, self.resources)
         return self.columns[attr]
-
-    def cache_size(self):
-        return sum(len(column.cache) for column in self.columns.values())
 
     def document_ids(self, sentences):
         """(K, N) feature ids of the N positions of the Sentences, as sum_rows

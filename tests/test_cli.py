@@ -8,7 +8,7 @@ import pytest
 
 from conftest import DEMO_ANNOTATED, DEMO_INPUT, TOY_DIR
 from helpers import join_model_file, split_model_file
-from sylpipe import cli, depparse, metrics, pos, seqlabel, wseg
+from sylpipe import cli, depparse, metrics, ner, pos, seqlabel, wseg
 from sylpipe.cli import main
 
 
@@ -129,6 +129,29 @@ class TestTrain:
         corpus.write_text("a\tN\nb c\tV\n", encoding="utf-8")
         assert main(["train", "pos", "-corpus", str(corpus), "-models", str(tmp_path)]) == 4
         assert "line 2: token form may not contain whitespace" in capsys.readouterr().err
+
+    def test_model_path_that_is_a_directory_exits_1_before_training(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        monkeypatch.setattr(ner, "train_ner", lambda *a, **k: pytest.fail("trained"))
+        (tmp_path / "ner.model").mkdir()
+        assert main(["train", "ner", "-corpus", os.path.join(TOY_DIR, "ner.tsv"),
+                     "-models", str(tmp_path)]) == 1
+        assert str(tmp_path / "ner.model") in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["ner.model"]
+
+    def test_failed_run_keeps_an_earlier_model_and_leaves_no_new_one(self, tmp_path):
+        corpus = tmp_path / "bad.tsv"
+        corpus.write_text("a\tN\nb c\tV\n", encoding="utf-8")
+        fresh = tmp_path / "fresh"
+        assert main(["train", "pos", "-corpus", str(corpus), "-models", str(fresh)]) == 4
+        assert os.listdir(fresh) == []
+        models = tmp_path / "models"
+        assert main(["train", "pos", "-corpus", os.path.join(TOY_DIR, "pos.tsv"),
+                     "-models", str(models), "-epochs", "2"]) == 0
+        before = {name: (models / name).read_bytes() for name in os.listdir(models)}
+        assert sorted(before) == ["pos.model", "pos.train.log"]
+        assert main(["train", "pos", "-corpus", str(corpus), "-models", str(models)]) == 4
+        assert {name: (models / name).read_bytes() for name in os.listdir(models)} == before
 
     @pytest.mark.parametrize("task, corpus, epochs", [
         ("wseg", "wseg.txt", "8"), ("pos", "pos.tsv", "8"), ("ner", "ner.tsv", "8"),

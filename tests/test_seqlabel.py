@@ -625,6 +625,26 @@ class TestCompiledFeatures:
         with pytest.raises(ValueError, match="template name 'c' is not its descriptor"):
             load_linear_model(path)
 
+    def test_induced_pair_string_read_as_a_conjunction_value(self):
+        # The key table registers the pair (pos@-1&pos@0=N|V, form@0=x) as
+        # the conjunction over ("N", "V&&form@0=x"), as alphabet_tuples reads
+        # a feature at its first "=". Tags that hold "&&" hit it: the string
+        # path fires the pair's string as the conjunction's feature there,
+        # and the compiled path reads the same id.
+        templates = make_templates(["form@0", "pos@-1&pos@0"])
+        pair = ("pos@-1&pos@0=N|V", "form@0=x")
+        index = {"form@0=x": 0, "pos@-1&pos@0=N|V": 1,
+                 "pos@-1&pos@0=N|V&&form@0=x": 2}
+        model = LinearModel(["A", "B"], templates, index,
+                            np.array([[2.0, 0.0], [0.0, 3.0], [1.0, 5.0]]),
+                            np.zeros((3, 2)), induced_pairs=[pair])
+        sent = Sentence.from_columns(["y", "z"], ["N", "V&&form@0=x"])
+        assert "pos@-1&pos@0=N|V&&form@0=x" in model.position_features(sent.tokens, 1)
+        em = model.emission_matrix(sent.tokens)
+        assert em.tobytes() == model.reference_emission_matrix(sent.tokens).tobytes()
+        assert em[1].tolist() == [1.0, 5.0]
+        assert tag_sentences(model, [sent]) == [viterbi_decode(model, sent)[0]]
+
     def test_repeated_templates_and_pairs_refused(self, monkeypatch):
         # Either would make a position fire one id twice. The trainer
         # refuses a repeated template before it freezes the corpus.
@@ -654,32 +674,59 @@ class TestCompiledFeatures:
         with pytest.raises(ModelLoadError, match="outside the feature alphabet"):
             load_model("pos", str(path))
 
-    def test_cache_bounded_by_known_forms(self, pos_model, ner_model):
+    def test_tables_complete_at_first_decode_and_only_read(self, pos_model, ner_model):
+        # At first decode each column's table holds a row for each value of
+        # which the alphabet holds an identity feature (form@k, pos@k), and
+        # decoding known and unseen values through both entry points leaves
+        # the tables as they were, read-only.
         rng = random.Random(5)
-        for model in (pos_model, ner_model):
-            known = {f.split("=", 1)[1] for f in model.feature_index
-                     if f.startswith("form@")}
-            forms = sorted(known - {seqlabel.BOUNDARY_LEFT, seqlabel.BOUNDARY_RIGHT})
-            seen = Sentence(Token(i + 1, f, pos_tag="N") for i, f in enumerate(forms[:30]))
-            model.emission_matrix(seen.tokens)
+        for m in (pos_model, ner_model):
+            model = LinearModel(m.labels, m.templates, m.feature_index, m.emission_weights,
+                                m.transition_weights, bio_constrained=m.bio_constrained,
+                                induced_pairs=m.induced_pairs, gazetteer=m.gazetteer)
+            assert "_compiled" not in vars(model)
+            forms = sorted({f.split("=", 1)[1] for f in model.feature_index
+                            if f.startswith("form@0=")})
+            tags = sorted({f.split("=", 1)[1] for f in model.feature_index
+                           if f.startswith("pos@0=")}) or ["N"]
+            chunks = [forms[k:k + 7] for k in range(0, min(len(forms), 70), 7)]
+            known = [Sentence.from_columns(chunk, rng.choices(tags, k=len(chunk)))
+                     for chunk in chunks]
+            model.emission_matrix(known[0].tokens)
             compiled = model._compiled
-            before = compiled.cache_size()
-            assert before > 0
-            for _ in range(200):
-                forms = [f"unseen{rng.randrange(10 ** 6)}" for _ in range(rng.randint(1, 6))]
-                s = Sentence(Token(i + 1, f, pos_tag="N") for i, f in enumerate(forms))
-                model.emission_matrix(s.tokens)
-            assert compiled.cache_size() == before
-            assert set(compiled.columns["form"].cache) <= known
-            rows = {attr: c.size for attr, c in compiled.columns.items()}
-            unseen = [Sentence(Token(i + 1, f"unseen{rng.randrange(10 ** 6)}", pos_tag="N")
-                               for i in range(rng.randint(0, 6))) for _ in range(50)]
-            tag_sentences(model, unseen)
-            assert compiled.cache_size() == before
-            assert {attr: c.size for attr, c in compiled.columns.items()} == rows
+            assert set(compiled.columns) <= set(seqlabel._IDENTITY_ATOM)
+            tables = {}
+            for attr, column in compiled.columns.items():
+                prefixes = [tpl.prefix for tpl in model.templates
+                            if [(name, arg) for name, arg, _ in tpl.specs]
+                            == [(seqlabel._IDENTITY_ATOM[attr], None)]]
+                assert set(column.cache) == {f[len(p):] for p in prefixes
+                                             for f in model.feature_index if f.startswith(p)}
+                assert not column.table.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    column.table[0, 0] = -1
+                tables[attr] = (column.cache, dict(column.cache), column.table,
+                                column.table.tobytes())
+            assert tables["form"][1]
+            unseen = []
+            for _ in range(60):
+                n = rng.randint(0, 6)
+                unseen.append(Sentence.from_columns(
+                    [f"unseen{rng.randrange(10 ** 6)}" if rng.random() < 0.7
+                     else rng.choice(forms) for _ in range(n)],
+                    [rng.choice([*tags, "Zz"]) for _ in range(n)]))
+            for sent in known + unseen:
+                em = model.emission_matrix(sent.tokens)
+                assert em.tobytes() == model.reference_emission_matrix(sent.tokens).tobytes()
+            tag_sentences(model, known + unseen)
+            assert model._compiled is compiled
+            for attr, column in compiled.columns.items():
+                cache, entries, table, data = tables[attr]
+                assert column.cache is cache and column.cache == entries
+                assert column.table is table and column.table.tobytes() == data
 
     def test_concurrent_decoding_matches_serial(self, toy_pos_corpus, tmp_path):
-        # Threads race to fill one fresh model's cache; every result must
+        # Threads race to build one fresh model's tables; every result must
         # still equal the serial one.
         path = tmp_path / "pos.model"
         save_linear_model(train_averaged_perceptron(
@@ -693,7 +740,7 @@ class TestCompiledFeatures:
 
     def test_concurrent_document_decoding_matches_serial(self, toy_pos_corpus, tmp_path):
         # Threads tag documents of the corpus in different orders, so each
-        # one's first sight of a form races the others' table growth.
+        # one's first sight of a form races the others' reads of the tables.
         path = tmp_path / "pos.model"
         save_linear_model(train_averaged_perceptron(
             make_templates(["form@0", "form@-1&form@0", "suffix2@+1", "prefix1@-1"]),
@@ -711,7 +758,7 @@ class TestCompiledFeatures:
         for k in range(4):
             order = expected[k:] + expected[:k] if k % 2 else expected[::-1]
             assert results[k] == order
-        assert model._compiled.cache_size() > 0
+        assert model._compiled.columns["form"].cache
 
 
 def race(n, work):
