@@ -13,8 +13,10 @@ sentence ("<stage> failed on sentence N: ..."); a stage that fails with
 any other exception, like any other ValueError, is a fault of the program
 and exits 5.
 
-annotate opens its output after reading its input and before loading a
-model, so an output it cannot write exits 1 before any work. Opening it
+annotate refuses an output that is its input, by name or through a link
+(exit 2), before it opens anything: opening it would truncate the input.
+It opens its output after reading its input and before loading a model,
+so an output it cannot write exits 1 before any work. Opening it
 truncates an earlier file of that name; a run that fails after that
 removes the file, unless it is a device or a link, so a failed run leaves
 no output. train opens its model and log for appending before it reads
@@ -90,6 +92,8 @@ def _require_input(path):
 
 def cmd_annotate(args):
     _require_input(args.fin)
+    if os.path.exists(args.fout) and os.path.samefile(args.fin, args.fout):
+        raise PipelineConfigError(f"-fout {args.fout} is the input file {args.fin}")
     annotators = _parse_annotators(args.annotators)
     text = read_corpus(args.fin)
     with open(args.fout, "w", encoding="utf-8") as fh:

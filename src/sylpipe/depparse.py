@@ -29,9 +29,11 @@ the same features as strings; it is the oracle both are tested against.
 state_ids interns every value string in the model's alphabet: a one-atom
 template reads a list by value id, and a conjunction maps the tuple of its
 atoms' value ids to a feature id. A feature "<template>=<value>" is
-registered under every split of <value> at "|" into its template's atoms
-(templates.alphabet_tuples), as the string path joins them with "|"; so a
-lookup hits exactly when state_features' string is in the alphabet.
+registered under its one reading, <value> split at the tab that joins its
+atoms' values (templates.alphabet_tuples), as the string path joins them;
+so a lookup hits exactly when state_features' string is in the alphabet.
+A template's name joins its atoms with "|" (s0p|b0p), a joiner of names,
+not of values.
 
 train_parser freezes its states once (_freeze): it walks each sentence's
 static oracle and records each state's fields. Each template is then a
@@ -62,7 +64,7 @@ from .linear import (AveragedWeights, ModelFormat, check_epochs, check_weights,
                      train_epochs, weight_rows)
 from .model import check_label, read_corpus, sentence_of_rows, tab_blocks
 from .seqlabel import DecodeError, TrainingError, freeze_features
-from .templates import alphabet_tuples
+from .templates import VALUE_JOINER, alphabet_tuples
 
 logger = logging.getLogger(__name__)
 
@@ -343,18 +345,18 @@ def state_features(state, tokens, use_ner_features=False):
         "b1w=" + form(b1),
         "b1p=" + b1p,
         "b2p=" + pos(b2),
-        "s0p|b0p=" + s0p + "|" + b0p,
-        "s0w|b0w=" + s0w + "|" + b0w,
-        "s0w|b0p=" + s0w + "|" + b0p,
-        "s0p|b0w=" + s0p + "|" + b0w,
-        "b0p|b1p=" + b0p + "|" + b1p,
-        "s0p|b0p|b1p=" + s0p + "|" + b0p + "|" + b1p,
-        "s1p|s0p|b0p=" + pos(s1) + "|" + s0p + "|" + b0p,
+        "s0p|b0p=" + VALUE_JOINER.join((s0p, b0p)),
+        "s0w|b0w=" + VALUE_JOINER.join((s0w, b0w)),
+        "s0w|b0p=" + VALUE_JOINER.join((s0w, b0p)),
+        "s0p|b0w=" + VALUE_JOINER.join((s0p, b0w)),
+        "b0p|b1p=" + VALUE_JOINER.join((b0p, b1p)),
+        "s0p|b0p|b1p=" + VALUE_JOINER.join((s0p, b0p, b1p)),
+        "s1p|s0p|b0p=" + VALUE_JOINER.join((pos(s1), s0p, b0p)),
         "s0lcp=" + (child_pos(state.lchild[s0]) if s0 is not None else _NONE_VALUE),
         "s0rcp=" + (child_pos(state.rchild[s0]) if s0 is not None else _NONE_VALUE),
         "b0lcp=" + (child_pos(state.lchild[b0]) if b0 is not None else _NONE_VALUE),
         "dist=" + dist,
-        "s0p|b0p|dist=" + s0p + "|" + b0p + "|" + dist,
+        "s0p|b0p|dist=" + VALUE_JOINER.join((s0p, b0p, dist)),
         "s0lv=" + (val(state.lval[s0]) if s0 is not None else _NONE_VALUE),
         "s0rv=" + (val(state.rval[s0]) if s0 is not None else _NONE_VALUE),
         "b0lv=" + (val(state.lval[b0]) if b0 is not None else _NONE_VALUE),
@@ -363,12 +365,13 @@ def state_features(state, tokens, use_ner_features=False):
         s0n, b0n = ner(s0), ner(b0)
         feats.append("ner:s0n=" + s0n)
         feats.append("ner:b0n=" + b0n)
-        feats.append("ner:s0n|b0n=" + s0n + "|" + b0n)
+        feats.append("ner:s0n|b0n=" + VALUE_JOINER.join((s0n, b0n)))
     return feats
 
 
 # The templates of state_features, in its order, the three NER ones last.
-# A template's value is the values of its atoms (_atoms) joined by "|".
+# A template's value is the values of its atoms (_atoms) joined by
+# templates.VALUE_JOINER; its name joins the atoms' names with "|".
 # A parser reads them all if it has NER features, else all but the NER ones
 # (_templates).
 _TEMPLATES = ("s0w", "s0p", "s1p", "s2p", "b0w", "b0p", "b1w", "b1p", "b2p",
@@ -934,8 +937,8 @@ def train_parser(treebank, epochs=10, shuffle_seed=1, use_ner_features=False,
                        root_labels=root_labels, root_label=root_label)
 
 
-DEP2 = ModelFormat(
-    b"SYLPIPE-DEP2\n",
+DEP3 = ModelFormat(
+    b"SYLPIPE-DEP3\n",
     {"relations": "string list", "use_ner": "boolean", "root_labels": "string list",
      "root_label": "string", "fallback_label": "string"},
     lambda h: ((h["feature_count"], 2 * len(h["relations"]) + 2),),
@@ -943,7 +946,7 @@ DEP2 = ModelFormat(
 
 
 def save_parser(model, path):
-    DEP2.write(path, {
+    DEP3.write(path, {
         "relations": model.relations,
         "use_ner": model.use_ner_features,
         "root_labels": list(model.root_labels),
@@ -953,7 +956,7 @@ def save_parser(model, path):
 
 
 def load_parser(path):
-    header, feature_index, (weights,) = DEP2.read(path)
+    header, feature_index, (weights,) = DEP3.read(path)
     return ParserModel(header["relations"], feature_index, weights,
                        use_ner_features=header["use_ner"],
                        root_labels=header["root_labels"],

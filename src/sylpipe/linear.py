@@ -3,9 +3,10 @@ and the model-file container of every model.
 
 A model file is a magic line, a compact JSON header with sorted keys, the
 alphabet one entry per line in id order, a "WEIGHTS" line, then the weight
-arrays as little-endian float64, which end the file. The taggers (SEQ2) and
-the parser (DEP2) keep their feature alphabet and integer weights there;
-the segmenter (WSEG2) keeps its lexicon as the alphabet, its rules in the
+arrays as little-endian float64, which end the file. The taggers (SEQ3) and
+the parser (DEP3) keep their feature alphabet and integer weights there,
+each feature's atom values joined by a tab (templates.VALUE_JOINER); the
+segmenter (WSEG2) keeps its lexicon as the alphabet, its rules in the
 header, and no arrays.
 """
 

@@ -122,7 +122,9 @@ class Pipeline:
 
 
 def load_model(kind, path):
-    """Load one annotator's model; any failure raises ModelLoadError."""
+    """Load one annotator's model; any failure raises ModelLoadError, as
+    does a tagger of the other kind: an NER tagger is BIO-constrained and a
+    POS tagger is not."""
     if not os.path.exists(path):
         raise ModelLoadError(f"{kind}: model file not found: {path}")
     try:
@@ -130,7 +132,10 @@ def load_model(kind, path):
             return wseg.load_segmenter(path)
         if kind == "parse":
             return depparse.load_parser(path)
-        return load_linear_model(path)
+        model = load_linear_model(path)
+        if model.bio_constrained != (kind == "ner"):
+            raise ValueError(f"it holds {'an NER' if model.bio_constrained else 'a POS'} tagger")
+        return model
     except Exception as exc:
         raise ModelLoadError(f"{kind}: failed to load {path}: {exc}") from exc
 

@@ -10,14 +10,18 @@ Decoding resolves features to ids without building a string per position
 (_CompiledFeatures): templates of a single attribute atom through per-value
 tables, and all others, conjunctions and lone isfirst/islast atoms, through
 one sorted int64 key table of their atoms' interned value ids, looked up for
-a whole document with one np.searchsorted. A call costs a fixed number of
-array operations per token attribute, however many templates read it: one
-gather reads the attribute's codes at every offset, a row-slice gather per
-offset of several single-atom templates reads their ids, and one element
-gather the other ids and the conjunction slots, these into a digit matrix
-that the key table folds for every conjunction at once. A column's table
-is complete when the model compiles: it holds a row for each value of
-which the alphabet holds an identity feature, and decoding only reads it.
+a whole document with one np.searchsorted. A feature string has one reading
+as a template's value tuple (templates.alphabet_tuples): the atom values
+join with a tab, which no value holds, so each row and key of these tables
+stands for one feature, and no induced pair's string reads as a value. A
+call costs a fixed number of array operations per token attribute, however
+many templates read it: one gather reads the attribute's codes at every
+offset, a row-slice gather per offset of several single-atom templates
+reads their ids, and one element gather the other ids and the conjunction
+slots, these into a digit matrix that the key table folds for every
+conjunction at once. A column's table is complete when the model
+compiles: it holds a row for each value of which the alphabet holds an
+identity feature, and decoding only reads it.
 A call resolves its other values atom by atom into its own copy: one
 pass per atom over those values, one per template over its strings.
 Training freezes its alphabet without a string per position either
@@ -49,8 +53,8 @@ from .linear import (AveragedWeights, ModelFormat, check_epochs, check_weights,
 from .model import DataError, Sentence, bio_may_follow, check_label, check_ner_label
 # The template names stay importable from here, where they always were.
 from .templates import (ATOMS, BOUNDARY_LEFT, BOUNDARY_RIGHT,  # noqa: F401
-                        FeatureTemplate, alphabet_tuples, compile_atom, extract_features,
-                        make_templates, value_splits, word_shape)
+                        VALUE_JOINER, FeatureTemplate, alphabet_tuples, compile_atom,
+                        extract_features, make_templates, pair_feature, word_shape)
 
 logger = logging.getLogger(__name__)
 
@@ -243,20 +247,20 @@ class _Column:
     def finish(self, keys, offsets):
         """Lay the table's columns out and build the table: the boundary
         rows, then a row for each value of which the alphabet holds an
-        identity feature, one whose name before its first "=" is an
-        identity-atom template of the column. offsets lists the offsets of
-        the _Layout's reads."""
+        identity feature, a feature of an identity-atom template of the
+        column (templates.alphabet_tuples). offsets lists the offsets of the
+        _Layout's reads."""
         self.keys = keys
         at = {offset: i for i, offset in enumerate(offsets)}
         self.features = []  # (template prefix, atom) per single-atom template
-        identity = set()  # the names of the identity atom's templates
+        identity = []  # the names of the identity atom's templates
         self.gathers = []  # (reads row, lo, hi) per offset of several templates
         picks = []  # (reads row, table column) per element read
         for offset in sorted(self.singles):
             lo = len(self.features)
             for prefix, k, is_identity in self.singles[offset]:
                 if is_identity:
-                    identity.add(prefix[:-1])
+                    identity.append(prefix[:-1])
                 self.features.append((prefix, k))
             if len(self.features) - lo > 1:
                 self.gathers.append((at[offset], lo, len(self.features)))
@@ -270,9 +274,8 @@ class _Column:
                       np.array(columns, dtype=np.intp).reshape(-1, 1))
         self.cells = np.array([cell for _, _, cell in self.reads], dtype=np.intp)
         self.readers = [(ATOMS[name].value, arg) for name, arg in self.atoms]
-        known = list(dict.fromkeys(value for name, cut, value in
-                                   (feature.partition("=") for feature in self.index)
-                                   if cut and name in identity))
+        known = list(dict.fromkeys(value for _, (value,), _ in alphabet_tuples(
+            self.index, identity, [1] * len(identity))))
         table = np.empty((2 + len(known), self.width + len(self.slots)), dtype=np.intp)
         table[:2] = self.resolve([value for name, _ in self.atoms
                                   for value in (ATOMS[name].left, ATOMS[name].right)])
@@ -334,19 +337,20 @@ class _ConjunctionKeys:
     """The conjunction templates of a model, with its lone isfirst/islast
     templates, as one sorted int64 key table.
 
-    Every value in an alphabet feature of these templates is interned: the
-    feature is registered under every reading of it as the template's atom
-    values (templates.alphabet_tuples), because the string path joins the
-    atom values with "|"; so a lookup hits exactly when the joined string is
-    in the alphabet, whatever the values contain. A key packs its atoms'
-    value ids with _tuple_codes in base radix, the number of values plus
-    one; the top digit, `unknown`, stands for an unset value or one outside
-    the alphabet and is in no key. Its lowest digit is the template's place
-    among the C kept templates, key = code * C + t, so templates of
-    different arity never share a key. plans holds each kept template's
-    rank plan, which a lookup follows (an unregistered prefix ranks last).
-    Templates of which the alphabet holds no feature are not kept: they
-    never fire.
+    Every value in an alphabet feature of these templates is interned, and
+    the feature is registered under its one reading as the template's atom
+    values (templates.alphabet_tuples): the string path joins the values
+    with a tab, which no value holds, so a lookup hits exactly when the
+    joined string is in the alphabet, and the table holds one key per
+    feature. An induced pair's string is the value tuple of no template and
+    is in no key. A key packs its atoms' value ids with _tuple_codes in base
+    radix, the number of values plus one; the top digit, `unknown`, stands
+    for an unset value or one outside the alphabet and is in no key. Its
+    lowest digit is the template's place among the C kept templates, key =
+    code * C + t, so templates of different arity never share a key. plans
+    holds each kept template's rank plan, which a lookup follows (an
+    unregistered prefix ranks last). Templates of which the alphabet holds
+    no feature are not kept: they never fire.
 
     A lookup reads all kept templates' atoms from one digit matrix of
     `depth` blocks of C rows, `depth` the largest arity: atom i of a
@@ -455,9 +459,10 @@ def freeze_features(names, digits, values, rows):
     names[t] is the name of template t, digits[t] the (rows,) value-id
     arrays of its atoms, ids into the list values, -1 where an atom is
     unset, so that the template fires nothing there. The feature of a
-    template at a position is "<name>=" and its atoms' values joined by "|".
-    Only one string is made per distinct (template, value tuple); two tuples
-    that join to one string get one number.
+    template at a position is "<name>=" and its atoms' values joined by
+    VALUE_JOINER. Only one string is made per distinct (template, value
+    tuple); no value holds the joiner, so distinct tuples of a template make
+    distinct strings.
 
     Returns (features, fired): features maps each string to its number, in
     number order, and fired is the (rows, T) array of the number that each
@@ -472,7 +477,7 @@ def freeze_features(names, digits, values, rows):
         prefix = name + "="
         parts = [list(map(values.__getitem__, digit.tolist()))
                  for digit in stack[:, where[first]]]
-        entries.append(([prefix + "|".join(p) for p in zip(*parts)], where, inverse))
+        entries.append(([prefix + VALUE_JOINER.join(p) for p in zip(*parts)], where, inverse))
     features = {s: k for k, s in enumerate(sorted({s for e in entries for s in e[0]}))}
     fired = np.full((rows, len(names)), -1, dtype=np.intp)
     for t, (strings, where, inverse) in enumerate(entries):
@@ -570,11 +575,9 @@ class _CompiledFeatures:
                                keys.values.get("1", keys.unknown)], dtype=np.int64)
         for column in self.columns.values():
             column.finish(keys, offsets)
-        self.pairs = []  # (id of one part, id of the other, id of the pair)
-        for a, b in model.induced_pairs:
-            name = index.get(f"{a}&&{b}")
-            if name is not None:
-                self.pairs.append((index[a], index[b], name))
+        # (id of one part, id of the other, id of the pair) of each pair that fired.
+        self.pairs = [(index[a], index[b], j) for a, b in model.induced_pairs
+                      if (j := index.get(pair_feature(a, b))) is not None]
         # Rows of document_ids.
         self.width = (sum(column.width for column in self.columns.values())
                       + len(keys.kept) + len(self.pairs))
@@ -639,8 +642,7 @@ class _CompiledFeatures:
 def _index_pairs(pairs):
     index = {}
     for a, b in pairs:
-        name = f"{a}&&{b}"
-        index.setdefault(a, []).append((b, name))
+        index.setdefault(a, []).append((b, pair_feature(a, b)))
     return index
 
 
@@ -885,7 +887,7 @@ def _freeze(templates, sentences, resources, induced_pairs):
         if a in features and b in features:
             fires = (fired == features[a]).any(axis=1) & (fired == features[b]).any(axis=1)
             if fires.any():
-                pairs.append((f"{a}&&{b}", fires))
+                pairs.append((pair_feature(a, b), fires))
     feature_index = features
     columns = [fired]
     if pairs:
@@ -973,8 +975,8 @@ def _induce_pairs(templates, corpus, labels, bio_constrained, gazetteer, top_k):
     return tuple(pair for pair, _ in ranked[:top_k])
 
 
-SEQ2 = ModelFormat(
-    b"SYLPIPE-SEQ2\n",
+SEQ3 = ModelFormat(
+    b"SYLPIPE-SEQ3\n",
     {"labels": "string list", "templates": "string pair list", "bio": "boolean",
      "pairs": "string pair list", "gazetteer": "string list or null"},
     lambda h: ((h["feature_count"], len(h["labels"])),
@@ -983,7 +985,7 @@ SEQ2 = ModelFormat(
 
 
 def save_linear_model(model, path):
-    SEQ2.write(path, {
+    SEQ3.write(path, {
         "labels": model.labels,
         "templates": [[t.descriptor, t.descriptor] for t in model.templates],
         "bio": model.bio_constrained,
@@ -993,7 +995,7 @@ def save_linear_model(model, path):
 
 
 def load_linear_model(path):
-    header, feature_index, (em, tr) = SEQ2.read(path)
+    header, feature_index, (em, tr) = SEQ3.read(path)
     for name, descriptor in header["templates"]:
         if name != descriptor:
             raise ValueError(f"template name {name!r} is not its descriptor {descriptor!r}")

@@ -1,7 +1,7 @@
 """Feature templates: extractors over token attributes at relative offsets.
 
 A template is its descriptor: "form@-1&form@0" fires the feature string
-"form@-1&form@0=<form before>|<form>" at a position. ATOMS defines each
+"form@-1&form@0=<form before><tab><form>" at a position. ATOMS defines each
 atom once: compile_atom reads it from tokens for this string path, and the
 taggers' decoder and freeze in seqlabel read the same entries once per
 word type.
@@ -9,13 +9,19 @@ word type.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 BOUNDARY_LEFT = "<s>"
 BOUNDARY_RIGHT = "</s>"
+
+# A feature joins its atom values with a tab and an induced pair its two
+# features with two (pair_feature). No value is empty or holds a tab: a word
+# form, POS tag or NER label cannot (model.check_form, check_label,
+# check_ner_label), and neither can the fixed values, so a feature's value
+# part splits one way (alphabet_tuples).
+VALUE_JOINER = "\t"
 
 _ATOM_RE = re.compile(r"(?P<name>[a-z]+)(?P<arg>\d+)?@(?P<offset>[+-]?\d+)")
 
@@ -128,7 +134,7 @@ class FeatureTemplate:
         object.__setattr__(self, "specs", tuple(specs))
         object.__setattr__(self, "_atoms", tuple(compile_atom(*s) for s in specs))
         # Each feature of the template is prefix + its atoms' values joined
-        # by "|"; the compiled decode path forms features from it too.
+        # by VALUE_JOINER; the compiled decode path forms features from it too.
         object.__setattr__(self, "prefix", self.descriptor + "=")
 
     def extract(self, tokens, i, resources=None):
@@ -138,34 +144,30 @@ class FeatureTemplate:
             if v is None:
                 return None
             values.append(v)
-        return self.prefix + "|".join(values)
+        return self.prefix + VALUE_JOINER.join(values)
 
 
-def value_splits(value, n):
-    """Every way to cut a feature value at "|" into n parts, as tuples.
-
-    A template joins its atom values with "|", and a value may itself
-    hold "|", so one feature string can come from several value tuples.
-    """
-    parts = value.split("|")
-    for cuts in itertools.combinations(range(1, len(parts)), n - 1):
-        bounds = (0, *cuts, len(parts))
-        yield tuple("|".join(parts[a:b]) for a, b in zip(bounds, bounds[1:]))
+def pair_feature(a, b):
+    """The feature string of the induced pair of features a and b."""
+    return a + VALUE_JOINER + VALUE_JOINER + b
 
 
 def alphabet_tuples(feature_index, names, arities):
-    """(template, value tuple, id) for every reading of an alphabet feature.
+    """(template, value tuple, id) of each alphabet feature of the templates.
 
     Template t is named names[t], a name without "=" that no other template
     has, and has arities[t] atoms; a feature "<name>=<value>" reads as that
-    template over each split of <value> (value_splits).
+    template over <value> split at VALUE_JOINER, its one reading. An induced
+    pair's string (pair_feature) splits into more parts than the arity of
+    its first feature's template, and is read as no template's.
     """
     by_name = {name: t for t, name in enumerate(names)}
     for feature, j in feature_index.items():
         name, cut, value = feature.partition("=")
         t = by_name.get(name) if cut else None
         if t is not None:
-            for parts in value_splits(value, arities[t]):
+            parts = tuple(value.split(VALUE_JOINER))
+            if len(parts) == arities[t]:
                 yield t, parts, j
 
 

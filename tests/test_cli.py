@@ -429,6 +429,47 @@ class TestAnnotate:
                      "-models", str(tmp_path / "empty")])
         assert code == 3
 
+    @pytest.mark.parametrize("source, target, held", [("pos", "ner", "a POS"),
+                                                      ("ner", "pos", "an NER")])
+    def test_tagger_of_the_other_kind_exits_3(self, cli_models, tmp_path, capsys,
+                                              source, target, held):
+        # Both load as taggers: a POS model as ner.model would fail on its
+        # first label at decode, and an NER model as pos.model would tag
+        # every word with an NER label. The load tells them apart by the BIO
+        # constraint.
+        models = tmp_path / "models"
+        shutil.copytree(cli_models, models)
+        path = models / f"{target}.model"
+        shutil.copy(models / f"{source}.model", path)
+        out = tmp_path / "o.txt"
+        code = main(["annotate", "-fin", DEMO_INPUT, "-fout", str(out),
+                     "-models", str(models)])
+        assert code == 3
+        assert (f"error: {target}: failed to load {path}: it holds {held} tagger"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("how", ["same path", "hard link", "symbolic link"])
+    def test_output_that_is_the_input_exits_2(self, tmp_path, capsys, how):
+        # Opening the output would truncate the input, and a failed run
+        # would then remove it; the annotate run is refused before either.
+        src = tmp_path / "same.txt"
+        shutil.copy(DEMO_INPUT, src)
+        data = src.read_bytes()
+        out = src
+        if how == "hard link":
+            out = tmp_path / "hard.txt"
+            os.link(src, out)
+        elif how == "symbolic link":
+            out = tmp_path / "soft.txt"
+            out.symlink_to(src)
+        code = main(["annotate", "-fin", str(src), "-fout", str(out),
+                     "-models", str(tmp_path / "nonexistent")])
+        assert code == 2
+        assert f"error: -fout {out} is the input file {src}" in capsys.readouterr().err
+        assert src.read_bytes() == data
+        assert out.read_bytes() == data
+
     @pytest.mark.parametrize("old, new", [(b"suffix2@0", b"suffix@0"),
                                           (b"suffix2@0", b"suffix0@0"),
                                           (b"prefix2@0", b"prefix0@0"),
@@ -578,11 +619,15 @@ class TestEval:
                      "-models", str(models)]) == 3
 
     @pytest.mark.parametrize("task, gold, old, new", [
-        ("pos", "pos.tsv", b"SYLPIPE-SEQ1", "SYLPIPE-SEQ2"),
-        ("parse", "parse.conll", b"SYLPIPE-DEP1", "SYLPIPE-DEP2")])
+        ("pos", "pos.tsv", b"SYLPIPE-SEQ1", "SYLPIPE-SEQ3"),
+        ("pos", "pos.tsv", b"SYLPIPE-SEQ2", "SYLPIPE-SEQ3"),
+        ("parse", "parse.conll", b"SYLPIPE-DEP1", "SYLPIPE-DEP3"),
+        ("parse", "parse.conll", b"SYLPIPE-DEP2", "SYLPIPE-DEP3")])
     def test_model_of_the_averaged_format_exits_3(self, cli_models, tmp_path, capsys,
                                                   task, gold, old, new):
-        # SEQ1 and DEP1 files hold rounded means, which no model reads.
+        # SEQ1 and DEP1 files hold rounded means, and SEQ2 and DEP2 files
+        # join atom values with "|", which a value may hold; no model reads
+        # either.
         models = tmp_path / "models"
         models.mkdir()
         path = models / f"{task}.model"

@@ -327,6 +327,28 @@ class TestLockstepDecoding:
         got = depparse._lockstep_scores(model, states, values)
         assert got.tobytes() == np.array(expected).tobytes()
 
+    def test_ud_tags_make_one_table_entry_per_conjunction_feature(self, toy_treebank):
+        # Each tag followed by UD-style morphology holds "|": every
+        # conjunction feature is one entry of its template's table, and the
+        # compiled decode parses as the string path does.
+        def ud(sent):
+            return sent.with_pos_tags([f"{tag}|Number=Sing|Case=Nom"
+                                       for tag in sent.column("pos_tag")])
+
+        model = train_parser([ud(s) for s in toy_treebank], epochs=2)
+        compiled = model._compiled
+        names = depparse._templates(False)
+        conjunctions = [k for k, name in enumerate(names) if "|" in name]
+        assert len(conjunctions) == 8
+        for k in conjunctions:
+            features = [f for f in model.feature_index
+                        if f.partition("=")[0] == names[k]]
+            assert features and len(compiled.tables[k].__self__) == len(features)
+        doc = [Sentence(Token(t.index, t.form, pos_tag=t.pos_tag) for t in ud(s))
+               for s in toy_treebank[:20]]
+        assert parses(parse_sentences(model, doc)) == parses(
+            reference_parse(model, s, False) for s in doc)
+
     def test_document_matches_sentence_at_a_time(self, toy_treebank, parse_model,
                                                   monkeypatch):
         doc = [Sentence(Token(t.index, t.form, pos_tag=t.pos_tag) for t in s)

@@ -25,9 +25,11 @@ from sylpipe.model import Sentence, dump_six_column
 from sylpipe.seqlabel import (FeatureTemplate, LinearModel, compile_atom, load_linear_model,
                               make_templates, save_linear_model, tag_sentences,
                               train_averaged_perceptron, viterbi_decode)
+from sylpipe.templates import alphabet_tuples, pair_feature
 
-# Values that join into one another's strings ("|", "="), that are the
-# boundary and missing-position values themselves, and non-BMP characters.
+# Values that joined into one another's strings when "|" joined atom values
+# (and "=" ends a template name), that are the boundary and missing-position
+# values themselves, and non-BMP characters.
 ODD_FORMS = ["a", "b", "a|b", "|", "a|", "|b", "=", "d=e", "e|f", "e", "f", "<s>",
              "</s>", "<root>", "<none>", "5+", "3+", "1", "0", "\U0001d518", "x\U0001f600|",
              "Hà", "HÀ", "1-2"]
@@ -127,6 +129,54 @@ class TestMatchesStringPath:
                                 use_ner_features=True)
 
 
+def reading_counts(feature_index, names, arities):
+    """How many readings alphabet_tuples gives each feature of the alphabet."""
+    counts = dict.fromkeys(feature_index.values(), 0)
+    for _, _, j in alphabet_tuples(feature_index, names, arities):
+        counts[j] += 1
+    return {f: counts[j] for f, j in feature_index.items()}
+
+
+class TestOneReading:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.tuples(*[st.sampled_from(sorted({*ODD_FORMS, *ODD_TAGS, *ODD_NER}))] * n),
+        min_size=1, max_size=12)))
+    def test_distinct_value_tuples_make_distinct_strings(self, tuples):
+        # freeze_features makes one string per distinct tuple, and that
+        # string reads back as that tuple alone.
+        n = len(tuples[0])
+        values = sorted({v for t in tuples for v in t})
+        digits = [np.array([values.index(t[a]) for t in tuples]) for a in range(n)]
+        features, fired = seqlabel.freeze_features(["t"], [digits], values, len(tuples))
+        assert len(features) == len(set(tuples))
+        read = {j: parts for _, parts, j in alphabet_tuples(features, ["t"], [n])}
+        assert len(read) == len(features)
+        assert [read[j] for j in fired[:, 0].tolist()] == tuples
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(odd_tagging_cases())
+    def test_every_tagger_feature_has_one_reading(self, case):
+        chosen, corpus, options = case
+        model = train_averaged_perceptron(chosen, corpus, **options)
+        counts = reading_counts(model.feature_index, [tpl.descriptor for tpl in chosen],
+                                [len(tpl.specs) for tpl in chosen])
+        pairs = {pair_feature(a, b) for a, b in model.induced_pairs}
+        assert counts == {f: int(f not in pairs) for f in model.feature_index}
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(odd_parsing_cases())
+    def test_every_parser_feature_has_one_reading(self, case):
+        treebank, options = case
+        model = depparse.train_parser(treebank, **options)
+        names = depparse._templates(model.use_ner_features)
+        counts = reading_counts(model.feature_index, names,
+                                [len(depparse._atoms(name)) for name in names])
+        assert set(counts.values()) == {1}
+
+
 def frozen_tagger(chosen, corpus):
     sentences = [sent for sent, _ in corpus]
     feature_index, fired, ids = seqlabel._freeze(chosen, sentences, None, ())
@@ -181,7 +231,8 @@ class TestSortedAlphabet:
         assert all(a < b for a, b in zip(alphabet, alphabet[1:]))
         if name == "ner-gazetteer":
             assert model.induced_pairs
-            assert {f"{a}&&{b}" for a, b in model.induced_pairs} & model.feature_index.keys()
+            assert {pair_feature(a, b) for a, b in model.induced_pairs} & \
+                model.feature_index.keys()
         if name == "parse-ner":
             assert any(f.startswith("ner:") for f in strings)
 

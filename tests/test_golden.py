@@ -21,13 +21,13 @@ from sylpipe.seqlabel import save_linear_model
 
 MODEL_SHA256 = {
     "wseg.model": "cb1a8be92a814e5bf8aa8777a9f353a346f629891570238b24579a05d574b17f",
-    "pos.model": "e37f9cd2690abc4e0ae55847b8188422a60e134c513ab7366a40af1fc85e7ed8",
-    "ner.model": "34bf360c8e47cd841c1cad95e1c46f5f0bafcaa0939a122f0577235cd07b8c97",
-    "parse.model": "8b3c3f4bcff9dce9bd4335881b187e5cb2cf75a97424bd2485ee4502554a3645",
+    "pos.model": "1397d4ee466a5934b452e20ce9b4cd9ea146fb40e18958da574b0ee6f046516b",
+    "ner.model": "c825f373641a84e85d39c27c14d1acae6edab9b3dd08b2218d2c41cad62ec154",
+    "parse.model": "7e117f19ab739eb15aced49b3524cf56b76d66c20ff3ff63d7f7c48de0729753",
     # NER with a gazetteer (one entry lower-cased) and three induced pairs.
-    "ner-gazetteer.model": "f29499126ab40a10b14786153e203d00f6b1fb29eb20162159a6fd487282a8cc",
+    "ner-gazetteer.model": "8fda27dd23d37d1b18b630f5e87b61124da4e3d5da63305b60618abb5b5d2430",
     # Parser with the NER features, trained in corpus order.
-    "parse-ner.model": "3526d2d9378a91acba0260d9c28e938d89ffdffb8615d81e7b206a85fe5810bb",
+    "parse-ner.model": "c1f2c655d0610050f5b4c1e4c69814cb3db42fe898b6d5aa9a75aff726ac3213",
     # Segmenter with window_radius=1: shapelex, pair and pairdec rules.
     "wseg-radius1.model": "22a5c9b50d972ad1d2138a2336556dff44d0c343bdd6e8dd87850c4f9f4e5667",
 }

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from helpers import (CORRUPT_LAYOUTS, FORMS, NER_LABELS, POS_TAGS,
                      random_form_sentence, random_linear_model, split_model_file)
 from sylpipe import _kernels, ner, seqlabel
-from sylpipe.model import Sentence, Token
+from sylpipe.model import DataError, Sentence, Token
 from sylpipe.pipeline import ModelLoadError, load_model
 from sylpipe.seqlabel import (DecodeError, FeatureTemplate, LinearModel,
                               TrainingError, bio_transition_mask,
@@ -21,6 +21,7 @@ from sylpipe.seqlabel import (DecodeError, FeatureTemplate, LinearModel,
                               save_linear_model, sequence_score, tag_sentences,
                               train_averaged_perceptron, viterbi_decode,
                               word_shape)
+from sylpipe.templates import pair_feature
 
 
 def sentence(*forms):
@@ -573,14 +574,14 @@ class TestCompiledFeatures:
     def test_template_names_holding_equals_signs(self, tmp_path):
         # A template is its descriptor, which holds no "=": "c=d" is no
         # template, and a model file that names a template otherwise is
-        # refused. A value may hold "=": "form@-1&form@0=d=e|f" is read at
-        # its first "=", as template "form@-1&form@0" over ("d=e", "f").
+        # refused. A value may hold "=": "form@-1&form@0=d=e<tab>f" is read
+        # at its first "=", as template "form@-1&form@0" over ("d=e", "f").
         with pytest.raises(ValueError, match="bad atom 'c=d'"):
             FeatureTemplate("c=d")
         templates = make_templates(["form@-1&form@0", "form@0&form@+1"])
         index = {f: k for k, f in enumerate(
             extract_features(templates[:1], sentence("d=e", "f").tokens, 1))}
-        assert index == {"form@-1&form@0=d=e|f": 0}
+        assert index == {"form@-1&form@0=d=e\tf": 0}
         model = LinearModel(["A", "B"], templates, index, np.array([[1.0, -2.0]]),
                             np.zeros((3, 2)))
         for sent in (sentence("d=e", "f"), sentence("e", "f"), sentence("x", "e", "f")):
@@ -625,25 +626,49 @@ class TestCompiledFeatures:
         with pytest.raises(ValueError, match="template name 'c' is not its descriptor"):
             load_linear_model(path)
 
-    def test_induced_pair_string_read_as_a_conjunction_value(self):
-        # The key table registers the pair (pos@-1&pos@0=N|V, form@0=x) as
-        # the conjunction over ("N", "V&&form@0=x"), as alphabet_tuples reads
-        # a feature at its first "=". Tags that hold "&&" hit it: the string
-        # path fires the pair's string as the conjunction's feature there,
-        # and the compiled path reads the same id.
+    def test_induced_pair_string_is_no_conjunction_value(self):
+        # The pair (pos@-1&pos@0=N<tab>V, form@0=x) is named with two tabs,
+        # so its string splits into four parts at the tab, more than the
+        # conjunction's two atoms: the key table reads it as no value tuple.
+        # No tag can hold a tab, and tags that hold the pair's old
+        # spelling, "V&&form@0=x", fire the conjunction over a value that no
+        # feature has; only the pair's two parts fire its id.
         templates = make_templates(["form@0", "pos@-1&pos@0"])
-        pair = ("pos@-1&pos@0=N|V", "form@0=x")
-        index = {"form@0=x": 0, "pos@-1&pos@0=N|V": 1,
-                 "pos@-1&pos@0=N|V&&form@0=x": 2}
+        pair = ("pos@-1&pos@0=N\tV", "form@0=x")
+        index = {"form@0=x": 0, "pos@-1&pos@0=N\tV": 1, pair_feature(*pair): 2}
+        assert pair_feature(*pair) == "pos@-1&pos@0=N\tV\t\tform@0=x"
         model = LinearModel(["A", "B"], templates, index,
                             np.array([[2.0, 0.0], [0.0, 3.0], [1.0, 5.0]]),
                             np.zeros((3, 2)), induced_pairs=[pair])
-        sent = Sentence.from_columns(["y", "z"], ["N", "V&&form@0=x"])
-        assert "pos@-1&pos@0=N|V&&form@0=x" in model.position_features(sent.tokens, 1)
-        em = model.emission_matrix(sent.tokens)
-        assert em.tobytes() == model.reference_emission_matrix(sent.tokens).tobytes()
-        assert em[1].tolist() == [1.0, 5.0]
-        assert tag_sentences(model, [sent]) == [viterbi_decode(model, sent)[0]]
+        keys = model._compiled.keys
+        assert keys.ids.tolist() == [1, -1]
+        assert set(keys.values) == {"N", "V"}
+        with pytest.raises(DataError, match="six-column text cannot hold it"):
+            Sentence.from_columns(["y", "z"], ["N", "V\t\tform@0=x"])
+        old = Sentence.from_columns(["y", "z"], ["N", "V&&form@0=x"])
+        assert not set(model.position_features(old.tokens, 1)) & index.keys()
+        fires = Sentence.from_columns(["y", "x"], ["N", "V"])
+        assert set(model.position_features(fires.tokens, 1)) == index.keys()
+        for sent, row in ((old, [0.0, 0.0]), (fires, [3.0, 8.0])):
+            em = model.emission_matrix(sent.tokens)
+            assert em.tobytes() == model.reference_emission_matrix(sent.tokens).tobytes()
+            assert em[1].tolist() == row
+            assert tag_sentences(model, [sent]) == [viterbi_decode(model, sent)[0]]
+
+    def test_toy_key_table_holds_no_pair(self, toy_ner_sentences):
+        # With 50 induced pairs, every key of the NER model's table is one
+        # conjunction or isfirst/islast feature, and none is a pair's.
+        model = ner.train_ner(ner.training_pairs(toy_ner_sentences), combine_top_k=50)
+        pairs = {model.feature_index[pair_feature(a, b)] for a, b in model.induced_pairs
+                 if pair_feature(a, b) in model.feature_index}
+        assert len(pairs) > 10
+        keyed = {tpl.descriptor for tpl in model.templates
+                 if len(tpl.specs) > 1 or tpl.specs[0][0] in ("isfirst", "islast")}
+        features = [j for f, j in model.feature_index.items()
+                    if f.partition("=")[0] in keyed and j not in pairs]
+        ids = model._compiled.keys.ids[:-1].tolist()
+        assert sorted(ids) == sorted(features)
+        assert not pairs & set(ids)
 
     def test_repeated_templates_and_pairs_refused(self, monkeypatch):
         # Either would make a position fire one id twice. The trainer
