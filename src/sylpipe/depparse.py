@@ -11,21 +11,26 @@ parse_sentences decodes a document in lockstep: every unfinished sentence
 takes one greedy transition per step, in groups of at most
 LOCKSTEP_SENTENCES sentences, and one gather and sum (_kernels.sum_rows)
 scores and masks all of them. The array a model scores with holds its
-feature rows, then one mask row per _mask_code, 0.0 where an action is
-legal and -inf where it is not (_score_tail), then the zero row that the
-padding id -1 reads. Each state's ids end with its mask row's: a legal
-score equals a row_sum over the state's feature ids, since the integer
-weights sum exactly in any order (linear.check_weights), and an illegal one
-is exactly -inf. The masked argmax is legal, so it is applied by
-ParserState.advance, apply without its legality checks.
+feature rows, then one mask row per value of a state's mask field, 0.0
+where an action is legal and -inf where it is not (_score_tail), then the
+zero row that the padding id -1 reads. Each state's ids end with its mask
+row's: a legal score equals a row_sum over the state's feature ids, since
+the integer weights sum exactly in any order (linear.check_weights), and an
+illegal one is exactly -inf. The masked argmax is legal, so it is applied
+by ParserState.advance, apply without its legality checks.
 
-The features are written once, as tables (_TEMPLATES, _ATOMS, _FIELDS).
-The code that reads them at a state is generated from the tables, as
-collections.namedtuple and dataclasses build methods from source text:
-straight-line code for _CompiledStateFeatures.state_ids, which resolves a
-state's features to ids without strings for decoding, and _state_record,
-the record that training freezes. state_features, written by hand, builds
-the same features as strings; it is the oracle both are tested against.
+The features are written once, as tables (_TEMPLATES, _ATOMS, _FIELDS),
+and a state's mask row is one more of its fields. The code that reads them
+at a state is generated from the tables, as collections.namedtuple and
+dataclasses build methods from source text: straight-line code for
+_CompiledStateFeatures.state_ids, which resolves a state's features and its
+mask row to ids without strings for decoding, and _state_record, the record
+that training freezes. A parser reads the Token columns that its templates
+read (_columns), so one without NER features reads no NER label.
+state_features, written by hand, builds the same features as strings; it is
+the oracle both are tested against, and _legal_action_mask the oracle of
+the mask rows.
+
 state_ids interns every value string in the model's alphabet: a one-atom
 template reads a list by value id, and a conjunction maps the tuple of its
 atoms' value ids to a feature id. A feature "<template>=<value>" is
@@ -36,17 +41,17 @@ A template's name joins its atoms with "|" (s0p|b0p), a joiner of names,
 not of values.
 
 train_parser freezes its states once (_freeze): it walks each sentence's
-static oracle and records each state's fields. Each template is then a
-gather over columns of interned value ids, and only its distinct value
-tuples become strings (seqlabel.freeze_features), numbered in sorted
-string order. It scores each state's ids, its mask row's last, with
-AveragedWeights that end in the model's mask rows and zero row: it masks
-as decoding does, and the model keeps the averaged array. The weights
-change only at an update, so an epoch scores all states of a sentence in
-one sum_rows gather, updates at the first state whose masked argmax is
-not gold, at the step it takes one state at a time, and scores again
-only the states after it: the model is the one that scoring each state
-alone trains, bit for bit.
+static oracle and records each state's fields, its mask row's among them.
+Each template is then a gather over columns of interned value ids, and only
+its distinct value tuples become strings (seqlabel.freeze_features),
+numbered in sorted string order. It scores each state's ids, its mask
+row's last, with AveragedWeights that end in the model's mask rows and
+zero row: it masks as decoding does, and the model keeps the averaged
+array. The weights change only at an update, so an epoch scores all states
+of a sentence in one sum_rows gather, updates at the first state whose
+masked argmax is not gold, at the step it takes one state at a time, and
+scores again only the states after it: the model is the one that scoring
+each state alone trains, bit for bit.
 """
 
 from __future__ import annotations
@@ -106,24 +111,6 @@ class ParserState:
         self.rval = [0] * (n + 1)
         self.root_child = None
 
-    def copy(self):
-        other = ParserState.__new__(ParserState)
-        other.n = self.n
-        other.stack = list(self.stack)
-        other.buffer_start = self.buffer_start
-        other.heads = list(self.heads)
-        other.labels = list(self.labels)
-        other.lchild = list(self.lchild)
-        other.rchild = list(self.rchild)
-        other.lval = list(self.lval)
-        other.rval = list(self.rval)
-        other.root_child = self.root_child
-        return other
-
-    @property
-    def buffer(self):
-        return range(self.buffer_start, self.n + 1)
-
     def buffer_front(self):
         return self.buffer_start if self.buffer_start <= self.n else None
 
@@ -132,11 +119,6 @@ class ParserState:
 
     def is_terminal(self):
         return self.buffer_start > self.n
-
-    @property
-    def arcs(self):
-        return {(self.heads[d], d, self.labels[d])
-                for d in range(1, self.n + 1) if self.heads[d] is not None}
 
     def _add_arc(self, head, dep, label):
         self.heads[dep] = head
@@ -194,27 +176,6 @@ def legal_kinds(state):
     if s is not None and s != 0 and state.heads[s] is not None:
         kinds.add(REDUCE)
     return kinds
-
-
-def legal_transitions(state, relations):
-    """All legal transitions, arc kinds expanded over the relation alphabet."""
-    out = set()
-    kinds = legal_kinds(state)
-    if SHIFT in kinds:
-        out.add((SHIFT, None))
-    if REDUCE in kinds:
-        out.add((REDUCE, None))
-    for rel in relations:
-        if LEFT_ARC in kinds:
-            out.add((LEFT_ARC, rel))
-        if RIGHT_ARC in kinds:
-            out.add((RIGHT_ARC, rel))
-    return out
-
-
-def apply_transition(state, transition):
-    """Functional transition application; raises IllegalTransition when illegal."""
-    return state.copy().apply(transition)
 
 
 def find_crossing_arcs(heads):
@@ -386,7 +347,9 @@ _TEMPLATES = ("s0w", "s0p", "s1p", "s2p", "b0w", "b0p", "b1w", "b1p", "b2p",
 # b0lc the leftmost and rightmost child of s0 and the leftmost of b0, each a
 # slot of the value columns: 0 the root, 1..n the tokens, n + 1 none. d is
 # the distance bucket min(b0 - s0, 5), never 0, and s0l, s0r, b0l the
-# valency buckets min(v, 3).
+# valency buckets min(v, 3). mask is the state's mask row of _score_tail,
+# the legality of _legal_action_mask: 0 and 1 have the root on top, with no
+# root dependent yet or with one, 2 and 3 a token without or with a head.
 _STATE = {"stack": "state.stack", "depth": "len(stack)", "n": "state.n", "none": "n + 1"}
 _FIELDS = {
     "s0": "stack[-1]", "s1": "stack[-2] if depth > 1 else none",
@@ -396,7 +359,9 @@ _FIELDS = {
     "b0lc": "state.lchild[b0] or none", "d": "d if (d := b0 - s0) <= 4 else 5",
     "s0l": "v if (v := state.lval[s0]) <= 2 else 3",
     "s0r": "v if (v := state.rval[s0]) <= 2 else 3",
-    "b0l": "v if (v := state.lval[b0]) <= 2 else 3"}
+    "b0l": "v if (v := state.lval[b0]) <= 2 else 3",
+    "mask": "(0 if state.root_child is None else 1) if s0 == 0 else "
+            "2 if state.heads[s0] is None else 3"}
 
 # The column each atom reads and the field that indexes it: a Token
 # attribute's value ids by slot (sentence_values), or a bucket's by bucket.
@@ -410,7 +375,6 @@ _ATOMS = {"s0w": ("form", "s0"), "s0p": ("pos_tag", "s0"), "s1p": ("pos_tag", "s
           "b0n": ("ner_label", "b0")}
 _BUCKETS = {"distance": (_NONE_VALUE, "1", "2", "3", "4", "5+"),
             "valency": ("0", "1", "2", "3+")}
-_COLUMNS = tuple(dict.fromkeys(c for c, _ in _ATOMS.values() if c not in _BUCKETS))
 
 
 def _templates(use_ner):
@@ -421,6 +385,12 @@ def _templates(use_ner):
 def _atoms(name):
     """The atoms of a template: the parts of its name after any "ner:"."""
     return name.removeprefix("ner:").split("|")
+
+
+def _columns(templates):
+    """The Token columns that the templates read, in the order they first do."""
+    return tuple(dict.fromkeys(column for name in templates for atom in _atoms(name)
+                               if (column := _ATOMS[atom][0]) not in _BUCKETS))
 
 
 def _straight_line(named, lines):
@@ -456,7 +426,8 @@ _state_record = _generated["state_record"]
 @functools.lru_cache(maxsize=4)
 def _state_ids_code(templates):
     """(names, source, code) of state_ids over the templates, run where names
-    are bound to the tables (_CompiledStateFeatures)."""
+    are bound to the tables and masks to the id of mask row 0
+    (_CompiledStateFeatures)."""
     names = [*(re.sub(r"\W", "_", name) + "_" for name in templates), *_BUCKETS]
     found = []
     for k, name in enumerate(templates):
@@ -464,13 +435,15 @@ def _state_ids_code(templates):
         column, field = _ATOMS[atoms[0]]
         found.append(f"{names[k]}(({', '.join(atoms)}), -1)" if len(atoms) > 1
                      else f"{names[k]}[{field if column in _BUCKETS else atoms[0]}]")
-    body = [f"    {', '.join(_COLUMNS)} = values",
-            "\n".join(["    ids = [", *(f"        {e}," for e in found), "    ]"])]
+    body = [f"    [{', '.join(_columns(templates))}] = values",
+            "\n".join(["    ids = [", *(f"        {e}," for e in found),
+                       "        masks + mask,", "    ]"])]
     named = {**_STATE, **_FIELDS, **{a: "{}[{}]".format(*ca) for a, ca in _ATOMS.items()}}
     source = "\n".join([
         "def state_ids(state, values):",
         '    """The id of each feature of state_features(state, ...), -1 if unknown,',
-        '    in template order."""', *_straight_line(named, body), "    return ids\n"])
+        '    in template order, then the id of the state\'s mask row."""',
+        *_straight_line(named, body), "    return ids\n"])
     return names, source, compile(source, f"<{__name__} state_ids>", "exec")
 
 
@@ -481,9 +454,11 @@ class _CompiledStateFeatures:
     then each bucket's value ids: a one-atom template's list by value id
     (its last entry, -1, is read by the value id -1 of a string outside the
     alphabet) or by bucket, a conjunction's dict.get by its atoms' value
-    ids. state_ids is straight-line code generated from the tables (source
-    holds its text), and the hand-written state_features is the oracle it
-    is tested against.
+    ids. columns names the Token columns that the templates read, the
+    columns of sentence_values. state_ids is straight-line code generated
+    from the tables (source holds its text): it gives a state's feature ids
+    and then its mask row's, the model's F + mask (_FIELDS). The
+    hand-written state_features is the oracle it is tested against.
     """
 
     def __init__(self, model):
@@ -502,20 +477,22 @@ class _CompiledStateFeatures:
             [table.get(v, -1) for v in buckets.get(_ATOMS[_atoms(name)[0]][0],
                                                    range(len(values) + 1))]
             for name, n, table in zip(templates, arities, tables)), *buckets.values())
+        self.columns = _columns(templates)
         names, self.source, code = _state_ids_code(templates)
-        exec(code, namespace := dict(zip(names, self.tables)))
+        exec(code, namespace := dict(zip(names, self.tables), masks=len(model.weights)))
         self.state_ids = namespace["state_ids"]
 
-    def sentence_values(self, sentence, use_ner):
+    def sentence_values(self, sentence):
         """Value ids of a Sentence by slot (0 the root, 1..n the tokens, n + 1
-        none), a list per column of _COLUMNS. Unless use_ner, the NER column
-        is -1 at every slot, which no table knows, so no NER feature fires."""
+        none), a list per column of columns. A column that some token lacks
+        is -1 at every slot, which no table knows, so none of its features
+        fire; after check_input, only the NER column of a sentence without
+        NER labels is such a column."""
         get = self.values.get
         root, none = get(_ROOT_VALUE, -1), get(_NONE_VALUE, -1)
-        return tuple([root, *[none if v is None else get(v, -1)
-                              for v in sentence.column(column)], none]
-                     if use_ner or column != "ner_label" else [-1] * (len(sentence) + 2)
-                     for column in _COLUMNS)
+        return tuple([-1] * (len(column) + 2) if None in column
+                     else [root, *map(get, column, itertools.repeat(-1)), none]
+                     for column in map(sentence.column, self.columns))
 
 
 @functools.lru_cache(maxsize=16)
@@ -523,8 +500,8 @@ def _score_tail(relations, root_labels):
     """The rows that a parser scores with after its F feature rows, read-only.
 
     Row F + c adds 0.0 to each legal and -inf to each illegal action of a
-    state whose _mask_code is c, a state with a non-empty buffer, where
-    SHIFT is legal; the last row, which the padding id -1 reads, is zero.
+    state whose mask field (_FIELDS) is c, a state with a non-empty buffer,
+    where SHIFT is legal; the last row, which the padding id -1 reads, is zero.
     Refuses root labels outside the relations. Takes tuples; loading a model
     builds the rows twice, for the reader and for the model: they are cached.
     """
@@ -540,19 +517,6 @@ def _score_tail(relations, root_labels):
     tail[4] = 0.0
     tail.flags.writeable = False
     return tail
-
-
-def _mask_code(state):
-    """Mask row of _score_tail for a state with a non-empty buffer.
-
-    The same legality as _legal_action_mask: 0 and 1 have the root on top,
-    with no root dependent yet or with one; 2 and 3 a token without or with
-    a head.
-    """
-    s0 = state.stack[-1]
-    if s0 == 0:
-        return 0 if state.root_child is None else 1
-    return 2 if state.heads[s0] is None else 3
 
 
 class ParserModel:
@@ -575,6 +539,9 @@ class ParserModel:
             raise ValueError("weight shape mismatch")
         self.use_ner_features = bool(use_ner_features)
         self.root_labels = tuple(root_labels)
+        if root_label not in self.root_labels:
+            raise ValueError(f"root label {root_label!r} is not one of the root labels "
+                             f"{list(self.root_labels)}")
         # The array _lockstep_scores reads: the feature rows, the mask rows
         # and the zero row.
         self._rows = weight_rows(weights, _score_tail(tuple(self.relations),
@@ -630,16 +597,16 @@ def _legal_action_mask(state, n_relations, root_labels, action_index):
 
 
 def check_input(sentence, use_ner, number=None):
-    """Whether a parser with NER features (use_ner) reads the sentence's NER
-    labels: when every token has one. Raises DecodeError, naming the sentence
-    by its 1-based document number, if a token lacks a POS tag or, for such
-    a parser, if only some tokens have an NER label."""
+    """Raises DecodeError, naming the sentence by its 1-based document
+    number, if a token lacks a POS tag or, for a parser with NER features
+    (use_ner), if only some tokens have an NER label. Such a parser reads a
+    sentence's NER labels when every token has one and parses it without
+    them when none has (_CompiledStateFeatures.sentence_values)."""
     if None in sentence.column("pos_tag"):
         raise DecodeError("parsing requires POS tags on every token", number)
     labels = sentence.column("ner_label")
     if use_ner and None in labels and any(labels):
         raise DecodeError("this parser reads NER labels; only some tokens have one", number)
-    return use_ner and None not in labels
 
 
 # Sentences decoded together at most; bounds the (K, B, A) float64 gather
@@ -659,19 +626,19 @@ def parse_sentences(model, sentences):
     (check_input) before any is decoded: it needs POS tags, and a parser
     trained with NER features reads its NER labels when every token has
     one, parses it without them when none has, and refuses it when only
-    some have, raising DecodeError naming the sentence. Tokens left without
-    a head are attached by the fallback rule; their number, and that of the
-    sentences that had any, is logged at DEBUG level when it is not zero.
+    some have, raising DecodeError naming the sentence; a parser without NER
+    features reads no NER label. Tokens left without a head are attached by
+    the fallback rule; their number, and that of the sentences that had
+    any, is logged at DEBUG level when it is not zero.
     """
     out = list(sentences)
-    reads_ner = {k: check_input(sentence, model.use_ner_features, k + 1)
-                 for k, sentence in enumerate(out) if len(sentence)}
-    todo = list(reads_ner)
+    todo = [k for k, sentence in enumerate(out) if len(sentence)]
+    for k in todo:
+        check_input(out[k], model.use_ner_features, k + 1)
     repaired = []  # the headless tokens of each sentence that had any
     for lo in range(0, len(todo), LOCKSTEP_SENTENCES):
         group = todo[lo:lo + LOCKSTEP_SENTENCES]
-        states = _decode_lockstep(model, [out[k] for k in group],
-                                  [reads_ner[k] for k in group])
+        states = _decode_lockstep(model, [out[k] for k in group])
         for k, state in zip(group, states):
             count = _attach_headless(model, state)
             if count:
@@ -683,15 +650,13 @@ def parse_sentences(model, sentences):
     return out
 
 
-def _decode_lockstep(model, sentences, reads_ner):
-    """Greedy end states of the sentences, one transition of each per step;
-    reads_ner says whether each sentence's NER labels are read.
+def _decode_lockstep(model, sentences):
+    """Greedy end states of the sentences, one transition of each per step.
 
     The masked argmax is legal, so it is applied without apply's checks.
     """
-    compiled = model._compiled
     states = [ParserState(len(s)) for s in sentences]
-    values = [compiled.sentence_values(s, r) for s, r in zip(sentences, reads_ner)]
+    values = list(map(model._compiled.sentence_values, sentences))
     actions = model.actions
     active = range(len(states))
     while active:
@@ -710,16 +675,14 @@ def _lockstep_scores(model, states, values):
     """(B, A) transition scores of B states, illegal ones -inf.
 
     Row b equals row_sum over state b's feature ids with its illegal actions
-    then set to -inf: its ids go to the gather in template order, the -1s
+    then set to -inf: state_ids gives its ids in template order, the -1s
     read the zero row, and the id of the state's mask row comes last (see
     the module docstring).
     """
     state_ids = model._compiled.state_ids
-    masks = len(model.weights)  # the id of the mask row of _mask_code 0
     ids = []
     for state, v in zip(states, values):
         ids += state_ids(state, v)
-        ids.append(masks + _mask_code(state))
     ids = np.array(ids, dtype=np.intp).reshape(len(states), -1)
     return _kernels.sum_rows(model._rows, ids.T)
 
@@ -783,9 +746,9 @@ def _freeze(sentences, action_index, use_ner):
     Returns (feature_index, ids, gold, bounds): the alphabet of
     state_features' strings, numbered in sorted order; the (K, S) array
     that sum_rows reads, column j the ids of state j in template order, -1
-    where a template fires none, and its mask row's F + _mask_code(state)
-    in the last row, as in _lockstep_scores; each state's gold
-    action id; and bounds, where sentence k's states start and end.
+    where a template fires none, and its mask row's F + mask in the last
+    row, as state_ids gives them; each state's gold action id; and bounds,
+    where sentence k's states start and end.
 
     The walk records each state's fields (_state_record), a position as its
     slot in a column of value ids that lays the sentences end to end. Each
@@ -793,7 +756,6 @@ def _freeze(sentences, action_index, use_ner):
     tuples become strings (seqlabel.freeze_features).
     """
     records = []
-    codes = []
     gold = []
     bounds = [0]
     bases = []
@@ -801,7 +763,6 @@ def _freeze(sentences, action_index, use_ner):
     for sent in sentences:
         for state, transition in _oracle_walk(sent):
             records += _state_record(state)
-            codes.append(_mask_code(state))
             gold.append(action_index[transition])
         bases += [base] * (len(gold) - bounds[-1])
         bounds.append(len(gold))
@@ -810,15 +771,14 @@ def _freeze(sentences, action_index, use_ner):
     records = np.array(records, dtype=np.intp).reshape(S, len(_FIELDS))
     bases = np.array(bases, dtype=np.intp)
 
-    # The value columns the templates read: a Token attribute of every
-    # sentence by slot, or a bucket's values.
+    # The value columns: each Token column the templates read, of every
+    # sentence by slot, and each bucket's values.
     templates = _templates(use_ner)
-    slots = {column: _BUCKETS[column] if column in _BUCKETS
-             else list(itertools.chain.from_iterable(
+    slots = {column: list(itertools.chain.from_iterable(
                  part for sent in sentences
                  for part in ((_ROOT_VALUE,), sent.column(column), (_NONE_VALUE,))))
-             for column in dict.fromkeys(_ATOMS[atom][0] for name in templates
-                                         for atom in _atoms(name))}
+             for column in _columns(templates)}
+    slots.update(_BUCKETS)
     values = {v: k for k, v in enumerate(dict.fromkeys(
         itertools.chain.from_iterable(slots.values())))}
     tables = {column: np.fromiter(map(values.__getitem__, slot), dtype=np.intp,
@@ -832,7 +792,7 @@ def _freeze(sentences, action_index, use_ner):
         list(values), S)
     logger.debug("froze %d state(s) of %d template(s): %d distinct value(s) read, "
                  "%d feature(s)", S, len(templates), len(values), len(features))
-    ids = np.column_stack([fired, len(features) + np.array(codes, dtype=np.intp)])
+    ids = np.column_stack([fired, len(features) + records[:, list(_FIELDS).index("mask")]])
     return features, ids.T, np.array(gold), bounds
 
 

@@ -124,7 +124,8 @@ class Pipeline:
 def load_model(kind, path):
     """Load one annotator's model; any failure raises ModelLoadError, as
     does a tagger of the other kind: an NER tagger is BIO-constrained and a
-    POS tagger is not."""
+    POS tagger is not. Its message names the file once, as the prefix of a
+    reader's message that names it too."""
     if not os.path.exists(path):
         raise ModelLoadError(f"{kind}: model file not found: {path}")
     try:
@@ -137,7 +138,8 @@ def load_model(kind, path):
             raise ValueError(f"it holds {'an NER' if model.bio_constrained else 'a POS'} tagger")
         return model
     except Exception as exc:
-        raise ModelLoadError(f"{kind}: failed to load {path}: {exc}") from exc
+        message = str(exc).removeprefix(f"{path}: ")
+        raise ModelLoadError(f"{kind}: failed to load {path}: {message}") from exc
 
 
 def build_pipeline(annotators=ANNOTATOR_KINDS, model_dir=None, model_paths=None):

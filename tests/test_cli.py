@@ -449,6 +449,50 @@ class TestAnnotate:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("task, damage, message, load", [
+        ("pos", lambda data: b"SYLPIPE-SEQ2" + data[data.index(b"\n"):],
+         re.escape("not a SYLPIPE-SEQ3 model file (if it is a sylpipe model of an "
+                   "earlier format, retrain it)"), seqlabel.load_linear_model),
+        ("parse", lambda data: data[:-8],
+         r"corrupt model file \(weight section has \d+ bytes, expected \d+\)",
+         depparse.load_parser),
+        ("wseg", lambda data: data[:1], "not a SYLPIPE-WSEG2 model file",
+         wseg.load_segmenter)])
+    def test_load_fault_names_the_file_once(self, cli_models, tmp_path, capsys, task,
+                                            damage, message, load):
+        models = tmp_path / "models"
+        shutil.copytree(cli_models, models)
+        path = models / f"{task}.model"
+        path.write_bytes(damage(path.read_bytes()))
+        code = main(["annotate", "-fin", DEMO_INPUT, "-fout", str(tmp_path / "o.txt"),
+                     "-models", str(models)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert re.search(f"error: {task}: failed to load {re.escape(str(path))}: {message}",
+                         err)
+        assert err.count(str(path)) == 1
+        # The reader itself names the file.
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            load(path)
+
+    def test_root_label_outside_the_root_labels_exits_3(self, cli_models, tmp_path,
+                                                         capsys):
+        # The fallback would attach a headless token to the root with it.
+        models = tmp_path / "models"
+        shutil.copytree(cli_models, models)
+        path = models / "parse.model"
+        magic, header, rest = path.read_bytes().split(b"\n", 2)
+        assert header.count(b'"root_label":"root"') == 1
+        path.write_bytes(b"\n".join(
+            (magic, header.replace(b'"root_label":"root"', b'"root_label":"zz"'), rest)))
+        out = tmp_path / "o.txt"
+        code = main(["annotate", "-fin", DEMO_INPUT, "-fout", str(out),
+                     "-models", str(models)])
+        assert code == 3
+        assert (f"error: parse: failed to load {path}: root label 'zz' is not one of "
+                "the root labels ['root']" in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("how", ["same path", "hard link", "symbolic link"])
     def test_output_that_is_the_input_exits_2(self, tmp_path, capsys, how):
         # Opening the output would truncate the input, and a failed run

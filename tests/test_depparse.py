@@ -1,3 +1,4 @@
+import copy
 import cProfile
 import logging
 import pstats
@@ -20,9 +21,8 @@ from sylpipe import _kernels, depparse, wseg, pos
 from sylpipe._kernels import NEG_INF
 from sylpipe.depparse import (LEFT_ARC, REDUCE, RIGHT_ARC, SHIFT,
                               IllegalTransition, OracleError, ParserModel,
-                              ParserState, apply_transition, find_crossing_arcs,
-                              is_projective, legal_kinds, legal_transitions,
-                              load_parser, parse_sentence, parse_sentences,
+                              ParserState, find_crossing_arcs, is_projective,
+                              legal_kinds, load_parser, parse_sentence, parse_sentences,
                               projectivize, replay, save_parser, state_features,
                               static_oracle, train_parser)
 from sylpipe.metrics import attachment_scores
@@ -39,15 +39,21 @@ def gold(*rows):
                     for i, (f, p, h, d) in enumerate(rows))
 
 
+# Every transition over RELS, arc kinds expanded over the relations.
+TRANSITIONS = [(SHIFT, None), *((LEFT_ARC, r) for r in RELS),
+               *((RIGHT_ARC, r) for r in RELS), (REDUCE, None)]
+
+
 class TestLegalTransitions:
     def test_initial_state(self):
-        state = ParserState(3)
-        kinds = legal_kinds(state)
+        kinds = legal_kinds(ParserState(3))
         assert kinds == {SHIFT, RIGHT_ARC}
-        expanded = legal_transitions(state, RELS)
-        assert (SHIFT, None) in expanded
-        assert all((RIGHT_ARC, r) in expanded for r in RELS)
-        assert not any(k == LEFT_ARC for k, _ in expanded)
+        for transition in TRANSITIONS:
+            if transition[0] in kinds:
+                ParserState(3).apply(transition)
+            else:
+                with pytest.raises(IllegalTransition):
+                    ParserState(3).apply(transition)
 
     def test_terminal_state(self):
         state = ParserState(1)
@@ -56,7 +62,9 @@ class TestLegalTransitions:
         assert legal_kinds(state) == {REDUCE}
         state.apply((REDUCE, None))
         assert legal_kinds(state) == set()
-        assert legal_transitions(state, RELS) == set()
+        for transition in TRANSITIONS:
+            with pytest.raises(IllegalTransition):
+                state.apply(transition)
 
     def test_left_arc_needs_headless_top(self):
         state = ParserState(2)
@@ -75,10 +83,9 @@ class TestLegalTransitions:
 class TestApplyTransition:
     def test_shift(self):
         state = ParserState(3)
-        out = apply_transition(state, (SHIFT, None))
-        assert out.stack == [0, 1]
-        assert list(out.buffer) == [2, 3]
-        assert state.stack == [0]  # functional: input untouched
+        assert state.apply((SHIFT, None)) is state
+        assert state.stack == [0, 1]
+        assert state.buffer_start == 2
 
     def test_right_arc_from_root(self):
         # reach stack=[0], buffer=[4] by attaching and reducing 1..3
@@ -87,32 +94,33 @@ class TestApplyTransition:
             state.apply((RIGHT_ARC, "nmod"))
             state.apply((REDUCE, None))
         assert state.stack == [0] and state.buffer_start == 4
-        out = apply_transition(state, (RIGHT_ARC, "root"))
-        assert (0, 4, "root") in out.arcs
+        state.apply((RIGHT_ARC, "root"))
+        assert (state.heads[4], state.labels[4]) == (0, "root")
 
     def test_left_arc(self):
         state = ParserState(2)
         state.apply((SHIFT, None))
-        out = apply_transition(state, (LEFT_ARC, "nmod"))
-        assert (2, 1, "nmod") in out.arcs
-        assert out.stack == [0]
+        state.apply((LEFT_ARC, "nmod"))
+        assert (state.heads[1], state.labels[1]) == (2, "nmod")
+        assert state.stack == [0]
 
     def test_reduce_pops(self):
         state = ParserState(2)
         state.apply((RIGHT_ARC, "root"))
-        out = apply_transition(state, (REDUCE, None))
-        assert out.stack == [0]
+        state.apply((REDUCE, None))
+        assert state.stack == [0]
 
     def test_illegal_raises(self):
-        state = ParserState(2)
-        with pytest.raises(IllegalTransition):
-            apply_transition(state, (LEFT_ARC, "nmod"))  # stack top is root
-        with pytest.raises(IllegalTransition):
-            apply_transition(state, (REDUCE, None))  # top has no head
-        with pytest.raises(IllegalTransition):
-            apply_transition(state, (RIGHT_ARC, None))  # missing label
-        with pytest.raises(IllegalTransition):
-            apply_transition(state, (SHIFT, "nmod"))  # unexpected label
+        for transition in [(LEFT_ARC, "nmod"),  # stack top is root
+                           (REDUCE, None),  # top has no head
+                           (RIGHT_ARC, None),  # missing label
+                           (SHIFT, "nmod")]:  # unexpected label
+            state = ParserState(2)
+            with pytest.raises(IllegalTransition):
+                state.apply(transition)
+            # A refused transition leaves the state as it was.
+            assert (state.stack, state.buffer_start, state.heads, state.labels) == \
+                ([0], 1, [None] * 3, [None] * 3)
 
 
 FIXTURE = gold(
@@ -225,7 +233,7 @@ def reference_parse(model, sentence, use_ner, visited=None):
     if n == 0:
         return sentence
     tokens = sentence.tokens
-    values = model._compiled.sentence_values(sentence, use_ner)
+    values = model._compiled.sentence_values(sentence)
     state = ParserState(n)
     while not state.is_terminal():
         assert_compiled_state(model, state, tokens, values, use_ner)
@@ -233,7 +241,7 @@ def reference_parse(model, sentence, use_ner, visited=None):
         scores = _kernels.row_sum(model.weights, ids)
         scores[~model.action_mask(state)] = NEG_INF
         if visited is not None:
-            visited.append((state.copy(), values, scores))
+            visited.append((copy.deepcopy(state), values, scores))
         state.apply(model.actions[int(np.argmax(scores))])
     heads, labels = state.heads, state.labels
     headless = [i for i in range(1, n + 1) if heads[i] is None]
@@ -248,13 +256,20 @@ def reference_parse(model, sentence, use_ner, visited=None):
     return sentence.with_parse(heads[1:], labels[1:])
 
 
+def mask_field(state):
+    """The mask field of a state's record (depparse._FIELDS)."""
+    return dict(zip(depparse._FIELDS, depparse._state_record(state)))["mask"]
+
+
 def assert_compiled_state(model, state, tokens, values, use_ner):
-    ids = model._compiled.state_ids(state, values)
+    *ids, mask = model._compiled.state_ids(state, values)
     expected = model.feature_ids(state_features(state, tokens, use_ner))
     assert sorted(j for j in ids if j >= 0) == expected.tolist()
-    # The state's mask row adds 0.0 to the legal actions, -inf to the others.
-    mask_row = model._rows[len(model.weights) + depparse._mask_code(state)]
-    assert mask_row.tobytes() == np.where(model.action_mask(state), 0.0, NEG_INF).tobytes()
+    # The last id is the state's mask row, which adds 0.0 to the legal
+    # actions and -inf to the others.
+    assert mask == len(model.weights) + mask_field(state)
+    assert model._rows[mask].tobytes() == \
+        np.where(model.action_mask(state), 0.0, NEG_INF).tobytes()
 
 
 def parses(sentences):
@@ -307,9 +322,12 @@ class TestLockstepDecoding:
     @given(parser_cases())
     def test_compiled_features_match_string_path(self, case):
         model, bank, sentences, use_ner = case
+        if not use_ner:  # a sentence without NER labels parses without them
+            bank = [s.with_ner_labels([None] * len(s)) for s in bank]
+            sentences = [s.with_ner_labels([None] * len(s)) for s in sentences]
         for gold_sent in bank:
             tokens = gold_sent.tokens
-            values = model._compiled.sentence_values(gold_sent, use_ner)
+            values = model._compiled.sentence_values(gold_sent)
             state = ParserState(len(gold_sent))
             for transition in static_oracle(gold_sent):
                 assert_compiled_state(model, state, tokens, values, use_ner)
@@ -318,8 +336,6 @@ class TestLockstepDecoding:
                                    ner_label=t.ner_label) for t in s) for s in bank]
         visited = []
         for doc in (stripped, sentences):
-            if not use_ner:  # a sentence without NER labels parses without them
-                doc = [s.with_ner_labels([None] * len(s)) for s in doc]
             expected = [reference_parse(model, s, use_ner, visited) for s in doc]
             assert parses(parse_sentences(model, doc)) == parses(expected)
         # All states scored in one batch, each row bit for bit as row_sum.
@@ -445,6 +461,26 @@ class TestLockstepDecoding:
 
 
 class TestNerFeatureAblation:
+    def test_parser_reads_the_columns_of_its_templates(self, toy_treebank, parse_model):
+        assert not parse_model.use_ner_features
+        compiled = parse_model._compiled
+        assert compiled.columns == ("form", "pos_tag")
+        assert "\n    [form, pos_tag] = values\n" in compiled.source
+        assert "ner_label" not in compiled.source
+        assert len(compiled.sentence_values(toy_treebank[0])) == 2
+        ner_parser = train_parser(list(toy_treebank)[:10], epochs=1, use_ner_features=True)
+        assert ner_parser._compiled.columns == ("form", "pos_tag", "ner_label")
+
+    def test_parser_without_ner_features_ignores_ner_labels(self, toy_treebank, parse_model):
+        # Any NER labels, on some tokens or on all, give the same parses.
+        rng = random.Random(17)
+        labelled = [s.with_ner_labels([rng.choice([*NER_SET, None]) for _ in s])
+                    for s in toy_treebank]
+        assert any(None in s.column("ner_label") and any(s.column("ner_label"))
+                   for s in labelled)
+        assert parses(parse_sentences(parse_model, labelled)) == \
+            parses(parse_sentences(parse_model, toy_treebank))
+
     def test_feature_sets_differ_only_in_ner_templates(self):
         rng = random.Random(9)
         for _ in range(100):
@@ -478,8 +514,8 @@ def oracle_states(sentence):
 
 class TestLegalityTable:
     """Decoding and training read illegal actions from one set of mask rows
-    by _mask_code; at every state the oracle reaches, its row is -inf
-    exactly where _legal_action_mask is False."""
+    by a state's mask field; at every state the oracle reaches, its row is
+    -inf exactly where _legal_action_mask is False."""
 
     @pytest.mark.parametrize("root_labels", [("root",), ("root", "sub"), RELS])
     def test_rows_match_the_mask_on_oracle_walks(self, toy_treebank, root_labels):
@@ -502,7 +538,7 @@ class TestLegalityTable:
         codes = set()
         for sentence in sentences:
             for state in oracle_states(sentence):
-                code = depparse._mask_code(state)
+                code = mask_field(state)
                 codes.add(code)
                 assert np.array_equal(~table[code], depparse._legal_action_mask(
                     state, len(relations), root_labels, action_index))
@@ -511,8 +547,9 @@ class TestLegalityTable:
 
 def assert_trainer_and_decoder_agree(treebank, use_ner):
     """At every oracle state, the trainer's frozen column holds the ids that
-    _lockstep_scores gives the state: its feature ids, then its mask row's
-    in the last row."""
+    state_ids gives the state: its feature ids, then its mask row's, F plus
+    its mask field, in the last row, a row that is -inf exactly where
+    _legal_action_mask is False."""
     relations = sorted({rel for s in treebank for rel in s.column("dep_label")})
     action_index = {a: i for i, a in enumerate(depparse._actions(relations))}
     feature_index, ids, gold, bounds = depparse._freeze(treebank, action_index, use_ner)
@@ -522,12 +559,16 @@ def assert_trainer_and_decoder_agree(treebank, use_ner):
     compiled = model._compiled
     j = 0
     for sentence in treebank:
-        values = compiled.sentence_values(sentence, use_ner)
+        values = compiled.sentence_values(sentence)
         for state in oracle_states(sentence):
             features = ids[:-1, j]
+            *expected, mask = compiled.state_ids(state, values)
             assert sorted(features[features >= 0].tolist()) == \
-                sorted(i for i in compiled.state_ids(state, values) if i >= 0)
-            assert ids[-1, j] == F + depparse._mask_code(state)
+                sorted(i for i in expected if i >= 0)
+            assert ids[-1, j] == mask == F + mask_field(state)
+            legal = depparse._legal_action_mask(state, len(relations), model.root_labels,
+                                                action_index)
+            assert np.array_equal(np.isneginf(model._rows[mask]), ~legal)
             j += 1
     assert j == ids.shape[1] == len(gold) == bounds[-1]
     return feature_index
@@ -572,13 +613,12 @@ class TestTrainerIds:
         names, source, _ = depparse._state_ids_code(
             depparse._templates(parse_model.use_ner_features))
         assert compiled.source == source
-        namespace = dict(zip(names, compiled.tables))
+        namespace = dict(zip(names, compiled.tables), masks=len(parse_model.weights))
         exec(compile(compiled.source, "<state_ids>", "exec"), namespace)
-        for use_ner in (False, True):
-            for sentence in toy_treebank[:5]:
-                values = compiled.sentence_values(sentence, use_ner)
-                for state in oracle_states(sentence):
-                    assert namespace["state_ids"](state, values) == state_ids(state, values)
+        for sentence in toy_treebank[:5]:
+            values = compiled.sentence_values(sentence)
+            for state in oracle_states(sentence):
+                assert namespace["state_ids"](state, values) == state_ids(state, values)
         # cProfile names it as it names a function written by hand.
         profile = cProfile.Profile()
         profile.runcall(parse_sentences, parse_model, toy_treebank[:3])
@@ -766,6 +806,15 @@ class TestSerialization:
                                                    b'"root_labels":["nope"]', 1))
         with pytest.raises(ModelLoadError, match="root labels must be relations"):
             load_model("parse", str(path))
+
+    def test_root_label_outside_root_labels_rejected(self):
+        # The fallback attaches a headless token to the root with root_label.
+        with pytest.raises(ValueError, match=r"^root label 'dep' is not one of the "
+                                             r"root labels \['root'\]$"):
+            ParserModel(["dep", "root"], {"never=": 0}, np.zeros((1, 6)), root_label="dep")
+        model = ParserModel(["dep", "root"], {"never=": 0}, np.zeros((1, 6)),
+                            root_labels=("dep", "root"), root_label="dep")
+        assert model.root_label == "dep"
 
     def test_conllx_reader(self, toy_treebank, tmp_path):
         lines = []

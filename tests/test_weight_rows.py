@@ -22,13 +22,13 @@ NEG_INF = float("-inf")
 
 def parser_tail(model):
     """The mask rows, 0.0 where model.action_mask allows an action at a
-    state of each _mask_code, then zeros."""
+    state of each mask field value (depparse._FIELDS), then zeros."""
     root_arc = (depparse.RIGHT_ARC, model.root_labels[0])
     walks = [[], [root_arc, (depparse.REDUCE, None)], [(depparse.SHIFT, None)], [root_arc]]
     rows = []
     for code, walk in enumerate(walks):
         state = depparse.replay(walk, 3)
-        assert depparse._mask_code(state) == code
+        assert dict(zip(depparse._FIELDS, depparse._state_record(state)))["mask"] == code
         rows.append(np.where(model.action_mask(state), 0.0, NEG_INF))
     return np.vstack([*rows, np.zeros((1, len(model.actions)))])
 
