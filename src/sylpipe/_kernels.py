@@ -18,7 +18,9 @@ Every weight array that sum_rows reads ends in a row of zeros, which the
 padding id -1 reads, so a decode step is one gather and one sum, with no
 masking pass. The parser puts its action legality into the same array:
 after its feature rows come one row per kind of state, 0.0 at a legal
-action and -inf at an illegal one. The weights are integers whose sums stay
+action and -inf at an illegal one; its decode array holds, after the
+feature rows, sums of rows that a state reads together, the mask rows
+among them (depparse). The weights are integers whose sums stay
 within 2**53 (linear.check_weights), so every sum is exact in any order,
 and a masked score is the sum itself or exactly -inf.
 
@@ -142,6 +144,9 @@ def sum_rows(weights, ids):
     weights ends in a row of zeros. ids is (K, T): column t holds the ids
     of position t, and -1 as padding, which may sit anywhere in the column
     and reads the zero row. One gather into a (K, T, L) array, summed over
-    K.
+    K. The gather is weights.take(ids, axis=0), which reads what weights[ids]
+    reads, -1 included, in less time: at K = 25 and L = 24, 0.5-0.8
+    against 1.4-2.3 us for one position and 10 against 16 us for 40
+    (numpy 2.4, one core of a shared 2-vCPU VM).
     """
-    return weights[ids].sum(axis=0)
+    return weights.take(ids, axis=0).sum(axis=0)

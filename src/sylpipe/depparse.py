@@ -10,35 +10,52 @@ chosen, the rest to the root token with a fallback relation).
 parse_sentences decodes a document in lockstep: every unfinished sentence
 takes one greedy transition per step, in groups of at most
 LOCKSTEP_SENTENCES sentences, and one gather and sum (_kernels.sum_rows)
-scores and masks all of them. The array a model scores with holds its
+scores and masks all of them. The array a model trains with holds its
 feature rows, then one mask row per value of a state's mask field, 0.0
 where an action is legal and -inf where it is not (_score_tail), then the
-zero row that the padding id -1 reads. Each state's ids end with its mask
-row's: a legal score equals a row_sum over the state's feature ids, since
-the integer weights sum exactly in any order (linear.check_weights), and an
-illegal one is exactly -inf. The masked argmax is legal, so it is applied
-by ParserState.advance, apply without its legality checks.
+zero row that the padding id -1 reads. A legal score equals a row_sum over
+the state's feature ids, since the integer weights sum exactly in any order
+(linear.check_weights), and an illegal one is exactly -inf. The masked
+argmax is legal, so it is applied by ParserState.advance, apply without its
+legality checks.
 
-The features are written once, as tables (_TEMPLATES, _ATOMS, _FIELDS),
-and a state's mask row is one more of its fields. The code that reads them
-at a state is generated from the tables, as collections.namedtuple and
-dataclasses build methods from source text: straight-line code for
-_CompiledStateFeatures.state_ids, which resolves a state's features and its
-mask row to ids without strings for decoding, and _state_record, the record
+Decoding sums fewer rows of a second array, built at a model's first
+decode (_CompiledStateFeatures): the feature rows, then the block rows,
+then the zero row. A block (_BLOCKS) is a group of small-domain fields of a
+state: the dense codes of slots' POS tags or NER labels, the distance
+bucket, the valency buckets and the mask field. It holds one row per tuple
+of their codes: the sum of the feature rows that its templates fire there,
+and of the mask row where the block holds the mask field. Such a sum is
+exact, and -inf plus a finite weight is exactly -inf, so a state's scores
+are the same sums over 14 rows instead of 25 (15 instead of 28 with NER
+features): one per template that no block holds and one per block. The
+default blocks take (10 * P**2 + 256) rows of A float64 for P tag codes
+(the tags, <root>, <none> and one for any other tag) and A actions, about
+10.5 MB for 40 tags and 70 actions, and N**2 more for N NER codes; the
+decode array copies the feature rows too. Training and the
+model file do not change: blocks exist only at decode time.
+
+The features are written once, as tables (_TEMPLATES, _ATOMS, _FIELDS,
+_BLOCKS), and a state's mask row is one more of its fields. The code that
+reads them at a state is generated from the tables, as
+collections.namedtuple and dataclasses build methods from source text:
+straight-line code for _CompiledStateFeatures.state_ids, which resolves a
+state to its decode rows without strings, and _state_record, the record
 that training freezes. A parser reads the Token columns that its templates
 read (_columns), so one without NER features reads no NER label.
 state_features, written by hand, builds the same features as strings; it is
 the oracle both are tested against, and _legal_action_mask the oracle of
 the mask rows.
 
-state_ids interns every value string in the model's alphabet: a one-atom
-template reads a list by value id, and a conjunction maps the tuple of its
-atoms' value ids to a feature id. A feature "<template>=<value>" is
-registered under its one reading, <value> split at the tab that joins its
-atoms' values (templates.alphabet_tuples), as the string path joins them;
-so a lookup hits exactly when state_features' string is in the alphabet.
-A template's name joins its atoms with "|" (s0p|b0p), a joiner of names,
-not of values.
+state_ids interns every value string of the templates that no block holds
+in the model's alphabet: a one-atom template reads a list by value id, and
+a conjunction maps the tuple of its atoms' value ids to a feature id. A
+feature "<template>=<value>" is registered under its one reading, <value>
+split at the tab that joins its atoms' values (templates.alphabet_tuples),
+as the string path joins them; so a lookup hits exactly when
+state_features' string is in the alphabet. The blocks read the alphabet
+the same way. A template's name joins its atoms with "|" (s0p|b0p), a
+joiner of names, not of values.
 
 train_parser freezes its states once (_freeze): it walks each sentence's
 static oracle and records each state's fields, its mask row's among them.
@@ -59,6 +76,7 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
+import math
 import re
 
 import numpy as np
@@ -375,6 +393,17 @@ _ATOMS = {"s0w": ("form", "s0"), "s0p": ("pos_tag", "s0"), "s1p": ("pos_tag", "s
           "b0n": ("ner_label", "b0")}
 _BUCKETS = {"distance": (_NONE_VALUE, "1", "2", "3", "4", "5+"),
             "valency": ("0", "1", "2", "3+")}
+# The values of the mask field, one per mask row of _score_tail.
+_MASKS = 4
+
+# Groups of small-domain fields, each an atom or the mask field, whose
+# templates decoding sums ahead into one row per tuple of their codes
+# (_CompiledStateFeatures). A Token column atom's code is its value's dense
+# code, a bucket atom's its bucket and the mask field's its value. A
+# template whose atoms all lie in a block is folded into the first block
+# that holds them; the mask row is folded into the block of the mask field.
+_BLOCKS = (("s0p", "b0p", "dist"), ("b0p", "b1p"), ("s1p", "s2p"), ("s0lcp", "s0rcp"),
+           ("b0lcp", "b2p"), ("s0lv", "s0rv", "b0lv", "mask"), ("s0n", "b0n"))
 
 
 def _templates(use_ner):
@@ -391,6 +420,32 @@ def _columns(templates):
     """The Token columns that the templates read, in the order they first do."""
     return tuple(dict.fromkeys(column for name in templates for atom in _atoms(name)
                                if (column := _ATOMS[atom][0]) not in _BUCKETS))
+
+
+@functools.lru_cache(maxsize=4)
+def _layout(templates):
+    """(loose, blocks) of the templates: the indices of those that no block
+    of _BLOCKS holds, then each block that holds a template or the mask
+    field, as (its fields, the indices of its templates)."""
+    members = [[] for _ in _BLOCKS]
+    loose = []
+    for k, name in enumerate(templates):
+        held = [b for b, fields in enumerate(_BLOCKS) if set(_atoms(name)) <= set(fields)]
+        (members[held[0]] if held else loose).append(k)
+    return tuple(loose), tuple((fields, tuple(ks)) for fields, ks in zip(_BLOCKS, members)
+                               if ks or "mask" in fields)
+
+
+def _field_code(field):
+    """(code, radix) of a block field, as expressions of state_ids: a Token
+    column's codes by slot and the column's radix, or a bucket or the mask
+    field and its number of values."""
+    if field == "mask":
+        return "mask", str(_MASKS)
+    column, slot = _ATOMS[field]
+    if column in _BUCKETS:
+        return slot, str(len(_BUCKETS[column]))
+    return f"{column}_codes[{slot}]", f"{column}_radix"
 
 
 def _straight_line(named, lines):
@@ -423,76 +478,180 @@ exec(compile("\n".join(["def state_record(state):", *_straight_line(
 _state_record = _generated["state_record"]
 
 
+def _lookup_name(name):
+    """The name that state_ids reads a loose template's lookup by."""
+    return re.sub(r"\W", "_", name) + "_"
+
+
+def _coded_columns(blocks):
+    """The Token columns whose codes the blocks read, in the order they first do."""
+    return tuple(dict.fromkeys(column for fields, _ in blocks for field in fields
+                               if field != "mask"
+                               and (column := _ATOMS[field][0]) not in _BUCKETS))
+
+
 @functools.lru_cache(maxsize=4)
 def _state_ids_code(templates):
     """(names, source, code) of state_ids over the templates, run where names
-    are bound to the tables and masks to the id of mask row 0
-    (_CompiledStateFeatures)."""
-    names = [*(re.sub(r"\W", "_", name) + "_" for name in templates), *_BUCKETS]
+    are bound as _CompiledStateFeatures.bindings binds them."""
+    loose, blocks = _layout(templates)
+    coded = _coded_columns(blocks)
+    names = [*(_lookup_name(templates[k]) for k in loose),
+             *(f"block_{b}" for b in range(len(blocks))), *(f"{c}_radix" for c in coded)]
     found = []
-    for k, name in enumerate(templates):
-        atoms = _atoms(name)
-        column, field = _ATOMS[atoms[0]]
-        found.append(f"{names[k]}(({', '.join(atoms)}), -1)" if len(atoms) > 1
-                     else f"{names[k]}[{field if column in _BUCKETS else atoms[0]}]")
-    body = [f"    [{', '.join(_columns(templates))}] = values",
-            "\n".join(["    ids = [", *(f"        {e}," for e in found),
-                       "        masks + mask,", "    ]"])]
+    for k in loose:
+        atoms = _atoms(templates[k])
+        lookup = _lookup_name(templates[k])
+        found.append(f"{lookup}(({', '.join(atoms)}), -1)" if len(atoms) > 1
+                     else f"{lookup}[{atoms[0]}]")
+    for b, (fields, _) in enumerate(blocks):
+        (code, _), *rest = map(_field_code, fields)
+        for digit, radix in rest:
+            code = f"{f'({code})' if ' + ' in code else code} * {radix} + {digit}"
+        found.append(f"block_{b} + {code}")
+    reads = [*_columns([templates[k] for k in loose]), *(f"{c}_codes" for c in coded)]
+    body = [f"    [{', '.join(reads)}] = values",
+            "\n".join(["    ids = [", *(f"        {e}," for e in found), "    ]"])]
     named = {**_STATE, **_FIELDS, **{a: "{}[{}]".format(*ca) for a, ca in _ATOMS.items()}}
     source = "\n".join([
         "def state_ids(state, values):",
-        '    """The id of each feature of state_features(state, ...), -1 if unknown,',
-        '    in template order, then the id of the state\'s mask row."""',
+        '    """The rows of a state in the decode array: the feature id of each',
+        "    template that no block holds, -1 if unknown, in template order, then",
+        '    the row of each block at the state\'s codes."""',
         *_straight_line(named, body), "    return ids\n"])
     return names, source, compile(source, f"<{__name__} state_ids>", "exec")
 
 
 class _CompiledStateFeatures:
-    """A ParserModel's state_features, resolved to feature ids without strings.
+    """A ParserModel's state_features, resolved to rows without strings.
 
-    tables holds a lookup per template that the model reads (_templates),
-    then each bucket's value ids: a one-atom template's list by value id
-    (its last entry, -1, is read by the value id -1 of a string outside the
-    alphabet) or by bucket, a conjunction's dict.get by its atoms' value
-    ids. columns names the Token columns that the templates read, the
-    columns of sentence_values. state_ids is straight-line code generated
-    from the tables (source holds its text): it gives a state's feature ids
-    and then its mask row's, the model's F + mask (_FIELDS). The
+    A template that no block of _BLOCKS holds reads only Token columns (the
+    blocks hold every template over a bucket) and is read as the model's
+    feature rows are: values interns every value string of these templates
+    in the model's alphabet, and a one-atom template reads a list by value
+    id (its last entry, -1, is read by the value id -1 of a string outside
+    the alphabet), a conjunction a dict.get by its atoms' value ids, of the
+    Token columns in columns.
+
+    A block holds one row per tuple of its fields' codes: the sum of the
+    feature rows that its templates fire at those codes, and of the mask
+    row at the mask field's code where the block has that field. The codes
+    of a Token column (codes, by value) number the values that the folded
+    templates read of it in the alphabet, in sorted order, <root> and
+    <none> among them; one more code stands for every other value, which
+    fires none of them. A block's row is then the exact sum of the rows
+    that these templates and the mask give the state (linear.check_weights),
+    so a state sums one row per loose template and one per block. blocks
+    holds each block's fields, template names and first row.
+
+    rows, the read-only decode array, holds the model's feature rows, then
+    the block rows, then the zero row that the id -1 reads; it is built on
+    the first decode, from the model at hand, while training and the model
+    file keep the feature rows and mask rows alone. state_ids is
+    straight-line code generated from the tables (source holds its text,
+    bindings the values it reads by name): it gives a state's rows. The
     hand-written state_features is the oracle it is tested against.
     """
 
     def __init__(self, model):
         templates = _templates(model.use_ner_features)
+        loose, blocks = _layout(templates)
         arities = [len(_atoms(name)) for name in templates]
         values = {}
-        tables = [{} for _ in templates]
+        tables = {k: {} for k in loose}
+        folded = {k: [] for _, ks in blocks for k in ks}
         for t, parts, j in alphabet_tuples(model.feature_index, templates, arities):
-            key = tuple(values.setdefault(part, len(values)) for part in parts)
-            tables[t][key if arities[t] > 1 else key[0]] = j
+            if t in tables:
+                key = tuple(values.setdefault(part, len(values)) for part in parts)
+                tables[t][key if arities[t] > 1 else key[0]] = j
+            else:
+                folded[t].append((parts, j))
         self.values = values
-        get = values.get
-        buckets = {column: [get(v, -1) for v in b] for column, b in _BUCKETS.items()}
-        self.tables = (*(
-            table.get if n > 1 else
-            [table.get(v, -1) for v in buckets.get(_ATOMS[_atoms(name)[0]][0],
-                                                   range(len(values) + 1))]
-            for name, n, table in zip(templates, arities, tables)), *buckets.values())
-        self.columns = _columns(templates)
+        lookups = [tables[k].get if arities[k] > 1 else
+                   [tables[k].get(v, -1) for v in range(len(values) + 1)] for k in loose]
+        self.columns = _columns([templates[k] for k in loose])
+
+        coded = {column: {_ROOT_VALUE, _NONE_VALUE} for column in _coded_columns(blocks)}
+        for k, features in folded.items():
+            for i, atom in enumerate(_atoms(templates[k])):
+                if (column := _ATOMS[atom][0]) in coded:
+                    coded[column].update(parts[i] for parts, _ in features)
+        self.codes = {column: {v: c for c, v in enumerate(sorted(seen))}
+                      for column, seen in coded.items()}
+
+        def radix(field):
+            if field == "mask":
+                return _MASKS
+            column = _ATOMS[field][0]
+            return len(_BUCKETS[column]) if column in _BUCKETS else len(self.codes[column]) + 1
+
+        def code(atom, part):
+            column = _ATOMS[atom][0]
+            if column not in _BUCKETS:
+                return self.codes[column][part]
+            return _BUCKETS[column].index(part) if part in _BUCKETS[column] else None
+
+        def grid(fields, shape, k):
+            # The feature id that template k fires at each tuple of codes,
+            # -1 where it fires none, over the fields that it reads.
+            atoms = _atoms(templates[k])
+            dims = [fields.index(atom) for atom in atoms]
+            ids = np.full([size if i in dims else 1 for i, size in enumerate(shape)], -1,
+                          dtype=np.intp)
+            for parts, j in folded[k]:
+                at = [0] * len(fields)
+                for i, atom, part in zip(dims, atoms, parts):
+                    at[i] = code(atom, part)
+                if None not in at:
+                    ids[tuple(at)] = j
+            return ids
+
+        F, A = model.weights.shape
+        shapes = [tuple(map(radix, fields)) for fields, _ in blocks]
+        bases = list(itertools.accumulate(map(math.prod, shapes), initial=F))
+        rows = np.empty((bases[-1] + 1, A))
+        rows[:F] = model.weights
+        rows[-1] = 0.0
+        for (fields, ks), shape, base in zip(blocks, shapes, bases):
+            grids = [grid(fields, shape, k) for k in ks]
+            if "mask" in fields:
+                grids.append(np.arange(F, F + _MASKS).reshape(
+                    [_MASKS if field == "mask" else 1 for field in fields]))
+            block = rows[base:base + math.prod(shape)].reshape(*shape, A)
+            block[...] = model._rows[grids[0]]
+            for ids in grids[1:]:
+                block += model._rows[ids]
+        rows.flags.writeable = False
+        self.rows = rows
+        self.blocks = tuple((fields, tuple(templates[k] for k in ks), base)
+                            for (fields, ks), base in zip(blocks, bases))
+
         names, self.source, code = _state_ids_code(templates)
-        exec(code, namespace := dict(zip(names, self.tables), masks=len(model.weights)))
+        self.bindings = dict(zip(names, [
+            *lookups, *bases[:-1],
+            *(len(codes) + 1 for codes in self.codes.values())]))
+        exec(code, namespace := dict(self.bindings))
         self.state_ids = namespace["state_ids"]
 
     def sentence_values(self, sentence):
         """Value ids of a Sentence by slot (0 the root, 1..n the tokens, n + 1
-        none), a list per column of columns. A column that some token lacks
-        is -1 at every slot, which no table knows, so none of its features
-        fire; after check_input, only the NER column of a sentence without
-        NER labels is such a column."""
+        none), a list per column of columns, then its codes by slot, a list
+        per column of codes. A column that some token lacks is -1 at every
+        slot, which no table knows, and the other code, so none of its
+        features fire; after check_input, only the NER column of a sentence
+        without NER labels is such a column."""
         get = self.values.get
         root, none = get(_ROOT_VALUE, -1), get(_NONE_VALUE, -1)
-        return tuple([-1] * (len(column) + 2) if None in column
-                     else [root, *map(get, column, itertools.repeat(-1)), none]
-                     for column in map(sentence.column, self.columns))
+        ids = [[-1] * (len(column) + 2) if None in column
+               else [root, *map(get, column, itertools.repeat(-1)), none]
+               for column in map(sentence.column, self.columns)]
+        for column, codes in self.codes.items():
+            column = sentence.column(column)
+            other = len(codes)
+            ids.append([other] * (len(column) + 2) if None in column else
+                       [codes[_ROOT_VALUE], *map(codes.get, column, itertools.repeat(other)),
+                        codes[_NONE_VALUE]])
+        return tuple(ids)
 
 
 @functools.lru_cache(maxsize=16)
@@ -508,7 +667,7 @@ def _score_tail(relations, root_labels):
     if not set(root_labels) <= set(relations):
         raise ValueError("root labels must be relations")
     R = len(relations)
-    tail = np.full((5, 2 * R + 2), NEG_INF)
+    tail = np.full((_MASKS + 1, 2 * R + 2), NEG_INF)
     tail[:, 0] = 0.0
     tail[0, [1 + R + relations.index(rel) for rel in root_labels]] = 0.0
     tail[2:4, 1 + R:1 + 2 * R] = 0.0
@@ -610,7 +769,7 @@ def check_input(sentence, use_ner, number=None):
 
 
 # Sentences decoded together at most; bounds the (K, B, A) float64 gather
-# of one step.
+# of one step, K the 14 or 15 rows of a state.
 LOCKSTEP_SENTENCES = 256
 
 
@@ -674,17 +833,15 @@ def _decode_lockstep(model, sentences):
 def _lockstep_scores(model, states, values):
     """(B, A) transition scores of B states, illegal ones -inf.
 
-    Row b equals row_sum over state b's feature ids with its illegal actions
-    then set to -inf: state_ids gives its ids in template order, the -1s
-    read the zero row, and the id of the state's mask row comes last (see
-    the module docstring).
+    Row b equals row_sum over state b's feature ids and its mask row's:
+    state_ids gives the rows of the decode array that sum to it, a loose
+    template's feature id, -1 reading the zero row, and each block's row
+    (see the module docstring). All B states' ids are read in one pass.
     """
-    state_ids = model._compiled.state_ids
-    ids = []
-    for state, v in zip(states, values):
-        ids += state_ids(state, v)
-    ids = np.array(ids, dtype=np.intp).reshape(len(states), -1)
-    return _kernels.sum_rows(model._rows, ids.T)
+    compiled = model._compiled
+    ids = np.fromiter(itertools.chain.from_iterable(map(compiled.state_ids, states, values)),
+                      dtype=np.intp)
+    return _kernels.sum_rows(compiled.rows, ids.reshape(len(states), -1).T)
 
 
 def _attach_headless(model, state):
@@ -916,12 +1073,12 @@ def save_parser(model, path):
 
 
 def load_parser(path):
-    header, feature_index, (weights,) = DEP3.read(path)
-    return ParserModel(header["relations"], feature_index, weights,
-                       use_ner_features=header["use_ner"],
-                       root_labels=header["root_labels"],
-                       root_label=header["root_label"],
-                       fallback_label=header["fallback_label"])
+    """Read a model written by save_parser; a refusal names the file first
+    (ModelFormat.load)."""
+    return DEP3.load(path, lambda header, feature_index, arrays: ParserModel(
+        header["relations"], feature_index, *arrays, use_ner_features=header["use_ner"],
+        root_labels=header["root_labels"], root_label=header["root_label"],
+        fallback_label=header["fallback_label"]))
 
 
 def parse_conllx(text):

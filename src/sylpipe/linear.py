@@ -282,3 +282,14 @@ class ModelFormat:
                 if fh.readinto(array) != array.nbytes:
                     raise ValueError(f"{path}: model file changed while it was read")
         return header, feature_index, arrays
+
+    def load(self, path, build):
+        """build(header, feature index, weight arrays) of the model file at
+        path (read). Every ValueError names the file first: a refusal of
+        its header or its model that does not is given the prefix."""
+        try:
+            return build(*self.read(path))
+        except ValueError as exc:
+            if str(exc).startswith(f"{path}: "):
+                raise
+            raise ValueError(f"{path}: {exc}") from exc

@@ -995,12 +995,17 @@ def save_linear_model(model, path):
 
 
 def load_linear_model(path):
-    header, feature_index, (em, tr) = SEQ3.read(path)
+    """Read a model written by save_linear_model; a refusal names the file
+    first (ModelFormat.load)."""
+    return SEQ3.load(path, _linear_model_of)
+
+
+def _linear_model_of(header, feature_index, arrays):
     for name, descriptor in header["templates"]:
         if name != descriptor:
             raise ValueError(f"template name {name!r} is not its descriptor {descriptor!r}")
     return LinearModel(header["labels"], make_templates(d for _, d in header["templates"]),
-                       feature_index, em, tr,
+                       feature_index, *arrays,
                        bio_constrained=header["bio"],
                        induced_pairs=[tuple(p) for p in header["pairs"]],
                        gazetteer=header["gazetteer"])

@@ -588,23 +588,26 @@ def save_segmenter(model, path):
 
 def load_segmenter(path):
     """Read a model written by save_segmenter. A fault raises ValueError
-    naming the file: a layout fault as ModelFormat.read reports it, a
-    lexicon entry that Lexicon refuses at its line, and a rule whose score
-    is not a count or that TransformationRule refuses by its number."""
-    header, alphabet, _ = WSEG2.read(path)
-    words = [tuple(entry.split(" ")) for entry in alphabet]
-    try:
-        lexicon = Lexicon(words)
-    except DataError:
-        j = next(j for j, word in enumerate(words) if _bad_entry(word))
-        raise _corrupt(path, f"line {j + 3}: bad lexicon entry {' '.join(words[j])!r}") from None
-    rules = []
-    for k, fields in enumerate(header["rules"], start=1):
+    naming the file first (ModelFormat.load): a layout fault as
+    ModelFormat.read reports it, a lexicon entry that Lexicon refuses at its
+    line, and a rule whose score is not a count or that TransformationRule
+    refuses by its number."""
+    def build(header, alphabet, _):
+        words = [tuple(entry.split(" ")) for entry in alphabet]
         try:
-            action, template, score, *values = fields
-            if not (score.isascii() and score.isdigit()):
-                raise ValueError(f"bad rule score {score!r}")
-            rules.append(TransformationRule(action, template, tuple(values), int(score)))
-        except ValueError as exc:
-            raise _corrupt(path, f"rule {k}: {exc}") from None
-    return SegmenterModel(lexicon, tuple(rules), header["radius"])
+            lexicon = Lexicon(words)
+        except DataError:
+            j = next(j for j, word in enumerate(words) if _bad_entry(word))
+            raise _corrupt(path, f"line {j + 3}: bad lexicon entry "
+                                 f"{' '.join(words[j])!r}") from None
+        rules = []
+        for k, fields in enumerate(header["rules"], start=1):
+            try:
+                action, template, score, *values = fields
+                if not (score.isascii() and score.isdigit()):
+                    raise ValueError(f"bad rule score {score!r}")
+                rules.append(TransformationRule(action, template, tuple(values), int(score)))
+            except ValueError as exc:
+                raise _corrupt(path, f"rule {k}: {exc}") from None
+        return SegmenterModel(lexicon, tuple(rules), header["radius"])
+    return WSEG2.load(path, build)

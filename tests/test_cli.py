@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import shutil
@@ -10,6 +11,17 @@ from conftest import DEMO_ANNOTATED, DEMO_INPUT, TOY_DIR
 from helpers import join_model_file, split_model_file
 from sylpipe import cli, depparse, metrics, ner, pos, seqlabel, wseg
 from sylpipe.cli import main
+
+
+def edited_header(edit):
+    """The damage of a model file that edits its JSON header in place."""
+    def damage(data):
+        magic, header, rest = data.split(b"\n", 2)
+        header = json.loads(header)
+        edit(header)
+        return b"\n".join((magic, json.dumps(header, sort_keys=True,
+                                             separators=(",", ":")).encode(), rest))
+    return damage
 
 
 @pytest.fixture(scope="module")
@@ -457,7 +469,15 @@ class TestAnnotate:
          r"corrupt model file \(weight section has \d+ bytes, expected \d+\)",
          depparse.load_parser),
         ("wseg", lambda data: data[:1], "not a SYLPIPE-WSEG2 model file",
-         wseg.load_segmenter)])
+         wseg.load_segmenter),
+        # Refusals of the model that a well-formed file holds name it too.
+        ("parse", edited_header(lambda h: h.update(root_label="zz")),
+         re.escape("root label 'zz' is not one of the root labels ['root']"),
+         depparse.load_parser),
+        ("pos", edited_header(lambda h: h["labels"].__setitem__(1, h["labels"][0])),
+         "label alphabet must be non-empty and duplicate-free", seqlabel.load_linear_model),
+        ("parse", edited_header(lambda h: h.update(root_labels=["zz"])),
+         "root labels must be relations", depparse.load_parser)])
     def test_load_fault_names_the_file_once(self, cli_models, tmp_path, capsys, task,
                                             damage, message, load):
         models = tmp_path / "models"

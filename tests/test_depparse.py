@@ -1,5 +1,6 @@
 import copy
 import cProfile
+import itertools
 import logging
 import pstats
 import random
@@ -29,6 +30,7 @@ from sylpipe.metrics import attachment_scores
 from sylpipe.model import Sentence, Token
 from sylpipe.pipeline import ModelLoadError, load_model
 from sylpipe.seqlabel import DecodeError, TrainingError
+from sylpipe.templates import VALUE_JOINER
 
 RELS = ("nmod", "root", "sub")
 
@@ -262,14 +264,59 @@ def mask_field(state):
 
 
 def assert_compiled_state(model, state, tokens, values, use_ner):
-    *ids, mask = model._compiled.state_ids(state, values)
-    expected = model.feature_ids(state_features(state, tokens, use_ner))
-    assert sorted(j for j in ids if j >= 0) == expected.tolist()
-    # The last id is the state's mask row, which adds 0.0 to the legal
-    # actions and -inf to the others.
-    assert mask == len(model.weights) + mask_field(state)
+    """The rows that state_ids gives a state sum, byte for byte, to row_sum
+    over the ids of its feature strings and its mask row, and those of the
+    templates that no block holds are their feature strings' ids."""
+    compiled = model._compiled
+    ids = compiled.state_ids(state, values)
+    templates = depparse._templates(model.use_ner_features)
+    loose, blocks = depparse._layout(templates)
+    assert len(ids) == len(loose) + len(blocks)
+    features = state_features(state, tokens, use_ner)
+    fired = {f.partition("=")[0]: f for f in features}
+    assert ids[:len(loose)] == [model.feature_index.get(fired.get(templates[k]), -1)
+                                for k in loose]
+    mask = len(model.weights) + mask_field(state)
+    expected = _kernels.row_sum(model._rows, [*model.feature_ids(features), mask])
+    assert _kernels.row_sum(compiled.rows, ids).tobytes() == expected.tobytes()
+    # The mask row adds 0.0 to the legal actions and -inf to the others.
     assert model._rows[mask].tobytes() == \
         np.where(model.action_mask(state), 0.0, NEG_INF).tobytes()
+
+
+# A tag that no alphabet of these tests holds, read as the other code.
+OTHER_TAG = "never-a-tag"
+
+
+def assert_block_rows(model):
+    """Each block row is, byte for byte, row_sum over the ids of the feature
+    strings that its templates fire at its codes (-1 where one fires none),
+    and of the mask row at the mask field's code; the decode array, feature
+    rows, block rows and zero row, is read-only."""
+    compiled = model._compiled
+    F = len(model.weights)
+    for codes in compiled.codes.values():
+        assert codes.keys() >= {"<root>", "<none>"} and OTHER_TAG not in codes
+        assert sorted(codes.values()) == list(range(len(codes)))
+    for fields, names, base in compiled.blocks:
+        values = []
+        for field in fields:
+            column = "mask" if field == "mask" else depparse._ATOMS[field][0]
+            codes = compiled.codes.get(column)
+            values.append(range(depparse._MASKS) if column == "mask" else
+                          depparse._BUCKETS[column] if codes is None else
+                          [*sorted(codes, key=codes.get), OTHER_TAG])
+        for row, combination in enumerate(itertools.product(*values), base):
+            value = dict(zip(fields, combination))
+            ids = [model.feature_index.get(name + "=" + VALUE_JOINER.join(
+                       value[atom] for atom in depparse._atoms(name)), -1) for name in names]
+            if "mask" in value:
+                ids.append(F + value["mask"])
+            assert compiled.rows[row].tobytes() == \
+                _kernels.row_sum(model._rows, ids).tobytes()
+    assert compiled.rows[:F].tobytes() == model.weights.tobytes()
+    assert row + 2 == len(compiled.rows) and not compiled.rows[-1].any()
+    assert not compiled.rows.flags.writeable
 
 
 def parses(sentences):
@@ -343,10 +390,28 @@ class TestLockstepDecoding:
         got = depparse._lockstep_scores(model, states, values)
         assert got.tobytes() == np.array(expected).tobytes()
 
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(parser_cases())
+    def test_block_rows_sum_the_rows_their_templates_fire(self, case):
+        # Odd tags ("N|V", "|", "<root>") are codes like any other, and a
+        # tag outside the alphabet reads the other code, whose rows fire
+        # none of its templates.
+        model, bank, _, _ = case
+        assert_block_rows(model)
+        # A state sums 8 loose templates' rows and one row per block.
+        compiled = model._compiled
+        for sentence in bank:
+            values = compiled.sentence_values(sentence)
+            for state in oracle_states(sentence):
+                assert len(compiled.state_ids(state, values)) == \
+                    (15 if model.use_ner_features else 14)
+
     def test_ud_tags_make_one_table_entry_per_conjunction_feature(self, toy_treebank):
-        # Each tag followed by UD-style morphology holds "|": every
-        # conjunction feature is one entry of its template's table, and the
-        # compiled decode parses as the string path does.
+        # Each tag followed by UD-style morphology holds "|": every loose
+        # conjunction feature is one entry of its template's table, each tag
+        # one code of the blocks, and the compiled decode parses as the
+        # string path does.
         def ud(sent):
             return sent.with_pos_tags([f"{tag}|Number=Sing|Case=Nom"
                                        for tag in sent.column("pos_tag")])
@@ -354,12 +419,16 @@ class TestLockstepDecoding:
         model = train_parser([ud(s) for s in toy_treebank], epochs=2)
         compiled = model._compiled
         names = depparse._templates(False)
-        conjunctions = [k for k, name in enumerate(names) if "|" in name]
-        assert len(conjunctions) == 8
-        for k in conjunctions:
-            features = [f for f in model.feature_index
-                        if f.partition("=")[0] == names[k]]
-            assert features and len(compiled.tables[k].__self__) == len(features)
+        loose, _ = depparse._layout(names)
+        conjunctions = [names[k] for k in loose if "|" in names[k]]
+        assert len(conjunctions) == 5
+        for name in conjunctions:
+            features = [f for f in model.feature_index if f.partition("=")[0] == name]
+            table = compiled.bindings[depparse._lookup_name(name)].__self__
+            assert features and len(table) == len(features)
+        tags = {tag for s in toy_treebank for tag in ud(s).column("pos_tag")}
+        assert compiled.codes["pos_tag"].keys() == tags | {"<root>", "<none>"}
+        assert_block_rows(model)
         doc = [Sentence(Token(t.index, t.form, pos_tag=t.pos_tag) for t in ud(s))
                for s in toy_treebank[:20]]
         assert parses(parse_sentences(model, doc)) == parses(
@@ -423,6 +492,31 @@ class TestLockstepDecoding:
         assert [r.getMessage() for r in caplog.records] == [
             "fallback attached 5 token(s) in 2 sentence(s)"]
 
+    @pytest.mark.parametrize("use_ner", [False, True])
+    def test_alphabet_entries_of_no_template_fire_nothing(self, toy_treebank, use_ner):
+        # Besides the trained features, the alphabet holds a name that no
+        # template has, a feature without "=", a conjunction's name over one
+        # value, a distance that no bucket holds and an NER pair read as
+        # one value; alphabet_tuples reads none of them as a template's.
+        trained = train_parser(toy_treebank[:10], epochs=1, use_ner_features=use_ner)
+        extra = ["never=", "s0p", "s0p|b0p=N", "dist=7", "ner:s0n=O\tO", "b0p=N\tV"]
+        feature_index = {f: j for j, f in enumerate([*extra, *trained.feature_index])}
+        rng = np.random.default_rng(5)
+        model = ParserModel(trained.relations, feature_index,
+                            rng.integers(-9, 10, (len(feature_index), len(trained.actions))),
+                            use_ner_features=use_ner, root_labels=trained.root_labels,
+                            root_label=trained.root_label)
+        assert_block_rows(model)
+        doc = toy_treebank[:20]
+        assert parses(parse_sentences(model, doc)) == parses(
+            reference_parse(model, s, use_ner) for s in doc)
+        # The alphabet of one name outside the templates fires nothing.
+        model = ParserModel(["dep", "root"], {"never=": 0}, np.ones((1, 6)))
+        assert model._compiled.codes == {"pos_tag": {"<none>": 0, "<root>": 1}}
+        assert_block_rows(model)
+        assert parses(parse_sentences(model, doc)) == parses(
+            reference_parse(model, s, False) for s in doc)
+
     def test_no_log_without_fallback(self, parse_model, caplog):
         stripped = Sentence(Token(t.index, t.form, pos_tag=t.pos_tag) for t in FIXTURE)
         with caplog.at_level(logging.DEBUG, logger="sylpipe.depparse"):
@@ -463,13 +557,17 @@ class TestLockstepDecoding:
 class TestNerFeatureAblation:
     def test_parser_reads_the_columns_of_its_templates(self, toy_treebank, parse_model):
         assert not parse_model.use_ner_features
+        # The forms and tags of the loose templates by value id, the tags
+        # of the blocks by code, and the NER labels only by code, as all
+        # three NER templates lie in one block.
         compiled = parse_model._compiled
-        assert compiled.columns == ("form", "pos_tag")
-        assert "\n    [form, pos_tag] = values\n" in compiled.source
+        assert compiled.columns == ("form", "pos_tag") and compiled.codes.keys() == {"pos_tag"}
+        assert "\n    [form, pos_tag, pos_tag_codes] = values\n" in compiled.source
         assert "ner_label" not in compiled.source
-        assert len(compiled.sentence_values(toy_treebank[0])) == 2
+        assert len(compiled.sentence_values(toy_treebank[0])) == 3
         ner_parser = train_parser(list(toy_treebank)[:10], epochs=1, use_ner_features=True)
-        assert ner_parser._compiled.columns == ("form", "pos_tag", "ner_label")
+        assert ner_parser._compiled.columns == ("form", "pos_tag")
+        assert list(ner_parser._compiled.codes) == ["pos_tag", "ner_label"]
 
     def test_parser_without_ner_features_ignores_ner_labels(self, toy_treebank, parse_model):
         # Any NER labels, on some tokens or on all, give the same parses.
@@ -546,26 +644,30 @@ class TestLegalityTable:
 
 
 def assert_trainer_and_decoder_agree(treebank, use_ner):
-    """At every oracle state, the trainer's frozen column holds the ids that
-    state_ids gives the state: its feature ids, then its mask row's, F plus
-    its mask field, in the last row, a row that is -inf exactly where
-    _legal_action_mask is False."""
+    """At every oracle state, the trainer's frozen column holds the ids of
+    the state's features in template order, as state_ids gives those of the
+    loose templates, then its mask row's, F plus its mask field, a row that
+    is -inf exactly where _legal_action_mask is False; summed, the column's
+    rows equal, byte for byte, the decode rows that state_ids gives."""
     relations = sorted({rel for s in treebank for rel in s.column("dep_label")})
     action_index = {a: i for i, a in enumerate(depparse._actions(relations))}
     feature_index, ids, gold, bounds = depparse._freeze(treebank, action_index, use_ner)
     F = len(feature_index)
-    model = ParserModel(relations, feature_index, np.zeros((F, len(action_index))),
-                        use_ner_features=use_ner, root_labels=relations)
+    weights = np.random.default_rng(3).integers(-99, 100, (F, len(action_index)))
+    model = ParserModel(relations, feature_index, weights, use_ner_features=use_ner,
+                        root_labels=relations)
     compiled = model._compiled
+    loose, _ = depparse._layout(depparse._templates(use_ner))
     j = 0
     for sentence in treebank:
         values = compiled.sentence_values(sentence)
         for state in oracle_states(sentence):
-            features = ids[:-1, j]
-            *expected, mask = compiled.state_ids(state, values)
-            assert sorted(features[features >= 0].tolist()) == \
-                sorted(i for i in expected if i >= 0)
-            assert ids[-1, j] == mask == F + mask_field(state)
+            rows = compiled.state_ids(state, values)
+            assert ids[list(loose), j].tolist() == rows[:len(loose)]
+            assert _kernels.row_sum(model._rows, ids[:, j]).tobytes() == \
+                _kernels.row_sum(compiled.rows, rows).tobytes()
+            mask = ids[-1, j]
+            assert mask == F + mask_field(state)
             legal = depparse._legal_action_mask(state, len(relations), model.root_labels,
                                                 action_index)
             assert np.array_equal(np.isneginf(model._rows[mask]), ~legal)
@@ -612,8 +714,8 @@ class TestTrainerIds:
         assert state_ids.__name__ == state_ids.__qualname__ == "state_ids"
         names, source, _ = depparse._state_ids_code(
             depparse._templates(parse_model.use_ner_features))
-        assert compiled.source == source
-        namespace = dict(zip(names, compiled.tables), masks=len(parse_model.weights))
+        assert compiled.source == source and list(compiled.bindings) == names
+        namespace = dict(compiled.bindings)
         exec(compile(compiled.source, "<state_ids>", "exec"), namespace)
         for sentence in toy_treebank[:5]:
             values = compiled.sentence_values(sentence)
